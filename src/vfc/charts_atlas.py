@@ -18,6 +18,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -59,6 +60,9 @@ __all__ = [
     "build_categories",
     "CategoriesResult",
     "check_category",
+    "composition_table",
+    "b_composite",
+    "UnionFind",
     "realize",
     "RealizeResult",
     "check_realizations",
@@ -365,6 +369,9 @@ class ChartModel:
             return ()
         return tuple(self.obstruction_action[g].matvec(e))
 
+    def points_float(self) -> list[tuple[float, ...]]:
+        return [tuple(float(c) for c in p) for p in self.domain.points]
+
 
 def check_chart(atlas: "AtlasModel", I: tuple) -> CheckReport:
     """Chart-level invariants: action laws, equivariance, footprints."""
@@ -428,13 +435,6 @@ def check_chart(atlas: "AtlasModel", I: tuple) -> CheckReport:
                 rep.fail("section_ast_inconsistent", point=i, error=err)
                 break
     return rep
-
-
-def _chart_points_float(chart: ChartModel) -> list[tuple[float, ...]]:
-    return [tuple(float(c) for c in p) for p in chart.domain.points]
-
-
-ChartModel.points_float = _chart_points_float
 
 
 # ---------------------------------------------------------------------------
@@ -1130,6 +1130,35 @@ def check_category(cat: FiniteCategory) -> CheckReport:
     return rep
 
 
+def composition_table(rep: CheckReport, clause: str, morphisms, source: dict,
+                      target: dict, law) -> dict:
+    """``{(f, g): law(f, g)}`` over every composable pair "f then g".
+
+    A composite that is not a morphism (not a key of ``source``) is
+    reported as ``clause`` with the pair and the result, and left out.
+    """
+    by_source: dict = {}
+    for m in morphisms:
+        by_source.setdefault(source[m], []).append(m)
+    table: dict = {}
+    for f in morphisms:
+        for g in by_source.get(target[f], ()):
+            h = law(f, g)
+            if h in source:
+                table[(f, g)] = h
+            else:
+                rep.fail(clause, pair=(f, g), result=h)
+    return table
+
+
+def b_composite(atlas: "AtlasModel", f: tuple, g: tuple) -> tuple:
+    """The composite "f then g" of morphisms (I, J, y, γ) and (J, K, z, δ)
+    of B_K: (I, K, z, ρ^Γ_{JI}(δ)·γ)."""
+    I, _, _, gamma = f
+    J, K, z, delta = g
+    return (I, K, z, atlas.charts[I].group.mul(project_label(delta, J, I), gamma))
+
+
 @dataclass
 class CategoriesResult:
     domain_category: FiniteCategory  # B_K
@@ -1155,7 +1184,6 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
     for I in indices:
         for x in range(len(atlas.charts[I].domain.points)):
             objects.append((I, x))
-    obj_set = set(objects)
     morphisms = []
     b_src: dict = {}
     b_tgt: dict = {}
@@ -1168,28 +1196,13 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
                 x = atlas.charts[I].domain.act(gI.inv(gamma), _rho(atlas, I, J, y))
                 b_src[m] = (I, x)
                 b_tgt[m] = (J, y)
-    morph_set = set(morphisms)
     identity_of = {
         (I, x): (I, I, x, atlas.charts[I].group.identity) for (I, x) in objects
     }
-
-    def b_compose(f, g):
-        I, J, y, gamma = f
-        J2, K, z, delta = g
-        gamma2 = atlas.charts[I].group.mul(project_label(delta, J2, I), gamma)
-        return (I, K, z, gamma2)
-
-    b_comp: dict = {}
-    by_source: dict = {}
-    for m in morphisms:
-        by_source.setdefault(b_src[m], []).append(m)
-    for f in morphisms:
-        for g in by_source.get(b_tgt[f], ()):
-            h = b_compose(f, g)
-            if h not in morph_set:
-                rep.fail("composability_violated", pair=(f, g), result=h)
-            else:
-                b_comp[(f, g)] = h
+    b_comp = composition_table(
+        rep, "composability_violated", morphisms, b_src, b_tgt,
+        functools.partial(b_composite, atlas),
+    )
     B = FiniteCategory(
         objects=tuple(objects),
         morphisms=tuple(morphisms),
@@ -1252,27 +1265,19 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
                         e_morphisms.append(m)
                         e_src[m] = (I, x, eact[I][inv][e])
                         e_tgt[m] = (J, y, pmap[e])
-    e_morph_set = set(e_morphisms)
     e_identity = {}
     for (I, x, e) in e_objects:
         e_identity[(I, x, e)] = (I, I, x, e, atlas.charts[I].group.identity)
 
-    e_comp: dict = {}
-    if grids_closed:
-        e_by_source: dict = {}
-        for m in e_morphisms:
-            e_by_source.setdefault(e_src[m], []).append(m)
-        for f in e_morphisms:
-            I, J, y, e, gamma = f
-            gI = atlas.charts[I].group
-            for g in e_by_source.get(e_tgt[f], ()):
-                _, K, z, e2, delta = g
-                proj = project_label(delta, J, I)
-                h = (I, K, z, eact[I][proj][e], gI.mul(proj, gamma))
-                if h not in e_morph_set:
-                    rep.fail("composability_violated_E", pair=(f, g), result=h)
-                else:
-                    e_comp[(f, g)] = h
+    def e_compose(f, g):
+        I, J, _, e, gamma = f
+        _, K, z, _, delta = g
+        proj = project_label(delta, J, I)
+        return (I, K, z, eact[I][proj][e], atlas.charts[I].group.mul(proj, gamma))
+
+    e_comp = composition_table(
+        rep, "composability_violated_E", e_morphisms, e_src, e_tgt, e_compose
+    )
     E = FiniteCategory(
         objects=tuple(e_objects),
         morphisms=tuple(e_morphisms),
@@ -1387,9 +1392,14 @@ def _check_functor(rep, name, dom: FiniteCategory, cod: FiniteCategory, fobj, fm
 # ---------------------------------------------------------------------------
 
 
-class _UnionFind:
-    def __init__(self, items: Iterable):
+class UnionFind:
+    """Disjoint sets of ordered items; a set's representative is always its
+    smallest member, whatever the order of the unions."""
+
+    def __init__(self, items: Iterable, pairs: Iterable = ()):
         self.parent = {x: x for x in items}
+        for a, b in pairs:
+            self.union(a, b)
 
     def find(self, x):
         p = self.parent
@@ -1408,6 +1418,13 @@ class _UnionFind:
                 ra, rb = rb, ra
             self.parent[rb] = ra
 
+    def groups(self) -> dict:
+        """Representative -> members, in the order the items were given."""
+        out: dict = {}
+        for x in self.parent:
+            out.setdefault(self.find(x), []).append(x)
+        return out
+
 
 @dataclass
 class RealizeResult:
@@ -1416,41 +1433,33 @@ class RealizeResult:
     representatives: list  # smallest object per class
 
 
-def realize(category: FiniteCategory) -> RealizeResult:
-    """Quotient of the object set by the morphism relation (union-find)."""
-    uf = _UnionFind(category.objects)
-    for m in category.morphisms:
-        uf.union(category.source[m], category.target[m])
-    groups: dict = {}
-    for o in category.objects:
-        groups.setdefault(uf.find(o), []).append(o)
-    reps = sorted(groups.keys())
+def _quotient(items, pairs) -> RealizeResult:
+    groups = UnionFind(items, pairs).groups()
+    reps = sorted(groups)
     classes = [tuple(sorted(groups[r])) for r in reps]
-    class_of = {}
-    for ci, cls in enumerate(classes):
-        for o in cls:
-            class_of[o] = ci
+    class_of = {o: ci for ci, cls in enumerate(classes) for o in cls}
     return RealizeResult(classes=classes, class_of=class_of, representatives=reps)
+
+
+def realize(category: FiniteCategory) -> RealizeResult:
+    """Quotient of the object set by the morphism relation."""
+    return _quotient(
+        category.objects,
+        ((category.source[m], category.target[m]) for m in category.morphisms),
+    )
 
 
 def realize_intermediate(atlas: AtlasModel) -> RealizeResult:
     """Realization of the intermediate (quotient-level) category."""
-    keys = atlas.intermediate_keys()
-    uf = _UnionFind(keys)
     cls_maps = {I: atlas.charts[I].domain.class_index_of() for I in atlas.index_sets()}
-    for (I, J), change in atlas.changes.items():
-        for y in change.tilde_indices:
-            uf.union((J, cls_maps[J][y]), (I, cls_maps[I][change.rho_idx[y]]))
-    groups: dict = {}
-    for k in keys:
-        groups.setdefault(uf.find(k), []).append(k)
-    reps = sorted(groups.keys())
-    classes = [tuple(sorted(groups[r])) for r in reps]
-    class_of = {}
-    for ci, cls in enumerate(classes):
-        for o in cls:
-            class_of[o] = ci
-    return RealizeResult(classes=classes, class_of=class_of, representatives=reps)
+    return _quotient(
+        atlas.intermediate_keys(),
+        (
+            ((J, cls_maps[J][y]), (I, cls_maps[I][change.rho_idx[y]]))
+            for (I, J), change in atlas.changes.items()
+            for y in change.tilde_indices
+        ),
+    )
 
 
 def check_realizations(atlas: AtlasModel, B: FiniteCategory) -> CheckReport:
@@ -1485,14 +1494,14 @@ def check_realizations(atlas: AtlasModel, B: FiniteCategory) -> CheckReport:
         for x in chart.zero_sample_indices():
             zero_objects.add((I, x))
             footprint_label[(I, x)] = chart.footprint_map[x]
-    uf = _UnionFind(zero_objects)
-    for m in B.morphisms:
-        s, t = B.source[m], B.target[m]
-        if s in zero_objects and t in zero_objects:
-            uf.union(s, t)
-    by_root: dict = {}
-    for o in zero_objects:
-        by_root.setdefault(uf.find(o), set()).add(footprint_label[o])
+    zero_morphisms = (
+        (B.source[m], B.target[m]) for m in B.morphisms
+        if B.source[m] in zero_objects and B.target[m] in zero_objects
+    )
+    by_root = {
+        root: {footprint_label[o] for o in members}
+        for root, members in UnionFind(zero_objects, zero_morphisms).groups().items()
+    }
     labels = []
     for root, labs in by_root.items():
         if len(labs) != 1:

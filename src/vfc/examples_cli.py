@@ -25,6 +25,7 @@ errors.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -32,6 +33,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 import click
 
@@ -39,6 +41,7 @@ from .charts_atlas import (
     AtlasModel,
     ChartModel,
     CoordinateChangeModel,
+    FiniteGroup,
     GroupQuotientModel,
     atlas_from_json,
     atlas_to_json,
@@ -300,6 +303,86 @@ def _exp_of_label(label: str, g1, g2) -> tuple[int, int]:
     return g1.elements.index(parts[0]), g2.elements.index(parts[1])
 
 
+def _apply_frame(P, vec) -> tuple[float, float]:
+    return (
+        P[0][0] * vec[0] + P[0][1] * vec[1],
+        P[1][0] * vec[0] + P[1][1] * vec[1],
+    )
+
+
+def _ring_label(g: int, k: int, N: int) -> str:
+    return f"ring{g}:{k % N}"
+
+
+@dataclass
+class _Pole:
+    """One disk chart of the two-disk model: the centre (sample 0) and three
+    rings of n·N samples, n = |Γ|.  Ring g lies at band coordinate
+    ``RING_T[g]`` with radius ``radius(RING_T[g])`` in the frame P; its
+    sample j + s·N is rot^s applied to sample j, and its sample j lies over
+    the footprint sample ``orient``·j of the ring.  The centre sits at band
+    coordinate ``centre_band`` over the footprint sample ``centre``."""
+
+    index: tuple
+    group: FiniteGroup
+    rot: RationalMatrix
+    frame: tuple
+    radius: Callable[[float], float]  # band coordinate -> radius
+    orient: int
+    centre: str
+    centre_band: Fraction
+    N: int
+
+    @property
+    def nN(self) -> int:
+        return self.group.order * self.N
+
+    def idx(self, g: int, j: int) -> int:
+        return 1 + g * self.nN + j % self.nN
+
+    def ring_indices(self, g: int) -> range:
+        return range(self.idx(g, 0), self.idx(g, 0) + self.nN)
+
+    def ring(self, rep) -> list:
+        """The values of one ring: ``rep(θ_j)`` at the representative angles
+        θ_j = 2πj/(nN), j < N, extended by rot^s to the samples j + s·N."""
+        reps = [rep(2.0 * math.pi * j / self.nN) for j in range(self.N)]
+        out = list(reps)
+        for s in range(1, self.group.order):
+            mat = _mat_pow(self.rot, s)
+            out.extend(tuple(mat.matvec(v)) for v in reps)
+        return out
+
+    def domain(self) -> GroupQuotientModel:
+        pts: list = [(F(0), F(0))]
+        for t in RING_T:
+            r = self.radius(float(t))
+            pts.extend(self.ring(
+                lambda a: _rat_vec(_apply_frame(self.frame, (r * math.cos(a), r * math.sin(a))))
+            ))
+        elements = self.group.elements
+        perms = {
+            lab: tuple([0] + [self.idx(g, j + s * self.N) for g in range(3) for j in range(self.nN)])
+            for s, lab in enumerate(elements)
+        }
+        affine = {lab: (_mat_pow(self.rot, s), (F(0), F(0))) for s, lab in enumerate(elements)}
+        return GroupQuotientModel(points=tuple(pts), group=self.group, perms=perms, affine=affine)
+
+    def footprint(self) -> dict:
+        foot = {0: self.centre}
+        for g in range(3):
+            for j in range(self.nN):
+                foot[self.idx(g, j)] = _ring_label(g, self.orient * j, self.N)
+        return foot
+
+    def position(self, i: int) -> tuple:
+        """(band coordinate, footprint circle coordinate) of sample i."""
+        if i == 0:
+            return (self.centre_band, None)
+        g, j = (i - 1) // self.nN, (i - 1) % self.nN
+        return (RING_T[g], F((self.orient * j) % self.N, self.N))
+
+
 def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
     """The two-chart surface atlas with Γ₁ = Z_{n1}, Γ₂ = Z_{n2}.
 
@@ -331,80 +414,13 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
     )
     P = _frame(n2)
 
-    def pmul(vec):
-        return (
-            P[0][0] * vec[0] + P[0][1] * vec[1],
-            P[1][0] * vec[0] + P[1][1] * vec[1],
-        )
+    pmul = functools.partial(_apply_frame, P)
 
-    # ----- chart 1: the z-disk -----
-    n1N = n1 * N
-    pts1: list = [(F(0), F(0))]
-    for g in range(3):
-        r = 1.0 + float(RING_T[g])
-        ring = [None] * n1N
-        for j in range(N):
-            ang = 2.0 * math.pi * j / n1N
-            ring[j] = _rat_vec((r * math.cos(ang), r * math.sin(ang)))
-        for s in range(1, n1):
-            mat = _mat_pow(R1, s)
-            for j in range(N):
-                ring[j + s * N] = tuple(mat.matvec(ring[j]))
-        pts1.extend(ring)
-
-    def idx1(g: int, j: int) -> int:
-        return 1 + g * n1N + j % n1N
-
-    def ring_label(g: int, k: int) -> str:
-        return f"ring{g}:{k % N}"
-
-    perms1 = {}
-    for s, lab in enumerate(g1.elements):
-        perm = [0] + [0] * (3 * n1N)
-        for g in range(3):
-            for j in range(n1N):
-                perm[idx1(g, j)] = idx1(g, j + s * N)
-        perms1[lab] = tuple(perm)
-    affine1 = {
-        lab: (_mat_pow(R1, s), (F(0), F(0))) for s, lab in enumerate(g1.elements)
-    }
-    foot1 = {0: "c1"}
-    for g in range(3):
-        for j in range(n1N):
-            foot1[idx1(g, j)] = ring_label(g, j)
-
-    # ----- chart 2: the w-disk -----
-    n2N = n2 * N
-    pts2: list = [(F(0), F(0))]
-    for g in range(3):
-        r = 1.0 / (1.0 + float(RING_T[g]))
-        ring = [None] * n2N
-        for j in range(N):
-            ang = 2.0 * math.pi * j / n2N
-            ring[j] = _rat_vec(pmul((r * math.cos(ang), r * math.sin(ang))))
-        for s in range(1, n2):
-            mat = _mat_pow(A2, s)
-            for j in range(N):
-                ring[j + s * N] = tuple(mat.matvec(ring[j]))
-        pts2.extend(ring)
-
-    def idx2(g: int, j: int) -> int:
-        return 1 + g * n2N + j % n2N
-
-    perms2 = {}
-    for s, lab in enumerate(g2.elements):
-        perm = [0] + [0] * (3 * n2N)
-        for g in range(3):
-            for j in range(n2N):
-                perm[idx2(g, j)] = idx2(g, j + s * N)
-        perms2[lab] = tuple(perm)
-    affine2 = {
-        lab: (_mat_pow(A2, s), (F(0), F(0))) for s, lab in enumerate(g2.elements)
-    }
-    foot2 = {0: "c2"}
-    for g in range(3):
-        for j in range(n2N):
-            foot2[idx2(g, j)] = ring_label(g, (-j) % N)
+    # ----- the poles: the z-disk (chart 1) and the w-disk (chart 2) -----
+    pole1 = _Pole(index=(1,), group=g1, rot=R1, frame=_frame(n1), radius=lambda t: 1.0 + t,
+                  orient=1, centre="c1", centre_band=F(0), N=N)
+    pole2 = _Pole(index=(2,), group=g2, rot=A2, frame=P, radius=lambda t: 1.0 / (1.0 + t),
+                  orient=-1, centre="c2", centre_band=F(1), N=N)
 
     # ----- chart 12: rings of the annulus cover -----
     n12 = 3 * L
@@ -452,11 +468,13 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
     foot12 = {}
     for g in range(3):
         for j in range(L):
-            foot12[idx12(g, j)] = ring_label(g, j % N)
+            foot12[idx12(g, j)] = _ring_label(g, j, N)
 
     # covering maps to the basic charts
-    rho1_idx = {idx12(g, j): idx1(g, j % n1N) for g in range(3) for j in range(L)}
-    rho2_idx = {idx12(g, j): idx2(g, (-j) % n2N) for g in range(3) for j in range(L)}
+    rho1_idx, rho2_idx = (
+        {idx12(g, j): pole.idx(g, pole.orient * j) for g in range(3) for j in range(L)}
+        for pole in (pole1, pole2)
+    )
     tilde12 = tuple(range(n12))
 
     # ----- smooth formulas on the transition chart -----
@@ -539,29 +557,20 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
         # chart 1: ν₁ = (cosθ, sinθ)/8 on the rings, 0 at the center
         d1 = {0: (F(0), F(0))}
         for g in range(3):
-            reps = {}
-            for j in range(N):
-                ang = 2.0 * math.pi * j / n1N
-                reps[j] = _rat_vec((math.cos(ang) / 8.0, math.sin(ang) / 8.0))
-            for s in range(n1):
-                mat = _mat_pow(R1, s)
-                for j in range(N):
-                    d1[idx1(g, j + s * N)] = tuple(mat.matvec(reps[j]))
+            ring = pole1.ring(lambda a: _rat_vec((math.cos(a) / 8.0, math.sin(a) / 8.0)))
+            d1.update(zip(pole1.ring_indices(g), ring))
         nu_samples[(1,)] = d1
         # chart 2: ν₂ = −w/(8(1+t)) on the rings, 0 at the center
         d2 = {0: (F(0), F(0))}
         for g in range(3):
             r = 1.0 / (1.0 + float(RING_T[g]))
-            reps = {}
-            for j in range(N):
-                ang = 2.0 * math.pi * j / n2N
-                w = pmul((r * math.cos(ang), r * math.sin(ang)))
+
+            def nu2(a):
+                w = pmul((r * math.cos(a), r * math.sin(a)))
                 scale = -r / 8.0
-                reps[j] = _rat_vec((scale * w[0], scale * w[1]))
-            for s in range(n2):
-                mat = _mat_pow(A2, s)
-                for j in range(N):
-                    d2[idx2(g, j + s * N)] = tuple(mat.matvec(reps[j]))
+                return _rat_vec((scale * w[0], scale * w[1]))
+
+            d2.update(zip(pole2.ring_indices(g), pole2.ring(nu2)))
         nu_samples[(2,)] = d2
         # chart 12: outer rings are the pushforwards of the basic values
         # (coordinate-change compatibility holds exactly); the middle ring
@@ -643,14 +652,13 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
             p, q = _exp_of_label(lab, g1, g2)
             act12[lab] = _block_diag(_mat_pow(R1, p), _mat_pow(A2, q))
         m_basic, m12 = 2, 4
+        zero_basic = (F(0), F(0))
         phi1 = RationalMatrix.from_rows(
             [[F(1), F(0)], [F(0), F(1)], [F(0), F(0)], [F(0), F(0)]]
         )
         phi2 = RationalMatrix.from_rows(
             [[F(0), F(0)], [F(0), F(0)], [F(1), F(0)], [F(0), F(1)]]
         )
-        s_samples1 = tuple((F(0), F(0)) for _ in pts1)
-        s_samples2 = tuple((F(0), F(0)) for _ in pts2)
         s12 = [zero4] * n12 + [e_samples_s[n12 + k] for k in range(4 * D)]
         tangent1 = (0, 1)
         tangent12 = (0, 1, 2, 3)
@@ -660,41 +668,30 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
         grid1 = grid2 = grid12 = ((),)
         act1 = act2 = act12 = {}
         m_basic, m12 = 0, 0
+        zero_basic = ()
         phi1 = phi2 = RationalMatrix.zero(0, 0)
-        s_samples1 = ((),) * len(pts1)
-        s_samples2 = ((),) * len(pts2)
         s12 = [()] * n12
         tangent1 = ()
         tangent12 = ()
         tilde_tangent = ()
         sec_asts_basic = None
 
-    chart1 = ChartModel(
-        index=(1,),
-        domain=GroupQuotientModel(
-            points=tuple(pts1), group=g1, perms=perms1, affine=affine1
-        ),
-        obstruction_dim=m_basic,
-        obstruction_action=act1,
-        obstruction_points=grid1,
-        section_samples=s_samples1,
-        footprint_map=foot1,
-        section_asts=sec_asts_basic,
-        tangent_dims=tangent1,
-    )
-    chart2 = ChartModel(
-        index=(2,),
-        domain=GroupQuotientModel(
-            points=tuple(pts2), group=g2, perms=perms2, affine=affine2
-        ),
-        obstruction_dim=m_basic,
-        obstruction_action=act2,
-        obstruction_points=grid2,
-        section_samples=s_samples2,
-        footprint_map=foot2,
-        section_asts=sec_asts_basic,
-        tangent_dims=tangent1,
-    )
+    def pole_chart(pole, act, grid):
+        domain = pole.domain()
+        return ChartModel(
+            index=pole.index,
+            domain=domain,
+            obstruction_dim=m_basic,
+            obstruction_action=act,
+            obstruction_points=grid,
+            section_samples=(zero_basic,) * len(domain.points),
+            footprint_map=pole.footprint(),
+            section_asts=sec_asts_basic,
+            tangent_dims=tangent1,
+        )
+
+    chart1 = pole_chart(pole1, act1, grid1)
+    chart2 = pole_chart(pole2, act2, grid2)
     chart12 = ChartModel(
         index=(1, 2),
         domain=GroupQuotientModel(points=tuple(pts12), group=g12, perms=perms12),
@@ -728,7 +725,7 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
     }
     x_labels = (
         ["c1", "c2"]
-        + [ring_label(g, k) for g in range(3) for k in range(N)]
+        + [_ring_label(g, k, N) for g in range(3) for k in range(N)]
     )
     cover = {
         1: frozenset(lab for lab in x_labels if lab != "c2"),
@@ -737,22 +734,10 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
 
     # ----- metric on intermediate classes: band × footprint circle -----
     positions = {}
-    cls1 = chart1.domain.class_index_of()
-    for i, p in enumerate(pts1):
-        key = ((1,), cls1[i])
-        if i == 0:
-            positions[key] = (F(0), None)
-        else:
-            g, j = (i - 1) // n1N, (i - 1) % n1N
-            positions[key] = (RING_T[g], F(j % N, N))
-    cls2 = chart2.domain.class_index_of()
-    for i, p in enumerate(pts2):
-        key = ((2,), cls2[i])
-        if i == 0:
-            positions[key] = (F(1), None)
-        else:
-            g, j = (i - 1) // n2N, (i - 1) % n2N
-            positions[key] = (RING_T[g], F((-j) % N, N))
+    for pole, chart in ((pole1, chart1), (pole2, chart2)):
+        cls = chart.domain.class_index_of()
+        for i in range(len(chart.domain.points)):
+            positions[(pole.index, cls[i])] = pole.position(i)
     cls12 = chart12.domain.class_index_of()
     for i in range(len(pts12)):
         key = ((1, 2), cls12[i])
@@ -783,20 +768,14 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
     )
 
     # ----- reduction, precompact core, perturbation, norms -----
-    v1 = frozenset([0] + [idx1(0, j) for j in range(n1N)])
-    v2 = frozenset([0] + [idx2(2, j) for j in range(n2N)])
+    v1 = frozenset([0, *pole1.ring_indices(0)])
+    v2 = frozenset([0, *pole2.ring_indices(2)])
     v12 = frozenset(range(len(pts12)))
-    if euler:
-        x0, y0 = var(0), var(1)
-        t0 = var(2)
-        pred1 = ["<=", ["+", ["*", x0, x0], ["*", y0, y0]], num(2)]
-        pred2 = ["<=", _q_ast(n2, x0, y0), num(F(2, 5))]
-        pred12 = ["and", [">=", t0, num(0)], ["<=", t0, num(1)]]
-    else:
-        t0 = var(0)
-        pred1 = ["<=", ["+", ["*", var(0), var(0)], ["*", var(1), var(1)]], num(2)]
-        pred2 = ["<=", _q_ast(n2, var(0), var(1)), num(F(2, 5))]
-        pred12 = ["and", [">=", t0, num(0)], ["<=", t0, num(1)]]
+    x0, y0 = var(0), var(1)
+    t0 = var(2) if euler else var(0)
+    pred1 = ["<=", ["+", ["*", x0, x0], ["*", y0, y0]], num(2)]
+    pred2 = ["<=", _q_ast(n2, x0, y0), num(F(2, 5))]
+    pred12 = ["and", [">=", t0, num(0)], ["<=", t0, num(1)]]
     V = Reduction(
         sets={(1,): v1, (2,): v2, (1, 2): v12},
         preds={(1,): pred1, (2,): pred2, (1, 2): pred12},
@@ -945,6 +924,30 @@ def _stage(stages: list, report: CheckReport) -> bool:
     return report.ok
 
 
+def _atlas_stages(atlas: AtlasModel):
+    """The atlas validators in order, each report made when it is asked for:
+    the model, every chart, every coordinate change, the strong cocycle,
+    tameness and filtration and then, if all of those passed, the categories
+    and the realizations."""
+    checks = [functools.partial(check_atlas_model, atlas)]
+    checks += [functools.partial(check_chart, atlas, I) for I in atlas.index_sets()]
+    checks += [
+        functools.partial(check_coordinate_change, atlas, I, J)
+        for (I, J) in sorted(atlas.changes)
+    ]
+    checks.append(functools.partial(check_cocycle, atlas, "strong"))
+    checks.append(functools.partial(check_tame_and_filtration, atlas))
+    ok = True
+    for check in checks:
+        rep = check()
+        ok = ok and rep.ok
+        yield rep
+    if ok:
+        cats = build_categories(atlas)
+        yield cats.report
+        yield check_realizations(atlas, cats.domain_category)
+
+
 def _snap_zero_to_sample(atlas: AtlasModel, z) -> int | None:
     chart = atlas.charts[z.chart_index]
     best, best_d = None, 1e-3
@@ -1041,20 +1044,11 @@ def run_example(descriptor: ExampleDescriptor, seed_grid: int = 1):
         return report, 0 if ok else 1
 
     atlas = built.atlas
-    ok = _stage(stages, check_atlas_model(atlas))
-    for I in atlas.index_sets():
-        ok = ok and _stage(stages, check_chart(atlas, I))
-    for (I, J) in sorted(atlas.changes):
-        ok = ok and _stage(stages, check_coordinate_change(atlas, I, J))
-    ok = ok and _stage(stages, check_cocycle(atlas, "strong"))
-    ok = ok and _stage(stages, check_tame_and_filtration(atlas))
-    if not ok:
-        report["ok"] = False
-        return report, 1
-    cats = build_categories(atlas)
-    ok = _stage(stages, cats.report)
-    ok = ok and _stage(stages, check_realizations(atlas, cats.domain_category))
-    ok = ok and _stage(stages, check_reduction(atlas, built.V))
+    for rep in _atlas_stages(atlas):
+        if not _stage(stages, rep):
+            report["ok"] = False
+            return report, 1
+    ok = _stage(stages, check_reduction(atlas, built.V))
     pruned = build_pruned_category(atlas, built.V)
     ok = ok and _stage(stages, pruned.report)
     if not ok:
@@ -1196,17 +1190,9 @@ def check_atlas_data(data: dict) -> dict:
     atlas = atlas_from_json(data)
     stages: list = []
     report = {"schema": RUN_SCHEMA, "mode": "check", "stages": stages}
-    ok = _stage(stages, check_atlas_model(atlas))
-    for I in atlas.index_sets():
-        ok = _stage(stages, check_chart(atlas, I)) and ok
-    for (I, J) in sorted(atlas.changes):
-        ok = _stage(stages, check_coordinate_change(atlas, I, J)) and ok
-    ok = _stage(stages, check_cocycle(atlas, "strong")) and ok
-    ok = _stage(stages, check_tame_and_filtration(atlas)) and ok
-    if ok:
-        cats = build_categories(atlas)
-        ok = _stage(stages, cats.report) and ok
-        ok = _stage(stages, check_realizations(atlas, cats.domain_category)) and ok
+    ok = True
+    for rep in _atlas_stages(atlas):
+        ok = _stage(stages, rep) and ok
     if "reduction" in data:
         red = reduction_from_json(data["reduction"])
         ok = _stage(stages, check_reduction(atlas, red)) and ok

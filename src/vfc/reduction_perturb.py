@@ -23,7 +23,10 @@ from .charts_atlas import (
     AtlasModel,
     CheckReport,
     FiniteCategory,
+    _index_from_key,
+    _index_key,
     check_category,
+    composition_table,
     kernel_labels,
     realize_intermediate,
 )
@@ -73,9 +76,6 @@ class Reduction:
     sets: dict  # I -> frozenset of sample indices
     preds: dict = field(default_factory=dict)  # I -> predicate AST
     closures: dict = field(default_factory=dict)  # I -> frozenset (declared)
-
-    def closure_of(self, I: tuple) -> frozenset:
-        return self.closures.get(I, self.sets[I])
 
     def contains_float(self, I: tuple, coords: Sequence[float]) -> bool:
         pred = self.preds.get(I)
@@ -287,11 +287,12 @@ def check_reduction(atlas: AtlasModel, red: Reduction) -> CheckReport:
                 if eval_pred(pred, list(p)) != (x in v):
                     rep.fail("predicate_mismatch", index=I, point=x)
                     break
+    closures = {I: closure_of(atlas, red, I) for I in indices}
     # (ii) precompact surrogate + zero intersection
     for I in indices:
         chart = atlas.charts[I]
         n = len(chart.domain.points)
-        if any(x >= n for x in closure_of(atlas, red, I)):
+        if any(x >= n for x in closures[I]):
             rep.fail("closure_escapes_domain", index=I)
         v = red.sets[I]
         if v and not (set(v) & set(chart.zero_sample_indices())):
@@ -301,9 +302,7 @@ def check_reduction(atlas: AtlasModel, red: Reduction) -> CheckReport:
     proj_closure = {}
     for I in indices:
         cls = atlas.charts[I].domain.class_index_of()
-        proj_closure[I] = {
-            inter.class_of[(I, cls[x])] for x in closure_of(atlas, red, I)
-        }
+        proj_closure[I] = {inter.class_of[(I, cls[x])] for x in closures[I]}
     for I in indices:
         for J in indices:
             if I >= J:
@@ -376,21 +375,11 @@ def build_pruned_category(atlas: AtlasModel, red: Reduction) -> PrunedResult:
                 morphisms.append(m)
                 src[m] = (I, x)
                 tgt[m] = (J, y)
-    morph_set = set(morphisms)
     identity_of = {(I, x): (I, I, x) for (I, x) in objects}
-    compose: dict = {}
-    by_source: dict = {}
-    for m in morphisms:
-        by_source.setdefault(src[m], []).append(m)
-    for f in morphisms:
-        for g in by_source.get(tgt[f], ()):
-            I = f[0]
-            K = g[1]
-            h = (I, K, g[2])
-            if h not in morph_set:
-                rep.fail("composition_escapes", pair=(f, g), result=h)
-            else:
-                compose[(f, g)] = h
+    compose = composition_table(
+        rep, "composition_escapes", morphisms, src, tgt,
+        lambda f, g: (f[0], g[1], g[2]),
+    )
     cat = FiniteCategory(
         objects=tuple(objects),
         morphisms=tuple(morphisms),
@@ -591,17 +580,15 @@ def _projected_ball(atlas: AtlasModel, keys: set, radius) -> set:
     return out
 
 
-def _delta_conditions(atlas: AtlasModel, red: Reduction, delta: Fraction) -> bool:
+def _delta_conditions(atlas: AtlasModel, closure_keys: dict, inter,
+                      delta: Fraction) -> bool:
+    """``closure_keys`` maps each index I to the intermediate keys of the
+    closure of V_I; ``inter`` is the intermediate realization."""
     indices = atlas.index_sets()
     # hat balls stay inside the chart domains (sample surrogate: the ball
     # of the declared closure still consists of chart samples — always
     # true extensionally — plus separation of non-nested reductions)
-    proj = {}
-    for I in indices:
-        cls = atlas.charts[I].domain.class_index_of()
-        keys = {(I, cls[x]) for x in closure_of(atlas, red, I)}
-        proj[I] = _projected_ball(atlas, keys, 2 * delta)
-    inter = realize_intermediate(atlas)
+    proj = {I: _projected_ball(atlas, closure_keys[I], 2 * delta) for I in indices}
     for I in indices:
         for J in indices:
             if I >= J:
@@ -627,11 +614,16 @@ def compute_adaptedness_constants(
     if atlas.metric is None:
         raise ValueError("adaptedness constants require an atlas metric")
     indices = atlas.index_sets()
+    closure_keys = {}
+    for I in indices:
+        cls = atlas.charts[I].domain.class_index_of()
+        closure_keys[I] = {(I, cls[x]) for x in closure_of(atlas, V, I)}
+    inter = realize_intermediate(atlas)
     delta_V = None
     k = 2
     while k <= 12:
         cand = Fraction(1, 2**k)
-        if _delta_conditions(atlas, V, cand):
+        if _delta_conditions(atlas, closure_keys, inter, cand):
             delta_V = cand
             break
         k += 1
@@ -810,14 +802,6 @@ def check_adapted(
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
-
-
-def _index_key(I: tuple) -> str:
-    return ",".join(str(i) for i in I)
-
-
-def _index_from_key(key: str) -> tuple:
-    return tuple(int(p) for p in key.split(","))
 
 
 def reduction_to_json(red: Reduction) -> dict:

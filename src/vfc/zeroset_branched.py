@@ -13,6 +13,7 @@ The perturbed zero sets Z_I live in two parallel forms:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -22,9 +23,11 @@ import numpy as np
 from .charts_atlas import (
     AtlasModel,
     CheckReport,
+    UnionFind,
+    b_composite,
+    composition_table,
     join_label,
     kernel_labels,
-    project_label,
     split_label,
 )
 from .exterior_engine import (
@@ -266,9 +269,21 @@ class CompletedGroupoid:
     class_of: dict = field(default_factory=dict)
 
 
-def _groupoid_core(atlas, red, zsets, tilde_cl) -> tuple:
-    """Shared morphism enumeration; tilde_cl(F, J) gives the (closed)
-    overlap set used in the morphism formula."""
+def _tilde_cl(atlas, red, zsets, closures, F, J) -> frozenset:
+    """The zeros of Z_J in cl(Ṽ_FJ): the declared closure where
+    ``closures`` has one, else the open overlap Ṽ_FJ."""
+    if (F, J) in closures:
+        return frozenset(y for y in closures[(F, J)] if y in zsets[J])
+    if F == J:
+        return frozenset(zsets[J])
+    if (F, J) not in atlas.changes:
+        return frozenset()
+    return frozenset(y for y in v_tilde(atlas, red, F, J) if y in zsets[J])
+
+
+def _groupoid_core(atlas, red, zsets, closures) -> tuple:
+    """Shared morphism enumeration over the overlaps closed by
+    ``closures`` (see :func:`_tilde_cl`)."""
     indices = [I for I in atlas.index_sets() if I in zsets]
     objects = [(I, z) for I in indices for z in sorted(zsets[I])]
     obj_set = set(objects)
@@ -294,7 +309,7 @@ def _groupoid_core(atlas, red, zsets, tilde_cl) -> tuple:
             for F in _nonempty_subsets(I):
                 if F != I and (F, J) not in atlas.changes and F != J:
                     continue
-                cl_FJ = tilde_cl(F, J)
+                cl_FJ = _tilde_cl(atlas, red, zsets, closures, F, J)
                 kernel = kernel_labels(
                     atlas.charts[I].group, I, F, atlas.charts[F].group.identity
                 )
@@ -317,22 +332,12 @@ def _groupoid_core(atlas, red, zsets, tilde_cl) -> tuple:
     return objects, morphisms, src, tgt
 
 
-def _classes_of(objects, morphisms, src, tgt):
-    parent = {o: o for o in objects}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for m in morphisms:
-        ra, rb = find(src[m]), find(tgt[m])
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    class_of = {o: find(o) for o in objects}
-    classes = tuple(sorted(set(class_of.values())))
-    return classes, class_of
+def _classes_of(objects, pairs):
+    """The classes of the relation ``pairs``, each named by its smallest
+    object: the sorted names, and the name of every object's class."""
+    uf = UnionFind(objects, pairs)
+    class_of = {o: uf.find(o) for o in objects}
+    return tuple(sorted(set(class_of.values()))), class_of
 
 
 def complete_groupoid(
@@ -347,17 +352,7 @@ def complete_groupoid(
     and inverses, and the within-chart/charts-change factorization.
     """
     rep = CheckReport("completed_groupoid")
-
-    def tilde_cl(F, J):
-        if F == J:
-            return frozenset(zsets[J])
-        if (F, J) not in atlas.changes:
-            return frozenset()
-        return frozenset(
-            y for y in v_tilde(atlas, red, F, J) if y in zsets[J]
-        )
-
-    objects, morphisms, src, tgt = _groupoid_core(atlas, red, zsets, tilde_cl)
+    objects, morphisms, src, tgt = _groupoid_core(atlas, red, zsets, {})
     morph_set = set(morphisms)
     # (a) every morphism is determined by its (source, target) pair
     seen: dict = {}
@@ -367,17 +362,10 @@ def complete_groupoid(
             rep.fail("not_determined_by_endpoints", pair=key, morphisms=[seen[key], m])
         seen[key] = m
     # (b) closure under composition
-    by_source: dict = {}
-    for m in morphisms:
-        by_source.setdefault(src[m], []).append(m)
-    for f in morphisms:
-        for g in by_source.get(tgt[f], ()):
-            I, J, _, alpha = f
-            _, K, z, beta = g
-            gamma = atlas.charts[I].group.mul(project_label(beta, g[0], I), alpha)
-            h = (I, K, z, gamma)
-            if h not in morph_set:
-                rep.fail("not_closed_under_composition", pair=(f, g), result=h)
+    composition_table(
+        rep, "not_closed_under_composition", morphisms, src, tgt,
+        functools.partial(b_composite, atlas),
+    )
     # (c) closure under inverses for within-chart morphisms
     for m in morphisms:
         I, J, y, alpha = m
@@ -411,7 +399,7 @@ def complete_groupoid(
         ok_second = mu_a2 in morph_set and mu_b2 in morph_set
         if not (ok_first and ok_second):
             rep.fail("factorization", morphism=m)
-    classes, class_of = _classes_of(objects, morphisms, src, tgt)
+    classes, class_of = _classes_of(objects, ((src[m], tgt[m]) for m in morphisms))
     return CompletedGroupoid(
         objects=tuple(objects),
         morphisms=tuple(morphisms),
@@ -434,6 +422,14 @@ class HausdorffGroupoid:
     class_of: dict
     minimal_footprint: dict  # class -> F_p
 
+    def fibers(self) -> dict:
+        """class -> chart I -> the samples of Z_I in the class."""
+        out: dict = {}
+        for o in self.objects:
+            I, z = o
+            out.setdefault(self.class_of[o], {}).setdefault(I, set()).add(z)
+        return out
+
 
 def hausdorff_complete(
     atlas: AtlasModel,
@@ -451,24 +447,15 @@ def hausdorff_complete(
     """
     rep = CheckReport("hausdorff_groupoid")
     closures = closures or {}
-
-    def tilde_cl(F, J):
-        if (F, J) in closures:
-            return frozenset(y for y in closures[(F, J)] if y in zsets[J])
-        if F == J:
-            return frozenset(zsets[J])
-        if (F, J) not in atlas.changes:
-            return frozenset()
-        return frozenset(
-            y for y in v_tilde(atlas, red, F, J) if y in zsets[J]
-        )
-
     # nestedness of {F : z ∈ cl(Ṽ_FJ)} per zero
     indices = [I for I in atlas.index_sets() if I in zsets]
     f_sets: dict = {}
     for J in indices:
         for z in sorted(zsets[J]):
-            fs = [F for F in _nonempty_subsets(J) if z in tilde_cl(F, J)]
+            fs = [
+                F for F in _nonempty_subsets(J)
+                if z in _tilde_cl(atlas, red, zsets, closures, F, J)
+            ]
             for a in fs:
                 for b in fs:
                     if not (set(a) <= set(b) or set(b) <= set(a)):
@@ -478,7 +465,7 @@ def hausdorff_complete(
                         )
             f_sets[(J, z)] = fs
 
-    objects, morphisms, src, tgt = _groupoid_core(atlas, red, zsets, tilde_cl)
+    objects, morphisms, src, tgt = _groupoid_core(atlas, red, zsets, closures)
     morph_set = set(morphisms)
     for m in completed.morphisms:
         if m not in morph_set:
@@ -489,7 +476,7 @@ def hausdorff_complete(
         if key in seen:
             rep.fail("not_nonsingular", pair=key)
         seen.add(key)
-    classes, class_of = _classes_of(objects, morphisms, src, tgt)
+    classes, class_of = _classes_of(objects, ((src[m], tgt[m]) for m in morphisms))
     # Hausdorff classes coarsen the completed classes
     for m in completed.morphisms:
         if class_of[completed.source[m]] != class_of[completed.target[m]]:
@@ -540,11 +527,7 @@ def weight_function(atlas: AtlasModel, hausdorff: HausdorffGroupoid) -> WeightRe
     formula |Γ_{I∖F_p}|/|Γ_I| in every chart that sees the class."""
     rep = CheckReport("weight_function")
     weights: dict = {}
-    per_chart: dict = {}
-    for o in hausdorff.objects:
-        I, z = o
-        p = hausdorff.class_of[o]
-        per_chart.setdefault(p, {}).setdefault(I, set()).add(z)
+    per_chart = hausdorff.fibers()
     for p in hausdorff.classes:
         F_p = hausdorff.minimal_footprint[p]
         values = []
@@ -587,11 +570,7 @@ def wnb_check(
     pieces, each of weight 1/|Γ_I|; the covering, local-regularity and
     weighting axioms are then checked extensionally."""
     rep = CheckReport("wnb")
-    per_chart: dict = {}
-    for o in hausdorff.objects:
-        I, z = o
-        p = hausdorff.class_of[o]
-        per_chart.setdefault(p, {}).setdefault(I, set()).add(z)
+    per_chart = hausdorff.fibers()
     branches: dict = {}
     for p in hausdorff.classes:
         charts = sorted(per_chart[p], key=lambda I: (len(I), I))
@@ -688,20 +667,7 @@ def branched_interval_model(m, mp, denominator: int = 8) -> BranchedIntervalMode
     closed_pairs = tuple(
         (("I", t), ("Ip", t)) for t in samples if t <= half
     )
-    parent = {o: o for o in objects}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in closed_pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    class_of = {o: find(o) for o in objects}
-    classes = tuple(sorted(set(class_of.values())))
+    classes, class_of = _classes_of(objects, closed_pairs)
     weights = {}
     for p in classes:
         fiber = [o for o in objects if class_of[o] == p]

@@ -12,6 +12,7 @@
 Plus negative tests: every validator fails on a purpose-built broken model.
 """
 
+import dataclasses
 import math
 import random
 import time
@@ -20,6 +21,7 @@ from fractions import Fraction
 import pytest
 
 from vfc.charts_atlas import (
+    FiniteCategory,
     build_categories,
     check_atlas_model,
     check_chart,
@@ -48,6 +50,7 @@ from vfc.exterior_engine import (
 from vfc.examples_cli import (
     ExampleDescriptor,
     build_example,
+    build_toy_atlas,
     random_toy_atlas,
     run_example,
 )
@@ -520,11 +523,63 @@ class TestNegative:
         broken = Reduction(sets=sets, preds={})
         assert not check_reduction(built.atlas, broken).ok
 
+    def test_categories_reject_missing_composite(self):
+        # (1) → (1,2) → (1,2,3) compose to a morphism (1) → (1,2,3), but
+        # that coordinate change is gone: neither B_K nor E_K is closed
+        rep = build_categories(build_toy_cocycle_gap()).report
+        assert _clause_fired(rep, "composability_violated")
+        assert _clause_fired(rep, "composability_violated_E")
+
+    def test_completed_groupoid_rejects_missing_composite(self):
+        atlas = build_toy_cocycle_gap()
+        everything = {
+            I: frozenset(range(len(atlas.charts[I].domain.points)))
+            for I in atlas.index_sets()
+        }
+        zsets = {
+            I: frozenset(atlas.charts[I].zero_sample_indices())
+            for I in atlas.index_sets()
+        }
+        rep = complete_groupoid(atlas, Reduction(sets=everything), zsets).report
+        assert _clause_fired(rep, "not_closed_under_composition")
+
+    def test_realization_rejects_category_without_changes(self):
+        atlas = random_toy_atlas(3)
+        B = build_categories(atlas).domain_category
+        local = tuple(m for m in B.morphisms if m[0] == m[1])
+        # |K| without the coordinate changes splits classes that |K̲| joins
+        doctored = FiniteCategory(
+            objects=B.objects,
+            morphisms=local,
+            source=B.source,
+            target=B.target,
+            compose={},
+            identity_of=B.identity_of,
+        )
+        rep = check_realizations(atlas, doctored)
+        assert _clause_fired(rep, "realization_not_bijective")
+
+    def test_realization_rejects_mixed_zero_footprints(self):
+        atlas = build_toy_atlas({1: {"a", "b"}, 2: {"b", "c"}}, ["a", "b", "c"], {1: 2, 2: 1})
+        chart = atlas.charts[(1, 2)]
+        # relabel one zero sample of the overlap chart: the morphism from
+        # chart 1 now joins a "b" sample to an "a" sample
+        footprint = dict(chart.footprint_map)
+        footprint[min(footprint)] = "a"
+        charts = dict(atlas.charts)
+        charts[(1, 2)] = dataclasses.replace(chart, footprint_map=footprint)
+        doctored = dataclasses.replace(atlas, charts=charts)
+        B = build_categories(doctored).domain_category
+        rep = check_realizations(doctored, B)
+        assert _clause_fired(rep, "zero_class_with_mixed_footprints")
+
+
+def _clause_fired(rep, clause):
+    return any(f["clause"] == clause for f in rep.failures)
+
 
 def build_toy_cocycle_gap():
     """A three-chart toy atlas with one coordinate change deleted."""
-    from vfc.examples_cli import build_toy_atlas
-
     atlas = build_toy_atlas(
         {1: {"a", "b"}, 2: {"b", "c"}, 3: {"b"}},
         ["a", "b", "c"],
