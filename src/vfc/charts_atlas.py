@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .exterior_engine import RationalMatrix, parse_rat, rat_str
-from .expressions import eval_pred, eval_vector, value_and_jacobian
+from .expressions import compile_vector, eval_pred
 
 __all__ = [
     "TAU_RANK",
@@ -427,8 +427,9 @@ def check_chart(atlas: "AtlasModel", I: tuple) -> CheckReport:
         )
     # loose consistency of smooth section vs declared samples
     if chart.section_asts is not None:
+        section = compile_vector(chart.section_asts, ())
         for i, p in enumerate(chart.points_float()):
-            got = [float(v) for v in eval_vector(chart.section_asts, list(p))]
+            got = section(p)[0].tolist()
             want = [float(v) for v in chart.section_samples[i]]
             err = max((abs(a - b) for a, b in zip(got, want)), default=0.0)
             if err > LOOSE_TOL:
@@ -666,19 +667,14 @@ def check_coordinate_change(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckRep
                 [[float(v) for v in row] for row in change.phi_hat.entries],
                 dtype=float,
             ).reshape(m_J, m_I)
+            dims = list(tgt.tangent_dims)
+            section = compile_vector(tgt.section_asts, dims)
+            columns = [dims.index(d) for d in complement]
             for y in tilde:
-                coords = [Fraction(c) for c in tgt.domain.points[y]]
-                _, rows = value_and_jacobian(
-                    tgt.section_asts, coords, tangent_dims=list(tgt.tangent_dims)
-                )
-                cols = []
-                for d in complement:
-                    j = list(tgt.tangent_dims).index(d)
-                    cols.append([float(r[j]) for r in rows])
+                _, jac = section(tgt.domain.points[y])
                 block = np.zeros((m_J, m_J))
                 block[:, :m_I] = phi_f
-                for k, c in enumerate(cols):
-                    block[:, m_I + k] = c
+                block[:, m_I:] = jac[:, columns]
                 sv = np.linalg.svd(block, compute_uv=False)
                 smallest = sv[-1] if len(sv) else 1.0
                 scale = max(sv[0] if len(sv) else 1.0, 1.0)
@@ -690,13 +686,9 @@ def check_coordinate_change(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckRep
     # smooth-level ρ vs sample-level ρ (loose tolerance; samples are
     # rational approximations of the smooth model)
     if change.rho_asts is not None:
+        rho = compile_vector(change.rho_asts, ())
         for y in tilde:
-            got = [
-                float(v)
-                for v in eval_vector(
-                    change.rho_asts, [float(c) for c in tgt.domain.points[y]]
-                )
-            ]
+            got = rho(tgt.domain.points[y])[0].tolist()
             want = [float(c) for c in src.domain.points[change.rho_idx[y]]]
             err = max((abs(a - b) for a, b in zip(got, want)), default=0.0)
             if err > LOOSE_TOL:
@@ -969,6 +961,17 @@ def check_tame_and_filtration(atlas: AtlasModel) -> CheckReport:
     """Tameness identities and bundle-filtration identities on samples."""
     rep = CheckReport("tame_and_filtration")
     indices = atlas.index_sets()
+    # the identities below are stated through every coordinate change
+    missing = [
+        (I, J)
+        for I in indices
+        for J in indices
+        if set(I) < set(J) and (I, J) not in atlas.changes
+    ]
+    for pair in missing:
+        rep.fail("missing_change", pair=pair)
+    if missing:
+        return rep
     declared = set(indices)
     # intersection identity for intermediate domains
     for I in indices:

@@ -31,7 +31,7 @@ from .charts_atlas import (
     realize_intermediate,
 )
 from .exterior_engine import RationalMatrix, parse_rat, rat_str
-from .expressions import eval_pred, eval_vector, value_and_jacobian
+from .expressions import compile_vector, eval_pred, eval_vector
 
 __all__ = [
     "TAU_EQ",
@@ -205,11 +205,13 @@ def epsilon_closure_radius(atlas: AtlasModel):
     return min(nonzero) / 2
 
 
-def closure_of(atlas: AtlasModel, red: Reduction, I: tuple) -> frozenset:
-    """Declared closure if present, else the metric ε-ball, else V_I."""
+def closure_of(atlas: AtlasModel, red: Reduction, I: tuple, eps) -> frozenset:
+    """Declared closure if present, else the metric ε-ball, else V_I.
+
+    ``eps`` is :func:`epsilon_closure_radius` of the atlas, which callers
+    compute once for all their indices."""
     if I in red.closures:
         return red.closures[I]
-    eps = epsilon_closure_radius(atlas)
     if eps is not None:
         return _hat_ball(atlas, I, frozenset(red.sets[I]), eps)
     return frozenset(red.sets[I])
@@ -287,7 +289,8 @@ def check_reduction(atlas: AtlasModel, red: Reduction) -> CheckReport:
                 if eval_pred(pred, list(p)) != (x in v):
                     rep.fail("predicate_mismatch", index=I, point=x)
                     break
-    closures = {I: closure_of(atlas, red, I) for I in indices}
+    eps = epsilon_closure_radius(atlas)
+    closures = {I: closure_of(atlas, red, I, eps) for I in indices}
     # (ii) precompact surrogate + zero intersection
     for I in indices:
         chart = atlas.charts[I]
@@ -325,6 +328,9 @@ def check_reduction(atlas: AtlasModel, red: Reduction) -> CheckReport:
     for F in indices:
         for I in indices:
             if not set(F) < set(I):
+                continue
+            if (F, I) not in atlas.changes:
+                rep.fail("missing_change", pair=(F, I))
                 continue
             chart = atlas.charts[I]
             kernel = kernel_labels(
@@ -477,12 +483,9 @@ def check_perturbation(
         phi_f = np.array(
             [[float(v) for v in row] for row in phi.entries], dtype=float
         ).reshape(phi.rows, phi.cols)
+        nu_J = compile_vector(asts, chart.tangent_dims)
         for y in sorted(v_tilde(atlas, red, I, J)):
-            coords = [Fraction(c) for c in chart.domain.points[y]]
-            _, rows = value_and_jacobian(
-                asts, coords, tangent_dims=list(chart.tangent_dims)
-            )
-            jac = np.array([[float(v) for v in r] for r in rows])
+            _, jac = nu_J(chart.domain.points[y])
             if phi.cols == 0:
                 resid = float(np.max(np.abs(jac))) if jac.size else 0.0
             else:
@@ -504,15 +507,9 @@ def check_perturbation(
             if nu_asts is None:
                 rep.fail("transversality_data_missing", index=I)
                 continue
-            _, s_rows = value_and_jacobian(
-                list(s_asts), list(coords), tangent_dims=list(chart.tangent_dims)
-            )
-            _, n_rows = value_and_jacobian(
-                list(nu_asts), list(coords), tangent_dims=list(chart.tangent_dims)
-            )
-            jac = np.array(
-                [[float(a) + float(b) for a, b in zip(r1, r2)] for r1, r2 in zip(s_rows, n_rows)]
-            )
+            _, s_jac = compile_vector(s_asts, chart.tangent_dims)(coords)
+            _, n_jac = compile_vector(nu_asts, chart.tangent_dims)(coords)
+            jac = s_jac + n_jac
             sv = np.linalg.svd(jac, compute_uv=False)
             if len(sv) == 0 or sv[-1] <= TAU_RANK * max(sv[0], 1.0):
                 rep.fail("transversality", index=I, point=list(coords))
@@ -614,10 +611,11 @@ def compute_adaptedness_constants(
     if atlas.metric is None:
         raise ValueError("adaptedness constants require an atlas metric")
     indices = atlas.index_sets()
+    eps = epsilon_closure_radius(atlas)
     closure_keys = {}
     for I in indices:
         cls = atlas.charts[I].domain.class_index_of()
-        closure_keys[I] = {(I, cls[x]) for x in closure_of(atlas, V, I)}
+        closure_keys[I] = {(I, cls[x]) for x in closure_of(atlas, V, I, eps)}
     inter = realize_intermediate(atlas)
     delta_V = None
     k = 2

@@ -36,7 +36,7 @@ from .exterior_engine import (
     standard_orientation,
     zero_sign,
 )
-from .expressions import eval_pred, value_and_jacobian
+from .expressions import compile_vector, eval_pred
 from .reduction_perturb import Perturbation, Reduction, v_tilde
 
 __all__ = [
@@ -95,27 +95,24 @@ class FindZerosResult:
     warnings: list
 
 
-def _section_plus_nu(atlas: AtlasModel, nu: Perturbation, I: tuple):
+def _section_plus_nu(atlas: AtlasModel, nu: Perturbation, I: tuple, dims: list):
+    """s_I + ν_I compiled once: ``f(coords) -> (values, jacobian)``."""
     chart = atlas.charts[I]
     s_asts = list(chart.section_asts or ())
     n_asts = list(nu.asts.get(I, ()))
-    if s_asts and n_asts and len(s_asts) != len(n_asts):
+    if not (s_asts and n_asts):
+        return compile_vector(s_asts, dims)
+    if len(s_asts) != len(n_asts):
         raise ValueError(f"section/perturbation arity mismatch in chart {I}")
-    return s_asts, n_asts
+    # one tape for both, so that subexpressions they share are evaluated once
+    both = compile_vector(s_asts + n_asts, dims)
+    m = len(s_asts)
 
+    def f(coords):
+        vals, jac = both(coords)
+        return vals[:m] + vals[m:], jac[:m] + jac[m:]
 
-def _eval_f(s_asts, n_asts, coords, dims):
-    sv, sj = value_and_jacobian(s_asts, coords, tangent_dims=dims)
-    if n_asts:
-        nv, nj = value_and_jacobian(n_asts, coords, tangent_dims=dims)
-    else:
-        nv = [0] * len(sv)
-        nj = [[0] * len(dims) for _ in sv]
-    vals = np.array([float(a) + float(b) for a, b in zip(sv, nv)])
-    jac = np.array(
-        [[float(a) + float(b) for a, b in zip(r1, r2)] for r1, r2 in zip(sj, nj)]
-    ).reshape(len(sv), len(dims))
-    return vals, jac
+    return f
 
 
 def find_zeros(
@@ -143,7 +140,7 @@ def find_zeros(
             continue
         if len(dims) != chart.obstruction_dim:
             raise ValueError(f"chart {I} is not index 0 over its tangent dims")
-        s_asts, n_asts = _section_plus_nu(atlas, nu, I)
+        s_plus_nu = _section_plus_nu(atlas, nu, I, dims)
         if seeds is not None and I in seeds:
             chart_seeds = [tuple(float(c) for c in p) for p in seeds[I]]
         else:
@@ -163,7 +160,7 @@ def find_zeros(
             best = float("inf")
             stall = 0
             for _ in range(NEWTON_MAX_ITERS):
-                vals, jac = _eval_f(s_asts, n_asts, coords, dims)
+                vals, jac = s_plus_nu(coords)
                 res = float(np.max(np.abs(vals))) if vals.size else 0.0
                 if res < TAU_ZERO:
                     converged = True
@@ -186,7 +183,7 @@ def find_zeros(
                 for k, d in enumerate(dims):
                     coords[d] -= float(step[k])
             seed_values.append(
-                vals if vals is not None else np.zeros(len(s_asts))
+                vals if vals is not None else np.zeros(len(chart.section_asts))
             )
             if not converged:
                 seed_converged.append(False)
@@ -202,7 +199,7 @@ def find_zeros(
                 for z in found
             ):
                 continue
-            vals, jac = _eval_f(s_asts, n_asts, coords, dims)
+            vals, jac = s_plus_nu(coords)
             if jac.size:
                 det = float(np.linalg.det(jac))
                 if abs(det) <= TAU_SIGN:

@@ -13,15 +13,18 @@ Plus negative tests: every validator fails on a purpose-built broken model.
 """
 
 import dataclasses
+import json
 import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 
 from vfc.charts_atlas import (
     FiniteCategory,
+    atlas_to_json,
     build_categories,
     check_atlas_model,
     check_chart,
@@ -51,6 +54,7 @@ from vfc.examples_cli import (
     ExampleDescriptor,
     build_example,
     build_toy_atlas,
+    main,
     random_toy_atlas,
     run_example,
 )
@@ -515,6 +519,36 @@ class TestNegative:
     def test_cocycle_strong_requires_all_changes(self):
         atlas = build_toy_cocycle_gap()
         assert not check_cocycle(atlas, "strong").ok
+
+    def test_missing_change_is_a_failed_clause(self):
+        atlas = build_toy_cocycle_gap()
+        gap = ((1,), (1, 2, 3))
+        assert gap not in atlas.changes
+        rep = check_tame_and_filtration(atlas)
+        assert rep.failures == [{"clause": "missing_change", "pair": gap}]
+        everything = {
+            I: frozenset(range(len(atlas.charts[I].domain.points)))
+            for I in atlas.index_sets()
+        }
+        rep = check_reduction(atlas, Reduction(sets=everything))
+        assert {"clause": "missing_change", "pair": gap} in rep.failures
+
+    def test_cli_check_missing_change_exits_one(self, tmp_path):
+        doc = tmp_path / "gap.json"
+        doc.write_text(json.dumps(atlas_to_json(build_toy_cocycle_gap())))
+        out = tmp_path / "report.json"
+        res = CliRunner().invoke(main, ["check", str(doc), "--json", str(out)])
+        assert res.exit_code == 1, res.output
+        assert "schema error" not in res.output
+        failed = {
+            st["name"]: [f["clause"] for f in st["failures"]]
+            for st in json.loads(out.read_text())["stages"]
+            if not st["ok"]
+        }
+        assert failed == {
+            "cocycle[strong]": ["missing_change", "missing_change"],
+            "tame_and_filtration": ["missing_change"],
+        }
 
     def test_reduction_rejects_non_invariant_set(self, built):
         sets = dict(built.V.sets)

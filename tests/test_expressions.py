@@ -1,11 +1,13 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from vfc.expressions import (
     Dual,
+    compile_vector,
     const_vec,
     eval_expr,
     eval_pred,
@@ -145,3 +147,89 @@ class TestPredicates:
             eval_expr(["bogus", 1], [])
         with pytest.raises(ValueError):
             eval_pred(["bogus", num(1), num(2)], [])
+
+
+# ---------------------------------------------------------------------------
+# compiled float form against the interpreter
+# ---------------------------------------------------------------------------
+
+N_VARS = 3
+
+_leaves = st.one_of(
+    st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(3, 2)]).map(num),
+    st.fractions(min_value=-3, max_value=3, max_denominator=12).map(num),
+    st.integers(0, N_VARS - 1).map(var),
+)
+
+
+def _extend(sub):
+    two = st.tuples(sub, sub)
+    some = st.lists(sub, min_size=1, max_size=3)
+    return st.one_of(
+        some.map(lambda xs: ["+", *xs]),
+        some.map(lambda xs: ["*", *xs]),
+        two.map(lambda t: ["-", *t]),
+        two.map(lambda t: ["/", *t]),
+        sub.map(lambda a: ["neg", a]),
+        st.tuples(sub, st.integers(-3, 3)).map(lambda t: ["pow", t[0], t[1]]),
+        # a square under the root, so that sqrt(0) and its zero slope occur
+        sub.map(lambda a: ["sqrt", ["*", a, a]]),
+        sub.map(lambda a: ["sin2pi", a]),
+        sub.map(lambda a: ["cos2pi", a]),
+        sub.map(lambda a: ["clamp01", a]),
+        sub.map(lambda a: ["smoothstep", a]),
+    )
+
+
+# an operator at the root, so that every node kind is drawn often
+_asts = _extend(st.recursive(_leaves, _extend, max_leaves=8))
+# on both sides of 0 and 1, and on them
+_coords = st.lists(
+    st.one_of(
+        st.sampled_from([-0.5, 0.0, 0.25, 1.0, 1.5]),
+        st.floats(min_value=-2, max_value=2, allow_nan=False),
+    ),
+    min_size=N_VARS,
+    max_size=N_VARS,
+)
+# every subset of the coordinates as tangent dims, one of them out of order
+_dims = st.sampled_from([[], [0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2], [2, 0]])
+
+
+class TestCompiledForm:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_asts, min_size=1, max_size=3), _coords, _dims)
+    def test_matches_interpreter_at_float_coordinates(self, asts, coords, dims):
+        try:
+            want_vals, want_rows = value_and_jacobian(asts, coords, dims)
+        except (ZeroDivisionError, OverflowError, ValueError):
+            assume(False)
+        want_vals = np.array([float(v) for v in want_vals])
+        want_jac = np.array(
+            [[float(v) for v in row] for row in want_rows]
+        ).reshape(len(asts), len(dims))
+        vals, jac = compile_vector(asts, dims)(coords)
+        assert vals.shape == want_vals.shape and jac.shape == want_jac.shape
+        np.testing.assert_allclose(vals, want_vals, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(jac, want_jac, rtol=1e-12, atol=1e-12)
+
+    def test_constants_fold_exactly_before_rounding(self):
+        # 1/3 + 1/3 + x: the interpreter adds 2/3 exactly, then rounds once
+        f = compile_vector([["+", num("1/3"), num("1/3"), var(0)]], [0])
+        vals, jac = f([0.1])
+        assert vals[0] == float(F(2, 3)) + 0.1
+        assert jac.tolist() == [[1.0]]
+
+    def test_shapes_and_non_tangent_coordinates(self):
+        f = compile_vector([["*", var(0), var(1)], num("1/2")], [1])
+        vals, jac = f([F(5), F(7)])
+        assert vals.tolist() == [35.0, 0.5]
+        assert jac.tolist() == [[5.0], [0.0]]
+        empty_vals, empty_jac = compile_vector([], [0, 1])([0.0, 0.0])
+        assert empty_vals.shape == (0,) and empty_jac.shape == (0, 2)
+
+    def test_unknown_node_raises_at_compile_time(self):
+        with pytest.raises(ValueError, match="unknown expression node"):
+            compile_vector([["bogus", 1]], [])
+        with pytest.raises(ValueError, match="unknown expression node"):
+            compile_vector([var(0), ["+", var(0), ["sin2pi", ["bogus"]]]], [0])

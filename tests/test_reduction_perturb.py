@@ -521,9 +521,10 @@ class TestAdaptednessConstants:
 
     def test_closure_radius_default(self):
         atlas = _line_atlas()
-        assert epsilon_closure_radius(atlas) == F(1, 16)
+        eps = epsilon_closure_radius(atlas)
+        assert eps == F(1, 16)
         V, _, _ = _line_data(atlas)
-        assert closure_of(atlas, V, (1,)) == frozenset({3, 4, 5})
+        assert closure_of(atlas, V, (1,), eps) == frozenset({3, 4, 5})
 
 
 class TestCheckAdapted:

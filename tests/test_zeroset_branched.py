@@ -1,6 +1,9 @@
+import sys
 from fractions import Fraction
 
 import pytest
+
+import vfc.expressions
 
 from vfc.charts_atlas import (
     AtlasModel,
@@ -11,6 +14,7 @@ from vfc.charts_atlas import (
     product_group,
     trivial_group,
 )
+from vfc.examples_cli import ExampleDescriptor, build_example, run_example
 from vfc.expressions import num, var
 from vfc.exterior_engine import RationalMatrix
 from vfc.reduction_perturb import Perturbation, Reduction
@@ -37,6 +41,59 @@ def clauses(report):
 # ---------------------------------------------------------------------------
 # numeric zero finding on one-chart models
 # ---------------------------------------------------------------------------
+
+class TestCompiledNewton:
+    """Newton and the float-side checks evaluate compiled expressions; the
+    interpreter's ``value_and_jacobian`` is left to exact inputs."""
+
+    @pytest.fixture
+    def interpreter_calls(self, monkeypatch):
+        calls = []
+        original = vfc.expressions.value_and_jacobian
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        # every vfc module that holds the function, under any name
+        for name, module in list(sys.modules.items()):
+            if name == "vfc" or name.startswith("vfc."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        return calls
+
+    def test_find_zeros_makes_no_interpreter_calls(self, interpreter_calls):
+        built = build_example(ExampleDescriptor("sphere-euler", {"density": 12}))
+        result = find_zeros(built.atlas, built.V, built.nu)
+        assert interpreter_calls == []
+        assert [
+            (z.chart_index, z.coordinates, z.sign, z.residual, z.jacobian)
+            for z in result.zeros
+        ] == [
+            ((1,), (0.0, 0.0), 1, 0.0, ((0.125, 0.0), (0.0, 0.125))),
+            ((2,), (0.0, 0.0), 1, 0.0, ((-0.0625, 0.0), (0.0, -0.0625))),
+        ]
+        assert result.warnings == []
+
+    def test_run_zero_list_and_weights(self, interpreter_calls):
+        report, code = run_example(
+            ExampleDescriptor("sphere-euler", {"density": 12})
+        )
+        assert code == 0
+        assert interpreter_calls == []
+        assert report["zero_set"]["zeros"] == [
+            {
+                "chart": [i],
+                "coordinates": [0.0, 0.0],
+                "minimal_footprint": [i],
+                "residual": 0.0,
+                "sign": 1,
+                "weight": "1/1",
+            }
+            for i in (1, 2)
+        ]
+
 
 
 def _interval_atlas(section_asts, sample_coords, zero_samples):
