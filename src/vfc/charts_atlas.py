@@ -23,6 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -47,6 +48,7 @@ __all__ = [
     "CoordinateChangeModel",
     "AtlasModel",
     "FiniteCategory",
+    "PairIndex",
     "check_group_quotient",
     "check_chart",
     "check_group_covering",
@@ -804,6 +806,15 @@ class AtlasModel:
                 keys.append((I, ci))
         return keys
 
+    @functools.cached_property
+    def closure_radius(self) -> Fraction | None:
+        """Half the smallest positive metric distance, or ``None`` without
+        one; read once per atlas, whose metric is never changed."""
+        if self.metric is None:
+            return None
+        positive = [d for d in self.metric.values() if d.numerator > 0]
+        return min(positive) / 2 if positive else None
+
     def distance(self, a: tuple, b: tuple) -> Fraction:
         if a == b:
             return Fraction(0)
@@ -1041,96 +1052,283 @@ def check_tame_and_filtration(atlas: AtlasModel) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FiniteCategory:
-    """A finite category with an explicit (partial) composition table.
+#: composable triples per step of the associativity check; this bounds the
+#: memory of its index arrays, which would otherwise grow with the triples
+TRIPLE_CHUNK = 1 << 14
 
-    ``compose[(f, g)]`` is "f then g", defined iff target(f) == source(g).
+
+def _ints(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.int64)
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """``[0, c0, c0 + c1, ...]``: where each run of ``counts`` starts."""
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class PairIndex:
+    """The composable pairs "f then g" (``tgt[f] == src[g]``) of morphisms
+    with endpoints ``src``, ``tgt``, in CSR order: f in morphism order and,
+    for each f, g over the morphisms out of ``tgt[f]`` in morphism order.
+
+    Pair (f, g) sits at ``pair_start[f] + rank[g]``, where ``rank[g]`` is
+    g's position among the morphisms out of ``src[g]``.  An endpoint
+    outside the objects belongs to no pair.
+    """
+
+    by_source: np.ndarray  # morphisms sorted by source, stably
+    out_start: np.ndarray  # object -> start of its morphisms in by_source
+    rank: np.ndarray
+    pair_start: np.ndarray
+    f: np.ndarray  # pair -> f
+    g: np.ndarray  # pair -> g
+
+    @classmethod
+    def of(cls, n_objects: int, src: np.ndarray, tgt: np.ndarray) -> "PairIndex":
+        inside = np.flatnonzero((src >= 0) & (src < n_objects))
+        by_source = inside[np.argsort(src[inside], kind="stable")]
+        out_degree = np.bincount(src[by_source], minlength=n_objects)
+        out_start = _offsets(out_degree)
+        rank = np.zeros(len(src), dtype=np.int64)
+        rank[by_source] = np.arange(len(by_source)) - out_start[src[by_source]]
+        t_inside = (tgt >= 0) & (tgt < n_objects)
+        row = np.append(out_degree, 0)[np.where(t_inside, tgt, n_objects)]
+        pair_start = _offsets(row)
+        f = np.repeat(np.arange(len(src), dtype=np.int64), row)
+        g = by_source[out_start[tgt[f]] + np.arange(len(f)) - pair_start[f]]
+        return cls(by_source, out_start, rank, pair_start, f, g)
+
+    def at(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Positions of the composable pairs (f[i], g[i])."""
+        return self.pair_start[f] + self.rank[g]
+
+    def triple_counts(self) -> np.ndarray:
+        """Per pair (f, g): the composable triples (f, g, h), one per h out
+        of ``tgt[g]``, which is the number of pairs that start with g."""
+        return np.diff(self.pair_start)[self.g]
+
+
+@dataclass(eq=False)
+class FiniteCategory:
+    """A finite category on int indices, with its composition table.
+
+    Morphism ``m`` runs from object ``src[m]`` to object ``tgt[m]``, and
+    ``identity[o]`` is the identity morphism of object ``o``.  Composition
+    is diagrammatic: "f then g" is defined when ``tgt[f] == src[g]``.
+    ``comp[p]`` is the composite of the p-th composable pair of ``pairs``
+    (CSR order, see :class:`PairIndex`).
+
+    Values out of range are faults that :func:`check_category` reports: an
+    endpoint outside the objects, a composite ``-1`` (undefined) or outside
+    the morphisms, an identity ``-1`` (none declared) or outside the
+    morphisms.  ``defects`` keeps the faults of label data that the arrays
+    cannot hold (see :meth:`from_labels`) as ``(clause, witness)``.
+
+    ``objects`` and ``morphisms`` are the labels.  ``source``, ``target``,
+    ``compose`` and ``identity_of`` are read-only label views of the
+    arrays, built when first read.
     """
 
     objects: tuple
     morphisms: tuple
-    source: dict
-    target: dict
-    compose: dict
-    identity_of: dict
+    src: np.ndarray
+    tgt: np.ndarray
+    identity: np.ndarray
+    pairs: PairIndex
+    comp: np.ndarray
+    defects: tuple = ()
 
-    def morphisms_between(self, a, b) -> list:
-        return [
-            m for m in self.morphisms if self.source[m] == a and self.target[m] == b
-        ]
+    @classmethod
+    def from_labels(cls, objects, morphisms, source: dict, target: dict,
+                    compose: dict, identity_of: dict) -> "FiniteCategory":
+        """The category of label data; ``compose[(f, g)]`` is "f then g".
+
+        An endpoint that is not an object, a composable pair missing from
+        ``compose`` and an identity that is not a morphism are kept in the
+        arrays.  A ``compose`` entry that is not a composable pair of
+        morphisms, or whose composite is not a morphism, and an
+        ``identity_of`` entry that is not object -> morphism are kept, the
+        first of each kind in ``compose`` and ``identity_of`` order, in
+        ``defects``.
+        """
+        objects, morphisms = tuple(objects), tuple(morphisms)
+        obj_idx = {o: i for i, o in enumerate(objects)}
+        mor_idx = {m: i for i, m in enumerate(morphisms)}
+        src_l = [obj_idx.get(source.get(m), -1) for m in morphisms]
+        tgt_l = [obj_idx.get(target.get(m), -1) for m in morphisms]
+        src, tgt = _ints(src_l), _ints(tgt_l)
+        pairs = PairIndex.of(len(objects), src, tgt)
+        pair_start, rank = pairs.pair_start.tolist(), pairs.rank.tolist()
+        comp = np.full(len(pairs.f), -1, dtype=np.int64)
+        compose_defect = identity_defect = None
+        for (f, g), h in compose.items():
+            fi, gi, hi = mor_idx.get(f), mor_idx.get(g), mor_idx.get(h)
+            if fi is None or gi is None or hi is None:
+                clause = "compose_outside_morphisms"
+            elif tgt_l[fi] != src_l[gi] or src_l[gi] < 0:
+                clause = "compose_of_non_composable"
+            else:
+                comp[pair_start[fi] + rank[gi]] = hi
+                continue
+            compose_defect = compose_defect or (clause, {"pair": (f, g)})
+        identity = np.full(len(objects), -1, dtype=np.int64)
+        for o, m in identity_of.items():
+            oi, mi = obj_idx.get(o), mor_idx.get(m)
+            if oi is not None:
+                identity[oi] = len(morphisms) if mi is None else mi
+            if oi is None or mi is None:
+                identity_defect = identity_defect or ("identity_missing", {"object": o})
+        defects = tuple(d for d in (compose_defect, identity_defect) if d is not None)
+        return cls(objects, morphisms, src, tgt, identity, pairs, comp, defects)
+
+    def composite(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """The composites "f[i] then g[i]": ``-1`` where undefined and
+        ``-2`` where the pair is not composable."""
+        ok = self.tgt[f] == self.src[g]
+        out = np.full(len(f), -2, dtype=np.int64)
+        out[ok] = self.comp[self.pairs.at(f[ok], g[ok])]
+        return out
+
+    @functools.cached_property
+    def source(self) -> MappingProxyType:
+        return _label_view(self.morphisms, self.objects, self.src)
+
+    @functools.cached_property
+    def target(self) -> MappingProxyType:
+        return _label_view(self.morphisms, self.objects, self.tgt)
+
+    @functools.cached_property
+    def identity_of(self) -> MappingProxyType:
+        return _label_view(self.objects, self.morphisms, self.identity)
+
+    @functools.cached_property
+    def compose(self) -> MappingProxyType:
+        """``{(f, g): "f then g"}`` over the defined composites, in CSR order."""
+        m = self.morphisms
+        defined = (self.comp >= 0) & (self.comp < len(m))
+        return MappingProxyType({
+            (m[f], m[g]): m[h]
+            for f, g, h in zip(
+                self.pairs.f[defined].tolist(),
+                self.pairs.g[defined].tolist(),
+                self.comp[defined].tolist(),
+            )
+        })
+
+
+def _label_view(keys: tuple, values: tuple, index: np.ndarray) -> MappingProxyType:
+    inside = (index >= 0) & (index < len(values))
+    return MappingProxyType({
+        keys[k]: values[v]
+        for k, v in zip(np.flatnonzero(inside).tolist(), index[inside].tolist())
+    })
 
 
 def check_category(cat: FiniteCategory) -> CheckReport:
-    """Category axioms verified by exhaustion (int-interned for speed)."""
+    """Category axioms of ``cat``, verified by exhaustion on its int arrays.
+
+    The clauses are tried in order, and the first that fails is reported
+    with its first witness, in morphism, CSR pair, object or triple order:
+    endpoints; composites (the label faults of ``defects`` first, then
+    composites outside the morphisms or with the wrong endpoints);
+    composable pairs without a composite; identities (``defects`` first);
+    the identity laws; associativity over every composable triple, checked
+    ``TRIPLE_CHUNK`` triples at a time.
+    """
     rep = CheckReport("category_axioms")
-    obj_idx = {o: i for i, o in enumerate(cat.objects)}
-    midx = {m: i for i, m in enumerate(cat.morphisms)}
-    nm = len(cat.morphisms)
-    src = [0] * nm
-    tgt = [0] * nm
-    for m, i in midx.items():
-        s = cat.source.get(m)
-        t = cat.target.get(m)
-        if s not in obj_idx or t not in obj_idx:
-            rep.fail("endpoint_outside_objects", morphism=m)
-            return rep
-        src[i] = obj_idx[s]
-        tgt[i] = obj_idx[t]
-    out_by_obj: list[list[int]] = [[] for _ in cat.objects]
-    for i in range(nm):
-        out_by_obj[src[i]].append(i)
-    comp: dict = {}
-    for (f, g), h in cat.compose.items():
-        fi, gi = midx.get(f), midx.get(g)
-        hi = midx.get(h)
-        if fi is None or gi is None or hi is None:
-            rep.fail("compose_outside_morphisms", pair=(f, g))
-            return rep
-        if tgt[fi] != src[gi]:
-            rep.fail("compose_of_non_composable", pair=(f, g))
-            return rep
-        if src[hi] != src[fi] or tgt[hi] != tgt[gi]:
-            rep.fail("compose_endpoints", pair=(f, g))
-            return rep
-        comp[(fi, gi)] = hi
-    # every composable pair has a composite
-    for f in range(nm):
-        for g in out_by_obj[tgt[f]]:
-            if (f, g) not in comp:
-                rep.fail(
-                    "composable_pair_undefined",
-                    pair=(cat.morphisms[f], cat.morphisms[g]),
-                )
-                return rep
-    # identities
-    idm = {}
-    for o, m in cat.identity_of.items():
-        if o not in obj_idx or m not in midx:
-            rep.fail("identity_missing", object=o)
-            return rep
-        idm[obj_idx[o]] = midx[m]
-    for i in range(len(cat.objects)):
-        if i not in idm:
-            rep.fail("object_without_identity", object=cat.objects[i])
-            return rep
-    for f in range(nm):
-        if comp[(idm[src[f]], f)] != f or comp[(f, idm[tgt[f]])] != f:
-            rep.fail("identity_law", morphism=cat.morphisms[f])
-            return rep
-    # associativity on all composable triples
-    for (f, g), fg in comp.items():
-        for h in out_by_obj[tgt[g]]:
-            if comp[(fg, h)] != comp[(f, comp[(g, h)])]:
-                rep.fail(
-                    "associativity",
-                    triple=(cat.morphisms[f], cat.morphisms[g], cat.morphisms[h]),
-                )
-                return rep
+    failure = _category_failure(cat)
+    if failure is not None:
+        clause, witness = failure
+        rep.fail(clause, **witness)
+        return rep
     rep.details["objects"] = len(cat.objects)
-    rep.details["morphisms"] = nm
-    rep.details["composable_pairs"] = len(comp)
+    rep.details["morphisms"] = len(cat.morphisms)
+    rep.details["composable_pairs"] = len(cat.comp)
+    rep.details["composable_triples"] = int(cat.pairs.triple_counts().sum())
     return rep
+
+
+def _category_failure(cat: FiniteCategory):
+    """``(clause, witness)`` of the first failing clause, or ``None``."""
+    objects, morphisms = cat.objects, cat.morphisms
+    n = len(morphisms)
+    src, tgt = cat.src, cat.tgt
+    n_obj = len(objects)
+    bad = np.flatnonzero((src < 0) | (src >= n_obj) | (tgt < 0) | (tgt >= n_obj))
+    if bad.size:
+        return "endpoint_outside_objects", {"morphism": morphisms[bad[0]]}
+
+    def defect(*clauses):
+        return next((d for d in cat.defects if d[0] in clauses), None)
+
+    found = defect("compose_outside_morphisms", "compose_of_non_composable")
+    if found is not None:
+        return found
+    f, g, h = cat.pairs.f, cat.pairs.g, cat.comp
+    outside = (h < -1) | (h >= n)
+    defined = np.where((h >= 0) & ~outside, h, -1)
+    wrong = (defined >= 0) & ((src[defined] != src[f]) | (tgt[defined] != tgt[g]))
+    bad = np.flatnonzero(outside | wrong)
+    if bad.size:
+        p = bad[0]
+        clause = "compose_outside_morphisms" if outside[p] else "compose_endpoints"
+        return clause, {"pair": (morphisms[f[p]], morphisms[g[p]])}
+    bad = np.flatnonzero(h == -1)
+    if bad.size:
+        p = bad[0]
+        return "composable_pair_undefined", {"pair": (morphisms[f[p]], morphisms[g[p]])}
+    found = defect("identity_missing")
+    if found is not None:
+        return found
+    ident = cat.identity
+    bad = np.flatnonzero((ident < -1) | (ident >= n))
+    if bad.size:
+        return "identity_missing", {"object": objects[bad[0]]}
+    bad = np.flatnonzero(ident == -1)
+    if bad.size:
+        return "object_without_identity", {"object": objects[bad[0]]}
+    every = np.arange(n)
+    bad = np.flatnonzero(
+        (cat.composite(ident[src], every) != every)
+        | (cat.composite(every, ident[tgt]) != every)
+    )
+    if bad.size:
+        return "identity_law", {"morphism": morphisms[bad[0]]}
+    triple = _first_non_associative(cat)
+    if triple is not None:
+        return "associativity", {"triple": tuple(morphisms[m] for m in triple)}
+    return None
+
+
+def _first_non_associative(cat: FiniteCategory):
+    """The first composable triple (f, g, h), in CSR pair order and then h
+    in morphism order, with ``(f then g) then h != f then (g then h)``.
+
+    Needs every composite defined and with the right endpoints: (f g, h)
+    and (g, h) then sit at rank k of h in the rows of f g and g."""
+    pairs, comp = cat.pairs, cat.comp
+    counts = pairs.triple_counts()
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    a = 0
+    while a < len(counts):
+        base = int(starts[a])
+        b = max(int(np.searchsorted(ends, base + TRIPLE_CHUNK, side="right")), a + 1)
+        p = np.repeat(np.arange(a, b), counts[a:b])
+        k = np.arange(len(p)) + base - starts[p]
+        left = comp[pairs.pair_start[comp[p]] + k]
+        gh = comp[pairs.pair_start[pairs.g[p]] + k]
+        right = comp[pairs.at(pairs.f[p], gh)]
+        bad = np.flatnonzero(left != right)
+        if bad.size:
+            q, i = p[bad[0]], k[bad[0]]
+            h = pairs.by_source[pairs.out_start[cat.tgt[pairs.g[q]]] + i]
+            return pairs.f[q], pairs.g[q], h
+        a = b
+    return None
 
 
 def composition_table(rep: CheckReport, clause: str, morphisms, source: dict,
@@ -1166,13 +1364,21 @@ def b_composite(atlas: "AtlasModel", f: tuple, g: tuple) -> tuple:
 class CategoriesResult:
     domain_category: FiniteCategory  # B_K
     obstruction_category: FiniteCategory  # E_K
-    functors: dict  # name -> (object map, morphism map)
+    #: name -> (object map, morphism map), int arrays; "footprint" -> (dict, None)
+    functors: dict
     report: CheckReport
 
 
 def build_categories(atlas: AtlasModel) -> CategoriesResult:
     """The categories B_K and E_K with pr, section, zero and footprint
-    functors, all axioms verified by exhaustion."""
+    functors, all axioms verified by exhaustion.
+
+    B_K is built from labels.  E_K is built on int indices from B_K: its
+    morphism (I, J, y, e, γ) is B_K's morphism b = (I, J, y, γ) with the
+    grid index e, so its index is ``e_base[b] + e``, and likewise its
+    object (I, x, e) is ``eo_base[(I, x)] + e``.  The composite of E_K's
+    pair "f then g" is ``e_base[B-composite] + (ρ^Γ_{JI}(δ)·e)``.
+    """
     rep = CheckReport("build_categories")
     indices = atlas.index_sets()
     pairs = [(I, J) for I in indices for J in indices if set(I) <= set(J)]
@@ -1190,45 +1396,49 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
     morphisms = []
     b_src: dict = {}
     b_tgt: dict = {}
+    block_start = []  # where each (I, J) of ``pairs`` starts in ``morphisms``
+    b_gamma = []  # per morphism: the index of γ in Γ_I
+    b_rho = []  # per morphism: ρ_IJ(y)
     for (I, J) in pairs:
+        block_start.append(len(morphisms))
         gI = atlas.charts[I].group
         for y in _tilde_set(atlas, I, J):
-            for gamma in gI.elements:
+            rho_y = _rho(atlas, I, J, y)
+            for c, gamma in enumerate(gI.elements):
                 m = (I, J, y, gamma)
                 morphisms.append(m)
-                x = atlas.charts[I].domain.act(gI.inv(gamma), _rho(atlas, I, J, y))
+                x = atlas.charts[I].domain.act(gI.inv(gamma), rho_y)
                 b_src[m] = (I, x)
                 b_tgt[m] = (J, y)
+                b_gamma.append(c)
+                b_rho.append(rho_y)
+    block_start.append(len(morphisms))
     identity_of = {
         (I, x): (I, I, x, atlas.charts[I].group.identity) for (I, x) in objects
     }
+    b_gamma = _ints(b_gamma)
     b_comp = composition_table(
         rep, "composability_violated", morphisms, b_src, b_tgt,
         functools.partial(b_composite, atlas),
     )
-    B = FiniteCategory(
-        objects=tuple(objects),
-        morphisms=tuple(morphisms),
-        source=b_src,
-        target=b_tgt,
-        compose=b_comp,
-        identity_of=identity_of,
-    )
-    rep.merge(check_category(B))
+    B = FiniteCategory.from_labels(objects, morphisms, b_src, b_tgt, b_comp, identity_of)
+    b_axioms = check_category(B)
+    rep.merge(b_axioms)
 
     # ----- E_K -----
     egrid_index = {I: atlas.charts[I].obstruction_point_index() for I in indices}
-    # group action on grid indices, per chart
+    n_e = {I: len(atlas.charts[I].obstruction_points) for I in indices}
+    # Γ_I on grid indices: eact[I][γ, e]
     eact: dict = {}
     for I in indices:
         chart = atlas.charts[I]
-        eact[I] = {
-            g: tuple(
+        eact[I] = _ints([
+            [
                 egrid_index[I][tuple(chart.act_obstruction(g, e))]
                 for e in chart.obstruction_points
-            )
+            ]
             for g in chart.group.elements
-        }
+        ]).reshape(chart.group.order, n_e[I])
     # φ̂ on grid indices
     phi_idx: dict = {}
     grids_closed = True
@@ -1243,60 +1453,76 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
                 grids_closed = False
                 break
             mapping.append(j)
-        phi_idx[(I, J)] = tuple(mapping)
-    e_objects = []
-    for I in indices:
-        for x in range(len(atlas.charts[I].domain.points)):
-            for e in range(len(atlas.charts[I].obstruction_points)):
-                e_objects.append((I, x, e))
-    e_morphisms = []
-    e_src: dict = {}
-    e_tgt: dict = {}
+        phi_idx[(I, J)] = _ints(mapping)
+    e_objects = [(I, x, e) for (I, x) in objects for e in range(n_e[I])]
+    obj_ne = _ints([n_e[I] for (I, _) in objects])
+    eo_base = _offsets(obj_ne)
+    mor_ne = _ints([n_e[m[0]] for m in morphisms])
+    e_base = _offsets(mor_ne)
+    e_morphisms: list = []
+    e_src = e_tgt = _ints([])
+    # without φ̂ on the grids E_K has no morphisms: every identity is missing
+    e_identity = np.zeros(len(e_objects), dtype=np.int64)
+    # per (I, J) of ``pairs``: ρ^Γ_{JI}(δ) on the grid of I, flat over (δ, e)
+    proj_act = []
     if grids_closed:
-        for (I, J) in pairs:
-            gI = atlas.charts[I].group
-            chart_I = atlas.charts[I]
-            n_e = len(chart_I.obstruction_points)
-            pmap = phi_idx[(I, J)]
-            for y in _tilde_set(atlas, I, J):
-                rho_y = _rho(atlas, I, J, y)
-                for gamma in gI.elements:
-                    inv = gI.inv(gamma)
-                    x = chart_I.domain.act(inv, rho_y)
-                    for e in range(n_e):
-                        m = (I, J, y, e, gamma)
-                        e_morphisms.append(m)
-                        e_src[m] = (I, x, eact[I][inv][e])
-                        e_tgt[m] = (J, y, pmap[e])
-    e_identity = {}
-    for (I, x, e) in e_objects:
-        e_identity[(I, x, e)] = (I, I, x, e, atlas.charts[I].group.identity)
-
-    def e_compose(f, g):
-        I, J, _, e, gamma = f
+        e_morphisms = [
+            (I, J, y, e, gamma)
+            for (I, J, y, gamma) in morphisms
+            for e in range(n_e[I])
+        ]
+        e_src = np.empty(e_base[-1], dtype=np.int64)
+        e_tgt = np.empty(e_base[-1], dtype=np.int64)
+        for k, (I, J) in enumerate(pairs):
+            gI, gJ = atlas.charts[I].group, atlas.charts[J].group
+            element = {g: c for c, g in enumerate(gI.elements)}
+            inverse = _ints([element[gI.inv(g)] for g in gI.elements])
+            proj = _ints([element[project_label(d, J, I)] for d in gJ.elements])
+            proj_act.append(eact[I][proj].ravel())
+            lo, hi = block_start[k], block_start[k + 1]
+            rows = slice(e_base[lo], e_base[hi])
+            e_src[rows] = (
+                eo_base[B.src[lo:hi], None] + eact[I][inverse[b_gamma[lo:hi]]]
+            ).ravel()
+            e_tgt[rows] = (eo_base[B.tgt[lo:hi], None] + phi_idx[(I, J)]).ravel()
+        e_identity = np.repeat(e_base[B.identity] - eo_base[:-1], obj_ne) + np.arange(
+            len(e_objects)
+        )
+    e_pairs = PairIndex.of(len(e_objects), e_src, e_tgt)
+    # E_K's pairs lie over B_K's: the E_K objects over a B_K object are
+    # their own block, so equal E_K endpoints have equal B_K endpoints
+    b_of = np.repeat(np.arange(len(morphisms)), mor_ne)
+    fb, gb = b_of[e_pairs.f], b_of[e_pairs.g]
+    bh = B.comp[B.pairs.at(fb, gb)]
+    k = np.repeat(np.arange(len(pairs)), np.diff(block_start))[fb]
+    block_ne = _ints([n_e[I] for (I, _) in pairs])
+    moved = np.concatenate(proj_act or [_ints([])])[
+        _offsets([len(t) for t in proj_act])[k]
+        + b_gamma[gb] * block_ne[k]
+        + e_pairs.f - e_base[fb]
+    ]
+    e_comp = np.where(bh >= 0, e_base[bh] + moved, -1)
+    for p in np.flatnonzero(bh < 0).tolist():
+        f, g = e_morphisms[e_pairs.f[p]], e_morphisms[e_pairs.g[p]]
+        I, J, _, _, gamma = f
         _, K, z, _, delta = g
         proj = project_label(delta, J, I)
-        return (I, K, z, eact[I][proj][e], atlas.charts[I].group.mul(proj, gamma))
-
-    e_comp = composition_table(
-        rep, "composability_violated_E", e_morphisms, e_src, e_tgt, e_compose
-    )
+        rep.fail(
+            "composability_violated_E",
+            pair=(f, g),
+            result=(I, K, z, int(moved[p]), atlas.charts[I].group.mul(proj, gamma)),
+        )
     E = FiniteCategory(
-        objects=tuple(e_objects),
-        morphisms=tuple(e_morphisms),
-        source=e_src,
-        target=e_tgt,
-        compose=e_comp,
-        identity_of=e_identity,
+        tuple(e_objects), tuple(e_morphisms), e_src, e_tgt, e_identity, e_pairs, e_comp
     )
     e_axioms = check_category(E)
     e_axioms.name = "category_axioms_E"
     rep.merge(e_axioms)
+    # the sizes of B_K and E_K; ``merge`` passes failures on, not details
+    for axioms in (b_axioms, e_axioms):
+        rep.details[axioms.name] = axioms.details
 
     # ----- functors -----
-    pr_obj = {(I, x, e): (I, x) for (I, x, e) in e_objects}
-    pr_mor = {m: (m[0], m[1], m[2], m[4]) for m in e_morphisms}
-
     s_idx: dict = {}
     s_ok = True
     for I in indices:
@@ -1310,10 +1536,6 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
                 break
             vals.append(j)
         s_idx[I] = vals
-    s_obj: dict = {}
-    s_mor: dict = {}
-    z_obj = {}
-    z_mor = {}
     zero_idx = {
         I: egrid_index[I].get((Fraction(0),) * atlas.charts[I].obstruction_dim)
         for I in indices
@@ -1321,23 +1543,28 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
     if any(v is None for v in zero_idx.values()):
         rep.fail("zero_vector_outside_grid")
         s_ok = False
-    if s_ok:
-        for (I, x) in objects:
-            s_obj[(I, x)] = (I, x, s_idx[I][x])
-            z_obj[(I, x)] = (I, x, zero_idx[I])
-        for m in morphisms:
-            I, J, y, gamma = m
-            s_mor[m] = (I, J, y, s_idx[I][_rho(atlas, I, J, y)], gamma)
-            z_mor[m] = (I, J, y, zero_idx[I], gamma)
+    functors = {}
+    if s_ok and grids_closed:
+        pr_obj = np.repeat(np.arange(len(objects)), obj_ne)
+        pr_mor = np.repeat(np.arange(len(morphisms)), mor_ne)
+        s_obj = eo_base[:-1] + _ints([s_idx[I][x] for (I, x) in objects])
+        s_mor = e_base[:-1] + _ints(
+            [s_idx[m[0]][x] for m, x in zip(morphisms, b_rho)]
+        )
+        z_obj = eo_base[:-1] + _ints([zero_idx[I] for (I, _) in objects])
+        z_mor = e_base[:-1] + _ints([zero_idx[m[0]] for m in morphisms])
         _check_functor(rep, "pr", E, B, pr_obj, pr_mor)
         _check_functor(rep, "section", B, E, s_obj, s_mor)
         _check_functor(rep, "zero", B, E, z_obj, z_mor)
-        for (I, x) in objects:
-            if pr_obj[s_obj[(I, x)]] != (I, x):
-                rep.fail("pr_after_section_not_identity", object=(I, x))
-        for m in morphisms:
-            if pr_mor[s_mor[m]] != m:
-                rep.fail("pr_after_section_not_identity", morphism=m)
+        for o in np.flatnonzero(pr_obj[s_obj] != np.arange(len(objects))).tolist():
+            rep.fail("pr_after_section_not_identity", object=objects[o])
+        for m in np.flatnonzero(pr_mor[s_mor] != np.arange(len(morphisms))).tolist():
+            rep.fail("pr_after_section_not_identity", morphism=morphisms[m])
+        functors = {
+            "pr": (pr_obj, pr_mor),
+            "section": (s_obj, s_mor),
+            "zero": (z_obj, z_mor),
+        }
 
     # footprint functor ψ on the zero-object subcategory
     psi_obj: dict = {}
@@ -1354,13 +1581,7 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
             "footprint_functor_not_surjective",
             image=sorted(set(psi_obj.values())),
         )
-
-    functors = {
-        "pr": (pr_obj, pr_mor),
-        "section": (s_obj, s_mor),
-        "zero": (z_obj, z_mor),
-        "footprint": (psi_obj, None),
-    }
+    functors["footprint"] = (psi_obj, None)
     return CategoriesResult(
         domain_category=B,
         obstruction_category=E,
@@ -1369,25 +1590,35 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
     )
 
 
-def _check_functor(rep, name, dom: FiniteCategory, cod: FiniteCategory, fobj, fmor):
-    cod_morphisms = set(cod.morphisms)
-    for m in dom.morphisms:
-        if fmor[m] not in cod_morphisms:
-            rep.fail(f"functor_{name}_morphism_outside_codomain", morphism=m)
-            return
-    cod_src, cod_tgt = cod.source, cod.target
-    for m in dom.morphisms:
-        if cod_src[fmor[m]] != fobj[dom.source[m]] or cod_tgt[fmor[m]] != fobj[dom.target[m]]:
-            rep.fail(f"functor_{name}_endpoints", morphism=m)
-            return
-    for o, m in dom.identity_of.items():
-        if fmor[m] != cod.identity_of[fobj[o]]:
-            rep.fail(f"functor_{name}_identity", object=o)
-            return
-    for (f, g), h in dom.compose.items():
-        if cod.compose.get((fmor[f], fmor[g])) != fmor[h]:
-            rep.fail(f"functor_{name}_composition", pair=(f, g))
-            return
+def _check_functor(rep, name, dom: FiniteCategory, cod: FiniteCategory,
+                   fobj: np.ndarray, fmor: np.ndarray) -> None:
+    """The functor laws of ``dom -> cod`` given by int maps on objects and
+    morphisms; the first failing clause is reported with its first
+    witness."""
+    bad = np.flatnonzero((fmor < 0) | (fmor >= len(cod.morphisms)))
+    if bad.size:
+        rep.fail(
+            f"functor_{name}_morphism_outside_codomain", morphism=dom.morphisms[bad[0]]
+        )
+        return
+    bad = np.flatnonzero(
+        (cod.src[fmor] != fobj[dom.src]) | (cod.tgt[fmor] != fobj[dom.tgt])
+    )
+    if bad.size:
+        rep.fail(f"functor_{name}_endpoints", morphism=dom.morphisms[bad[0]])
+        return
+    bad = np.flatnonzero(fmor[dom.identity] != cod.identity[fobj])
+    if bad.size:
+        rep.fail(f"functor_{name}_identity", object=dom.objects[bad[0]])
+        return
+    defined = np.flatnonzero(dom.comp >= 0)
+    f, g = dom.pairs.f[defined], dom.pairs.g[defined]
+    bad = np.flatnonzero(cod.composite(fmor[f], fmor[g]) != fmor[dom.comp[defined]])
+    if bad.size:
+        p = bad[0]
+        rep.fail(
+            f"functor_{name}_composition", pair=(dom.morphisms[f[p]], dom.morphisms[g[p]])
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -105,15 +105,6 @@ class Perturbation:
         coords = [Fraction(c) for c in chart.domain.points[idx]]
         return tuple(eval_vector(asts, coords))
 
-    def value_at_float(self, atlas: AtlasModel, I: tuple, coords: Sequence[float]):
-        chart = atlas.charts[I]
-        if chart.obstruction_dim == 0:
-            return ()
-        asts = self.asts.get(I)
-        if asts is None:
-            return None
-        return tuple(float(v) for v in eval_vector(asts, list(coords)))
-
 
 @dataclass
 class EquivariantNorms:
@@ -196,13 +187,9 @@ class AdaptednessConstants:
 
 
 def epsilon_closure_radius(atlas: AtlasModel):
-    """Default closure-ball radius: half the minimal nonzero spacing."""
-    if atlas.metric is None:
-        return None
-    nonzero = [d for d in atlas.metric.values() if d > 0]
-    if not nonzero:
-        return None
-    return min(nonzero) / 2
+    """Default closure-ball radius: half the minimal nonzero spacing, or
+    ``None`` without a metric (:attr:`AtlasModel.closure_radius`)."""
+    return atlas.closure_radius
 
 
 def closure_of(atlas: AtlasModel, red: Reduction, I: tuple, eps) -> frozenset:
@@ -386,14 +373,7 @@ def build_pruned_category(atlas: AtlasModel, red: Reduction) -> PrunedResult:
         rep, "composition_escapes", morphisms, src, tgt,
         lambda f, g: (f[0], g[1], g[2]),
     )
-    cat = FiniteCategory(
-        objects=tuple(objects),
-        morphisms=tuple(morphisms),
-        source=src,
-        target=tgt,
-        compose=compose,
-        identity_of=identity_of,
-    )
+    cat = FiniteCategory.from_labels(objects, morphisms, src, tgt, compose, identity_of)
     rep.merge(check_category(cat))
     # nonsingularity: at most one morphism between any ordered pair
     seen = set()

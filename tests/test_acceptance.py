@@ -582,7 +582,7 @@ class TestNegative:
         B = build_categories(atlas).domain_category
         local = tuple(m for m in B.morphisms if m[0] == m[1])
         # |K| without the coordinate changes splits classes that |K̲| joins
-        doctored = FiniteCategory(
+        doctored = FiniteCategory.from_labels(
             objects=B.objects,
             morphisms=local,
             source=B.source,

@@ -1,16 +1,22 @@
+import dataclasses
 import itertools
 import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from vfc import charts_atlas
 from vfc.charts_atlas import (
     AtlasModel,
     ChartModel,
+    CheckReport,
     CoordinateChangeModel,
+    FiniteCategory,
     FiniteGroup,
     GroupQuotientModel,
+    _check_functor,
     atlas_from_json,
     atlas_to_json,
     build_categories,
@@ -24,6 +30,7 @@ from vfc.charts_atlas import (
     check_realizations,
     check_tame_and_filtration,
     compose_coordinate_changes,
+    composition_table,
     cyclic_group,
     kernel_labels,
     product_group,
@@ -634,6 +641,328 @@ class TestCategories:
             assert check_tame_and_filtration(atlas).ok, seed
             out = build_categories(atlas)
             assert out.report.ok, seed
+
+
+def _category(objects, morphisms, source, target, compose, identity_of):
+    """A ``FiniteCategory`` from label data."""
+    return FiniteCategory.from_labels(
+        objects=objects,
+        morphisms=morphisms,
+        source=source,
+        target=target,
+        compose=compose,
+        identity_of=identity_of,
+    )
+
+
+def _arrow(**changes):
+    """The arrow category a --f--> b, with any field replaced."""
+    data = {
+        "objects": ("a", "b"),
+        "morphisms": ("ia", "ib", "f"),
+        "source": {"ia": "a", "ib": "b", "f": "a"},
+        "target": {"ia": "a", "ib": "b", "f": "b"},
+        "compose": {
+            ("ia", "ia"): "ia", ("ia", "f"): "f", ("ib", "ib"): "ib", ("f", "ib"): "f",
+        },
+        "identity_of": {"a": "ia", "b": "ib"},
+    }
+    data.update(changes)
+    return _category(**data)
+
+
+def _one_object(table, identity="e"):
+    """One object ``o`` whose morphisms are the letters of ``table``, a dict
+    ``(f, g) -> "f then g"`` in the order of its keys."""
+    morphisms = tuple(dict.fromkeys(f for f, _ in table))
+    return _category(
+        ("o",), morphisms, {m: "o" for m in morphisms}, {m: "o" for m in morphisms},
+        dict(table), {"o": identity},
+    )
+
+
+def _cyclic_category(n):
+    """Z_n as a category with one object; ``e`` is the identity."""
+    g = cyclic_group(n)
+    return _one_object({(a, b): g.mul(a, b) for a in g.elements for b in g.elements})
+
+
+def _functor_failures(dom, cod, fobj, fmor):
+    """The failures of ``_check_functor`` for a functor given on labels."""
+    rep = CheckReport("functor")
+    obj_idx = {o: i for i, o in enumerate(cod.objects)}
+    mor_idx = {m: i for i, m in enumerate(cod.morphisms)}
+    obj_map = np.array([obj_idx.get(fobj[o], -1) for o in dom.objects], dtype=np.int64)
+    mor_map = np.array([mor_idx.get(fmor[m], -1) for m in dom.morphisms], dtype=np.int64)
+    _check_functor(rep, "t", dom, cod, obj_map, mor_map)
+    return rep.failures
+
+
+class TestCategoryClauses:
+    """Each clause of ``check_category`` and ``_check_functor`` fires on a
+    small doctored category, with its witness."""
+
+    def test_arrow_category_passes(self):
+        rep = check_category(_arrow())
+        assert rep.ok
+        assert rep.details["objects"] == 2
+        assert rep.details["morphisms"] == 3
+        assert rep.details["composable_pairs"] == 4
+
+    @pytest.mark.parametrize(
+        "changes, failure",
+        [
+            (
+                {"source": {"ia": "a", "ib": "b", "f": "z"}},
+                {"clause": "endpoint_outside_objects", "morphism": "f"},
+            ),
+            (
+                {"compose": {("ia", "ia"): "ia", ("ia", "f"): "h", ("ib", "ib"): "ib",
+                             ("f", "ib"): "f"}},
+                {"clause": "compose_outside_morphisms", "pair": ("ia", "f")},
+            ),
+            (
+                {"compose": {("ia", "ia"): "ia", ("ia", "f"): "f", ("ib", "ib"): "ib",
+                             ("f", "ib"): "f", ("f", "ia"): "f"}},
+                {"clause": "compose_of_non_composable", "pair": ("f", "ia")},
+            ),
+            (
+                {"compose": {("ia", "ia"): "ia", ("ia", "f"): "ia", ("ib", "ib"): "ib",
+                             ("f", "ib"): "f"}},
+                {"clause": "compose_endpoints", "pair": ("ia", "f")},
+            ),
+            (
+                {"compose": {("ia", "ia"): "ia", ("ia", "f"): "f", ("ib", "ib"): "ib"}},
+                {"clause": "composable_pair_undefined", "pair": ("f", "ib")},
+            ),
+            (
+                {"identity_of": {"a": "ia", "b": "nope"}},
+                {"clause": "identity_missing", "object": "b"},
+            ),
+            (
+                {"identity_of": {"a": "ia", "c": "ib"}},
+                {"clause": "identity_missing", "object": "c"},
+            ),
+            (
+                {"identity_of": {"a": "ia"}},
+                {"clause": "object_without_identity", "object": "b"},
+            ),
+        ],
+    )
+    def test_arrow_clause(self, changes, failure):
+        assert check_category(_arrow(**changes)).failures == [failure]
+
+    def test_identity_law(self):
+        # Z_2 = {e, g1} with g1 declared the identity: g1 then e is g1, not e
+        cat = _cyclic_category(2)
+        doctored = _one_object(dict(cat.compose), identity="g1")
+        assert check_category(cat).ok
+        assert check_category(doctored).failures == [
+            {"clause": "identity_law", "morphism": "e"}
+        ]
+
+    @pytest.mark.parametrize("zero", ["left", "right"])
+    def test_one_sided_identity_law(self, zero):
+        # "f then g" = g makes e a left identity only, "f then g" = f a
+        # right identity only; either way the law fails at a
+        table = {(f, g): g if zero == "left" else f for f in "ea" for g in "ea"}
+        assert check_category(_one_object(table)).failures == [
+            {"clause": "identity_law", "morphism": "a"}
+        ]
+
+    def test_associativity(self):
+        # a unital magma: x x = x, x y = y x = y y = e; (x x) y = e, x (x y) = x
+        table = {
+            (a, b): "x" if (a, b) == ("x", "x") else "e" for a in "exy" for b in "exy"
+        }
+        table.update({("e", m): m for m in "exy"})
+        table.update({(m, "e"): m for m in "exy"})
+        assert check_category(_one_object(table)).failures == [
+            {"clause": "associativity", "triple": ("x", "x", "y")}
+        ]
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 7, 1 << 14])
+    def test_associativity_across_chunks(self, chunk, monkeypatch):
+        """The first non-associative triple of random unital magmas, as the
+        loops over pairs in CSR order and then h find it, in every chunking."""
+        monkeypatch.setattr(charts_atlas, "TRIPLE_CHUNK", chunk)
+        letters = "eabc"
+        for seed in range(30):
+            rng = random.Random(seed)
+            table = {(f, g): f if g == "e" else g if f == "e" else rng.choice(letters)
+                     for f in letters for g in letters}
+            want = next(
+                (
+                    {"clause": "associativity", "triple": (f, g, h)}
+                    for f in letters for g in letters for h in letters
+                    if table[(table[(f, g)], h)] != table[(f, table[(g, h)])]
+                ),
+                None,
+            )
+            failures = check_category(_one_object(table)).failures
+            assert failures == ([want] if want else []), seed
+        assert check_category(_cyclic_category(3)).ok
+
+    def test_int_composite_outside_morphisms(self):
+        cat = _arrow()
+        comp = cat.comp.copy()
+        comp[1] = len(cat.morphisms)  # the pair (ia, f), in CSR order
+        assert check_category(dataclasses.replace(cat, comp=comp)).failures == [
+            {"clause": "compose_outside_morphisms", "pair": ("ia", "f")}
+        ]
+
+    def test_int_identity_outside_morphisms(self):
+        cat = _arrow()
+        identity = cat.identity.copy()
+        identity[1] = len(cat.morphisms)
+        assert check_category(dataclasses.replace(cat, identity=identity)).failures == [
+            {"clause": "identity_missing", "object": "b"}
+        ]
+
+    def test_identity_functor_passes(self):
+        cat = _arrow()
+        ident = {m: m for m in cat.morphisms}
+        assert _functor_failures(cat, cat, {"a": "a", "b": "b"}, ident) == []
+
+    def test_functor_morphism_outside_codomain(self):
+        cat = _arrow()
+        fmor = {"ia": "ia", "ib": "ib", "f": "ghost"}
+        assert _functor_failures(cat, cat, {"a": "a", "b": "b"}, fmor) == [
+            {"clause": "functor_t_morphism_outside_codomain", "morphism": "f"}
+        ]
+
+    def test_functor_endpoints(self):
+        cat = _arrow()
+        ident = {m: m for m in cat.morphisms}
+        assert _functor_failures(cat, cat, {"a": "b", "b": "b"}, ident) == [
+            {"clause": "functor_t_endpoints", "morphism": "ia"}
+        ]
+
+    def test_functor_identity(self):
+        z2 = _cyclic_category(2)
+        swap = {"e": "g1", "g1": "e"}
+        assert _functor_failures(z2, z2, {"o": "o"}, swap) == [
+            {"clause": "functor_t_identity", "object": "o"}
+        ]
+
+    def test_functor_composition(self):
+        # Z_2 -> Z_3, g1 -> g1: g1 then g1 is e in Z_2 but g2 in Z_3
+        fmor = {"e": "e", "g1": "g1"}
+        z2, z3 = _cyclic_category(2), _cyclic_category(3)
+        assert _functor_failures(z2, z3, {"o": "o"}, fmor) == [
+            {"clause": "functor_t_composition", "pair": ("g1", "g1")}
+        ]
+
+
+def _label_obstruction_category(atlas):
+    """E_K built on labels by the composition law (I, J, y, e, γ) then
+    (J, K, z, e', δ) = (I, K, z, ρ^Γ_{JI}(δ)·e, ρ^Γ_{JI}(δ)·γ), the
+    reference for the E_K that ``build_categories`` builds."""
+    indices = atlas.index_sets()
+    grid = {I: atlas.charts[I].obstruction_point_index() for I in indices}
+    eact = {
+        I: {
+            g: tuple(grid[I][tuple(atlas.charts[I].act_obstruction(g, e))]
+                     for e in atlas.charts[I].obstruction_points)
+            for g in atlas.charts[I].group.elements
+        }
+        for I in indices
+    }
+    objects = [
+        (I, x, e)
+        for I in indices
+        for x in range(len(atlas.charts[I].domain.points))
+        for e in range(len(atlas.charts[I].obstruction_points))
+    ]
+    morphisms, source, target = [], {}, {}
+    for I in indices:
+        for J in indices:
+            if not set(I) <= set(J) or (I != J and (I, J) not in atlas.changes):
+                continue
+            chart = atlas.charts[I]
+            group = chart.group
+            if I == J:
+                phi = RationalMatrix.identity(chart.obstruction_dim)
+                tilde = range(len(chart.domain.points))
+                rho = {y: y for y in tilde}
+            else:
+                change = atlas.changes[(I, J)]
+                phi, tilde, rho = change.phi_hat, change.tilde_indices, change.rho_idx
+            pmap = [grid[J][tuple(phi.matvec(e))] for e in chart.obstruction_points]
+            for y in tilde:
+                for gamma in group.elements:
+                    inv = group.inv(gamma)
+                    x = chart.domain.act(inv, rho[y])
+                    for e in range(len(chart.obstruction_points)):
+                        m = (I, J, y, e, gamma)
+                        morphisms.append(m)
+                        source[m] = (I, x, eact[I][inv][e])
+                        target[m] = (J, y, pmap[e])
+
+    def law(f, g):
+        I, J, _, e, gamma = f
+        _, K, z, _, delta = g
+        proj = project_label(delta, J, I)
+        return (I, K, z, eact[I][proj][e], atlas.charts[I].group.mul(proj, gamma))
+
+    compose = composition_table(CheckReport("E"), "c", morphisms, source, target, law)
+    identity_of = {(I, x, e): (I, I, x, e, atlas.charts[I].group.identity)
+                   for (I, x, e) in objects}
+    return objects, morphisms, source, target, compose, identity_of
+
+
+def _football_atlas_n8():
+    from vfc.examples_cli import ExampleDescriptor, build_example
+
+    return build_example(ExampleDescriptor("football-euler", {"density": 8})).atlas
+
+
+class TestObstructionCategoryOracle:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_toys(self, seed):
+        self._assert_equal(random_toy_atlas(seed))
+
+    def test_football_density_8(self):
+        self._assert_equal(_football_atlas_n8())
+
+    def test_small_chunks_change_nothing(self, monkeypatch):
+        atlas = random_toy_atlas(4)
+        want = build_categories(atlas).report.to_json()
+        monkeypatch.setattr(charts_atlas, "TRIPLE_CHUNK", 7)
+        assert build_categories(atlas).report.to_json() == want
+
+    @staticmethod
+    def _assert_equal(atlas):
+        out = build_categories(atlas)
+        assert out.report.ok
+        E = out.obstruction_category
+        objects, morphisms, source, target, compose, identity_of = (
+            _label_obstruction_category(atlas)
+        )
+        assert E.objects == tuple(objects)
+        assert E.morphisms == tuple(morphisms)
+        assert E.source == source
+        assert E.target == target
+        # same composites, in the same order
+        assert list(E.compose.items()) == list(compose.items())
+        assert E.identity_of == identity_of
+
+
+def test_obstruction_grid_not_phi_closed_is_reported():
+    """φ̂ scaled off the obstruction grid: E_K has no morphisms, so its
+    identities are missing and no functor into or out of it is checked."""
+    from vfc.examples_cli import ExampleDescriptor, build_example
+
+    atlas = build_example(ExampleDescriptor("sphere-euler", {"density": 8})).atlas
+    changes = dict(atlas.changes)
+    key = min(changes)
+    scaled = changes[key].phi_hat.scale(F(3))
+    changes[key] = dataclasses.replace(changes[key], phi_hat=scaled)
+    rep = build_categories(dataclasses.replace(atlas, changes=changes)).report
+    assert [(f["clause"], f.get("from")) for f in rep.failures] == [
+        ("obstruction_grid_not_phi_closed", None),
+        ("identity_missing", "category_axioms_E"),
+    ]
 
 
 class TestRealization:
