@@ -3,7 +3,7 @@
 Modules
 -------
 exterior_engine
-    Exact rational exterior algebra, determinant lines, orientation signs.
+    Exact rational matrices and the sign of a transverse zero.
 expressions
     Expression ASTs with forward-mode (dual-number) derivatives.
 charts_atlas

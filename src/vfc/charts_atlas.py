@@ -1556,10 +1556,6 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
         _check_functor(rep, "pr", E, B, pr_obj, pr_mor)
         _check_functor(rep, "section", B, E, s_obj, s_mor)
         _check_functor(rep, "zero", B, E, z_obj, z_mor)
-        for o in np.flatnonzero(pr_obj[s_obj] != np.arange(len(objects))).tolist():
-            rep.fail("pr_after_section_not_identity", object=objects[o])
-        for m in np.flatnonzero(pr_mor[s_mor] != np.arange(len(morphisms))).tolist():
-            rep.fail("pr_after_section_not_identity", morphism=morphisms[m])
         functors = {
             "pr": (pr_obj, pr_mor),
             "section": (s_obj, s_mor),
@@ -1567,11 +1563,7 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
         }
 
     # footprint functor ψ on the zero-object subcategory
-    psi_obj: dict = {}
-    for I in indices:
-        chart = atlas.charts[I]
-        for x in chart.zero_sample_indices():
-            psi_obj[(I, x)] = chart.footprint_map[x]
+    psi_obj = _footprint_labels(atlas, rep)
     for m in morphisms:
         s, t = b_src[m], b_tgt[m]
         if s in psi_obj and t in psi_obj and psi_obj[s] != psi_obj[t]:
@@ -1588,6 +1580,20 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
         functors=functors,
         report=rep,
     )
+
+
+def _footprint_labels(atlas: AtlasModel, rep: CheckReport) -> dict:
+    """The footprint label of each zero object (I, x); a zero sample
+    without one is reported and left out."""
+    labels: dict = {}
+    for I in atlas.index_sets():
+        chart = atlas.charts[I]
+        for x in chart.zero_sample_indices():
+            if x in chart.footprint_map:
+                labels[(I, x)] = chart.footprint_map[x]
+            else:
+                rep.fail("zero_sample_without_footprint", index=I, point=x)
+    return labels
 
 
 def _check_functor(rep, name, dom: FiniteCategory, cod: FiniteCategory,
@@ -1721,13 +1727,8 @@ def check_realizations(atlas: AtlasModel, B: FiniteCategory) -> CheckReport:
             intermediate=len(inter.classes),
         )
     # zero-object subcategory realizes to the footprint sample set
-    zero_objects = set()
-    footprint_label = {}
-    for I in atlas.index_sets():
-        chart = atlas.charts[I]
-        for x in chart.zero_sample_indices():
-            zero_objects.add((I, x))
-            footprint_label[(I, x)] = chart.footprint_map[x]
+    footprint_label = _footprint_labels(atlas, rep)
+    zero_objects = set(footprint_label)
     zero_morphisms = (
         (B.source[m], B.target[m]) for m in B.morphisms
         if B.source[m] in zero_objects and B.target[m] in zero_objects

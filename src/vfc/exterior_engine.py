@@ -1,55 +1,28 @@
-"""Exact rational exterior-algebra and determinant-line calculus.
+"""Exact rational matrices and the sign of a transverse zero.
 
 Everything in this module is computed over exact rationals
 (:class:`fractions.Fraction`); there is no floating point anywhere.  The
 module provides:
 
+* :func:`parse_rat` / :func:`rat_str` -- the ``"p/q"`` wire format;
 * :class:`RationalMatrix` -- immutable exact matrices with elimination,
-  kernel bases and cokernel representatives;
-* :class:`TopForm` / :class:`CoTopForm` -- wedge products of vectors (resp.
-  dual wedge products on a quotient) in a syntactic normal form, so equality
-  is decidable;
-* :class:`DetLineElement` -- an orientation datum on
-  det(D) = Λ^max ker D ⊗ (Λ^max coker D)*;
-* the contraction/splitting isomorphisms, group actions on determinant
-  lines, orientation signs of transverse zeros, and the universal
-  determinant-line transition attached to a coordinate change, together
-  with the commuting-diagram check relating its two computation paths.
+  rank, determinant and exact solves;
+* :func:`zero_sign` -- the orientation sign of a transverse zero.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Rat = Fraction
 Vec = tuple[Fraction, ...]
 
 __all__ = [
     "RationalMatrix",
-    "TopForm",
-    "CoTopForm",
-    "DetLineElement",
-    "GroupDetAction",
-    "TransitionData",
     "parse_rat",
     "rat_str",
-    "pushforward_top_form",
-    "split_top_form",
-    "contract_simple",
-    "contraction_C",
-    "det_line_of_map",
-    "group_act_detline",
     "zero_sign",
-    "detline_transition",
-    "transition_T_IJ",
-    "transition_C_IJ",
-    "cclaim_commutes",
-    "make_tbc_instance",
-    "random_invertible",
-    "standard_orientation",
 ]
 
 
@@ -120,17 +93,11 @@ class RationalMatrix:
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def row(self, i: int) -> Vec:
-        return self.entries[i]
-
     def col(self, j: int) -> Vec:
         return tuple(r[j] for r in self.entries)
 
     def columns(self) -> list[Vec]:
         return [self.col(j) for j in range(self.cols)]
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix.from_cols(self.entries)
 
     def matvec(self, v: Sequence) -> Vec:
         v = _as_vec(v)
@@ -152,20 +119,6 @@ class RationalMatrix:
             raise ExteriorError("hstack dimension mismatch")
         return RationalMatrix(
             tuple(self.entries[i] + other.entries[i] for i in range(self.rows))
-        )
-
-    def scale(self, c: Fraction) -> "RationalMatrix":
-        c = Fraction(c)
-        return RationalMatrix(tuple(tuple(c * x for x in r) for r in self.entries))
-
-    def add(self, other: "RationalMatrix") -> "RationalMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ExteriorError("matrix sum dimension mismatch")
-        return RationalMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
         )
 
     # -- elimination -------------------------------------------------------
@@ -216,19 +169,6 @@ class RationalMatrix:
         # red = T @ self is the identity, so det(self) = 1/det(T).
         return 1 / t
 
-    def is_invertible(self) -> bool:
-        return self.rows == self.cols and self.rank() == self.rows
-
-    def inverse(self) -> "RationalMatrix":
-        if self.rows != self.cols:
-            raise ExteriorError("inverse of a non-square matrix")
-        n = self.rows
-        aug = self.hstack(RationalMatrix.identity(n))
-        red, pivots, _ = aug.rref()
-        if tuple(pivots)[:n] != tuple(range(n)):
-            raise ExteriorError("matrix is singular")
-        return RationalMatrix(tuple(r[n:] for r in red.entries))
-
     def solve(self, b: Sequence) -> Vec | None:
         """One exact solution of ``self @ x = b``, or None if inconsistent."""
         b = _as_vec(b)
@@ -242,39 +182,6 @@ class RationalMatrix:
         for r, pc in enumerate(pivots):
             x[pc] = red.entries[r][self.cols]
         return tuple(x)
-
-    def kernel_basis(self) -> list[Vec]:
-        """A deterministic exact basis of ker(self)."""
-        red, pivots, _ = self.rref()
-        free = [j for j in range(self.cols) if j not in pivots]
-        basis = []
-        for f in free:
-            v = [Fraction(0)] * self.cols
-            v[f] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -red.entries[r][f]
-            basis.append(tuple(v))
-        return basis
-
-    def image_basis(self) -> list[Vec]:
-        """A deterministic exact basis of the column space."""
-        red_t, pivots, _ = self.transpose().rref()
-        return [red_t.entries[i] for i in range(len(pivots))]
-
-    def cokernel_representatives(self) -> list[Vec]:
-        """Standard basis vectors of the codomain representing coker(self).
-
-        These are the non-pivot standard basis vectors of the codomain after
-        exact elimination of the transposed matrix.
-        """
-        _, pivots, _ = self.transpose().rref()
-        reps = []
-        for j in range(self.rows):
-            if j not in pivots:
-                e = [Fraction(0)] * self.rows
-                e[j] = Fraction(1)
-                reps.append(tuple(e))
-        return reps
 
     def to_json(self) -> dict:
         return {
@@ -292,698 +199,15 @@ class RationalMatrix:
         )
 
 
-def _reduce_mod(v: Vec, mod_rref: RationalMatrix, mod_pivots: tuple[int, ...]) -> Vec:
-    """Canonical representative of ``v`` modulo the row space of ``mod_rref``."""
-    v = list(v)
-    for r, pc in enumerate(mod_pivots):
-        if v[pc] != 0:
-            f = v[pc]
-            row = mod_rref.entries[r]
-            v = [a - f * b for a, b in zip(v, row)]
-    return tuple(v)
+def zero_sign(jacobian: RationalMatrix) -> int:
+    """Orientation sign of a transverse zero in an index-0 chart.
 
-
-def _span_rref(vectors: Sequence[Vec], dim: int) -> tuple[RationalMatrix, tuple[int, ...]]:
-    if not vectors:
-        return RationalMatrix.zero(0, dim), ()
-    red, pivots, _ = RationalMatrix.from_rows(vectors).rref()
-    rows = [red.entries[i] for i in range(len(pivots))]
-    return RationalMatrix.from_rows(rows) if rows else RationalMatrix.zero(0, dim), pivots
-
-
-def _complete_basis(vectors: Sequence[Vec], dim: int) -> list[Vec]:
-    """Greedily complete ``vectors`` to a basis of Q^dim with standard vectors."""
-    rows = [list(v) for v in vectors]
-    out: list[Vec] = []
-    for j in range(dim):
-        e = [Fraction(0)] * dim
-        e[j] = Fraction(1)
-        test = RationalMatrix.from_rows(rows + [e])
-        if test.rank() == len(rows) + 1:
-            rows.append(e)
-            out.append(tuple(e))
-        if len(rows) == dim:
-            break
-    if len(rows) != dim:
-        raise ExteriorError("could not complete to a basis")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Wedge products and their duals
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TopForm:
-    """``coefficient * (v_1 ∧ ... ∧ v_k)`` in Q^dim, optionally modulo a subspace.
-
-    ``modulo`` lists spanning vectors of a subspace S; the form then lives on
-    the quotient Q^dim / S with the ``vectors`` as representatives.  The
-    normal form row-reduces the representative stack with a fixed pivot rule
-    while tracking the induced rescaling, so syntactic equality of normal
-    forms is semantic equality.
+    Every chart carries the standard orientation e_1 ∧ … ∧ e_n ⊗
+    (e_1 ∧ … ∧ e_n)* of det(ds) = Λ^n TU ⊗ (Λ^n E)*, and ds contracts it
+    to det(ds): the sign is the sign of the exact determinant.  A
+    non-square or singular ``jacobian`` raises :class:`ExteriorError`.
     """
-
-    dim: int
-    degree: int
-    vectors: tuple[Vec, ...]
-    coefficient: Fraction
-    modulo: tuple[Vec, ...] = ()
-
-    @staticmethod
-    def make(
-        dim: int,
-        vectors: Sequence[Sequence],
-        coefficient=Fraction(1),
-        modulo: Sequence[Sequence] = (),
-    ) -> "TopForm":
-        vecs = tuple(_as_vec(v) for v in vectors)
-        for v in vecs:
-            if len(v) != dim:
-                raise ExteriorError("vector length does not match ambient dimension")
-        mod = tuple(_as_vec(v) for v in modulo)
-        return TopForm(dim, len(vecs), vecs, Fraction(coefficient), mod)
-
-    def is_zero(self) -> bool:
-        return self.normalized().coefficient == 0
-
-    def normalized(self) -> "TopForm":
-        mod_rref, mod_pivots = _span_rref(self.modulo, self.dim)
-        mod_rows = tuple(mod_rref.entries)
-        if self.coefficient == 0:
-            return TopForm(self.dim, self.degree, (), Fraction(0), mod_rows)
-        reduced = [
-            _reduce_mod(v, mod_rref, mod_pivots) for v in self.vectors
-        ]
-        if not reduced:
-            return TopForm(self.dim, 0, (), self.coefficient, mod_rows)
-        red, pivots, det_t = RationalMatrix.from_rows(reduced).rref()
-        if len(pivots) < len(reduced):
-            return TopForm(self.dim, self.degree, (), Fraction(0), mod_rows)
-        rows = tuple(red.entries[i] for i in range(len(pivots)))
-        # rows = T @ reduced with det(T) = det_t, so
-        # wedge(reduced) = (1/det_t) wedge(rows).
-        return TopForm(self.dim, self.degree, rows, self.coefficient / det_t, mod_rows)
-
-    def scaled(self, c) -> "TopForm":
-        return TopForm(
-            self.dim, self.degree, self.vectors, self.coefficient * Fraction(c), self.modulo
-        )
-
-    def same_line(self, other: "TopForm") -> bool:
-        a, b = self.normalized(), other.normalized()
-        return (
-            a.dim == b.dim
-            and a.degree == b.degree
-            and a.vectors == b.vectors
-            and a.modulo == b.modulo
-        )
-
-    def ratio(self, other: "TopForm") -> Fraction:
-        """self = ratio * other; both must be nonzero on the same line."""
-        a, b = self.normalized(), other.normalized()
-        if not self.same_line(other) or b.coefficient == 0:
-            raise ExteriorError("forms are not proportional nonzero elements")
-        return a.coefficient / b.coefficient
-
-    def __eq__(self, other) -> bool:  # semantic equality
-        if not isinstance(other, TopForm):
-            return NotImplemented
-        a, b = self.normalized(), other.normalized()
-        if a.coefficient == 0 and b.coefficient == 0:
-            return a.dim == b.dim and a.modulo == b.modulo
-        return (
-            a.dim == b.dim
-            and a.degree == b.degree
-            and a.vectors == b.vectors
-            and a.coefficient == b.coefficient
-            and a.modulo == b.modulo
-        )
-
-    def __hash__(self):
-        a = self.normalized()
-        if a.coefficient == 0:
-            return hash((a.dim, a.modulo))
-        return hash((a.dim, a.degree, a.vectors, a.coefficient, a.modulo))
-
-
-@dataclass(frozen=True)
-class CoTopForm:
-    """``coefficient * ([w_1] ∧ ... ∧ [w_q])*`` on the quotient Q^dim / S.
-
-    ``S`` is spanned by ``modulo``.  Evaluation pairs the dual wedge with a
-    wedge of quotient classes by solving for coordinates and taking an exact
-    determinant.
-    """
-
-    dim: int
-    degree: int
-    vectors: tuple[Vec, ...]
-    coefficient: Fraction
-    modulo: tuple[Vec, ...] = ()
-
-    @staticmethod
-    def make(
-        dim: int,
-        vectors: Sequence[Sequence],
-        coefficient=Fraction(1),
-        modulo: Sequence[Sequence] = (),
-    ) -> "CoTopForm":
-        vecs = tuple(_as_vec(v) for v in vectors)
-        for v in vecs:
-            if len(v) != dim:
-                raise ExteriorError("vector length does not match ambient dimension")
-        mod = tuple(_as_vec(v) for v in modulo)
-        return CoTopForm(dim, len(vecs), vecs, Fraction(coefficient), mod)
-
-    def is_zero(self) -> bool:
-        return self.normalized().coefficient == 0
-
-    def evaluate(self, arguments: Sequence[Sequence]) -> Fraction:
-        """Value on ``[u_1] ∧ ... ∧ [u_q]``."""
-        args = [_as_vec(u) for u in arguments]
-        if len(args) != self.degree:
-            raise ExteriorError("wrong number of arguments for dual wedge")
-        if self.degree == 0:
-            return self.coefficient
-        basis = RationalMatrix.from_cols(list(self.vectors) + list(self.modulo))
-        coords = []
-        for u in args:
-            x = basis.solve(u)
-            if x is None:
-                raise ExteriorError("argument not in span of representatives + modulo")
-            coords.append(x[: self.degree])
-        return self.coefficient * RationalMatrix.from_cols(coords).det()
-
-    def normalized(self) -> "CoTopForm":
-        mod_rref, mod_pivots = _span_rref(self.modulo, self.dim)
-        mod_rows = tuple(mod_rref.entries)
-        if self.coefficient == 0:
-            return CoTopForm(self.dim, self.degree, (), Fraction(0), mod_rows)
-        reduced = [_reduce_mod(v, mod_rref, mod_pivots) for v in self.vectors]
-        if not reduced:
-            return CoTopForm(self.dim, 0, (), self.coefficient, mod_rows)
-        red, pivots, det_t = RationalMatrix.from_rows(reduced).rref()
-        if len(pivots) < len(reduced):
-            return CoTopForm(self.dim, self.degree, (), Fraction(0), mod_rows)
-        rows = tuple(red.entries[i] for i in range(len(pivots)))
-        # wedge(reduced) = (1/det_t) wedge(rows), so dually the coefficient
-        # picks up det_t.
-        return CoTopForm(self.dim, self.degree, rows, self.coefficient * det_t, mod_rows)
-
-    def scaled(self, c) -> "CoTopForm":
-        return CoTopForm(
-            self.dim, self.degree, self.vectors, self.coefficient * Fraction(c), self.modulo
-        )
-
-    def same_line(self, other: "CoTopForm") -> bool:
-        a, b = self.normalized(), other.normalized()
-        return (
-            a.dim == b.dim
-            and a.degree == b.degree
-            and a.vectors == b.vectors
-            and a.modulo == b.modulo
-        )
-
-    def ratio(self, other: "CoTopForm") -> Fraction:
-        a, b = self.normalized(), other.normalized()
-        if not self.same_line(other) or b.coefficient == 0:
-            raise ExteriorError("coforms are not proportional nonzero elements")
-        return a.coefficient / b.coefficient
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CoTopForm):
-            return NotImplemented
-        a, b = self.normalized(), other.normalized()
-        if a.coefficient == 0 and b.coefficient == 0:
-            return a.dim == b.dim and a.modulo == b.modulo
-        return (
-            a.dim == b.dim
-            and a.degree == b.degree
-            and a.vectors == b.vectors
-            and a.coefficient == b.coefficient
-            and a.modulo == b.modulo
-        )
-
-    def __hash__(self):
-        a = self.normalized()
-        if a.coefficient == 0:
-            return hash((a.dim, a.modulo))
-        return hash((a.dim, a.degree, a.vectors, a.coefficient, a.modulo))
-
-
-@dataclass(frozen=True)
-class DetLineElement:
-    """An element of det(D) = Λ^max ker D ⊗ (Λ^max coker D)*."""
-
-    kernel_form: TopForm
-    cokernel_coform: CoTopForm
-    source_map: RationalMatrix
-
-    def is_zero(self) -> bool:
-        return self.kernel_form.is_zero() or self.cokernel_coform.is_zero()
-
-    def equals(self, other: "DetLineElement") -> bool:
-        """Semantic equality; scalar placement between factors is free."""
-        if self.source_map != other.source_map:
-            return False
-        if self.is_zero() or other.is_zero():
-            return self.is_zero() and other.is_zero()
-        if not self.kernel_form.same_line(other.kernel_form):
-            return False
-        if not self.cokernel_coform.same_line(other.cokernel_coform):
-            return False
-        return (
-            self.kernel_form.ratio(other.kernel_form)
-            * self.cokernel_coform.ratio(other.cokernel_coform)
-            == 1
-        )
-
-
-@dataclass(frozen=True)
-class GroupDetAction:
-    """The (dγ, γ-on-E) pair acting on determinant lines."""
-
-    domain: RationalMatrix
-    obstruction: RationalMatrix
-
-    def __post_init__(self):
-        if not self.domain.is_invertible() or not self.obstruction.is_invertible():
-            raise ExteriorError("group action matrices must be invertible")
-
-
-# ---------------------------------------------------------------------------
-# Operations
-# ---------------------------------------------------------------------------
-
-
-def pushforward_top_form(F: RationalMatrix, omega: TopForm) -> TopForm:
-    """Λ_F(ω) for invertible F (modulo subspaces are pushed forward too)."""
-    if not F.is_invertible():
-        raise ExteriorError("pushforward requires an invertible map")
-    if F.cols != omega.dim:
-        raise ExteriorError("pushforward dimension mismatch")
-    return TopForm.make(
-        F.rows,
-        [F.matvec(v) for v in omega.vectors],
-        omega.coefficient,
-        [F.matvec(v) for v in omega.modulo],
-    ).normalized()
-
-
-def split_top_form(
-    subspace: Sequence[Sequence], omega: TopForm
-) -> tuple[TopForm, TopForm]:
-    """Split a top form along a subspace: ω ↦ ω' ⊗ ω''.
-
-    Completes a basis v_1..v_k of the subspace to v_1..v_n and maps
-    ω = λ v_1∧...∧v_n to (v_1∧...∧v_k, λ [v_{k+1}]∧...∧[v_n]); the scalar
-    goes on the quotient factor.
-    """
-    n = omega.dim
-    if omega.degree != n or omega.modulo:
-        raise ExteriorError("split_top_form expects an ambient top-degree form")
-    sub_rref, _ = _span_rref([_as_vec(v) for v in subspace], n)
-    sub = list(sub_rref.entries)
-    k = len(sub)
-    completion = _complete_basis(sub, n)
-    full = TopForm.make(n, sub + completion)
-    lam = omega.ratio(full)
-    first = TopForm.make(n, sub)
-    second = TopForm.make(n, completion, lam, modulo=sub).normalized()
-    return first, second
-
-
-def contract_simple(F: RationalMatrix, omega: TopForm, eta: CoTopForm) -> Fraction:
-    """η(F(y_1) ∧ ... ∧ F(y_k)) for invertible F."""
-    if not F.is_invertible():
-        raise ExteriorError("contract_simple requires an invertible map")
-    pushed = [F.matvec(v) for v in omega.vectors]
-    return omega.coefficient * eta.evaluate(pushed)
-
-
-def _contract_core(
-    F: RationalMatrix,
-    omega: TopForm,
-    eta: CoTopForm,
-    phi: RationalMatrix | None,
-    v_completion: Sequence[Vec] | None,
-    w_completion: Sequence[Vec] | None,
-) -> DetLineElement:
-    n, m = F.cols, F.rows
-    if omega.dim != n or omega.degree != n or omega.modulo:
-        raise ExteriorError("omega must be an ambient top form on the domain")
-    if eta.dim != m or eta.degree != m or eta.modulo:
-        raise ExteriorError("eta must be an ambient dual top form on the codomain")
-    ker = F.kernel_basis()
-    k = len(ker)
-    if phi is not None:
-        if phi.rows != n or phi.cols != k or phi.rank() != k:
-            raise ExteriorError("phi is not an isomorphism onto ker F")
-        for c in phi.columns():
-            if any(x != 0 for x in F.matvec(c)):
-                raise ExteriorError("phi image is not contained in ker F")
-        kernel_vecs = phi.columns()
-        kernel_dim = k
-        kernel_form_vecs: list[Vec] = [
-            tuple(Fraction(1 if i == j else 0) for i in range(k)) for j in range(k)
-        ]
-    else:
-        kernel_vecs = ker
-        kernel_dim = n
-        kernel_form_vecs = list(ker)
-    if v_completion is None:
-        v_rest = _complete_basis(kernel_vecs, n)
-    else:
-        v_rest = [_as_vec(v) for v in v_completion]
-        if RationalMatrix.from_rows(list(kernel_vecs) + v_rest).rank() != n:
-            raise ExteriorError("supplied completion is not a basis completion")
-    full_v = TopForm.make(n, list(kernel_vecs) + v_rest)
-    lam = omega.ratio(full_v)
-    image_vecs = [F.matvec(v) for v in v_rest]
-    if w_completion is None:
-        w_first = [
-            tuple(w) for w in _complete_basis(image_vecs, m)
-        ]
-    else:
-        w_first = [_as_vec(w) for w in w_completion]
-        if RationalMatrix.from_rows(w_first + image_vecs).rank() != m:
-            raise ExteriorError("supplied codomain completion is not a basis completion")
-    mu = eta.evaluate(w_first + image_vecs)
-    kernel_form = TopForm.make(kernel_dim, kernel_form_vecs, lam).normalized()
-    coker_coform = CoTopForm.make(m, w_first, mu, modulo=image_vecs).normalized()
-    return DetLineElement(kernel_form, coker_coform, F)
-
-
-def contraction_C(
-    F: RationalMatrix,
-    phi: RationalMatrix,
-    omega: TopForm,
-    eta: CoTopForm,
-    v_completion: Sequence[Vec] | None = None,
-    w_completion: Sequence[Vec] | None = None,
-) -> DetLineElement:
-    """The basis-completion contraction attached to F and an iso φ onto ker F.
-
-    Maps ω ⊗ η to (φ⁻¹v_1 ∧ ... ∧ φ⁻¹v_k) ⊗ ([w_1] ∧ ... ∧ [w_{m-n+k}])*
-    with v_1..v_k spanning ker F and w_{m-n+i} = F(v_i) for i > k.  The
-    result is independent of the choice of completing bases.
-    """
-    return _contract_core(F, omega, eta, phi, v_completion, w_completion)
-
-
-def det_line_of_map(
-    D: RationalMatrix,
-    omega: TopForm,
-    eta: CoTopForm,
-    v_completion: Sequence[Vec] | None = None,
-    w_completion: Sequence[Vec] | None = None,
-) -> DetLineElement:
-    """The contraction with φ = the kernel inclusion (ambient coordinates)."""
-    return _contract_core(D, omega, eta, None, v_completion, w_completion)
-
-
-def group_act_detline(action: GroupDetAction, element):
-    """Apply Λ_{dγ} ⊗ (Λ_{[γ]⁻¹})* to a det-line element or an ω ⊗ η pair."""
-    A, B = action.domain, action.obstruction
-    if isinstance(element, DetLineElement):
-        kf = element.kernel_form
-        cf = element.cokernel_coform
-        new_kf = TopForm.make(
-            kf.dim,
-            [A.matvec(v) for v in kf.vectors],
-            kf.coefficient,
-            [A.matvec(v) for v in kf.modulo],
-        ).normalized()
-        new_cf = CoTopForm.make(
-            cf.dim,
-            [B.matvec(v) for v in cf.vectors],
-            cf.coefficient,
-            [B.matvec(v) for v in cf.modulo],
-        ).normalized()
-        new_src = B.mul(element.source_map).mul(A.inverse())
-        return DetLineElement(new_kf, new_cf, new_src)
-    omega, eta = element
-    new_omega = TopForm.make(
-        omega.dim,
-        [A.matvec(v) for v in omega.vectors],
-        omega.coefficient,
-        [A.matvec(v) for v in omega.modulo],
-    ).normalized()
-    new_eta = CoTopForm.make(
-        eta.dim,
-        [B.matvec(v) for v in eta.vectors],
-        eta.coefficient,
-        [B.matvec(v) for v in eta.modulo],
-    ).normalized()
-    return new_omega, new_eta
-
-
-def standard_orientation(n: int, m: int) -> tuple[TopForm, CoTopForm]:
-    """The standard ω ⊗ η on Q^n ⊗ (Q^m)*."""
-    eye_n = RationalMatrix.identity(n).entries
-    eye_m = RationalMatrix.identity(m).entries
-    return TopForm.make(n, eye_n), CoTopForm.make(m, eye_m)
-
-
-def zero_sign(jacobian: RationalMatrix, omega: TopForm, eta: CoTopForm) -> int:
-    """Orientation sign of a transverse zero in an index-0 chart."""
-    if jacobian.rows != jacobian.cols:
-        raise ExteriorError("zero_sign expects a square (index-0) jacobian")
-    if not jacobian.is_invertible():
+    det = jacobian.det()
+    if det == 0:
         raise ExteriorError("jacobian is singular: zero is not transverse")
-    value = contract_simple(jacobian, omega, eta)
-    if value == 0:
-        raise ExteriorError("orientation datum is degenerate")
-    return 1 if value > 0 else -1
-
-
-# ---------------------------------------------------------------------------
-# Determinant-line transitions of a coordinate change
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TransitionData:
-    """Linearized coordinate-change data at a point.
-
-    ``ds_I`` : m_I x n_I, ``ds_J`` : m_J x n_J, ``d_rho`` : n_I x n_I
-    invertible, ``d_phi_tilde`` : n_J x n_I injective, ``phi_hat`` :
-    m_J x m_I injective, ``normal_complement`` : optional n_J x (n_J - n_I)
-    basis of a complement of im(d_phi_tilde).
-    """
-
-    ds_I: RationalMatrix
-    ds_J: RationalMatrix
-    d_rho: RationalMatrix
-    d_phi_tilde: RationalMatrix
-    phi_hat: RationalMatrix
-    normal_complement: RationalMatrix | None = None
-
-    @property
-    def n_I(self) -> int:
-        return self.ds_I.cols
-
-    @property
-    def m_I(self) -> int:
-        return self.ds_I.rows
-
-    @property
-    def n_J(self) -> int:
-        return self.ds_J.cols
-
-    @property
-    def m_J(self) -> int:
-        return self.ds_J.rows
-
-    def complement(self) -> RationalMatrix:
-        if self.normal_complement is not None:
-            return self.normal_complement
-        comp = _complete_basis(self.d_phi_tilde.columns(), self.n_J)
-        return RationalMatrix.from_cols(comp, rows=self.n_J)
-
-    def validate(self) -> None:
-        if not self.d_rho.is_invertible():
-            raise ExteriorError("d_rho must be invertible")
-        if self.d_phi_tilde.rank() != self.n_I:
-            raise ExteriorError("d_phi_tilde must be injective")
-        if self.phi_hat.rank() != self.m_I:
-            raise ExteriorError("phi_hat must be injective")
-        if self.m_J - self.m_I != self.n_J - self.n_I:
-            raise ExteriorError("index condition violated: index mismatch")
-        chain_lhs = self.ds_J.mul(self.d_phi_tilde)
-        chain_rhs = self.phi_hat.mul(self.ds_I).mul(self.d_rho)
-        if chain_lhs != chain_rhs:
-            raise ExteriorError("chain rule ds_J∘dφ̃ = φ̂∘ds_I∘dρ fails")
-        N = self.complement()
-        if N.cols != self.n_J - self.n_I:
-            raise ExteriorError("normal complement has wrong dimension")
-        if (
-            RationalMatrix.from_rows(
-                [*self.d_phi_tilde.transpose().entries, *N.transpose().entries]
-            ).rank()
-            != self.n_J
-        ):
-            raise ExteriorError("N is not complementary to im d_phi_tilde")
-        mixed = self.phi_hat.hstack(self.ds_J.mul(N))
-        if not mixed.is_invertible():
-            raise ExteriorError(
-                "tangent bundle condition fails: ds_J does not identify the quotients"
-            )
-
-
-def transition_T_IJ(data: TransitionData, element: DetLineElement) -> DetLineElement:
-    """The chart-level det-line transition det(ds_I) -> det(ds_J)."""
-    if element.source_map != data.ds_I:
-        raise ExteriorError("element does not live on det(ds_I)")
-    rho_inv = data.d_rho.inverse()
-    kf = element.kernel_form
-    new_kf = TopForm.make(
-        data.n_J,
-        [data.d_phi_tilde.matvec(rho_inv.matvec(v)) for v in kf.vectors],
-        kf.coefficient,
-    ).normalized()
-    cf = element.cokernel_coform
-    new_cf = CoTopForm.make(
-        data.m_J,
-        [data.phi_hat.matvec(v) for v in cf.vectors],
-        cf.coefficient,
-        modulo=data.ds_J.image_basis(),
-    ).normalized()
-    return DetLineElement(new_kf, new_cf, data.ds_J)
-
-
-def transition_C_IJ(
-    data: TransitionData, omega_J: TopForm, eta_J: CoTopForm
-) -> tuple[TopForm, CoTopForm]:
-    """The universal transition from chart-J orientation data to chart I.
-
-    Sends ω ⊗ η on (T_y U_J, E_J) to an orientation datum on (T_x U_I, E_I)
-    by contracting along F = pr_N ∘ ds_J and transporting through dρ and
-    the induced obstruction identification.  Independent of the complement N.
-    """
-    data.validate()
-    N = data.complement()
-    dsJ_N = data.ds_J.mul(N)
-    basis = data.phi_hat.hstack(dsJ_N)  # m_J x m_J, invertible by tbc
-    basis_inv = basis.inverse()
-    # pr_N : E_J -> ds_J(N) with kernel im phi_hat, as
-    # basis @ diag(0,..,0,1,..,1) @ basis⁻¹
-    mask = RationalMatrix.from_rows(
-        [
-            [Fraction(1 if (i == j and i >= data.m_I) else 0) for j in range(data.m_J)]
-            for i in range(data.m_J)
-        ]
-    )
-    pr_N = basis.mul(mask).mul(basis_inv)
-    F = pr_N.mul(data.ds_J)
-    contracted = contraction_C(F, data.d_phi_tilde, omega_J, eta_J)
-    # kernel factor: Λ_{dρ} applied to the Q^{n_I} top form
-    kf = contracted.kernel_form
-    omega_I = TopForm.make(
-        data.n_I,
-        [data.d_rho.matvec(v) for v in kf.vectors],
-        kf.coefficient,
-    ).normalized()
-    # cokernel factor: (Λ_{(pr⊥_N ∘ φ̂)⁻¹})*, i.e. solve φ̂ e ≡ r mod im F
-    cf = contracted.cokernel_coform
-    reps = []
-    for r in cf.vectors:
-        x = basis.solve(r)
-        if x is None:
-            raise ExteriorError("cokernel representative outside E_J")
-        reps.append(x[: data.m_I])
-    eta_I = CoTopForm.make(data.m_I, reps, cf.coefficient).normalized()
-    return omega_I, eta_I
-
-
-def cclaim_commutes(
-    data: TransitionData, omega_J: TopForm, eta_J: CoTopForm
-) -> bool:
-    """Check the commuting diagram c_{ds_J} = T_IJ ∘ c_{ds_I} ∘ C̃_IJ."""
-    lhs = det_line_of_map(data.ds_J, omega_J, eta_J)
-    omega_I, eta_I = transition_C_IJ(data, omega_J, eta_J)
-    mid = det_line_of_map(data.ds_I, omega_I, eta_I)
-    rhs = transition_T_IJ(data, mid)
-    return lhs.equals(rhs)
-
-
-def detline_transition(data: TransitionData, element: DetLineElement) -> DetLineElement:
-    """Validated chart-level transition; the C̃ path is exposed separately."""
-    data.validate()
-    return transition_T_IJ(data, element)
-
-
-# ---------------------------------------------------------------------------
-# Random instance generators (used by the property suites)
-# ---------------------------------------------------------------------------
-
-
-def _rand_rat(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
-
-
-def random_matrix(rng: random.Random, rows: int, cols: int) -> RationalMatrix:
-    return RationalMatrix.from_rows(
-        [[_rand_rat(rng) for _ in range(cols)] for _ in range(rows)]
-    )
-
-
-def random_invertible(rng: random.Random, n: int) -> RationalMatrix:
-    while True:
-        m = random_matrix(rng, n, n)
-        if m.is_invertible():
-            return m
-
-
-def make_tbc_instance(
-    rng: random.Random,
-    n_I: int = 2,
-    m_I: int = 1,
-    extra: int = 1,
-) -> TransitionData:
-    """Random linearized coordinate-change data satisfying the tangent
-    bundle condition by construction: ds_J is defined as
-    φ̂ ∘ ds_I ∘ dρ on im(dφ̃) and as an isomorphism onto a complement of
-    im(φ̂) on a chosen complement of im(dφ̃).
-    """
-    n_J, m_J = n_I + extra, m_I + extra
-    ds_I = random_matrix(rng, m_I, n_I)
-    d_rho = random_invertible(rng, n_I)
-    # injective dφ̃ and a complement N0 of its image
-    while True:
-        d_phi = random_matrix(rng, n_J, n_I)
-        if d_phi.rank() == n_I:
-            break
-    N0 = RationalMatrix.from_cols(_complete_basis(d_phi.columns(), n_J))
-    # injective φ̂ and a complement block C with [φ̂ | C] invertible
-    while True:
-        phi_hat = random_matrix(rng, m_J, m_I)
-        if phi_hat.rank() == m_I:
-            break
-    C = RationalMatrix.from_cols(_complete_basis(phi_hat.columns(), m_J))
-    # mix C by a random invertible factor so the complement iso is generic
-    C = C.mul(random_invertible(rng, extra))
-    # ds_J @ [dφ̃ | N0] = [φ̂ ds_I dρ | C]
-    lhs_basis = RationalMatrix.from_cols(d_phi.columns() + N0.columns())
-    rhs = phi_hat.mul(ds_I).mul(d_rho).hstack(C)
-    ds_J = rhs.mul(lhs_basis.inverse())
-    return TransitionData(ds_I, ds_J, d_rho, d_phi_tilde=d_phi, phi_hat=phi_hat)
-
-
-def random_complement(rng: random.Random, data: TransitionData) -> RationalMatrix:
-    """A random complement of im(d_phi_tilde) in Q^{n_J}."""
-    base = data.complement()
-    extra = base.cols
-    while True:
-        # shear the default complement by a random map into im(dφ̃) and mix
-        mix = random_invertible(rng, extra)
-        shear = random_matrix(rng, data.n_I, extra)
-        cand = base.mul(mix).add(data.d_phi_tilde.mul(shear))
-        stacked = RationalMatrix.from_rows(
-            list(data.d_phi_tilde.transpose().entries)
-            + list(cand.transpose().entries)
-        )
-        if stacked.rank() == data.n_J:
-            return cand
+    return 1 if det > 0 else -1

@@ -5,7 +5,7 @@
 3. Single-chart orbifold weights: Λ ≡ 1/|Γ|.
 4. Branched interval cobordism: Λ table and the boundary identity.
 5. Category/groupoid laws on the football atlas and 50 random toy atlases.
-6. Orientation engine exactness on 200 random rational instances.
+6. Zero signs: the exact sign agrees with the float determinant.
 7. Λ well-definedness: both weight formulas agree across charts.
 8. Realization identifications: |K| ↔ |K̲| and zero classes ↔ X samples.
 
@@ -19,6 +19,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -35,21 +36,7 @@ from vfc.charts_atlas import (
     realize,
     realize_intermediate,
 )
-from vfc.exterior_engine import (
-    GroupDetAction,
-    RationalMatrix,
-    TransitionData,
-    cclaim_commutes,
-    det_line_of_map,
-    group_act_detline,
-    make_tbc_instance,
-    random_complement,
-    random_invertible,
-    random_matrix,
-    standard_orientation,
-    transition_C_IJ,
-    zero_sign,
-)
+from vfc.exterior_engine import RationalMatrix, zero_sign
 from vfc.examples_cli import (
     ExampleDescriptor,
     build_example,
@@ -233,97 +220,28 @@ class TestCategoryLaws:
 
 
 # ---------------------------------------------------------------------------
-# 6: orientation engine exactness (200 random rational instances)
+# 6: zero signs against the float determinant
 # ---------------------------------------------------------------------------
 
 
+def _random_invertible(rng: random.Random, n: int) -> RationalMatrix:
+    """A random invertible n x n matrix of small rationals."""
+    while True:
+        mat = RationalMatrix.from_rows(
+            [[F(rng.randint(-4, 4), rng.choice([1, 1, 2, 3])) for _ in range(n)] for _ in range(n)]
+        )
+        if mat.det() != 0:
+            return mat
+
+
 class TestOrientationEngine:
-    def test_completion_independence_50(self):
-        rng = random.Random(101)
-        done = 0
-        while done < 50:
-            rows, cols = rng.choice([(2, 3), (3, 3), (2, 4), (3, 4)])
-            D = random_matrix(rng, rows, cols)
-            ker = D.kernel_basis()
-            if not ker:
-                continue
-            omega, eta = standard_orientation(cols, rows)
-            base = det_line_of_map(D, omega, eta)
-            shift = random_matrix(rng, cols, cols)
-            comp = []
-            for j in range(cols):
-                cand = tuple(shift.row(j))
-                if (
-                    RationalMatrix.from_rows(list(ker) + comp + [cand]).rank()
-                    == len(ker) + len(comp) + 1
-                ):
-                    comp.append(cand)
-            if len(ker) + len(comp) != cols:
-                continue
-            other = det_line_of_map(D, omega, eta, v_completion=comp)
-            assert base.equals(other)
-            done += 1
-
-    def test_equivariance_functoriality_50(self):
-        rng = random.Random(103)
-        for _ in range(50):
-            n = rng.randint(1, 3)
-            m = rng.randint(1, 3)
-            omega, eta = standard_orientation(n, m)
-            el = det_line_of_map(RationalMatrix.zero(m, n), omega, eta)
-            a1, a2 = random_invertible(rng, n), random_invertible(rng, n)
-            b1, b2 = random_invertible(rng, m), random_invertible(rng, m)
-            lhs = group_act_detline(GroupDetAction(a1.mul(a2), b1.mul(b2)), el)
-            rhs = group_act_detline(
-                GroupDetAction(a1, b1),
-                group_act_detline(GroupDetAction(a2, b2), el),
-            )
-            assert lhs.equals(rhs)
-
-    def test_normal_bundle_independence_50(self):
-        rng = random.Random(107)
-        for _ in range(50):
-            data = make_tbc_instance(rng, n_I=2, m_I=1, extra=1)
-            omega, eta = standard_orientation(data.n_J, data.m_J)
-            base = transition_C_IJ(data, omega, eta)
-            N = random_complement(rng, data)
-            alt = TransitionData(
-                data.ds_I,
-                data.ds_J,
-                data.d_rho,
-                data.d_phi_tilde,
-                data.phi_hat,
-                normal_complement=N,
-            )
-            got = transition_C_IJ(alt, omega, eta)
-            assert got[0].ratio(base[0]) * got[1].ratio(base[1]) == 1
-
-    def test_cclaim_commutes_50(self):
-        rng = random.Random(109)
-        for _ in range(50):
-            data = make_tbc_instance(
-                rng,
-                n_I=rng.choice([1, 2]),
-                m_I=rng.choice([1, 2]),
-                extra=rng.choice([1, 2]),
-            )
-            omega, eta = standard_orientation(data.n_J, data.m_J)
-            omega = omega.scaled(F(rng.randint(1, 4), rng.randint(1, 3)))
-            assert cclaim_commutes(data, omega, eta)
-
     def test_zero_sign_matches_determinant(self):
         rng = random.Random(113)
         for _ in range(50):
             n = rng.randint(1, 4)
-            mat = random_invertible(rng, n)
-            omega, eta = standard_orientation(n, n)
-            det = 1
-            import numpy as np
-
-            det = float(
-                np.linalg.det([[float(c) for c in row] for row in mat.entries])
-            )
-            assert zero_sign(mat, omega, eta) == (1 if det > 0 else -1)
+            mat = _random_invertible(rng, n)
+            det = float(np.linalg.det([[float(c) for c in row] for row in mat.entries]))
+            assert zero_sign(mat) == (1 if det > 0 else -1)
 
 
 # ---------------------------------------------------------------------------

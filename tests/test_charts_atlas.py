@@ -956,13 +956,34 @@ def test_obstruction_grid_not_phi_closed_is_reported():
     atlas = build_example(ExampleDescriptor("sphere-euler", {"density": 8})).atlas
     changes = dict(atlas.changes)
     key = min(changes)
-    scaled = changes[key].phi_hat.scale(F(3))
+    scaled = RationalMatrix.from_rows(
+        [[3 * x for x in row] for row in changes[key].phi_hat.entries]
+    )
     changes[key] = dataclasses.replace(changes[key], phi_hat=scaled)
     rep = build_categories(dataclasses.replace(atlas, changes=changes)).report
     assert [(f["clause"], f.get("from")) for f in rep.failures] == [
         ("obstruction_grid_not_phi_closed", None),
         ("identity_missing", "category_axioms_E"),
     ]
+
+
+def test_zero_sample_without_footprint_is_reported():
+    """A zero sample whose footprint label is missing is a clause of the
+    footprint functor and of the realization check, not a ``KeyError``."""
+    from vfc.examples_cli import ExampleDescriptor, build_example
+
+    atlas = build_example(ExampleDescriptor("football-euler", {"density": 8})).atlas
+    I = next(I for I in atlas.index_sets() if atlas.charts[I].zero_sample_indices())
+    chart = atlas.charts[I]
+    x = chart.zero_sample_indices()[0]
+    footprint_map = {k: v for k, v in chart.footprint_map.items() if k != x}
+    charts = dict(atlas.charts)
+    charts[I] = dataclasses.replace(chart, footprint_map=footprint_map)
+    doctored = dataclasses.replace(atlas, charts=charts)
+    want = {"clause": "zero_sample_without_footprint", "index": I, "point": x}
+    out = build_categories(doctored)
+    assert want in out.report.failures
+    assert want in check_realizations(doctored, out.domain_category).failures
 
 
 class TestRealization:
