@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -52,10 +51,7 @@ __all__ = [
     "check_group_quotient",
     "check_chart",
     "check_group_covering",
-    "restrict_chart",
     "check_coordinate_change",
-    "compose_coordinate_changes",
-    "CompositeChange",
     "check_cocycle",
     "check_tame_and_filtration",
     "check_atlas_model",
@@ -539,81 +535,6 @@ def check_group_covering(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckReport
     return rep
 
 
-def restrict_chart(chart: ChartModel, vbar_pred: list) -> ChartModel:
-    """Restrict a chart to the preimage of an intermediate-level subset.
-
-    The predicate is evaluated on domain coordinates and must be constant
-    on Γ-orbits; the retained footprint must be a union of full footprint
-    fibers (footprint condition of the restriction construction).
-    """
-    keep = [
-        i
-        for i, p in enumerate(chart.domain.points)
-        if eval_pred(vbar_pred, list(p))
-    ]
-    keep_set = set(keep)
-    for i in keep:
-        for g in chart.group.elements:
-            if chart.domain.act(g, i) not in keep_set:
-                raise ValueError(
-                    "restriction predicate is not pulled back from the quotient"
-                )
-    # footprint condition: labels are retained entirely or not at all
-    by_label: dict = {}
-    for i in chart.zero_sample_indices():
-        by_label.setdefault(chart.footprint_map[i], []).append(i)
-    for lab, idxs in by_label.items():
-        kept = [i for i in idxs if i in keep_set]
-        if kept and len(kept) != len(idxs):
-            raise ValueError(f"footprint fiber for {lab!r} only partially retained")
-    renum = {old: new for new, old in enumerate(keep)}
-    perms = {
-        g: tuple(renum[chart.domain.act(g, old)] for old in keep)
-        for g in chart.group.elements
-    }
-    domain = GroupQuotientModel(
-        points=tuple(chart.domain.points[i] for i in keep),
-        group=chart.group,
-        perms=perms,
-        affine=chart.domain.affine,
-        membership=vbar_pred,
-    )
-    return ChartModel(
-        index=chart.index,
-        domain=domain,
-        obstruction_dim=chart.obstruction_dim,
-        obstruction_action=chart.obstruction_action,
-        obstruction_points=chart.obstruction_points,
-        section_samples=tuple(chart.section_samples[i] for i in keep),
-        footprint_map={
-            renum[i]: lab
-            for i, lab in chart.footprint_map.items()
-            if i in keep_set
-        },
-        section_asts=chart.section_asts,
-        tangent_dims=chart.tangent_dims,
-    )
-
-
-def _longdouble_rank_full(matrix: np.ndarray, tol: float) -> bool:
-    """Certify full rank of a square matrix by elimination in extended
-    precision (partial pivoting)."""
-    a = matrix.astype(np.longdouble).copy()
-    n = a.shape[0]
-    if n == 0:
-        return True
-    scale = max(np.max(np.abs(a)), 1.0)
-    for col in range(n):
-        piv = int(np.argmax(np.abs(a[col:, col]))) + col
-        if abs(a[piv, col]) <= tol * scale:
-            return False
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-        for r in range(col + 1, n):
-            a[r, col:] -= (a[r, col] / a[col, col]) * a[col, col:]
-    return True
-
-
 def check_coordinate_change(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckReport:
     """Equivariance, section compatibility, and the tangent bundle condition."""
     rep = CheckReport(f"coordinate_change {I}->{J}")
@@ -680,9 +601,7 @@ def check_coordinate_change(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckRep
                 sv = np.linalg.svd(block, compute_uv=False)
                 smallest = sv[-1] if len(sv) else 1.0
                 scale = max(sv[0] if len(sv) else 1.0, 1.0)
-                if smallest <= TAU_RANK * scale or not _longdouble_rank_full(
-                    block, TAU_RANK
-                ):
+                if smallest <= TAU_RANK * scale:
                     rep.fail("tangent_bundle_condition", point=y, sigma_min=smallest)
                     break
     # smooth-level ρ vs sample-level ρ (loose tolerance; samples are
@@ -697,76 +616,6 @@ def check_coordinate_change(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckRep
                 rep.fail("rho_ast_inconsistent", point=y, error=err)
                 break
     return rep
-
-
-def _subst_asts(outer: Sequence, inner: Sequence) -> list:
-    """Compose expression ASTs: outer evaluated on the outputs of inner."""
-
-    def walk(node):
-        if isinstance(node, list):
-            if node and node[0] == "var":
-                return inner[node[1]]
-            return [node[0]] + [walk(sub) for sub in node[1:]] if len(node) > 1 else list(node)
-        return node
-
-    return [walk(a) for a in outer]
-
-
-@dataclass
-class CompositeChange:
-    change: CoordinateChangeModel
-    report: CheckReport
-    empty_domain: bool
-
-
-def compose_coordinate_changes(
-    atlas: "AtlasModel", I: tuple, J: tuple, K: tuple
-) -> CompositeChange:
-    """Composite of coordinate changes for I ⊊ J ⊊ K."""
-    cIJ = atlas.changes[(I, J)]
-    cJK = atlas.changes[(J, K)]
-    tilde = [
-        z for z in cJK.tilde_indices if cJK.rho_idx[z] in set(cIJ.tilde_indices)
-    ]
-    rho = {z: cIJ.rho_idx[cJK.rho_idx[z]] for z in tilde}
-    rho_asts = None
-    if cIJ.rho_asts is not None and cJK.rho_asts is not None:
-        rho_asts = tuple(_subst_asts(cIJ.rho_asts, cJK.rho_asts))
-    change = CoordinateChangeModel(
-        source_index=I,
-        target_index=K,
-        tilde_indices=tuple(tilde),
-        rho_idx=rho,
-        phi_hat=cJK.phi_hat.mul(cIJ.phi_hat),
-        rho_asts=rho_asts,
-        tilde_tangent_dims=tuple(
-            d for d in cJK.tilde_tangent_dims if d in cJK.tilde_tangent_dims
-        ),
-    )
-    empty = not tilde
-    report = CheckReport(f"composite {I}->{J}->{K}")
-    if not empty:
-        # run the coordinate-change checks on a shadow atlas holding the
-        # composite in place of the direct change
-        shadow = AtlasModel(
-            x_labels=atlas.x_labels,
-            cover=atlas.cover,
-            charts=atlas.charts,
-            changes={**atlas.changes, (I, K): change},
-            metric=atlas.metric,
-        )
-        report.merge(check_coordinate_change(shadow, I, K))
-        kernel = kernel_labels(
-            atlas.charts[K].group, K, I, atlas.charts[I].group.identity
-        )
-        fibers: dict = {}
-        for z in tilde:
-            fibers.setdefault(rho[z], 0)
-            fibers[rho[z]] += 1
-        for x, size in fibers.items():
-            if size != len(kernel):
-                report.fail("composite_fiber_count", source_point=x, size=size)
-    return CompositeChange(change=change, report=report, empty_domain=empty)
 
 
 # ---------------------------------------------------------------------------

@@ -961,21 +961,22 @@ def _snap_zero_to_sample(atlas: AtlasModel, z) -> int | None:
 
 
 def _groupoid_stages(built: BuiltExample, zsets: dict, signs_by_object: dict,
-                     stages: list, report: dict) -> bool:
-    """Completion → Hausdorff quotient → Λ → wnb axioms → total."""
+                     stages: list, report: dict):
+    """Completion → Hausdorff quotient → Λ → wnb axioms → total: the
+    Hausdorff groupoid and the weights, or ``None`` at a failed stage."""
     atlas, V = built.atlas, built.V
     completed = complete_groupoid(atlas, V, zsets)
     if not _stage(stages, completed.report):
-        return False
+        return None
     hausdorff = hausdorff_complete(atlas, V, zsets, completed)
     if not _stage(stages, hausdorff.report):
-        return False
+        return None
     weights = weight_function(atlas, hausdorff)
     if not _stage(stages, weights.report):
-        return False
+        return None
     wnb = wnb_check(atlas, hausdorff, weights.weights)
     if not _stage(stages, wnb.report):
-        return False
+        return None
     signs = {}
     for p in hausdorff.classes:
         vals = {
@@ -1006,9 +1007,7 @@ def _groupoid_stages(built: BuiltExample, zsets: dict, signs_by_object: dict,
     report["footprint_weights"] = {
         lab: rat_str(w) for lab, w in sorted(foot_sum.items())
     }
-    report["hausdorff"] = hausdorff
-    report["weights"] = weights.weights
-    return True
+    return hausdorff, weights.weights
 
 
 def run_example(descriptor: ExampleDescriptor, seed_grid: int = 1):
@@ -1126,11 +1125,11 @@ def run_example(descriptor: ExampleDescriptor, seed_grid: int = 1):
             for o in orbit:
                 signs_by_object[(z.chart_index, o)] = z.sign
         zsets = {I: frozenset(s) for I, s in zsets.items()}
-        if not _groupoid_stages(built, zsets, signs_by_object, stages, report):
+        groupoid = _groupoid_stages(built, zsets, signs_by_object, stages, report)
+        if groupoid is None:
             report["ok"] = False
             return report, 1
-        hausdorff = report.pop("hausdorff")
-        weights = report.pop("weights")
+        hausdorff, weights = groupoid
         for (I, idx), z in snapped.items():
             p = hausdorff.class_of[(I, idx)]
             z.minimal_footprint = tuple(hausdorff.minimal_footprint[p])
@@ -1148,11 +1147,9 @@ def run_example(descriptor: ExampleDescriptor, seed_grid: int = 1):
         )
         for I in atlas.index_sets()
     }
-    if not _groupoid_stages(built, zsets, signs_by_object, stages, report):
+    if _groupoid_stages(built, zsets, signs_by_object, stages, report) is None:
         report["ok"] = False
         return report, 1
-    report.pop("hausdorff")
-    report.pop("weights")
     report["ok"] = True
     return report, 0
 
@@ -1193,14 +1190,13 @@ def check_atlas_data(data: dict) -> dict:
     ok = True
     for rep in _atlas_stages(atlas):
         ok = _stage(stages, rep) and ok
-    if "reduction" in data:
-        red = reduction_from_json(data["reduction"])
+    red = reduction_from_json(data["reduction"]) if "reduction" in data else None
+    if red is not None:
         ok = _stage(stages, check_reduction(atlas, red)) and ok
         ok = _stage(stages, build_pruned_category(atlas, red).report) and ok
     if "norms" in data:
         ok = _stage(stages, norms_from_json(data["norms"]).validate(atlas)) and ok
-    if "perturbation" in data and "reduction" in data:
-        red = reduction_from_json(data["reduction"])
+    if "perturbation" in data and red is not None:
         nu = perturbation_from_json(data["perturbation"])
         ok = _stage(stages, check_perturbation(atlas, red, nu)) and ok
     report["ok"] = ok

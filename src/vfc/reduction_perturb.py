@@ -12,7 +12,6 @@ metric ball at quotient level (hence automatically Γ_J-invariant).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -20,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .charts_atlas import (
+    TAU_RANK,
     AtlasModel,
     CheckReport,
     FiniteCategory,
@@ -59,7 +59,6 @@ __all__ = [
 ]
 
 TAU_EQ = 1e-9
-TAU_RANK = 1e-9
 
 Vec = tuple
 
@@ -345,11 +344,13 @@ class PrunedResult:
 
 
 def build_pruned_category(atlas: AtlasModel, red: Reduction) -> PrunedResult:
-    """Objects ⨆V_I, morphisms Ṽ_IJ with the isotropy dropped."""
+    """Objects ⨆V_I, morphisms Ṽ_IJ with the isotropy dropped.
+
+    A morphism (I, J, y) is read back from its endpoints ((I, ρ_IJ(y)),
+    (J, y)), so the category is nonsingular by construction."""
     rep = CheckReport("pruned_category")
     indices = atlas.index_sets()
     objects = [(I, x) for I in indices for x in sorted(red.sets[I])]
-    obj_set = set(objects)
     morphisms = []
     src: dict = {}
     tgt: dict = {}
@@ -359,14 +360,11 @@ def build_pruned_category(atlas: AtlasModel, red: Reduction) -> PrunedResult:
                 continue
             if I != J and (I, J) not in atlas.changes:
                 continue
+            # Ṽ_IJ ⊆ V_J with ρ_IJ(Ṽ_IJ) ⊆ V_I: both endpoints are objects
             for y in sorted(v_tilde(atlas, red, I, J)):
                 m = (I, J, y)
-                x = y if I == J else atlas.changes[(I, J)].rho_idx[y]
-                if (I, x) not in obj_set or (J, y) not in obj_set:
-                    rep.fail("morphism_endpoint_outside_objects", morphism=m)
-                    continue
                 morphisms.append(m)
-                src[m] = (I, x)
+                src[m] = (I, y if I == J else atlas.changes[(I, J)].rho_idx[y])
                 tgt[m] = (J, y)
     identity_of = {(I, x): (I, I, x) for (I, x) in objects}
     compose = composition_table(
@@ -375,13 +373,6 @@ def build_pruned_category(atlas: AtlasModel, red: Reduction) -> PrunedResult:
     )
     cat = FiniteCategory.from_labels(objects, morphisms, src, tgt, compose, identity_of)
     rep.merge(check_category(cat))
-    # nonsingularity: at most one morphism between any ordered pair
-    seen = set()
-    for m in morphisms:
-        key = (src[m], tgt[m])
-        if key in seen:
-            rep.fail("not_nonsingular", pair=key)
-        seen.add(key)
     return PrunedResult(category=cat, report=rep)
 
 
@@ -475,32 +466,38 @@ def check_perturbation(
             if resid > TAU_RANK * scale:
                 rep.fail("admissibility", pair=(I, J), point=y, residual=resid)
                 break
-    # transversality at found zeros
     if zeros is not None:
-        for z in zeros:
-            I, coords = z[0], z[1]
-            chart = atlas.charts[I]
-            if chart.obstruction_dim == 0 and not chart.tangent_dims:
-                continue
-            s_asts = chart.section_asts or ()
-            nu_asts = nu.asts.get(I)
-            if nu_asts is None:
-                rep.fail("transversality_data_missing", index=I)
-                continue
-            _, s_jac = compile_vector(s_asts, chart.tangent_dims)(coords)
-            _, n_jac = compile_vector(nu_asts, chart.tangent_dims)(coords)
-            jac = s_jac + n_jac
-            sv = np.linalg.svd(jac, compute_uv=False)
-            if len(sv) == 0 or sv[-1] <= TAU_RANK * max(sv[0], 1.0):
-                rep.fail("transversality", index=I, point=list(coords))
-    # precompactness: found zeros lie in the image of C
-    if zeros is not None and C is not None:
-        for z in zeros:
-            I, coords = z[0], z[1]
-            if _zero_in_C(atlas, C, I, coords):
-                continue
-            rep.fail("zero_escapes_C", index=I, point=[float(c) for c in coords])
+        for clause, witness in _zero_failures(atlas, nu, C, zeros):
+            rep.fail(clause, **witness)
     return rep
+
+
+def _zero_failures(atlas: AtlasModel, nu: Perturbation, C: Reduction | None,
+                   zeros: Sequence):
+    """Failures at the found zeros, as (clause, witness): transversality
+    at each zero, then precompactness of the zero set relative to C."""
+    for z in zeros:
+        I, coords = z[0], z[1]
+        chart = atlas.charts[I]
+        if chart.obstruction_dim == 0 and not chart.tangent_dims:
+            continue
+        s_asts = chart.section_asts or ()
+        nu_asts = nu.asts.get(I)
+        if nu_asts is None:
+            yield "transversality_data_missing", {"index": I}
+            continue
+        _, s_jac = compile_vector(s_asts, chart.tangent_dims)(coords)
+        _, n_jac = compile_vector(nu_asts, chart.tangent_dims)(coords)
+        jac = s_jac + n_jac
+        sv = np.linalg.svd(jac, compute_uv=False)
+        if len(sv) == 0 or sv[-1] <= TAU_RANK * max(sv[0], 1.0):
+            yield "transversality", {"index": I, "point": list(coords)}
+    if C is not None:
+        for z in zeros:
+            I, coords = z[0], z[1]
+            if not _zero_in_C(atlas, C, I, coords):
+                point = [float(c) for c in coords]
+                yield "zero_escapes_C", {"index": I, "point": point}
 
 
 def _zero_in_C(atlas: AtlasModel, C: Reduction, I: tuple, coords) -> bool:
@@ -768,12 +765,13 @@ def check_adapted(
                     break
     # b) transversality and d) zero-set control at found zeros
     if zeros is not None:
-        pert_rep = check_perturbation(atlas, V, nu, C=C, zeros=zeros)
-        for f in pert_rep.failures:
-            if f["clause"] in {"transversality", "zero_escapes_C"}:
-                rep.failures.append(
-                    {**f, "clause": ("b_" if f["clause"] == "transversality" else "d_") + f["clause"]}
-                )
+        names = {
+            "transversality": "b_transversality",
+            "zero_escapes_C": "d_zero_escapes_C",
+        }
+        for clause, witness in _zero_failures(atlas, nu, C, zeros):
+            if clause in names:
+                rep.fail(names[clause], **witness)
     return rep
 
 

@@ -14,7 +14,7 @@ The perturbed zero sets Z_I live in two parallel forms:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -43,9 +43,8 @@ __all__ = [
     "ZeroPoint",
     "FindZerosResult",
     "find_zeros",
-    "CompletedGroupoid",
+    "ZeroSetGroupoid",
     "complete_groupoid",
-    "HausdorffGroupoid",
     "hausdorff_complete",
     "WeightResult",
     "weight_function",
@@ -245,53 +244,57 @@ def _nonempty_subsets(I: tuple):
 
 
 @dataclass
-class CompletedGroupoid:
-    objects: tuple  # (I, sample index)
-    morphisms: tuple  # (I, J, y, alpha) with alpha a Γ_I label
+class ZeroSetGroupoid:
+    """A groupoid over the sample zero sets: objects (I, sample index),
+    morphisms (I, J, y, α) with α a Γ_I label, their endpoints, and the
+    classes, each named by its smallest object.  The Hausdorff step adds
+    the minimal footprint F_p of each class."""
+
+    objects: tuple
+    morphisms: tuple
     source: dict
     target: dict
     report: CheckReport
-    classes: tuple = ()
-    class_of: dict = field(default_factory=dict)
+    classes: tuple
+    class_of: dict
+    minimal_footprint: dict = field(default_factory=dict)  # class -> F_p
+
+    def fibers(self) -> dict:
+        """class -> chart I -> the samples of Z_I in the class."""
+        out: dict = {}
+        for o in self.objects:
+            I, z = o
+            out.setdefault(self.class_of[o], {}).setdefault(I, set()).add(z)
+        return out
 
 
 def _tilde_cl(atlas, red, zsets, closures, F, J) -> frozenset:
-    """The zeros of Z_J in cl(Ṽ_FJ): the declared closure where
-    ``closures`` has one, else the open overlap Ṽ_FJ."""
-    if (F, J) in closures:
-        return frozenset(y for y in closures[(F, J)] if y in zsets[J])
+    """The zeros of Z_J in cl(Ṽ_FJ): the open overlap Ṽ_FJ together with
+    the declared closure where ``closures`` has one (cl(A) ⊇ A)."""
     if F == J:
         return frozenset(zsets[J])
-    if (F, J) not in atlas.changes:
-        return frozenset()
-    return frozenset(y for y in v_tilde(atlas, red, F, J) if y in zsets[J])
+    out = set(closures.get((F, J), ()))
+    if (F, J) in atlas.changes:
+        out.update(v_tilde(atlas, red, F, J))
+    return frozenset(y for y in out if y in zsets[J])
 
 
-def _groupoid_core(atlas, red, zsets, closures) -> tuple:
-    """Shared morphism enumeration over the overlaps closed by
-    ``closures`` (see :func:`_tilde_cl`)."""
+def _groupoid_core(atlas, red, zsets, objects, closures, known=frozenset()) -> tuple:
+    """The morphisms not in ``known`` over the overlaps closed by
+    ``closures`` (see :func:`_tilde_cl`), with their endpoints."""
     indices = [I for I in atlas.index_sets() if I in zsets]
-    objects = [(I, z) for I in indices for z in sorted(zsets[I])]
     obj_set = set(objects)
     morphisms = []
     src: dict = {}
     tgt: dict = {}
+    seen = set(known)
     for I in indices:
         for J in indices:
             if not set(I) <= set(J):
                 continue
             if I != J and (I, J) not in atlas.changes:
                 continue
-            vt_IJ = (
-                frozenset(zsets[I])
-                if I == J
-                else frozenset(
-                    y
-                    for y in v_tilde(atlas, red, I, J)
-                    if y in zsets[J]
-                )
-            )
-            seen = set()
+            vt_IJ = _tilde_cl(atlas, red, zsets, {}, I, J)
             for F in _nonempty_subsets(I):
                 if F != I and (F, J) not in atlas.changes and F != J:
                     continue
@@ -315,7 +318,7 @@ def _groupoid_core(atlas, red, zsets, closures) -> tuple:
                         morphisms.append(m)
                         src[m] = source
                         tgt[m] = (J, y)
-    return objects, morphisms, src, tgt
+    return morphisms, src, tgt
 
 
 def _classes_of(objects, pairs):
@@ -328,7 +331,7 @@ def _classes_of(objects, pairs):
 
 def complete_groupoid(
     atlas: AtlasModel, red: Reduction, zsets: dict
-) -> CompletedGroupoid:
+) -> ZeroSetGroupoid:
     """The unique nonsingular completion of the zero-set category.
 
     ``zsets`` maps chart indices to Γ_I-invariant sample subsets Z_I.
@@ -338,7 +341,10 @@ def complete_groupoid(
     and inverses, and the within-chart/charts-change factorization.
     """
     rep = CheckReport("completed_groupoid")
-    objects, morphisms, src, tgt = _groupoid_core(atlas, red, zsets, {})
+    objects = [
+        (I, z) for I in atlas.index_sets() if I in zsets for z in sorted(zsets[I])
+    ]
+    morphisms, src, tgt = _groupoid_core(atlas, red, zsets, objects, {})
     morph_set = set(morphisms)
     # (a) every morphism is determined by its (source, target) pair
     seen: dict = {}
@@ -386,7 +392,7 @@ def complete_groupoid(
         if not (ok_first and ok_second):
             rep.fail("factorization", morphism=m)
     classes, class_of = _classes_of(objects, ((src[m], tgt[m]) for m in morphisms))
-    return CompletedGroupoid(
+    return ZeroSetGroupoid(
         objects=tuple(objects),
         morphisms=tuple(morphisms),
         source=src,
@@ -397,84 +403,61 @@ def complete_groupoid(
     )
 
 
-@dataclass
-class HausdorffGroupoid:
-    objects: tuple
-    morphisms: tuple
-    source: dict
-    target: dict
-    report: CheckReport
-    classes: tuple
-    class_of: dict
-    minimal_footprint: dict  # class -> F_p
-
-    def fibers(self) -> dict:
-        """class -> chart I -> the samples of Z_I in the class."""
-        out: dict = {}
-        for o in self.objects:
-            I, z = o
-            out.setdefault(self.class_of[o], {}).setdefault(I, set()).add(z)
-        return out
-
-
 def hausdorff_complete(
     atlas: AtlasModel,
     red: Reduction,
     zsets: dict,
-    completed: CompletedGroupoid,
+    completed: ZeroSetGroupoid,
     closures: dict | None = None,
-) -> HausdorffGroupoid:
-    """Close the morphism relation using declared closures of the overlaps.
+) -> ZeroSetGroupoid:
+    """Extend ``completed`` by the morphisms over declared closures.
 
-    ``closures`` maps (F, J) to the sample set cl(Ṽ_FJ); missing entries
-    default to the open overlap, so with no closure data the result
-    coincides with the completed groupoid.  The sets F with a given zero
-    in cl(Ṽ_FJ) must be nested; otherwise the closure data is rejected.
+    ``closures`` maps (F, J) to the sample set cl(Ṽ_FJ) ⊇ Ṽ_FJ; with no
+    closure data the result is ``completed`` with its minimal footprints.
+    The sets F with a given zero in cl(Ṽ_FJ) must be nested; otherwise
+    the closure data is rejected.  Verified: the added morphisms keep the
+    groupoid nonsingular, and the footprints of each class are nested.
     """
     rep = CheckReport("hausdorff_groupoid")
     closures = closures or {}
     # nestedness of {F : z ∈ cl(Ṽ_FJ)} per zero
-    indices = [I for I in atlas.index_sets() if I in zsets]
+    cl = functools.cache(lambda F, J: _tilde_cl(atlas, red, zsets, closures, F, J))
     f_sets: dict = {}
-    for J in indices:
-        for z in sorted(zsets[J]):
-            fs = [
-                F for F in _nonempty_subsets(J)
-                if z in _tilde_cl(atlas, red, zsets, closures, F, J)
-            ]
-            for a in fs:
-                for b in fs:
-                    if not (set(a) <= set(b) or set(b) <= set(a)):
-                        raise ValueError(
-                            f"closure data not nested at zero {(J, z)}: "
-                            f"{a} vs {b}"
-                        )
-            f_sets[(J, z)] = fs
-
-    objects, morphisms, src, tgt = _groupoid_core(atlas, red, zsets, closures)
-    morph_set = set(morphisms)
-    for m in completed.morphisms:
-        if m not in morph_set:
-            rep.fail("lost_completed_morphism", morphism=m)
-    seen = set()
-    for m in morphisms:
-        key = (src[m], tgt[m])
-        if key in seen:
-            rep.fail("not_nonsingular", pair=key)
-        seen.add(key)
-    classes, class_of = _classes_of(objects, ((src[m], tgt[m]) for m in morphisms))
-    # Hausdorff classes coarsen the completed classes
-    for m in completed.morphisms:
-        if class_of[completed.source[m]] != class_of[completed.target[m]]:
-            rep.fail("refinement_broken", morphism=m)
+    for J, z in completed.objects:
+        fs = [F for F in _nonempty_subsets(J) if z in cl(F, J)]
+        for a in fs:
+            for b in fs:
+                if not (set(a) <= set(b) or set(b) <= set(a)):
+                    raise ValueError(
+                        f"closure data not nested at zero {(J, z)}: "
+                        f"{a} vs {b}"
+                    )
+        f_sets[(J, z)] = fs
+    morphisms, source, target = completed.morphisms, completed.source, completed.target
+    classes, class_of = completed.classes, completed.class_of
+    if closures:
+        added, src, tgt = _groupoid_core(
+            atlas, red, zsets, completed.objects, closures, known=source
+        )
+        seen = {(source[m], target[m]) for m in morphisms}
+        for m in added:
+            key = (src[m], tgt[m])
+            if key in seen:
+                rep.fail("not_nonsingular", pair=key)
+            seen.add(key)
+        morphisms = morphisms + tuple(added)
+        source, target = {**source, **src}, {**target, **tgt}
+        classes, class_of = _classes_of(
+            completed.objects, ((source[m], target[m]) for m in morphisms)
+        )
     # minimal footprint F_p = min{F : p meets cl of the F-overlap}
+    members: dict = {}
+    for o in completed.objects:
+        members.setdefault(class_of[o], []).append(o)
     minimal: dict = {}
     for p in classes:
         candidates = []
-        for o in objects:
-            if class_of[o] != p:
-                continue
-            J, z = o
+        for J, z in members[p]:
             candidates.extend(f_sets[(J, z)])
             candidates.append(J)
         best = None
@@ -485,11 +468,11 @@ def hausdorff_complete(
             if not (set(best) <= set(F)):
                 rep.fail("footprint_not_nested", cls=p, sets=(best, F))
         minimal[p] = best
-    return HausdorffGroupoid(
-        objects=tuple(objects),
-        morphisms=tuple(morphisms),
-        source=src,
-        target=tgt,
+    return replace(
+        completed,
+        morphisms=morphisms,
+        source=source,
+        target=target,
         report=rep,
         classes=classes,
         class_of=class_of,
@@ -508,7 +491,7 @@ class WeightResult:
     report: CheckReport
 
 
-def weight_function(atlas: AtlasModel, hausdorff: HausdorffGroupoid) -> WeightResult:
+def weight_function(atlas: AtlasModel, hausdorff: ZeroSetGroupoid) -> WeightResult:
     """Λ by the fiber-count formula, cross-checked against the orbit
     formula |Γ_{I∖F_p}|/|Γ_I| in every chart that sees the class."""
     rep = CheckReport("weight_function")
@@ -550,7 +533,7 @@ class BranchStructure:
 
 
 def wnb_check(
-    atlas: AtlasModel, hausdorff: HausdorffGroupoid, weights: dict
+    atlas: AtlasModel, hausdorff: ZeroSetGroupoid, weights: dict
 ) -> BranchStructure:
     """Branches per class in a minimal chart: the samples of its fiber,
     each a piece of weight 1/|Γ_I|.  The pieces cover the fiber and are

@@ -29,14 +29,12 @@ from vfc.charts_atlas import (
     check_group_quotient,
     check_realizations,
     check_tame_and_filtration,
-    compose_coordinate_changes,
     composition_table,
     cyclic_group,
     kernel_labels,
     product_group,
     project_label,
     realize,
-    restrict_chart,
     trivial_group,
 )
 from vfc.exterior_engine import RationalMatrix
@@ -323,29 +321,6 @@ class TestGroupCovering:
         assert any(f["clause"] == "kernel_action_not_free" for f in rep.failures)
 
 
-class TestRestrictChart:
-    def test_full_restriction(self, toy2):
-        chart = toy2.charts[(1,)]
-        out = restrict_chart(chart, ["true"])
-        assert len(out.domain.points) == len(chart.domain.points)
-
-    def test_restrict_to_sub_footprint(self, toy2):
-        chart = toy2.charts[(1,)]
-        # keep only x-label "b" (x coordinate index 1)
-        pred = ["==", ["var", 0], ["num", "1/1"]]
-        out = restrict_chart(chart, pred)
-        assert len(out.domain.points) == chart.group.order
-        assert set(out.footprint_map.values()) == {"b"}
-        assert check_group_quotient(out.domain).ok
-
-    def test_partial_footprint_raises(self, toy2):
-        chart = toy2.charts[(1, 2)]  # Γ = Z2×Z3, 6 points per label
-        # cut through a single fiber: keep group-coordinate 0 only
-        pred = ["==", ["var", 1], ["num", "0/1"]]
-        with pytest.raises(ValueError):
-            restrict_chart(chart, pred)
-
-
 def _tbc_fixture(phi_entries, section_asts):
     """Minimal I ⊊ J pair with 1- and 2-dim obstruction for tbc tests."""
     gI = trivial_group()
@@ -441,46 +416,6 @@ class TestCoordinateChange:
         chart.tangent_dims = ()  # now n_J - n_I = 2 ≠ m_J - m_I = 1
         rep = check_coordinate_change(atlas, (1,), (1, 2))
         assert any(f["clause"] == "index_condition" for f in rep.failures)
-
-
-class TestComposition:
-    def test_composite_passes_and_fiber_count(self, toy3):
-        out = compose_coordinate_changes(toy3, (1,), (1, 2), (1, 2, 3))
-        assert not out.empty_domain
-        assert out.report.ok
-        ker = 3 * 1  # |Γ_{(1,2,3)∖(1,)}| = |Z3 × Z1|
-        fibers = {}
-        for z in out.change.tilde_indices:
-            fibers.setdefault(out.change.rho_idx[z], 0)
-            fibers[out.change.rho_idx[z]] += 1
-        assert set(fibers.values()) == {ker}
-
-    def test_empty_domain_flag(self, toy3):
-        cIJ = toy3.changes[((1,), (1, 2))]
-        empty = CoordinateChangeModel(
-            source_index=cIJ.source_index,
-            target_index=cIJ.target_index,
-            tilde_indices=(),
-            rho_idx={},
-            phi_hat=cIJ.phi_hat,
-        )
-        shadow = AtlasModel(
-            x_labels=toy3.x_labels,
-            cover=toy3.cover,
-            charts=toy3.charts,
-            changes={**toy3.changes, ((1,), (1, 2)): empty},
-        )
-        out = compose_coordinate_changes(shadow, (1,), (1, 2), (1, 2, 3))
-        assert out.empty_domain
-
-    def test_composite_matches_direct_change(self, toy3):
-        out = compose_coordinate_changes(toy3, (1,), (1, 2), (1, 2, 3))
-        direct = toy3.changes[((1,), (1, 2, 3))]
-        assert set(out.change.tilde_indices) == set(direct.tilde_indices)
-        assert all(
-            out.change.rho_idx[z] == direct.rho_idx[z]
-            for z in out.change.tilde_indices
-        )
 
 
 class TestCocycle:

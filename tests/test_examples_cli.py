@@ -1,6 +1,7 @@
 """End-to-end tests for the built-in examples and the vfc CLI."""
 
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -14,6 +15,7 @@ from vfc.charts_atlas import (
     check_realizations,
     check_tame_and_filtration,
 )
+from vfc import reduction_perturb, zeroset_branched
 from vfc.examples_cli import (
     EXAMPLE_NAMES,
     BuiltExample,
@@ -160,6 +162,34 @@ def test_seed_grid_levels_agree():
     assert c1 == c2 == 0
     assert r1["total"] == r2["total"]
     assert len(r1["zero_set"]["zeros"]) == len(r2["zero_set"]["zeros"])
+
+
+def test_run_checks_perturbation_and_builds_groupoid_once(monkeypatch):
+    """One ``vfc run`` checks the perturbation once (the adaptedness stage
+    reuses its zero checks) and enumerates the zero-set groupoid once (the
+    Hausdorff step extends the completed groupoid)."""
+    calls = {"check_perturbation": 0, "_groupoid_core": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    originals = {
+        "check_perturbation": reduction_perturb.check_perturbation,
+        "_groupoid_core": zeroset_branched._groupoid_core,
+    }
+    # every vfc module that holds one of the functions, under any name
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "vfc" or module_name.startswith("vfc."):
+            for attr, value in list(vars(module).items()):
+                for name, original in originals.items():
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting(name, original))
+    report, code = run_example(ExampleDescriptor("sphere-euler", {"density": 12}))
+    assert code == 0 and report["total"] == "2/1"
+    assert calls == {"check_perturbation": 1, "_groupoid_core": 1}
 
 
 def test_run_report_json_serializable():

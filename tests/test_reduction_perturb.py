@@ -580,6 +580,39 @@ class TestCheckAdapted:
         )
         assert "d_zero_escapes_C" in clauses(rep)
 
+    def test_zero_clauses_mirror_the_perturbation_check(self):
+        # b) and d) are the perturbation check's zero clauses, renamed, with
+        # the same witnesses in the same order (all b_ before any d_)
+        atlas, V, C, norms, constants, _, _ = self._setup()
+        bad = Perturbation(
+            asts={(1,): (["-", num("1/2"), var(0)],)},
+            samples={(1,): {k: (F(1, 2) - F(k, 8),) for k in range(9)}},
+        )
+        zeros = [((1,), (F(3, 4),)), ((1,), (F(1, 2),))]
+        rep = check_adapted(
+            atlas, V, C, norms, constants, F(1, 8), bad, zeros=zeros
+        )
+        pert = check_perturbation(atlas, V, bad, C=C, zeros=zeros)
+        assert pert.failures == [
+            {"clause": "transversality", "index": (1,), "point": [F(3, 4)]},
+            {"clause": "transversality", "index": (1,), "point": [F(1, 2)]},
+            {"clause": "zero_escapes_C", "index": (1,), "point": [0.75]},
+        ]
+        assert [f for f in rep.failures if f["clause"][:2] in {"b_", "d_"}] == [
+            {**f, "clause": {"transversality": "b_transversality",
+                             "zero_escapes_C": "d_zero_escapes_C"}[f["clause"]]}
+            for f in pert.failures
+        ]
+        # a zero without ν's expressions is the perturbation check's alone
+        samples_only = Perturbation(samples=bad.samples)
+        assert "transversality_data_missing" in clauses(
+            check_perturbation(atlas, V, samples_only, C=C, zeros=zeros)
+        )
+        rep = check_adapted(
+            atlas, V, C, norms, constants, F(1, 8), samples_only, zeros=zeros
+        )
+        assert not any("transversality" in c for c in clauses(rep))
+
     def test_sigma_zero_flagged(self):
         atlas, V, _, norms, _, nu, _ = self._setup()
         C_empty = Reduction(sets={(1,): frozenset()})

@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -347,6 +348,22 @@ class TestBoundaryZero:
         assert set(haus.morphisms) == set(comp.morphisms)
         assert len(haus.classes) == len(comp.classes)
 
+    def test_declared_closure_contains_open_overlap(self):
+        # an empty declaration cannot shrink cl(Ṽ_FJ) below Ṽ_FJ: with no
+        # zero in chart (1,), only the open overlap gives the swapped pair
+        # its footprint (1,)
+        atlas = _boundary_atlas(tilde=(0, 1))
+        red, _ = self._data(atlas)
+        zsets = {(1,): frozenset(), (1, 2): frozenset({0, 1})}
+        comp = complete_groupoid(atlas, red, zsets)
+        haus = hausdorff_complete(
+            atlas, red, zsets, comp, closures={((1,), (1, 2)): frozenset()}
+        )
+        assert haus.report.ok
+        assert haus.morphisms == comp.morphisms
+        assert haus.classes == comp.classes == (((1, 2), 0),)
+        assert haus.minimal_footprint == {((1, 2), 0): (1,)}
+
     def test_non_nested_closure_rejected(self):
         atlas = _boundary_atlas(tilde=())
         red, zsets = self._data(atlas)
@@ -378,6 +395,165 @@ class TestBoundaryZero:
         red, zsets = self._data(atlas)
         comp = complete_groupoid(atlas, red, zsets)
         assert "not_determined_by_endpoints" in clauses(comp.report)
+
+
+def _factorization_atlas() -> AtlasModel:
+    """Charts (1,), (1,2), (1,2,3) with Γ = 1, 1×Z2, 1×Z2×1: a point under
+    a swapped pair under a swapped pair, each pair onto the one below."""
+
+    def chart(I, groups, n):
+        g = product_group(groups)
+        swap = (1, 0) if n == 2 else (0,)
+        return ChartModel(
+            index=I,
+            domain=GroupQuotientModel(
+                points=tuple((F(k),) for k in range(n)),
+                group=g,
+                perms={e: (swap if "g1" in e else tuple(range(n))) for e in g.elements},
+            ),
+            obstruction_dim=0,
+            obstruction_action={},
+            obstruction_points=((),),
+            section_samples=((),) * n,
+            footprint_map={k: "a" for k in range(n)},
+        )
+
+    def change(I, J, rho):
+        return CoordinateChangeModel(
+            source_index=I,
+            target_index=J,
+            tilde_indices=(0, 1),
+            rho_idx=rho,
+            phi_hat=RationalMatrix.zero(0, 0),
+        )
+
+    z1, z2 = trivial_group(), cyclic_group(2)
+    return AtlasModel(
+        x_labels=("a",),
+        cover={i: frozenset({"a"}) for i in (1, 2, 3)},
+        charts={
+            (1,): chart((1,), [z1], 1),
+            (1, 2): chart((1, 2), [z1, z2], 2),
+            (1, 2, 3): chart((1, 2, 3), [z1, z2, z1], 2),
+        },
+        changes={
+            ((1,), (1, 2)): change((1,), (1, 2), {0: 0, 1: 0}),
+            ((1,), (1, 2, 3)): change((1,), (1, 2, 3), {0: 0, 1: 0}),
+            ((1, 2), (1, 2, 3)): change((1, 2), (1, 2, 3), {0: 0, 1: 1}),
+        },
+    )
+
+
+class TestZeroSetClauses:
+    """Each clause of the completion, the Hausdorff step and Λ, fired by
+    one doctored direct call."""
+
+    def test_inverse_missing(self):
+        # V_(1,2) drops sample 1, which the kernel swap sends sample 0 to:
+        # 1 → 0 is a morphism, but 0 → 1 needs 1 ∈ Ṽ_(1)(1,2)
+        atlas = _boundary_atlas(tilde=(0, 1))
+        red = Reduction(sets={(1,): frozenset({0}), (1, 2): frozenset({0})})
+        zsets = {(1,): frozenset({0}), (1, 2): frozenset({0, 1})}
+        rep = complete_groupoid(atlas, red, zsets).report
+        assert rep.failures == [
+            {"clause": "inverse_missing", "morphism": ((1, 2), (1, 2), 0, "e|g1")}
+        ]
+
+    def test_factorization(self):
+        # Z_(1,2) without the sample 0 = ρ(0): the morphism (1,2) → (1,2,3)
+        # through Γ_(1,2)∖(1) at y = 0 has a source, but neither splitting
+        atlas = _factorization_atlas()
+        red = Reduction(
+            sets={
+                I: frozenset(range(len(c.domain.points)))
+                for I, c in atlas.charts.items()
+            }
+        )
+        invariant = {
+            (1,): frozenset({0}),
+            (1, 2): frozenset({0, 1}),
+            (1, 2, 3): frozenset({0, 1}),
+        }
+        assert complete_groupoid(atlas, red, invariant).report.ok
+        zsets = {**invariant, (1, 2): frozenset({1}), (1, 2, 3): frozenset({0})}
+        rep = complete_groupoid(atlas, red, zsets).report
+        assert {
+            "clause": "factorization",
+            "morphism": ((1, 2), (1, 2, 3), 0, "e|g1"),
+        } in rep.failures
+
+    def test_not_nonsingular(self):
+        # a closure that glues sample 0 to itself through the kernel, which
+        # fixes it: a second morphism 0 → 0 besides the identity
+        atlas = _boundary_atlas(tilde=(), kernel_acts=False)
+        red, zsets = TestBoundaryZero()._data(atlas)
+        comp = complete_groupoid(atlas, red, zsets)
+        assert comp.report.ok
+        haus = hausdorff_complete(
+            atlas, red, zsets, comp, closures={((1,), (1, 2)): frozenset({0, 1})}
+        )
+        assert haus.report.failures == [
+            {"clause": "not_nonsingular", "pair": (((1, 2), z), ((1, 2), z))}
+            for z in (0, 1)
+        ]
+
+    def test_footprint_not_nested(self):
+        # each zero's closures are nested, but the kernel joins a zero near
+        # chart 1 to a zero near chart 2 in one class
+        atlas = _boundary_atlas(tilde=())
+        red, zsets = TestBoundaryZero()._data(atlas)
+        comp = complete_groupoid(atlas, red, zsets)
+        haus = hausdorff_complete(
+            atlas, red, zsets, comp,
+            closures={
+                ((1,), (1, 2)): frozenset({0}),
+                ((2,), (1, 2)): frozenset({1}),
+            },
+        )
+        assert haus.report.failures == [
+            {"clause": "footprint_not_nested", "cls": ((1, 2), 0), "sets": ((1,), (2,))}
+        ]
+
+    def test_formulas_disagree(self):
+        # the three samples of a Z3 chart put in one class: count 3/3,
+        # orbit |Γ_∅|/|Γ| = 1/3
+        atlas = _orbifold_chart_atlas(3)
+        red = Reduction(sets={(1,): frozenset(range(3))})
+        zsets = {(1,): frozenset(range(3))}
+        haus = hausdorff_complete(
+            atlas, red, zsets, complete_groupoid(atlas, red, zsets)
+        )
+        p = haus.classes[0]
+        merged = replace(
+            haus,
+            classes=(p,),
+            class_of={o: p for o in haus.objects},
+            minimal_footprint={p: (1,)},
+        )
+        assert weight_function(atlas, merged).report.failures == [
+            {"clause": "formulas_disagree", "cls": p, "chart": (1,),
+             "count": F(1), "orbit": F(1, 3)}
+        ]
+
+    def test_chart_dependent(self):
+        # one of the two (1,2) samples split off the class: Λ reads 1/1 in
+        # chart (1,) and 1/2 in chart (1,2); with F_p = (1,2) the orbit
+        # formula in (1,2) agrees with its count, so only this clause fires
+        atlas = _boundary_atlas(tilde=(0, 1))
+        red, zsets = TestBoundaryZero()._data(atlas)
+        haus = hausdorff_complete(
+            atlas, red, zsets, complete_groupoid(atlas, red, zsets)
+        )
+        p, o = haus.classes[0], ((1, 2), 1)
+        split = replace(
+            haus,
+            classes=(p, o),
+            class_of={**haus.class_of, o: o},
+            minimal_footprint={p: (1, 2), o: (1, 2)},
+        )
+        assert weight_function(atlas, split).report.failures == [
+            {"clause": "chart_dependent", "cls": p, "values": [F(1), F(1, 2)]}
+        ]
 
 
 # ---------------------------------------------------------------------------
