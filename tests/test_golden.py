@@ -1,7 +1,7 @@
 """Golden ``--json`` reports: the CLI must reproduce them byte for byte.
 
 The files under ``tests/golden/`` are the full reports of ``vfc run`` on
-two Euler examples and of ``vfc check`` on a few toy atlas documents.  A
+the Euler examples and of ``vfc check`` on a few toy atlas documents.  A
 change that alters a report byte shows here as a readable file diff.
 Regenerate them deliberately with
 
@@ -23,6 +23,7 @@ GOLDEN = pathlib.Path(__file__).with_name("golden")
 RUNS = {
     "run-sphere-euler-n12": ["run", "sphere-euler", "--density", "12"],
     "run-football-euler-n12": ["run", "football-euler", "--density", "12"],
+    "run-sphere-euler-n48": ["run", "sphere-euler", "--density", "48"],
 }
 TOY_SEEDS = (0, 3, 7)
 CASES = sorted(RUNS) + [f"check-toy-{seed}" for seed in TOY_SEEDS]
