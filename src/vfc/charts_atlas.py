@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -45,6 +46,7 @@ __all__ = [
     "GroupQuotientModel",
     "ChartModel",
     "CoordinateChangeModel",
+    "AtlasMetric",
     "AtlasModel",
     "FiniteCategory",
     "PairIndex",
@@ -623,6 +625,38 @@ def check_coordinate_change(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckRep
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class AtlasMetric:
+    """The metric on intermediate keys as integers over one denominator:
+    d(keys[i], keys[j]) = num[i, j] / den exactly, with rows and columns
+    in :meth:`AtlasModel.intermediate_keys` order.  ``num`` is a symmetric
+    int64 matrix with zero diagonal; ``den`` is the lcm of the reduced
+    denominators of its entries."""
+
+    num: np.ndarray
+    den: int
+
+    @classmethod
+    def reduced(cls, num: np.ndarray, den: int) -> "AtlasMetric":
+        """``num / den`` with the common factor of all entries and ``den``
+        divided out."""
+        g = math.gcd(den, int(np.gcd.reduce(num, axis=None)))
+        return cls(num // g, den // g)
+
+    def threshold(self, radius) -> int:
+        """The largest numerator m with m/den inside the closed ball of
+        ``radius``.  An exact radius gives ⌊radius·den⌋; a float radius
+        keeps the float test ``float(m/den) <= radius + 1e-15``, which is
+        monotone in m."""
+        if not isinstance(radius, float):
+            return math.floor(Fraction(radius) * self.den)
+        bound = radius + 1e-15
+        m = math.floor(Fraction(bound) * self.den)
+        while float(Fraction(m + 1, self.den)) <= bound:
+            m += 1
+        return m
+
+
 @dataclass
 class AtlasModel:
     """An additive weak Kuranishi atlas on a finite footprint model."""
@@ -631,7 +665,7 @@ class AtlasModel:
     cover: dict  # basic index -> frozenset of x labels
     charts: dict  # tuple index -> ChartModel
     changes: dict  # (I, J) -> CoordinateChangeModel
-    metric: dict | None = None  # (key, key) -> Fraction on intermediate samples
+    metric: AtlasMetric | None = None  # on intermediate samples
 
     def index_sets(self) -> list[tuple]:
         return sorted(self.charts.keys(), key=lambda t: (len(t), t))
@@ -656,24 +690,26 @@ class AtlasModel:
         return keys
 
     @functools.cached_property
+    def key_offset(self) -> dict:
+        """Index I -> position of its first key ``(I, 0)`` in
+        :meth:`intermediate_keys`, so key (I, c) is metric row
+        ``key_offset[I] + c``."""
+        offset, start = {}, 0
+        for I in self.index_sets():
+            offset[I] = start
+            start += len(self.charts[I].domain.classes())
+        return offset
+
+    @functools.cached_property
     def closure_radius(self) -> Fraction | None:
         """Half the smallest positive metric distance, or ``None`` without
         one; read once per atlas, whose metric is never changed."""
         if self.metric is None:
             return None
-        positive = [d for d in self.metric.values() if d.numerator > 0]
-        return min(positive) / 2 if positive else None
-
-    def distance(self, a: tuple, b: tuple) -> Fraction:
-        if a == b:
-            return Fraction(0)
-        if self.metric is None:
-            raise ValueError("atlas has no metric")
-        key = (a, b) if (a <= b) else (b, a)
-        d = self.metric.get(key)
-        if d is None:
-            raise ValueError(f"metric entry missing for {key}")
-        return d
+        positive = self.metric.num[self.metric.num > 0]
+        if not positive.size:
+            return None
+        return Fraction(int(positive.min()), 2 * self.metric.den)
 
 
 def check_atlas_model(atlas: AtlasModel) -> CheckReport:
@@ -1746,6 +1782,74 @@ def _metric_key_to_json(key: tuple) -> list:
     return [_index_key(I), ci]
 
 
+def _metric_to_json(atlas: AtlasModel) -> list:
+    """One ``[I, c, J, d, "p/q"]`` entry per pair of keys a < b, in
+    sorted key order."""
+    metric = atlas.metric
+    keys = atlas.intermediate_keys()
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    rows, cols = np.triu_indices(len(keys), 1)
+    a = np.asarray(order, dtype=np.int64)[rows]
+    b = np.asarray(order, dtype=np.int64)[cols]
+    nums = metric.num[a, b]
+    g = np.gcd(nums, metric.den)
+    json_keys = [_metric_key_to_json(k) for k in keys]
+    return [
+        json_keys[i] + json_keys[j] + [f"{p}/{q}"]
+        for i, j, p, q in zip(
+            a.tolist(), b.tolist(), (nums // g).tolist(),
+            (metric.den // g).tolist(),
+        )
+    ]
+
+
+def _metric_from_json(entries: list, keys: list) -> AtlasMetric:
+    """The metric of ``vfc-atlas/1`` entries over ``keys`` (the atlas's
+    intermediate keys).  Each unordered pair of distinct keys must appear,
+    in either order; a repeated pair must repeat its value; a diagonal
+    entry must be 0.  Raises ``ValueError`` naming the offending pair."""
+    row = {k: i for i, k in enumerate(keys)}
+    n = len(keys)
+    values: dict = {}
+    for entry in entries:
+        if not isinstance(entry, list) or len(entry) != 5:
+            raise ValueError(f"metric entry {entry!r} is not [I, c, J, d, value]")
+        pair = f"{entry[:2]}, {entry[2:4]}"
+        try:
+            ka = (_index_from_key(entry[0]), entry[1])
+            kb = (_index_from_key(entry[2]), entry[3])
+            d = parse_rat(entry[4])
+        except (ValueError, TypeError, AttributeError, ZeroDivisionError) as ex:
+            raise ValueError(f"metric entry for the pair {pair}: {ex}") from None
+        for k in (ka, kb):
+            if k not in row:
+                raise ValueError(f"metric pair {pair} names an unknown key")
+        if d < 0:
+            raise ValueError(f"metric pair {pair} has negative distance {entry[4]}")
+        i, j = sorted((row[ka], row[kb]))
+        if i == j:
+            if d != 0:
+                raise ValueError(f"metric diagonal entry {pair} is {entry[4]}, not 0")
+            continue
+        if values.setdefault((i, j), d) != d:
+            raise ValueError(f"metric pair {pair} is given two different values")
+    if len(values) < n * (n - 1) // 2:
+        for i, j in itertools.combinations(range(n), 2):
+            if (i, j) not in values:
+                pair = f"{_metric_key_to_json(keys[i])}, {_metric_key_to_json(keys[j])}"
+                raise ValueError(f"metric entry missing for the pair {pair}")
+    den = math.lcm(1, *(d.denominator for d in values.values()))
+    nums = [d.numerator * (den // d.denominator) for d in values.values()]
+    if max([den, *nums]) > np.iinfo(np.int64).max:
+        raise ValueError(f"metric denominator {den} does not fit int64 numerators")
+    num = np.zeros((n, n), dtype=np.int64)
+    if values:
+        rows, cols = np.array(list(values), dtype=np.int64).T
+        num[rows, cols] = nums
+        num[cols, rows] = nums
+    return AtlasMetric(num, den)
+
+
 def atlas_to_json(atlas: AtlasModel) -> dict:
     out = {
         "schema": SCHEMA,
@@ -1760,10 +1864,7 @@ def atlas_to_json(atlas: AtlasModel) -> dict:
         ],
     }
     if atlas.metric is not None:
-        out["metric"] = [
-            _metric_key_to_json(a) + _metric_key_to_json(b) + [rat_str(d)]
-            for (a, b), d in sorted(atlas.metric.items())
-        ]
+        out["metric"] = _metric_to_json(atlas)
     return out
 
 
@@ -1777,17 +1878,12 @@ def atlas_from_json(data: dict) -> AtlasModel:
     for cd in data["changes"]:
         c = _change_from_json(cd)
         changes[(c.source_index, c.target_index)] = c
-    metric = None
-    if "metric" in data:
-        metric = {}
-        for entry in data["metric"]:
-            ka = (_index_from_key(entry[0]), entry[1])
-            kb = (_index_from_key(entry[2]), entry[3])
-            metric[(ka, kb)] = parse_rat(entry[4])
-    return AtlasModel(
+    atlas = AtlasModel(
         x_labels=tuple(data["x_samples"]),
         cover={int(i): frozenset(labels) for i, labels in data["cover"].items()},
         charts=charts,
         changes=changes,
-        metric=metric,
     )
+    if "metric" in data:
+        atlas.metric = _metric_from_json(data["metric"], atlas.intermediate_keys())
+    return atlas

@@ -36,8 +36,10 @@ from fractions import Fraction
 from typing import Callable
 
 import click
+import numpy as np
 
 from .charts_atlas import (
+    AtlasMetric,
     AtlasModel,
     ChartModel,
     CoordinateChangeModel,
@@ -381,6 +383,27 @@ class _Pole:
             return (self.centre_band, None)
         g, j = (i - 1) // self.nN, (i - 1) % self.nN
         return (RING_T[g], F((self.orient * j) % self.N, self.N))
+
+
+def _band_circle_metric(positions: list) -> AtlasMetric:
+    """The sup metric on (band, circle) positions: the larger of |Δband|
+    and the distance on the unit circle, which is 0 against a centre
+    (circle coordinate ``None``).  Positions come in intermediate-key
+    order; the coordinates become numerators over one common denominator."""
+    den = math.lcm(*(c.denominator for pos in positions for c in pos if c is not None))
+    band = np.array(
+        [b.numerator * (den // b.denominator) for b, _ in positions], dtype=np.int64
+    )
+    on_circle = np.array([t is not None for _, t in positions])
+    circle = np.array(
+        [0 if t is None else t.numerator * (den // t.denominator) for _, t in positions],
+        dtype=np.int64,
+    )
+    dt = np.abs(circle[:, None] - circle[None, :])
+    dt = np.minimum(dt, den - dt)
+    dt[~(on_circle[:, None] & on_circle[None, :])] = 0
+    num = np.maximum(np.abs(band[:, None] - band[None, :]), dt)
+    return AtlasMetric.reduced(num, den)
 
 
 def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
@@ -733,31 +756,19 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
     }
 
     # ----- metric on intermediate classes: band × footprint circle -----
-    positions = {}
-    for pole, chart in ((pole1, chart1), (pole2, chart2)):
-        cls = chart.domain.class_index_of()
-        for i in range(len(chart.domain.points)):
-            positions[(pole.index, cls[i])] = pole.position(i)
-    cls12 = chart12.domain.class_index_of()
-    for i in range(len(pts12)):
-        key = ((1, 2), cls12[i])
+    def position12(i: int) -> tuple:
         if i < n12:
-            g, j = i // L, i % L
-            positions[key] = (RING_T[g], F(j % N, N))
-        else:
-            positions[key] = (F(1, 2), F(0))
-    metric = {}
-    keys = sorted(positions)
-    for ai in range(len(keys)):
-        for bi in range(ai + 1, len(keys)):
-            ka, kb = keys[ai], keys[bi]
-            (ga, ta), (gb, tb) = positions[ka], positions[kb]
-            if ta is None or tb is None:
-                circ = F(0)
-            else:
-                d = abs(ta - tb)
-                circ = min(d, 1 - d)
-            metric[(ka, kb)] = max(abs(ga - gb), circ)
+            return (RING_T[i // L], F(i % L % N, N))
+        return (F(1, 2), F(0))
+
+    positions = [
+        position(orbit[0])
+        for chart, position in (
+            (chart1, pole1.position), (chart2, pole2.position), (chart12, position12)
+        )
+        for orbit in chart.domain.classes()
+    ]
+    metric = _band_circle_metric(positions)
 
     atlas = AtlasModel(
         x_labels=tuple(x_labels),
@@ -1083,7 +1094,6 @@ def run_example(descriptor: ExampleDescriptor, seed_grid: int = 1):
             )
             adapted = check_adapted(
                 atlas,
-                built.V,
                 built.C,
                 built.norms,
                 constants,

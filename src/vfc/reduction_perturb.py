@@ -8,6 +8,8 @@ data ν_I on V_I, as declared exact sample values and/or smooth ASTs.
 Metric conventions: the atlas metric lives on intermediate keys
 ``(I, class_index)``; a "hat" ball in chart J is the preimage of the
 metric ball at quotient level (hence automatically Γ_J-invariant).
+Balls read the integer matrix of :class:`AtlasMetric` against one
+threshold per radius (:meth:`AtlasMetric.threshold`).
 """
 
 from __future__ import annotations
@@ -524,34 +526,26 @@ def _zero_in_C(atlas: AtlasModel, C: Reduction, I: tuple, coords) -> bool:
 def _hat_ball(atlas: AtlasModel, I: tuple, base: frozenset, radius) -> frozenset:
     """Samples of chart I within metric distance ≤ radius of the set
     (distances measured between intermediate classes)."""
-    chart = atlas.charts[I]
-    cls = chart.domain.class_index_of()
-    base_classes = {cls[x] for x in base}
-    out = set(base)
-    r = float(radius)
-    for x in range(len(chart.domain.points)):
-        if x in out:
-            continue
-        cx = cls[x]
-        for cb in base_classes:
-            if float(atlas.distance((I, cx), (I, cb))) <= r + 1e-15:
-                out.add(x)
-                break
-    return frozenset(out)
+    if not base:
+        return frozenset()
+    cls = atlas.charts[I].domain.class_index_of()
+    rows = atlas.key_offset[I] + np.array([cls[x] for x in range(len(cls))])
+    base_cols = np.unique(rows[sorted(base)])
+    metric = atlas.metric
+    near = metric.num[np.ix_(rows, base_cols)].min(axis=1) <= metric.threshold(radius)
+    return frozenset(base).union(np.flatnonzero(near).tolist())
 
 
 def _projected_ball(atlas: AtlasModel, keys: set, radius) -> set:
     """Intermediate keys within distance ≤ radius of the key set."""
-    out = set(keys)
-    r = float(radius)
-    for k in atlas.intermediate_keys():
-        if k in out:
-            continue
-        for b in keys:
-            if float(atlas.distance(k, b)) <= r + 1e-15:
-                out.add(k)
-                break
-    return out
+    if not keys:
+        return set()
+    offset = atlas.key_offset
+    base_cols = [offset[I] + ci for I, ci in keys]
+    metric = atlas.metric
+    near = metric.num[:, base_cols].min(axis=1) <= metric.threshold(radius)
+    every = atlas.intermediate_keys()
+    return set(keys).union(every[i] for i in np.flatnonzero(near).tolist())
 
 
 def _delta_conditions(atlas: AtlasModel, closure_keys: dict, inter,
@@ -686,7 +680,6 @@ def compute_adaptedness_constants(
 
 def check_adapted(
     atlas: AtlasModel,
-    V: Reduction,
     C: Reduction,
     norms: EquivariantNorms,
     constants: AdaptednessConstants,

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 from click.testing import CliRunner
+from test_metric import METRIC_FAULTS, break_metric
 
 from vfc.charts_atlas import (
     build_categories,
@@ -292,6 +293,21 @@ def test_cli_check_wrong_schema_exit_three(tmp_path):
     p.write_text('{"schema": "something-else/9"}')
     res = CliRunner().invoke(main, ["check", str(p)])
     assert res.exit_code == 3
+
+
+@pytest.mark.parametrize("command", ["check", "zeros"])
+@pytest.mark.parametrize("case", METRIC_FAULTS)
+def test_cli_broken_metric_exit_three(sphere_files, tmp_path, case, command):
+    atlas_path, nu_path, _ = sphere_files
+    broken = tmp_path / "metric.json"
+    broken.write_text(json.dumps(break_metric(json.loads(atlas_path.read_text()), case)))
+    args = [command, str(broken)]
+    if command == "zeros":
+        args += ["--perturbation", str(nu_path)]
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 3, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "schema error: metric" in res.output
 
 
 def test_cli_check_broken_group_table_exit_one(tmp_path):

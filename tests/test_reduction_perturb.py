@@ -2,11 +2,13 @@ import dataclasses
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from test_charts_atlas import build_toy_atlas, random_toy_atlas
 
 from vfc.charts_atlas import (
+    AtlasMetric,
     AtlasModel,
     ChartModel,
     CoordinateChangeModel,
@@ -414,10 +416,11 @@ def _line_atlas(extra_chart_distance=None) -> AtlasModel:
         section_asts=(["-", var(0), num("1/2")],),
         tangent_dims=(0,),
     )
-    metric = {}
-    for a in range(n):
-        for b in range(a, n):
-            metric[(((1,), a), ((1,), b))] = F(abs(a - b), 8)
+    # keys ((1,), 0..8) then ((2,), 0), distances in sixteenths
+    extra = extra_chart_distance is not None
+    dist = np.zeros((n + extra, n + extra), dtype=np.int64)
+    steps = np.arange(n)
+    dist[:n, :n] = 2 * np.abs(steps[:, None] - steps[None, :])
     charts = {(1,): chart}
     x_labels = ["p"]
     cover = {1: frozenset({"p"})}
@@ -436,15 +439,13 @@ def _line_atlas(extra_chart_distance=None) -> AtlasModel:
         charts[(2,)] = chart2
         x_labels.append("q")
         cover[2] = frozenset({"q"})
-        metric[(((2,), 0), ((2,), 0))] = F(0)
-        for a in range(n):
-            metric[(((1,), a), ((2,), 0))] = extra_chart_distance
+        dist[:n, n] = dist[n, :n] = int(16 * extra_chart_distance)
     return AtlasModel(
         x_labels=tuple(x_labels),
         cover=cover,
         charts=charts,
         changes={},
-        metric=metric,
+        metric=AtlasMetric.reduced(dist, 16),
     )
 
 
@@ -542,21 +543,21 @@ class TestCheckAdapted:
     def test_adapted_passes(self):
         atlas, V, C, norms, constants, nu, zeros = self._setup()
         rep = check_adapted(
-            atlas, V, C, norms, constants, F(1, 8), nu, zeros=zeros
+            atlas, C, norms, constants, F(1, 8), nu, zeros=zeros
         )
         assert rep.ok
 
     def test_adapted_implies_perturbation_clauses(self):
         atlas, V, C, norms, constants, nu, zeros = self._setup()
         assert check_adapted(
-            atlas, V, C, norms, constants, F(1, 8), nu, zeros=zeros
+            atlas, C, norms, constants, F(1, 8), nu, zeros=zeros
         ).ok
         assert check_perturbation(atlas, V, nu, C=C, zeros=zeros).ok
 
     def test_smallness_fails(self):
         atlas, V, C, norms, constants, nu, zeros = self._setup()
         rep = check_adapted(
-            atlas, V, C, norms, constants, F(1, 16), nu, zeros=zeros
+            atlas, C, norms, constants, F(1, 16), nu, zeros=zeros
         )
         assert "e_not_small" in clauses(rep)
 
@@ -567,7 +568,7 @@ class TestCheckAdapted:
             samples={(1,): {k: (F(1, 2) - F(k, 8),) for k in range(9)}},
         )
         rep = check_adapted(
-            atlas, V, C, norms, constants, F(1, 8), bad,
+            atlas, C, norms, constants, F(1, 8), bad,
             zeros=[((1,), (F(1, 2),))],
         )
         assert "b_transversality" in clauses(rep)
@@ -575,7 +576,7 @@ class TestCheckAdapted:
     def test_zero_escape_fails(self):
         atlas, V, C, norms, constants, nu, _ = self._setup()
         rep = check_adapted(
-            atlas, V, C, norms, constants, F(1, 8), nu,
+            atlas, C, norms, constants, F(1, 8), nu,
             zeros=[((1,), (F(3, 4),))],
         )
         assert "d_zero_escapes_C" in clauses(rep)
@@ -590,7 +591,7 @@ class TestCheckAdapted:
         )
         zeros = [((1,), (F(3, 4),)), ((1,), (F(1, 2),))]
         rep = check_adapted(
-            atlas, V, C, norms, constants, F(1, 8), bad, zeros=zeros
+            atlas, C, norms, constants, F(1, 8), bad, zeros=zeros
         )
         pert = check_perturbation(atlas, V, bad, C=C, zeros=zeros)
         assert pert.failures == [
@@ -609,7 +610,7 @@ class TestCheckAdapted:
             check_perturbation(atlas, V, samples_only, C=C, zeros=zeros)
         )
         rep = check_adapted(
-            atlas, V, C, norms, constants, F(1, 8), samples_only, zeros=zeros
+            atlas, C, norms, constants, F(1, 8), samples_only, zeros=zeros
         )
         assert not any("transversality" in c for c in clauses(rep))
 
@@ -618,7 +619,7 @@ class TestCheckAdapted:
         C_empty = Reduction(sets={(1,): frozenset()})
         constants = compute_adaptedness_constants(atlas, V, C_empty, norms)
         assert constants.sigma == F(0)
-        rep = check_adapted(atlas, V, C_empty, norms, constants, F(1, 8), nu)
+        rep = check_adapted(atlas, C_empty, norms, constants, F(1, 8), nu)
         assert "sigma_zero" in clauses(rep)
 
 
