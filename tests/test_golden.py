@@ -1,8 +1,10 @@
 """Golden ``--json`` reports: the CLI must reproduce them byte for byte.
 
 The files under ``tests/golden/`` are the full reports of ``vfc run`` on
-the Euler examples and of ``vfc check`` on a few toy atlas documents.  A
-change that alters a report byte shows here as a readable file diff.
+the Euler examples and of ``vfc check`` on a few toy atlas documents, two
+of them doctored so that the check fails and names group elements in its
+witnesses.  A change that alters a report byte shows here as a readable
+file diff.
 Regenerate them deliberately with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -26,7 +28,26 @@ RUNS = {
     "run-sphere-euler-n48": ["run", "sphere-euler", "--density", "48"],
 }
 TOY_SEEDS = (0, 3, 7)
-CASES = sorted(RUNS) + [f"check-toy-{seed}" for seed in TOY_SEEDS]
+
+
+def _swap_perms(doc: dict) -> None:
+    """Chart (1, 2) acts by g2|e where it should act by g1|e and back:
+    ρ of (1,) -> (1, 2) is no longer equivariant at g1|e."""
+    perms = doc["charts"]["1,2"]["domain"]["perms"]
+    perms["g1|e"], perms["g2|e"] = perms["g2|e"], perms["g1|e"]
+
+
+def _break_table(doc: dict) -> None:
+    """g1|e · g1|e = "zz", which is no element of Γ_{12}."""
+    doc["charts"]["1,2"]["domain"]["group"]["table"][4][2] = "zz"
+
+
+#: failing checks of ``random_toy_atlas(3)``'s document, doctored in place
+DOCTORED = {
+    "check-toy-3-swapped-perms": _swap_perms,
+    "check-toy-3-broken-table": _break_table,
+}
+CASES = sorted(RUNS) + [f"check-toy-{seed}" for seed in TOY_SEEDS] + sorted(DOCTORED)
 
 
 def report_bytes(case: str, workdir: pathlib.Path) -> bytes:
@@ -35,12 +56,15 @@ def report_bytes(case: str, workdir: pathlib.Path) -> bytes:
     if case in RUNS:
         args = RUNS[case]
     else:
-        seed = int(case.rsplit("-", 1)[1])
-        doc = workdir / f"toy-{seed}.atlas.json"
-        doc.write_text(json.dumps(atlas_to_json(random_toy_atlas(seed))))
+        seed = 3 if case in DOCTORED else int(case.rsplit("-", 1)[1])
+        data = atlas_to_json(random_toy_atlas(seed))
+        if case in DOCTORED:
+            DOCTORED[case](data)
+        doc = workdir / f"{case}.atlas.json"
+        doc.write_text(json.dumps(data))
         args = ["check", str(doc)]
     result = CliRunner().invoke(main, args + ["--json", str(out)])
-    assert result.exit_code == 0, result.output
+    assert result.exit_code == (1 if case in DOCTORED else 0), result.output
     return out.read_bytes()
 
 
