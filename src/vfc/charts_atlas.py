@@ -9,9 +9,12 @@ sample model; smooth data enters only through derivative evaluations.
 Conventions
 -----------
 * Chart indices are sorted tuples of basic-chart labels (ints).
-* The isotropy group of a multi-chart index ``I`` is the product of the
-  basic groups, with element labels joined by ``"|"`` in sorted index
-  order; canonical projections/inclusions act by component surgery.
+* Group elements are int indices.  The isotropy group of a multi-chart
+  index ``I`` is the product of the basic groups, its element names
+  joined by ``"|"`` in sorted index order; names are read only at the
+  JSON boundary and in witnesses.  The canonical projections ρ^Γ_{JI},
+  their kernels and the lifts Γ_I → Γ_J are int arrays computed once per
+  atlas (:attr:`AtlasModel.projection`).
 * Composition of morphisms is diagrammatic: ``compose(f, g)`` is defined
   when ``target(f) == source(g)`` and represents "f then g".
 """
@@ -39,10 +42,7 @@ __all__ = [
     "trivial_group",
     "cyclic_group",
     "product_group",
-    "split_label",
     "join_label",
-    "project_label",
-    "kernel_labels",
     "GroupQuotientModel",
     "ChartModel",
     "CoordinateChangeModel",
@@ -61,7 +61,6 @@ __all__ = [
     "CategoriesResult",
     "check_category",
     "composition_table",
-    "b_composite",
     "UnionFind",
     "realize",
     "RealizeResult",
@@ -133,22 +132,31 @@ def _jsonable(value):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteGroup:
-    """A finite group given by an explicit multiplication table."""
+    """A finite group on the element indices ``0 .. n-1``.
+
+    ``table[a, b]`` is the index of a·b, or ``-1`` where the product is no
+    element; ``identity`` is an index.  ``elements`` holds the names, which
+    are read only where a witness or a ``vfc-atlas/1`` document is written
+    and parsed where a document is read.
+    """
 
     elements: tuple[str, ...]
-    table: dict  # (str, str) -> str
-    identity: str
+    table: np.ndarray  # int (n, n)
+    identity: int
 
-    def mul(self, a: str, b: str) -> str:
-        return self.table[(a, b)]
+    def mul(self, a: int, b: int) -> int:
+        return int(self.table[a, b])
 
-    def inv(self, a: str) -> str:
-        for b in self.elements:
-            if self.table[(a, b)] == self.identity:
-                return b
-        raise ValueError(f"no inverse for {a!r}")
+    @functools.cached_property
+    def inverse(self) -> np.ndarray:
+        """Per element its inverse, ``-1`` where it has none."""
+        hit = self.table == self.identity
+        return np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
+
+    def inv(self, a: int) -> int:
+        return int(self.inverse[a])
 
     @property
     def order(self) -> int:
@@ -156,85 +164,56 @@ class FiniteGroup:
 
     def validate(self) -> CheckReport:
         rep = CheckReport("finite_group")
-        els = self.elements
-        if self.identity not in els:
-            rep.fail("identity_missing", identity=self.identity)
+        names, n, table, e = self.elements, self.order, self.table, self.identity
+        if not 0 <= e < n:
+            rep.fail("identity_missing", identity=e)
             return rep
-        for a in els:
-            if self.table.get((self.identity, a)) != a or self.table.get((a, self.identity)) != a:
-                rep.fail("identity_law", element=a)
-        for a in els:
-            if not any(self.table.get((a, b)) == self.identity for b in els):
-                rep.fail("no_inverse", element=a)
-        for a in els:
-            for b in els:
-                if self.table.get((a, b)) not in els:
-                    rep.fail("not_closed", pair=(a, b))
+        every = np.arange(n)
+        for a in np.flatnonzero((table[e] != every) | (table[:, e] != every)).tolist():
+            rep.fail("identity_law", element=names[a])
+        for a in np.flatnonzero(self.inverse < 0).tolist():
+            rep.fail("no_inverse", element=names[a])
+        for a, b in np.argwhere((table < 0) | (table >= n)).tolist():
+            rep.fail("not_closed", pair=(names[a], names[b]))
         if rep.ok:
-            for a in els:
-                for b in els:
-                    for c in els:
-                        if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
-                            rep.fail("associativity", triple=(a, b, c))
-                            return rep
+            bad = np.argwhere(table[table] != table[every[:, None, None], table[None]])
+            if bad.size:
+                rep.fail("associativity", triple=tuple(names[i] for i in bad[0]))
         return rep
 
 
 def trivial_group() -> FiniteGroup:
-    return FiniteGroup(("e",), {("e", "e"): "e"}, "e")
+    return cyclic_group(1)
 
 
 def cyclic_group(n: int, prefix: str = "g") -> FiniteGroup:
-    """Z_n with elements ``e, g1, ..., g{n-1}``."""
-    labels = tuple("e" if k == 0 else f"{prefix}{k}" for k in range(n))
-    table = {
-        (labels[a], labels[b]): labels[(a + b) % n] for a in range(n) for b in range(n)
-    }
-    return FiniteGroup(labels, table, "e")
+    """Z_n with elements ``e, g1, ..., g{n-1}``; element k is g^k."""
+    names = tuple("e" if k == 0 else f"{prefix}{k}" for k in range(n))
+    every = np.arange(n)
+    return FiniteGroup(names, (every[:, None] + every[None, :]) % n, 0)
 
 
 def join_label(parts: Sequence[str]) -> str:
     return "|".join(parts)
 
 
-def split_label(label: str, nfactors: int) -> tuple[str, ...]:
-    parts = tuple(label.split("|")) if nfactors > 1 else (label,)
-    if len(parts) != nfactors:
-        raise ValueError(f"label {label!r} does not split into {nfactors} factors")
-    return parts
-
-
 def product_group(factors: Sequence[FiniteGroup]) -> FiniteGroup:
-    """Direct product; labels joined with ``|`` in factor order."""
+    """Direct product; element k has the factor indices
+    ``np.unravel_index(k, orders)`` and is named by joining the factor
+    names with ``|`` in factor order."""
     if len(factors) == 1:
         return factors[0]
-    elements = tuple(
+    orders = [g.order for g in factors]
+    names = tuple(
         join_label(combo) for combo in itertools.product(*[g.elements for g in factors])
     )
-    table = {}
-    n = len(factors)
-    for a in elements:
-        pa = split_label(a, n)
-        for b in elements:
-            pb = split_label(b, n)
-            table[(a, b)] = join_label(
-                [g.mul(x, y) for g, x, y in zip(factors, pa, pb)]
-            )
-    identity = join_label([g.identity for g in factors])
-    return FiniteGroup(elements, table, identity)
-
-
-def project_label(label: str, J: tuple, I: tuple) -> str:
-    """Canonical projection Γ_J → Γ_I for I ⊆ J (component surgery)."""
-    parts = split_label(label, len(J))
-    keep = [parts[J.index(i)] for i in I]
-    return join_label(keep)
-
-
-def kernel_labels(group_J: FiniteGroup, J: tuple, I: tuple,
-                  identity_I: str) -> list[str]:
-    """Elements of Γ_{J∖I} inside Γ_J (identity components on I)."""
-    return [g for g in group_J.elements if project_label(g, J, I) == identity_I]
+    coords = np.indices(orders).reshape(len(factors), -1)
+    table = np.zeros((len(names), len(names)), dtype=np.int64)
+    for g, c, order in zip(factors, coords, orders):
+        part = g.table[c[:, None], c[None, :]]
+        table = np.where((table < 0) | (part < 0), -1, table * order + part)
+    identity = int(np.ravel_multi_index([g.identity for g in factors], orders))
+    return FiniteGroup(names, table, identity)
 
 
 # ---------------------------------------------------------------------------
@@ -246,71 +225,67 @@ def kernel_labels(group_J: FiniteGroup, J: tuple, I: tuple,
 class GroupQuotientModel:
     """A finite sample model of a group quotient (U, Γ).
 
-    ``perms`` gives a left action on point indices; ``affine`` optionally
-    gives the coordinate-level map ``x ↦ A·x + b`` realizing each element.
+    ``perms`` is an int (|Γ|, samples) array: row g is the left action of
+    element g on sample indices.  ``affine`` optionally gives, per element,
+    the coordinate-level map ``x ↦ A·x + b`` realizing it.  The orbits are
+    computed once, on first use; the model is not changed after that.
     """
 
     points: tuple[Vec, ...]
     group: FiniteGroup
-    perms: dict  # label -> tuple[int, ...]
-    affine: dict | None = None  # label -> (RationalMatrix, Vec)
+    perms: np.ndarray
+    affine: Sequence | None = None  # element -> (RationalMatrix, Vec)
     membership: list | None = None  # predicate AST
 
-    def act(self, g: str, idx: int) -> int:
-        return self.perms[g][idx]
+    def __post_init__(self):
+        self.perms = np.asarray(self.perms, np.int64).reshape(self.group.order, len(self.points))
+
+    def act(self, g: int, idx: int) -> int:
+        return int(self.perms[g, idx])
 
     def orbit(self, idx: int) -> tuple[int, ...]:
-        return tuple(sorted({self.perms[g][idx] for g in self.group.elements}))
+        return tuple(sorted(set(self.perms[:, idx].tolist())))
 
-    def stabilizer(self, idx: int) -> tuple[str, ...]:
-        return tuple(g for g in self.group.elements if self.perms[g][idx] == idx)
+    def stabilizer(self, idx: int) -> np.ndarray:
+        return np.flatnonzero(self.perms[:, idx] == idx)
+
+    @functools.cached_property
+    def _orbits(self) -> tuple[list, dict]:
+        classes, class_of = [], {}
+        for i in range(len(self.points)):
+            if i not in class_of:
+                classes.append(self.orbit(i))
+                class_of.update(dict.fromkeys(classes[-1], len(classes) - 1))
+        return classes, class_of
 
     def classes(self) -> list[tuple[int, ...]]:
-        seen = set()
-        out = []
-        for i in range(len(self.points)):
-            if i in seen:
-                continue
-            orb = self.orbit(i)
-            seen.update(orb)
-            out.append(orb)
-        return out
+        return self._orbits[0]
 
     def class_index_of(self) -> dict:
         """point index -> quotient class index (classes ordered by min)."""
-        mapping = {}
-        for ci, orb in enumerate(self.classes()):
-            for i in orb:
-                mapping[i] = ci
-        return mapping
+        return self._orbits[1]
 
 
 def check_group_quotient(model: GroupQuotientModel) -> CheckReport:
     """Group-action laws, quotient classes and stabilizers."""
     rep = CheckReport("group_quotient")
-    rep.merge(model.group.validate())
-    n = len(model.points)
-    ids = tuple(range(n))
-    if tuple(model.perms.get(model.group.identity, ())) != ids:
+    group, perms, names = model.group, model.perms, model.group.elements
+    rep.merge(group.validate())
+    ids = np.arange(len(model.points))
+    if 0 <= group.identity < group.order and (perms[group.identity] != ids).any():
         rep.fail("identity_not_trivial")
-    for g in model.group.elements:
-        perm = model.perms.get(g)
-        if perm is None or sorted(perm) != list(ids):
-            rep.fail("not_a_permutation", element=g)
+    for g in np.flatnonzero((np.sort(perms, axis=1) != ids).any(axis=1)).tolist():
+        rep.fail("not_a_permutation", element=names[g])
     if rep.ok:
-        for g in model.group.elements:
-            for h in model.group.elements:
-                gh = model.group.mul(g, h)
-                for i in range(n):
-                    if model.perms[gh][i] != model.perms[g][model.perms[h][i]]:
-                        rep.fail("action_law", pair=(g, h), point=i)
-                        break
+        bad = perms[group.table] != perms[:, perms]
+        for g, h in np.argwhere(bad.any(axis=2)).tolist():
+            rep.fail("action_law", pair=(names[g], names[h]), point=int(bad[g, h].argmax()))
     if model.affine is not None and rep.ok:
-        for g, (mat, shift) in model.affine.items():
+        for g, (mat, shift) in enumerate(model.affine):
             for i, p in enumerate(model.points):
                 image = tuple(v + s for v, s in zip(mat.matvec(p), shift))
-                if image != model.points[model.perms[g][i]]:
-                    rep.fail("affine_vs_permutation", element=g, point=i)
+                if image != model.points[perms[g, i]]:
+                    rep.fail("affine_vs_permutation", element=names[g], point=i)
                     break
     if model.membership is not None:
         for i, p in enumerate(model.points):
@@ -338,12 +313,14 @@ class ChartModel:
     section at every domain sample; ``section_asts`` optionally give the
     smooth formula used for derivatives and zero finding.
     ``footprint_map`` sends zero-sample indices to footprint labels.
+    ``obstruction_action`` holds one matrix per group element, in element
+    order; it may be empty when ``obstruction_dim`` is 0.
     """
 
     index: tuple
     domain: GroupQuotientModel
     obstruction_dim: int
-    obstruction_action: dict  # label -> RationalMatrix
+    obstruction_action: Sequence  # element -> RationalMatrix
     obstruction_points: tuple[Vec, ...]
     section_samples: tuple[Vec, ...]
     footprint_map: dict  # zero sample index -> footprint label
@@ -364,7 +341,7 @@ class ChartModel:
     def obstruction_point_index(self) -> dict:
         return {tuple(p): i for i, p in enumerate(self.obstruction_points)}
 
-    def act_obstruction(self, g: str, e: Vec) -> Vec:
+    def act_obstruction(self, g: int, e: Vec) -> Vec:
         if self.obstruction_dim == 0:
             return ()
         return tuple(self.obstruction_action[g].matvec(e))
@@ -378,31 +355,31 @@ def check_chart(atlas: "AtlasModel", I: tuple) -> CheckReport:
     chart = atlas.charts[I]
     rep = CheckReport(f"chart {I}")
     rep.merge(check_group_quotient(chart.domain))
-    g0 = chart.group
+    g0, names = chart.group, chart.group.elements
     m = chart.obstruction_dim
     if m > 0:
         act = chart.obstruction_action
-        ident = act.get(g0.identity)
-        if ident is None or ident.entries != RationalMatrix.identity(m).entries:
+        if act[g0.identity].entries != RationalMatrix.identity(m).entries:
             rep.fail("obstruction_identity_action")
-        for a in g0.elements:
-            for b in g0.elements:
-                if act[a].mul(act[b]).entries != act[g0.mul(a, b)].entries:
-                    rep.fail("obstruction_action_law", pair=(a, b))
+        for a in range(g0.order):
+            for b in range(g0.order):
+                ab = g0.mul(a, b)
+                if ab < 0 or act[a].mul(act[b]).entries != act[ab].entries:
+                    rep.fail("obstruction_action_law", pair=(names[a], names[b]))
                     break
     eidx = chart.obstruction_point_index()
-    for g in g0.elements:
+    for g in range(g0.order):
         for e in chart.obstruction_points:
             if tuple(chart.act_obstruction(g, e)) not in eidx:
-                rep.fail("obstruction_grid_not_stable", element=g, vector=e)
+                rep.fail("obstruction_grid_not_stable", element=names[g], vector=e)
                 break
     # section equivariance on declared samples: s(γx) = γ·s(x)
-    for g in g0.elements:
+    for g, perm in enumerate(chart.domain.perms.tolist()):
         for i, sval in enumerate(chart.section_samples):
             expect = chart.act_obstruction(g, sval)
-            got = chart.section_samples[chart.domain.act(g, i)]
+            got = chart.section_samples[perm[i]]
             if tuple(got) != tuple(expect):
-                rep.fail("section_not_equivariant", element=g, point=i)
+                rep.fail("section_not_equivariant", element=names[g], point=i)
                 break
     # footprint map: (zero samples)/Γ_I → F_I bijection
     zeros = chart.zero_sample_indices()
@@ -464,18 +441,6 @@ class CoordinateChangeModel:
     tilde_tangent_dims: tuple = ()
 
 
-def _tilde_set(atlas: "AtlasModel", I: tuple, J: tuple) -> list[int]:
-    if I == J:
-        return list(range(len(atlas.charts[J].domain.points)))
-    return list(atlas.changes[(I, J)].tilde_indices)
-
-
-def _rho(atlas: "AtlasModel", I: tuple, J: tuple, idx: int) -> int:
-    if I == J:
-        return idx
-    return atlas.changes[(I, J)].rho_idx[idx]
-
-
 def check_group_covering(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckReport:
     """Covering conditions for ρ_IJ: free kernel, fibers, stabilizers."""
     rep = CheckReport(f"group_covering {I}->{J}")
@@ -486,22 +451,17 @@ def check_group_covering(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckReport
         return rep
     change = atlas.changes[(I, J)]
     tilde = list(change.tilde_indices)
-    tset = set(tilde)
-    gJ = tgt.group
+    names = tgt.group.elements
+    perms = tgt.domain.perms
     # Ũ_IJ is Γ_J-invariant
-    for g in gJ.elements:
-        if any(tgt.domain.act(g, y) not in tset for y in tilde):
-            rep.fail("tilde_not_invariant", element=g)
-            break
-    kernel = kernel_labels(gJ, J, I, src.group.identity)
+    moved_out = np.flatnonzero(~np.isin(perms[:, tilde], tilde).all(axis=1))
+    if moved_out.size:
+        rep.fail("tilde_not_invariant", element=names[moved_out[0]])
+    kernel = atlas.kernel(I, J)
     rep.details["kernel_order"] = len(kernel)
-    for g in kernel:
-        if g == gJ.identity:
-            continue
-        for y in tilde:
-            if tgt.domain.act(g, y) == y:
-                rep.fail("kernel_action_not_free", element=g, point=y)
-                break
+    for g, fixed in zip(kernel.tolist(), perms[kernel][:, tilde] == tilde):
+        if g != tgt.group.identity and fixed.any():
+            rep.fail("kernel_action_not_free", element=names[g], point=tilde[fixed.argmax()])
     # fibers of ρ are kernel orbits
     fibers: dict = {}
     for y in tilde:
@@ -510,8 +470,7 @@ def check_group_covering(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckReport
         if len(fib) != len(kernel):
             rep.fail("fiber_size", source_point=x, size=len(fib))
             continue
-        orbit = {tgt.domain.act(g, next(iter(fib))) for g in kernel}
-        if orbit != fib:
+        if set(perms[kernel, next(iter(fib))].tolist()) != fib:
             rep.fail("fiber_not_kernel_orbit", source_point=x)
     # induced quotient map Ũ_IJ/Γ_J → image/Γ_I is a bijection
     cls_J = tgt.domain.class_index_of()
@@ -527,11 +486,10 @@ def check_group_covering(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckReport
     if len(images) != len(set(images)):
         rep.fail("quotient_map_not_injective")
     # stabilizers map isomorphically Γ_J^y → Γ_I^{ρ(y)}
+    proj = atlas.projection[(I, J)]
     for y in tilde:
-        stab_J = tgt.domain.stabilizer(y)
-        x = change.rho_idx[y]
-        stab_I = src.domain.stabilizer(x)
-        mapped = [project_label(g, J, I) for g in stab_J]
+        mapped = proj[tgt.domain.stabilizer(y)].tolist()
+        stab_I = src.domain.stabilizer(change.rho_idx[y]).tolist()
         if len(set(mapped)) != len(mapped) or set(mapped) != set(stab_I):
             rep.fail("stabilizer_not_isomorphic", point=y)
     return rep
@@ -545,13 +503,14 @@ def check_coordinate_change(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckRep
     change = atlas.changes[(I, J)]
     tilde = list(change.tilde_indices)
     rep.merge(check_group_covering(atlas, I, J))
-    gJ = tgt.group
+    names, proj, rho = tgt.group.elements, atlas.projection[(I, J)], change.rho_idx
     # equivariance of ρ w.r.t. the canonical projection ρ^Γ
-    for g in gJ.elements:
-        gI = project_label(g, J, I)
+    for g, (perm, perm_I) in enumerate(
+        zip(tgt.domain.perms.tolist(), src.domain.perms[proj].tolist())
+    ):
         for y in tilde:
-            if change.rho_idx[tgt.domain.act(g, y)] != src.domain.act(gI, change.rho_idx[y]):
-                rep.fail("rho_not_equivariant", element=g, point=y)
+            if rho[perm[y]] != perm_I[rho[y]]:
+                rep.fail("rho_not_equivariant", element=names[g], point=y)
                 break
     # φ̂ injective with equivariant cokernel data
     m_I, m_J = src.obstruction_dim, tgt.obstruction_dim
@@ -560,14 +519,13 @@ def check_coordinate_change(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckRep
         return rep
     if m_I > 0 and change.phi_hat.rank() != m_I:
         rep.fail("cokernel", reason="phi_hat not injective")
-    for g in gJ.elements:
-        gI = project_label(g, J, I)
+    for g in range(len(names)):
         if m_I == 0 or m_J == 0:
             continue
         lhs = tgt.obstruction_action[g].mul(change.phi_hat)
-        rhs = change.phi_hat.mul(src.obstruction_action[gI])
+        rhs = change.phi_hat.mul(src.obstruction_action[proj[g]])
         if lhs.entries != rhs.entries:
-            rep.fail("phi_hat_not_equivariant", element=g)
+            rep.fail("phi_hat_not_equivariant", element=names[g])
             break
     # section compatibility at samples: s_J∘φ̃ = φ̂∘s_I∘ρ (φ̃ = inclusion)
     for y in tilde:
@@ -701,6 +659,42 @@ class AtlasModel:
         return offset
 
     @functools.cached_property
+    def product_index(self) -> dict:
+        """Index I -> per element of Γ_I its index in the product of the
+        basic groups of I: the product element of the same name, or
+        ``None`` for a chart whose element names are not the product's."""
+        out = {}
+        for I, chart in self.charts.items():
+            product = product_group([self.charts[(i,)].group for i in I])
+            where = {name: k for k, name in enumerate(product.elements)}
+            index = [where.get(name, -1) for name in chart.group.elements]
+            out[I] = _ints(index) if sorted(index) == list(range(product.order)) else None
+        return out
+
+    @functools.cached_property
+    def projection(self) -> dict:
+        """(I, J) -> ρ^Γ_{JI} for index sets I ⊆ J: per element of Γ_J the
+        index in Γ_I of its I-components.  Raises ``ValueError`` when a
+        chart's element names are not those of the product."""
+        coords, orders, element = {}, {}, {}
+        for I, index in self.product_index.items():
+            if index is None:
+                raise ValueError(f"chart {I}: its group is not the product of its basic groups")
+            orders[I] = [self.charts[(i,)].group.order for i in I]
+            coords[I] = dict(zip(I, np.unravel_index(index, orders[I])))
+            element[I] = np.argsort(index)  # product index -> element of Γ_I
+        return {
+            (I, J): element[I][np.ravel_multi_index([coords[J][i] for i in I], orders[I])]
+            for J in self.charts
+            for I in self.charts
+            if set(I) <= set(J)
+        }
+
+    def kernel(self, I: tuple, J: tuple) -> np.ndarray:
+        """Γ_{J∖I} as the elements of Γ_J that ρ^Γ_{JI} sends to the identity."""
+        return np.flatnonzero(self.projection[(I, J)] == self.charts[I].group.identity)
+
+    @functools.cached_property
     def closure_radius(self) -> Fraction | None:
         """Half the smallest positive metric distance, or ``None`` without
         one; read once per atlas, whose metric is never changed."""
@@ -733,11 +727,11 @@ def check_atlas_model(atlas: AtlasModel) -> CheckReport:
         if tuple(sorted(I)) != I:
             rep.fail("index_not_sorted", index=I)
         factors = [atlas.charts[(i,)] for i in I]
-        want_group = product_group([c.group for c in factors])
-        got = chart.group
-        if set(got.elements) != set(want_group.elements) or any(
-            got.table.get(k) != want_group.table[k] for k in want_group.table
-        ):
+        want = product_group([c.group for c in factors]).table
+        index, got = atlas.product_index[I], chart.group.table
+        if index is None or not (
+            (got >= 0) & (index[got] == want[np.ix_(index, index)])
+        ).all():
             rep.fail("group_not_additive", index=I)
         if chart.obstruction_dim != sum(c.obstruction_dim for c in factors):
             rep.fail("obstruction_not_additive", index=I)
@@ -1237,14 +1231,6 @@ def composition_table(rep: CheckReport, clause: str, morphisms, source: dict,
     return table
 
 
-def b_composite(atlas: "AtlasModel", f: tuple, g: tuple) -> tuple:
-    """The composite "f then g" of morphisms (I, J, y, γ) and (J, K, z, δ)
-    of B_K: (I, K, z, ρ^Γ_{JI}(δ)·γ)."""
-    I, _, _, gamma = f
-    J, K, z, delta = g
-    return (I, K, z, atlas.charts[I].group.mul(project_label(delta, J, I), gamma))
-
-
 @dataclass
 class CategoriesResult:
     domain_category: FiniteCategory  # B_K
@@ -1254,173 +1240,183 @@ class CategoriesResult:
     report: CheckReport
 
 
+def _flat(arrays) -> tuple[np.ndarray, np.ndarray]:
+    """The int arrays ``arrays`` end to end, and where each starts."""
+    arrays = [_ints(a).ravel() for a in arrays]
+    return np.concatenate(arrays or [_ints([])]), _offsets([len(a) for a in arrays])
+
+
+def _block_category(atlas: AtlasModel, blocks: list, ne: np.ndarray, act: list,
+                    phi: list) -> tuple:
+    """The int arrays of the category with objects (I, x, e) and morphisms
+    (I, J, y, e, γ) over ``blocks``, the (I, J, Ũ_IJ, ρ_IJ) of pairs I ⊆ J.
+
+    e runs over ``ne[i]`` grid points of the i-th index set I, with Γ_I
+    acting by ``act[i][γ, e]`` and φ̂ of the k-th block by ``phi[k][e]``.
+    (I, J, y, e, γ) runs from (I, γ⁻¹·ρ(y), γ⁻¹·e) to (J, y, φ̂(e)) and is
+    number ``start[k] + (t·|Γ_I| + γ)·ne[i] + e`` for y the t-th sample of
+    Ũ_IJ; object (I, x, e) is ``obj_start[i] + x·ne[i] + e``.  "f then g"
+    for g = (J, K, z, e', δ) is (I, K, z, ρ^Γ_{JI}(δ)·e, ρ^Γ_{JI}(δ)·γ).
+
+    Returns (src, tgt, identity, pairs, comp), the composable pairs (f, g)
+    whose composite is no morphism as (f, g, I, K, z, e, γ) with γ named,
+    and per morphism the position of I and ρ(y).
+    """
+    indices = atlas.index_sets()
+    where = {I: i for i, I in enumerate(indices)}
+    groups = [atlas.charts[I].group for I in indices]
+    order = _ints([g.order for g in groups])
+    n_points = _ints([len(atlas.charts[I].domain.points) for I in indices])
+    block_I, block_J = (_ints([where[b[k]] for b in blocks]) for k in (0, 1))
+    block_of = np.full((len(indices), len(indices)), -1, dtype=np.int64)
+    block_of[block_I, block_J] = np.arange(len(blocks))
+    tilde, tilde_start = _flat(b[2] for b in blocks)
+    rho, _ = _flat(b[3] for b in blocks)
+    grid, grid_start = _flat(act)
+    # γ⁻¹ on the samples and on the grid: row γ of each
+    back_perms, back_start = _flat(
+        atlas.charts[I].domain.perms[g.inverse] for I, g in zip(indices, groups)
+    )
+    back_grid, _ = _flat(np.asarray(a)[g.inverse] for a, g in zip(act, groups))
+    phis, phi_start = _flat(phi)
+    proj, proj_start = _flat(atlas.projection[b[:2]] for b in blocks)
+    mul, mul_start = _flat(g.table for g in groups)
+    obj_start = _offsets(n_points * ne)
+    start = _offsets(np.diff(tilde_start) * order[block_I] * ne[block_I])
+    # per morphism: its block, I, J, e, γ and y at position t of Ũ_IJ
+    block = np.repeat(np.arange(len(blocks)), np.diff(start))
+    I, J = block_I[block], block_J[block]
+    local = np.arange(start[-1]) - start[block]
+    e, local = local % ne[I], local // ne[I]
+    gamma, t = local % order[I], tilde_start[block] + local // order[I]
+    y, x = tilde[t], rho[t]
+    src = (
+        obj_start[I]
+        + back_perms[back_start[I] + gamma * n_points[I] + x] * ne[I]
+        + back_grid[grid_start[I] + gamma * ne[I] + e]
+    )
+    tgt = obj_start[J] + y * ne[J] + phis[phi_start[block] + e]
+    # the identity of (I, x, e) is (I, I, x, e, 1): t = x in the block (I, I)
+    i = np.repeat(np.arange(len(indices)), n_points * ne)
+    local = np.arange(obj_start[-1]) - obj_start[i]
+    one = _ints([g.identity for g in groups])[i]
+    identity = start[block_of[i, i]] + (local // ne[i] * order[i] + one) * ne[i] + local % ne[i]
+    pairs = PairIndex.of(obj_start[-1], src, tgt)
+    # place[k, y]: the position of sample y in the k-th block's Ũ_IJ, or -1
+    place = np.full((len(blocks), int(n_points.max(initial=0))), -1, dtype=np.int64)
+    for k, b in enumerate(blocks):
+        place[k, b[2]] = np.arange(len(b[2]))
+    f, g = pairs.f, pairs.g
+    fI, K, z = I[f], J[g], y[g]
+    moved = proj[proj_start[block[f]] + gamma[g]]
+    gamma2 = mul[mul_start[fI] + moved * order[fI] + gamma[f]]
+    e2 = grid[grid_start[fI] + moved * ne[fI] + e[f]]
+    k = block_of[fI, K]
+    t2 = np.where(k >= 0, place[k, z], -1)
+    comp = np.where(t2 >= 0, start[k] + (t2 * order[fI] + gamma2) * ne[fI] + e2, -1)
+    missing = [
+        (f[p], g[p], indices[fI[p]], indices[K[p]], int(z[p]), int(e2[p]),
+         groups[fI[p]].elements[gamma2[p]])
+        for p in np.flatnonzero(t2 < 0).tolist()
+    ]
+    return (src, tgt, identity, pairs, comp), missing, I, x
+
+
 def build_categories(atlas: AtlasModel) -> CategoriesResult:
     """The categories B_K and E_K with pr, section, zero and footprint
     functors, all axioms verified by exhaustion.
 
-    B_K is built from labels.  E_K is built on int indices from B_K: its
-    morphism (I, J, y, e, γ) is B_K's morphism b = (I, J, y, γ) with the
-    grid index e, so its index is ``e_base[b] + e``, and likewise its
-    object (I, x, e) is ``eo_base[(I, x)] + e``.  The composite of E_K's
-    pair "f then g" is ``e_base[B-composite] + (ρ^Γ_{JI}(δ)·e)``.
+    Both are built on int indices by :func:`_block_category`, B_K with
+    one-point grids, so that E_K's morphism (I, J, y, e, γ) is number
+    ``e_base[b] + e`` for B_K's morphism b = (I, J, y, γ), and its object
+    (I, x, e) is ``eo_base[(I, x)] + e``.
     """
     rep = CheckReport("build_categories")
     indices = atlas.index_sets()
-    pairs = [(I, J) for I in indices for J in indices if set(I) <= set(J)]
-    pairs = [
-        (I, J)
-        for (I, J) in pairs
-        if I == J or (I, J) in atlas.changes
-    ]
+    blocks = []
+    for I in indices:
+        n = len(atlas.charts[I].domain.points)
+        for J in indices:
+            if I == J:
+                blocks.append((I, J, range(n), range(n)))
+            elif set(I) < set(J) and (I, J) in atlas.changes:
+                change = atlas.changes[(I, J)]
+                tilde = list(change.tilde_indices)
+                blocks.append((I, J, tilde, [change.rho_idx[y] for y in tilde]))
+    orders = [atlas.charts[I].group.order for I in indices]
+    n_points = [len(atlas.charts[I].domain.points) for I in indices]
+
+    def category(name, clause, objects, morphisms, blocks, ne, act, phi, result):
+        arrays, missing, I, x = _block_category(atlas, blocks, _ints(ne), act, phi)
+        for f, g, *composite in missing:
+            rep.fail(clause, pair=(morphisms[f], morphisms[g]), result=result(*composite))
+        cat = FiniteCategory(tuple(objects), tuple(morphisms), *arrays)
+        axioms = check_category(cat)
+        axioms.name = name
+        rep.merge(axioms)
+        # the sizes of the category; ``merge`` passes failures on, not details
+        rep.details[name] = axioms.details
+        return cat, I, x
 
     # ----- B_K -----
-    objects = []
-    for I in indices:
-        for x in range(len(atlas.charts[I].domain.points)):
-            objects.append((I, x))
-    morphisms = []
-    b_src: dict = {}
-    b_tgt: dict = {}
-    block_start = []  # where each (I, J) of ``pairs`` starts in ``morphisms``
-    b_gamma = []  # per morphism: the index of γ in Γ_I
-    b_rho = []  # per morphism: ρ_IJ(y)
-    for (I, J) in pairs:
-        block_start.append(len(morphisms))
-        gI = atlas.charts[I].group
-        for y in _tilde_set(atlas, I, J):
-            rho_y = _rho(atlas, I, J, y)
-            for c, gamma in enumerate(gI.elements):
-                m = (I, J, y, gamma)
-                morphisms.append(m)
-                x = atlas.charts[I].domain.act(gI.inv(gamma), rho_y)
-                b_src[m] = (I, x)
-                b_tgt[m] = (J, y)
-                b_gamma.append(c)
-                b_rho.append(rho_y)
-    block_start.append(len(morphisms))
-    identity_of = {
-        (I, x): (I, I, x, atlas.charts[I].group.identity) for (I, x) in objects
-    }
-    b_gamma = _ints(b_gamma)
-    b_comp = composition_table(
-        rep, "composability_violated", morphisms, b_src, b_tgt,
-        functools.partial(b_composite, atlas),
+    objects = [(I, x) for I, n in zip(indices, n_points) for x in range(n)]
+    morphisms = [
+        (I, J, y, gamma)
+        for I, J, tilde, _ in blocks
+        for y in tilde
+        for gamma in atlas.charts[I].group.elements
+    ]
+    B, b_I, b_rho = category(
+        "category_axioms", "composability_violated", objects, morphisms, blocks,
+        [1] * len(indices), [np.zeros((n, 1)) for n in orders], [[0]] * len(blocks),
+        lambda I, K, z, e, gamma: (I, K, z, gamma),
     )
-    B = FiniteCategory.from_labels(objects, morphisms, b_src, b_tgt, b_comp, identity_of)
-    b_axioms = check_category(B)
-    rep.merge(b_axioms)
 
     # ----- E_K -----
     egrid_index = {I: atlas.charts[I].obstruction_point_index() for I in indices}
-    n_e = {I: len(atlas.charts[I].obstruction_points) for I in indices}
-    # Γ_I on grid indices: eact[I][γ, e]
-    eact: dict = {}
-    for I in indices:
-        chart = atlas.charts[I]
-        eact[I] = _ints([
-            [
-                egrid_index[I][tuple(chart.act_obstruction(g, e))]
-                for e in chart.obstruction_points
-            ]
-            for g in chart.group.elements
-        ]).reshape(chart.group.order, n_e[I])
-    # φ̂ on grid indices
-    phi_idx: dict = {}
-    grids_closed = True
-    for (I, J) in pairs:
-        phi = _phi_hat_of(atlas, I, J)
-        mapping = []
-        for e in atlas.charts[I].obstruction_points:
-            image = tuple(phi.matvec(e))
-            j = egrid_index[J].get(image)
-            if j is None:
-                rep.fail("obstruction_grid_not_phi_closed", pair=(I, J), vector=e)
-                grids_closed = False
-                break
-            mapping.append(j)
-        phi_idx[(I, J)] = _ints(mapping)
-    e_objects = [(I, x, e) for (I, x) in objects for e in range(n_e[I])]
-    obj_ne = _ints([n_e[I] for (I, _) in objects])
-    eo_base = _offsets(obj_ne)
-    mor_ne = _ints([n_e[m[0]] for m in morphisms])
-    e_base = _offsets(mor_ne)
-    e_morphisms: list = []
-    e_src = e_tgt = _ints([])
-    # without φ̂ on the grids E_K has no morphisms: every identity is missing
-    e_identity = np.zeros(len(e_objects), dtype=np.int64)
-    # per (I, J) of ``pairs``: ρ^Γ_{JI}(δ) on the grid of I, flat over (δ, e)
-    proj_act = []
-    if grids_closed:
-        e_morphisms = [
-            (I, J, y, e, gamma)
-            for (I, J, y, gamma) in morphisms
-            for e in range(n_e[I])
-        ]
-        e_src = np.empty(e_base[-1], dtype=np.int64)
-        e_tgt = np.empty(e_base[-1], dtype=np.int64)
-        for k, (I, J) in enumerate(pairs):
-            gI, gJ = atlas.charts[I].group, atlas.charts[J].group
-            element = {g: c for c, g in enumerate(gI.elements)}
-            inverse = _ints([element[gI.inv(g)] for g in gI.elements])
-            proj = _ints([element[project_label(d, J, I)] for d in gJ.elements])
-            proj_act.append(eact[I][proj].ravel())
-            lo, hi = block_start[k], block_start[k + 1]
-            rows = slice(e_base[lo], e_base[hi])
-            e_src[rows] = (
-                eo_base[B.src[lo:hi], None] + eact[I][inverse[b_gamma[lo:hi]]]
-            ).ravel()
-            e_tgt[rows] = (eo_base[B.tgt[lo:hi], None] + phi_idx[(I, J)]).ravel()
-        e_identity = np.repeat(e_base[B.identity] - eo_base[:-1], obj_ne) + np.arange(
-            len(e_objects)
-        )
-    e_pairs = PairIndex.of(len(e_objects), e_src, e_tgt)
-    # E_K's pairs lie over B_K's: the E_K objects over a B_K object are
-    # their own block, so equal E_K endpoints have equal B_K endpoints
-    b_of = np.repeat(np.arange(len(morphisms)), mor_ne)
-    fb, gb = b_of[e_pairs.f], b_of[e_pairs.g]
-    bh = B.comp[B.pairs.at(fb, gb)]
-    k = np.repeat(np.arange(len(pairs)), np.diff(block_start))[fb]
-    block_ne = _ints([n_e[I] for (I, _) in pairs])
-    moved = np.concatenate(proj_act or [_ints([])])[
-        _offsets([len(t) for t in proj_act])[k]
-        + b_gamma[gb] * block_ne[k]
-        + e_pairs.f - e_base[fb]
+    n_e = [len(atlas.charts[I].obstruction_points) for I in indices]
+    # Γ_I on grid indices: eact[i][γ, e]
+    eact = [
+        [[egrid_index[I][tuple(atlas.charts[I].act_obstruction(g, e))]
+          for e in atlas.charts[I].obstruction_points] for g in range(order)]
+        for I, order in zip(indices, orders)
     ]
-    e_comp = np.where(bh >= 0, e_base[bh] + moved, -1)
-    for p in np.flatnonzero(bh < 0).tolist():
-        f, g = e_morphisms[e_pairs.f[p]], e_morphisms[e_pairs.g[p]]
-        I, J, _, _, gamma = f
-        _, K, z, _, delta = g
-        proj = project_label(delta, J, I)
-        rep.fail(
-            "composability_violated_E",
-            pair=(f, g),
-            result=(I, K, z, int(moved[p]), atlas.charts[I].group.mul(proj, gamma)),
-        )
-    E = FiniteCategory(
-        tuple(e_objects), tuple(e_morphisms), e_src, e_tgt, e_identity, e_pairs, e_comp
+    # φ̂ on grid indices
+    phi_idx = []
+    for (I, J, _, _) in blocks:
+        grid, phi = atlas.charts[I].obstruction_points, _phi_hat_of(atlas, I, J)
+        images = [egrid_index[J].get(tuple(phi.matvec(e))) for e in grid]
+        if None in images:
+            vector = grid[images.index(None)]
+            rep.fail("obstruction_grid_not_phi_closed", pair=(I, J), vector=vector)
+        phi_idx.append(images)
+    grids_closed = not any(None in images for images in phi_idx)
+    obj_ne = np.repeat(_ints(n_e), n_points)
+    mor_ne = _ints(n_e)[b_I]
+    eo_base, e_base = _offsets(obj_ne), _offsets(mor_ne)
+    # without φ̂ on the grids E_K has no morphisms: every identity is missing
+    e_blocks, e_phi = (blocks, phi_idx) if grids_closed else ([], [])
+    E, _, _ = category(
+        "category_axioms_E", "composability_violated_E",
+        [(I, x, e) for (I, x), ne in zip(objects, obj_ne.tolist()) for e in range(ne)],
+        [
+            (I, J, y, e, gamma)
+            for (I, J, y, gamma), ne in zip(morphisms, mor_ne.tolist())
+            for e in range(ne if e_blocks else 0)
+        ],
+        e_blocks, n_e, eact, e_phi, lambda I, K, z, e, gamma: (I, K, z, e, gamma),
     )
-    e_axioms = check_category(E)
-    e_axioms.name = "category_axioms_E"
-    rep.merge(e_axioms)
-    # the sizes of B_K and E_K; ``merge`` passes failures on, not details
-    for axioms in (b_axioms, e_axioms):
-        rep.details[axioms.name] = axioms.details
 
     # ----- functors -----
-    s_idx: dict = {}
-    s_ok = True
-    for I in indices:
-        chart = atlas.charts[I]
-        vals = []
-        for sval in chart.section_samples:
-            j = egrid_index[I].get(tuple(sval))
-            if j is None:
-                rep.fail("section_value_outside_grid", index=I, value=sval)
-                s_ok = False
-                break
-            vals.append(j)
-        s_idx[I] = vals
+    s_idx = {
+        I: [egrid_index[I].get(tuple(v)) for v in atlas.charts[I].section_samples]
+        for I in indices
+    }
+    for I, vals in s_idx.items():
+        if None in vals:
+            value = atlas.charts[I].section_samples[vals.index(None)]
+            rep.fail("section_value_outside_grid", index=I, value=value)
+    s_ok = not any(None in vals for vals in s_idx.values())
     zero_idx = {
         I: egrid_index[I].get((Fraction(0),) * atlas.charts[I].obstruction_dim)
         for I in indices
@@ -1432,12 +1428,12 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
     if s_ok and grids_closed:
         pr_obj = np.repeat(np.arange(len(objects)), obj_ne)
         pr_mor = np.repeat(np.arange(len(morphisms)), mor_ne)
-        s_obj = eo_base[:-1] + _ints([s_idx[I][x] for (I, x) in objects])
-        s_mor = e_base[:-1] + _ints(
-            [s_idx[m[0]][x] for m, x in zip(morphisms, b_rho)]
-        )
-        z_obj = eo_base[:-1] + _ints([zero_idx[I] for (I, _) in objects])
-        z_mor = e_base[:-1] + _ints([zero_idx[m[0]] for m in morphisms])
+        s_flat = np.concatenate([_ints(s_idx[I]) for I in indices])
+        zero_flat = _ints([zero_idx[I] for I in indices])
+        s_obj = eo_base[:-1] + s_flat
+        s_mor = e_base[:-1] + s_flat[_offsets(n_points)[b_I] + b_rho]
+        z_obj = eo_base[:-1] + np.repeat(zero_flat, n_points)
+        z_mor = e_base[:-1] + zero_flat[b_I]
         _check_functor(rep, "pr", E, B, pr_obj, pr_mor)
         _check_functor(rep, "section", B, E, s_obj, s_mor)
         _check_functor(rep, "zero", B, E, z_obj, z_mor)
@@ -1449,10 +1445,14 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
 
     # footprint functor ψ on the zero-object subcategory
     psi_obj = _footprint_labels(atlas, rep)
-    for m in morphisms:
-        s, t = b_src[m], b_tgt[m]
-        if s in psi_obj and t in psi_obj and psi_obj[s] != psi_obj[t]:
-            rep.fail("footprint_functor_not_constant", morphism=m)
+    label_id = {label: i for i, label in enumerate(sorted(set(psi_obj.values())))}
+    psi = np.full(len(objects), -1, dtype=np.int64)
+    obj_base = dict(zip(indices, _offsets(n_points).tolist()))
+    for (I, x), label in psi_obj.items():
+        psi[obj_base[I] + x] = label_id[label]
+    s_psi, t_psi = psi[B.src], psi[B.tgt]
+    for m in np.flatnonzero((s_psi >= 0) & (t_psi >= 0) & (s_psi != t_psi)).tolist():
+        rep.fail("footprint_functor_not_constant", morphism=morphisms[m])
     if set(psi_obj.values()) != set(atlas.x_labels):
         rep.fail(
             "footprint_functor_not_surjective",
@@ -1661,48 +1661,76 @@ def _index_from_key(key: str) -> tuple:
 
 
 def _group_to_json(g: FiniteGroup) -> dict:
-    return {
-        "elements": list(g.elements),
-        "identity": g.identity,
-        "table": [[a, b, g.table[(a, b)]] for (a, b) in sorted(g.table)],
-    }
+    """The group with its table in name order; a product that is no
+    element (``-1``) has no name and is left out."""
+    names = g.elements
+    table = [[names[a], names[b], names[c]] for (a, b), c in np.ndenumerate(g.table) if c >= 0]
+    return {"elements": list(names), "identity": names[g.identity], "table": sorted(table)}
 
 
-def _group_from_json(d: dict) -> FiniteGroup:
-    return FiniteGroup(
-        elements=tuple(d["elements"]),
-        table={(a, b): c for a, b, c in d["table"]},
-        identity=d["identity"],
-    )
+def _group_from_json(d: dict, where: str) -> FiniteGroup:
+    """A product that is no element becomes ``-1``, which ``validate``
+    reports as ``not_closed``; a factor or identity that is no element is
+    a ``ValueError``."""
+    names = tuple(d["elements"])
+    index = {name: k for k, name in enumerate(names)}
+    table = np.full((len(names), len(names)), -1, dtype=np.int64)
+    for a, b, c in d["table"]:
+        if a not in index or b not in index:
+            raise ValueError(f"{where}: group table entry {[a, b, c]} names no element")
+        table[index[a], index[b]] = index.get(c, -1)
+    if d["identity"] not in index:
+        raise ValueError(f"{where}: group identity {d['identity']!r} is no element")
+    return FiniteGroup(names, table, index[d["identity"]])
+
+
+def _by_element(where: str, key: str, data: dict, names: tuple) -> list:
+    """The values of the element-keyed ``data`` in element order; raises
+    ``ValueError`` naming ``where`` and the element for a key that is no
+    element and for an element without a key."""
+    for name in [*data, *names]:
+        if name not in names:
+            raise ValueError(f"{where}: {key} has an entry for {name!r}, no group element")
+        if name not in data:
+            raise ValueError(f"{where}: {key} has no entry for the element {name!r}")
+    return [data[name] for name in names]
 
 
 def _quotient_to_json(q: GroupQuotientModel) -> dict:
+    names = q.group.elements
     out = {
         "points": [_vec_to_json(p) for p in q.points],
         "group": _group_to_json(q.group),
-        "perms": {g: list(p) for g, p in q.perms.items()},
+        "perms": dict(zip(names, q.perms.tolist())),
     }
     if q.affine is not None:
-        out["affine"] = {
-            g: {"matrix": mat.to_json(), "shift": _vec_to_json(shift)}
-            for g, (mat, shift) in q.affine.items()
-        }
+        out["affine"] = dict(zip(names, [
+            {"matrix": mat.to_json(), "shift": _vec_to_json(shift)}
+            for mat, shift in q.affine
+        ]))
     if q.membership is not None:
         out["membership"] = q.membership
     return out
 
 
-def _quotient_from_json(d: dict) -> GroupQuotientModel:
+def _quotient_from_json(d: dict, where: str) -> GroupQuotientModel:
+    group = _group_from_json(d["group"], where)
+    points = tuple(_vec_from_json(p) for p in d["points"])
+    perms = _by_element(where, "perms", d["perms"], group.elements)
+    for name, perm in zip(group.elements, perms):
+        # an index out of range would reach the validators as a wrong sample
+        if len(perm) != len(points) or not all(0 <= i < len(points) for i in perm):
+            raise ValueError(f"{where}: perms of {name!r} is no map of the {len(points)} samples")
     affine = None
     if "affine" in d:
-        affine = {
-            g: (RationalMatrix.from_json(a["matrix"]), _vec_from_json(a["shift"]))
-            for g, a in d["affine"].items()
-        }
+        affine = [
+            (RationalMatrix.from_json(a["matrix"]), _vec_from_json(a["shift"]))
+            for a in _by_element(where, "affine", d["affine"], group.elements)
+        ]
     return GroupQuotientModel(
-        points=tuple(_vec_from_json(p) for p in d["points"]),
-        group=_group_from_json(d["group"]),
-        perms={g: tuple(p) for g, p in d["perms"].items()},
+        points=points,
+        group=group,
+        perms=perms,
         affine=affine,
         membership=d.get("membership"),
     )
@@ -1713,9 +1741,9 @@ def _chart_to_json(c: ChartModel) -> dict:
         "index": list(c.index),
         "domain": _quotient_to_json(c.domain),
         "obstruction_dim": c.obstruction_dim,
-        "obstruction_action": {
-            g: m.to_json() for g, m in c.obstruction_action.items()
-        },
+        "obstruction_action": dict(
+            zip(c.group.elements, [m.to_json() for m in c.obstruction_action])
+        ),
         "obstruction_points": [_vec_to_json(p) for p in c.obstruction_points],
         "section_samples": [_vec_to_json(v) for v in c.section_samples],
         "footprint_map": {str(i): lab for i, lab in c.footprint_map.items()},
@@ -1726,15 +1754,16 @@ def _chart_to_json(c: ChartModel) -> dict:
     return out
 
 
-def _chart_from_json(d: dict) -> ChartModel:
+def _chart_from_json(d: dict, where: str) -> ChartModel:
+    domain = _quotient_from_json(d["domain"], where)
+    action = d["obstruction_action"]
+    if action or d["obstruction_dim"] != 0:
+        action = _by_element(where, "obstruction_action", action, domain.group.elements)
     return ChartModel(
         index=tuple(d["index"]),
-        domain=_quotient_from_json(d["domain"]),
+        domain=domain,
         obstruction_dim=d["obstruction_dim"],
-        obstruction_action={
-            g: RationalMatrix.from_json(m)
-            for g, m in d["obstruction_action"].items()
-        },
+        obstruction_action=tuple(RationalMatrix.from_json(m) for m in action),
         obstruction_points=tuple(
             _vec_from_json(p) for p in d["obstruction_points"]
         ),
@@ -1872,7 +1901,7 @@ def atlas_from_json(data: dict) -> AtlasModel:
     if data.get("schema") != SCHEMA:
         raise ValueError(f"unsupported schema: {data.get('schema')!r}")
     charts = {
-        _index_from_key(k): _chart_from_json(c) for k, c in data["charts"].items()
+        _index_from_key(k): _chart_from_json(c, f"chart {k}") for k, c in data["charts"].items()
     }
     changes = {}
     for cd in data["changes"]:

@@ -56,7 +56,6 @@ from .charts_atlas import (
     check_tame_and_filtration,
     cyclic_group,
     product_group,
-    project_label,
     CheckReport,
 )
 from .exterior_engine import RationalMatrix, parse_rat, rat_str
@@ -181,47 +180,41 @@ def build_toy_atlas(cover: dict, x_labels: list, orders: dict) -> AtlasModel:
     for I in indices:
         group = product_group([basics[i] for i in I])
         labels = footprint(I)
-        pts = [(x, g) for x in labels for g in group.elements]
+        pts = [(x, g) for x in labels for g in range(group.order)]
         layout = {p: k for k, p in enumerate(pts)}
         layouts[I] = layout
-        perms = {
-            d: tuple(layout[(x, group.mul(d, g))] for (x, g) in pts)
-            for d in group.elements
-        }
-        coords = tuple(
-            (F(x_labels.index(x)), F(group.elements.index(g))) for (x, g) in pts
-        )
+        # sample (x, g) is number x·|Γ| + g, and d sends it to (x, d·g)
+        row = np.arange(len(labels))[:, None] * group.order
+        perms = (row[None] + group.table[:, None, :]).reshape(group.order, len(pts))
+        coords = tuple((F(x_labels.index(x)), F(g)) for (x, g) in pts)
         domain = GroupQuotientModel(points=coords, group=group, perms=perms)
         charts[I] = ChartModel(
             index=I,
             domain=domain,
             obstruction_dim=0,
-            obstruction_action={},
+            obstruction_action=(),
             obstruction_points=((),),
             section_samples=((),) * len(pts),
             footprint_map={k: x for (x, g), k in layout.items()},
         )
-    changes = {}
-    for I in indices:
-        for J in indices:
-            if set(I) < set(J):
-                pts_J = list(layouts[J])
-                rho = {}
-                for (x, g) in pts_J:
-                    rho[layouts[J][(x, g)]] = layouts[I][(x, project_label(g, J, I))]
-                changes[(I, J)] = CoordinateChangeModel(
-                    source_index=I,
-                    target_index=J,
-                    tilde_indices=tuple(range(len(pts_J))),
-                    rho_idx=rho,
-                    phi_hat=RationalMatrix.zero(0, 0),
-                )
-    return AtlasModel(
+    atlas = AtlasModel(
         x_labels=tuple(x_labels),
         cover={i: frozenset(s) for i, s in cover.items()},
         charts=charts,
-        changes=changes,
+        changes={},
     )
+    for I in indices:
+        for J in indices:
+            if set(I) < set(J):
+                proj = atlas.projection[(I, J)].tolist()
+                atlas.changes[(I, J)] = CoordinateChangeModel(
+                    source_index=I,
+                    target_index=J,
+                    tilde_indices=tuple(range(len(layouts[J]))),
+                    rho_idx={k: layouts[I][(x, proj[g])] for (x, g), k in layouts[J].items()},
+                    phi_hat=RationalMatrix.zero(0, 0),
+                )
+    return atlas
 
 
 def random_toy_atlas(seed: int) -> AtlasModel:
@@ -300,11 +293,6 @@ def _q_ast(n2: int, w1, w2):
     return ["+", ["*", w1, w1], ["*", w2, w2]]
 
 
-def _exp_of_label(label: str, g1, g2) -> tuple[int, int]:
-    parts = label.split("|")
-    return g1.elements.index(parts[0]), g2.elements.index(parts[1])
-
-
 def _apply_frame(P, vec) -> tuple[float, float]:
     return (
         P[0][0] * vec[0] + P[0][1] * vec[1],
@@ -362,12 +350,12 @@ class _Pole:
             pts.extend(self.ring(
                 lambda a: _rat_vec(_apply_frame(self.frame, (r * math.cos(a), r * math.sin(a))))
             ))
-        elements = self.group.elements
-        perms = {
-            lab: tuple([0] + [self.idx(g, j + s * self.N) for g in range(3) for j in range(self.nN)])
-            for s, lab in enumerate(elements)
-        }
-        affine = {lab: (_mat_pow(self.rot, s), (F(0), F(0))) for s, lab in enumerate(elements)}
+        # element s of the cyclic group is rot^s
+        perms = [
+            [0] + [self.idx(g, j + s * self.N) for g in range(3) for j in range(self.nN)]
+            for s in range(self.group.order)
+        ]
+        affine = [(_mat_pow(self.rot, s), (F(0), F(0))) for s in range(self.group.order)]
         return GroupQuotientModel(points=tuple(pts), group=self.group, perms=perms, affine=affine)
 
     def footprint(self) -> dict:
@@ -447,6 +435,7 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
 
     # ----- chart 12: rings of the annulus cover -----
     n12 = 3 * L
+    # deck[k] = (p, q): element k of Γ₁ × Γ₂ is (g^p, g^q)
     deck = [(p, q) for p in range(n1) for q in range(n2)]
     deck_shift = {(p, q): (p * sigma1 + q * sigma2) % L for (p, q) in deck}
     e_base = (
@@ -475,9 +464,8 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
             for (p, q) in deck:
                 e = tuple(_mat_pow(R1, p).matvec(e_base[b]))
                 pts12.append((e[0], e[1], F(1, 2), F(deck_shift[(p, q)], L)))
-    perms12 = {}
-    for lab in g12.elements:
-        p, q = _exp_of_label(lab, g1, g2)
+    perms12 = []
+    for (p, q) in deck:
         shift = deck_shift[(p, q)]
         perm = [0] * len(pts12)
         for g in range(3):
@@ -487,7 +475,7 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
             for b in range(4):
                 for (p0, q0) in deck:
                     perm[eidx12(b, p0, q0)] = eidx12(b, p0 + p, q0 + q)
-        perms12[lab] = tuple(perm)
+        perms12.append(perm)
     foot12 = {}
     for g in range(3):
         for j in range(L):
@@ -668,12 +656,9 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
             if e_samples_s[i] not in grid12:
                 grid12.append(e_samples_s[i])
         grid12 = tuple(grid12)
-        act1 = {lab: _mat_pow(R1, s) for s, lab in enumerate(g1.elements)}
-        act2 = {lab: _mat_pow(A2, s) for s, lab in enumerate(g2.elements)}
-        act12 = {}
-        for lab in g12.elements:
-            p, q = _exp_of_label(lab, g1, g2)
-            act12[lab] = _block_diag(_mat_pow(R1, p), _mat_pow(A2, q))
+        act1 = [_mat_pow(R1, s) for s in range(n1)]
+        act2 = [_mat_pow(A2, s) for s in range(n2)]
+        act12 = [_block_diag(_mat_pow(R1, p), _mat_pow(A2, q)) for (p, q) in deck]
         m_basic, m12 = 2, 4
         zero_basic = (F(0), F(0))
         phi1 = RationalMatrix.from_rows(
@@ -689,7 +674,7 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
         sec_asts_basic = (num(0), num(0))
     else:
         grid1 = grid2 = grid12 = ((),)
-        act1 = act2 = act12 = {}
+        act1 = act2 = act12 = ()
         m_basic, m12 = 0, 0
         zero_basic = ()
         phi1 = phi2 = RationalMatrix.zero(0, 0)
@@ -832,12 +817,12 @@ def _single_orbifold_chart(order: int) -> BuiltExample:
         raise ValueError("group order must be a positive integer")
     g = cyclic_group(order)
     pts = tuple((F(k),) for k in range(order))
-    perms = {lab: tuple((k + s) % order for k in range(order)) for s, lab in enumerate(g.elements)}
+    perms = [[(k + s) % order for k in range(order)] for s in range(order)]
     chart = ChartModel(
         index=(1,),
         domain=GroupQuotientModel(points=pts, group=g, perms=perms),
         obstruction_dim=0,
-        obstruction_action={},
+        obstruction_action=(),
         obstruction_points=((),),
         section_samples=((),) * order,
         footprint_map={k: "p" for k in range(order)},
@@ -869,17 +854,14 @@ def _football_fclass() -> BuiltExample:
             offsets[lab] = pos
         pos += 1
     sizes = {"p1": 1, "p2": 2, "p3": 3, "p6": 6}
-    perms = {}
-    for s, el in enumerate(g.elements):
-        perm = []
-        for lab, size, k in layout:
-            perm.append(offsets[lab] + (k + s) % size)
-        perms[el] = tuple(perm)
+    perms = [
+        [offsets[lab] + (k + s) % size for lab, size, k in layout] for s in range(g.order)
+    ]
     chart = ChartModel(
         index=(1,),
         domain=GroupQuotientModel(points=pts, group=g, perms=perms),
         obstruction_dim=0,
-        obstruction_action={},
+        obstruction_action=(),
         obstruction_points=((),),
         section_samples=((),) * len(layout),
         footprint_map={i: lab for i, (lab, _, _) in enumerate(layout)},

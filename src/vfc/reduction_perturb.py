@@ -29,7 +29,6 @@ from .charts_atlas import (
     _index_key,
     check_category,
     composition_table,
-    kernel_labels,
     realize_intermediate,
 )
 from .exterior_engine import RationalMatrix, parse_rat, rat_str
@@ -159,11 +158,11 @@ class EquivariantNorms:
                 continue
             if chart.obstruction_dim and T.rank() != chart.obstruction_dim:
                 rep.fail("norm_degenerate", index=i)
-            for g in chart.group.elements:
+            for g, name in enumerate(chart.group.elements):
                 for e in chart.obstruction_points:
                     moved = chart.act_obstruction(g, e)
                     if self.norm_basic(i, moved) != self.norm_basic(i, e):
-                        rep.fail("norm_not_invariant", index=i, element=g)
+                        rep.fail("norm_not_invariant", index=i, element=name)
                         break
         return rep
 
@@ -267,9 +266,9 @@ def check_reduction(atlas: AtlasModel, red: Reduction) -> CheckReport:
     for I in indices:
         chart = atlas.charts[I]
         v = red.sets[I]
-        for g in chart.group.elements:
-            if any(chart.domain.act(g, x) not in v for x in v):
-                rep.fail("not_invariant", index=I, element=g)
+        for name, perm in zip(chart.group.elements, chart.domain.perms.tolist()):
+            if any(perm[x] not in v for x in v):
+                rep.fail("not_invariant", index=I, element=name)
                 break
         pred = red.preds.get(I)
         if pred is not None:
@@ -321,15 +320,13 @@ def check_reduction(atlas: AtlasModel, red: Reduction) -> CheckReport:
                 rep.fail("missing_change", pair=(F, I))
                 continue
             chart = atlas.charts[I]
-            kernel = kernel_labels(
-                chart.group, I, F, atlas.charts[F].group.identity
-            )
             vt = v_tilde(atlas, red, F, I)
-            for g in kernel:
+            for g in atlas.kernel(F, I).tolist():
                 if g == chart.group.identity:
                     continue
                 if any(chart.domain.act(g, y) == y for y in vt):
-                    rep.fail("partial_isotropy_not_free", pair=(F, I), element=g)
+                    element = chart.group.elements[g]
+                    rep.fail("partial_isotropy_not_free", pair=(F, I), element=element)
                     break
     return rep
 
@@ -438,13 +435,14 @@ def check_perturbation(
     # partial equivariance: ν_J(αy) = ν_J(y) for α ∈ Γ_{J∖I}
     for (I, J) in nested:
         chart = atlas.charts[J]
-        kernel = kernel_labels(chart.group, J, I, atlas.charts[I].group.identity)
+        kernel = atlas.kernel(I, J).tolist()
         for y in sorted(v_tilde(atlas, red, I, J)):
             base = nu.value_at(atlas, J, y)
             for a in kernel:
                 moved = nu.value_at(atlas, J, chart.domain.act(a, y))
                 if not _values_equal(base, moved):
-                    rep.fail("partial_equivariance", pair=(I, J), point=y, element=a)
+                    element = chart.group.elements[a]
+                    rep.fail("partial_equivariance", pair=(I, J), point=y, element=element)
                     break
     # admissibility: d_yν_J(T_yV_J) ⊆ im φ̂_IJ
     for (I, J) in nested:

@@ -24,11 +24,7 @@ from .charts_atlas import (
     AtlasModel,
     CheckReport,
     UnionFind,
-    b_composite,
     composition_table,
-    join_label,
-    kernel_labels,
-    split_label,
 )
 from .exterior_engine import RationalMatrix, rat_str, zero_sign
 from .expressions import compile_vector, eval_pred
@@ -233,10 +229,6 @@ def find_zeros(
 # ---------------------------------------------------------------------------
 
 
-def _act(atlas, I, g, x):
-    return atlas.charts[I].domain.act(g, x)
-
-
 def _nonempty_subsets(I: tuple):
     n = len(I)
     for mask in range(1, 1 << n):
@@ -246,7 +238,7 @@ def _nonempty_subsets(I: tuple):
 @dataclass
 class ZeroSetGroupoid:
     """A groupoid over the sample zero sets: objects (I, sample index),
-    morphisms (I, J, y, α) with α a Γ_I label, their endpoints, and the
+    morphisms (I, J, y, α) with α an element index of Γ_I, their endpoints, and the
     classes, each named by its smallest object.  The Hausdorff step adds
     the minimal footprint F_p of each class."""
 
@@ -299,9 +291,7 @@ def _groupoid_core(atlas, red, zsets, objects, closures, known=frozenset()) -> t
                 if F != I and (F, J) not in atlas.changes and F != J:
                     continue
                 cl_FJ = _tilde_cl(atlas, red, zsets, closures, F, J)
-                kernel = kernel_labels(
-                    atlas.charts[I].group, I, F, atlas.charts[F].group.identity
-                )
+                kernel = atlas.kernel(F, I).tolist()
                 for y in sorted(vt_IJ & cl_FJ):
                     for alpha in kernel:
                         m = (I, J, y, alpha)
@@ -309,10 +299,8 @@ def _groupoid_core(atlas, red, zsets, objects, closures, known=frozenset()) -> t
                             continue
                         seen.add(m)
                         x = y if I == J else atlas.changes[(I, J)].rho_idx[y]
-                        source = (
-                            I,
-                            _act(atlas, I, atlas.charts[I].group.inv(alpha), x),
-                        )
+                        chart = atlas.charts[I]
+                        source = (I, chart.domain.act(chart.group.inv(alpha), x))
                         if source not in obj_set:
                             continue
                         morphisms.append(m)
@@ -346,18 +334,30 @@ def complete_groupoid(
     ]
     morphisms, src, tgt = _groupoid_core(atlas, red, zsets, objects, {})
     morph_set = set(morphisms)
+
+    def named(m: tuple) -> tuple:  # for a witness
+        return (*m[:3], atlas.charts[m[0]].group.elements[m[3]])
+
     # (a) every morphism is determined by its (source, target) pair
     seen: dict = {}
     for m in morphisms:
         key = (src[m], tgt[m])
         if key in seen:
-            rep.fail("not_determined_by_endpoints", pair=key, morphisms=[seen[key], m])
+            both = [named(seen[key]), named(m)]
+            rep.fail("not_determined_by_endpoints", pair=key, morphisms=both)
         seen[key] = m
-    # (b) closure under composition
+    # (b) closure under composition: (I, J, y, γ) then (J, K, z, δ) is
+    # (I, K, z, ρ^Γ_{JI}(δ)·γ)
+    closure = CheckReport(rep.name)
     composition_table(
-        rep, "not_closed_under_composition", morphisms, src, tgt,
-        functools.partial(b_composite, atlas),
+        closure, "not_closed_under_composition", morphisms, src, tgt,
+        lambda f, g: (
+            f[0], g[1], g[2], atlas.charts[f[0]].group.mul(atlas.projection[f[:2]][g[3]], f[3])
+        ),
     )
+    for failure in closure.failures:
+        f, g = failure["pair"]
+        rep.fail(failure["clause"], pair=(named(f), named(g)), result=named(failure["result"]))
     # (c) closure under inverses for within-chart morphisms
     for m in morphisms:
         I, J, y, alpha = m
@@ -365,32 +365,28 @@ def complete_groupoid(
             continue
         inv = (I, I, src[m][1], atlas.charts[I].group.inv(alpha))
         if inv not in morph_set:
-            rep.fail("inverse_missing", morphism=m)
+            rep.fail("inverse_missing", morphism=named(m))
     # factorization: each cross-chart morphism splits both ways
     for m in morphisms:
         I, J, y, alpha = m
-        if I == J or alpha == atlas.charts[I].group.identity:
+        identity = atlas.charts[I].group.identity
+        if I == J or alpha == identity:
             continue
         x = atlas.changes[(I, J)].rho_idx[y]
         mu_a = (I, I, x, alpha)
-        mu_b = (I, J, y, atlas.charts[I].group.identity)
+        mu_b = (I, J, y, identity)
         ok_first = mu_a in morph_set and mu_b in morph_set
         # canonical lift of α into Γ_J: α on the I slots, identity elsewhere
-        gJ = atlas.charts[J].group
-        id_parts = split_label(gJ.identity, len(J))
-        a_parts = split_label(alpha, len(I))
-        lift_parts = []
-        for pos, j in enumerate(J):
-            lift_parts.append(
-                a_parts[I.index(j)] if j in I else id_parts[pos]
-            )
-        alpha_J = join_label(lift_parts)
+        lifted = atlas.projection[(I, J)] == alpha
+        for j in set(J) - set(I):
+            lifted &= atlas.projection[((j,), J)] == atlas.charts[(j,)].group.identity
+        alpha_J = int(np.flatnonzero(lifted)[0])
         mu_a2 = (J, J, y, alpha_J)
-        yprime = _act(atlas, J, gJ.inv(alpha_J), y)
-        mu_b2 = (I, J, yprime, atlas.charts[I].group.identity)
+        yprime = atlas.charts[J].domain.act(atlas.charts[J].group.inv(alpha_J), y)
+        mu_b2 = (I, J, yprime, identity)
         ok_second = mu_a2 in morph_set and mu_b2 in morph_set
         if not (ok_first and ok_second):
-            rep.fail("factorization", morphism=m)
+            rep.fail("factorization", morphism=named(m))
     classes, class_of = _classes_of(objects, ((src[m], tgt[m]) for m in morphisms))
     return ZeroSetGroupoid(
         objects=tuple(objects),
@@ -504,13 +500,7 @@ def weight_function(atlas: AtlasModel, hausdorff: ZeroSetGroupoid) -> WeightResu
             order_I = atlas.charts[I].group.order
             lam_count = Fraction(len(fiber), order_I)
             if set(F_p) <= set(I):
-                kernel = kernel_labels(
-                    atlas.charts[I].group,
-                    I,
-                    F_p,
-                    atlas.charts[F_p].group.identity,
-                )
-                lam_orbit = Fraction(len(kernel), order_I)
+                lam_orbit = Fraction(len(atlas.kernel(F_p, I)), order_I)
                 if lam_count != lam_orbit:
                     rep.fail(
                         "formulas_disagree",

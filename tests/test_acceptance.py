@@ -355,9 +355,8 @@ class TestNegative:
     def test_chart_rejects_broken_perm(self, built):
         atlas = built.atlas
         chart = atlas.charts[(2,)]
-        perms = dict(chart.domain.perms)
-        ident = perms[chart.group.identity]
-        perms["g1"] = ident  # no longer a free generator action
+        perms = chart.domain.perms.copy()
+        perms[1] = perms[chart.group.identity]  # g1 no longer acts freely
         domain = type(chart.domain)(
             points=chart.domain.points, group=chart.domain.group, perms=perms
         )

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import json
 import random
 from fractions import Fraction
@@ -31,104 +30,14 @@ from vfc.charts_atlas import (
     check_tame_and_filtration,
     composition_table,
     cyclic_group,
-    kernel_labels,
     product_group,
-    project_label,
     realize,
     trivial_group,
 )
+from vfc.examples_cli import build_toy_atlas, random_toy_atlas
 from vfc.exterior_engine import RationalMatrix
 
 F = Fraction
-
-
-# ---------------------------------------------------------------------------
-# toy-atlas builder: X with cover sets F_i, charts U_I = F_I × Γ_I
-# ---------------------------------------------------------------------------
-
-
-def build_toy_atlas(cover: dict, x_labels: list, orders: dict) -> AtlasModel:
-    """Charts U_I = F_I × Γ_I with Γ acting on the second factor, E = 0."""
-    x_labels = list(x_labels)
-    basics = {i: cyclic_group(orders.get(i, 1)) for i in cover}
-
-    def footprint(I):
-        out = set(x_labels)
-        for i in I:
-            out &= set(cover[i])
-        return sorted(out)
-
-    indices = [
-        I
-        for r in range(1, len(cover) + 1)
-        for I in itertools.combinations(sorted(cover), r)
-        if footprint(I)
-    ]
-    charts = {}
-    layouts = {}
-    for I in indices:
-        group = product_group([basics[i] for i in I])
-        labels = footprint(I)
-        pts = [(x, g) for x in labels for g in group.elements]
-        layout = {p: k for k, p in enumerate(pts)}
-        layouts[I] = layout
-        perms = {
-            d: tuple(layout[(x, group.mul(d, g))] for (x, g) in pts)
-            for d in group.elements
-        }
-        coords = tuple(
-            (F(x_labels.index(x)), F(group.elements.index(g))) for (x, g) in pts
-        )
-        domain = GroupQuotientModel(points=coords, group=group, perms=perms)
-        charts[I] = ChartModel(
-            index=I,
-            domain=domain,
-            obstruction_dim=0,
-            obstruction_action={},
-            obstruction_points=((),),
-            section_samples=((),) * len(pts),
-            footprint_map={k: x for (x, g), k in layout.items()},
-        )
-    changes = {}
-    for I in indices:
-        for J in indices:
-            if set(I) < set(J):
-                gJ = charts[J].group
-                pts_J = list(layouts[J])
-                rho = {}
-                for (x, g) in pts_J:
-                    rho[layouts[J][(x, g)]] = layouts[I][
-                        (x, project_label(g, J, I))
-                    ]
-                changes[(I, J)] = CoordinateChangeModel(
-                    source_index=I,
-                    target_index=J,
-                    tilde_indices=tuple(range(len(pts_J))),
-                    rho_idx=rho,
-                    phi_hat=RationalMatrix.zero(0, 0),
-                )
-    return AtlasModel(
-        x_labels=tuple(x_labels),
-        cover={i: frozenset(s) for i, s in cover.items()},
-        charts=charts,
-        changes=changes,
-    )
-
-
-def random_toy_atlas(seed: int) -> AtlasModel:
-    rng = random.Random(seed)
-    nx = rng.randint(4, 7)
-    x_labels = [f"x{k}" for k in range(nx)]
-    ncharts = rng.randint(2, 3)
-    cover = {}
-    for i in range(1, ncharts + 1):
-        size = rng.randint(2, nx)
-        cover[i] = set(rng.sample(x_labels, size))
-    for k, x in enumerate(x_labels):
-        if not any(x in s for s in cover.values()):
-            cover[1 + (k % ncharts)].add(x)
-    orders = {i: rng.choice([1, 2, 3]) for i in cover}
-    return build_toy_atlas(cover, x_labels, orders)
 
 
 @pytest.fixture
@@ -154,22 +63,25 @@ class TestFiniteGroup:
 
     def test_broken_table(self):
         g = cyclic_group(2)
-        table = dict(g.table)
-        table[("g1", "g1")] = "g1"  # idempotent non-identity breaks inverses
-        bad = FiniteGroup(g.elements, table, "e")
+        table = g.table.copy()
+        table[1, 1] = 1  # idempotent non-identity breaks inverses
+        bad = FiniteGroup(g.elements, table, 0)
         assert not bad.validate().ok
 
-    def test_product_and_projection(self):
+    def test_product_and_projection(self, toy2):
         p = product_group([cyclic_group(2), cyclic_group(3)])
         assert p.order == 6
-        assert p.mul("g1|g1", "g1|g2") == "e|e"
-        assert project_label("g1|g2", (1, 2), (2,)) == "g2"
-        assert project_label("g1|g2", (1, 2), (1,)) == "g1"
+        name = p.elements
+        assert name[p.mul(name.index("g1|g1"), name.index("g1|g2"))] == "e|e"
+        g1g2 = toy2.charts[(1, 2)].group.elements.index("g1|g2")
+        for I, want in (((2,), "g2"), ((1,), "g1")):
+            got = toy2.projection[(I, (1, 2))][g1g2]
+            assert toy2.charts[I].group.elements[got] == want
 
-    def test_kernel_labels(self):
-        p = product_group([cyclic_group(2), cyclic_group(3)])
-        ker = kernel_labels(p, (1, 2), (1,), "e")
-        assert sorted(ker) == ["e|e", "e|g1", "e|g2"]
+    def test_kernel_labels(self, toy2):
+        names = toy2.charts[(1, 2)].group.elements
+        ker = toy2.kernel((1,), (1, 2))
+        assert sorted(names[g] for g in ker) == ["e|e", "e|g1", "e|g2"]
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +92,7 @@ class TestFiniteGroup:
 def _z2_on_4_points():
     g = cyclic_group(2)
     pts = tuple((F(k),) for k in range(4))
-    perms = {"e": (0, 1, 2, 3), "g1": (1, 0, 3, 2)}
+    perms = [(0, 1, 2, 3), (1, 0, 3, 2)]
     return GroupQuotientModel(points=pts, group=g, perms=perms)
 
 
@@ -189,7 +101,7 @@ class TestGroupQuotient:
         m = GroupQuotientModel(
             points=((F(0),), (F(1),)),
             group=trivial_group(),
-            perms={"e": (0, 1)},
+            perms=[(0, 1)],
         )
         rep = check_group_quotient(m)
         assert rep.ok
@@ -207,16 +119,14 @@ class TestGroupQuotient:
         m = GroupQuotientModel(
             points=((F(0),), (F(1),), (F(2),)),
             group=g,
-            perms={"e": (0, 1, 2), "g1": (1, 2, 0)},  # order 3 ≠ order of g1
+            perms=[(0, 1, 2), (1, 2, 0)],  # order 3 ≠ order of g1
         )
         rep = check_group_quotient(m)
         assert any(f["clause"] == "action_law" for f in rep.failures)
 
     def test_affine_mismatch(self):
         m = _z2_on_4_points()
-        m.affine = {
-            "g1": (RationalMatrix.identity(1), (F(0),))  # identity ≠ swap
-        }
+        m.affine = [(RationalMatrix.identity(1), (F(0),))] * 2  # identity ≠ swap
         rep = check_group_quotient(m)
         assert any(f["clause"] == "affine_vs_permutation" for f in rep.failures)
 
@@ -240,7 +150,7 @@ class TestChart:
             index=chart.index,
             domain=chart.domain,
             obstruction_dim=0,
-            obstruction_action={},
+            obstruction_action=(),
             obstruction_points=chart.obstruction_points,
             section_samples=chart.section_samples,
             footprint_map=broken,
@@ -258,15 +168,15 @@ class TestChart:
         # dim-1 obstruction with a sign action; constant nonzero section
         g = cyclic_group(2)
         pts = ((F(0),), (F(1),))
-        domain = GroupQuotientModel(points=pts, group=g, perms={"e": (0, 1), "g1": (1, 0)})
+        domain = GroupQuotientModel(points=pts, group=g, perms=[(0, 1), (1, 0)])
         chart = ChartModel(
             index=(1,),
             domain=domain,
             obstruction_dim=1,
-            obstruction_action={
-                "e": RationalMatrix.identity(1),
-                "g1": RationalMatrix.from_rows([[F(-1)]]),
-            },
+            obstruction_action=[
+                RationalMatrix.identity(1),
+                RationalMatrix.from_rows([[F(-1)]]),
+            ],
             obstruction_points=((F(0),), (F(1),), (F(-1),)),
             section_samples=((F(1),), (F(1),)),  # should flip sign, doesn't
             footprint_map={},
@@ -295,10 +205,8 @@ class TestGroupCovering:
 
     def test_kernel_fixed_point(self, toy2):
         chart = toy2.charts[(1, 2)]
-        perms = dict(chart.domain.perms)
-        ident = perms[chart.group.identity]
-        for g in kernel_labels(chart.group, (1, 2), (1,), "e"):
-            perms[g] = ident
+        perms = chart.domain.perms.copy()
+        perms[toy2.kernel((1,), (1, 2))] = perms[chart.group.identity]
         domain = GroupQuotientModel(
             points=chart.domain.points, group=chart.group, perms=perms
         )
@@ -306,7 +214,7 @@ class TestGroupCovering:
             index=chart.index,
             domain=domain,
             obstruction_dim=0,
-            obstruction_action={},
+            obstruction_action=(),
             obstruction_points=chart.obstruction_points,
             section_samples=chart.section_samples,
             footprint_map=chart.footprint_map,
@@ -327,10 +235,10 @@ def _tbc_fixture(phi_entries, section_asts):
     chart_I = ChartModel(
         index=(1,),
         domain=GroupQuotientModel(
-            points=((F(0),),), group=gI, perms={"e": (0,)}
+            points=((F(0),),), group=gI, perms=[(0,)]
         ),
         obstruction_dim=1,
-        obstruction_action={"e": RationalMatrix.identity(1)},
+        obstruction_action=[RationalMatrix.identity(1)],
         obstruction_points=((F(0),), (F(1),), (F(-1),)),
         section_samples=((F(0),),),
         footprint_map={0: "p"},
@@ -341,10 +249,10 @@ def _tbc_fixture(phi_entries, section_asts):
     chart_J = ChartModel(
         index=(1, 2),
         domain=GroupQuotientModel(
-            points=((F(0), F(0)),), group=gJ, perms={"e|e": (0,)}
+            points=((F(0), F(0)),), group=gJ, perms=[(0,)]
         ),
         obstruction_dim=2,
-        obstruction_action={"e|e": RationalMatrix.identity(2)},
+        obstruction_action=[RationalMatrix.identity(2)],
         obstruction_points=(
             (F(0), F(0)),
             (F(1), F(0)),
@@ -370,7 +278,11 @@ def _tbc_fixture(phi_entries, section_asts):
     return AtlasModel(
         x_labels=("p",),
         cover={1: frozenset({"p"}), 2: frozenset({"p"})},
-        charts={(1,): chart_I, (1, 2): chart_J},
+        charts={
+            (1,): chart_I,
+            (2,): dataclasses.replace(chart_I, index=(2,)),
+            (1, 2): chart_J,
+        },
         changes={((1,), (1, 2)): change},
     )
 
@@ -517,10 +429,10 @@ class TestAtlasModel:
             domain=GroupQuotientModel(
                 points=chart.domain.points,
                 group=trivial_group(),
-                perms={"e": tuple(range(n))},
+                perms=[tuple(range(n))],
             ),
             obstruction_dim=0,
-            obstruction_action={},
+            obstruction_action=(),
             obstruction_points=((),),
             section_samples=chart.section_samples,
             footprint_map=chart.footprint_map,
@@ -619,7 +531,10 @@ def _one_object(table, identity="e"):
 def _cyclic_category(n):
     """Z_n as a category with one object; ``e`` is the identity."""
     g = cyclic_group(n)
-    return _one_object({(a, b): g.mul(a, b) for a in g.elements for b in g.elements})
+    name = g.elements
+    return _one_object({
+        (name[a], name[b]): name[g.mul(a, b)] for a in range(n) for b in range(n)
+    })
 
 
 def _functor_failures(dom, cod, fobj, fmor):
@@ -792,17 +707,26 @@ class TestCategoryClauses:
 def _label_obstruction_category(atlas):
     """E_K built on labels by the composition law (I, J, y, e, γ) then
     (J, K, z, e', δ) = (I, K, z, ρ^Γ_{JI}(δ)·e, ρ^Γ_{JI}(δ)·γ), the
-    reference for the E_K that ``build_categories`` builds."""
+    reference for the E_K that ``build_categories`` builds.  ρ^Γ_{JI} is
+    read off the element names: δ's components at the places of I in J."""
     indices = atlas.index_sets()
     grid = {I: atlas.charts[I].obstruction_point_index() for I in indices}
     eact = {
         I: {
-            g: tuple(grid[I][tuple(atlas.charts[I].act_obstruction(g, e))]
-                     for e in atlas.charts[I].obstruction_points)
-            for g in atlas.charts[I].group.elements
+            name: tuple(grid[I][tuple(atlas.charts[I].act_obstruction(g, e))]
+                        for e in atlas.charts[I].obstruction_points)
+            for g, name in enumerate(atlas.charts[I].group.elements)
         }
         for I in indices
     }
+
+    def project(label, J, I):
+        parts = label.split("|")
+        return "|".join(parts[J.index(i)] for i in I)
+
+    def mul(I, a, b):
+        name = atlas.charts[I].group.elements
+        return name[atlas.charts[I].group.mul(name.index(a), name.index(b))]
     objects = [
         (I, x, e)
         for I in indices
@@ -825,24 +749,26 @@ def _label_obstruction_category(atlas):
                 phi, tilde, rho = change.phi_hat, change.tilde_indices, change.rho_idx
             pmap = [grid[J][tuple(phi.matvec(e))] for e in chart.obstruction_points]
             for y in tilde:
-                for gamma in group.elements:
-                    inv = group.inv(gamma)
+                for c, gamma in enumerate(group.elements):
+                    inv = group.inv(c)
                     x = chart.domain.act(inv, rho[y])
                     for e in range(len(chart.obstruction_points)):
                         m = (I, J, y, e, gamma)
                         morphisms.append(m)
-                        source[m] = (I, x, eact[I][inv][e])
+                        source[m] = (I, x, eact[I][group.elements[inv]][e])
                         target[m] = (J, y, pmap[e])
 
     def law(f, g):
         I, J, _, e, gamma = f
         _, K, z, _, delta = g
-        proj = project_label(delta, J, I)
-        return (I, K, z, eact[I][proj][e], atlas.charts[I].group.mul(proj, gamma))
+        proj = project(delta, J, I)
+        return (I, K, z, eact[I][proj][e], mul(I, proj, gamma))
 
     compose = composition_table(CheckReport("E"), "c", morphisms, source, target, law)
-    identity_of = {(I, x, e): (I, I, x, e, atlas.charts[I].group.identity)
-                   for (I, x, e) in objects}
+    identity_of = {
+        (I, x, e): (I, I, x, e, atlas.charts[I].group.elements[atlas.charts[I].group.identity])
+        for (I, x, e) in objects
+    }
     return objects, morphisms, source, target, compose, identity_of
 
 
@@ -958,7 +884,7 @@ class TestSerialization:
         assert again.index_sets() == toy3.index_sets()
         for I in toy3.index_sets():
             assert again.charts[I].domain.points == toy3.charts[I].domain.points
-            assert again.charts[I].domain.perms == toy3.charts[I].domain.perms
+            assert np.array_equal(again.charts[I].domain.perms, toy3.charts[I].domain.perms)
         assert set(again.changes) == set(toy3.changes)
         # deterministic bytes
         assert json.dumps(atlas_to_json(again), sort_keys=True) == text

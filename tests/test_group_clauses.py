@@ -52,7 +52,7 @@ def _with_change(atlas, I, J, **changes):
 
 
 def _z2_on_4_points(perms=None, membership=None):
-    perms = perms or {"e": (0, 1, 2, 3), "g1": (1, 0, 3, 2)}
+    perms = perms or [(0, 1, 2, 3), (1, 0, 3, 2)]
     return GroupQuotientModel(
         points=tuple((F(k),) for k in range(4)),
         group=cyclic_group(2),
@@ -63,21 +63,21 @@ def _z2_on_4_points(perms=None, membership=None):
 
 def group_without_inverse():
     """Z_2's table with g1·g1 = g1: g1 has no inverse."""
-    table = dict(cyclic_group(2).table)
-    table[("g1", "g1")] = "g1"
+    table = cyclic_group(2).table.copy()
+    table[1, 1] = 1
     return GroupQuotientModel(
         points=((F(0),),),
-        group=FiniteGroup(("e", "g1"), table, "e"),
-        perms={"e": (0,), "g1": (0,)},
+        group=FiniteGroup(("e", "g1"), table, 0),
+        perms=[(0,), (0,)],
     )
 
 
 def identity_moves_points():
-    return _z2_on_4_points(perms={"e": (1, 0, 3, 2), "g1": (1, 0, 3, 2)})
+    return _z2_on_4_points(perms=[(1, 0, 3, 2), (1, 0, 3, 2)])
 
 
 def g1_not_a_permutation():
-    return _z2_on_4_points(perms={"e": (0, 1, 2, 3), "g1": (0, 0, 2, 3)})
+    return _z2_on_4_points(perms=[(0, 1, 2, 3), (0, 0, 2, 3)])
 
 
 def samples_outside_membership():
@@ -93,10 +93,7 @@ def _sign_chart(action, grid=((F(0),), (F(1),), (F(-1),))):
         atlas,
         (1,),
         obstruction_dim=1,
-        obstruction_action={
-            "e": RationalMatrix.from_rows([[F(action[0])]]),
-            "g1": RationalMatrix.from_rows([[F(action[1])]]),
-        },
+        obstruction_action=[RationalMatrix.from_rows([[F(a)]]) for a in action],
         obstruction_points=grid,
         section_samples=((F(0),), (F(0),)),
     )
@@ -146,11 +143,11 @@ def basic_chart_acting_trivially():
     while the stabilizers of chart (1, 2) are trivial."""
     atlas = _toy2()
     domain = atlas.charts[(1,)].domain
-    ident = domain.perms["e"]
+    ident = domain.perms[0]
     return _with_chart(
         atlas,
         (1,),
-        domain=dataclasses.replace(domain, perms={"e": ident, "g1": ident}),
+        domain=dataclasses.replace(domain, perms=[ident, ident]),
     )
 
 
@@ -158,8 +155,8 @@ def football_with_trivial_obstruction_action():
     """football-euler at density 8 with Γ_1 acting trivially on E_1: φ̂ of
     (1,) -> (1, 2) stops being equivariant at g1|e."""
     atlas = build_example(ExampleDescriptor("football-euler", {"density": 8})).atlas
-    ident = atlas.charts[(1,)].obstruction_action["e"]
-    return _with_chart(atlas, (1,), obstruction_action={"e": ident, "g1": ident})
+    ident = atlas.charts[(1,)].obstruction_action[0]
+    return _with_chart(atlas, (1,), obstruction_action=[ident, ident])
 
 
 # ---------------------------------------------------------------------------

@@ -142,14 +142,30 @@ class TestCheckReduction:
         assert "partial_isotropy_not_free" in clauses(rep)
 
 
+def _basic_chart(chart12: ChartModel, i: int) -> ChartModel:
+    """Chart (i,) with Γ_i = Z_2, the factor of Γ_12 = 1 × Z_2, on the
+    samples of ``chart12`` and with E_i = 0: the basic chart that the
+    product group of chart (1, 2) is made of."""
+    n = len(chart12.domain.points)
+    return dataclasses.replace(
+        chart12,
+        index=(i,),
+        domain=dataclasses.replace(chart12.domain, group=cyclic_group(2)),
+        obstruction_dim=0,
+        obstruction_action=(),
+        obstruction_points=((),),
+        section_samples=((),) * n,
+    )
+
+
 def _fixed_point_atlas() -> AtlasModel:
     """Γ_{(1,2)∖(1,)} = Z2 acting trivially: the kernel has a fixed point."""
     g1 = trivial_group()
     chart1 = ChartModel(
         index=(1,),
-        domain=GroupQuotientModel(points=((F(0),),), group=g1, perms={"e": (0,)}),
+        domain=GroupQuotientModel(points=((F(0),),), group=g1, perms=[(0,)]),
         obstruction_dim=0,
-        obstruction_action={},
+        obstruction_action=(),
         obstruction_points=((),),
         section_samples=((),),
         footprint_map={0: "a"},
@@ -160,10 +176,10 @@ def _fixed_point_atlas() -> AtlasModel:
         domain=GroupQuotientModel(
             points=((F(0),),),
             group=g12,
-            perms={"e|e": (0,), "e|g1": (0,)},
+            perms=[(0,), (0,)],
         ),
         obstruction_dim=0,
-        obstruction_action={},
+        obstruction_action=(),
         obstruction_points=((),),
         section_samples=((),),
         footprint_map={0: "a"},
@@ -178,7 +194,7 @@ def _fixed_point_atlas() -> AtlasModel:
     return AtlasModel(
         x_labels=("a",),
         cover={1: frozenset({"a"}), 2: frozenset({"a"})},
-        charts={(1,): chart1, (1, 2): chart12},
+        charts={(1,): chart1, (2,): _basic_chart(chart12, 2), (1, 2): chart12},
         changes={((1,), (1, 2)): change},
     )
 
@@ -292,9 +308,9 @@ def _collar_atlas(m12: int, phi_entries, tangent: bool = False) -> AtlasModel:
     g1 = trivial_group()
     chart1 = ChartModel(
         index=(1,),
-        domain=GroupQuotientModel(points=((F(0),),), group=g1, perms={"e": (0,)}),
+        domain=GroupQuotientModel(points=((F(0),),), group=g1, perms=[(0,)]),
         obstruction_dim=1,
-        obstruction_action={"e": RationalMatrix.identity(1)},
+        obstruction_action=[RationalMatrix.identity(1)],
         obstruction_points=((F(0),), (F(1),)),
         section_samples=((F(0),),),
         footprint_map={0: "a"},
@@ -306,13 +322,13 @@ def _collar_atlas(m12: int, phi_entries, tangent: bool = False) -> AtlasModel:
         domain=GroupQuotientModel(
             points=((F(0),), (F(1),)),
             group=g12,
-            perms={"e|e": (0, 1), "e|g1": (1, 0)},
+            perms=[(0, 1), (1, 0)],
         ),
         obstruction_dim=m12,
-        obstruction_action={
-            "e|e": RationalMatrix.identity(m12),
-            "e|g1": RationalMatrix.identity(m12),
-        },
+        obstruction_action=[
+            RationalMatrix.identity(m12),
+            RationalMatrix.identity(m12),
+        ],
         obstruction_points=(zero12,),
         section_samples=(zero12, zero12),
         footprint_map={0: "a", 1: "a"},
@@ -328,7 +344,7 @@ def _collar_atlas(m12: int, phi_entries, tangent: bool = False) -> AtlasModel:
     return AtlasModel(
         x_labels=("a",),
         cover={1: frozenset({"a"}), 2: frozenset({"a"})},
-        charts={(1,): chart1, (1, 2): chart12},
+        charts={(1,): chart1, (2,): _basic_chart(chart12, 2), (1, 2): chart12},
         changes={((1,), (1, 2)): change},
     )
 
@@ -406,10 +422,10 @@ def _line_atlas(extra_chart_distance=None) -> AtlasModel:
     chart = ChartModel(
         index=(1,),
         domain=GroupQuotientModel(
-            points=points, group=g, perms={"e": tuple(range(n))}
+            points=points, group=g, perms=[tuple(range(n))]
         ),
         obstruction_dim=1,
-        obstruction_action={"e": RationalMatrix.identity(1)},
+        obstruction_action=[RationalMatrix.identity(1)],
         obstruction_points=((F(0),), (F(1, 16),)),
         section_samples=tuple((F(k, 8) - F(1, 2),) for k in range(n)),
         footprint_map={4: "p"},
@@ -428,10 +444,10 @@ def _line_atlas(extra_chart_distance=None) -> AtlasModel:
         chart2 = ChartModel(
             index=(2,),
             domain=GroupQuotientModel(
-                points=((F(0),),), group=g, perms={"e": (0,)}
+                points=((F(0),),), group=g, perms=[(0,)]
             ),
             obstruction_dim=1,
-            obstruction_action={"e": RationalMatrix.identity(1)},
+            obstruction_action=[RationalMatrix.identity(1)],
             obstruction_points=((F(0),), (F(1),)),
             section_samples=((F(0),),),
             footprint_map={0: "q"},
@@ -643,10 +659,10 @@ def _rotation_chart_atlas() -> AtlasModel:
         domain=GroupQuotientModel(
             points=((F(0),), (F(1),), (F(2),)),
             group=g,
-            perms={"e": (0, 1, 2), "g1": (1, 2, 0), "g2": (2, 0, 1)},
+            perms=[(0, 1, 2), (1, 2, 0), (2, 0, 1)],
         ),
         obstruction_dim=2,
-        obstruction_action={"e": RationalMatrix.identity(2), "g1": A, "g2": A2},
+        obstruction_action=[RationalMatrix.identity(2), A, A2],
         obstruction_points=grid,
         section_samples=((F(0), F(0)),) * 3,
         footprint_map={0: "p", 1: "p", 2: "p"},

@@ -105,10 +105,10 @@ def _interval_atlas(section_asts, sample_coords, zero_samples):
         domain=GroupQuotientModel(
             points=tuple((F(c),) for c in sample_coords),
             group=g,
-            perms={"e": tuple(range(n))},
+            perms=[tuple(range(n))],
         ),
         obstruction_dim=1,
-        obstruction_action={"e": RationalMatrix.identity(1)},
+        obstruction_action=[RationalMatrix.identity(1)],
         obstruction_points=((F(0),), (F(1),)),
         section_samples=tuple((F(c),) for c in zero_samples),
         footprint_map={k: "p" for k, v in enumerate(zero_samples) if v == 0},
@@ -204,17 +204,14 @@ class TestFindZeros:
 
 def _orbifold_chart_atlas(n: int) -> AtlasModel:
     g = cyclic_group(n)
-    perms = {
-        e: tuple((k + s) % n for k in range(n))
-        for s, e in enumerate(g.elements)
-    }
+    perms = [tuple((k + s) % n for k in range(n)) for s in range(n)]
     chart = ChartModel(
         index=(1,),
         domain=GroupQuotientModel(
             points=tuple((F(k),) for k in range(n)), group=g, perms=perms
         ),
         obstruction_dim=0,
-        obstruction_action={},
+        obstruction_action=(),
         obstruction_points=((),),
         section_samples=((),) * n,
         footprint_map={k: "x" for k in range(n)},
@@ -257,15 +254,31 @@ class TestSingleChartGroupoid:
 # ---------------------------------------------------------------------------
 
 
+def _basic_chart(chart12: ChartModel, i: int) -> ChartModel:
+    """Chart (i,) with Γ_i = Z_2, the factor of Γ_12 = 1 × Z_2, on the
+    samples of ``chart12`` and with E_i = 0: the basic chart that the
+    product group of chart (1, 2) is made of."""
+    n = len(chart12.domain.points)
+    return replace(
+        chart12,
+        index=(i,),
+        domain=replace(chart12.domain, group=cyclic_group(2)),
+        obstruction_dim=0,
+        obstruction_action=(),
+        obstruction_points=((),),
+        section_samples=((),) * n,
+    )
+
+
 def _boundary_atlas(tilde: tuple, kernel_acts: bool = True) -> AtlasModel:
     """Chart (1,) with one zero; chart (1,2) with a swapped pair of zeros
     whose overlap with chart (1,) is controlled by ``tilde``."""
     g1 = trivial_group()
     chart1 = ChartModel(
         index=(1,),
-        domain=GroupQuotientModel(points=((F(0),),), group=g1, perms={"e": (0,)}),
+        domain=GroupQuotientModel(points=((F(0),),), group=g1, perms=[(0,)]),
         obstruction_dim=0,
-        obstruction_action={},
+        obstruction_action=(),
         obstruction_points=((),),
         section_samples=((),),
         footprint_map={0: "a"},
@@ -277,10 +290,10 @@ def _boundary_atlas(tilde: tuple, kernel_acts: bool = True) -> AtlasModel:
         domain=GroupQuotientModel(
             points=((F(1),), (F(2),)),
             group=g12,
-            perms={"e|e": (0, 1), "e|g1": swap},
+            perms=[(0, 1), swap],
         ),
         obstruction_dim=0,
-        obstruction_action={},
+        obstruction_action=(),
         obstruction_points=((),),
         section_samples=((), ()),
         footprint_map={0: "a", 1: "a"},
@@ -295,7 +308,7 @@ def _boundary_atlas(tilde: tuple, kernel_acts: bool = True) -> AtlasModel:
     return AtlasModel(
         x_labels=("a",),
         cover={1: frozenset({"a"}), 2: frozenset({"a"})},
-        charts={(1,): chart1, (1, 2): chart12},
+        charts={(1,): chart1, (2,): _basic_chart(chart12, 2), (1, 2): chart12},
         changes={((1,), (1, 2)): change},
     )
 
@@ -409,10 +422,10 @@ def _factorization_atlas() -> AtlasModel:
             domain=GroupQuotientModel(
                 points=tuple((F(k),) for k in range(n)),
                 group=g,
-                perms={e: (swap if "g1" in e else tuple(range(n))) for e in g.elements},
+                perms=[swap if "g1" in e else tuple(range(n)) for e in g.elements],
             ),
             obstruction_dim=0,
-            obstruction_action={},
+            obstruction_action=(),
             obstruction_points=((),),
             section_samples=((),) * n,
             footprint_map={k: "a" for k in range(n)},
@@ -433,6 +446,8 @@ def _factorization_atlas() -> AtlasModel:
         cover={i: frozenset({"a"}) for i in (1, 2, 3)},
         charts={
             (1,): chart((1,), [z1], 1),
+            (2,): chart((2,), [z2], 2),
+            (3,): chart((3,), [z1], 1),
             (1, 2): chart((1, 2), [z1, z2], 2),
             (1, 2, 3): chart((1, 2, 3), [z1, z2, z1], 2),
         },
