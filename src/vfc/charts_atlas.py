@@ -12,9 +12,9 @@ Conventions
 * Group elements are int indices.  The isotropy group of a multi-chart
   index ``I`` is the product of the basic groups, its element names
   joined by ``"|"`` in sorted index order; names are read only at the
-  JSON boundary and in witnesses.  The canonical projections ρ^Γ_{JI},
-  their kernels and the lifts Γ_I → Γ_J are int arrays computed once per
-  atlas (:attr:`AtlasModel.projection`).
+  JSON boundary and in witnesses.  The canonical projections ρ^Γ_{JI}
+  are int arrays computed once per atlas (:attr:`AtlasModel.projection`);
+  kernels and lifts are read off them.
 * Composition of morphisms is diagrammatic: ``compose(f, g)`` is defined
   when ``target(f) == source(g)`` and represents "f then g".
 """

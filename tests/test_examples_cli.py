@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from test_metric import METRIC_FAULTS, break_metric
 
 from vfc.charts_atlas import (
+    atlas_to_json,
     build_categories,
     check_atlas_model,
     check_chart,
@@ -322,6 +323,61 @@ def test_cli_check_broken_group_table_exit_one(tmp_path):
     res = CliRunner().invoke(main, ["check", str(broken)])
     assert res.exit_code == 1
     assert "FAIL" in res.output
+
+
+def _unknown_perms_key(doc):
+    perms = doc["charts"]["1,2"]["domain"]["perms"]
+    perms["zz"] = perms["e|e"]
+
+
+def _missing_perms_key(doc):
+    del doc["charts"]["1,2"]["domain"]["perms"]["g1|e"]
+
+
+def _unknown_action_key(doc):
+    action = doc["charts"]["1,2"]["obstruction_action"]
+    action["zz"] = action["e|e"]
+
+
+def _missing_action_key(doc):
+    del doc["charts"]["1,2"]["obstruction_action"]["g1|e"]
+
+
+def _renamed_element(doc):
+    """Γ_12 with g1|e renamed h: still a group, but not Γ_1 × Γ_2."""
+    text = json.dumps(doc["charts"]["1,2"]).replace('"g1|e"', '"h"')
+    doc["charts"]["1,2"] = json.loads(text)
+
+
+@pytest.mark.parametrize("doctor, message", [
+    (_unknown_perms_key, "chart 1,2: perms has an entry for 'zz'"),
+    (_missing_perms_key, "chart 1,2: perms has no entry for the element 'g1|e'"),
+    (_unknown_action_key, "chart 1,2: obstruction_action has an entry for 'zz'"),
+    (_missing_action_key, "chart 1,2: obstruction_action has no entry for the element 'g1|e'"),
+    (_renamed_element, "chart (1, 2): its group is not the product of its basic groups"),
+])
+def test_cli_check_element_keyed_data_exit_three(tmp_path, doctor, message):
+    doc = example_to_json(build_example(ExampleDescriptor("football-euler", N8)))
+    doctor(doc)
+    path = tmp_path / "doctored.json"
+    path.write_text(json.dumps(doc))
+    res = CliRunner().invoke(main, ["check", str(path)])
+    assert res.exit_code == 3, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert f"schema error: {message}" in res.output
+
+
+def test_cli_check_table_entry_outside_group_exit_one(tmp_path):
+    doc = atlas_to_json(random_toy_atlas(3))
+    doc["charts"]["1,2"]["domain"]["group"]["table"][4][2] = "zz"
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    res = CliRunner().invoke(main, ["check", str(path), "--json", str(out)])
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit)
+    failures = [f for st in json.loads(out.read_text())["stages"] for f in st["failures"]]
+    assert {"clause": "not_closed", "from": "finite_group", "pair": ["g1|e", "g1|e"]} in failures
 
 
 def test_cli_zeros_exit_zero(sphere_files, tmp_path):
