@@ -1,9 +1,10 @@
 """Golden ``--json`` reports: the CLI must reproduce them byte for byte.
 
 The files under ``tests/golden/`` are the full reports of ``vfc run`` on
-the Euler examples and of ``vfc check`` on a few toy atlas documents, two
-of them doctored so that the check fails and names group elements in its
-witnesses.  A change that alters a report byte shows here as a readable
+the Euler examples and of ``vfc check`` on a few atlas documents.  Three
+of them are doctored so that the check fails: two toy documents name
+group elements in their witnesses, and a football-euler document names
+obstruction vectors.  A change that alters a report byte shows here as a readable
 file diff.
 Regenerate them deliberately with
 
@@ -18,7 +19,13 @@ import pytest
 from click.testing import CliRunner
 
 from vfc.charts_atlas import atlas_to_json
-from vfc.examples_cli import main, random_toy_atlas
+from vfc.examples_cli import (
+    ExampleDescriptor,
+    build_example,
+    example_to_json,
+    main,
+    random_toy_atlas,
+)
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 
@@ -42,10 +49,28 @@ def _break_table(doc: dict) -> None:
     doc["charts"]["1,2"]["domain"]["group"]["table"][4][2] = "zz"
 
 
-#: failing checks of ``random_toy_atlas(3)``'s document, doctored in place
+def _drop_grid_point_and_move_sample(doc: dict) -> None:
+    """Grid point (1/2, 0) of chart (2,) is removed, so Γ_2 moves another
+    grid point off the grid; sample 0 of chart (1, 2), in Ũ of
+    (1,) -> (1, 2) with section value 0, is moved to (1/2, 0, 0, 0), so
+    the section is neither equivariant nor compatible with φ̂ there."""
+    del doc["charts"]["2"]["obstruction_points"][1]
+    doc["charts"]["1,2"]["section_samples"][0] = ["1/2", "0/1", "0/1", "0/1"]
+
+
+def _toy_3() -> dict:
+    return atlas_to_json(random_toy_atlas(3))
+
+
+def _football_n8() -> dict:
+    return example_to_json(build_example(ExampleDescriptor("football-euler", {"density": 8})))
+
+
+#: failing checks of a document, doctored in place: case -> (document, doctor)
 DOCTORED = {
-    "check-toy-3-swapped-perms": _swap_perms,
-    "check-toy-3-broken-table": _break_table,
+    "check-toy-3-swapped-perms": (_toy_3, _swap_perms),
+    "check-toy-3-broken-table": (_toy_3, _break_table),
+    "check-football-euler-n8-doctored": (_football_n8, _drop_grid_point_and_move_sample),
 }
 CASES = sorted(RUNS) + [f"check-toy-{seed}" for seed in TOY_SEEDS] + sorted(DOCTORED)
 
@@ -56,10 +81,12 @@ def report_bytes(case: str, workdir: pathlib.Path) -> bytes:
     if case in RUNS:
         args = RUNS[case]
     else:
-        seed = 3 if case in DOCTORED else int(case.rsplit("-", 1)[1])
-        data = atlas_to_json(random_toy_atlas(seed))
         if case in DOCTORED:
-            DOCTORED[case](data)
+            document, doctor = DOCTORED[case]
+            data = document()
+            doctor(data)
+        else:
+            data = atlas_to_json(random_toy_atlas(int(case.rsplit("-", 1)[1])))
         doc = workdir / f"{case}.atlas.json"
         doc.write_text(json.dumps(data))
         args = ["check", str(doc)]
