@@ -46,7 +46,7 @@ __all__ = [
     "GroupQuotientModel",
     "ChartModel",
     "CoordinateChangeModel",
-    "AtlasMetric",
+    "RationalArray",
     "AtlasModel",
     "FiniteCategory",
     "PairIndex",
@@ -301,6 +301,164 @@ def check_group_quotient(model: GroupQuotientModel) -> CheckReport:
 
 
 # ---------------------------------------------------------------------------
+# exact rational arrays
+# ---------------------------------------------------------------------------
+
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+@dataclass(frozen=True, eq=False)
+class RationalArray:
+    """Exact rationals as integers over one denominator: entry ``[i, ...]``
+    is ``num[i, ...] / den``, with ``num`` an int64 array of any shape and
+    ``den`` a positive int.
+
+    :meth:`of` (from rational sequences) and :meth:`reduced` give lowest
+    terms, where ``den`` is the lcm of the reduced denominators of the
+    entries.  Every entry and
+    ``den`` fit int64; the checks form products with :func:`_matmul` and
+    compare with :func:`_equal`, which raise ``ValueError`` where an
+    integer could leave int64.
+    """
+
+    num: np.ndarray
+    den: int
+
+    @classmethod
+    def of(cls, values, where: str, shape: tuple) -> "RationalArray":
+        """The rationals ``values``: nested sequences of numbers or
+        ``RationalMatrix`` in lowest terms, or a ``RationalArray`` as it is.
+
+        ``shape`` may hold -1 for any length; empty ``values`` take
+        ``shape`` with 0 for -1.  Raises ``ValueError`` naming ``where``
+        for another shape and for a numerator or denominator that does not
+        fit int64."""
+        if isinstance(values, RationalArray):
+            return cls(_shaped(values.num, shape, where), values.den)
+        entries = _shaped(np.array(_nested(values), dtype=object), shape, where)
+        flat = entries.ravel().tolist()
+        den = math.lcm(1, *(f.denominator for f in flat))
+        nums = [f.numerator * (den // f.denominator) for f in flat]
+        if max([den, *map(abs, nums)]) > INT64_MAX:
+            raise ValueError(f"{where}: the entries over their common denominator "
+                             f"{den} do not fit int64")
+        return cls(np.array(nums, dtype=np.int64).reshape(entries.shape), den)
+
+    @classmethod
+    def reduced(cls, num: np.ndarray, den: int) -> "RationalArray":
+        """``num / den`` with the common factor of all entries and ``den``
+        divided out."""
+        g = math.gcd(den, int(np.gcd.reduce(num, axis=None)))
+        return cls(num // g, den // g)
+
+    @property
+    def mT(self) -> "RationalArray":
+        """The transpose of the last two axes."""
+        return RationalArray(np.swapaxes(self.num, -1, -2), self.den)
+
+    def fractions(self) -> list:
+        """The entries as nested lists of ``Fraction``."""
+        return self._nest([Fraction(n, self.den) for n in self.num.ravel().tolist()])
+
+    def floats(self) -> np.ndarray:
+        """The entries as floats, each the float nearest its rational."""
+        flat = [n / self.den for n in self.num.ravel().tolist()]
+        return np.array(flat, dtype=float).reshape(self.num.shape)
+
+    def strings(self) -> list:
+        """The entries as nested lists of ``"p/q"`` in lowest terms."""
+        g = np.gcd(self.num, self.den)
+        return self._nest([
+            f"{p}/{q}"
+            for p, q in zip((self.num // g).ravel().tolist(), (self.den // g).ravel().tolist())
+        ])
+
+    def _nest(self, flat: list) -> list:
+        return np.array(flat, dtype=object).reshape(self.num.shape).tolist()
+
+    def to_json(self) -> dict:
+        """A matrix in the wire form of ``RationalMatrix.to_json``."""
+        rows, cols = self.num.shape
+        return {"rows": rows, "cols": cols, "entries": [x for r in self.strings() for x in r]}
+
+    def threshold(self, radius) -> int:
+        """The largest numerator m with m/den inside the closed ball of
+        ``radius``.  An exact radius gives ⌊radius·den⌋; a float radius
+        keeps the float test ``float(m/den) <= radius + 1e-15``, which is
+        monotone in m."""
+        if not isinstance(radius, float):
+            return math.floor(Fraction(radius) * self.den)
+        bound = radius + 1e-15
+        m = math.floor(Fraction(bound) * self.den)
+        while float(Fraction(m + 1, self.den)) <= bound:
+            m += 1
+        return m
+
+
+def _shaped(array: np.ndarray, shape: tuple, where: str) -> np.ndarray:
+    """``array`` checked against ``shape`` (-1 for any length); an empty
+    array of too few axes takes ``shape`` with 0 for -1."""
+    empty = tuple(max(n, 0) for n in shape)
+    if array.size == 0 and array.ndim != len(shape) and 0 in empty:
+        array = array.reshape(empty)
+    if array.ndim != len(shape) or any(n not in (-1, k) for n, k in zip(shape, array.shape)):
+        raise ValueError(f"{where}: not an array of shape {shape} (-1: any length)")
+    return array
+
+
+def _nested(value):
+    """Nested sequences and ``RationalMatrix`` entries as nested lists of
+    ``Fraction``."""
+    if isinstance(value, RationalMatrix):
+        value = value.entries
+    if isinstance(value, (list, tuple)):
+        return [_nested(v) for v in value]
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
+def _fits(bound: int, where: str) -> None:
+    if bound > INT64_MAX:
+        raise ValueError(f"{where}: an exact product or comparison would leave int64")
+
+
+def _largest(x: RationalArray) -> int:
+    return int(np.abs(x.num).max()) if x.num.size else 0
+
+
+def _matmul(a: RationalArray, b: RationalArray, where: str) -> RationalArray:
+    """``a @ b`` exactly (numpy broadcasting); raises ``ValueError`` naming
+    ``where`` when the shapes do not compose or an entry could leave int64."""
+    if a.num.shape[-1] != b.num.shape[-2]:
+        raise ValueError(f"{where}: shapes {a.num.shape} and {b.num.shape} do not compose")
+    _fits(max(a.num.shape[-1] * _largest(a) * _largest(b), a.den * b.den), where)
+    return RationalArray(a.num @ b.num, a.den * b.den)
+
+
+def _scaled(x: RationalArray, den: int, where: str) -> np.ndarray:
+    """The numerators of ``x`` over ``den``, a multiple of ``x.den``."""
+    if den == x.den:
+        return x.num
+    _fits(max(_largest(x) * (den // x.den), den), where)
+    return x.num * (den // x.den)
+
+
+def _equal(x: RationalArray, y: RationalArray, where: str) -> np.ndarray:
+    """Entrywise ``x == y``, exactly."""
+    den = math.lcm(x.den, y.den)
+    return _scaled(x, den, where) == _scaled(y, den, where)
+
+
+def _lookup(rows: RationalArray, table: RationalArray, where: str) -> np.ndarray:
+    """Per vector of ``rows`` (..., m) the index of the equal row of
+    ``table`` (k, m), the last if several, or -1."""
+    den = math.lcm(rows.den, table.den)
+    index = {row: i for i, row in enumerate(map(tuple, _scaled(table, den, where).tolist()))}
+    *lead, m = rows.num.shape
+    flat = _scaled(rows, den, where).reshape(math.prod(lead), m).tolist()
+    return _ints([index.get(tuple(r), -1) for r in flat]).reshape(lead)
+
+
+# ---------------------------------------------------------------------------
 # charts
 # ---------------------------------------------------------------------------
 
@@ -309,42 +467,55 @@ def check_group_quotient(model: GroupQuotientModel) -> CheckReport:
 class ChartModel:
     """A Kuranishi chart on a finite sample model.
 
-    ``section_samples`` are the declared (exact rational) values of the
-    section at every domain sample; ``section_asts`` optionally give the
-    smooth formula used for derivatives and zero finding.
-    ``footprint_map`` sends zero-sample indices to footprint labels.
-    ``obstruction_action`` holds one matrix per group element, in element
-    order; it may be empty when ``obstruction_dim`` is 0.
+    The obstruction data are :class:`RationalArray` s: ``obstruction_action``
+    (|Γ|, m, m), one matrix per group element in element order;
+    ``obstruction_points`` (k, m), the grid; ``section_samples`` (n, m),
+    the declared (exact rational) values of the section at the n domain
+    samples.  The constructor also takes rational sequences (an empty
+    action when m is 0) and converts them once; it raises ``ValueError``
+    naming the chart for a wrong shape or for data that do not fit int64.
+    ``section_asts`` optionally give the smooth formula used for
+    derivatives and zero finding.  ``footprint_map`` sends zero-sample
+    indices to footprint labels.
     """
 
     index: tuple
     domain: GroupQuotientModel
     obstruction_dim: int
-    obstruction_action: Sequence  # element -> RationalMatrix
-    obstruction_points: tuple[Vec, ...]
-    section_samples: tuple[Vec, ...]
+    obstruction_action: RationalArray
+    obstruction_points: RationalArray
+    section_samples: RationalArray
     footprint_map: dict  # zero sample index -> footprint label
     section_asts: tuple | None = None
     tangent_dims: tuple = ()
+
+    def __post_init__(self):
+        where, m = f"chart {self.index}", self.obstruction_dim
+        self.obstruction_action = RationalArray.of(
+            self.obstruction_action, f"{where}: obstruction_action",
+            (self.domain.group.order, m, m),
+        )
+        self.obstruction_points = RationalArray.of(
+            self.obstruction_points, f"{where}: obstruction_points", (-1, m)
+        )
+        self.section_samples = RationalArray.of(
+            self.section_samples, f"{where}: section_samples", (len(self.domain.points), m)
+        )
 
     @property
     def group(self) -> FiniteGroup:
         return self.domain.group
 
     def zero_sample_indices(self) -> list[int]:
-        return [
-            i
-            for i, v in enumerate(self.section_samples)
-            if all(c == 0 for c in v)
-        ]
+        return np.flatnonzero(~self.section_samples.num.any(axis=1)).tolist()
 
-    def obstruction_point_index(self) -> dict:
-        return {tuple(p): i for i, p in enumerate(self.obstruction_points)}
-
-    def act_obstruction(self, g: int, e: Vec) -> Vec:
-        if self.obstruction_dim == 0:
-            return ()
-        return tuple(self.obstruction_action[g].matvec(e))
+    @functools.cached_property
+    def grid_action(self) -> np.ndarray:
+        """Γ on grid indices: ``grid_action[γ, e]`` is the index of γ·e in
+        ``obstruction_points`` (the last, if it is there twice), or -1
+        where γ·e is no grid point."""
+        where, grid = f"chart {self.index}", self.obstruction_points
+        return _lookup(_matmul(grid, self.obstruction_action.mT, where), grid, where)
 
     def points_float(self) -> list[tuple[float, ...]]:
         return [tuple(float(c) for c in p) for p in self.domain.points]
@@ -356,31 +527,27 @@ def check_chart(atlas: "AtlasModel", I: tuple) -> CheckReport:
     rep = CheckReport(f"chart {I}")
     rep.merge(check_group_quotient(chart.domain))
     g0, names = chart.group, chart.group.elements
-    m = chart.obstruction_dim
-    if m > 0:
-        act = chart.obstruction_action
-        if act[g0.identity].entries != RationalMatrix.identity(m).entries:
+    m, where = chart.obstruction_dim, f"chart {I}"
+    act, grid, samples = chart.obstruction_action, chart.obstruction_points, chart.section_samples
+    if m > 0:  # E_I = 0 has one vector, on which all of this holds
+        if (act.num[g0.identity] != act.den * np.eye(m, dtype=np.int64)).any():
             rep.fail("obstruction_identity_action")
-        for a in range(g0.order):
-            for b in range(g0.order):
-                ab = g0.mul(a, b)
-                if ab < 0 or act[a].mul(act[b]).entries != act[ab].entries:
-                    rep.fail("obstruction_action_law", pair=(names[a], names[b]))
-                    break
-    eidx = chart.obstruction_point_index()
-    for g in range(g0.order):
-        for e in chart.obstruction_points:
-            if tuple(chart.act_obstruction(g, e)) not in eidx:
-                rep.fail("obstruction_grid_not_stable", element=names[g], vector=e)
-                break
-    # section equivariance on declared samples: s(γx) = γ·s(x)
-    for g, perm in enumerate(chart.domain.perms.tolist()):
-        for i, sval in enumerate(chart.section_samples):
-            expect = chart.act_obstruction(g, sval)
-            got = chart.section_samples[perm[i]]
-            if tuple(got) != tuple(expect):
-                rep.fail("section_not_equivariant", element=names[g], point=i)
-                break
+        # act[a]·act[b] against act[a·b], the first failing b per a
+        products = _matmul(RationalArray(act.num[:, None], act.den), act, where)
+        bad = (g0.table < 0) | ~_equal(
+            products, RationalArray(act.num[g0.table], act.den), where
+        ).all(axis=(2, 3))
+        for a in np.flatnonzero(bad.any(axis=1)).tolist():
+            rep.fail("obstruction_action_law", pair=(names[a], names[bad[a].argmax()]))
+        outside = chart.grid_action < 0
+        for g in np.flatnonzero(outside.any(axis=1)).tolist():
+            vector = tuple(grid.fractions()[outside[g].argmax()])
+            rep.fail("obstruction_grid_not_stable", element=names[g], vector=vector)
+        # section equivariance on declared samples: s(γx) = γ·s(x)
+        moved = RationalArray(samples.num[chart.domain.perms], samples.den)
+        bad = ~_equal(_matmul(samples, act.mT, where), moved, where).all(axis=2)
+        for g in np.flatnonzero(bad.any(axis=1)).tolist():
+            rep.fail("section_not_equivariant", element=names[g], point=int(bad[g].argmax()))
     # footprint map: (zero samples)/Γ_I → F_I bijection
     zeros = chart.zero_sample_indices()
     class_of = chart.domain.class_index_of()
@@ -405,9 +572,10 @@ def check_chart(atlas: "AtlasModel", I: tuple) -> CheckReport:
     # loose consistency of smooth section vs declared samples
     if chart.section_asts is not None:
         section = compile_vector(chart.section_asts, ())
+        declared = samples.floats().tolist()
         for i, p in enumerate(chart.points_float()):
             got = section(p)[0].tolist()
-            want = [float(v) for v in chart.section_samples[i]]
+            want = declared[i]
             err = max((abs(a - b) for a, b in zip(got, want)), default=0.0)
             if err > LOOSE_TOL:
                 rep.fail("section_ast_inconsistent", point=i, error=err)
@@ -427,18 +595,44 @@ class CoordinateChangeModel:
     ``tilde_indices`` enumerates the lifted domain Ũ_IJ as a subset of the
     target chart's samples; ``rho_idx`` is the sample-level covering map
     into the source chart; ``tilde_tangent_dims`` are the target tangent
-    coordinates spanning the tangent space of Ũ_IJ.
+    coordinates spanning the tangent space of Ũ_IJ.  ``phi_hat`` is a
+    (m_J, m_I) :class:`RationalArray`; the constructor also takes a
+    ``RationalMatrix`` or rational rows and converts them once.
     """
 
     source_index: tuple
     target_index: tuple
     tilde_indices: tuple
     rho_idx: dict  # target sample idx -> source sample idx
-    phi_hat: RationalMatrix
+    phi_hat: RationalArray
     rho_asts: tuple | None = None
     domain_pred: list | None = None  # on source chart coordinates (Ū_IJ lift)
     lifted_pred: list | None = None  # on target chart coordinates (Ũ_IJ)
     tilde_tangent_dims: tuple = ()
+
+    def __post_init__(self):
+        self.phi_hat = RationalArray.of(self.phi_hat, f"{self._name}: phi_hat", (-1, -1))
+
+    @property
+    def _name(self) -> str:
+        return f"coordinate change {self.source_index}->{self.target_index}"
+
+    @functools.cached_property
+    def image_annihilator(self) -> np.ndarray:
+        """An int matrix N whose kernel is im φ̂: v ∈ im φ̂ exactly when
+        N·v = 0.  Its rows are a basis of the left null space of φ̂, read
+        off the reduced row-echelon form of φ̂ᵀ and scaled to integers."""
+        m_J = self.phi_hat.num.shape[0]
+        red, pivots, _ = RationalMatrix.from_rows(self.phi_hat.mT.fractions()).rref()
+        rows = []
+        for free in sorted(set(range(m_J)) - set(pivots)):
+            v = [Fraction(0)] * m_J
+            v[free] = Fraction(1)
+            for r, p in enumerate(pivots):
+                v[p] = -red.entries[r][free]
+            scale = math.lcm(*(x.denominator for x in v))
+            rows.append([x * scale for x in v])
+        return RationalArray.of(rows, f"{self._name}: image annihilator", (-1, m_J)).num
 
 
 def check_group_covering(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckReport:
@@ -514,25 +708,26 @@ def check_coordinate_change(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckRep
                 break
     # φ̂ injective with equivariant cokernel data
     m_I, m_J = src.obstruction_dim, tgt.obstruction_dim
-    if change.phi_hat.rows != m_J or change.phi_hat.cols != m_I:
+    phi, where = change.phi_hat, change._name
+    if phi.num.shape != (m_J, m_I):
         rep.fail("phi_hat_shape")
         return rep
-    if m_I > 0 and change.phi_hat.rank() != m_I:
+    if m_I > 0 and RationalMatrix.from_rows(phi.fractions()).rank() != m_I:
         rep.fail("cokernel", reason="phi_hat not injective")
-    for g in range(len(names)):
-        if m_I == 0 or m_J == 0:
-            continue
-        lhs = tgt.obstruction_action[g].mul(change.phi_hat)
-        rhs = change.phi_hat.mul(src.obstruction_action[proj[g]])
-        if lhs.entries != rhs.entries:
-            rep.fail("phi_hat_not_equivariant", element=names[g])
-            break
+    if m_I > 0 and m_J > 0:
+        lhs = _matmul(tgt.obstruction_action, phi, where)
+        act_I = src.obstruction_action
+        rhs = _matmul(phi, RationalArray(act_I.num[proj], act_I.den), where)
+        bad = ~_equal(lhs, rhs, where).all(axis=(1, 2))
+        if bad.any():
+            rep.fail("phi_hat_not_equivariant", element=names[bad.argmax()])
     # section compatibility at samples: s_J∘φ̃ = φ̂∘s_I∘ρ (φ̃ = inclusion)
-    for y in tilde:
-        want = change.phi_hat.matvec(src.section_samples[change.rho_idx[y]])
-        if tuple(tgt.section_samples[y]) != tuple(want):
-            rep.fail("section_compatibility", point=y)
-            break
+    s_I, s_J = src.section_samples, tgt.section_samples
+    pulled = RationalArray(s_I.num[_ints([rho[y] for y in tilde])], s_I.den)
+    got = RationalArray(s_J.num[_ints(tilde)], s_J.den)
+    bad = ~_equal(_matmul(pulled, phi.mT, where), got, where).all(axis=1)
+    if bad.any():
+        rep.fail("section_compatibility", point=tilde[bad.argmax()])
     # index condition
     n_I, n_J = len(src.tangent_dims), len(tgt.tangent_dims)
     if n_J - n_I != m_J - m_I:
@@ -546,10 +741,7 @@ def check_coordinate_change(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckRep
         if m_J != m_I + len(complement):
             rep.fail("tbc_shape")
         else:
-            phi_f = np.array(
-                [[float(v) for v in row] for row in change.phi_hat.entries],
-                dtype=float,
-            ).reshape(m_J, m_I)
+            phi_f = phi.floats()
             dims = list(tgt.tangent_dims)
             section = compile_vector(tgt.section_asts, dims)
             columns = [dims.index(d) for d in complement]
@@ -583,38 +775,6 @@ def check_coordinate_change(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckRep
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AtlasMetric:
-    """The metric on intermediate keys as integers over one denominator:
-    d(keys[i], keys[j]) = num[i, j] / den exactly, with rows and columns
-    in :meth:`AtlasModel.intermediate_keys` order.  ``num`` is a symmetric
-    int64 matrix with zero diagonal; ``den`` is the lcm of the reduced
-    denominators of its entries."""
-
-    num: np.ndarray
-    den: int
-
-    @classmethod
-    def reduced(cls, num: np.ndarray, den: int) -> "AtlasMetric":
-        """``num / den`` with the common factor of all entries and ``den``
-        divided out."""
-        g = math.gcd(den, int(np.gcd.reduce(num, axis=None)))
-        return cls(num // g, den // g)
-
-    def threshold(self, radius) -> int:
-        """The largest numerator m with m/den inside the closed ball of
-        ``radius``.  An exact radius gives ⌊radius·den⌋; a float radius
-        keeps the float test ``float(m/den) <= radius + 1e-15``, which is
-        monotone in m."""
-        if not isinstance(radius, float):
-            return math.floor(Fraction(radius) * self.den)
-        bound = radius + 1e-15
-        m = math.floor(Fraction(bound) * self.den)
-        while float(Fraction(m + 1, self.den)) <= bound:
-            m += 1
-        return m
-
-
 @dataclass
 class AtlasModel:
     """An additive weak Kuranishi atlas on a finite footprint model."""
@@ -623,7 +783,7 @@ class AtlasModel:
     cover: dict  # basic index -> frozenset of x labels
     charts: dict  # tuple index -> ChartModel
     changes: dict  # (I, J) -> CoordinateChangeModel
-    metric: AtlasMetric | None = None  # on intermediate samples
+    metric: RationalArray | None = None  # on intermediate samples
 
     def index_sets(self) -> list[tuple]:
         return sorted(self.charts.keys(), key=lambda t: (len(t), t))
@@ -744,18 +904,10 @@ def check_atlas_model(atlas: AtlasModel) -> CheckReport:
                 if change is None:
                     rep.fail("missing_change", pair=((i,), I))
                 else:
-                    want = RationalMatrix.from_rows(
-                        [
-                            [
-                                Fraction(1)
-                                if (r - offset) == c and offset <= r < offset + m_i
-                                else Fraction(0)
-                                for c in range(m_i)
-                            ]
-                            for r in range(chart.obstruction_dim)
-                        ]
-                    )
-                    if change.phi_hat.entries != want.entries:
+                    want = np.zeros((chart.obstruction_dim, m_i), dtype=np.int64)
+                    want[offset:offset + m_i] = np.eye(m_i, dtype=np.int64)
+                    phi = change.phi_hat
+                    if phi.num.shape != want.shape or (phi.num != want * phi.den).any():
                         rep.fail("phi_hat_not_canonical", pair=((i,), I))
             offset += m_i
     for (I, J) in atlas.changes:
@@ -826,7 +978,7 @@ def check_cocycle(atlas: AtlasModel, strength: str = "weak") -> CheckReport:
             if z in tIK and cJK.rho_idx[z] in tIJ:
                 if cIK.rho_idx[z] != cIJ.rho_idx[cJK.rho_idx[z]]:
                     rep.fail("weak_overlap", triple=(I, J, K), point=z)
-        if cJK.phi_hat.mul(cIJ.phi_hat).entries != cIK.phi_hat.entries:
+        if not _composes(cJK.phi_hat, cIJ.phi_hat, cIK.phi_hat, f"cocycle {I}->{J}->{K}"):
             rep.fail("phi_hat_composition", triple=(I, J, K))
         if strength in {"cocycle", "strong"}:
             u_IJ = _ubar_classes(atlas, I, J)
@@ -841,9 +993,18 @@ def check_cocycle(atlas: AtlasModel, strength: str = "weak") -> CheckReport:
     return rep
 
 
-def _phi_hat_of(atlas: AtlasModel, I: tuple, J: tuple) -> RationalMatrix:
+def _composes(after: RationalArray, before: RationalArray, whole: RationalArray,
+              where: str) -> bool:
+    """``after @ before == whole``, shapes included."""
+    (rows, inner), (inner2, cols) = after.num.shape, before.num.shape
+    if inner != inner2 or (rows, cols) != whole.num.shape:
+        return False
+    return bool(_equal(_matmul(after, before, where), whole, where).all())
+
+
+def _phi_hat_of(atlas: AtlasModel, I: tuple, J: tuple) -> RationalArray:
     if I == J:
-        return RationalMatrix.identity(atlas.charts[I].obstruction_dim)
+        return RationalArray(np.eye(atlas.charts[I].obstruction_dim, dtype=np.int64), 1)
     return atlas.changes[(I, J)].phi_hat
 
 
@@ -874,6 +1035,7 @@ def check_tame_and_filtration(atlas: AtlasModel) -> CheckReport:
                 if lhs != rhs:
                     rep.fail("domain_intersection", indices=(I, J, K))
     # pushforward identity: φ̲_IJ(Ū_IK) = Ū_JK ∩ s̲_J⁻¹(im φ̂_IJ)
+    in_image: dict = {}  # (I, J) -> per sample of chart J: s_J ∈ im φ̂_IJ
     for I in indices:
         for J in indices:
             if not set(I) <= set(J):
@@ -888,40 +1050,48 @@ def check_tame_and_filtration(atlas: AtlasModel) -> CheckReport:
                     continue
                 lhs = {phibar[c] for c in u_IK}
                 chart_J = atlas.charts[J]
-                phi = _phi_hat_of(atlas, I, J)
+                if (I, J) not in in_image:
+                    samples = chart_J.section_samples
+                    if I == J or chart_J.obstruction_dim == 0:
+                        in_image[(I, J)] = np.ones(len(samples.num), dtype=bool)
+                    else:
+                        change = atlas.changes[(I, J)]
+                        N = RationalArray(change.image_annihilator, 1)
+                        hit = _matmul(N, samples.mT, change._name).num
+                        in_image[(I, J)] = ~hit.any(axis=0)
                 cls_J = chart_J.domain.class_index_of()
                 rep_point: dict = {}
                 for idx, c in cls_J.items():
                     rep_point.setdefault(c, idx)
-                rhs = set()
-                for c in _ubar_classes(atlas, J, K):
-                    sval = chart_J.section_samples[rep_point[c]]
-                    if chart_J.obstruction_dim == 0 or phi.solve(sval) is not None:
-                        rhs.add(c)
+                rhs = {
+                    c for c in _ubar_classes(atlas, J, K) if in_image[(I, J)][rep_point[c]]
+                }
                 if lhs != rhs:
                     rep.fail("pushforward_identity", indices=(I, J, K))
     # filtration: φ̂-images of the obstruction grids intersect additively
     for J in indices:
         chart_J = atlas.charts[J]
-        if chart_J.obstruction_dim == 0:
+        m_J = chart_J.obstruction_dim
+        if m_J == 0:
             continue
-        subs = [I for I in indices if set(I) <= set(J)] + [()]
-
-        def image(I: tuple) -> frozenset:
-            if I == ():
-                return frozenset({(Fraction(0),) * chart_J.obstruction_dim})
-            phi = _phi_hat_of(atlas, I, J)
-            return frozenset(
-                tuple(phi.matvec(e)) for e in atlas.charts[I].obstruction_points
-            )
-
+        subs = [I for I in indices if set(I) <= set(J)]
+        where = f"chart {J}"
+        images = {(): RationalArray(np.zeros((1, m_J), dtype=np.int64), 1)}
         for I in subs:
-            for H in subs:
+            phi = _phi_hat_of(atlas, I, J)
+            images[I] = _matmul(atlas.charts[I].obstruction_points, phi.mT, where)
+        den = math.lcm(*(v.den for v in images.values()))
+        image = {
+            I: frozenset(map(tuple, _scaled(v, den, where).tolist()))
+            for I, v in images.items()
+        }
+        for I in subs + [()]:
+            for H in subs + [()]:
                 meet = tuple(sorted(set(I) & set(H)))
                 if meet != () and meet not in declared:
                     rep.fail("filtration_index_missing", indices=(I, H, J))
                     continue
-                if image(I) & image(H) != image(meet):
+                if image[I] & image[H] != image[meet]:
                     rep.fail("filtration_intersection", indices=(I, H, J))
     return rep
 
@@ -1373,24 +1543,25 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
     )
 
     # ----- E_K -----
-    egrid_index = {I: atlas.charts[I].obstruction_point_index() for I in indices}
-    n_e = [len(atlas.charts[I].obstruction_points) for I in indices]
+    charts = [atlas.charts[I] for I in indices]
+    grids = [chart.obstruction_points for chart in charts]
+    n_e = [len(grid.num) for grid in grids]
     # Γ_I on grid indices: eact[i][γ, e]
-    eact = [
-        [[egrid_index[I][tuple(atlas.charts[I].act_obstruction(g, e))]
-          for e in atlas.charts[I].obstruction_points] for g in range(order)]
-        for I, order in zip(indices, orders)
-    ]
+    eact = [chart.grid_action for chart in charts]
+    for I, table in zip(indices, eact):
+        if (table < 0).any():
+            raise ValueError(f"chart {I}: the obstruction grid is not Γ-stable")
     # φ̂ on grid indices
+    position = {I: i for i, I in enumerate(indices)}
     phi_idx = []
     for (I, J, _, _) in blocks:
-        grid, phi = atlas.charts[I].obstruction_points, _phi_hat_of(atlas, I, J)
-        images = [egrid_index[J].get(tuple(phi.matvec(e))) for e in grid]
-        if None in images:
-            vector = grid[images.index(None)]
+        grid, name = grids[position[I]], f"coordinate change {I}->{J}"
+        image = _matmul(grid, _phi_hat_of(atlas, I, J).mT, name)
+        phi_idx.append(_lookup(image, grids[position[J]], name))
+        if (phi_idx[-1] < 0).any():
+            vector = tuple(grid.fractions()[(phi_idx[-1] < 0).argmax()])
             rep.fail("obstruction_grid_not_phi_closed", pair=(I, J), vector=vector)
-        phi_idx.append(images)
-    grids_closed = not any(None in images for images in phi_idx)
+    grids_closed = all((images >= 0).all() for images in phi_idx)
     obj_ne = np.repeat(_ints(n_e), n_points)
     mor_ne = _ints(n_e)[b_I]
     eo_base, e_base = _offsets(obj_ne), _offsets(mor_ne)
@@ -1409,19 +1580,22 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
 
     # ----- functors -----
     s_idx = {
-        I: [egrid_index[I].get(tuple(v)) for v in atlas.charts[I].section_samples]
-        for I in indices
+        I: _lookup(chart.section_samples, grid, f"chart {I}")
+        for I, chart, grid in zip(indices, charts, grids)
     }
-    for I, vals in s_idx.items():
-        if None in vals:
-            value = atlas.charts[I].section_samples[vals.index(None)]
+    for I, chart in zip(indices, charts):
+        if (s_idx[I] < 0).any():
+            value = tuple(chart.section_samples.fractions()[(s_idx[I] < 0).argmax()])
             rep.fail("section_value_outside_grid", index=I, value=value)
-    s_ok = not any(None in vals for vals in s_idx.values())
+    s_ok = all((vals >= 0).all() for vals in s_idx.values())
     zero_idx = {
-        I: egrid_index[I].get((Fraction(0),) * atlas.charts[I].obstruction_dim)
-        for I in indices
+        I: int(_lookup(
+            RationalArray(np.zeros((1, chart.obstruction_dim), dtype=np.int64), 1),
+            grid, f"chart {I}",
+        )[0])
+        for I, chart, grid in zip(indices, charts, grids)
     }
-    if any(v is None for v in zero_idx.values()):
+    if any(v < 0 for v in zero_idx.values()):
         rep.fail("zero_vector_outside_grid")
         s_ok = False
     functors = {}
@@ -1737,15 +1911,16 @@ def _quotient_from_json(d: dict, where: str) -> GroupQuotientModel:
 
 
 def _chart_to_json(c: ChartModel) -> dict:
+    act = c.obstruction_action
     out = {
         "index": list(c.index),
         "domain": _quotient_to_json(c.domain),
         "obstruction_dim": c.obstruction_dim,
-        "obstruction_action": dict(
-            zip(c.group.elements, [m.to_json() for m in c.obstruction_action])
-        ),
-        "obstruction_points": [_vec_to_json(p) for p in c.obstruction_points],
-        "section_samples": [_vec_to_json(v) for v in c.section_samples],
+        "obstruction_action": {} if c.obstruction_dim == 0 else dict(zip(
+            c.group.elements, [RationalArray(a, act.den).to_json() for a in act.num]
+        )),
+        "obstruction_points": c.obstruction_points.strings(),
+        "section_samples": c.section_samples.strings(),
         "footprint_map": {str(i): lab for i, lab in c.footprint_map.items()},
         "tangent_dims": list(c.tangent_dims),
     }
@@ -1820,19 +1995,15 @@ def _metric_to_json(atlas: AtlasModel) -> list:
     rows, cols = np.triu_indices(len(keys), 1)
     a = np.asarray(order, dtype=np.int64)[rows]
     b = np.asarray(order, dtype=np.int64)[cols]
-    nums = metric.num[a, b]
-    g = np.gcd(nums, metric.den)
+    values = RationalArray(metric.num[a, b], metric.den).strings()
     json_keys = [_metric_key_to_json(k) for k in keys]
     return [
-        json_keys[i] + json_keys[j] + [f"{p}/{q}"]
-        for i, j, p, q in zip(
-            a.tolist(), b.tolist(), (nums // g).tolist(),
-            (metric.den // g).tolist(),
-        )
+        json_keys[i] + json_keys[j] + [value]
+        for i, j, value in zip(a.tolist(), b.tolist(), values)
     ]
 
 
-def _metric_from_json(entries: list, keys: list) -> AtlasMetric:
+def _metric_from_json(entries: list, keys: list) -> RationalArray:
     """The metric of ``vfc-atlas/1`` entries over ``keys`` (the atlas's
     intermediate keys).  Each unordered pair of distinct keys must appear,
     in either order; a repeated pair must repeat its value; a diagonal
@@ -1869,14 +2040,14 @@ def _metric_from_json(entries: list, keys: list) -> AtlasMetric:
                 raise ValueError(f"metric entry missing for the pair {pair}")
     den = math.lcm(1, *(d.denominator for d in values.values()))
     nums = [d.numerator * (den // d.denominator) for d in values.values()]
-    if max([den, *nums]) > np.iinfo(np.int64).max:
+    if max([den, *nums]) > INT64_MAX:
         raise ValueError(f"metric denominator {den} does not fit int64 numerators")
     num = np.zeros((n, n), dtype=np.int64)
     if values:
         rows, cols = np.array(list(values), dtype=np.int64).T
         num[rows, cols] = nums
         num[cols, rows] = nums
-    return AtlasMetric(num, den)
+    return RationalArray(num, den)
 
 
 def atlas_to_json(atlas: AtlasModel) -> dict:

@@ -39,12 +39,12 @@ import click
 import numpy as np
 
 from .charts_atlas import (
-    AtlasMetric,
     AtlasModel,
     ChartModel,
     CoordinateChangeModel,
     FiniteGroup,
     GroupQuotientModel,
+    RationalArray,
     atlas_from_json,
     atlas_to_json,
     build_categories,
@@ -373,7 +373,7 @@ class _Pole:
         return (RING_T[g], F((self.orient * j) % self.N, self.N))
 
 
-def _band_circle_metric(positions: list) -> AtlasMetric:
+def _band_circle_metric(positions: list) -> RationalArray:
     """The sup metric on (band, circle) positions: the larger of |Δband|
     and the distance on the unit circle, which is 0 against a centre
     (circle coordinate ``None``).  Positions come in intermediate-key
@@ -391,7 +391,7 @@ def _band_circle_metric(positions: list) -> AtlasMetric:
     dt = np.minimum(dt, den - dt)
     dt[~(on_circle[:, None] & on_circle[None, :])] = 0
     num = np.maximum(np.abs(band[:, None] - band[None, :]), dt)
-    return AtlasMetric.reduced(num, den)
+    return RationalArray.reduced(num, den)
 
 
 def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:

@@ -6,7 +6,7 @@ module provides:
 
 * :func:`parse_rat` / :func:`rat_str` -- the ``"p/q"`` wire format;
 * :class:`RationalMatrix` -- immutable exact matrices with elimination,
-  rank, determinant and exact solves;
+  rank and determinant;
 * :func:`zero_sign` -- the orientation sign of a transverse zero.
 """
 
@@ -114,13 +114,6 @@ class RationalMatrix:
             (self.matvec(c) for c in other.columns()), rows=self.rows
         )
 
-    def hstack(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.rows != other.rows:
-            raise ExteriorError("hstack dimension mismatch")
-        return RationalMatrix(
-            tuple(self.entries[i] + other.entries[i] for i in range(self.rows))
-        )
-
     # -- elimination -------------------------------------------------------
 
     def rref(self) -> tuple["RationalMatrix", tuple[int, ...], Fraction]:
@@ -168,20 +161,6 @@ class RationalMatrix:
             return Fraction(0)
         # red = T @ self is the identity, so det(self) = 1/det(T).
         return 1 / t
-
-    def solve(self, b: Sequence) -> Vec | None:
-        """One exact solution of ``self @ x = b``, or None if inconsistent."""
-        b = _as_vec(b)
-        if len(b) != self.rows:
-            raise ExteriorError("solve: right-hand side has wrong length")
-        aug = self.hstack(RationalMatrix.from_cols([b]))
-        red, pivots, _ = aug.rref()
-        if self.cols in pivots:
-            return None
-        x = [Fraction(0)] * self.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = red.entries[r][self.cols]
-        return tuple(x)
 
     def to_json(self) -> dict:
         return {

@@ -8,12 +8,13 @@ data ν_I on V_I, as declared exact sample values and/or smooth ASTs.
 Metric conventions: the atlas metric lives on intermediate keys
 ``(I, class_index)``; a "hat" ball in chart J is the preimage of the
 metric ball at quotient level (hence automatically Γ_J-invariant).
-Balls read the integer matrix of :class:`AtlasMetric` against one
-threshold per radius (:meth:`AtlasMetric.threshold`).
+Balls read the integer matrix of the metric, a :class:`RationalArray`,
+against one threshold per radius (:meth:`RationalArray.threshold`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -25,8 +26,12 @@ from .charts_atlas import (
     AtlasModel,
     CheckReport,
     FiniteCategory,
+    RationalArray,
     _index_from_key,
+    _equal,
     _index_key,
+    _matmul,
+    _scaled,
     check_category,
     composition_table,
     realize_intermediate,
@@ -110,40 +115,64 @@ class Perturbation:
 class EquivariantNorms:
     """Per-basic-chart norms: max of coordinates after a declared
     Γ_i-invariant rational linear change; product charts take the max over
-    the summands."""
+    the summands.  ``maps`` holds the changes as (rows, m_i)
+    :class:`RationalArray` s; the constructor also takes ``RationalMatrix``
+    values and converts them once."""
 
-    maps: dict  # basic index -> RationalMatrix
+    maps: dict  # basic index -> RationalArray
 
-    def norm_basic(self, i: int, e: Sequence) -> Fraction | float:
-        T = self.maps[i]
-        if T.cols == 0:
-            return Fraction(0)
-        vals = T.matvec([Fraction(c) for c in e]) if all(
-            isinstance(c, (int, Fraction)) for c in e
-        ) else None
-        if vals is not None:
-            return max((abs(v) for v in vals), default=Fraction(0))
-        rows = [[float(v) for v in row] for row in T.entries]
-        return max(
-            (abs(sum(r[k] * float(e[k]) for k in range(len(e)))) for r in rows),
-            default=0.0,
-        )
+    def __post_init__(self):
+        self.maps = {
+            i: RationalArray.of(T, f"norm of chart {i}", (-1, -1)) for i, T in self.maps.items()
+        }
 
-    def norm(self, atlas: AtlasModel, I: tuple, e: Sequence):
-        """Norm on E_I = ⊕_{i∈I} E_i (max over blocks)."""
-        out = Fraction(0)
+    def _blocks(self, atlas: AtlasModel, I: tuple):
+        """(i, start, end) of each summand E_i of E_I = ⊕_{i∈I} E_i."""
         offset = 0
         for i in I:
             if (i,) in atlas.charts:
                 m_i = atlas.charts[(i,)].obstruction_dim
             elif i in self.maps:
-                m_i = self.maps[i].cols
+                m_i = self.maps[i].num.shape[1]
             else:
                 m_i = 0
-            block = list(e[offset : offset + m_i])
-            val = self.norm_basic(i, block) if m_i else Fraction(0)
-            out = val if val > out else out
+            yield i, offset, offset + m_i
             offset += m_i
+
+    def norms(self, atlas: AtlasModel, I: tuple, values: RationalArray) -> RationalArray:
+        """The norm of each vector of ``values`` (..., dim E_I), exactly."""
+        where = f"norm on chart {I}"
+        parts = [
+            _matmul(RationalArray(values.num[..., lo:hi], values.den), self.maps[i].mT, where)
+            for i, lo, hi in self._blocks(atlas, I)
+            if hi > lo
+        ]
+        den = math.lcm(1, *(p.den for p in parts))
+        out = np.zeros(values.num.shape[:-1], dtype=np.int64)
+        for p in parts:
+            out = np.maximum(out, np.abs(_scaled(p, den, where)).max(axis=-1, initial=0))
+        return RationalArray(out, den)
+
+    def norm(self, atlas: AtlasModel, I: tuple, e: Sequence):
+        """Norm of one value on E_I (max over blocks), exact for rationals."""
+        out = Fraction(0)
+        for i, lo, hi in self._blocks(atlas, I):
+            if hi == lo or self.maps[i].num.shape[1] == 0:
+                continue
+            T, block = self.maps[i], e[lo:hi]
+            if all(isinstance(c, (int, Fraction)) for c in block):
+                rows = T.num.tolist()
+                val = Fraction(
+                    max((abs(sum(t * c for t, c in zip(r, block))) for r in rows), default=0),
+                    T.den,
+                )
+            else:
+                rows = T.floats().tolist()
+                val = max(
+                    (abs(sum(r[k] * float(block[k]) for k in range(len(block)))) for r in rows),
+                    default=0.0,
+                )
+            out = val if val > out else out
         return out
 
     def validate(self, atlas: AtlasModel) -> CheckReport:
@@ -153,17 +182,18 @@ class EquivariantNorms:
             if chart is None:
                 rep.fail("norm_for_unknown_chart", index=i)
                 continue
-            if T.cols != chart.obstruction_dim:
+            if T.num.shape[1] != chart.obstruction_dim:
                 rep.fail("norm_shape", index=i)
                 continue
-            if chart.obstruction_dim and T.rank() != chart.obstruction_dim:
+            rank = RationalMatrix.from_rows(T.fractions()).rank()
+            if chart.obstruction_dim and rank != chart.obstruction_dim:
                 rep.fail("norm_degenerate", index=i)
-            for g, name in enumerate(chart.group.elements):
-                for e in chart.obstruction_points:
-                    moved = chart.act_obstruction(g, e)
-                    if self.norm_basic(i, moved) != self.norm_basic(i, e):
-                        rep.fail("norm_not_invariant", index=i, element=name)
-                        break
+            # the norm at γ·e against the norm at e, for every grid point e
+            grid, where = chart.obstruction_points, f"chart {(i,)}"
+            moved = _matmul(grid, chart.obstruction_action.mT, where)
+            bad = ~_equal(self.norms(atlas, (i,), moved), self.norms(atlas, (i,), grid), where)
+            for g in np.flatnonzero(bad.any(axis=1)).tolist():
+                rep.fail("norm_not_invariant", index=i, element=chart.group.elements[g])
         return rep
 
 
@@ -380,13 +410,14 @@ def build_pruned_category(atlas: AtlasModel, red: Reduction) -> PrunedResult:
 # ---------------------------------------------------------------------------
 
 
-def _phi_apply(phi: RationalMatrix, v):
+def _phi_apply(phi: RationalArray, v):
     """Apply φ̂ to an obstruction value, exactly when rational."""
     if all(isinstance(c, (int, Fraction)) for c in v):
-        return tuple(phi.matvec(list(v)))
+        return tuple(
+            Fraction(sum(a * c for a, c in zip(row, v)), phi.den) for row in phi.num.tolist()
+        )
     return tuple(
-        sum(float(phi.entries[r][c]) * float(v[c]) for c in range(phi.cols))
-        for r in range(phi.rows)
+        sum(a * float(c) for a, c in zip(row, v)) for row in phi.floats().tolist()
     )
 
 
@@ -450,14 +481,11 @@ def check_perturbation(
         asts = nu.asts.get(J)
         if asts is None or not chart.tangent_dims or chart.obstruction_dim == 0:
             continue
-        phi = atlas.changes[(I, J)].phi_hat
-        phi_f = np.array(
-            [[float(v) for v in row] for row in phi.entries], dtype=float
-        ).reshape(phi.rows, phi.cols)
+        phi_f = atlas.changes[(I, J)].phi_hat.floats()
         nu_J = compile_vector(asts, chart.tangent_dims)
         for y in sorted(v_tilde(atlas, red, I, J)):
             _, jac = nu_J(chart.domain.points[y])
-            if phi.cols == 0:
+            if phi_f.shape[1] == 0:
                 resid = float(np.max(np.abs(jac))) if jac.size else 0.0
             else:
                 sol, res, _, _ = np.linalg.lstsq(phi_f, jac, rcond=None)
@@ -655,13 +683,14 @@ def compute_adaptedness_constants(
             excluded |= _hat_ball(
                 atlas, J, frozenset(nset), eta[kJ - Fraction(1, 2)]
             )
-        complement = domain - excluded
-        chart = atlas.charts[J]
-        for x in sorted(complement):
-            val = norms.norm(atlas, J, chart.section_samples[x])
+        complement = sorted(domain - excluded)
+        if complement:
+            values = norms.norms(atlas, J, atlas.charts[J].section_samples)
+            least = int(values.num[complement].argmin())
+            val = Fraction(int(values.num[complement[least]]), values.den)
             if sigma is None or val < sigma:
                 sigma = val
-                witness = (J, x)
+                witness = (J, complement[least])
     return AdaptednessConstants(
         delta_V=delta_V,
         delta=delta,
@@ -722,7 +751,7 @@ def check_adapted(
             for H in indices:
                 if not set(H) < set(I) or (H, I) not in atlas.changes:
                     continue
-                phi = atlas.changes[(H, I)].phi_hat
+                annihilator = atlas.changes[(H, I)].image_annihilator.tolist()
                 nset = constants.n_k.get((I, H, kk), frozenset())
                 ball = _hat_ball(
                     atlas, I, nset, constants.eta[kk]
@@ -734,12 +763,10 @@ def check_adapted(
                         break
                     if chart.obstruction_dim == 0:
                         continue
-                    if all(isinstance(c, (int, Fraction)) for c in val):
-                        ok = phi.cols == 0 and all(c == 0 for c in val) or (
-                            phi.cols > 0 and phi.solve(list(val)) is not None
-                        )
-                    else:
-                        ok = False
+                    # val ∈ im φ̂ exactly when the annihilator sends it to 0
+                    ok = all(isinstance(c, (int, Fraction)) for c in val) and not any(
+                        sum(a * c for a, c in zip(row, val)) for row in annihilator
+                    )
                     if not ok:
                         rep.fail("c_strong_admissibility", pair=(H, I), point=y, level=k)
                         break

@@ -1,6 +1,8 @@
 import dataclasses
+import inspect
 import json
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -36,6 +38,7 @@ from vfc.charts_atlas import (
 )
 from vfc.examples_cli import build_toy_atlas, random_toy_atlas
 from vfc.exterior_engine import RationalMatrix
+from vfc.reduction_perturb import EquivariantNorms
 
 F = Fraction
 
@@ -186,6 +189,50 @@ class TestChart:
         )
         rep = check_chart(atlas, (1,))
         assert any(f["clause"] == "section_not_equivariant" for f in rep.failures)
+
+
+def _z3_in_basis_p(samples):
+    """Z_3 acting on E = R² by B = P·[[0, −1], [1, −1]]·P⁻¹ = [[0, −1/2],
+    [2, −1]] with P = diag(1, 2), freely on three points; its grid is the
+    orbit of ±(1, 0) and 0, and ``samples`` are the section values."""
+    B = RationalMatrix.from_rows([[F(0), F(-1, 2)], [F(2), F(-1)]])
+    g = cyclic_group(3)
+    domain = GroupQuotientModel(
+        points=((F(0),), (F(1),), (F(2),)), group=g, perms=[(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+    )
+    grid = [(F(0), F(0))] + [
+        (s * a, s * b) for a, b in ((1, 0), (0, 2), (-1, -2)) for s in (1, -1)
+    ]
+    chart = ChartModel(
+        index=(1,),
+        domain=domain,
+        obstruction_dim=2,
+        obstruction_action=[RationalMatrix.identity(2), B, B.mul(B)],
+        obstruction_points=grid,
+        section_samples=samples,
+        footprint_map={},
+    )
+    return AtlasModel(x_labels=(), cover={1: frozenset()}, charts={(1,): chart}, changes={})
+
+
+def _orbit_in_basis_p():
+    """s(x_k) = B^k·w for w = (1/3, 1/2): an equivariant section."""
+    return [(F(1, 3), F(1, 2)), (F(-1, 4), F(1, 6)), (F(-1, 12), F(-2, 3))]
+
+
+class TestNonIntegralAction:
+    def test_chart_passes_in_basis_p(self):
+        atlas = _z3_in_basis_p(_orbit_in_basis_p())
+        assert atlas.charts[(1,)].obstruction_action.den == 2
+        assert check_chart(atlas, (1,)).ok
+
+    def test_moved_sample_not_equivariant(self):
+        samples = _orbit_in_basis_p()
+        samples[1] = (F(-1, 4), F(1, 5))
+        rep = check_chart(_z3_in_basis_p(samples), (1,))
+        assert rep.failures[0] == {
+            "clause": "section_not_equivariant", "element": "g1", "point": 0
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +446,23 @@ class TestTameAndFiltration:
         )
         rep = check_tame_and_filtration(shadow)
         assert not rep.ok
+
+
+class TestImageAnnihilator:
+    @pytest.mark.parametrize("phi, inside, outside", [
+        ([[F(1), F(0)], [F(0), F(1)], [F(0), F(0)], [F(0), F(0)]],
+         (F(1, 2), F(-3), F(0), F(0)), (F(0), F(0), F(1, 7), F(0))),
+        ([[F(1)], [F(2)]], (F(-1, 3), F(-2, 3)), (F(1), F(1))),
+        ([[], []], (F(0), F(0)), (F(0), F(1, 2))),
+    ])
+    def test_kernel_is_the_image(self, phi, inside, outside):
+        change = CoordinateChangeModel((1,), (1, 2), (), {}, RationalMatrix.from_rows(phi))
+        N = change.image_annihilator
+        assert N.dtype == np.int64
+        assert len(N) == len(phi) - RationalMatrix.from_rows(phi).rank()
+        assert not (N @ change.phi_hat.num).any()
+        assert not any(sum(a * c for a, c in zip(row, inside)) for row in N.tolist())
+        assert any(sum(a * c for a, c in zip(row, outside)) for row in N.tolist())
 
 
 class TestAtlasModel:
@@ -704,18 +768,28 @@ class TestCategoryClauses:
         ]
 
 
+def _apply(matrix, e):
+    """The rational matrix ``matrix`` (a list of rows) applied to ``e``."""
+    return tuple(sum((a * c for a, c in zip(row, e)), F(0)) for row in matrix)
+
+
 def _label_obstruction_category(atlas):
     """E_K built on labels by the composition law (I, J, y, e, γ) then
     (J, K, z, e', δ) = (I, K, z, ρ^Γ_{JI}(δ)·e, ρ^Γ_{JI}(δ)·γ), the
     reference for the E_K that ``build_categories`` builds.  ρ^Γ_{JI} is
     read off the element names: δ's components at the places of I in J."""
     indices = atlas.index_sets()
-    grid = {I: atlas.charts[I].obstruction_point_index() for I in indices}
+    points = {
+        I: [tuple(e) for e in atlas.charts[I].obstruction_points.fractions()] for I in indices
+    }
+    grid = {I: {e: k for k, e in enumerate(points[I])} for I in indices}
     eact = {
         I: {
-            name: tuple(grid[I][tuple(atlas.charts[I].act_obstruction(g, e))]
-                        for e in atlas.charts[I].obstruction_points)
-            for g, name in enumerate(atlas.charts[I].group.elements)
+            name: tuple(grid[I][_apply(matrix, e)] for e in points[I])
+            for name, matrix in zip(
+                atlas.charts[I].group.elements,
+                atlas.charts[I].obstruction_action.fractions(),
+            )
         }
         for I in indices
     }
@@ -731,7 +805,7 @@ def _label_obstruction_category(atlas):
         (I, x, e)
         for I in indices
         for x in range(len(atlas.charts[I].domain.points))
-        for e in range(len(atlas.charts[I].obstruction_points))
+        for e in range(len(points[I]))
     ]
     morphisms, source, target = [], {}, {}
     for I in indices:
@@ -741,18 +815,20 @@ def _label_obstruction_category(atlas):
             chart = atlas.charts[I]
             group = chart.group
             if I == J:
-                phi = RationalMatrix.identity(chart.obstruction_dim)
+                m = chart.obstruction_dim
+                phi = [[F(int(r == c)) for c in range(m)] for r in range(m)]
                 tilde = range(len(chart.domain.points))
                 rho = {y: y for y in tilde}
             else:
                 change = atlas.changes[(I, J)]
-                phi, tilde, rho = change.phi_hat, change.tilde_indices, change.rho_idx
-            pmap = [grid[J][tuple(phi.matvec(e))] for e in chart.obstruction_points]
+                phi = change.phi_hat.fractions()
+                tilde, rho = change.tilde_indices, change.rho_idx
+            pmap = [grid[J][_apply(phi, e)] for e in points[I]]
             for y in tilde:
                 for c, gamma in enumerate(group.elements):
                     inv = group.inv(c)
                     x = chart.domain.act(inv, rho[y])
-                    for e in range(len(chart.obstruction_points)):
+                    for e in range(len(points[I])):
                         m = (I, J, y, e, gamma)
                         morphisms.append(m)
                         source[m] = (I, x, eact[I][group.elements[inv]][e])
@@ -818,7 +894,7 @@ def test_obstruction_grid_not_phi_closed_is_reported():
     changes = dict(atlas.changes)
     key = min(changes)
     scaled = RationalMatrix.from_rows(
-        [[3 * x for x in row] for row in changes[key].phi_hat.entries]
+        [[3 * x for x in row] for row in changes[key].phi_hat.fractions()]
     )
     changes[key] = dataclasses.replace(changes[key], phi_hat=scaled)
     rep = build_categories(dataclasses.replace(atlas, changes=changes)).report
@@ -892,3 +968,41 @@ class TestSerialization:
     def test_schema_rejected(self):
         with pytest.raises(ValueError):
             atlas_from_json({"schema": "other/9"})
+
+
+class TestExactObstructionChecks:
+    """The obstruction-space identities are checked on int arrays: no
+    ``RationalMatrix`` product runs beneath the chart, change, cocycle,
+    tameness, category and norm checks.  The affine maps of the domain
+    action keep ``RationalMatrix``; their check, ``check_group_quotient``,
+    is a validator of its own, which ``check_chart`` merges."""
+
+    @pytest.fixture
+    def matrix_products(self, monkeypatch):
+        checks = (check_chart, check_coordinate_change, check_cocycle,
+                  check_tame_and_filtration, build_categories)
+        guarded = {f.__code__ for f in checks} | {
+            f.__code__ for f in vars(EquivariantNorms).values() if inspect.isfunction(f)
+        }
+        stops = guarded | {check_group_quotient.__code__}
+        calls = []
+        for attr in ("matvec", "mul"):
+            original = getattr(RationalMatrix, attr)
+
+            def counting(self, other, _original=original, _attr=attr):
+                frame = sys._getframe(1)
+                while frame is not None and frame.f_code not in stops:
+                    frame = frame.f_back
+                if frame is not None and frame.f_code in guarded:
+                    calls.append((_attr, frame.f_code.co_name))
+                return _original(self, other)
+
+            monkeypatch.setattr(RationalMatrix, attr, counting)
+        return calls
+
+    def test_football_run_makes_no_matrix_products(self, matrix_products):
+        from vfc.examples_cli import ExampleDescriptor, run_example
+
+        report, code = run_example(ExampleDescriptor("football-euler", {"density": 12}))
+        assert (code, report["total"]) == (0, "5/6")
+        assert matrix_products == []

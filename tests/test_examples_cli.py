@@ -367,6 +367,65 @@ def test_cli_check_element_keyed_data_exit_three(tmp_path, doctor, message):
     assert f"schema error: {message}" in res.output
 
 
+def _huge_numerator(doc):
+    doc["charts"]["1,2"]["section_samples"][0][0] = f"{2**63}/1"
+
+
+def _denominators_without_common_int64(doc):
+    """Three grid points over primes near 10⁹: their lcm exceeds int64."""
+    points = doc["charts"]["1"]["obstruction_points"]
+    for k, p in enumerate((1000000007, 1000000009, 998244353)):
+        points[k + 1] = [f"1/{p}", "0/1"]
+
+
+def _short_sample(doc):
+    doc["charts"]["1,2"]["section_samples"][3].pop()
+
+
+def _product_beyond_int64(doc):
+    """An identity action with entries 2⁶²: the entries fit int64, the
+    products of the action law do not."""
+    doc["charts"]["1"]["obstruction_action"]["e"]["entries"] = [f"{2**62}/1", "0/1", "0/1", "1/1"]
+
+
+@pytest.mark.parametrize("command", ["check", "zeros"])
+@pytest.mark.parametrize("doctor, message", [
+    (_huge_numerator, "chart (1, 2): section_samples: the entries over their common"
+                      " denominator"),
+    (_denominators_without_common_int64, "chart (1,): obstruction_points: the entries"
+                                         " over their common denominator"),
+    (_short_sample, "chart (1, 2): section_samples: not an array of shape"),
+])
+def test_cli_malformed_obstruction_arrays_exit_three(sphere_files, tmp_path, command,
+                                                     doctor, message):
+    atlas_path, nu_path, _ = sphere_files
+    doc = json.loads(atlas_path.read_text())
+    doctor(doc)
+    path = tmp_path / "doctored.json"
+    path.write_text(json.dumps(doc))
+    args = [command, str(path)]
+    if command == "zeros":
+        args += ["--perturbation", str(nu_path)]
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 3, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert f"schema error: {message}" in res.output
+
+
+def test_cli_check_product_beyond_int64_exit_three(sphere_files, tmp_path):
+    atlas_path, _, _ = sphere_files
+    doc = json.loads(atlas_path.read_text())
+    _product_beyond_int64(doc)
+    path = tmp_path / "doctored.json"
+    path.write_text(json.dumps(doc))
+    res = CliRunner().invoke(main, ["check", str(path)])
+    assert res.exit_code == 3, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "schema error: chart (1,): an exact product or comparison would leave int64" in (
+        res.output
+    )
+
+
 def test_cli_check_table_entry_outside_group_exit_one(tmp_path):
     doc = atlas_to_json(random_toy_atlas(3))
     doc["charts"]["1,2"]["domain"]["group"]["table"][4][2] = "zz"

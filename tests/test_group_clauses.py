@@ -155,7 +155,7 @@ def football_with_trivial_obstruction_action():
     """football-euler at density 8 with Γ_1 acting trivially on E_1: φ̂ of
     (1,) -> (1, 2) stops being equivariant at g1|e."""
     atlas = build_example(ExampleDescriptor("football-euler", {"density": 8})).atlas
-    ident = atlas.charts[(1,)].obstruction_action[0]
+    ident = atlas.charts[(1,)].obstruction_action.fractions()[0]
     return _with_chart(atlas, (1,), obstruction_action=[ident, ident])
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from vfc.charts_atlas import AtlasMetric, _index_key, atlas_from_json, atlas_to_json
+from vfc.charts_atlas import RationalArray, _index_key, atlas_from_json, atlas_to_json
 from vfc.examples_cli import RING_T, ExampleDescriptor, build_example
 from vfc.reduction_perturb import (
     _hat_ball,
@@ -163,7 +163,7 @@ def test_balls_at_and_beside_every_distance(example):
 
 
 def test_threshold_of_a_float_radius_keeps_the_float_test():
-    metric = AtlasMetric(np.zeros((1, 1), dtype=np.int64), 3)
+    metric = RationalArray(np.zeros((1, 1), dtype=np.int64), 3)
     assert metric.threshold(1 / 3) == 1
     assert metric.threshold(F(1, 3)) == 1
     assert metric.threshold(F(1, 3) - F(1, 10**16)) == 0

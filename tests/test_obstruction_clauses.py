@@ -47,7 +47,7 @@ def _with_change(atlas, I, J, **changes):
 
 
 def _with_sample(atlas, I, y, value):
-    samples = list(atlas.charts[I].section_samples)
+    samples = atlas.charts[I].section_samples.fractions()
     samples[y] = value
     return _with_chart(atlas, I, section_samples=tuple(samples))
 
@@ -88,15 +88,16 @@ def sample_outside_tilde_into_image():
     and outside Ũ of (1,) -> (1, 2), is moved to (1/2, 0, 0, 0) ∈ im φ̂_1:
     its class joins s̲⁻¹(im φ̂_1) but not φ̲(Ū)."""
     atlas = _football().atlas
-    y = next(i for i, v in enumerate(atlas.charts[(1, 2)].section_samples) if any(v))
+    samples = atlas.charts[(1, 2)].section_samples.fractions()
+    y = next(i for i, v in enumerate(samples) if any(v))
     return _with_sample(atlas, (1, 2), y, (F(1, 2), F(0), F(0), F(0)))
 
 
 def grid_without_e1():
     """The grid of chart (1, 2) loses φ̂_1(1/2, 0) = (1/2, 0, 0, 0)."""
     atlas = _football().atlas
-    grid = atlas.charts[(1, 2)].obstruction_points
-    kept = tuple(e for e in grid if e != (F(1, 2), F(0), F(0), F(0)))
+    grid = atlas.charts[(1, 2)].obstruction_points.fractions()
+    kept = [e for e in grid if e != [F(1, 2), F(0), F(0), F(0)]]
     return _with_chart(atlas, (1, 2), obstruction_points=kept)
 
 

@@ -8,7 +8,7 @@ import pytest
 from test_charts_atlas import build_toy_atlas, random_toy_atlas
 
 from vfc.charts_atlas import (
-    AtlasMetric,
+    RationalArray,
     AtlasModel,
     ChartModel,
     CoordinateChangeModel,
@@ -461,7 +461,7 @@ def _line_atlas(extra_chart_distance=None) -> AtlasModel:
         cover=cover,
         charts=charts,
         changes={},
-        metric=AtlasMetric.reduced(dist, 16),
+        metric=RationalArray.reduced(dist, 16),
     )
 
 
@@ -683,8 +683,8 @@ class TestEquivariantNorms:
         )
         norms = EquivariantNorms(maps={1: T})
         assert norms.validate(atlas).ok
-        assert norms.norm_basic(1, (F(1), F(1, 2))) == F(1)
-        assert norms.norm_basic(1, (F(-1, 2), F(1, 2))) == F(1)
+        assert norms.norm(atlas, (1,), (F(1), F(1, 2))) == F(1)
+        assert norms.norm(atlas, (1,), (F(-1, 2), F(1, 2))) == F(1)
 
     def test_plain_max_not_invariant_here(self):
         atlas = _rotation_chart_atlas()
@@ -740,4 +740,4 @@ class TestSerialization:
             maps={1: RationalMatrix.from_rows([[F(1), F(0)], [F(-1), F(1)]])}
         )
         again = norms_from_json(json.loads(json.dumps(norms_to_json(norms))))
-        assert again.maps[1].entries == norms.maps[1].entries
+        assert again.maps[1].fractions() == norms.maps[1].fractions()
