@@ -335,8 +335,12 @@ class RationalArray:
         fit int64."""
         if isinstance(values, RationalArray):
             return cls(_shaped(values.num, shape, where), values.den)
-        entries = _shaped(np.array(_nested(values), dtype=object), shape, where)
-        flat = entries.ravel().tolist()
+        if isinstance(values, RationalMatrix):
+            values = values.entries
+        elif isinstance(values, (list, tuple)):
+            values = [v.entries if isinstance(v, RationalMatrix) else v for v in values]
+        entries = _shaped(np.array(values, dtype=object), shape, where)
+        flat = [f if type(f) is Fraction else Fraction(f) for f in entries.ravel().tolist()]
         den = math.lcm(1, *(f.denominator for f in flat))
         nums = [f.numerator * (den // f.denominator) for f in flat]
         if max([den, *map(abs, nums)]) > INT64_MAX:
@@ -404,16 +408,6 @@ def _shaped(array: np.ndarray, shape: tuple, where: str) -> np.ndarray:
     if array.ndim != len(shape) or any(n not in (-1, k) for n, k in zip(shape, array.shape)):
         raise ValueError(f"{where}: not an array of shape {shape} (-1: any length)")
     return array
-
-
-def _nested(value):
-    """Nested sequences and ``RationalMatrix`` entries as nested lists of
-    ``Fraction``."""
-    if isinstance(value, RationalMatrix):
-        value = value.entries
-    if isinstance(value, (list, tuple)):
-        return [_nested(v) for v in value]
-    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 def _fits(bound: int, where: str) -> None:
