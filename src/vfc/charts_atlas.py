@@ -996,12 +996,6 @@ def _composes(after: RationalArray, before: RationalArray, whole: RationalArray,
     return bool(_equal(_matmul(after, before, where), whole, where).all())
 
 
-def _phi_hat_of(atlas: AtlasModel, I: tuple, J: tuple) -> RationalArray:
-    if I == J:
-        return RationalArray(np.eye(atlas.charts[I].obstruction_dim, dtype=np.int64), 1)
-    return atlas.changes[(I, J)].phi_hat
-
-
 def check_tame_and_filtration(atlas: AtlasModel) -> CheckReport:
     """Tameness identities and bundle-filtration identities on samples."""
     rep = CheckReport("tame_and_filtration")
@@ -1072,8 +1066,8 @@ def check_tame_and_filtration(atlas: AtlasModel) -> CheckReport:
         where = f"chart {J}"
         images = {(): RationalArray(np.zeros((1, m_J), dtype=np.int64), 1)}
         for I in subs:
-            phi = _phi_hat_of(atlas, I, J)
-            images[I] = _matmul(atlas.charts[I].obstruction_points, phi.mT, where)
+            grid = atlas.charts[I].obstruction_points
+            images[I] = grid if I == J else _matmul(grid, atlas.changes[(I, J)].phi_hat.mT, where)
         den = math.lcm(*(v.den for v in images.values()))
         image = {
             I: frozenset(map(tuple, _scaled(v, den, where).tolist()))
@@ -1550,7 +1544,7 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
     phi_idx = []
     for (I, J, _, _) in blocks:
         grid, name = grids[position[I]], f"coordinate change {I}->{J}"
-        image = _matmul(grid, _phi_hat_of(atlas, I, J).mT, name)
+        image = grid if I == J else _matmul(grid, atlas.changes[(I, J)].phi_hat.mT, name)
         phi_idx.append(_lookup(image, grids[position[J]], name))
         if (phi_idx[-1] < 0).any():
             vector = tuple(grid.fractions()[(phi_idx[-1] < 0).argmax()])
@@ -1933,10 +1927,8 @@ def _chart_from_json(d: dict, where: str) -> ChartModel:
         domain=domain,
         obstruction_dim=d["obstruction_dim"],
         obstruction_action=tuple(RationalMatrix.from_json(m) for m in action),
-        obstruction_points=tuple(
-            _vec_from_json(p) for p in d["obstruction_points"]
-        ),
-        section_samples=tuple(_vec_from_json(v) for v in d["section_samples"]),
+        obstruction_points=d["obstruction_points"],
+        section_samples=d["section_samples"],
         footprint_map={int(i): lab for i, lab in d["footprint_map"].items()},
         section_asts=tuple(d["section_asts"]) if "section_asts" in d else None,
         tangent_dims=tuple(d["tangent_dims"]),
