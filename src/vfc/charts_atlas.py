@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .exterior_engine import RationalMatrix, parse_rat, rat_str
-from .expressions import compile_vector, eval_pred
+from .expressions import compile_vector, eval_pred, evaluate_until_raise
 
 __all__ = [
     "TAU_RANK",
@@ -511,9 +511,6 @@ class ChartModel:
         where, grid = f"chart {self.index}", self.obstruction_points
         return _lookup(_matmul(grid, self.obstruction_action.mT, where), grid, where)
 
-    def points_float(self) -> list[tuple[float, ...]]:
-        return [tuple(float(c) for c in p) for p in self.domain.points]
-
 
 def check_chart(atlas: "AtlasModel", I: tuple) -> CheckReport:
     """Chart-level invariants: action laws, equivariance, footprints."""
@@ -566,15 +563,32 @@ def check_chart(atlas: "AtlasModel", I: tuple) -> CheckReport:
     # loose consistency of smooth section vs declared samples
     if chart.section_asts is not None:
         section = compile_vector(chart.section_asts, ())
-        declared = samples.floats().tolist()
-        for i, p in enumerate(chart.points_float()):
-            got = section(p)[0].tolist()
-            want = declared[i]
-            err = max((abs(a - b) for a, b in zip(got, want)), default=0.0)
-            if err > LOOSE_TOL:
-                rep.fail("section_ast_inconsistent", point=i, error=err)
-                break
+        got, _, error = evaluate_until_raise(section, chart.domain.points)
+        err = _max_abs_error(got, samples.floats())
+        bad = np.flatnonzero(err > LOOSE_TOL)
+        if bad.size:
+            rep.fail("section_ast_inconsistent", point=int(bad[0]), error=float(err[bad[0]]))
+        elif error is not None:
+            raise error
     return rep
+
+
+def _max_abs_error(got: np.ndarray, want) -> np.ndarray:
+    """Per row of ``got``, ``max((abs(a - b) for a, b in zip(got_row,
+    want_row)), default=0.0)`` as Python computes it: over the shorter row,
+    and NaN only when the first difference is NaN, since ``max`` passes a
+    later NaN over.  So a NaN is not let under a tolerance test that the
+    scalar ``max`` would fail."""
+    if not len(got):
+        return np.zeros(0)
+    want = np.asarray(want, dtype=float)[: len(got)]
+    k = min(got.shape[1], want.shape[1])
+    if k == 0:
+        return np.zeros(len(got))
+    diff = np.abs(got[:, :k] - want[:, :k])
+    err = np.fmax.reduce(diff, axis=1)
+    err[np.isnan(diff[:, 0])] = np.nan
+    return err
 
 
 # ---------------------------------------------------------------------------
@@ -735,32 +749,37 @@ def check_coordinate_change(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckRep
         if m_J != m_I + len(complement):
             rep.fail("tbc_shape")
         else:
-            phi_f = phi.floats()
             dims = list(tgt.tangent_dims)
             section = compile_vector(tgt.section_asts, dims)
             columns = [dims.index(d) for d in complement]
-            for y in tilde:
-                _, jac = section(tgt.domain.points[y])
-                block = np.zeros((m_J, m_J))
-                block[:, :m_I] = phi_f
-                block[:, m_I:] = jac[:, columns]
-                sv = np.linalg.svd(block, compute_uv=False)
-                smallest = sv[-1] if len(sv) else 1.0
-                scale = max(sv[0] if len(sv) else 1.0, 1.0)
-                if smallest <= TAU_RANK * scale:
-                    rep.fail("tangent_bundle_condition", point=y, sigma_min=smallest)
+            points = [tgt.domain.points[y] for y in tilde]
+            _, jac, error = evaluate_until_raise(section, points)
+            blocks = np.zeros((len(jac), m_J, m_J))
+            blocks[:, :, :m_I] = phi.floats()
+            blocks[:, :, m_I:] = jac[:, :, columns]
+            finite = np.isfinite(blocks).all(axis=(1, 2))
+            svs = np.zeros((len(blocks), m_J))
+            svs[finite] = np.linalg.svd(blocks[finite], compute_uv=False)
+            for y, block, ok, sv in zip(tilde, blocks, finite, svs):
+                if not ok:  # one at a time: a NaN raises, an infinity gives NaN
+                    sv = np.linalg.svd(block, compute_uv=False)
+                if sv[-1] <= TAU_RANK * max(sv[0], 1.0):
+                    rep.fail("tangent_bundle_condition", point=y, sigma_min=float(sv[-1]))
                     break
+            else:
+                if error is not None:
+                    raise error
     # smooth-level ρ vs sample-level ρ (loose tolerance; samples are
     # rational approximations of the smooth model)
     if change.rho_asts is not None:
-        rho = compile_vector(change.rho_asts, ())
-        for y in tilde:
-            got = rho(tgt.domain.points[y])[0].tolist()
-            want = [float(c) for c in src.domain.points[change.rho_idx[y]]]
-            err = max((abs(a - b) for a, b in zip(got, want)), default=0.0)
-            if err > LOOSE_TOL:
-                rep.fail("rho_ast_inconsistent", point=y, error=err)
-                break
+        rho_f = compile_vector(change.rho_asts, ())
+        got, _, error = evaluate_until_raise(rho_f, [tgt.domain.points[y] for y in tilde])
+        err = _max_abs_error(got, [src.domain.points[rho[y]] for y in tilde[: len(got)]])
+        bad = np.flatnonzero(err > LOOSE_TOL)
+        if bad.size:
+            rep.fail("rho_ast_inconsistent", point=tilde[bad[0]], error=float(err[bad[0]]))
+        elif error is not None:
+            raise error
     return rep
 
 
@@ -1886,7 +1905,10 @@ def _quotient_from_json(d: dict, where: str) -> GroupQuotientModel:
     affine = None
     if "affine" in d:
         affine = [
-            (RationalMatrix.from_json(a["matrix"]), _vec_from_json(a["shift"]))
+            (
+                RationalMatrix.from_json(a["matrix"], f"{where}: affine"),
+                _vec_from_json(a["shift"]),
+            )
             for a in _by_element(where, "affine", d["affine"], group.elements)
         ]
     return GroupQuotientModel(
@@ -1926,7 +1948,9 @@ def _chart_from_json(d: dict, where: str) -> ChartModel:
         index=tuple(d["index"]),
         domain=domain,
         obstruction_dim=d["obstruction_dim"],
-        obstruction_action=tuple(RationalMatrix.from_json(m) for m in action),
+        obstruction_action=tuple(
+            RationalMatrix.from_json(m, f"{where}: obstruction_action") for m in action
+        ),
         obstruction_points=d["obstruction_points"],
         section_samples=d["section_samples"],
         footprint_map={int(i): lab for i, lab in d["footprint_map"].items()},
@@ -1954,12 +1978,13 @@ def _change_to_json(c: CoordinateChangeModel) -> dict:
 
 
 def _change_from_json(d: dict) -> CoordinateChangeModel:
+    I, J = tuple(d["source"]), tuple(d["target"])
     return CoordinateChangeModel(
-        source_index=tuple(d["source"]),
-        target_index=tuple(d["target"]),
+        source_index=I,
+        target_index=J,
         tilde_indices=tuple(d["tilde_indices"]),
         rho_idx={int(k): v for k, v in d["rho_idx"].items()},
-        phi_hat=RationalMatrix.from_json(d["phi_hat"]),
+        phi_hat=RationalMatrix.from_json(d["phi_hat"], f"coordinate change {I}->{J}: phi_hat"),
         rho_asts=tuple(d["rho_asts"]) if "rho_asts" in d else None,
         domain_pred=d.get("domain_pred"),
         lifted_pred=d.get("lifted_pred"),

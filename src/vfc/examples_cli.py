@@ -1324,6 +1324,9 @@ def zeros_cmd(atlas_file, pert_file, json_path):
     except PerturbationRejected as ex:
         click.echo(f"perturbation rejected: {ex}", err=True)
         sys.exit(2)
+    except ValueError as ex:
+        click.echo(f"cannot find zeros: {ex}", err=True)
+        sys.exit(3)
     report = zero_set_report(result.zeros, warnings=result.warnings)
     click.echo(f"zeros found: {len(result.zeros)}")
     for z in result.zeros:

@@ -32,10 +32,12 @@ The repeated evaluations at float coordinates (Newton's iteration in
 ``find_zeros``, the transversality and admissibility checks of a
 perturbation, the tangent bundle condition, ρ and section consistency)
 go through :func:`compile_vector` instead.  It walks the ASTs once and
-returns a closure over floats that gives the values and the Jacobian as
-numpy arrays: the numbers the interpreter gives at the same float
-coordinates, without re-reading ``Fraction`` constants or mixing them
-with floats on every call.
+returns a closure over a batch of points, ``(n, dim)`` in, values
+``(n, m)`` and Jacobians ``(n, m, k)`` out, each row the numbers the
+interpreter gives at that point's float coordinates.  Newton steps every
+seed of a chart in one call per round, and each check evaluates all its
+points in one call; :func:`evaluate_until_raise` keeps a check's
+first-failure order when some point's arithmetic raises.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ import numpy as np
 __all__ = [
     "Dual",
     "compile_vector",
+    "evaluate_until_raise",
     "eval_expr",
     "eval_vector",
     "eval_pred",
@@ -303,11 +306,15 @@ def jacobian(
 # ---------------------------------------------------------------------------
 #
 # An operand of the tape is ("c", exact constant), ("p", register) for a
-# float that carries no gradient (it depends on non-tangent coordinates
-# only) or ("d", register) for a (value, gradient tuple) pair.  Each step
-# mirrors what the interpreter does on float coordinates: ``Dual``
-# arithmetic for "d" operands, plain float arithmetic for "p" operands, and
-# one ``float()`` of an exact constant where it meets either.
+# float column that carries no gradient (it depends on non-tangent
+# coordinates only) or ("d", register) for a (value column, gradient
+# array) pair: one row per point, the gradient of shape (points, tangent
+# dims).  Each step mirrors, row by row, what the interpreter does on float
+# coordinates: ``Dual`` arithmetic for "d" operands, plain float arithmetic
+# for "p" operands, and one ``float()`` of an exact constant where it meets
+# either.  A step raises where the float arithmetic of one row would;
+# results a row does not take (the other side of a ramp, the ``sqrt`` slope
+# at 0) are computed with numpy's warnings off and dropped by ``np.where``.
 
 
 def _fold(op: str, values: list, extra: tuple = ()):
@@ -323,6 +330,21 @@ def _getter(operand) -> Callable:
     return itemgetter(ref)
 
 
+def _column(operand) -> Callable:
+    """Like :func:`_getter`, shaped to scale the rows of a gradient."""
+    kind, ref = operand
+    if kind == "c":
+        value = float(ref)
+        return lambda r: value
+    return lambda r: r[ref][:, None]
+
+
+def _divisor(v):
+    if not np.all(v):
+        raise ZeroDivisionError("float division by zero")
+    return v
+
+
 def _add_step(dual, a, b):
     fa, fb = _getter(a), _getter(b)
     if not dual:
@@ -331,7 +353,7 @@ def _add_step(dual, a, b):
         def step(x, r):
             va, ga = fa(r)
             vb, gb = fb(r)
-            return va + vb, tuple([p + q for p, q in zip(ga, gb)])
+            return va + vb, ga + gb
     elif a[0] == "d":
         def step(x, r):
             va, ga = fa(r)
@@ -351,7 +373,7 @@ def _sub_step(dual, a, b):
         def step(x, r):
             va, ga = fa(r)
             vb, gb = fb(r)
-            return va - vb, tuple([p - q for p, q in zip(ga, gb)])
+            return va - vb, ga - gb
     elif a[0] == "d":
         def step(x, r):
             va, ga = fa(r)
@@ -359,7 +381,7 @@ def _sub_step(dual, a, b):
     else:
         def step(x, r):
             vb, gb = fb(r)
-            return fa(r) - vb, tuple([0.0 - q for q in gb])
+            return fa(r) - vb, 0.0 - gb
     return step
 
 
@@ -371,49 +393,51 @@ def _mul_step(dual, a, b):
         def step(x, r):
             va, ga = fa(r)
             vb, gb = fb(r)
-            return va * vb, tuple([p * vb + va * q for p, q in zip(ga, gb)])
+            return va * vb, ga * vb[:, None] + va[:, None] * gb
     elif a[0] == "d":
+        cb = _column(b)
+
         def step(x, r):
             va, ga = fa(r)
-            vb = fb(r)
-            return va * vb, tuple([p * vb for p in ga])
+            return va * fb(r), ga * cb(r)
     else:
+        ca = _column(a)
+
         def step(x, r):
             vb, gb = fb(r)
-            va = fa(r)
-            return vb * va, tuple([q * va for q in gb])
+            return vb * fa(r), gb * ca(r)
     return step
 
 
 def _div_step(dual, a, b):
     fa, fb = _getter(a), _getter(b)
     if not dual:
-        return lambda x, r: fa(r) / fb(r)
+        return lambda x, r: fa(r) / _divisor(fb(r))
     if a[0] == "d" and b[0] == "d":
         def step(x, r):
             va, ga = fa(r)
             vb, gb = fb(r)
-            inv = 1.0 / vb
+            inv = 1.0 / _divisor(vb)
             val = va * inv
-            return val, tuple([(p - val * q) * inv for p, q in zip(ga, gb)])
-    elif a[0] == "d":
-        if b[0] == "c":
-            # an exact divisor is inverted exactly, as ``Dual.__truediv__`` does
-            inv_c = float(1 / b[1]) if isinstance(b[1], Fraction) else 1.0 / b[1]
-            inverse = lambda r: inv_c  # noqa: E731
-        else:
-            inverse = lambda r: 1.0 / fb(r)  # noqa: E731
+            return val, (ga - val[:, None] * gb) * inv[:, None]
+    elif b[0] == "c":
+        # an exact divisor is inverted exactly, as ``Dual.__truediv__`` does
+        inv_c = float(1 / b[1]) if isinstance(b[1], Fraction) else 1.0 / b[1]
 
         def step(x, r):
             va, ga = fa(r)
-            inv = inverse(r)
-            return va * inv, tuple([p * inv for p in ga])
+            return va * inv_c, ga * inv_c
+    elif a[0] == "d":
+        def step(x, r):
+            va, ga = fa(r)
+            inv = 1.0 / _divisor(fb(r))
+            return va * inv, ga * inv[:, None]
     else:
         def step(x, r):
             vb, gb = fb(r)
-            inv = 1.0 / vb
+            inv = 1.0 / _divisor(vb)
             val = fa(r) * inv
-            return val, tuple([(0.0 - val * q) * inv for q in gb])
+            return val, (0.0 - val[:, None] * gb) * inv[:, None]
     return step
 
 
@@ -424,24 +448,23 @@ def _neg_step(dual, a):
 
     def step(x, r):
         v, g = fa(r)
-        return -v, tuple([-p for p in g])
+        return -v, -g
 
     return step
 
 
-def _chain_step(f: Callable, fd: Callable):
-    """A scalar function: ``f(v)`` is its value, ``fd(v)`` its value and
-    derivative."""
+def _chain_step(fd: Callable):
+    """A scalar function: ``fd(v)`` is its value and derivative."""
 
     def make(dual, a):
         fa = _getter(a)
         if not dual:
-            return lambda x, r: f(fa(r))
+            return lambda x, r: fd(fa(r))[0]
 
         def step(x, r):
             v, g = fa(r)
             fv, d = fd(v)
-            return fv, tuple([d * p for p in g])
+            return fv, d[:, None] * g
 
         return step
 
@@ -449,48 +472,57 @@ def _chain_step(f: Callable, fd: Callable):
 
 
 def _sqrt(v):
-    fv = math.sqrt(v)
-    return fv, 0.0 if fv == 0.0 else 0.5 / fv
+    if np.any(v < 0):
+        raise ValueError("math domain error")
+    fv = np.sqrt(v)
+    return fv, np.where(fv == 0.0, 0.0, 0.5 / fv)
+
+
+def _turn(v):
+    t = v * _TWO_PI
+    if np.any(np.isinf(t)):
+        raise ValueError("math domain error")
+    return t
 
 
 def _sin2pi(v):
-    t = v * _TWO_PI
-    return math.sin(t), _TWO_PI * math.cos(t)
+    t = _turn(v)
+    return np.sin(t), _TWO_PI * np.cos(t)
 
 
 def _cos2pi(v):
-    t = v * _TWO_PI
-    return math.cos(t), -_TWO_PI * math.sin(t)
+    t = _turn(v)
+    return np.cos(t), -_TWO_PI * np.sin(t)
 
 
 def _ramp_step(smooth: bool):
-    """``clamp01`` (``smooth`` false) or ``smoothstep``."""
+    """``clamp01`` (``smooth`` false) or ``smoothstep``: 0 at or below 0,
+    1 at or above 1, the ramp between, chosen row by row."""
 
     def make(dual, a):
         fa = _getter(a)
         if not dual:
             def step(x, r):
                 v = fa(r)
-                if v <= 0:
-                    return 0.0
-                if v >= 1:
-                    return 1.0
-                return v * v * (3 - 2 * v) if smooth else v
+                inner = v * v * (3 - 2 * v) if smooth else v
+                return np.where(v <= 0, 0.0, np.where(v >= 1, 1.0, inner))
 
             return step
 
         def step(x, r):
             v, g = fa(r)
-            if v <= 0:
-                return 0.0, tuple([0.0 for _ in g])
-            if v >= 1:
-                return 1.0, tuple([0.0 for _ in g])
-            if not smooth:
-                return v, g
-            # x * x * (3 - 2 * x) in Dual arithmetic
-            vv = v * v
-            t = 3 - v * 2
-            return vv * t, tuple([(p * v + v * p) * t + vv * (0.0 - p * 2) for p in g])
+            low, high = v <= 0, v >= 1
+            if smooth:
+                # x * x * (3 - 2 * x) in Dual arithmetic
+                vv = v * v
+                t = 3 - v * 2
+                c = v[:, None]
+                val = vv * t
+                g = (g * c + c * g) * t[:, None] + vv[:, None] * (0.0 - g * 2)
+            else:
+                val = v
+            flat = (low | high)[:, None]
+            return np.where(low, 0.0, np.where(high, 1.0, val)), np.where(flat, 0.0, g)
 
         return step
 
@@ -503,9 +535,9 @@ _STEPS = {
     "*": _mul_step,
     "/": _div_step,
     "neg": _neg_step,
-    "sqrt": _chain_step(math.sqrt, _sqrt),
-    "sin2pi": _chain_step(lambda v: math.sin(v * _TWO_PI), _sin2pi),
-    "cos2pi": _chain_step(lambda v: math.cos(v * _TWO_PI), _cos2pi),
+    "sqrt": _chain_step(_sqrt),
+    "sin2pi": _chain_step(_sin2pi),
+    "cos2pi": _chain_step(_cos2pi),
     "clamp01": _ramp_step(smooth=False),
     "smoothstep": _ramp_step(smooth=True),
 }
@@ -546,7 +578,8 @@ class _Tape:
         if op == "var":
             k = ast[1]
             if k in self.slot:
-                seed = tuple(1.0 if i == self.slot[k] else 0.0 for i in range(self.nv))
+                # one gradient row, broadcast against every point's
+                seed = np.eye(self.nv)[self.slot[k]]
                 return self._emit(("var", k), True, lambda: lambda x, r: (x[k], seed))
             return self._emit(("var", k), False, lambda: lambda x, r: x[k])
         if op in ("+", "*"):
@@ -576,41 +609,78 @@ class _Tape:
 
 
 def compile_vector(asts: Sequence, tangent_dims: Sequence[int]) -> Callable:
-    """Compile ASTs once into ``f(coords) -> (values, jacobian)``.
+    """Compile ASTs once into ``f(points) -> (values, jacobians)``.
 
-    ``f`` takes float coordinates and returns float64 arrays: the values,
-    shape ``(len(asts),)``, and the Jacobian along ``tangent_dims``, shape
-    ``(len(asts), len(tangent_dims))``; other coordinates are constants.
-    It follows :func:`value_and_jacobian` at float coordinates: every
-    subtree without variables is folded exactly and then rounded by one
-    ``float()``, and gradients follow the operation order of :class:`Dual`.
-    The two can differ only in the last bits (the interpreter keeps
-    integer gradient entries exact) and in the sign of a zero.  Unknown
-    nodes raise ``ValueError`` here, at compile time.
+    ``f`` takes a batch of points, shape ``(n, dim)`` (floats, or exact
+    numbers that it rounds with ``float()``), and returns float64 arrays:
+    the values, shape ``(n, len(asts))``, and the Jacobians along
+    ``tangent_dims``, shape ``(n, len(asts), len(tangent_dims))``; other
+    coordinates are constants.  Row ``i`` is what
+    :func:`value_and_jacobian` gives at the float coordinates of point
+    ``i``: every subtree without variables is folded exactly and then
+    rounded by one ``float()``, and gradients follow the operation order of
+    :class:`Dual`.  The two can differ only in the last bits (the
+    interpreter keeps integer gradient entries exact), in the sign of a
+    zero, and where a flat ``clamp01`` or ``smoothstep`` meets an infinite
+    gradient (0 here, 0·∞ = NaN there).  Every step is elementwise, so a
+    row does not depend on the other rows: points evaluated one at a time
+    or together give the same bits.
+
+    Unknown nodes raise ``ValueError`` here, at compile time, and so does
+    a constant subtree that cannot be folded.  ``f`` raises exactly when
+    the float arithmetic of one of the points raises (a zero divisor,
+    ``sqrt`` of a negative, ``sin`` or ``cos`` of an infinity), never for
+    a branch that no point takes; :func:`evaluate_until_raise` tells which
+    point raises first.
     """
     tape = _Tape(tangent_dims)
-    zero = (0.0,) * tape.nv
-    outputs = []
-    for ast in asts:
-        kind, ref = tape.node(ast)
-        if kind == "c":
-            outputs.append(lambda r, v=float(ref): (v, zero))
-        elif kind == "p":
-            outputs.append(lambda r, i=ref: (r[i], zero))
-        else:
-            outputs.append(itemgetter(ref))
+    outputs = [
+        (kind, float(ref) if kind == "c" else ref) for kind, ref in map(tape.node, asts)
+    ]
     steps = tape.steps
-    shape = (len(asts), tape.nv)
+    m, nv = len(asts), tape.nv
 
-    def evaluate(coords: Sequence) -> tuple[np.ndarray, np.ndarray]:
-        x = [float(c) for c in coords]
+    def evaluate(points) -> tuple[np.ndarray, np.ndarray]:
+        x = np.asarray(points, dtype=float)
+        n = len(x)
+        values = np.empty((n, m))
+        jac = np.zeros((n, m, nv))
+        if n == 0:
+            return values, jac
+        x = list(x.T)  # the columns, indexed as a point's coordinates were
         r: list = []
         push = r.append
-        for step in steps:
-            push(step(x, r))
-        pairs = [out(r) for out in outputs]
-        values = np.array([v for v, _ in pairs], dtype=float)
-        jac = np.array([g for _, g in pairs], dtype=float).reshape(shape)
+        with np.errstate(all="ignore"):
+            for step in steps:
+                push(step(x, r))
+        for j, (kind, ref) in enumerate(outputs):
+            if kind == "c":
+                values[:, j] = ref
+            elif kind == "p":
+                values[:, j] = r[ref]
+            else:
+                values[:, j], jac[:, j] = r[ref]
         return values, jac
 
     return evaluate
+
+
+def evaluate_until_raise(f: Callable, points) -> tuple:
+    """``f`` at ``points`` in one call, as far as a loop that evaluates one
+    point at a time gets before it raises.
+
+    Returns ``(values, jacobians, error)``: the rows of ``f``'s result for
+    the points before the first one at which ``f`` raises, and that
+    exception (``None`` when no point raises).  A check that stops at its
+    first failing point reports a failure among those rows first and
+    raises ``error`` only when there is none."""
+    try:
+        return (*f(points), None)
+    except (ArithmeticError, ValueError) as batch_error:
+        error = batch_error
+    for i in range(len(points)):
+        try:
+            f(points[i : i + 1])
+        except (ArithmeticError, ValueError) as ex:
+            return (*f(points[:i]), ex)
+    raise error

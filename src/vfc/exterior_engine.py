@@ -170,9 +170,23 @@ class RationalMatrix:
         }
 
     @staticmethod
-    def from_json(data: dict) -> "RationalMatrix":
-        rows, cols = data["rows"], data["cols"]
-        flat = [parse_rat(x) for x in data["entries"]]
+    def from_json(data: dict, where: str = "matrix") -> "RationalMatrix":
+        """Read ``{"rows", "cols", "entries"}``, the entries row by row.
+
+        Sizes that are not nonnegative integers, an entry count other than
+        rows * cols, and 0 rows over nonzero cols (a shape this class
+        cannot hold) raise ``ValueError`` naming ``where`` and the field."""
+        rows, cols, entries = data["rows"], data["cols"], data["entries"]
+        for name, size in (("rows", rows), ("cols", cols)):
+            if type(size) is not int or size < 0:
+                raise ValueError(f"{where}: {name} is {size!r}, not a nonnegative integer")
+        if len(entries) != rows * cols:
+            raise ValueError(
+                f"{where}: entries has {len(entries)} values, not rows * cols = {rows * cols}"
+            )
+        if rows == 0 and cols:
+            raise ValueError(f"{where}: cols is {cols} over 0 rows")
+        flat = [parse_rat(x) for x in entries]
         return RationalMatrix.from_rows(
             [flat[i * cols : (i + 1) * cols] for i in range(rows)]
         )

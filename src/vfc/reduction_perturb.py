@@ -37,7 +37,7 @@ from .charts_atlas import (
     realize_intermediate,
 )
 from .exterior_engine import RationalMatrix, parse_rat, rat_str
-from .expressions import compile_vector, eval_pred, eval_vector
+from .expressions import compile_vector, eval_pred, eval_vector, evaluate_until_raise
 
 __all__ = [
     "TAU_EQ",
@@ -483,8 +483,9 @@ def check_perturbation(
             continue
         phi_f = atlas.changes[(I, J)].phi_hat.floats()
         nu_J = compile_vector(asts, chart.tangent_dims)
-        for y in sorted(v_tilde(atlas, red, I, J)):
-            _, jac = nu_J(chart.domain.points[y])
+        ys = sorted(v_tilde(atlas, red, I, J))
+        _, jacs, error = evaluate_until_raise(nu_J, [chart.domain.points[y] for y in ys])
+        for y, jac in zip(ys, jacs):
             if phi_f.shape[1] == 0:
                 resid = float(np.max(np.abs(jac))) if jac.size else 0.0
             else:
@@ -494,6 +495,9 @@ def check_perturbation(
             if resid > TAU_RANK * scale:
                 rep.fail("admissibility", pair=(I, J), point=y, residual=resid)
                 break
+        else:
+            if error is not None:
+                raise error
     if zeros is not None:
         for clause, witness in _zero_failures(atlas, nu, C, zeros):
             rep.fail(clause, **witness)
@@ -504,20 +508,20 @@ def _zero_failures(atlas: AtlasModel, nu: Perturbation, C: Reduction | None,
                    zeros: Sequence):
     """Failures at the found zeros, as (clause, witness): transversality
     at each zero, then precompactness of the zero set relative to C."""
+    jacobians: dict = {}  # chart -> d(s + ν) at its zeros, one by one
     for z in zeros:
         I, coords = z[0], z[1]
         chart = atlas.charts[I]
         if chart.obstruction_dim == 0 and not chart.tangent_dims:
             continue
-        s_asts = chart.section_asts or ()
         nu_asts = nu.asts.get(I)
         if nu_asts is None:
             yield "transversality_data_missing", {"index": I}
             continue
-        _, s_jac = compile_vector(s_asts, chart.tangent_dims)(coords)
-        _, n_jac = compile_vector(nu_asts, chart.tangent_dims)(coords)
-        jac = s_jac + n_jac
-        sv = np.linalg.svd(jac, compute_uv=False)
+        if I not in jacobians:
+            points = [w[1] for w in zeros if w[0] == I]
+            jacobians[I] = _jacobians_at(chart, nu_asts, points)
+        sv = np.linalg.svd(next(jacobians[I]), compute_uv=False)
         if len(sv) == 0 or sv[-1] <= TAU_RANK * max(sv[0], 1.0):
             yield "transversality", {"index": I, "point": list(coords)}
     if C is not None:
@@ -526,6 +530,20 @@ def _zero_failures(atlas: AtlasModel, nu: Perturbation, C: Reduction | None,
             if not _zero_in_C(atlas, C, I, coords):
                 point = [float(c) for c in coords]
                 yield "zero_escapes_C", {"index": I, "point": point}
+
+
+def _jacobians_at(chart, nu_asts, points):
+    """The Jacobians of s + ν at ``points`` in turn, from one evaluation of
+    s and one of ν; the first point at which either raises raises when it
+    is reached."""
+    dims = chart.tangent_dims
+    s = evaluate_until_raise(compile_vector(chart.section_asts or (), dims), points)
+    n = evaluate_until_raise(compile_vector(nu_asts, dims), points)
+    for j in range(len(points)):
+        for _, jac, error in (s, n):
+            if j == len(jac):
+                raise error
+        yield s[1][j] + n[1][j]
 
 
 def _zero_in_C(atlas: AtlasModel, C: Reduction, I: tuple, coords) -> bool:
@@ -859,6 +877,7 @@ def norms_to_json(norms: EquivariantNorms) -> dict:
 def norms_from_json(data: dict) -> EquivariantNorms:
     return EquivariantNorms(
         maps={
-            int(i): RationalMatrix.from_json(T) for i, T in data["maps"].items()
+            int(i): RationalMatrix.from_json(T, f"norms: map {i}")
+            for i, T in data["maps"].items()
         }
     )

@@ -37,6 +37,7 @@ __all__ = [
     "NEWTON_MAX_ITERS",
     "PerturbationRejected",
     "ZeroPoint",
+    "NewtonStats",
     "FindZerosResult",
     "find_zeros",
     "ZeroSetGroupoid",
@@ -80,115 +81,170 @@ class ZeroPoint:
 
 
 @dataclass
+class NewtonStats:
+    """Newton's work in one chart: ``seeds`` walks, run in ``rounds``
+    lockstep rounds of ``iterations`` evaluations in all.  Each walk ends
+    ``converged`` (residual below TAU_ZERO), ``stalled`` (8 steps without
+    a better residual), ``singular`` (a Jacobian ``solve`` rejects),
+    ``non_finite`` (a step with an infinity or NaN) or ``exhausted``
+    (NEWTON_MAX_ITERS evaluations); ``merged`` counts the converged walks
+    that ended within EPS_MERGE of a zero found before."""
+
+    seeds: int = 0
+    rounds: int = 0
+    iterations: int = 0
+    converged: int = 0
+    stalled: int = 0
+    singular: int = 0
+    non_finite: int = 0
+    exhausted: int = 0
+    merged: int = 0
+
+
+@dataclass
 class FindZerosResult:
     zeros: list
     warnings: list
+    stats: dict = field(default_factory=dict)  # chart index -> NewtonStats
 
 
 def _section_plus_nu(atlas: AtlasModel, nu: Perturbation, I: tuple, dims: list):
-    """s_I + ν_I compiled once: ``f(coords) -> (values, jacobian)``."""
+    """s_I + ν_I compiled once: ``f(points) -> (values, jacobians)``."""
     chart = atlas.charts[I]
     s_asts = list(chart.section_asts or ())
     n_asts = list(nu.asts.get(I, ()))
     if not (s_asts and n_asts):
         return compile_vector(s_asts, dims)
     if len(s_asts) != len(n_asts):
-        raise ValueError(f"section/perturbation arity mismatch in chart {I}")
+        raise ValueError("section/perturbation arity mismatch")
     # one tape for both, so that subexpressions they share are evaluated once
     both = compile_vector(s_asts + n_asts, dims)
     m = len(s_asts)
 
-    def f(coords):
-        vals, jac = both(coords)
-        return vals[:m] + vals[m:], jac[:m] + jac[m:]
+    def f(points):
+        vals, jac = both(points)
+        return vals[:, :m] + vals[:, m:], jac[:, :m] + jac[:, m:]
 
     return f
 
 
-def find_zeros(
-    atlas: AtlasModel,
-    red: Reduction,
-    nu: Perturbation,
-    seeds: dict | None = None,
-) -> FindZerosResult:
-    """Newton iteration from seed grids, per chart, with exact sign data.
+def _solve(jac: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Newton steps ``jac⁻¹·vals`` of a stack of rows in one call, and
+    which rows are singular (their steps are left 0)."""
+    singular = np.zeros(len(jac), dtype=bool)
+    try:
+        return np.linalg.solve(jac, vals[:, :, None])[:, :, 0], singular
+    except np.linalg.LinAlgError:
+        pass
+    # a singular Jacobian stops its own walk only: solve row by row
+    step = np.zeros_like(vals)
+    for i in range(len(jac)):
+        try:
+            step[i] = np.linalg.solve(jac[i], vals[i])
+        except np.linalg.LinAlgError:
+            singular[i] = True
+    return step, singular
 
-    ``seeds`` maps chart indices to coordinate tuples; by default one
-    V_I sample point per Γ_I-orbit is used (zero sets are Γ-invariant, so
-    orbit representatives reach every zero class).  Membership of
-    converged points in V_I uses the reduction predicates when available.
-    """
-    zeros: list[ZeroPoint] = []
-    warnings: list[str] = []
-    for I in atlas.index_sets():
-        chart = atlas.charts[I]
-        dims = list(chart.tangent_dims)
-        if not dims and chart.obstruction_dim == 0:
-            continue
-        if chart.section_asts is None:
-            continue
-        if len(dims) != chart.obstruction_dim:
-            raise ValueError(f"chart {I} is not index 0 over its tangent dims")
-        s_plus_nu = _section_plus_nu(atlas, nu, I, dims)
-        if seeds is not None and I in seeds:
-            chart_seeds = [tuple(float(c) for c in p) for p in seeds[I]]
-        else:
-            vset = sorted(red.sets.get(I, ()))
-            chart_seeds = [
-                tuple(float(c) for c in chart.domain.points[x])
-                for x in vset
-                if x == min(chart.domain.orbit(x))
-            ]
-        found: list[ZeroPoint] = []
-        seed_converged: list[bool] = []
-        seed_values: list[np.ndarray] = []
-        for seed in chart_seeds:
-            coords = list(seed)
-            converged = False
-            vals = None
-            best = float("inf")
-            stall = 0
-            for _ in range(NEWTON_MAX_ITERS):
-                vals, jac = s_plus_nu(coords)
-                res = float(np.max(np.abs(vals))) if vals.size else 0.0
-                if res < TAU_ZERO:
-                    converged = True
-                    break
-                # stall cutoff: no residual improvement over several steps
-                # means the iteration is cycling away from any zero
-                if res < best:
-                    best = res
-                    stall = 0
-                else:
-                    stall += 1
-                    if stall >= 8:
-                        break
-                try:
-                    step = np.linalg.solve(jac, vals)
-                except np.linalg.LinAlgError:
-                    break
-                if not np.all(np.isfinite(step)):
-                    break
-                for k, d in enumerate(dims):
-                    coords[d] -= float(step[k])
-            seed_values.append(
-                vals if vals is not None else np.zeros(len(chart.section_asts))
-            )
-            if not converged:
-                seed_converged.append(False)
+
+def _newton(f, seeds: np.ndarray, dims: list, m: int, stats: NewtonStats) -> tuple:
+    """Newton's iteration from every seed in lockstep.  Each round
+    evaluates ``f`` once at the walks still going and solves their steps in
+    one stacked call; each walk stops by its own rules, as it would alone,
+    and a stopped walk is neither evaluated nor stepped again.
+
+    Adds the rounds, evaluations and endings to ``stats`` and returns per
+    seed its last coordinates, why it stopped (a :class:`NewtonStats`
+    field name) and the values of its last evaluation."""
+    coords = seeds.copy()
+    n = len(coords)
+    stops = np.full(n, "exhausted", dtype=object)
+    values = np.zeros((n, m))
+    best = np.full(n, np.inf)
+    stall = np.zeros(n, dtype=int)
+    going = np.arange(n)
+    rounds = iterations = 0
+    while going.size and rounds < NEWTON_MAX_ITERS:
+        rounds += 1
+        iterations += going.size
+        vals, jac = f(coords[going])
+        values[going] = vals
+        res = np.abs(vals).max(axis=1, initial=0.0)
+        converged = res < TAU_ZERO
+        # stall cutoff: no residual improvement over several steps
+        # means the iteration is cycling away from any zero
+        better = res < best[going]
+        best[going] = np.where(better, res, best[going])
+        stall[going] = np.where(better, 0, stall[going] + 1)
+        stalled = ~converged & (stall[going] >= 8)
+        stops[going[converged]] = "converged"
+        stops[going[stalled]] = "stalled"
+        on = ~(converged | stalled)
+        going = going[on]
+        step, singular = _solve(jac[on], vals[on])
+        finite = np.isfinite(step).all(axis=1)
+        stops[going[singular]] = "singular"
+        stops[going[~singular & ~finite]] = "non_finite"
+        moving = finite & ~singular
+        going = going[moving]
+        for k, d in enumerate(dims):
+            coords[going, d] -= step[moving, k]
+    stats.rounds += rounds
+    stats.iterations += iterations
+    for stop in stops:
+        setattr(stats, stop, getattr(stats, stop) + 1)
+    return coords, stops, values
+
+
+def _chart_seeds(atlas: AtlasModel, red: Reduction, I: tuple, seeds: dict | None) -> list:
+    """The Newton seeds of chart I as float tuples: ``seeds[I]`` if given,
+    else one V_I sample per Γ_I-orbit, in sample order."""
+    if seeds is not None and I in seeds:
+        return [tuple(float(c) for c in p) for p in seeds[I]]
+    domain = atlas.charts[I].domain
+    return [
+        tuple(float(c) for c in domain.points[x])
+        for x in sorted(red.sets.get(I, ()))
+        if x == min(domain.orbit(x))
+    ]
+
+
+def _chart_zeros(atlas: AtlasModel, red: Reduction, nu: Perturbation, I: tuple,
+                 chart_seeds: list) -> tuple[list, list, NewtonStats]:
+    """The zeros, warnings and Newton statistics of chart I."""
+    chart = atlas.charts[I]
+    dims = list(chart.tangent_dims)
+    s_plus_nu = _section_plus_nu(atlas, nu, I, dims)
+    stats = NewtonStats(seeds=len(chart_seeds))
+    if not chart_seeds:
+        return [], [], stats
+    seeds = np.array(chart_seeds, dtype=float)
+    m = len(chart.section_asts)
+    try:
+        walks = [_newton(s_plus_nu, seeds, dims, m, stats)]
+    except (ArithmeticError, ValueError):
+        # some walk raises: walk the seeds one at a time instead, so that
+        # the seeds before it are handled (and may reject ν) first
+        walks = (_newton(s_plus_nu, seeds[k : k + 1], dims, m, stats) for k in range(len(seeds)))
+    pred = red.preds.get(I)
+    found: list[ZeroPoint] = []
+    seed_converged: list[bool] = []
+    seed_values: list[np.ndarray] = []
+    for walk in walks:
+        for coords, stop, vals in zip(*walk):
+            seed_values.append(vals)
+            seed_converged.append(stop == "converged")
+            if stop != "converged":
                 continue
-            pred = red.preds.get(I)
-            if pred is not None and not eval_pred(pred, coords):
-                seed_converged.append(True)
+            point = tuple(coords.tolist())
+            if pred is not None and not eval_pred(pred, point):
                 continue
-            seed_converged.append(True)
-            point = tuple(coords)
             if any(
                 max(abs(a - b) for a, b in zip(point, z.coordinates)) < EPS_MERGE
                 for z in found
             ):
+                stats.merged += 1
                 continue
-            vals, jac = s_plus_nu(coords)
+            (vals,), (jac,) = s_plus_nu(coords[None])
             if jac.size:
                 det = float(np.linalg.det(jac))
                 if abs(det) <= TAU_SIGN:
@@ -207,21 +263,57 @@ def find_zeros(
                     sign=sign,
                 )
             )
-        # missed-zero heuristic (one-dimensional charts only, where a sign
-        # change of the scalar between adjacent seeds is an intermediate-
-        # value argument): non-convergence on both sides is never silent
-        if len(dims) == 1:
-            for a in range(len(chart_seeds) - 1):
-                if seed_converged[a] or seed_converged[a + 1]:
-                    continue
-                va, vb = seed_values[a], seed_values[a + 1]
-                if va.size and vb.size and np.any(np.sign(va) * np.sign(vb) < 0):
-                    warnings.append(
-                        f"possible missed zero in chart {I} between seeds "
-                        f"{chart_seeds[a]} and {chart_seeds[a + 1]}"
-                    )
-        zeros.extend(found)
-    return FindZerosResult(zeros=zeros, warnings=warnings)
+    # missed-zero heuristic (one-dimensional charts only, where a sign
+    # change of the scalar between adjacent seeds is an intermediate-
+    # value argument): non-convergence on both sides is never silent
+    warnings: list[str] = []
+    if len(dims) == 1:
+        for a in range(len(chart_seeds) - 1):
+            if seed_converged[a] or seed_converged[a + 1]:
+                continue
+            va, vb = seed_values[a], seed_values[a + 1]
+            if va.size and vb.size and np.any(np.sign(va) * np.sign(vb) < 0):
+                warnings.append(
+                    f"possible missed zero in chart {I} between seeds "
+                    f"{chart_seeds[a]} and {chart_seeds[a + 1]}"
+                )
+    return found, warnings, stats
+
+
+def find_zeros(
+    atlas: AtlasModel,
+    red: Reduction,
+    nu: Perturbation,
+    seeds: dict | None = None,
+) -> FindZerosResult:
+    """Newton iteration from seed grids, per chart, with exact sign data.
+
+    ``seeds`` maps chart indices to coordinate tuples; by default one
+    V_I sample point per Γ_I-orbit is used (zero sets are Γ-invariant, so
+    orbit representatives reach every zero class).  The walks of a chart
+    run in lockstep (see :func:`_newton`); converged points are then taken
+    in seed order.  Membership of converged points in V_I uses the
+    reduction predicates when available.  A chart whose expressions cannot
+    be compiled or evaluated raises ``ValueError`` naming the chart.
+    """
+    result = FindZerosResult(zeros=[], warnings=[])
+    for I in atlas.index_sets():
+        chart = atlas.charts[I]
+        dims = list(chart.tangent_dims)
+        if not dims and chart.obstruction_dim == 0:
+            continue
+        if chart.section_asts is None:
+            continue
+        if len(dims) != chart.obstruction_dim:
+            raise ValueError(f"chart {I} is not index 0 over its tangent dims")
+        chart_seeds = _chart_seeds(atlas, red, I, seeds)
+        try:
+            found, warnings, result.stats[I] = _chart_zeros(atlas, red, nu, I, chart_seeds)
+        except (ArithmeticError, ValueError) as ex:
+            raise ValueError(f"chart {I}: {ex}") from ex
+        result.zeros.extend(found)
+        result.warnings.extend(warnings)
+    return result
 
 
 # ---------------------------------------------------------------------------

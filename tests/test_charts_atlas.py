@@ -37,6 +37,7 @@ from vfc.charts_atlas import (
     trivial_group,
 )
 from vfc.examples_cli import build_toy_atlas, random_toy_atlas
+from vfc.expressions import num, var
 from vfc.exterior_engine import RationalMatrix
 from vfc.reduction_perturb import EquivariantNorms
 
@@ -1006,3 +1007,76 @@ class TestExactObstructionChecks:
         report, code = run_example(ExampleDescriptor("football-euler", {"density": 12}))
         assert (code, report["total"]) == (0, "5/6")
         assert matrix_products == []
+
+
+# ---------------------------------------------------------------------------
+# float-side checks: all points in one evaluation, the first failure reported
+# ---------------------------------------------------------------------------
+
+
+def _sphere_n8():
+    from vfc.examples_cli import ExampleDescriptor, build_example
+
+    return build_example(ExampleDescriptor("sphere-euler", {"density": 8})).atlas
+
+
+def _with_chart(atlas, I, **fields):
+    charts = {**atlas.charts, I: dataclasses.replace(atlas.charts[I], **fields)}
+    return dataclasses.replace(atlas, charts=charts)
+
+
+def _failures(rep, clause):
+    return [f for f in rep.failures if f["clause"] == clause]
+
+
+class TestFloatChecksStopAtFirstFailure:
+    I, J = (1,), (1, 2)
+
+    def test_section_consistency(self):
+        atlas = _sphere_n8()
+        shifted = tuple(["+", s, num(1)] for s in atlas.charts[self.J].section_asts)
+        rep = check_chart(_with_chart(atlas, self.J, section_asts=shifted), self.J)
+        assert _failures(rep, "section_ast_inconsistent") == [
+            {"clause": "section_ast_inconsistent", "point": 0, "error": 1.0}
+        ]
+
+    def test_section_consistency_raises_only_if_no_failure_comes_first(self):
+        atlas = _sphere_n8()
+        s = atlas.charts[self.J].section_asts
+        assert [atlas.charts[self.J].domain.points[k][3] for k in (0, 1)] == [0, F(1, 8)]
+        # a pole at sample 1 behind a failure at sample 0 is not reached
+        pole_at_1 = (["/", num(1), ["-", var(3), num("1/8")]], *s[1:])
+        rep = check_chart(_with_chart(atlas, self.J, section_asts=pole_at_1), self.J)
+        assert [f["point"] for f in _failures(rep, "section_ast_inconsistent")] == [0]
+        # a pole at sample 0 is
+        pole_at_0 = (["/", num(1), var(3)], *s[1:])
+        with pytest.raises(ZeroDivisionError):
+            check_chart(_with_chart(atlas, self.J, section_asts=pole_at_0), self.J)
+
+    def test_a_nan_beside_a_failing_component_does_not_hide_it(self):
+        atlas = _sphere_n8()
+        s = atlas.charts[self.J].section_asts
+        huge = ["*", ["+", var(0), num(10**200)], num(10**200)]  # inf as a float
+        section = (["+", s[0], num(1)], ["-", huge, huge], *s[2:])  # (s₀ + 1, NaN, ...)
+        rep = check_chart(_with_chart(atlas, self.J, section_asts=section), self.J)
+        assert _failures(rep, "section_ast_inconsistent") == [
+            {"clause": "section_ast_inconsistent", "point": 0, "error": 1.0}
+        ]
+
+    def test_tangent_bundle_condition(self):
+        atlas = _sphere_n8()
+        flat = tuple(num(0) for _ in atlas.charts[self.J].section_asts)
+        rep = check_coordinate_change(_with_chart(atlas, self.J, section_asts=flat), self.I, self.J)
+        tilde = atlas.changes[(self.I, self.J)].tilde_indices
+        (failure,) = _failures(rep, "tangent_bundle_condition")
+        assert failure["point"] == tilde[0] and failure["sigma_min"] == 0.0
+
+    def test_rho_consistency(self):
+        atlas = _sphere_n8()
+        change = atlas.changes[(self.I, self.J)]
+        shifted = tuple(["+", r, num(1)] for r in change.rho_asts)
+        changes = {**atlas.changes, (self.I, self.J): dataclasses.replace(change, rho_asts=shifted)}
+        rep = check_coordinate_change(dataclasses.replace(atlas, changes=changes), self.I, self.J)
+        (failure,) = _failures(rep, "rho_ast_inconsistent")
+        assert failure["point"] == change.tilde_indices[0]
+        assert failure["error"] == pytest.approx(1.0)

@@ -460,6 +460,57 @@ def test_cli_zeros_rejected_exit_two(sphere_files):
     assert "rejected" in res.output
 
 
+def _arity_cut(asts):
+    asts["1,2"] = asts["1,2"][:1]
+
+
+def _unknown_node(asts):
+    asts["1,2"][0] = ["foo", ["var", 0]]
+
+
+def _zero_divisor(asts):
+    asts["1,2"][0] = ["/", ["num", "1/1"], ["-", ["var", 0], ["var", 0]]]
+
+
+@pytest.mark.parametrize("doctor, message", [
+    (_arity_cut, "section/perturbation arity mismatch"),
+    (_unknown_node, "unknown expression node: 'foo'"),
+    (_zero_divisor, "float division by zero"),
+])
+def test_cli_zeros_unevaluable_perturbation_exit_three(sphere_files, tmp_path, doctor,
+                                                       message):
+    atlas_path, nu_path, _ = sphere_files
+    doc = json.loads(nu_path.read_text())
+    doctor(doc["asts"])
+    path = tmp_path / "nu.json"
+    path.write_text(json.dumps(doc))
+    res = CliRunner().invoke(main, ["zeros", str(atlas_path), "--perturbation", str(path)])
+    assert res.exit_code == 3, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert f"cannot find zeros: chart (1, 2): {message}" in res.output
+
+
+@pytest.mark.parametrize("phi_hat, message", [
+    ({"rows": 4, "cols": 2, "entries": ["1/1"] * 9}, "entries has 9 values, not rows * cols = 8"),
+    ({"rows": 0, "cols": 2, "entries": []}, "cols is 2 over 0 rows"),
+    ({"rows": 4.0, "cols": 2, "entries": ["1/1"] * 8}, "rows is 4.0, not a nonnegative integer"),
+    ({"rows": 4, "cols": -2, "entries": []}, "cols is -2, not a nonnegative integer"),
+])
+def test_cli_check_phi_hat_of_another_shape_exit_three(sphere_files, tmp_path, phi_hat,
+                                                       message):
+    atlas_path, _, _ = sphere_files
+    doc = json.loads(atlas_path.read_text())
+    change = doc["changes"][0]
+    change["phi_hat"] = phi_hat
+    path = tmp_path / "phi_hat.json"
+    path.write_text(json.dumps(doc))
+    res = CliRunner().invoke(main, ["check", str(path)])
+    assert res.exit_code == 3, res.output
+    assert isinstance(res.exception, SystemExit)
+    name = f"coordinate change {tuple(change['source'])}->{tuple(change['target'])}"
+    assert f"schema error: {name}: phi_hat: {message}" in res.output
+
+
 def test_example_names_frozen():
     assert set(EXAMPLE_NAMES) == {
         "football-atlas",

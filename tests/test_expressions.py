@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from vfc.expressions import (
     eval_expr,
     eval_pred,
     eval_vector,
+    evaluate_until_raise,
     jacobian,
     num,
     value_and_jacobian,
@@ -196,37 +198,113 @@ _coords = st.lists(
 _dims = st.sampled_from([[], [0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2], [2, 0]])
 
 
+# a batch of points, from none to several
+_batches = st.lists(_coords, min_size=0, max_size=4)
+
+_RAISES = (ZeroDivisionError, ValueError, OverflowError)
+
+
+def _interpreted(asts, coords, dims):
+    """The interpreter's (values, jacobian) as floats, or its exception."""
+    try:
+        vals, rows = value_and_jacobian(asts, coords, dims)
+    except _RAISES as ex:
+        return ex
+    return (
+        np.array([float(v) for v in vals]),
+        np.array([[float(v) for v in row] for row in rows]).reshape(len(asts), len(dims)),
+    )
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64).tolist()
+
+
 class TestCompiledForm:
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(_asts, min_size=1, max_size=3), _coords, _dims)
-    def test_matches_interpreter_at_float_coordinates(self, asts, coords, dims):
+    @given(st.lists(_asts, min_size=1, max_size=3), _batches, _dims)
+    def test_matches_interpreter_at_float_coordinates(self, asts, points, dims):
+        want = [_interpreted(asts, p, dims) for p in points]
+        raised = [i for i, w in enumerate(want) if isinstance(w, Exception)]
         try:
-            want_vals, want_rows = value_and_jacobian(asts, coords, dims)
-        except (ZeroDivisionError, OverflowError, ValueError):
-            assume(False)
-        want_vals = np.array([float(v) for v in want_vals])
-        want_jac = np.array(
-            [[float(v) for v in row] for row in want_rows]
-        ).reshape(len(asts), len(dims))
-        vals, jac = compile_vector(asts, dims)(coords)
-        assert vals.shape == want_vals.shape and jac.shape == want_jac.shape
-        np.testing.assert_allclose(vals, want_vals, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(jac, want_jac, rtol=1e-12, atol=1e-12)
+            f = compile_vector(asts, dims)
+        except _RAISES:
+            # a constant subtree that cannot be folded raises at every point
+            assert len(raised) == len(points)
+            return
+        vals, jac, error = evaluate_until_raise(f, points)
+        first = raised[0] if raised else len(points)
+        assert vals.shape == (first, len(asts)) and jac.shape == (first, len(asts), len(dims))
+        if raised:
+            # the batch raises because a point raises, and as that point does
+            assert type(error) is type(want[first])
+            with pytest.raises(_RAISES):
+                f(points)
+        else:
+            assert error is None
+            whole_vals, whole_jac = f(points)
+            assert _bits(whole_vals) == _bits(vals) and _bits(whole_jac) == _bits(jac)
+        for i in range(first):
+            for got, exact in zip((vals[i], jac[i]), want[i]):
+                # a flat ramp gives the interpreter 0·∞ = NaN, the tape 0
+                finite = np.isfinite(exact)
+                np.testing.assert_allclose(got[finite], exact[finite], rtol=1e-12, atol=1e-12)
+            # a row does not depend on the rest of the batch
+            one_vals, one_jac = f(points[i : i + 1])
+            assert _bits(one_vals[0]) == _bits(vals[i]) and _bits(one_jac[0]) == _bits(jac[i])
 
     def test_constants_fold_exactly_before_rounding(self):
         # 1/3 + 1/3 + x: the interpreter adds 2/3 exactly, then rounds once
         f = compile_vector([["+", num("1/3"), num("1/3"), var(0)]], [0])
-        vals, jac = f([0.1])
-        assert vals[0] == float(F(2, 3)) + 0.1
-        assert jac.tolist() == [[1.0]]
+        vals, jac = f([[0.1]])
+        assert vals[0, 0] == float(F(2, 3)) + 0.1
+        assert jac.tolist() == [[[1.0]]]
 
     def test_shapes_and_non_tangent_coordinates(self):
         f = compile_vector([["*", var(0), var(1)], num("1/2")], [1])
-        vals, jac = f([F(5), F(7)])
-        assert vals.tolist() == [35.0, 0.5]
-        assert jac.tolist() == [[5.0], [0.0]]
-        empty_vals, empty_jac = compile_vector([], [0, 1])([0.0, 0.0])
-        assert empty_vals.shape == (0,) and empty_jac.shape == (0, 2)
+        vals, jac = f([[F(5), F(7)], [1.0, -2.0]])
+        assert vals.tolist() == [[35.0, 0.5], [-2.0, 0.5]]
+        assert jac.tolist() == [[[5.0], [0.0]], [[1.0], [0.0]]]
+        none_vals, none_jac = f([])
+        assert none_vals.shape == (0, 2) and none_jac.shape == (0, 2, 1)
+        empty_vals, empty_jac = compile_vector([], [0, 1])([[0.0, 0.0]])
+        assert empty_vals.shape == (1, 0) and empty_jac.shape == (1, 0, 2)
+
+    def test_branches_are_taken_point_by_point(self):
+        f = compile_vector([["clamp01", var(0)], ["smoothstep", var(0)]], [0])
+        vals, jac = f([[-1.0], [0.25], [2.0], [float("nan")]])
+        assert vals[:3].tolist() == [[0.0, 0.0], [0.25, 0.15625], [1.0, 1.0]]
+        assert jac[:3].tolist() == [[[0.0], [0.0]], [[1.0], [1.125]], [[0.0], [0.0]]]
+        assert np.isnan(vals[3]).all()
+
+    def test_raises_only_where_a_point_raises(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # the sqrt slope at 0 and the smoothstep ramp far out of [0, 1]
+            # are computed for every point but taken by none that raises
+            f = compile_vector([["sqrt", ["*", var(0), var(0)]], ["smoothstep", var(0)]], [0])
+            vals, jac = f([[0.0], [1e200], [-1e200]])
+            assert vals.tolist() == [[0.0, 0.0], [math.inf, 1.0], [math.inf, 0.0]]
+            assert jac[0].tolist() == [[0.0], [0.0]]
+            g = compile_vector([["/", num(1), var(0)]], [0])
+            vals, jac, error = evaluate_until_raise(g, [[2.0], [0.0], [4.0]])
+        assert vals.tolist() == [[0.5]] and jac.tolist() == [[[-0.25]]]
+        assert isinstance(error, ZeroDivisionError)
+        with pytest.raises(ZeroDivisionError):
+            g([[2.0], [-0.0]])
+
+    def test_the_first_point_to_raise_names_the_error(self):
+        # per point, sqrt comes first on the tape; over points, order rules
+        f = compile_vector([["sqrt", var(0)], ["/", num(1), var(1)]], [0, 1])
+        sqrt_of_negative, zero_divisor = [-1.0, 1.0], [1.0, 0.0]
+        _, _, error = evaluate_until_raise(f, [zero_divisor, sqrt_of_negative])
+        assert isinstance(error, ZeroDivisionError)
+        vals, _, error = evaluate_until_raise(f, [[1.0, 1.0], sqrt_of_negative, zero_divisor])
+        assert len(vals) == 1 and isinstance(error, ValueError)
+        for point in (zero_divisor, sqrt_of_negative, [float("inf"), 1.0]):
+            with pytest.raises((ZeroDivisionError, ValueError)):
+                compile_vector([["sqrt", var(0)], ["sin2pi", var(0)], ["/", num(1), var(1)]],
+                               [0])([point])
 
     def test_unknown_node_raises_at_compile_time(self):
         with pytest.raises(ValueError, match="unknown expression node"):

@@ -3,6 +3,7 @@
 import ast
 import pathlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,26 @@ class TestRationalMatrix:
             red, pivots, t = A.rref()
             assert red == RationalMatrix.identity(3)
             assert t == 1 / A.det()
+
+
+    def test_json_round_trip_of_every_shape(self):
+        for rows in ([], [[], []], [[F(1, 2), F(-3)]], [[1, 2], [3, 4], [5, 6]]):
+            m = M(rows)
+            assert RationalMatrix.from_json(m.to_json()) == m
+
+    @pytest.mark.parametrize("data, message", [
+        ({"rows": 2, "cols": 1, "entries": ["1/1", "0/1", "5/1"]},
+         "phi: entries has 3 values, not rows * cols = 2"),
+        ({"rows": 2, "cols": 2, "entries": ["1/1"]}, "phi: entries has 1 values"),
+        ({"rows": 0, "cols": 3, "entries": []}, "phi: cols is 3 over 0 rows"),
+        ({"rows": True, "cols": 1, "entries": ["1/1"]}, "phi: rows is True"),
+        ({"rows": "1", "cols": 1, "entries": ["1/1"]}, "phi: rows is '1'"),
+        ({"rows": 1, "cols": 1.5, "entries": ["1/1"]}, "phi: cols is 1.5"),
+        ({"rows": -1, "cols": -1, "entries": ["1/1"]}, "phi: rows is -1"),
+    ])
+    def test_from_json_rejects_another_shape(self, data, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RationalMatrix.from_json(data, "phi")
 
 
 class TestZeroSign:

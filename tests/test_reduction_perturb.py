@@ -741,3 +741,17 @@ class TestSerialization:
         )
         again = norms_from_json(json.loads(json.dumps(norms_to_json(norms))))
         assert again.maps[1].fractions() == norms.maps[1].fractions()
+
+
+def test_admissibility_reports_the_first_point_of_each_pair():
+    from vfc.examples_cli import ExampleDescriptor, build_example
+
+    built = build_example(ExampleDescriptor("sphere-euler", {"density": 8}))
+    atlas, red = built.atlas, built.V
+    # dν = the identity: its image is all of E_J, not only im φ̂
+    asts = {**built.nu.asts, (1, 2): tuple(var(k) for k in range(4))}
+    rep = check_perturbation(atlas, red, Perturbation(asts=asts, samples=built.nu.samples))
+    failures = [f for f in rep.failures if f["clause"] == "admissibility"]
+    assert [(f["pair"], f["point"]) for f in failures] == [
+        (pair, min(v_tilde(atlas, red, *pair))) for pair in [((1,), (1, 2)), ((2,), (1, 2))]
+    ]

@@ -2,6 +2,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import vfc.expressions
@@ -16,11 +17,15 @@ from vfc.charts_atlas import (
     trivial_group,
 )
 from vfc.examples_cli import ExampleDescriptor, build_example, run_example
-from vfc.expressions import num, var
+from vfc.expressions import compile_vector, eval_pred, num, var
 from vfc.exterior_engine import RationalMatrix
 from vfc.reduction_perturb import Perturbation, Reduction
 from vfc.zeroset_branched import (
+    EPS_MERGE,
+    NEWTON_MAX_ITERS,
+    TAU_ZERO,
     BranchedIntervalModel,
+    NewtonStats,
     PerturbationRejected,
     branched_interval_model,
     complete_groupoid,
@@ -31,6 +36,7 @@ from vfc.zeroset_branched import (
     wnb_check,
     zero_set_report,
 )
+from vfc.zeroset_branched import _chart_seeds, _newton, _section_plus_nu
 
 F = Fraction
 
@@ -95,6 +101,167 @@ class TestCompiledNewton:
             for i in (1, 2)
         ]
 
+
+
+def _reference_walk(f, seed, dims):
+    """Newton from one seed alone, one evaluation of one row at a time: the
+    loop ``find_zeros`` ran per seed before its walks went in lockstep.
+    Returns the last coordinates, why the walk stopped, the last values and
+    the number of evaluations."""
+    coords = list(seed)
+    vals = None
+    best = float("inf")
+    stall = 0
+    evaluations = 0
+    stop = "exhausted"
+    for _ in range(NEWTON_MAX_ITERS):
+        (vals,), (jac,) = f([coords])
+        evaluations += 1
+        res = float(np.max(np.abs(vals))) if vals.size else 0.0
+        if res < TAU_ZERO:
+            stop = "converged"
+            break
+        if res < best:
+            best = res
+            stall = 0
+        else:
+            stall += 1
+            if stall >= 8:
+                stop = "stalled"
+                break
+        try:
+            step = np.linalg.solve(jac, vals)
+        except np.linalg.LinAlgError:
+            stop = "singular"
+            break
+        if not np.all(np.isfinite(step)):
+            stop = "non_finite"
+            break
+        for k, d in enumerate(dims):
+            coords[d] -= float(step[k])
+    return coords, stop, vals, evaluations
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64).tolist()
+
+
+def _assert_lockstep_matches_reference(f, seeds, dims, m):
+    """The lockstep walks of ``seeds``, checked against the reference;
+    returns why each stopped."""
+    stats = NewtonStats()
+    walks = _newton(f, np.array(seeds, dtype=float), dims, m, stats)
+    evaluations = []
+    for k, seed in enumerate(seeds):
+        coords, stop, vals, n = _reference_walk(f, seed, dims)
+        assert _bits(walks[0][k]) == _bits(coords), (k, seed, stop)
+        assert walks[1][k] == stop, (k, seed)
+        assert _bits(walks[2][k]) == _bits(vals), (k, seed)
+        evaluations.append(n)
+    assert stats.rounds == max(evaluations, default=0)
+    assert stats.iterations == sum(evaluations)
+    return set(walks[1])
+
+
+def _reference_stats(atlas, red, nu, I, seeds) -> NewtonStats:
+    """The statistics of chart I from the reference walks, with the zeros
+    merged as ``find_zeros`` merges them."""
+    dims = list(atlas.charts[I].tangent_dims)
+    f = _section_plus_nu(atlas, nu, I, dims)
+    stats = NewtonStats(seeds=len(seeds))
+    found = []
+    for seed in seeds:
+        coords, stop, _, n = _reference_walk(f, seed, dims)
+        stats.rounds = max(stats.rounds, n)
+        stats.iterations += n
+        setattr(stats, stop, getattr(stats, stop) + 1)
+        pred = red.preds.get(I)
+        if stop != "converged" or (pred is not None and not eval_pred(pred, coords)):
+            continue
+        if any(max(abs(a - b) for a, b in zip(coords, z)) < EPS_MERGE for z in found):
+            stats.merged += 1
+        else:
+            found.append(coords)
+    return stats
+
+
+def _example_seeds(name, density, seed_grid):
+    built = build_example(ExampleDescriptor(name, {"density": density}))
+    atlas = built.atlas
+    seeds = None
+    if seed_grid >= 2:  # as ``run_example`` seeds them
+        seeds = {
+            I: [atlas.charts[I].domain.points[x] for x in sorted(built.V.sets[I])]
+            for I in atlas.index_sets()
+        }
+    return built, seeds
+
+
+class TestLockstepNewton:
+    """The walks of a chart run in lockstep, and each ends where it would
+    alone: same coordinates to the bit, same stop, same last values."""
+
+    @pytest.mark.parametrize("seed_grid", [1, 2])
+    @pytest.mark.parametrize("density", [12, 48])
+    @pytest.mark.parametrize("name", ["sphere-euler", "football-euler"])
+    def test_every_seed_ends_where_its_own_walk_ends(self, name, density, seed_grid):
+        built, seeds = _example_seeds(name, density, seed_grid)
+        atlas = built.atlas
+        stops = set()
+        for I in atlas.index_sets():
+            chart = atlas.charts[I]
+            dims = list(chart.tangent_dims)
+            f = _section_plus_nu(atlas, built.nu, I, dims)
+            chart_seeds = _chart_seeds(atlas, built.V, I, seeds)
+            stops |= _assert_lockstep_matches_reference(
+                f, chart_seeds, dims, len(chart.section_asts)
+            )
+        # converged, stalled and singular walks share a batch here
+        assert stops == {"converged", "stalled", "singular"}
+
+    def test_walks_of_every_ending_share_a_batch(self):
+        endings = set()
+        for ast, seeds in [
+            # 1/x - 1: from 1e-30, x only doubles (exhausted); from -1, x
+            # runs off to -1e154, where the step overflows (non_finite)
+            (["-", ["/", num(1), var(0)], num(1)], [1e-30, 0.5, 3.0, -1.0, 1.9]),
+            # x² + 1 has no zero: a flat Jacobian at 0 (singular), a
+            # subnormal one at 1e-320 (non_finite), the others cycle (stalled)
+            (["+", ["*", var(0), var(0)], num(1)], [0.0, 1e-320, 0.3, 2.0, -5.0]),
+        ]:
+            f = compile_vector([ast], [0])
+            endings |= _assert_lockstep_matches_reference(f, [[x] for x in seeds], [0], 1)
+        assert endings == {"converged", "stalled", "singular", "non_finite", "exhausted"}
+
+    def test_stats_of_sphere_euler_match_the_reference(self):
+        built, _ = _example_seeds("sphere-euler", 12, 1)
+        atlas, red, nu = built.atlas, built.V, built.nu
+        result = find_zeros(atlas, red, nu)
+        assert result.stats == {
+            I: _reference_stats(atlas, red, nu, I, _chart_seeds(atlas, red, I, None))
+            for I in atlas.index_sets()
+        }
+        assert result.stats == {
+            (1,): NewtonStats(seeds=13, rounds=10, iterations=85, converged=1, stalled=8,
+                              singular=4),
+            (2,): NewtonStats(seeds=13, rounds=5, iterations=61, converged=13, merged=12),
+            (1, 2): NewtonStats(seeds=40, rounds=28, iterations=583, converged=21,
+                                singular=19),
+        }
+        # the seed rule the benchmark's newton_seeds counter reads
+        assert sum(s.seeds for s in result.stats.values()) == 66
+
+    def test_a_raising_walk_raises_after_the_seeds_before_it(self):
+        # seed 0 converges to a degenerate zero (rejected); seed 1 divides
+        # by zero on its first evaluation: one walk per seed rejected first
+        ast = ["/", ["*", var(0), var(0)], ["-", var(0), num("1/2")]]
+        atlas = _interval_atlas((ast,), [F(0)], [F(0)])
+        red = Reduction(sets={(1,): frozenset({0})})
+        degenerate, pole = (F(0),), (F(1, 2),)
+        with pytest.raises(PerturbationRejected):
+            find_zeros(atlas, red, Perturbation(), seeds={(1,): [degenerate, pole]})
+        with pytest.raises(ValueError, match=r"chart \(1,\): float division by zero"):
+            find_zeros(atlas, red, Perturbation(), seeds={(1,): [pole, degenerate]})
 
 
 def _interval_atlas(section_asts, sample_coords, zero_samples):
