@@ -574,21 +574,11 @@ def check_chart(atlas: "AtlasModel", I: tuple) -> CheckReport:
 
 
 def _max_abs_error(got: np.ndarray, want) -> np.ndarray:
-    """Per row of ``got``, ``max((abs(a - b) for a, b in zip(got_row,
-    want_row)), default=0.0)`` as Python computes it: over the shorter row,
-    and NaN only when the first difference is NaN, since ``max`` passes a
-    later NaN over.  So a NaN is not let under a tolerance test that the
-    scalar ``max`` would fail."""
-    if not len(got):
-        return np.zeros(0)
-    want = np.asarray(want, dtype=float)[: len(got)]
+    """Per row of ``got``, the largest |got − want| over the shorter row:
+    0.0 for an empty row, and a NaN difference is passed over."""
+    want = np.atleast_2d(np.asarray(want, dtype=float))[: len(got)]
     k = min(got.shape[1], want.shape[1])
-    if k == 0:
-        return np.zeros(len(got))
-    diff = np.abs(got[:, :k] - want[:, :k])
-    err = np.fmax.reduce(diff, axis=1)
-    err[np.isnan(diff[:, 0])] = np.nan
-    return err
+    return np.fmax.reduce(np.abs(got[:, :k] - want[:, :k]), axis=1, initial=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -508,7 +508,7 @@ def _zero_failures(atlas: AtlasModel, nu: Perturbation, C: Reduction | None,
                    zeros: Sequence):
     """Failures at the found zeros, as (clause, witness): transversality
     at each zero, then precompactness of the zero set relative to C."""
-    jacobians: dict = {}  # chart -> d(s + ν) at its zeros, one by one
+    compiled: dict = {}  # chart -> (s, ν), compiled once
     for z in zeros:
         I, coords = z[0], z[1]
         chart = atlas.charts[I]
@@ -518,10 +518,13 @@ def _zero_failures(atlas: AtlasModel, nu: Perturbation, C: Reduction | None,
         if nu_asts is None:
             yield "transversality_data_missing", {"index": I}
             continue
-        if I not in jacobians:
-            points = [w[1] for w in zeros if w[0] == I]
-            jacobians[I] = _jacobians_at(chart, nu_asts, points)
-        sv = np.linalg.svd(next(jacobians[I]), compute_uv=False)
+        if I not in compiled:
+            dims = chart.tangent_dims
+            compiled[I] = (compile_vector(chart.section_asts or (), dims),
+                           compile_vector(nu_asts, dims))
+        s, n = compiled[I]
+        jac = s([coords])[1][0] + n([coords])[1][0]
+        sv = np.linalg.svd(jac, compute_uv=False)
         if len(sv) == 0 or sv[-1] <= TAU_RANK * max(sv[0], 1.0):
             yield "transversality", {"index": I, "point": list(coords)}
     if C is not None:
@@ -530,20 +533,6 @@ def _zero_failures(atlas: AtlasModel, nu: Perturbation, C: Reduction | None,
             if not _zero_in_C(atlas, C, I, coords):
                 point = [float(c) for c in coords]
                 yield "zero_escapes_C", {"index": I, "point": point}
-
-
-def _jacobians_at(chart, nu_asts, points):
-    """The Jacobians of s + ν at ``points`` in turn, from one evaluation of
-    s and one of ν; the first point at which either raises raises when it
-    is reached."""
-    dims = chart.tangent_dims
-    s = evaluate_until_raise(compile_vector(chart.section_asts or (), dims), points)
-    n = evaluate_until_raise(compile_vector(nu_asts, dims), points)
-    for j in range(len(points)):
-        for _, jac, error in (s, n):
-            if j == len(jac):
-                raise error
-        yield s[1][j] + n[1][j]
 
 
 def _zero_in_C(atlas: AtlasModel, C: Reduction, I: tuple, coords) -> bool:

@@ -1053,11 +1053,14 @@ class TestFloatChecksStopAtFirstFailure:
         with pytest.raises(ZeroDivisionError):
             check_chart(_with_chart(atlas, self.J, section_asts=pole_at_0), self.J)
 
-    def test_a_nan_beside_a_failing_component_does_not_hide_it(self):
+    @pytest.mark.parametrize("nan_first", [False, True])
+    def test_a_nan_beside_a_failing_component_does_not_hide_it(self, nan_first):
         atlas = _sphere_n8()
         s = atlas.charts[self.J].section_asts
         huge = ["*", ["+", var(0), num(10**200)], num(10**200)]  # inf as a float
-        section = (["+", s[0], num(1)], ["-", huge, huge], *s[2:])  # (s₀ + 1, NaN, ...)
+        nan, shifted = ["-", huge, huge], ["+", s[int(nan_first)], num(1)]
+        # (s₀ + 1, NaN, s₂, ...) or (NaN, s₁ + 1, s₂, ...)
+        section = (nan, shifted, *s[2:]) if nan_first else (shifted, nan, *s[2:])
         rep = check_chart(_with_chart(atlas, self.J, section_asts=section), self.J)
         assert _failures(rep, "section_ast_inconsistent") == [
             {"clause": "section_ast_inconsistent", "point": 0, "error": 1.0}
