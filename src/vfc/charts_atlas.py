@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exterior_engine import RationalMatrix, parse_rat, rat_str
+from .exterior_engine import eliminate, parse_rat, rat_str
 from .expressions import compile_vector, eval_pred, evaluate_until_raise
 
 __all__ = [
@@ -226,19 +226,24 @@ class GroupQuotientModel:
     """A finite sample model of a group quotient (U, Γ).
 
     ``perms`` is an int (|Γ|, samples) array: row g is the left action of
-    element g on sample indices.  ``affine`` optionally gives, per element,
-    the coordinate-level map ``x ↦ A·x + b`` realizing it.  The orbits are
-    computed once, on first use; the model is not changed after that.
+    element g on sample indices.  ``affine`` optionally gives the
+    coordinate-level maps ``x ↦ A·x + b`` realizing the elements: the rows
+    of [A | b] per element, in element order, kept as one (|Γ|, d, d + 1)
+    :class:`RationalArray`.  The orbits are computed once, on first use;
+    the model is not changed after that.
     """
 
     points: tuple[Vec, ...]
     group: FiniteGroup
     perms: np.ndarray
-    affine: Sequence | None = None  # element -> (RationalMatrix, Vec)
+    affine: RationalArray | None = None
     membership: list | None = None  # predicate AST
 
     def __post_init__(self):
         self.perms = np.asarray(self.perms, np.int64).reshape(self.group.order, len(self.points))
+        if self.affine is not None:
+            d = len(self.points[0]) if self.points else 0
+            self.affine = RationalArray.of(self.affine, "affine", (self.group.order, d, d + 1))
 
     def act(self, g: int, idx: int) -> int:
         return int(self.perms[g, idx])
@@ -281,12 +286,14 @@ def check_group_quotient(model: GroupQuotientModel) -> CheckReport:
         for g, h in np.argwhere(bad.any(axis=2)).tolist():
             rep.fail("action_law", pair=(names[g], names[h]), point=int(bad[g, h].argmax()))
     if model.affine is not None and rep.ok:
-        for g, (mat, shift) in enumerate(model.affine):
-            for i, p in enumerate(model.points):
-                image = tuple(v + s for v, s in zip(mat.matvec(p), shift))
-                if image != model.points[perms[g, i]]:
-                    rep.fail("affine_vs_permutation", element=names[g], point=i)
-                    break
+        # A·x + b = [A | b]·(x, 1) for every element and point at once
+        shape = (len(model.points), model.affine.num.shape[2])
+        points = RationalArray.of([(*p, 1) for p in model.points], "affine", shape)
+        images = _matmul(points, model.affine.mT, "affine")
+        moved = RationalArray(points.num[perms, :-1], points.den)
+        bad = ~_equal(images, moved, "affine").all(axis=2)
+        for g in np.flatnonzero(bad.any(axis=1)).tolist():
+            rep.fail("affine_vs_permutation", element=names[g], point=int(bad[g].argmax()))
     if model.membership is not None:
         for i, p in enumerate(model.points):
             if not eval_pred(model.membership, list(p)):
@@ -326,8 +333,8 @@ class RationalArray:
 
     @classmethod
     def of(cls, values, where: str, shape: tuple) -> "RationalArray":
-        """The rationals ``values``: nested sequences of numbers or
-        ``RationalMatrix`` in lowest terms, or a ``RationalArray`` as it is.
+        """The rationals ``values`` (nested sequences or arrays of numbers)
+        in lowest terms, or a ``RationalArray`` as it is.
 
         ``shape`` may hold -1 for any length; empty ``values`` take
         ``shape`` with 0 for -1.  Raises ``ValueError`` naming ``where``
@@ -335,10 +342,6 @@ class RationalArray:
         fit int64."""
         if isinstance(values, RationalArray):
             return cls(_shaped(values.num, shape, where), values.den)
-        if isinstance(values, RationalMatrix):
-            values = values.entries
-        elif isinstance(values, (list, tuple)):
-            values = [v.entries if isinstance(v, RationalMatrix) else v for v in values]
         entries = _shaped(np.array(values, dtype=object), shape, where)
         flat = [f if type(f) is Fraction else Fraction(f) for f in entries.ravel().tolist()]
         den = math.lcm(1, *(f.denominator for f in flat))
@@ -381,9 +384,28 @@ class RationalArray:
         return np.array(flat, dtype=object).reshape(self.num.shape).tolist()
 
     def to_json(self) -> dict:
-        """A matrix in the wire form of ``RationalMatrix.to_json``."""
+        """A matrix as ``{"rows", "cols", "entries"}``, the entries row by
+        row as ``"p/q"`` in lowest terms."""
         rows, cols = self.num.shape
         return {"rows": rows, "cols": cols, "entries": [x for r in self.strings() for x in r]}
+
+    @classmethod
+    def from_json(cls, data: dict, where: str) -> "RationalArray":
+        """The matrix of :meth:`to_json`.  Sizes that are not nonnegative
+        integers, an entry count other than rows * cols, and 0 rows over
+        nonzero cols raise ``ValueError`` naming ``where`` and the field."""
+        rows, cols, entries = data["rows"], data["cols"], data["entries"]
+        for name, size in (("rows", rows), ("cols", cols)):
+            if type(size) is not int or size < 0:
+                raise ValueError(f"{where}: {name} is {size!r}, not a nonnegative integer")
+        if len(entries) != rows * cols:
+            raise ValueError(
+                f"{where}: entries has {len(entries)} values, not rows * cols = {rows * cols}"
+            )
+        if rows == 0 and cols:
+            raise ValueError(f"{where}: cols is {cols} over 0 rows")
+        flat = cls.of([parse_rat(x) for x in entries], where, (rows * cols,))
+        return cls(flat.num.reshape(rows, cols), flat.den)
 
     def threshold(self, radius) -> int:
         """The largest numerator m with m/den inside the closed ball of
@@ -594,8 +616,8 @@ class CoordinateChangeModel:
     target chart's samples; ``rho_idx`` is the sample-level covering map
     into the source chart; ``tilde_tangent_dims`` are the target tangent
     coordinates spanning the tangent space of Ũ_IJ.  ``phi_hat`` is a
-    (m_J, m_I) :class:`RationalArray`; the constructor also takes a
-    ``RationalMatrix`` or rational rows and converts them once.
+    (m_J, m_I) :class:`RationalArray`; the constructor also takes rational
+    rows and converts them once.
     """
 
     source_index: tuple
@@ -619,17 +641,17 @@ class CoordinateChangeModel:
     def image_annihilator(self) -> np.ndarray:
         """An int matrix N whose kernel is im φ̂: v ∈ im φ̂ exactly when
         N·v = 0.  Its rows are a basis of the left null space of φ̂, read
-        off the reduced row-echelon form of φ̂ᵀ and scaled to integers."""
+        off the reduced row-echelon form R/d of φ̂ᵀ and made primitive."""
         m_J = self.phi_hat.num.shape[0]
-        red, pivots, _ = RationalMatrix.from_rows(self.phi_hat.mT.fractions()).rref()
+        red = eliminate(self.phi_hat.mT.num)
         rows = []
-        for free in sorted(set(range(m_J)) - set(pivots)):
-            v = [Fraction(0)] * m_J
-            v[free] = Fraction(1)
-            for r, p in enumerate(pivots):
-                v[p] = -red.entries[r][free]
-            scale = math.lcm(*(x.denominator for x in v))
-            rows.append([x * scale for x in v])
+        for free in sorted(set(range(m_J)) - set(red.pivots)):
+            v = [0] * m_J
+            v[free] = red.scale
+            for r, p in enumerate(red.pivots):
+                v[p] = -red.rref[r][free]
+            g = math.gcd(*v)
+            rows.append([x // g for x in v])
         return RationalArray.of(rows, f"{self._name}: image annihilator", (-1, m_J)).num
 
 
@@ -710,7 +732,7 @@ def check_coordinate_change(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckRep
     if phi.num.shape != (m_J, m_I):
         rep.fail("phi_hat_shape")
         return rep
-    if m_I > 0 and RationalMatrix.from_rows(phi.fractions()).rank() != m_I:
+    if m_I > 0 and eliminate(phi.num).rank != m_I:
         rep.fail("cokernel", reason="phi_hat not injective")
     if m_I > 0 and m_J > 0:
         lhs = _matmul(tgt.obstruction_action, phi, where)
@@ -750,15 +772,13 @@ def check_coordinate_change(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckRep
             finite = np.isfinite(blocks).all(axis=(1, 2))
             svs = np.zeros((len(blocks), m_J))
             svs[finite] = np.linalg.svd(blocks[finite], compute_uv=False)
-            for y, block, ok, sv in zip(tilde, blocks, finite, svs):
-                if not ok:  # one at a time: a NaN raises, an infinity gives NaN
-                    sv = np.linalg.svd(block, compute_uv=False)
-                if sv[-1] <= TAU_RANK * max(sv[0], 1.0):
-                    rep.fail("tangent_bundle_condition", point=y, sigma_min=float(sv[-1]))
-                    break
-            else:
-                if error is not None:
-                    raise error
+            bad = ~finite | (svs[:, -1] <= TAU_RANK * np.maximum(svs[:, 0], 1.0))
+            if bad.any():
+                k = int(bad.argmax())  # a non-finite block has no singular values
+                sigma = float(svs[k, -1]) if finite[k] else None
+                rep.fail("tangent_bundle_condition", point=tilde[k], sigma_min=sigma)
+            elif error is not None:
+                raise error
     # smooth-level ρ vs sample-level ρ (loose tolerance; samples are
     # rational approximations of the smooth model)
     if change.rho_asts is not None:
@@ -1874,10 +1894,11 @@ def _quotient_to_json(q: GroupQuotientModel) -> dict:
         "group": _group_to_json(q.group),
         "perms": dict(zip(names, q.perms.tolist())),
     }
-    if q.affine is not None:
+    if q.affine is not None:  # each element's rows of [A | b]
         out["affine"] = dict(zip(names, [
-            {"matrix": mat.to_json(), "shift": _vec_to_json(shift)}
-            for mat, shift in q.affine
+            {"matrix": RationalArray(a[:, :-1], q.affine.den).to_json(),
+             "shift": RationalArray(a[:, -1], q.affine.den).strings()}
+            for a in q.affine.num
         ]))
     if q.membership is not None:
         out["membership"] = q.membership
@@ -1894,13 +1915,12 @@ def _quotient_from_json(d: dict, where: str) -> GroupQuotientModel:
             raise ValueError(f"{where}: perms of {name!r} is no map of the {len(points)} samples")
     affine = None
     if "affine" in d:
-        affine = [
-            (
-                RationalMatrix.from_json(a["matrix"], f"{where}: affine"),
-                _vec_from_json(a["shift"]),
-            )
-            for a in _by_element(where, "affine", d["affine"], group.elements)
-        ]
+        affine, dim = [], len(points[0]) if points else 0
+        for a in _by_element(where, "affine", d["affine"], group.elements):
+            mat, shift = RationalArray.from_json(a["matrix"], f"{where}: affine"), a["shift"]
+            if mat.num.shape != (dim, dim) or len(shift) != dim:
+                raise ValueError(f"{where}: affine is not {dim} x {dim} with a shift of {dim}")
+            affine.append([[*row, parse_rat(c)] for row, c in zip(mat.fractions(), shift)])
     return GroupQuotientModel(
         points=points,
         group=group,
@@ -1938,9 +1958,9 @@ def _chart_from_json(d: dict, where: str) -> ChartModel:
         index=tuple(d["index"]),
         domain=domain,
         obstruction_dim=d["obstruction_dim"],
-        obstruction_action=tuple(
-            RationalMatrix.from_json(m, f"{where}: obstruction_action") for m in action
-        ),
+        obstruction_action=[
+            RationalArray.from_json(m, f"{where}: obstruction_action").fractions() for m in action
+        ],
         obstruction_points=d["obstruction_points"],
         section_samples=d["section_samples"],
         footprint_map={int(i): lab for i, lab in d["footprint_map"].items()},
@@ -1974,7 +1994,7 @@ def _change_from_json(d: dict) -> CoordinateChangeModel:
         target_index=J,
         tilde_indices=tuple(d["tilde_indices"]),
         rho_idx={int(k): v for k, v in d["rho_idx"].items()},
-        phi_hat=RationalMatrix.from_json(d["phi_hat"], f"coordinate change {I}->{J}: phi_hat"),
+        phi_hat=RationalArray.from_json(d["phi_hat"], f"coordinate change {I}->{J}: phi_hat"),
         rho_asts=tuple(d["rho_asts"]) if "rho_asts" in d else None,
         domain_pred=d.get("domain_pred"),
         lifted_pred=d.get("lifted_pred"),
@@ -2039,16 +2059,13 @@ def _metric_from_json(entries: list, keys: list) -> RationalArray:
             if (i, j) not in values:
                 pair = f"{_metric_key_to_json(keys[i])}, {_metric_key_to_json(keys[j])}"
                 raise ValueError(f"metric entry missing for the pair {pair}")
-    den = math.lcm(1, *(d.denominator for d in values.values()))
-    nums = [d.numerator * (den // d.denominator) for d in values.values()]
-    if max([den, *nums]) > INT64_MAX:
-        raise ValueError(f"metric denominator {den} does not fit int64 numerators")
+    flat = RationalArray.of(list(values.values()), "metric", (-1,))
     num = np.zeros((n, n), dtype=np.int64)
     if values:
         rows, cols = np.array(list(values), dtype=np.int64).T
-        num[rows, cols] = nums
-        num[cols, rows] = nums
-    return RationalArray(num, den)
+        num[rows, cols] = flat.num
+        num[cols, rows] = flat.num
+    return RationalArray(num, flat.den)
 
 
 def atlas_to_json(atlas: AtlasModel) -> dict:

@@ -37,6 +37,7 @@ from typing import Callable
 
 import click
 import numpy as np
+from numpy.linalg import matrix_power
 
 from .charts_atlas import (
     AtlasModel,
@@ -58,7 +59,7 @@ from .charts_atlas import (
     product_group,
     CheckReport,
 )
-from .exterior_engine import RationalMatrix, parse_rat, rat_str
+from .exterior_engine import parse_rat, rat_str
 from .expressions import num, var
 from .reduction_perturb import (
     EquivariantNorms,
@@ -212,7 +213,7 @@ def build_toy_atlas(cover: dict, x_labels: list, orders: dict) -> AtlasModel:
                     target_index=J,
                     tilde_indices=tuple(range(len(layouts[J]))),
                     rho_idx={k: layouts[I][(x, proj[g])] for (x, g), k in layouts[J].items()},
-                    phi_hat=RationalMatrix.zero(0, 0),
+                    phi_hat=(),
                 )
     return atlas
 
@@ -238,32 +239,21 @@ def random_toy_atlas(seed: int) -> AtlasModel:
 # ---------------------------------------------------------------------------
 
 
-def _order_matrix(n: int) -> RationalMatrix:
-    """An exact rational rotation of order n (n ∈ {1, 2, 3})."""
+def _order_matrix(n: int) -> np.ndarray:
+    """An integer rotation of order n (n ∈ {1, 2, 3})."""
     if n == 1:
-        return RationalMatrix.identity(2)
+        return np.eye(2, dtype=np.int64)
     if n == 2:
-        return RationalMatrix.from_rows([[F(-1), F(0)], [F(0), F(-1)]])
+        return -np.eye(2, dtype=np.int64)
     if n == 3:
         # conjugate of the 1/3-turn by the hexagonal frame P
-        return RationalMatrix.from_rows([[F(0), F(-1)], [F(1), F(-1)]])
+        return np.array([[0, -1], [1, -1]], dtype=np.int64)
     raise ValueError(f"no exact rational rotation of order {n}")
 
 
-def _mat_pow(mat: RationalMatrix, k: int) -> RationalMatrix:
-    out = RationalMatrix.identity(mat.rows)
-    for _ in range(k):
-        out = mat.mul(out)
-    return out
-
-
-def _block_diag(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    rows = []
-    for r in range(a.rows):
-        rows.append(list(a.entries[r]) + [F(0)] * b.cols)
-    for r in range(b.rows):
-        rows.append([F(0)] * a.cols + list(b.entries[r]))
-    return RationalMatrix.from_rows(rows)
+def _apply(mat: np.ndarray, v: tuple) -> tuple:
+    """``mat·v`` for an int matrix and a vector of rationals, exactly."""
+    return tuple(sum(a * c for a, c in zip(row, v)) for row in mat.tolist())
 
 
 def _frame(n2: int):
@@ -315,7 +305,7 @@ class _Pole:
 
     index: tuple
     group: FiniteGroup
-    rot: RationalMatrix
+    rot: np.ndarray
     frame: tuple
     radius: Callable[[float], float]  # band coordinate -> radius
     orient: int
@@ -339,8 +329,7 @@ class _Pole:
         reps = [rep(2.0 * math.pi * j / self.nN) for j in range(self.N)]
         out = list(reps)
         for s in range(1, self.group.order):
-            mat = _mat_pow(self.rot, s)
-            out.extend(tuple(mat.matvec(v)) for v in reps)
+            out.extend(_apply(matrix_power(self.rot, s), v) for v in reps)
         return out
 
     def domain(self) -> GroupQuotientModel:
@@ -350,12 +339,12 @@ class _Pole:
             pts.extend(self.ring(
                 lambda a: _rat_vec(_apply_frame(self.frame, (r * math.cos(a), r * math.sin(a))))
             ))
-        # element s of the cyclic group is rot^s
+        # element s of the cyclic group is rot^s: affine rows [rot^s | 0]
         perms = [
             [0] + [self.idx(g, j + s * self.N) for g in range(3) for j in range(self.nN)]
             for s in range(self.group.order)
         ]
-        affine = [(_mat_pow(self.rot, s), (F(0), F(0))) for s in range(self.group.order)]
+        affine = [np.c_[matrix_power(self.rot, s), [0, 0]] for s in range(self.group.order)]
         return GroupQuotientModel(points=tuple(pts), group=self.group, perms=perms, affine=affine)
 
     def footprint(self) -> dict:
@@ -378,15 +367,9 @@ def _band_circle_metric(positions: list) -> RationalArray:
     and the distance on the unit circle, which is 0 against a centre
     (circle coordinate ``None``).  Positions come in intermediate-key
     order; the coordinates become numerators over one common denominator."""
-    den = math.lcm(*(c.denominator for pos in positions for c in pos if c is not None))
-    band = np.array(
-        [b.numerator * (den // b.denominator) for b, _ in positions], dtype=np.int64
-    )
+    coords = RationalArray.of([(b, t or 0) for b, t in positions], "positions", (-1, 2))
+    band, circle, den = coords.num[:, 0], coords.num[:, 1], coords.den
     on_circle = np.array([t is not None for _, t in positions])
-    circle = np.array(
-        [0 if t is None else t.numerator * (den // t.denominator) for _, t in positions],
-        dtype=np.int64,
-    )
     dt = np.abs(circle[:, None] - circle[None, :])
     dt = np.minimum(dt, den - dt)
     dt[~(on_circle[:, None] & on_circle[None, :])] = 0
@@ -438,6 +421,10 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
     # deck[k] = (p, q): element k of Γ₁ × Γ₂ is (g^p, g^q)
     deck = [(p, q) for p in range(n1) for q in range(n2)]
     deck_shift = {(p, q): (p * sigma1 + q * sigma2) % L for (p, q) in deck}
+    # element k acts on E₁₂ = E₁ ⊕ E₂ by act12[k]
+    zero2 = np.zeros((2, 2), dtype=np.int64)
+    act12 = [np.block([[matrix_power(R1, p), zero2], [zero2, matrix_power(A2, q)]])
+             for (p, q) in deck]
     e_base = (
         (F(1, 2), F(0)),
         (F(-1, 2), F(0)),
@@ -462,7 +449,7 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
     if euler:
         for b in range(4):
             for (p, q) in deck:
-                e = tuple(_mat_pow(R1, p).matvec(e_base[b]))
+                e = _apply(matrix_power(R1, p), e_base[b])
                 pts12.append((e[0], e[1], F(1, 2), F(deck_shift[(p, q)], L)))
     perms12 = []
     for (p, q) in deck:
@@ -606,11 +593,10 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
             mid_reps[j] = _rat_vec(
                 (cc / 16.0, ss / 16.0, -w[0] / 24.0, -w[1] / 24.0)
             )
-        for (p, q) in deck:
-            mat = _block_diag(_mat_pow(R1, p), _mat_pow(A2, q))
+        for (p, q), mat in zip(deck, act12):
             shift = deck_shift[(p, q)]
             for j in range(N):
-                d12[idx12(1, j + shift)] = tuple(mat.matvec(mid_reps[j]))
+                d12[idx12(1, j + shift)] = _apply(mat, mid_reps[j])
         # obstruction samples carry the same ν value as the underlying
         # ring point (ν₁₂ is independent of the E₁ coordinates)
         for b in range(4):
@@ -629,9 +615,8 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
                 (ex / z0) * w0[1] + (n1 / n2) * (ey / z0) * kw0[1],
             )
             base_val = (e[0], e[1]) + _rat_vec(me)
-            for (p, q) in deck:
-                mat = _block_diag(_mat_pow(R1, p), _mat_pow(A2, q))
-                e_samples_s[eidx12(bb, p, q)] = tuple(mat.matvec(base_val))
+            for (p, q), mat in zip(deck, act12):
+                e_samples_s[eidx12(bb, p, q)] = _apply(mat, base_val)
 
     # ----- obstruction grids -----
     if euler:
@@ -640,7 +625,7 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
         )
         orbit2 = []
         for s in range(n2):
-            v = tuple(_mat_pow(A2, s).matvec((F(1, 2), F(0))))
+            v = _apply(matrix_power(A2, s), (F(1, 2), F(0)))
             for w in (v, (-v[0], -v[1])):
                 if w not in orbit2:
                     orbit2.append(w)
@@ -656,17 +641,12 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
             if e_samples_s[i] not in grid12:
                 grid12.append(e_samples_s[i])
         grid12 = tuple(grid12)
-        act1 = [_mat_pow(R1, s) for s in range(n1)]
-        act2 = [_mat_pow(A2, s) for s in range(n2)]
-        act12 = [_block_diag(_mat_pow(R1, p), _mat_pow(A2, q)) for (p, q) in deck]
+        act1 = [matrix_power(R1, s) for s in range(n1)]
+        act2 = [matrix_power(A2, s) for s in range(n2)]
         m_basic, m12 = 2, 4
         zero_basic = (F(0), F(0))
-        phi1 = RationalMatrix.from_rows(
-            [[F(1), F(0)], [F(0), F(1)], [F(0), F(0)], [F(0), F(0)]]
-        )
-        phi2 = RationalMatrix.from_rows(
-            [[F(0), F(0)], [F(0), F(0)], [F(1), F(0)], [F(0), F(1)]]
-        )
+        phi1 = [[1, 0], [0, 1], [0, 0], [0, 0]]
+        phi2 = [[0, 0], [0, 0], [1, 0], [0, 1]]
         s12 = [zero4] * n12 + [e_samples_s[n12 + k] for k in range(4 * D)]
         tangent1 = (0, 1)
         tangent12 = (0, 1, 2, 3)
@@ -677,7 +657,7 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
         act1 = act2 = act12 = ()
         m_basic, m12 = 0, 0
         zero_basic = ()
-        phi1 = phi2 = RationalMatrix.zero(0, 0)
+        phi1 = phi2 = ()
         s12 = [()] * n12
         tangent1 = ()
         tangent12 = ()
@@ -796,10 +776,8 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
         )
         built.nu = Perturbation(asts=nu_asts, samples=nu_samples)
         t_map = {
-            1: RationalMatrix.identity(2),
-            2: RationalMatrix.from_rows([[F(1), F(0)], [F(0), F(-1)], [F(-1), F(1)]])
-            if n2 == 3
-            else RationalMatrix.identity(2),
+            1: np.eye(2, dtype=np.int64),
+            2: [[1, 0], [0, -1], [-1, 1]] if n2 == 3 else np.eye(2, dtype=np.int64),
         }
         built.norms = EquivariantNorms(maps=t_map)
         built.sigma = F(1, 4)
@@ -1288,6 +1266,9 @@ def check_cmd(atlas_file, json_path):
         report = check_atlas_data(data)
     except (ValueError, KeyError, TypeError) as ex:
         click.echo(f"schema error: {ex}", err=True)
+        sys.exit(3)
+    except ArithmeticError as ex:  # a document expression at a sample, e.g. 1/0
+        click.echo(f"evaluation error: {ex}", err=True)
         sys.exit(3)
     _print_stage_summary(report)
     if json_path:

@@ -1,25 +1,23 @@
-"""Exact rational matrices and the sign of a transverse zero.
-
-Everything in this module is computed over exact rationals
-(:class:`fractions.Fraction`); there is no floating point anywhere.  The
-module provides:
+"""Exact elimination and the sign of a transverse zero, on Python ints.
 
 * :func:`parse_rat` / :func:`rat_str` -- the ``"p/q"`` wire format;
-* :class:`RationalMatrix` -- immutable exact matrices with elimination,
-  rank and determinant;
+* :func:`eliminate` -- fraction-free (Bareiss) Gauss–Jordan elimination
+  of an integer matrix: rank, pivots, determinant and reduced row-echelon
+  form;
 * :func:`zero_sign` -- the orientation sign of a transverse zero.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import NamedTuple
 
-Vec = tuple[Fraction, ...]
+import numpy as np
 
 __all__ = [
-    "RationalMatrix",
+    "eliminate",
     "parse_rat",
     "rat_str",
     "zero_sign",
@@ -28,8 +26,6 @@ __all__ = [
 
 def parse_rat(text: str | int) -> Fraction:
     """Parse a rational from the JSON wire format ``"p/q"`` (or an int)."""
-    if isinstance(text, int):
-        return Fraction(text)
     return Fraction(text)
 
 
@@ -39,168 +35,81 @@ def rat_str(value: Fraction | int) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _as_vec(v: Sequence) -> Vec:
-    return tuple(Fraction(x) for x in v)
+class Elimination(NamedTuple):
+    """The outcome of :func:`eliminate` on an integer matrix A: ``rref``
+    (int rows) over ``scale`` (a positive int) is the reduced row-echelon
+    form of A, with ``rank`` pivots in the columns ``pivots``; ``det`` is
+    the determinant of A if A is square, else 0."""
+
+    rref: list
+    scale: int
+    rank: int
+    pivots: tuple[int, ...]
+    det: int
 
 
-class ExteriorError(ValueError):
-    """Raised on dimension mismatches and degenerate inputs."""
+def eliminate(a: np.ndarray) -> Elimination:
+    """Gauss–Jordan elimination of the 2-D integer array ``a`` (int64, or
+    object holding Python ints), fraction-free on Python ints, so nothing
+    overflows.  Each step takes the first nonzero entry p at or below the
+    pivot row and sets every other row to (p·row − f·pivot row) / p', f its
+    entry in the pivot column and p' the previous pivot (at first 1).  The
+    division is exact, as every entry is a minor of ``a`` (Sylvester's
+    identity); at the end every pivot entry is ± the last pivot minor."""
+    n, cols = a.shape
+    m = a.tolist()
+    prev, sign, pivots = 1, 1, []
+    for c in range(cols):
+        r = len(pivots)
+        sel = next((i for i in range(r, n) if m[i][c]), None)
+        if sel is None:
+            continue
+        if sel != r:
+            m[r], m[sel] = m[sel], m[r]
+            sign = -sign
+        p, top = m[r][c], m[r]
+        for i in range(n):
+            if i != r:
+                f = m[i][c]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], top)]
+        pivots.append(c)
+        prev = p
+        if len(pivots) == n:
+            break
+    det = sign * prev if len(pivots) == n == cols else 0
+    if prev < 0:
+        m, prev = [[-x for x in row] for row in m], -prev
+    return Elimination(m, prev, len(pivots), tuple(pivots), det)
 
 
-# ---------------------------------------------------------------------------
-# Exact matrices
-# ---------------------------------------------------------------------------
-
-
+# Kept for perfbench/tracer.py alone, which wraps RationalMatrix.matvec and stops if it is missing.
 @dataclass(frozen=True)
 class RationalMatrix:
-    """An immutable rows x cols matrix of exact rationals."""
+    """An immutable matrix of exact rationals, one tuple per row."""
 
-    entries: tuple[Vec, ...]
+    entries: tuple
 
-    @staticmethod
-    def from_rows(rows: Iterable[Sequence]) -> "RationalMatrix":
-        return RationalMatrix(tuple(_as_vec(r) for r in rows))
-
-    @staticmethod
-    def from_cols(cols: Iterable[Sequence], rows: int | None = None) -> "RationalMatrix":
-        cols = [_as_vec(c) for c in cols]
-        if not cols:
-            if rows:
-                return RationalMatrix(tuple(() for _ in range(rows)))
-            return RationalMatrix(())
-        return RationalMatrix.from_rows(zip(*cols))
-
-    @staticmethod
-    def identity(n: int) -> "RationalMatrix":
-        return RationalMatrix(
-            tuple(
-                tuple(Fraction(1 if i == j else 0) for j in range(n))
-                for i in range(n)
-            )
-        )
-
-    @staticmethod
-    def zero(rows: int, cols: int) -> "RationalMatrix":
-        z = Fraction(0)
-        return RationalMatrix(tuple(tuple(z for _ in range(cols)) for _ in range(rows)))
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def col(self, j: int) -> Vec:
-        return tuple(r[j] for r in self.entries)
-
-    def columns(self) -> list[Vec]:
-        return [self.col(j) for j in range(self.cols)]
-
-    def matvec(self, v: Sequence) -> Vec:
-        v = _as_vec(v)
-        if len(v) != self.cols:
-            raise ExteriorError(f"matvec: expected length {self.cols}, got {len(v)}")
-        return tuple(sum(r[j] * v[j] for j in range(self.cols)) for r in self.entries)
-
-    def mul(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.rows == 0:
-            return RationalMatrix(())
-        if self.cols != other.rows:
-            raise ExteriorError("matrix product dimension mismatch")
-        return RationalMatrix.from_cols(
-            (self.matvec(c) for c in other.columns()), rows=self.rows
-        )
-
-    # -- elimination -------------------------------------------------------
-
-    def rref(self) -> tuple["RationalMatrix", tuple[int, ...], Fraction]:
-        """Reduced row-echelon form.
-
-        Returns ``(R, pivots, t)`` where ``R = T @ self`` for an invertible
-        row-operation matrix ``T`` with ``det(T) = t``.
-        """
-        m = [list(r) for r in self.entries]
-        nrows, ncols = self.rows, self.cols
-        det_t = Fraction(1)
-        pivots: list[int] = []
-        pr = 0
-        for pc in range(ncols):
-            sel = next((i for i in range(pr, nrows) if m[i][pc] != 0), None)
-            if sel is None:
-                continue
-            if sel != pr:
-                m[pr], m[sel] = m[sel], m[pr]
-                det_t = -det_t
-            p = m[pr][pc]
-            if p != 1:
-                m[pr] = [x / p for x in m[pr]]
-                det_t /= p
-            for i in range(nrows):
-                if i != pr and m[i][pc] != 0:
-                    f = m[i][pc]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[pr])]
-            pivots.append(pc)
-            pr += 1
-            if pr == nrows:
-                break
-        return RationalMatrix.from_rows(m), tuple(pivots), det_t
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
-
-    def det(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ExteriorError("determinant of a non-square matrix")
-        if self.rows == 0:
-            return Fraction(1)
-        red, pivots, t = self.rref()
-        if len(pivots) < self.rows:
-            return Fraction(0)
-        # red = T @ self is the identity, so det(self) = 1/det(T).
-        return 1 / t
-
-    def to_json(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [rat_str(x) for r in self.entries for x in r],
-        }
-
-    @staticmethod
-    def from_json(data: dict, where: str = "matrix") -> "RationalMatrix":
-        """Read ``{"rows", "cols", "entries"}``, the entries row by row.
-
-        Sizes that are not nonnegative integers, an entry count other than
-        rows * cols, and 0 rows over nonzero cols (a shape this class
-        cannot hold) raise ``ValueError`` naming ``where`` and the field."""
-        rows, cols, entries = data["rows"], data["cols"], data["entries"]
-        for name, size in (("rows", rows), ("cols", cols)):
-            if type(size) is not int or size < 0:
-                raise ValueError(f"{where}: {name} is {size!r}, not a nonnegative integer")
-        if len(entries) != rows * cols:
-            raise ValueError(
-                f"{where}: entries has {len(entries)} values, not rows * cols = {rows * cols}"
-            )
-        if rows == 0 and cols:
-            raise ValueError(f"{where}: cols is {cols} over 0 rows")
-        flat = [parse_rat(x) for x in entries]
-        return RationalMatrix.from_rows(
-            [flat[i * cols : (i + 1) * cols] for i in range(rows)]
-        )
+    def matvec(self, v) -> tuple:
+        return tuple(sum(a * Fraction(b) for a, b in zip(r, v)) for r in self.entries)
 
 
-def zero_sign(jacobian: RationalMatrix) -> int:
+def zero_sign(jacobian: np.ndarray) -> int:
     """Orientation sign of a transverse zero in an index-0 chart.
 
     Every chart carries the standard orientation e_1 ∧ … ∧ e_n ⊗
     (e_1 ∧ … ∧ e_n)* of det(ds) = Λ^n TU ⊗ (Λ^n E)*, and ds contracts it
-    to det(ds): the sign is the sign of the exact determinant.  A
-    non-square or singular ``jacobian`` raises :class:`ExteriorError`.
-    """
-    det = jacobian.det()
+    to det(ds): the sign is the sign of the determinant of the float
+    matrix ``jacobian``, taken exactly: over the common power-of-two
+    denominator D of its (dyadic) entries it is an integer matrix of
+    determinant Dⁿ·det.  A non-square or singular ``jacobian`` or a NaN
+    entry raises ``ValueError``, an infinite entry ``OverflowError``."""
+    jacobian = np.asarray(jacobian, dtype=float)
+    if jacobian.ndim != 2 or jacobian.shape[0] != jacobian.shape[1]:
+        raise ValueError("determinant of a non-square matrix")
+    ratios = [x.as_integer_ratio() for x in jacobian.ravel().tolist()]
+    den = math.lcm(*(q for _, q in ratios))
+    ints = np.array([p * (den // q) for p, q in ratios], dtype=object)
+    det = eliminate(ints.reshape(jacobian.shape)).det
     if det == 0:
-        raise ExteriorError("jacobian is singular: zero is not transverse")
+        raise ValueError("jacobian is singular: zero is not transverse")
     return 1 if det > 0 else -1

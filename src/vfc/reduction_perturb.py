@@ -36,7 +36,7 @@ from .charts_atlas import (
     composition_table,
     realize_intermediate,
 )
-from .exterior_engine import RationalMatrix, parse_rat, rat_str
+from .exterior_engine import eliminate, parse_rat, rat_str
 from .expressions import compile_vector, eval_pred, eval_vector, evaluate_until_raise
 
 __all__ = [
@@ -116,8 +116,8 @@ class EquivariantNorms:
     """Per-basic-chart norms: max of coordinates after a declared
     Γ_i-invariant rational linear change; product charts take the max over
     the summands.  ``maps`` holds the changes as (rows, m_i)
-    :class:`RationalArray` s; the constructor also takes ``RationalMatrix``
-    values and converts them once."""
+    :class:`RationalArray` s; the constructor also takes rational rows and
+    converts them once."""
 
     maps: dict  # basic index -> RationalArray
 
@@ -185,8 +185,7 @@ class EquivariantNorms:
             if T.num.shape[1] != chart.obstruction_dim:
                 rep.fail("norm_shape", index=i)
                 continue
-            rank = RationalMatrix.from_rows(T.fractions()).rank()
-            if chart.obstruction_dim and rank != chart.obstruction_dim:
+            if chart.obstruction_dim and eliminate(T.num).rank != chart.obstruction_dim:
                 rep.fail("norm_degenerate", index=i)
             # the norm at γ·e against the norm at e, for every grid point e
             grid, where = chart.obstruction_points, f"chart {(i,)}"
@@ -866,7 +865,7 @@ def norms_to_json(norms: EquivariantNorms) -> dict:
 def norms_from_json(data: dict) -> EquivariantNorms:
     return EquivariantNorms(
         maps={
-            int(i): RationalMatrix.from_json(T, f"norms: map {i}")
+            int(i): RationalArray.from_json(T, f"norms: map {i}")
             for i, T in data["maps"].items()
         }
     )

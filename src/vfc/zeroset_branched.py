@@ -26,7 +26,7 @@ from .charts_atlas import (
     UnionFind,
     composition_table,
 )
-from .exterior_engine import RationalMatrix, rat_str, zero_sign
+from .exterior_engine import rat_str, zero_sign
 from .expressions import compile_vector, eval_pred
 from .reduction_perturb import Perturbation, Reduction, v_tilde
 
@@ -251,9 +251,7 @@ def _chart_zeros(atlas: AtlasModel, red: Reduction, nu: Perturbation, I: tuple,
                     raise PerturbationRejected(
                         f"singular jacobian at zero {point} in chart {I}"
                     )
-            sign = zero_sign(
-                RationalMatrix.from_rows([[Fraction(float(v)) for v in row] for row in jac])
-            )
+            sign = zero_sign(jac)
             found.append(
                 ZeroPoint(
                     chart_index=I,

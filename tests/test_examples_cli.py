@@ -490,25 +490,83 @@ def test_cli_zeros_unevaluable_perturbation_exit_three(sphere_files, tmp_path, d
     assert f"cannot find zeros: chart (1, 2): {message}" in res.output
 
 
-@pytest.mark.parametrize("phi_hat, message", [
+def _cli_check_doctored(sphere_files, tmp_path, doctor):
+    """``vfc check`` on the sphere-euler N=8 document after ``doctor``."""
+    atlas_path, _, _ = sphere_files
+    doc = json.loads(atlas_path.read_text())
+    doctor(doc)
+    path = tmp_path / "doctored.json"
+    path.write_text(json.dumps(doc))
+    return CliRunner().invoke(main, ["check", str(path)])
+
+
+def _set_phi_hat(doc, matrix):
+    change = doc["changes"][0]
+    change["phi_hat"] = matrix
+    return f"coordinate change {tuple(change['source'])}->{tuple(change['target'])}: phi_hat"
+
+
+def _set_affine(doc, matrix):
+    affine = doc["charts"]["1"]["domain"]["affine"]
+    affine[next(iter(affine))]["matrix"] = matrix
+    return "chart 1: affine"
+
+
+def _set_obstruction_action(doc, matrix):
+    action = doc["charts"]["1"]["obstruction_action"]
+    action[next(iter(action))] = matrix
+    return "chart 1: obstruction_action"
+
+
+@pytest.mark.parametrize("matrix, message", [
     ({"rows": 4, "cols": 2, "entries": ["1/1"] * 9}, "entries has 9 values, not rows * cols = 8"),
     ({"rows": 0, "cols": 2, "entries": []}, "cols is 2 over 0 rows"),
     ({"rows": 4.0, "cols": 2, "entries": ["1/1"] * 8}, "rows is 4.0, not a nonnegative integer"),
     ({"rows": 4, "cols": -2, "entries": []}, "cols is -2, not a nonnegative integer"),
 ])
-def test_cli_check_phi_hat_of_another_shape_exit_three(sphere_files, tmp_path, phi_hat,
+@pytest.mark.parametrize("setter", [_set_phi_hat, _set_affine, _set_obstruction_action])
+def test_cli_check_phi_hat_of_another_shape_exit_three(sphere_files, tmp_path, setter, matrix,
                                                        message):
-    atlas_path, _, _ = sphere_files
-    doc = json.loads(atlas_path.read_text())
-    change = doc["changes"][0]
-    change["phi_hat"] = phi_hat
-    path = tmp_path / "phi_hat.json"
-    path.write_text(json.dumps(doc))
-    res = CliRunner().invoke(main, ["check", str(path)])
+    names = []
+    res = _cli_check_doctored(sphere_files, tmp_path, lambda d: names.append(setter(d, matrix)))
     assert res.exit_code == 3, res.output
     assert isinstance(res.exception, SystemExit)
-    name = f"coordinate change {tuple(change['source'])}->{tuple(change['target'])}"
-    assert f"schema error: {name}: phi_hat: {message}" in res.output
+    assert f"schema error: {names[0]}: {message}" in res.output
+
+
+@pytest.mark.parametrize("matrix, shift", [
+    ({"rows": 3, "cols": 3, "entries": ["1/1"] * 9}, ["0/1"] * 3),
+    ({"rows": 2, "cols": 3, "entries": ["1/1"] * 6}, ["0/1"] * 2),
+    ({"rows": 2, "cols": 2, "entries": ["1/1"] * 4}, ["0/1"] * 3),
+])
+def test_cli_check_affine_of_another_dimension_exit_three(sphere_files, tmp_path, matrix,
+                                                          shift):
+    """The sphere's chart 1 has samples in R²."""
+    def doctor(doc):
+        affine = doc["charts"]["1"]["domain"]["affine"]
+        affine[next(iter(affine))] = {"matrix": matrix, "shift": shift}
+
+    res = _cli_check_doctored(sphere_files, tmp_path, doctor)
+    assert res.exit_code == 3, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "schema error: chart 1: affine is not 2 x 2 with a shift of 2" in res.output
+
+
+def _divide_nu_by_zero(doc):
+    _zero_divisor(doc["perturbation"]["asts"])
+
+
+def _divide_rho_by_zero(doc):
+    doc["changes"][0]["rho_asts"][0] = ["/", ["num", "1/1"], ["-", ["var", 0], ["var", 0]]]
+
+
+@pytest.mark.parametrize("doctor", [_divide_nu_by_zero, _divide_rho_by_zero])
+def test_cli_check_zero_divisor_exit_three(sphere_files, tmp_path, doctor):
+    res = _cli_check_doctored(sphere_files, tmp_path, doctor)
+    assert res.exit_code == 3, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    assert "evaluation error: float division by zero" in res.output
 
 
 def test_example_names_frozen():

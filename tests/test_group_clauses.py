@@ -18,7 +18,6 @@ from vfc.charts_atlas import (
     cyclic_group,
 )
 from vfc.examples_cli import ExampleDescriptor, build_example, build_toy_atlas
-from vfc.exterior_engine import RationalMatrix
 from vfc.expressions import num, var
 
 F = Fraction
@@ -93,7 +92,7 @@ def _sign_chart(action, grid=((F(0),), (F(1),), (F(-1),))):
         atlas,
         (1,),
         obstruction_dim=1,
-        obstruction_action=[RationalMatrix.from_rows([[F(a)]]) for a in action],
+        obstruction_action=[[[F(a)]] for a in action],
         obstruction_points=grid,
         section_samples=((F(0),), (F(0),)),
     )

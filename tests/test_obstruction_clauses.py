@@ -16,7 +16,6 @@ from vfc.charts_atlas import (
     check_tame_and_filtration,
 )
 from vfc.examples_cli import ExampleDescriptor, build_example, build_toy_atlas
-from vfc.exterior_engine import RationalMatrix
 from vfc.reduction_perturb import EquivariantNorms
 
 F = Fraction
@@ -62,7 +61,7 @@ def sample_in_tilde_moved():
 def phi_hat_of_wrong_shape():
     """φ̂ of (1,) -> (1, 2) is 2 × 2, not 4 × 2."""
     atlas = _football().atlas
-    return _with_change(atlas, (1,), (1, 2), phi_hat=RationalMatrix.identity(2))
+    return _with_change(atlas, (1,), (1, 2), phi_hat=[[1, 0], [0, 1]])
 
 
 def phi_hat_into_the_other_block():
@@ -79,7 +78,7 @@ def phi_hats_not_composing():
     atlas = build_toy_atlas({1: {"p"}, 2: {"p"}, 3: {"p"}}, ["p"], {})
     for I, J in list(atlas.changes):
         phi = [[F(2 if (I, J) == ((1,), (1, 2, 3)) else 1)]]
-        atlas = _with_change(atlas, I, J, phi_hat=RationalMatrix.from_rows(phi))
+        atlas = _with_change(atlas, I, J, phi_hat=phi)
     return atlas
 
 
@@ -117,7 +116,7 @@ def chart_without_grid():
 def norm_of_wrong_width():
     """The norm of chart 1 reads one coordinate of E_1 = R²."""
     built = _football()
-    maps = {**built.norms.maps, 1: RationalMatrix.identity(1)}
+    maps = {**built.norms.maps, 1: [[1]]}
     return built.atlas, EquivariantNorms(maps=maps)
 
 

@@ -18,7 +18,6 @@ from vfc.charts_atlas import (
     trivial_group,
 )
 from vfc.expressions import num, var
-from vfc.exterior_engine import RationalMatrix
 from vfc.reduction_perturb import (
     AdaptednessConstants,
     EquivariantNorms,
@@ -189,7 +188,7 @@ def _fixed_point_atlas() -> AtlasModel:
         target_index=(1, 2),
         tilde_indices=(0,),
         rho_idx={0: 0},
-        phi_hat=RationalMatrix.zero(0, 0),
+        phi_hat=(),
     )
     return AtlasModel(
         x_labels=("a",),
@@ -310,7 +309,7 @@ def _collar_atlas(m12: int, phi_entries, tangent: bool = False) -> AtlasModel:
         index=(1,),
         domain=GroupQuotientModel(points=((F(0),),), group=g1, perms=[(0,)]),
         obstruction_dim=1,
-        obstruction_action=[RationalMatrix.identity(1)],
+        obstruction_action=[[[1]]],
         obstruction_points=((F(0),), (F(1),)),
         section_samples=((F(0),),),
         footprint_map={0: "a"},
@@ -326,8 +325,8 @@ def _collar_atlas(m12: int, phi_entries, tangent: bool = False) -> AtlasModel:
         ),
         obstruction_dim=m12,
         obstruction_action=[
-            RationalMatrix.identity(m12),
-            RationalMatrix.identity(m12),
+            np.eye(m12, dtype=int),
+            np.eye(m12, dtype=int),
         ],
         obstruction_points=(zero12,),
         section_samples=(zero12, zero12),
@@ -339,7 +338,7 @@ def _collar_atlas(m12: int, phi_entries, tangent: bool = False) -> AtlasModel:
         target_index=(1, 2),
         tilde_indices=(0, 1),
         rho_idx={0: 0, 1: 0},
-        phi_hat=RationalMatrix.from_rows(phi_entries),
+        phi_hat=phi_entries,
     )
     return AtlasModel(
         x_labels=("a",),
@@ -425,7 +424,7 @@ def _line_atlas(extra_chart_distance=None) -> AtlasModel:
             points=points, group=g, perms=[tuple(range(n))]
         ),
         obstruction_dim=1,
-        obstruction_action=[RationalMatrix.identity(1)],
+        obstruction_action=[[[1]]],
         obstruction_points=((F(0),), (F(1, 16),)),
         section_samples=tuple((F(k, 8) - F(1, 2),) for k in range(n)),
         footprint_map={4: "p"},
@@ -447,7 +446,7 @@ def _line_atlas(extra_chart_distance=None) -> AtlasModel:
                 points=((F(0),),), group=g, perms=[(0,)]
             ),
             obstruction_dim=1,
-            obstruction_action=[RationalMatrix.identity(1)],
+            obstruction_action=[[[1]]],
             obstruction_points=((F(0),), (F(1),)),
             section_samples=((F(0),),),
             footprint_map={0: "q"},
@@ -481,7 +480,7 @@ def _line_data(atlas):
         V.sets[(2,)] = frozenset({0})
         C.sets[(2,)] = frozenset({0})
     norms = EquivariantNorms(
-        maps={I[0]: RationalMatrix.identity(1) for I in atlas.charts if len(I) == 1}
+        maps={I[0]: [[1]] for I in atlas.charts if len(I) == 1}
     )
     return V, C, norms
 
@@ -647,8 +646,8 @@ class TestCheckAdapted:
 def _rotation_chart_atlas() -> AtlasModel:
     """Order-3 rational rotation on a dim-2 obstruction space."""
     g = cyclic_group(3)
-    A = RationalMatrix.from_rows([[F(0), F(-1)], [F(1), F(-1)]])
-    A2 = A.mul(A)
+    A = np.array([[F(0), F(-1)], [F(1), F(-1)]])
+    A2 = A @ A
     grid = (
         (F(1), F(1, 2)),
         (F(-1, 2), F(1, 2)),
@@ -662,7 +661,7 @@ def _rotation_chart_atlas() -> AtlasModel:
             perms=[(0, 1, 2), (1, 2, 0), (2, 0, 1)],
         ),
         obstruction_dim=2,
-        obstruction_action=[RationalMatrix.identity(2), A, A2],
+        obstruction_action=[[[1, 0], [0, 1]], A, A2],
         obstruction_points=grid,
         section_samples=((F(0), F(0)),) * 3,
         footprint_map={0: "p", 1: "p", 2: "p"},
@@ -678,9 +677,7 @@ def _rotation_chart_atlas() -> AtlasModel:
 class TestEquivariantNorms:
     def test_invariant_norm_validates(self):
         atlas = _rotation_chart_atlas()
-        T = RationalMatrix.from_rows(
-            [[F(1), F(0)], [F(0), F(-1)], [F(-1), F(1)]]
-        )
+        T = [[F(1), F(0)], [F(0), F(-1)], [F(-1), F(1)]]
         norms = EquivariantNorms(maps={1: T})
         assert norms.validate(atlas).ok
         assert norms.norm(atlas, (1,), (F(1), F(1, 2))) == F(1)
@@ -688,20 +685,20 @@ class TestEquivariantNorms:
 
     def test_plain_max_not_invariant_here(self):
         atlas = _rotation_chart_atlas()
-        norms = EquivariantNorms(maps={1: RationalMatrix.identity(2)})
+        norms = EquivariantNorms(maps={1: [[1, 0], [0, 1]]})
         rep = norms.validate(atlas)
         assert "norm_not_invariant" in clauses(rep)
 
     def test_degenerate_norm(self):
         atlas = _rotation_chart_atlas()
         norms = EquivariantNorms(
-            maps={1: RationalMatrix.from_rows([[F(1), F(0)]])}
+            maps={1: [[F(1), F(0)]]}
         )
         assert "norm_degenerate" in clauses(norms.validate(atlas))
 
     def test_product_norm_is_blockwise_max(self):
         atlas = _collar_atlas(1, [[F(1)]])
-        norms = EquivariantNorms(maps={1: RationalMatrix.identity(1)})
+        norms = EquivariantNorms(maps={1: [[1]]})
         # chart (1,2) has E = E_1 only in this model: max over one block
         assert norms.norm(atlas, (1,), (F(-3, 4),)) == F(3, 4)
         assert norms.norm(atlas, (1, 2), (F(1, 2),)) == F(1, 2)
@@ -737,7 +734,7 @@ class TestSerialization:
 
     def test_norms_round_trip(self):
         norms = EquivariantNorms(
-            maps={1: RationalMatrix.from_rows([[F(1), F(0)], [F(-1), F(1)]])}
+            maps={1: [[F(1), F(0)], [F(-1), F(1)]]}
         )
         again = norms_from_json(json.loads(json.dumps(norms_to_json(norms))))
         assert again.maps[1].fractions() == norms.maps[1].fractions()

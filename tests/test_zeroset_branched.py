@@ -18,7 +18,6 @@ from vfc.charts_atlas import (
 )
 from vfc.examples_cli import ExampleDescriptor, build_example, run_example
 from vfc.expressions import compile_vector, eval_pred, num, var
-from vfc.exterior_engine import RationalMatrix
 from vfc.reduction_perturb import Perturbation, Reduction
 from vfc.zeroset_branched import (
     EPS_MERGE,
@@ -275,7 +274,7 @@ def _interval_atlas(section_asts, sample_coords, zero_samples):
             perms=[tuple(range(n))],
         ),
         obstruction_dim=1,
-        obstruction_action=[RationalMatrix.identity(1)],
+        obstruction_action=[[[1]]],
         obstruction_points=((F(0),), (F(1),)),
         section_samples=tuple((F(c),) for c in zero_samples),
         footprint_map={k: "p" for k, v in enumerate(zero_samples) if v == 0},
@@ -470,7 +469,7 @@ def _boundary_atlas(tilde: tuple, kernel_acts: bool = True) -> AtlasModel:
         target_index=(1, 2),
         tilde_indices=tilde,
         rho_idx={y: 0 for y in tilde},
-        phi_hat=RationalMatrix.zero(0, 0),
+        phi_hat=(),
     )
     return AtlasModel(
         x_labels=("a",),
@@ -604,7 +603,7 @@ def _factorization_atlas() -> AtlasModel:
             target_index=J,
             tilde_indices=(0, 1),
             rho_idx=rho,
-            phi_hat=RationalMatrix.zero(0, 0),
+            phi_hat=(),
         )
 
     z1, z2 = trivial_group(), cyclic_group(2)
