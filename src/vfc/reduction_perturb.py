@@ -311,7 +311,7 @@ def check_reduction(atlas: AtlasModel, red: Reduction) -> CheckReport:
     for I in indices:
         chart = atlas.charts[I]
         n = len(chart.domain.points)
-        if any(x >= n for x in closures[I]):
+        if any(not 0 <= x < n for x in closures[I]):
             rep.fail("closure_escapes_domain", index=I)
         v = red.sets[I]
         if v and not (set(v) & set(chart.zero_sample_indices())):
@@ -321,7 +321,7 @@ def check_reduction(atlas: AtlasModel, red: Reduction) -> CheckReport:
     proj_closure = {}
     for I in indices:
         cls = atlas.charts[I].domain.class_index_of()
-        proj_closure[I] = {inter.class_of[(I, cls[x])] for x in closures[I]}
+        proj_closure[I] = {inter.class_of[(I, cls[x])] for x in closures[I] if x in cls}
     for I in indices:
         for J in indices:
             if I >= J:

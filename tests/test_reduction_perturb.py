@@ -752,3 +752,105 @@ def test_admissibility_reports_the_first_point_of_each_pair():
     assert [(f["pair"], f["point"]) for f in failures] == [
         (pair, min(v_tilde(atlas, red, *pair))) for pair in [((1,), (1, 2)), ((2,), (1, 2))]
     ]
+
+
+# ---------------------------------------------------------------------------
+# clauses fired by doctored models, with their witnesses
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("outside", [9, -1])
+def test_closure_escapes_domain(outside):
+    # the declared closure of V = {3, 4, 5} names a sample the chart does not have
+    red = Reduction(sets={(1,): frozenset({3, 4, 5})}, closures={(1,): frozenset({4, outside})})
+    assert check_reduction(_line_atlas(), red).failures == [
+        {"clause": "closure_escapes_domain", "index": (1,)}
+    ]
+
+
+def test_misses_zero_set():
+    # V = {0, 8}, where s = ∓1/2: no zero of the chart, so none is covered
+    red = Reduction(sets={(1,): frozenset({0, 8})})
+    assert check_reduction(_line_atlas(), red).failures == [
+        {"clause": "misses_zero_set", "index": (1,)},
+        {"clause": "zero_set_not_covered", "missing": ["p"]},
+    ]
+
+
+def test_norm_for_unknown_chart():
+    atlas = _line_atlas()
+    norms = EquivariantNorms(maps={1: [[1]], 7: [[1]]})
+    assert norms.validate(atlas).failures == [{"clause": "norm_for_unknown_chart", "index": 7}]
+
+
+def test_sigma_out_of_range():
+    atlas = _line_atlas()
+    V, C, norms = _line_data(atlas)
+    constants = compute_adaptedness_constants(atlas, V, C, norms)
+    nu = Perturbation(samples={(1,): {k: (F(0),) for k in range(9)}})
+    for sigma in (F(1, 4), F(0)):
+        rep = check_adapted(atlas, C, norms, constants, sigma, nu)
+        assert {"clause": "sigma_out_of_range", "sigma": sigma, "computed": F(1, 8)} in rep.failures
+
+
+@pytest.fixture(scope="module")
+def sphere8():
+    from vfc.examples_cli import ExampleDescriptor, build_example
+
+    built = build_example(ExampleDescriptor("sphere-euler", {"density": 8}))
+    constants = compute_adaptedness_constants(built.atlas, built.V, built.C, built.norms)
+    return built, constants
+
+
+def _adapted_failures(sphere8, edit, drop_asts=()):
+    """check_adapted on sphere-euler N=8 with ν's declared samples edited
+    in place by ``edit`` and the expressions of ``drop_asts`` removed."""
+    built, constants = sphere8
+    samples = {I: dict(v) for I, v in built.nu.samples.items()}
+    edit(samples)
+    asts = {I: a for I, a in built.nu.asts.items() if I not in drop_asts}
+    nu = Perturbation(asts=asts, samples=samples)
+    return check_adapted(built.atlas, built.C, built.norms, constants, built.sigma, nu).failures
+
+
+def test_a_compatibility(sphere8):
+    def edit(samples):  # ρ(3) = 4 in chart (1,), and 3 lies in both enlargements
+        v = samples[(1, 2)][3]
+        samples[(1, 2)][3] = (v[0] + F(1, 64), *v[1:])
+
+    assert _adapted_failures(sphere8, edit) == [
+        {"clause": "a_compatibility", "pair": ((1,), (1, 2)), "point": 3, "level": 2}
+    ]
+
+
+def test_c_strong_admissibility(sphere8):
+    def edit(samples):  # an E_2 component at 5: outside im φ̂ of (1,) -> (1, 2)
+        v = samples[(1, 2)][5]
+        samples[(1, 2)][5] = (v[0], v[1], F(1, 64), v[3])
+
+    assert _adapted_failures(sphere8, edit) == [
+        {"clause": "a_compatibility", "pair": ((1,), (1, 2)), "point": 5, "level": 2},
+        {"clause": "c_strong_admissibility", "pair": ((1,), (1, 2)), "point": 5, "level": 2},
+    ]
+
+
+def test_nu_undefined_in_a_c_and_e(sphere8):
+    def edit(samples):
+        del samples[(1, 2)][2]
+
+    assert _adapted_failures(sphere8, edit, drop_asts=[(1, 2)]) == [
+        {"clause": "a_nu_undefined", "pair": ((1,), (1, 2)), "point": 2, "level": 2},
+        {"clause": "c_nu_undefined", "pair": ((1,), (1, 2)), "point": 2, "level": 2},
+        {"clause": "e_nu_undefined", "index": (1, 2), "point": 2, "level": 2},
+    ]
+
+
+def test_e_nu_undefined_on_a_basic_chart(sphere8):
+    def edit(samples):
+        del samples[(2,)][0]
+
+    assert _adapted_failures(sphere8, edit, drop_asts=[(2,)]) == [
+        {"clause": "e_nu_undefined", "index": (2,), "point": 0, "level": 1},
+        {"clause": "e_nu_undefined", "index": (2,), "point": 0, "level": 2},
+    ]
+
