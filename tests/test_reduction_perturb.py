@@ -854,3 +854,192 @@ def test_e_nu_undefined_on_a_basic_chart(sphere8):
         {"clause": "e_nu_undefined", "index": (2,), "point": 0, "level": 2},
     ]
 
+
+# ---------------------------------------------------------------------------
+# ν from its expressions: no declared samples
+# ---------------------------------------------------------------------------
+
+
+def _pair_atlas() -> AtlasModel:
+    """Charts (1,) and (2,), each with E of dim 1, inside chart (1, 2) with
+    E_12 = E_1 ⊕ E_2.  Chart (1,) has the samples t = 0, 1; charts (2,)
+    and (1, 2) have (t, s) for t = 0, 1 and s = ±1, where Z_2 flips s;
+    ρ(t, s) = t, and φ̂ is the inclusion of E_1.  All distances are 0."""
+    points = ((F(0), F(1)), (F(0), F(-1)), (F(1), F(1)), (F(1), F(-1)))
+    flip = [(0, 1, 2, 3), (1, 0, 3, 2)]
+    chart1 = ChartModel(
+        index=(1,),
+        domain=GroupQuotientModel(points=((F(0),), (F(1),)), group=trivial_group(), perms=[(0, 1)]),
+        obstruction_dim=1,
+        obstruction_action=[[[1]]],
+        obstruction_points=((F(0),),),
+        section_samples=((F(0),),) * 2,
+        footprint_map={0: "a", 1: "a"},
+    )
+    chart2 = ChartModel(
+        index=(2,),
+        domain=GroupQuotientModel(points=points, group=cyclic_group(2), perms=flip),
+        obstruction_dim=1,
+        obstruction_action=[[[1]], [[1]]],
+        obstruction_points=((F(0),),),
+        section_samples=((F(0),),) * 4,
+        footprint_map=dict.fromkeys(range(4), "a"),
+    )
+    chart12 = ChartModel(
+        index=(1, 2),
+        domain=GroupQuotientModel(
+            points=points, group=product_group([trivial_group(), cyclic_group(2)]), perms=flip
+        ),
+        obstruction_dim=2,
+        obstruction_action=[np.eye(2, dtype=int)] * 2,
+        obstruction_points=((F(0), F(0)),),
+        section_samples=((F(0), F(0)),) * 4,
+        footprint_map=dict.fromkeys(range(4), "a"),
+    )
+    change = CoordinateChangeModel(
+        source_index=(1,),
+        target_index=(1, 2),
+        tilde_indices=(0, 1, 2, 3),
+        rho_idx={0: 0, 1: 0, 2: 1, 3: 1},
+        phi_hat=[[1], [0]],
+    )
+    return AtlasModel(
+        x_labels=("a",),
+        cover={1: frozenset({"a"}), 2: frozenset({"a"})},
+        charts={(1,): chart1, (2,): chart2, (1, 2): chart12},
+        changes={((1,), (1, 2)): change},
+        metric=RationalArray(np.zeros((6, 6), dtype=np.int64), 1),
+    )
+
+
+def _pair_constants(atlas: AtlasModel) -> AdaptednessConstants:
+    """Every sample in every enlargement and collar, at levels 1 and 2."""
+    levels = (F(1), F(2))
+    every = {I: frozenset(range(len(c.domain.points))) for I, c in atlas.charts.items()}
+    return AdaptednessConstants(
+        delta_V=F(1, 4), delta=F(1, 8), eta=dict.fromkeys(levels, 0.0),
+        v_k={(I, k): every[I] for I in atlas.charts for k in levels},
+        n_k={((1, 2), (1,), k): every[(1, 2)] for k in levels},
+        c_tilde={}, sigma=None, sigma_witness=None, sigma_representative=True, max_depth=3,
+    )
+
+
+T, S = var(0), var(1)
+NU_1 = ["+", num(F(1, 3)), ["*", num(F(1, 5)), T]]  # ν_1 = 1/3 + t/5, exact
+WAVE = ["*", num(F(1, 3)), ["cos2pi", ["*", num(F(1, 8)), T]]]  # cos(πt/4)/3, a float
+
+
+def _pair_nu(nu_1, nu_12, nu_2=num(0)) -> Perturbation:
+    """ν on the pair atlas by expressions only: ν_1 = (nu_1,), ν_2 = (nu_2,), ν_12 = nu_12."""
+    return Perturbation(asts={(1,): (nu_1,), (2,): (nu_2,), (1, 2): tuple(nu_12)})
+
+
+def _pair_adapted(nu: Perturbation, sigma=F(1)) -> list:
+    atlas = _pair_atlas()
+    norms = EquivariantNorms(maps={1: [[1]], 2: [[1]]})
+    constants = _pair_constants(atlas)
+    return check_adapted(atlas, Reduction(sets={}), norms, constants, sigma, nu).failures
+
+
+def _pair_checks(nu_1, nu_12, nu_2=num(0), sigma=F(1)):
+    """The failures of check_perturbation and check_adapted on the pair atlas."""
+    atlas, nu = _pair_atlas(), _pair_nu(nu_1, nu_12, nu_2)
+    return check_perturbation(atlas, full_reduction(atlas), nu).failures, _pair_adapted(nu, sigma)
+
+
+def _plus(ast, gap):
+    return ["+", ast, gap]
+
+
+class TestUndeclaredNu:
+    def test_polynomial_nu_passes(self):
+        assert _pair_checks(NU_1, [NU_1, num(0)]) == ([], [])
+
+    def test_exact_rows_compare_exactly(self):
+        # a gap of 2^-40 in t: within TAU_EQ, but not 0
+        gap = ["*", num(F(1, 2**40)), T]
+        pert, adapted = _pair_checks(NU_1, [_plus(NU_1, gap), num(0)])
+        assert pert == [{"clause": "compatibility", "pair": ((1,), (1, 2)), "point": 2}]
+        assert adapted == [
+            {"clause": "a_compatibility", "pair": ((1,), (1, 2)), "point": 2, "level": 2}
+        ]
+        # the same gap in s: one failure per sample, at the flip
+        gap = ["*", num(F(1, 2**40)), S]
+        pert, _ = _pair_checks(NU_1, [_plus(NU_1, gap), num(0)])
+        assert pert == [{"clause": "compatibility", "pair": ((1,), (1, 2)), "point": 0}] + [
+            {"clause": "partial_equivariance", "pair": ((1,), (1, 2)), "point": y,
+             "element": "e|g1"}
+            for y in range(4)
+        ]
+        # ... and in E_2, outside im φ̂
+        pert, adapted = _pair_checks(NU_1, [NU_1, ["*", num(F(1, 2**40)), T]])
+        assert pert == [{"clause": "compatibility", "pair": ((1,), (1, 2)), "point": 2}]
+        assert adapted == [
+            {"clause": "a_compatibility", "pair": ((1,), (1, 2)), "point": 2, "level": 2},
+            {"clause": "c_strong_admissibility", "pair": ((1,), (1, 2)), "point": 2, "level": 2},
+        ]
+
+    def test_float_rows_compare_within_tau_eq(self):
+        # a float row never lies in im φ̂ for c); a) and e) pass
+        c_fails = [
+            {"clause": "c_strong_admissibility", "pair": ((1,), (1, 2)), "point": 0, "level": 2}
+        ]
+        assert _pair_checks(WAVE, [WAVE, num(0)]) == ([], c_fails)
+        for direction, pert in [(T, []), (S, [])]:
+            near = _plus(WAVE, ["*", num(F(1, 10**12)), direction])
+            assert _pair_checks(WAVE, [near, num(0)]) == (pert, c_fails)
+        far = _plus(WAVE, ["*", num(F(1, 10**8)), T])
+        assert _pair_checks(WAVE, [far, num(0)]) == (
+            [{"clause": "compatibility", "pair": ((1,), (1, 2)), "point": 2}],
+            [{"clause": "a_compatibility", "pair": ((1,), (1, 2)), "point": 2, "level": 2}]
+            + c_fails,
+        )
+        far = _plus(WAVE, ["*", num(F(1, 10**8)), S])
+        pert, _ = _pair_checks(WAVE, [far, num(0)])
+        assert pert == [{"clause": "compatibility", "pair": ((1,), (1, 2)), "point": 0}] + [
+            {"clause": "partial_equivariance", "pair": ((1,), (1, 2)), "point": y,
+             "element": "e|g1"}
+            for y in range(4)
+        ]
+
+    def test_smallness_compares_each_block_in_its_own_arithmetic(self):
+        third = ["*", num(F(1, 3)), ["cos2pi", ["*", num(0), T]]]  # float(1/3) < 1/3
+        def e_failures(nu_12):
+            _, adapted = _pair_checks(num(F(1, 4)), nu_12, sigma=F(1, 3))
+            return [f for f in adapted if f["clause"].startswith("e_")]
+
+        assert e_failures([num(F(1, 4)), third]) == []
+        assert e_failures([num(F(1, 3)), ["*", num(0), third]]) == [
+            {"clause": "e_not_small", "index": (1, 2), "point": 0, "level": 2}
+        ]
+
+    def test_a_raise_after_a_failure_is_not_reached(self):
+        pole = ["/", num(0), ["-", T, num(1)]]  # raises at t = 1, sample 1 of chart (1,)
+        # ν_12 ≠ φ̂ν_1ρ at y = 0: the loop stops before it reads ν_1 at ρ(2) = 1
+        pert, adapted = _pair_checks(_plus(NU_1, pole), [_plus(NU_1, num(F(1, 6))), num(0)],
+                                     sigma=F(1, 4))
+        assert pert == [{"clause": "compatibility", "pair": ((1,), (1, 2)), "point": 0}]
+        assert adapted == [
+            {"clause": "e_not_small", "index": (1,), "point": 0, "level": 1},
+            {"clause": "e_not_small", "index": (1,), "point": 0, "level": 2},
+            {"clause": "a_compatibility", "pair": ((1,), (1, 2)), "point": 0, "level": 2},
+            {"clause": "e_not_small", "index": (1, 2), "point": 0, "level": 2},
+        ]
+        # at (1, -1), behind the failures of a), c) and e) at y = 0
+        pole = ["/", num(0), ["+", T, S]]
+        assert _pair_adapted(_pair_nu(NU_1, [NU_1, _plus(num(1), pole)])) == [
+            {"clause": "a_compatibility", "pair": ((1,), (1, 2)), "point": 0, "level": 2},
+            {"clause": "c_strong_admissibility", "pair": ((1,), (1, 2)), "point": 0, "level": 2},
+            {"clause": "e_not_small", "index": (1, 2), "point": 0, "level": 2},
+        ]
+
+    def test_a_raise_before_a_failure_is_raised(self):
+        pole = ["/", num(0), ["-", T, num(1)]]
+        late = [_plus(NU_1, ["*", num(F(1, 6)), T]), num(0)]  # wrong only at t = 1
+        with pytest.raises(ZeroDivisionError):
+            _pair_checks(_plus(NU_1, pole), late)
+        with pytest.raises(ZeroDivisionError):  # e) on chart (1,) reads t = 1 at level 1
+            _pair_adapted(_pair_nu(_plus(NU_1, pole), late))
+        # partial equivariance reads every sample of Ṽ
+        with pytest.raises(ZeroDivisionError):
+            _pair_checks(NU_1, [_plus(NU_1, ["/", num(0), ["+", T, S]]), num(0)])
