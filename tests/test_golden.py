@@ -1,10 +1,11 @@
 """Golden ``--json`` reports: the CLI must reproduce them byte for byte.
 
 The files under ``tests/golden/`` are the full reports of ``vfc run`` on
-the Euler examples and of ``vfc check`` on a few atlas documents.  Three
+the Euler examples and of ``vfc check`` on a few atlas documents.  Four
 of them are doctored so that the check fails: two toy documents name
-group elements in their witnesses, and a football-euler document names
-obstruction vectors.  A change that alters a report byte shows here as a readable
+group elements in their witnesses, a football-euler document names
+obstruction vectors, and a sphere-euler document reads ν of one chart
+from its expressions.  A change that alters a report byte shows here as a readable
 file diff.
 Regenerate them deliberately with
 
@@ -58,6 +59,13 @@ def _drop_grid_point_and_move_sample(doc: dict) -> None:
     doc["charts"]["1,2"]["section_samples"][0] = ["1/2", "0/1", "0/1", "0/1"]
 
 
+def _drop_declared_nu_12(doc: dict) -> None:
+    """ν of chart (1, 2) has no declared samples, so its values come from
+    its expressions: floats, which are not φ̂ of the exact declared values
+    of the basic charts within the tolerance."""
+    del doc["perturbation"]["samples"]["1,2"]
+
+
 def _toy_3() -> dict:
     return atlas_to_json(random_toy_atlas(3))
 
@@ -66,11 +74,16 @@ def _football_n8() -> dict:
     return example_to_json(build_example(ExampleDescriptor("football-euler", {"density": 8})))
 
 
+def _sphere_n8() -> dict:
+    return example_to_json(build_example(ExampleDescriptor("sphere-euler", {"density": 8})))
+
+
 #: failing checks of a document, doctored in place: case -> (document, doctor)
 DOCTORED = {
     "check-toy-3-swapped-perms": (_toy_3, _swap_perms),
     "check-toy-3-broken-table": (_toy_3, _break_table),
     "check-football-euler-n8-doctored": (_football_n8, _drop_grid_point_and_move_sample),
+    "check-sphere-euler-n8-undeclared-nu": (_sphere_n8, _drop_declared_nu_12),
 }
 CASES = sorted(RUNS) + [f"check-toy-{seed}" for seed in TOY_SEEDS] + sorted(DOCTORED)
 
