@@ -212,22 +212,14 @@ def eval_expr(ast, coords: Sequence):
         x = eval_expr(ast[1], coords)
         v = float(_val(x)) * _TWO_PI
         return _chain(x, math.cos(v), -_TWO_PI * math.sin(v))
-    if op == "clamp01":
+    if op in ("clamp01", "smoothstep"):
         x = eval_expr(ast[1], coords)
         v = _val(x)
-        if v <= 0:
-            return _chain(x, Fraction(0) if isinstance(v, Fraction) else 0.0, 0)
-        if v >= 1:
-            return _chain(x, Fraction(1) if isinstance(v, Fraction) else 1.0, 0)
-        return x
-    if op == "smoothstep":
-        x = eval_expr(ast[1], coords)
-        v = _val(x)
-        if v <= 0:
-            return _chain(x, Fraction(0) if isinstance(v, Fraction) else 0.0, 0)
-        if v >= 1:
-            return _chain(x, Fraction(1) if isinstance(v, Fraction) else 1.0, 0)
-        return x * x * (3 - 2 * x)
+        if v <= 0 or v >= 1:
+            # flat: an exact zero gradient, also beside an infinite slope
+            c = Fraction(v >= 1) if isinstance(v, Fraction) else float(v >= 1)
+            return Dual(c, (0,) * len(x.grad)) if isinstance(x, Dual) else c
+        return x if op == "clamp01" else x * x * (3 - 2 * x)
     raise ValueError(f"unknown expression node: {op!r}")
 
 
