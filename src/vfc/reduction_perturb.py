@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .charts_atlas import (
     composition_table,
     realize_intermediate,
 )
-from .exterior_engine import eliminate, parse_rat, rat_str
+from .exterior_engine import eliminate, parse_rat
 from .expressions import compile_vector, eval_pred, eval_vector, evaluate_until_raise
 
 __all__ = [
@@ -66,8 +66,6 @@ __all__ = [
 
 TAU_EQ = 1e-9
 
-Vec = tuple
-
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -84,31 +82,102 @@ class Reduction:
 
     def contains_float(self, I: tuple, coords: Sequence[float]) -> bool:
         pred = self.preds.get(I)
-        if pred is None:
-            return False
-        return eval_pred(pred, list(coords))
+        return pred is not None and eval_pred(pred, list(coords))
 
 
 @dataclass
 class Perturbation:
-    """ν_I on V_I: declared exact sample values and/or smooth ASTs."""
+    """ν_I on V_I: declared exact sample values and/or smooth ASTs.
+
+    ``samples`` holds the declared values of each chart I as (the sample
+    indices, a (k, m_I) :class:`RationalArray` of their values);
+    the constructor also takes {sample index: rational sequence} per chart
+    and converts it once, raising ``ValueError`` naming the chart for rows
+    of unequal length or values that do not fit int64.  At a sample
+    without a declared value, ν_I is the value of its ASTs."""
 
     asts: dict = field(default_factory=dict)  # I -> tuple of ASTs
-    samples: dict = field(default_factory=dict)  # I -> {sample idx -> value tuple}
+    samples: dict = field(default_factory=dict)  # I -> (int array, RationalArray)
 
-    def value_at(self, atlas: AtlasModel, I: tuple, idx: int):
-        """Value of ν_I at a domain sample; exact where declared."""
-        declared = self.samples.get(I)
-        if declared is not None and idx in declared:
-            return tuple(declared[idx])
-        chart = atlas.charts[I]
-        if chart.obstruction_dim == 0:
-            return ()
-        asts = self.asts.get(I)
-        if asts is None:
-            return None
-        coords = [Fraction(c) for c in chart.domain.points[idx]]
-        return tuple(eval_vector(asts, coords))
+    def __post_init__(self):
+        self.samples = {I: _declared(I, v) for I, v in self.samples.items()}
+
+
+def _declared(I: tuple, values) -> tuple:
+    """{sample index: value} as (indices, rows) in the same order; the pair as it is."""
+    if not isinstance(values, dict):
+        return values
+    rows = RationalArray.of(
+        list(values.values()), f"chart {I}: perturbation samples", (len(values), -1)
+    )
+    return np.array(list(values), dtype=np.int64), rows
+
+
+class _Rows(NamedTuple):
+    """ν at a batch of samples of one chart.  A component is exact in
+    ``exact`` or a float in ``floats`` (0 in the other), as ``rational``
+    marks; ``defined`` is False where ν has no value, and ``errors`` maps
+    a batch position to what evaluating ν there raised."""
+
+    exact: RationalArray
+    floats: np.ndarray
+    rational: np.ndarray
+    defined: np.ndarray
+    errors: dict
+
+    def all_floats(self) -> np.ndarray:
+        return np.where(self.rational, self.exact.floats(), self.floats)
+
+
+class _Values:
+    """ν at the samples of an atlas: declared rows looked up per batch, the
+    others from ν's ASTs by the interpreter at the exact sample
+    coordinates, each sample evaluated at most once."""
+
+    def __init__(self, atlas: AtlasModel, nu: Perturbation):
+        self.atlas, self.nu = atlas, nu
+        self.evaluated: dict = {}  # (I, sample) -> value list, None or exception
+
+    def _evaluate(self, I: tuple, x: int):
+        if (I, x) not in self.evaluated:
+            asts = self.nu.asts.get(I)
+            try:
+                coords = [Fraction(c) for c in self.atlas.charts[I].domain.points[x]]
+                self.evaluated[(I, x)] = None if asts is None else eval_vector(asts, coords)
+            except Exception as ex:  # raised where a check reaches this sample
+                self.evaluated[(I, x)] = ex
+        return self.evaluated[(I, x)]
+
+    def rows(self, I: tuple, samples) -> _Rows:
+        m, where = self.atlas.charts[I].obstruction_dim, f"chart {I}: perturbation"
+        samples = np.asarray(samples, dtype=np.int64)
+        none = (samples[:0], RationalArray(np.zeros((0, m), dtype=np.int64), 1))
+        index, declared = self.nu.samples.get(I, none)
+        if len(index) and declared.num.shape[1] != m:
+            raise ValueError(f"{where} samples have {declared.num.shape[1]} values, not {m}")
+        known = np.isin(samples, index)
+        defined, errors = known | (m == 0), {}
+        floats, rational = np.zeros((len(samples), m)), np.ones((len(samples), m), dtype=bool)
+        rows = []
+        for r in np.flatnonzero(~known).tolist() if m else []:
+            value = self._evaluate(I, int(samples[r]))
+            if isinstance(value, Exception):
+                errors[r] = value
+            elif value is not None:
+                if len(value) != m:
+                    raise ValueError(f"{where} has {len(value)} expressions, not {m}")
+                rational[r] = [not isinstance(c, float) for c in value]
+                rows.append([c if e else 0 for c, e in zip(value, rational[r])])
+                floats[r] = [0.0 if e else c for c, e in zip(value, rational[r])]
+                defined[r] = True
+        rows = RationalArray.of(rows, where, (len(rows), m))
+        den = math.lcm(rows.den, declared.den)
+        num = np.zeros((len(samples), m), dtype=np.int64)
+        order = np.argsort(index)
+        at = order[np.searchsorted(index, samples[known], sorter=order)]
+        num[known] = _scaled(declared, den, where)[at]
+        num[defined & ~known & (m > 0)] = _scaled(rows, den, where)
+        return _Rows(RationalArray(num, den), floats, rational, defined, errors)
 
 
 @dataclass
@@ -152,28 +221,6 @@ class EquivariantNorms:
         for p in parts:
             out = np.maximum(out, np.abs(_scaled(p, den, where)).max(axis=-1, initial=0))
         return RationalArray(out, den)
-
-    def norm(self, atlas: AtlasModel, I: tuple, e: Sequence):
-        """Norm of one value on E_I (max over blocks), exact for rationals."""
-        out = Fraction(0)
-        for i, lo, hi in self._blocks(atlas, I):
-            if hi == lo or self.maps[i].num.shape[1] == 0:
-                continue
-            T, block = self.maps[i], e[lo:hi]
-            if all(isinstance(c, (int, Fraction)) for c in block):
-                rows = T.num.tolist()
-                val = Fraction(
-                    max((abs(sum(t * c for t, c in zip(r, block))) for r in rows), default=0),
-                    T.den,
-                )
-            else:
-                rows = T.floats().tolist()
-                val = max(
-                    (abs(sum(r[k] * float(block[k]) for k in range(len(block)))) for r in rows),
-                    default=0.0,
-                )
-            out = val if val > out else out
-        return out
 
     def validate(self, atlas: AtlasModel) -> CheckReport:
         rep = CheckReport("equivariant_norms")
@@ -237,17 +284,11 @@ def v_tilde(atlas: AtlasModel, red: Reduction, I: tuple, J: tuple) -> frozenset:
     """Ṽ_IJ = V_J ∩ ρ_IJ⁻¹(V_I) (with Ṽ_II = V_I)."""
     if I == J:
         return frozenset(red.sets[I])
-    change = atlas.changes[(I, J)]
-    v_I = red.sets[I]
-    v_J = red.sets[J]
-    return frozenset(
-        y for y in change.tilde_indices if y in v_J and change.rho_idx[y] in v_I
-    )
+    change, v_I, v_J = atlas.changes[(I, J)], red.sets[I], red.sets[J]
+    return frozenset(y for y in change.tilde_indices if y in v_J and change.rho_idx[y] in v_I)
 
 
-def v_tilde_via_projection(
-    atlas: AtlasModel, red: Reduction, I: tuple, J: tuple
-) -> frozenset:
+def v_tilde_via_projection(atlas: AtlasModel, red: Reduction, I: tuple, J: tuple) -> frozenset:
     """Ṽ_IJ computed as V_J ∩ π_K⁻¹(π_K(V_I)) via the realization."""
     if I == J:
         return frozenset(red.sets[I])
@@ -255,26 +296,16 @@ def v_tilde_via_projection(
     cls_I = atlas.charts[I].domain.class_index_of()
     cls_J = atlas.charts[J].domain.class_index_of()
     target_classes = {inter.class_of[(I, cls_I[x])] for x in red.sets[I]}
-    return frozenset(
-        y
-        for y in red.sets[J]
-        if inter.class_of[(J, cls_J[y])] in target_classes
-    )
+    return frozenset(y for y in red.sets[J] if inter.class_of[(J, cls_J[y])] in target_classes)
 
 
-def hij_identity_holds(
-    atlas: AtlasModel, red: Reduction, F: tuple, I: tuple, J: tuple
-) -> bool:
+def hij_identity_holds(atlas: AtlasModel, red: Reduction, F: tuple, I: tuple, J: tuple) -> bool:
     """V_J ∩ ρ_IJ⁻¹(Ṽ_FI) = Ṽ_IJ ∩ Ṽ_FJ for F ⊂ I ⊂ J."""
-    change = atlas.changes[(I, J)]
-    vt_FI = v_tilde(atlas, red, F, I)
+    change, vt_FI = atlas.changes[(I, J)], v_tilde(atlas, red, F, I)
     lhs = frozenset(
-        y
-        for y in change.tilde_indices
-        if y in red.sets[J] and change.rho_idx[y] in vt_FI
+        y for y in change.tilde_indices if y in red.sets[J] and change.rho_idx[y] in vt_FI
     )
-    rhs = v_tilde(atlas, red, I, J) & v_tilde(atlas, red, F, J)
-    return lhs == rhs
+    return lhs == v_tilde(atlas, red, I, J) & v_tilde(atlas, red, F, J)
 
 
 # ---------------------------------------------------------------------------
@@ -324,19 +355,15 @@ def check_reduction(atlas: AtlasModel, red: Reduction) -> CheckReport:
         proj_closure[I] = {inter.class_of[(I, cls[x])] for x in closures[I] if x in cls}
     for I in indices:
         for J in indices:
-            if I >= J:
-                continue
             nested = set(I) <= set(J) or set(J) <= set(I)
-            if not nested and (proj_closure[I] & proj_closure[J]):
+            if I < J and not nested and (proj_closure[I] & proj_closure[J]):
                 rep.fail("closure_overlap_not_nested", pair=(I, J))
     # (iv) zero-set coverage
-    covered = set()
-    for I in indices:
-        chart = atlas.charts[I]
-        zset = set(chart.zero_sample_indices())
-        for x in red.sets[I]:
-            if x in zset:
-                covered.add(chart.footprint_map[x])
+    covered = {
+        atlas.charts[I].footprint_map[x]
+        for I in indices
+        for x in set(red.sets[I]) & set(atlas.charts[I].zero_sample_indices())
+    }
     missing = set(atlas.x_labels) - covered
     if missing:
         rep.fail("zero_set_not_covered", missing=sorted(missing))
@@ -351,9 +378,7 @@ def check_reduction(atlas: AtlasModel, red: Reduction) -> CheckReport:
             chart = atlas.charts[I]
             vt = v_tilde(atlas, red, F, I)
             for g in atlas.kernel(F, I).tolist():
-                if g == chart.group.identity:
-                    continue
-                if any(chart.domain.act(g, y) == y for y in vt):
+                if g != chart.group.identity and any(chart.domain.act(g, y) == y for y in vt):
                     element = chart.group.elements[g]
                     rep.fail("partial_isotropy_not_free", pair=(F, I), element=element)
                     break
@@ -384,9 +409,7 @@ def build_pruned_category(atlas: AtlasModel, red: Reduction) -> PrunedResult:
     tgt: dict = {}
     for I in indices:
         for J in indices:
-            if not set(I) <= set(J):
-                continue
-            if I != J and (I, J) not in atlas.changes:
+            if not set(I) <= set(J) or (I != J and (I, J) not in atlas.changes):
                 continue
             # Ṽ_IJ ⊆ V_J with ρ_IJ(Ṽ_IJ) ⊆ V_I: both endpoints are objects
             for y in sorted(v_tilde(atlas, red, I, J)):
@@ -409,26 +432,74 @@ def build_pruned_category(atlas: AtlasModel, red: Reduction) -> PrunedResult:
 # ---------------------------------------------------------------------------
 
 
-def _phi_apply(phi: RationalArray, v):
-    """Apply φ̂ to an obstruction value, exactly when rational."""
-    if all(isinstance(c, (int, Fraction)) for c in v):
-        return tuple(
-            Fraction(sum(a * c for a, c in zip(row, v)), phi.den) for row in phi.num.tolist()
-        )
-    return tuple(
-        sum(a * float(c) for a, c in zip(row, v)) for row in phi.floats().tolist()
-    )
+def _same(a: _Rows, b: _Rows, where: str) -> np.ndarray:
+    """Per row, a = b: exactly where both rows are wholly rational, else
+    every component within ``TAU_EQ`` in floats."""
+    if a.exact.num.shape[1] != b.exact.num.shape[1]:
+        return np.zeros(len(a.defined), dtype=bool)
+    same = _equal(a.exact, b.exact, where).all(axis=1)
+    exact = a.rational.all(axis=1) & b.rational.all(axis=1)
+    if exact.all():
+        return same
+    with np.errstate(invalid="ignore"):
+        close = (np.abs(a.all_floats() - b.all_floats()) <= TAU_EQ).all(axis=1)
+    return np.where(exact, same, close)
 
 
-def _values_equal(a, b, tol: float = TAU_EQ) -> bool:
-    if a is None or b is None:
-        return False
-    if len(a) != len(b):
-        return False
-    exact = all(isinstance(v, (int, Fraction)) for v in list(a) + list(b))
-    if exact:
-        return tuple(Fraction(v) for v in a) == tuple(Fraction(v) for v in b)
-    return all(abs(float(x) - float(y)) <= tol for x, y in zip(a, b))
+def _sums(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Σ_k a_rk·x_k for each row x of ``x`` and row r of ``a``, summed left
+    to right from 0 as Python sums float products."""
+    out = np.zeros((len(x), len(a)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k in range(x.shape[1]):
+            out = out + x[:, k, None] * a[:, k]
+    return out
+
+
+def _pushed(phi: RationalArray, v: _Rows, where: str) -> _Rows:
+    """φ̂·v per row: exact for a wholly rational row, else :func:`_sums` in
+    floats.  A row longer or shorter than φ̂ is cut to the shorter."""
+    k = min(phi.num.shape[1], v.exact.num.shape[1])
+    phi = RationalArray(phi.num[:, :k], phi.den)
+    exact = _matmul(RationalArray(v.exact.num[:, :k], v.exact.den), phi.mT, where)
+    whole = v.rational.all(axis=1)
+    floats = exact.num * 0.0 if whole.all() else _sums(v.all_floats()[:, :k], phi.floats())
+    rational = np.broadcast_to(whole[:, None], exact.num.shape)
+    return _Rows(exact, floats, rational, v.defined, v.errors)
+
+
+def _stops(bad: np.ndarray, errors: dict) -> list:
+    """(loop, step) for each loop that fails, where loop r runs over row r
+    of ``bad`` and stops at its first failing step.  ``errors`` maps a step
+    (r · steps + step) to what evaluating ν raised there; where a loop
+    stops at one, the first such is raised."""
+    hit = np.flatnonzero(bad.any(axis=1)).tolist()
+    stops = list(zip(hit, bad[hit].argmax(axis=1).tolist())) if hit else []
+    for r, step in stops:
+        if r * bad.shape[1] + step in errors:
+            raise errors[r * bad.shape[1] + step]
+    return stops
+
+
+def _incompatible(values: _Values, I: tuple, J: tuple, ys: list) -> list:
+    """[(y, undefined)] for the first y of ``ys`` at which ν_J =
+    φ̂_IJ∘ν_I∘ρ_IJ fails, where a loop over ``ys`` that reads ν_I(ρ_IJ(y)),
+    then ν_J(y), stops (``undefined``: ν has no value there), or []."""
+    change = values.atlas.changes[(I, J)]
+    src = values.rows(I, [change.rho_idx[y] for y in ys])
+    tgt = values.rows(J, ys)
+    where = f"perturbation {I}->{J}"
+    defined = src.defined & tgt.defined
+    bad = ~defined | ~_same(tgt, _pushed(change.phi_hat, src, where), where)
+    return [(ys[y], not defined[y]) for _, y in _stops(bad[None], tgt.errors | src.errors)]
+
+
+def _nested(atlas: AtlasModel) -> list:
+    """The pairs (I, J), I ⊊ J, with a coordinate change, in index order."""
+    indices = atlas.index_sets()
+    return [
+        (I, J) for I in indices for J in indices if set(I) < set(J) and (I, J) in atlas.changes
+    ]
 
 
 def check_perturbation(
@@ -441,39 +512,25 @@ def check_perturbation(
     """Compatibility, partial equivariance, admissibility; transversality
     at found zeros; precompactness of the zero set relative to C."""
     rep = CheckReport("perturbation")
-    indices = atlas.index_sets()
-    nested = [
-        (I, J)
-        for I in indices
-        for J in indices
-        if set(I) < set(J) and (I, J) in atlas.changes
-    ]
+    nested = _nested(atlas)
+    values = _Values(atlas, nu)
     # compatibility ν_J = φ̂_IJ∘ν_I∘ρ_IJ on Ṽ_IJ
     for (I, J) in nested:
-        change = atlas.changes[(I, J)]
-        phi = change.phi_hat
-        for y in sorted(v_tilde(atlas, red, I, J)):
-            v_i = nu.value_at(atlas, I, change.rho_idx[y])
-            v_j = nu.value_at(atlas, J, y)
-            if v_i is None or v_j is None:
-                rep.fail("nu_undefined", pair=(I, J), point=y)
-                break
-            want = _phi_apply(phi, v_i)
-            if not _values_equal(v_j, want):
-                rep.fail("compatibility", pair=(I, J), point=y)
-                break
-    # partial equivariance: ν_J(αy) = ν_J(y) for α ∈ Γ_{J∖I}
+        for y, undefined in _incompatible(values, I, J, sorted(v_tilde(atlas, red, I, J))):
+            rep.fail("nu_undefined" if undefined else "compatibility", pair=(I, J), point=y)
+    # partial equivariance: ν_J(αy) = ν_J(y) for α ∈ Γ_{J∖I}, the first
+    # failing α per y
     for (I, J) in nested:
         chart = atlas.charts[J]
-        kernel = atlas.kernel(I, J).tolist()
-        for y in sorted(v_tilde(atlas, red, I, J)):
-            base = nu.value_at(atlas, J, y)
-            for a in kernel:
-                moved = nu.value_at(atlas, J, chart.domain.act(a, y))
-                if not _values_equal(base, moved):
-                    element = chart.group.elements[a]
-                    rep.fail("partial_equivariance", pair=(I, J), point=y, element=element)
-                    break
+        kernel = atlas.kernel(I, J)
+        ys = sorted(v_tilde(atlas, red, I, J))
+        base = values.rows(J, np.repeat(ys, len(kernel)))
+        moved = values.rows(J, chart.domain.perms[kernel][:, ys].T.ravel())
+        same = base.defined & moved.defined & _same(base, moved, f"chart {J}")
+        bad = ~same.reshape(len(ys), len(kernel))
+        for r, a in _stops(bad, moved.errors | base.errors):
+            element = chart.group.elements[kernel[a]]
+            rep.fail("partial_equivariance", pair=(I, J), point=ys[r], element=element)
     # admissibility: d_yν_J(T_yV_J) ⊆ im φ̂_IJ
     for (I, J) in nested:
         chart = atlas.charts[J]
@@ -530,8 +587,7 @@ def _zero_failures(atlas: AtlasModel, nu: Perturbation, C: Reduction | None,
         for z in zeros:
             I, coords = z[0], z[1]
             if not _zero_in_C(atlas, C, I, coords):
-                point = [float(c) for c in coords]
-                yield "zero_escapes_C", {"index": I, "point": point}
+                yield "zero_escapes_C", {"index": I, "point": [float(c) for c in coords]}
 
 
 def _zero_in_C(atlas: AtlasModel, C: Reduction, I: tuple, coords) -> bool:
@@ -540,9 +596,9 @@ def _zero_in_C(atlas: AtlasModel, C: Reduction, I: tuple, coords) -> bool:
     if C.contains_float(I, fl):
         return True
     for (H, J), change in atlas.changes.items():
-        if J != I or change.rho_asts is None:
-            continue
-        if change.lifted_pred is not None and not eval_pred(change.lifted_pred, fl):
+        if J != I or change.rho_asts is None or (
+            change.lifted_pred is not None and not eval_pred(change.lifted_pred, fl)
+        ):
             continue
         down = [float(v) for v in eval_vector(change.rho_asts, fl)]
         if C.contains_float(H, down):
@@ -563,8 +619,7 @@ def _hat_ball(atlas: AtlasModel, I: tuple, base: frozenset, radius) -> frozenset
     cls = atlas.charts[I].domain.class_index_of()
     rows = atlas.key_offset[I] + np.array([cls[x] for x in range(len(cls))])
     base_cols = np.unique(rows[sorted(base)])
-    metric = atlas.metric
-    near = metric.num[np.ix_(rows, base_cols)].min(axis=1) <= metric.threshold(radius)
+    near = atlas.metric.num[np.ix_(rows, base_cols)].min(axis=1) <= atlas.metric.threshold(radius)
     return frozenset(base).union(np.flatnonzero(near).tolist())
 
 
@@ -574,32 +629,28 @@ def _projected_ball(atlas: AtlasModel, keys: set, radius) -> set:
         return set()
     offset = atlas.key_offset
     base_cols = [offset[I] + ci for I, ci in keys]
-    metric = atlas.metric
-    near = metric.num[:, base_cols].min(axis=1) <= metric.threshold(radius)
+    near = atlas.metric.num[:, base_cols].min(axis=1) <= atlas.metric.threshold(radius)
     every = atlas.intermediate_keys()
     return set(keys).union(every[i] for i in np.flatnonzero(near).tolist())
 
 
 def _delta_conditions(atlas: AtlasModel, closure_keys: dict, inter,
                       delta: Fraction) -> bool:
-    """``closure_keys`` maps each index I to the intermediate keys of the
-    closure of V_I; ``inter`` is the intermediate realization."""
+    """The 2δ-balls about the closures of non-nested reductions are
+    disjoint at quotient level.  ``closure_keys`` maps each index I to the
+    intermediate keys of the closure of V_I; ``inter`` is the intermediate
+    realization."""
     indices = atlas.index_sets()
-    # hat balls stay inside the chart domains (sample surrogate: the ball
-    # of the declared closure still consists of chart samples — always
-    # true extensionally — plus separation of non-nested reductions)
-    proj = {I: _projected_ball(atlas, closure_keys[I], 2 * delta) for I in indices}
-    for I in indices:
-        for J in indices:
-            if I >= J:
-                continue
-            if set(I) <= set(J) or set(J) <= set(I):
-                continue
-            a = {inter.class_of[k] for k in proj[I]}
-            b = {inter.class_of[k] for k in proj[J]}
-            if a & b:
-                return False
-    return True
+    proj = {
+        I: {inter.class_of[k] for k in _projected_ball(atlas, closure_keys[I], 2 * delta)}
+        for I in indices
+    }
+    return not any(
+        proj[I] & proj[J]
+        for I in indices
+        for J in indices
+        if I < J and not (set(I) <= set(J) or set(J) <= set(I))
+    )
 
 
 def compute_adaptedness_constants(
@@ -620,14 +671,11 @@ def compute_adaptedness_constants(
         cls = atlas.charts[I].domain.class_index_of()
         closure_keys[I] = {(I, cls[x]) for x in closure_of(atlas, V, I, eps)}
     inter = realize_intermediate(atlas)
-    delta_V = None
-    k = 2
-    while k <= 12:
-        cand = Fraction(1, 2**k)
-        if _delta_conditions(atlas, closure_keys, inter, cand):
-            delta_V = cand
-            break
-        k += 1
+    delta_V = next(
+        (Fraction(1, 2**k) for k in range(2, 13)
+         if _delta_conditions(atlas, closure_keys, inter, Fraction(1, 2**k))),
+        None,
+    )
     if delta_V is None:
         raise ValueError("no dyadic delta_V <= 1/4 satisfies the ball conditions")
     if delta is None:
@@ -635,40 +683,27 @@ def compute_adaptedness_constants(
     if not (0 < delta < delta_V):
         raise ValueError(f"delta must lie in (0, delta_V={delta_V})")
 
-    M_K = max(len(I) for I in indices)
-    depth = M_K + 1
-    ks: list = [Fraction(k) for k in range(0, depth + 1)]
-    for j in indices:
-        ks.append(Fraction(len(j)) - Fraction(1, 4))
-    ks = sorted(set(ks))
-    v_k: dict = {}
-    for I in indices:
-        for kk in ks:
-            radius = float(delta) * 2.0 ** (-float(kk))
-            v_k[(I, kk)] = _hat_ball(atlas, I, frozenset(V.sets[I]), radius)
+    nested = _nested(atlas)
+    depth = max(len(I) for I in indices) + 1
+    ks = sorted({Fraction(k) for k in range(depth + 1)}
+                | {Fraction(len(j)) - Fraction(1, 4) for j in indices})
+    v_k = {
+        (I, kk): _hat_ball(atlas, I, frozenset(V.sets[I]), float(delta) * 2.0 ** (-float(kk)))
+        for I in indices
+        for kk in ks
+    }
     n_k: dict = {}
-    for J in indices:
-        for I in indices:
-            if not set(I) < set(J) or (I, J) not in atlas.changes:
-                continue
-            change = atlas.changes[(I, J)]
-            for kk in ks:
-                n_k[(J, I, kk)] = frozenset(
-                    y
-                    for y in change.tilde_indices
-                    if y in v_k[(J, kk)] and change.rho_idx[y] in v_k[(I, kk)]
-                )
-    c_tilde: dict = {}
-    for J in indices:
-        out = set(C.sets[J])
-        for K in indices:
-            if set(J) < set(K) and (J, K) in atlas.changes:
-                change = atlas.changes[(J, K)]
-                tset = set(change.tilde_indices)
-                out.update(
-                    change.rho_idx[y] for y in C.sets[K] if y in tset
-                )
-        c_tilde[J] = frozenset(out)
+    c_tilde = {J: set(C.sets[J]) for J in indices}
+    for I, J in nested:
+        change = atlas.changes[(I, J)]
+        for kk in ks:
+            n_k[(J, I, kk)] = frozenset(
+                y for y in change.tilde_indices
+                if y in v_k[(J, kk)] and change.rho_idx[y] in v_k[(I, kk)]
+            )
+        tset = set(change.tilde_indices)
+        c_tilde[I].update(change.rho_idx[y] for y in C.sets[J] if y in tset)
+    c_tilde = {J: frozenset(c) for J, c in c_tilde.items()}
     eta = {}
     for kk in set(
         [Fraction(k) for k in range(1, depth + 1)]
@@ -676,39 +711,44 @@ def compute_adaptedness_constants(
     ):
         eta[kk] = (2.0 ** (-float(kk) + 0.5)) * (1.0 - 2.0 ** (-0.25)) * float(delta)
 
-    sigma = None
-    witness = None
+    sigma = witness = None
     for J in indices:
         kJ = Fraction(len(J))
-        domain = set(v_k[(J, kJ)])
         excluded = set(c_tilde[J])
-        for I in indices:
-            if not set(I) < set(J) or (I, J) not in atlas.changes:
-                continue
+        for I in [H for H, K in nested if K == J]:
             nset = n_k[(J, I, kJ - Fraction(1, 4))]
-            excluded |= _hat_ball(
-                atlas, J, frozenset(nset), eta[kJ - Fraction(1, 2)]
-            )
-        complement = sorted(domain - excluded)
+            excluded |= _hat_ball(atlas, J, nset, eta[kJ - Fraction(1, 2)])
+        complement = sorted(set(v_k[(J, kJ)]) - excluded)
         if complement:
             values = norms.norms(atlas, J, atlas.charts[J].section_samples)
             least = int(values.num[complement].argmin())
             val = Fraction(int(values.num[complement[least]]), values.den)
             if sigma is None or val < sigma:
-                sigma = val
-                witness = (J, complement[least])
+                sigma, witness = val, (J, complement[least])
     return AdaptednessConstants(
-        delta_V=delta_V,
-        delta=delta,
-        eta=eta,
-        v_k=v_k,
-        n_k=n_k,
-        c_tilde=c_tilde,
-        sigma=sigma,
-        sigma_witness=witness,
-        sigma_representative=sigma_representative,
-        max_depth=depth,
+        delta_V=delta_V, delta=delta, eta=eta, v_k=v_k, n_k=n_k, c_tilde=c_tilde, sigma=sigma,
+        sigma_witness=witness, sigma_representative=sigma_representative, max_depth=depth,
     )
+
+
+def _small(norms: EquivariantNorms, atlas: AtlasModel, I: tuple, v: _Rows,
+           sigma) -> np.ndarray:
+    """Per row of ``v``, whether the norm of each block of E_I is below σ:
+    a wholly rational block's exactly, and another block's from the float
+    sums Σ_k T_rk·v_k taken left to right, max over r, compared with σ
+    exactly.  A block whose first sum is NaN is passed over."""
+    keep = np.ones(v.rational.shape, dtype=bool)
+    ok = np.ones(len(v.defined), dtype=bool)
+    for i, lo, hi in norms._blocks(atlas, I):
+        rational = v.rational[:, lo:hi].all(axis=1)
+        keep[:, lo:hi] = rational[:, None]
+        if hi == lo or rational.all() or norms.maps[i].num.shape[1] == 0:
+            continue
+        size = np.abs(_sums(v.all_floats()[:, lo:hi], norms.maps[i].floats()))
+        size = np.fmax.reduce(np.where(np.isnan(size[:, :1]), 0.0, size), axis=1, initial=0.0)
+        ok &= rational | np.array([s < sigma for s in size.tolist()], dtype=bool)
+    exact = norms.norms(atlas, I, RationalArray(np.where(keep, v.exact.num, 0), v.exact.den))
+    return ok & np.array([Fraction(n, exact.den) < sigma for n in exact.num.tolist()], dtype=bool)
 
 
 def check_adapted(
@@ -728,71 +768,47 @@ def check_adapted(
         rep.fail("sigma_zero")
     indices = atlas.index_sets()
     M_K = max(len(I) for I in indices)
+    nested, values = _nested(atlas), _Values(atlas, nu)
     for k in range(1, M_K + 1):
         kk = Fraction(k)
         for I in indices:
             if len(I) > k:
                 continue
-            chart = atlas.charts[I]
+            m, where = atlas.charts[I].obstruction_dim, f"chart {I}"
+            below = [H for H, J in nested if J == I]
             # a) compatibility over the enlargements
-            for H in indices:
-                if not set(H) < set(I) or (H, I) not in atlas.changes:
-                    continue
+            for H in below:
                 change = atlas.changes[(H, I)]
                 vk_H = constants.v_k[(H, kk)]
-                vk_I = constants.v_k[(I, kk)]
-                for y in sorted(set(change.tilde_indices) & set(vk_I)):
-                    if change.rho_idx[y] not in vk_H:
-                        continue
-                    v_h = nu.value_at(atlas, H, change.rho_idx[y])
-                    v_i = nu.value_at(atlas, I, y)
-                    if v_h is None or v_i is None:
-                        rep.fail("a_nu_undefined", pair=(H, I), point=y, level=k)
-                        break
-                    want = _phi_apply(change.phi_hat, v_h)
-                    if not _values_equal(v_i, want):
-                        rep.fail("a_compatibility", pair=(H, I), point=y, level=k)
-                        break
-            # c) strong admissibility on the collar balls
-            for H in indices:
-                if not set(H) < set(I) or (H, I) not in atlas.changes:
-                    continue
-                annihilator = atlas.changes[(H, I)].image_annihilator.tolist()
+                ys = [
+                    y for y in sorted(set(change.tilde_indices) & set(constants.v_k[(I, kk)]))
+                    if change.rho_idx[y] in vk_H
+                ]
+                for y, undefined in _incompatible(values, H, I, ys):
+                    clause = "a_nu_undefined" if undefined else "a_compatibility"
+                    rep.fail(clause, pair=(H, I), point=y, level=k)
+            # c) strong admissibility on the collar balls: ν ∈ im φ̂ exactly
+            # when it is rational and the annihilator sends it to 0
+            for H in below:
                 nset = constants.n_k.get((I, H, kk), frozenset())
-                ball = _hat_ball(
-                    atlas, I, nset, constants.eta[kk]
-                )
-                for y in sorted(ball):
-                    val = nu.value_at(atlas, I, y)
-                    if val is None:
-                        rep.fail("c_nu_undefined", pair=(H, I), point=y, level=k)
-                        break
-                    if chart.obstruction_dim == 0:
-                        continue
-                    # val ∈ im φ̂ exactly when the annihilator sends it to 0
-                    ok = all(isinstance(c, (int, Fraction)) for c in val) and not any(
-                        sum(a * c for a, c in zip(row, val)) for row in annihilator
-                    )
-                    if not ok:
-                        rep.fail("c_strong_admissibility", pair=(H, I), point=y, level=k)
-                        break
+                ball = sorted(_hat_ball(atlas, I, nset, constants.eta[kk]))
+                val = values.rows(I, ball)
+                annihilator = RationalArray(atlas.changes[(H, I)].image_annihilator.T, 1)
+                image = ~_matmul(val.exact, annihilator, where).num.any(axis=1)
+                inside = val.rational.all(axis=1) & image
+                for _, y in _stops((~val.defined | (m > 0) & ~inside)[None], val.errors):
+                    clause = "c_strong_admissibility" if val.defined[y] else "c_nu_undefined"
+                    rep.fail(clause, pair=(H, I), point=ball[y], level=k)
             # e) smallness over the enlargement
-            for x in sorted(constants.v_k[(I, kk)]):
-                val = nu.value_at(atlas, I, x)
-                if val is None:
-                    rep.fail("e_nu_undefined", index=I, point=x, level=k)
-                    break
-                if chart.obstruction_dim == 0:
-                    continue
-                if not (norms.norm(atlas, I, val) < sigma):
-                    rep.fail("e_not_small", index=I, point=x, level=k)
-                    break
+            xs = sorted(constants.v_k[(I, kk)])
+            val = values.rows(I, xs)
+            small = _small(norms, atlas, I, val, sigma)
+            for _, x in _stops((~val.defined | (m > 0) & ~small)[None], val.errors):
+                clause = "e_not_small" if val.defined[x] else "e_nu_undefined"
+                rep.fail(clause, index=I, point=xs[x], level=k)
     # b) transversality and d) zero-set control at found zeros
     if zeros is not None:
-        names = {
-            "transversality": "b_transversality",
-            "zero_escapes_C": "d_zero_escapes_C",
-        }
+        names = {"transversality": "b_transversality", "zero_escapes_C": "d_zero_escapes_C"}
         for clause, witness in _zero_failures(atlas, nu, C, zeros):
             if clause in names:
                 rep.fail(names[clause], **witness)
@@ -834,26 +850,18 @@ def perturbation_to_json(nu: Perturbation) -> dict:
     return {
         "asts": {_index_key(I): list(a) for I, a in nu.asts.items()},
         "samples": {
-            _index_key(I): {
-                str(idx): [rat_str(Fraction(c)) for c in val]
-                for idx, val in vals.items()
-            }
-            for I, vals in nu.samples.items()
+            _index_key(I): {str(x): row for x, row in zip(index.tolist(), rows.strings())}
+            for I, (index, rows) in nu.samples.items()
         },
     }
 
 
 def perturbation_from_json(data: dict) -> Perturbation:
     return Perturbation(
-        asts={
-            _index_from_key(k): tuple(v) for k, v in data.get("asts", {}).items()
-        },
+        asts={_index_from_key(k): tuple(v) for k, v in data.get("asts", {}).items()},
         samples={
-            _index_from_key(k): {
-                int(idx): tuple(parse_rat(c) for c in val)
-                for idx, val in vals.items()
-            }
-            for k, vals in data.get("samples", {}).items()
+            _index_from_key(k): {int(x): [parse_rat(c) for c in row] for x, row in rows.items()}
+            for k, rows in data.get("samples", {}).items()
         },
     )
 
@@ -864,8 +872,5 @@ def norms_to_json(norms: EquivariantNorms) -> dict:
 
 def norms_from_json(data: dict) -> EquivariantNorms:
     return EquivariantNorms(
-        maps={
-            int(i): RationalArray.from_json(T, f"norms: map {i}")
-            for i, T in data["maps"].items()
-        }
+        {int(i): RationalArray.from_json(T, f"norms: map {i}") for i, T in data["maps"].items()}
     )

@@ -569,6 +569,77 @@ def test_cli_check_zero_divisor_exit_three(sphere_files, tmp_path, doctor):
     assert "evaluation error: float division by zero" in res.output
 
 
+def _widen_nu_samples(doc):
+    """Every declared ν value of chart (1,) has 3 entries, where E_1 has 2."""
+    for row in doc["perturbation"]["samples"]["1"].values():
+        row.append("0/1")
+
+
+def _ragged_nu_samples(doc):
+    doc["perturbation"]["samples"]["1"]["0"].append("0/1")
+
+
+def _nu_sample_beyond_int64(doc):
+    doc["perturbation"]["samples"]["1"]["0"][0] = f"{2**63}/1"
+
+
+def _undeclared_nu_of_another_arity(doc):
+    """Chart (1, 2) has no declared ν and 3 expressions, where E_12 has dim 4."""
+    del doc["perturbation"]["samples"]["1,2"]
+    doc["perturbation"]["asts"]["1,2"].pop()
+
+
+@pytest.mark.parametrize("doctor, message", [
+    (_widen_nu_samples, "chart (1,): perturbation samples have 3 values, not 2"),
+    (_ragged_nu_samples, "chart (1,): perturbation samples: not an array of shape"),
+    (_nu_sample_beyond_int64, "chart (1,): perturbation samples: the entries over their common"
+                              " denominator"),
+    (_undeclared_nu_of_another_arity, "chart (1, 2): perturbation has 3 expressions, not 4"),
+])
+def test_cli_check_malformed_perturbation_exit_three(sphere_files, tmp_path, doctor, message):
+    res = _cli_check_doctored(sphere_files, tmp_path, doctor)
+    assert res.exit_code == 3, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    assert f"schema error: {message}" in res.output
+
+
+def _nu_evaluations(monkeypatch, nu_asts: dict) -> list:
+    """(chart, coordinates) of each interpreter evaluation of ν's expressions."""
+    chart_of = {json.dumps(list(a)): I for I, a in nu_asts.items()}
+    seen = []
+    evaluate = reduction_perturb.eval_vector
+
+    def counting(asts, coords):
+        if json.dumps(list(asts)) in chart_of:
+            seen.append((chart_of[json.dumps(list(asts))], tuple(coords)))
+        return evaluate(asts, coords)
+
+    monkeypatch.setattr(reduction_perturb, "eval_vector", counting)
+    return seen
+
+
+def test_declared_nu_is_never_evaluated(monkeypatch):
+    example = ExampleDescriptor("football-euler", {"density": 12})
+    seen = _nu_evaluations(monkeypatch, build_example(example).nu.asts)
+    report, code = run_example(example)
+    assert code == 0 and report["ok"]
+    assert seen == []
+
+
+def test_undeclared_nu_is_evaluated_once_per_sample(monkeypatch, tmp_path):
+    built = build_example(ExampleDescriptor("sphere-euler", N8))
+    doc = example_to_json(built)
+    del doc["perturbation"]["samples"]["1,2"]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    seen = _nu_evaluations(monkeypatch, built.nu.asts)
+    res = CliRunner().invoke(main, ["check", str(path)])
+    assert res.exit_code == 1, res.output
+    assert seen and {I for I, _ in seen} == {(1, 2)}
+    assert len(seen) == len(set(seen)) <= len(built.atlas.charts[(1, 2)].domain.points)
+
+
 def test_example_names_frozen():
     assert set(EXAMPLE_NAMES) == {
         "football-atlas",

@@ -680,8 +680,8 @@ class TestEquivariantNorms:
         T = [[F(1), F(0)], [F(0), F(-1)], [F(-1), F(1)]]
         norms = EquivariantNorms(maps={1: T})
         assert norms.validate(atlas).ok
-        assert norms.norm(atlas, (1,), (F(1), F(1, 2))) == F(1)
-        assert norms.norm(atlas, (1,), (F(-1, 2), F(1, 2))) == F(1)
+        values = RationalArray.of([(F(1), F(1, 2)), (F(-1, 2), F(1, 2))], "values", (2, 2))
+        assert norms.norms(atlas, (1,), values).fractions() == [F(1), F(1)]
 
     def test_plain_max_not_invariant_here(self):
         atlas = _rotation_chart_atlas()
@@ -700,8 +700,9 @@ class TestEquivariantNorms:
         atlas = _collar_atlas(1, [[F(1)]])
         norms = EquivariantNorms(maps={1: [[1]]})
         # chart (1,2) has E = E_1 only in this model: max over one block
-        assert norms.norm(atlas, (1,), (F(-3, 4),)) == F(3, 4)
-        assert norms.norm(atlas, (1, 2), (F(1, 2),)) == F(1, 2)
+        values = RationalArray.of([(F(-3, 4),), (F(1, 2),)], "values", (2, 1))
+        assert norms.norms(atlas, (1,), values).fractions()[0] == F(3, 4)
+        assert norms.norms(atlas, (1, 2), values).fractions()[1] == F(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +731,9 @@ class TestSerialization:
         data = perturbation_to_json(nu)
         again = perturbation_from_json(json.loads(json.dumps(data, sort_keys=True)))
         assert again.asts == nu.asts
-        assert again.samples == nu.samples
+        index, rows = again.samples[(1, 2)]
+        assert index.tolist() == [0] and rows.fractions() == [[F(1, 4), F(0)]]
+        assert perturbation_to_json(again) == data
 
     def test_norms_round_trip(self):
         norms = EquivariantNorms(
@@ -806,7 +809,10 @@ def _adapted_failures(sphere8, edit, drop_asts=()):
     """check_adapted on sphere-euler N=8 with ν's declared samples edited
     in place by ``edit`` and the expressions of ``drop_asts`` removed."""
     built, constants = sphere8
-    samples = {I: dict(v) for I, v in built.nu.samples.items()}
+    samples = {
+        I: dict(zip(index.tolist(), map(tuple, rows.fractions())))
+        for I, (index, rows) in built.nu.samples.items()
+    }
     edit(samples)
     asts = {I: a for I, a in built.nu.asts.items() if I not in drop_asts}
     nu = Perturbation(asts=asts, samples=samples)
