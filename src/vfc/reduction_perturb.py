@@ -107,10 +107,9 @@ def _declared(I: tuple, values) -> tuple:
     """{sample index: value} as (indices, rows) in the same order; the pair as it is."""
     if not isinstance(values, dict):
         return values
-    rows = RationalArray.of(
-        list(values.values()), f"chart {I}: perturbation samples", (len(values), -1)
-    )
-    return np.array(list(values), dtype=np.int64), rows
+    where = f"chart {I}: perturbation samples"
+    index = RationalArray.of(list(values), where, (-1,))  # the indices, checked to fit int64
+    return index.num, RationalArray.of(list(values.values()), where, (len(values), -1))
 
 
 class _Rows(NamedTuple):

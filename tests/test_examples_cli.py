@@ -583,6 +583,10 @@ def _nu_sample_beyond_int64(doc):
     doc["perturbation"]["samples"]["1"]["0"][0] = f"{2**63}/1"
 
 
+def _nu_sample_index_beyond_int64(doc):
+    doc["perturbation"]["samples"]["1"][str(2**63)] = ["0/1", "0/1"]
+
+
 def _undeclared_nu_of_another_arity(doc):
     """Chart (1, 2) has no declared ν and 3 expressions, where E_12 has dim 4."""
     del doc["perturbation"]["samples"]["1,2"]
@@ -594,6 +598,8 @@ def _undeclared_nu_of_another_arity(doc):
     (_ragged_nu_samples, "chart (1,): perturbation samples: not an array of shape"),
     (_nu_sample_beyond_int64, "chart (1,): perturbation samples: the entries over their common"
                               " denominator"),
+    (_nu_sample_index_beyond_int64, "chart (1,): perturbation samples: the entries over their"
+                                    " common denominator 1 do not fit int64"),
     (_undeclared_nu_of_another_arity, "chart (1, 2): perturbation has 3 expressions, not 4"),
 ])
 def test_cli_check_malformed_perturbation_exit_three(sphere_files, tmp_path, doctor, message):
