@@ -434,8 +434,6 @@ def build_pruned_category(atlas: AtlasModel, red: Reduction) -> PrunedResult:
 def _same(a: _Rows, b: _Rows, where: str) -> np.ndarray:
     """Per row, a = b: exactly where both rows are wholly rational, else
     every component within ``TAU_EQ`` in floats."""
-    if a.exact.num.shape[1] != b.exact.num.shape[1]:
-        return np.zeros(len(a.defined), dtype=bool)
     same = _equal(a.exact, b.exact, where).all(axis=1)
     exact = a.rational.all(axis=1) & b.rational.all(axis=1)
     if exact.all():
@@ -457,12 +455,10 @@ def _sums(x: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def _pushed(phi: RationalArray, v: _Rows, where: str) -> _Rows:
     """φ̂·v per row: exact for a wholly rational row, else :func:`_sums` in
-    floats.  A row longer or shorter than φ̂ is cut to the shorter."""
-    k = min(phi.num.shape[1], v.exact.num.shape[1])
-    phi = RationalArray(phi.num[:, :k], phi.den)
-    exact = _matmul(RationalArray(v.exact.num[:, :k], v.exact.den), phi.mT, where)
+    floats."""
+    exact = _matmul(v.exact, phi.mT, where)
     whole = v.rational.all(axis=1)
-    floats = exact.num * 0.0 if whole.all() else _sums(v.all_floats()[:, :k], phi.floats())
+    floats = exact.num * 0.0 if whole.all() else _sums(v.all_floats(), phi.floats())
     rational = np.broadcast_to(whole[:, None], exact.num.shape)
     return _Rows(exact, floats, rational, v.defined, v.errors)
 
@@ -741,7 +737,7 @@ def _small(norms: EquivariantNorms, atlas: AtlasModel, I: tuple, v: _Rows,
     for i, lo, hi in norms._blocks(atlas, I):
         rational = v.rational[:, lo:hi].all(axis=1)
         keep[:, lo:hi] = rational[:, None]
-        if hi == lo or rational.all() or norms.maps[i].num.shape[1] == 0:
+        if rational.all():
             continue
         size = np.abs(_sums(v.all_floats()[:, lo:hi], norms.maps[i].floats()))
         size = np.fmax.reduce(np.where(np.isnan(size[:, :1]), 0.0, size), axis=1, initial=0.0)
