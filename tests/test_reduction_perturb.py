@@ -935,9 +935,9 @@ NU_1 = ["+", num(F(1, 3)), ["*", num(F(1, 5)), T]]  # ν_1 = 1/3 + t/5, exact
 WAVE = ["*", num(F(1, 3)), ["cos2pi", ["*", num(F(1, 8)), T]]]  # cos(πt/4)/3, a float
 
 
-def _pair_nu(nu_1, nu_12, nu_2=num(0)) -> Perturbation:
-    """ν on the pair atlas by expressions only: ν_1 = (nu_1,), ν_2 = (nu_2,), ν_12 = nu_12."""
-    return Perturbation(asts={(1,): (nu_1,), (2,): (nu_2,), (1, 2): tuple(nu_12)})
+def _pair_nu(nu_1, nu_12) -> Perturbation:
+    """ν on the pair atlas by expressions only: ν_1 = (nu_1,), ν_2 = 0, ν_12 = nu_12."""
+    return Perturbation(asts={(1,): (nu_1,), (2,): (num(0),), (1, 2): tuple(nu_12)})
 
 
 def _pair_adapted(nu: Perturbation, sigma=F(1)) -> list:
@@ -947,9 +947,9 @@ def _pair_adapted(nu: Perturbation, sigma=F(1)) -> list:
     return check_adapted(atlas, Reduction(sets={}), norms, constants, sigma, nu).failures
 
 
-def _pair_checks(nu_1, nu_12, nu_2=num(0), sigma=F(1)):
+def _pair_checks(nu_1, nu_12, sigma=F(1)):
     """The failures of check_perturbation and check_adapted on the pair atlas."""
-    atlas, nu = _pair_atlas(), _pair_nu(nu_1, nu_12, nu_2)
+    atlas, nu = _pair_atlas(), _pair_nu(nu_1, nu_12)
     return check_perturbation(atlas, full_reduction(atlas), nu).failures, _pair_adapted(nu, sigma)
 
 
