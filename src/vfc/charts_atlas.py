@@ -24,10 +24,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -49,6 +49,8 @@ __all__ = [
     "RationalArray",
     "AtlasModel",
     "FiniteCategory",
+    "Functor",
+    "Labels",
     "PairIndex",
     "check_group_quotient",
     "check_chart",
@@ -1177,7 +1179,25 @@ class PairIndex:
         return np.diff(self.pair_start)[self.g]
 
 
-@dataclass(eq=False)
+class Labels(Sequence):
+    """A tuple of labels that ``build()`` makes when an item is first read;
+    ``len`` gives ``n`` and builds nothing."""
+
+    def __init__(self, n: int, build):
+        self._n, self._build = n, build
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        return self._items[i]
+
+    @functools.cached_property
+    def _items(self) -> tuple:
+        return tuple(self._build())
+
+
+@dataclass(frozen=True, eq=False)
 class FiniteCategory:
     """A finite category on int indices, with its composition table.
 
@@ -1193,13 +1213,16 @@ class FiniteCategory:
     morphisms.  ``defects`` keeps the faults of label data that the arrays
     cannot hold (see :meth:`from_labels`) as ``(clause, witness)``.
 
-    ``objects`` and ``morphisms`` are the labels.  ``source``, ``target``,
-    ``compose`` and ``identity_of`` are read-only label views of the
-    arrays, built when first read.
+    ``objects`` and ``morphisms`` are the labels, as tuples or as
+    :class:`Labels` built on first read (E_K's, which only witnesses
+    read).  ``source``, ``target``, ``compose`` and ``identity_of`` are
+    read-only label views of the arrays, built when first read.
+    ``failure``, the first failing axiom, is also computed once, when first
+    read: the arrays are not changed after construction.
     """
 
-    objects: tuple
-    morphisms: tuple
+    objects: Sequence
+    morphisms: Sequence
     src: np.ndarray
     tgt: np.ndarray
     identity: np.ndarray
@@ -1259,6 +1282,11 @@ class FiniteCategory:
         return out
 
     @functools.cached_property
+    def failure(self):
+        """``(clause, witness)`` of the first failing axiom, or ``None``."""
+        return _category_failure(self)
+
+    @functools.cached_property
     def source(self) -> MappingProxyType:
         return _label_view(self.morphisms, self.objects, self.src)
 
@@ -1293,7 +1321,7 @@ def _label_view(keys: tuple, values: tuple, index: np.ndarray) -> MappingProxyTy
     })
 
 
-def check_category(cat: FiniteCategory) -> CheckReport:
+def check_category(cat: FiniteCategory, over=None) -> CheckReport:
     """Category axioms of ``cat``, verified by exhaustion on its int arrays.
 
     The clauses are tried in order, and the first that fails is reported
@@ -1303,12 +1331,20 @@ def check_category(cat: FiniteCategory) -> CheckReport:
     composable pairs without a composite; identities (``defects`` first);
     the identity laws; associativity over every composable triple, checked
     ``TRIPLE_CHUNK`` triples at a time.
+
+    ``over`` is a projection pr: ``cat`` → B, given as ``(B, pr_obj,
+    pr_mor)`` int maps or as a :class:`Functor`.  Associativity is then
+    proved, not scanned, when B passes every axiom, pr is a functor and no
+    two morphisms over one morphism of B share a source (see
+    :func:`_lifts_uniquely`); where one of these fails, the triples are
+    scanned.  The report is the same either way.
     """
+    if over is not None and not isinstance(over, Functor):
+        over = Functor("pr", cat, *over)
+    failure = cat.failure if over is None else _category_failure(cat, over)
     rep = CheckReport("category_axioms")
-    failure = _category_failure(cat)
+    _report(rep, failure)
     if failure is not None:
-        clause, witness = failure
-        rep.fail(clause, **witness)
         return rep
     rep.details["objects"] = len(cat.objects)
     rep.details["morphisms"] = len(cat.morphisms)
@@ -1317,7 +1353,7 @@ def check_category(cat: FiniteCategory) -> CheckReport:
     return rep
 
 
-def _category_failure(cat: FiniteCategory):
+def _category_failure(cat: FiniteCategory, over: "Functor | None" = None):
     """``(clause, witness)`` of the first failing clause, or ``None``."""
     objects, morphisms = cat.objects, cat.morphisms
     n = len(morphisms)
@@ -1363,10 +1399,35 @@ def _category_failure(cat: FiniteCategory):
     )
     if bad.size:
         return "identity_law", {"morphism": morphisms[bad[0]]}
+    if over is not None and _lifts_uniquely(cat, over):
+        return None
     triple = _first_non_associative(cat)
     if triple is not None:
         return "associativity", {"triple": tuple(morphisms[m] for m in triple)}
     return None
+
+
+def _lifts_uniquely(cat: FiniteCategory, pr: "Functor") -> bool:
+    """Whether ``cat``, which passes every axiom before associativity, is
+    associative because of pr: ``cat`` → B.
+
+    It is when B passes every axiom, pr is a functor from ``cat`` and no
+    two morphisms of ``cat`` over one morphism of B share a source: then
+    (f g) h and f (g h) have the source of f and lie over the same morphism
+    (pr f pr g) pr h = pr f (pr g pr h) of B, so they are one morphism.
+    """
+    base, n_obj = pr.cod, len(cat.objects)
+    if (
+        pr.dom is not cat
+        or len(pr.obj) != n_obj
+        or len(pr.mor) != len(cat.morphisms)
+        or ((pr.obj < 0) | (pr.obj >= len(base.objects))).any()
+    ):
+        return False
+    if base.failure is not None or pr.failure is not None:
+        return False
+    lifts = np.sort(pr.mor * n_obj + cat.src)
+    return not (lifts[1:] == lifts[:-1]).any()
 
 
 def _first_non_associative(cat: FiniteCategory):
@@ -1511,7 +1572,8 @@ def _block_category(atlas: AtlasModel, blocks: list, ne: np.ndarray, act: list,
 
 def build_categories(atlas: AtlasModel) -> CategoriesResult:
     """The categories B_K and E_K with pr, section, zero and footprint
-    functors, all axioms verified by exhaustion.
+    functors, all axioms verified by exhaustion; E_K's associativity
+    follows from B_K's through pr where :func:`_lifts_uniquely` holds.
 
     Both are built on int indices by :func:`_block_category`, B_K with
     one-point grids, so that E_K's morphism (I, J, y, e, γ) is number
@@ -1533,31 +1595,33 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
     orders = [atlas.charts[I].group.order for I in indices]
     n_points = [len(atlas.charts[I].domain.points) for I in indices]
 
-    def category(name, clause, objects, morphisms, blocks, ne, act, phi, result):
+    def category(clause, objects, morphisms, blocks, ne, act, phi, result):
         arrays, missing, I, x = _block_category(atlas, blocks, _ints(ne), act, phi)
         for f, g, *composite in missing:
             rep.fail(clause, pair=(morphisms[f], morphisms[g]), result=result(*composite))
-        cat = FiniteCategory(tuple(objects), tuple(morphisms), *arrays)
-        axioms = check_category(cat)
-        axioms.name = name
-        rep.merge(axioms)
+        return FiniteCategory(objects, morphisms, *arrays), I, x
+
+    def axioms(name, cat, over=None):
+        report = check_category(cat, over)
+        report.name = name
+        rep.merge(report)
         # the sizes of the category; ``merge`` passes failures on, not details
-        rep.details[name] = axioms.details
-        return cat, I, x
+        rep.details[name] = report.details
 
     # ----- B_K -----
-    objects = [(I, x) for I, n in zip(indices, n_points) for x in range(n)]
-    morphisms = [
+    objects = tuple((I, x) for I, n in zip(indices, n_points) for x in range(n))
+    morphisms = tuple(
         (I, J, y, gamma)
         for I, J, tilde, _ in blocks
         for y in tilde
         for gamma in atlas.charts[I].group.elements
-    ]
+    )
     B, b_I, b_rho = category(
-        "category_axioms", "composability_violated", objects, morphisms, blocks,
+        "composability_violated", objects, morphisms, blocks,
         [1] * len(indices), [np.zeros((n, 1)) for n in orders], [[0]] * len(blocks),
         lambda I, K, z, e, gamma: (I, K, z, gamma),
     )
+    axioms("category_axioms", B)
 
     # ----- E_K -----
     charts = [atlas.charts[I] for I in indices]
@@ -1584,16 +1648,24 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
     eo_base, e_base = _offsets(obj_ne), _offsets(mor_ne)
     # without φ̂ on the grids E_K has no morphisms: every identity is missing
     e_blocks, e_phi = (blocks, phi_idx) if grids_closed else ([], [])
+    e_objects = Labels(int(eo_base[-1]), lambda: (
+        (I, x, e) for (I, x), ne in zip(objects, obj_ne.tolist()) for e in range(ne)
+    ))
+    e_morphisms = Labels(int(e_base[-1]) if e_blocks else 0, lambda: (
+        (I, J, y, e, gamma)
+        for (I, J, y, gamma), ne in zip(morphisms, mor_ne.tolist())
+        for e in range(ne if e_blocks else 0)
+    ))
     E, _, _ = category(
-        "category_axioms_E", "composability_violated_E",
-        [(I, x, e) for (I, x), ne in zip(objects, obj_ne.tolist()) for e in range(ne)],
-        [
-            (I, J, y, e, gamma)
-            for (I, J, y, gamma), ne in zip(morphisms, mor_ne.tolist())
-            for e in range(ne if e_blocks else 0)
-        ],
+        "composability_violated_E", e_objects, e_morphisms,
         e_blocks, n_e, eact, e_phi, lambda I, K, z, e, gamma: (I, K, z, e, gamma),
     )
+    # pr: E_K → B_K; E_K's arrays are built apart from B_K's, so that pr
+    # proves E_K's associativity only where the construction is right
+    pr_obj = np.repeat(np.arange(len(objects)), obj_ne)
+    pr_mor = np.repeat(np.arange(len(morphisms)), mor_ne)
+    pr = Functor("pr", E, B, pr_obj, pr_mor)
+    axioms("category_axioms_E", E, pr)
 
     # ----- functors -----
     s_idx = {
@@ -1617,17 +1689,15 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
         s_ok = False
     functors = {}
     if s_ok and grids_closed:
-        pr_obj = np.repeat(np.arange(len(objects)), obj_ne)
-        pr_mor = np.repeat(np.arange(len(morphisms)), mor_ne)
         s_flat = np.concatenate([_ints(s_idx[I]) for I in indices])
         zero_flat = _ints([zero_idx[I] for I in indices])
         s_obj = eo_base[:-1] + s_flat
         s_mor = e_base[:-1] + s_flat[_offsets(n_points)[b_I] + b_rho]
         z_obj = eo_base[:-1] + np.repeat(zero_flat, n_points)
         z_mor = e_base[:-1] + zero_flat[b_I]
-        _check_functor(rep, "pr", E, B, pr_obj, pr_mor)
-        _check_functor(rep, "section", B, E, s_obj, s_mor)
-        _check_functor(rep, "zero", B, E, z_obj, z_mor)
+        _report(rep, pr.failure)
+        _report(rep, Functor("section", B, E, s_obj, s_mor).failure)
+        _report(rep, Functor("zero", B, E, z_obj, z_mor).failure)
         functors = {
             "pr": (pr_obj, pr_mor),
             "section": (s_obj, s_mor),
@@ -1672,35 +1742,53 @@ def _footprint_labels(atlas: AtlasModel, rep: CheckReport) -> dict:
     return labels
 
 
-def _check_functor(rep, name, dom: FiniteCategory, cod: FiniteCategory,
-                   fobj: np.ndarray, fmor: np.ndarray) -> None:
-    """The functor laws of ``dom -> cod`` given by int maps on objects and
-    morphisms; the first failing clause is reported with its first
-    witness."""
-    bad = np.flatnonzero((fmor < 0) | (fmor >= len(cod.morphisms)))
-    if bad.size:
-        rep.fail(
-            f"functor_{name}_morphism_outside_codomain", morphism=dom.morphisms[bad[0]]
+@dataclass(frozen=True, eq=False)
+class Functor:
+    """The functor ``name``: ``dom`` → ``cod`` given by int maps ``obj`` on
+    objects and ``mor`` on morphisms.
+
+    ``failure`` is its first failing law as ``(clause, witness)``, or
+    ``None``, computed once, when first read: the morphism map inside the
+    codomain, endpoints, identities and composites, each with its first
+    witness in morphism, object or CSR pair order."""
+
+    name: str
+    dom: FiniteCategory
+    cod: FiniteCategory
+    obj: np.ndarray
+    mor: np.ndarray
+
+    @functools.cached_property
+    def failure(self):
+        dom, cod, fobj, fmor, name = self.dom, self.cod, self.obj, self.mor, self.name
+        bad = np.flatnonzero((fmor < 0) | (fmor >= len(cod.morphisms)))
+        if bad.size:
+            clause = f"functor_{name}_morphism_outside_codomain"
+            return clause, {"morphism": dom.morphisms[bad[0]]}
+        bad = np.flatnonzero(
+            (cod.src[fmor] != fobj[dom.src]) | (cod.tgt[fmor] != fobj[dom.tgt])
         )
-        return
-    bad = np.flatnonzero(
-        (cod.src[fmor] != fobj[dom.src]) | (cod.tgt[fmor] != fobj[dom.tgt])
-    )
-    if bad.size:
-        rep.fail(f"functor_{name}_endpoints", morphism=dom.morphisms[bad[0]])
-        return
-    bad = np.flatnonzero(fmor[dom.identity] != cod.identity[fobj])
-    if bad.size:
-        rep.fail(f"functor_{name}_identity", object=dom.objects[bad[0]])
-        return
-    defined = np.flatnonzero(dom.comp >= 0)
-    f, g = dom.pairs.f[defined], dom.pairs.g[defined]
-    bad = np.flatnonzero(cod.composite(fmor[f], fmor[g]) != fmor[dom.comp[defined]])
-    if bad.size:
-        p = bad[0]
-        rep.fail(
-            f"functor_{name}_composition", pair=(dom.morphisms[f[p]], dom.morphisms[g[p]])
-        )
+        if bad.size:
+            return f"functor_{name}_endpoints", {"morphism": dom.morphisms[bad[0]]}
+        bad = np.flatnonzero(fmor[dom.identity] != cod.identity[fobj])
+        if bad.size:
+            return f"functor_{name}_identity", {"object": dom.objects[bad[0]]}
+        defined = np.flatnonzero(dom.comp >= 0)
+        f, g = dom.pairs.f[defined], dom.pairs.g[defined]
+        bad = np.flatnonzero(cod.composite(fmor[f], fmor[g]) != fmor[dom.comp[defined]])
+        if bad.size:
+            p = bad[0]
+            return f"functor_{name}_composition", {
+                "pair": (dom.morphisms[f[p]], dom.morphisms[g[p]])
+            }
+        return None
+
+
+def _report(rep: CheckReport, failure) -> None:
+    """Report ``failure``, a ``(clause, witness)`` or ``None``."""
+    if failure is not None:
+        clause, witness = failure
+        rep.fail(clause, **witness)
 
 
 # ---------------------------------------------------------------------------

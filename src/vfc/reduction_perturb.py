@@ -664,7 +664,9 @@ def compute_adaptedness_constants(
     closure_keys = {}
     for I in indices:
         cls = atlas.charts[I].domain.class_index_of()
-        closure_keys[I] = {(I, cls[x]) for x in closure_of(atlas, V, I, eps)}
+        # a declared closure may name samples the chart lacks
+        # (``closure_escapes_domain``): they have no key
+        closure_keys[I] = {(I, cls[x]) for x in closure_of(atlas, V, I, eps) if x in cls}
     inter = realize_intermediate(atlas)
     delta_V = next(
         (Fraction(1, 2**k) for k in range(2, 13)

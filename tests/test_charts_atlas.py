@@ -16,8 +16,8 @@ from vfc.charts_atlas import (
     CoordinateChangeModel,
     FiniteCategory,
     FiniteGroup,
+    Functor,
     GroupQuotientModel,
-    _check_functor,
     atlas_from_json,
     atlas_to_json,
     build_categories,
@@ -605,18 +605,17 @@ def _cyclic_category(n):
 
 
 def _functor_failures(dom, cod, fobj, fmor):
-    """The failures of ``_check_functor`` for a functor given on labels."""
-    rep = CheckReport("functor")
+    """The failures of ``Functor`` for a functor given on labels."""
     obj_idx = {o: i for i, o in enumerate(cod.objects)}
     mor_idx = {m: i for i, m in enumerate(cod.morphisms)}
     obj_map = np.array([obj_idx.get(fobj[o], -1) for o in dom.objects], dtype=np.int64)
     mor_map = np.array([mor_idx.get(fmor[m], -1) for m in dom.morphisms], dtype=np.int64)
-    _check_functor(rep, "t", dom, cod, obj_map, mor_map)
-    return rep.failures
+    failure = Functor("t", dom, cod, obj_map, mor_map).failure
+    return [] if failure is None else [{"clause": failure[0], **failure[1]}]
 
 
 class TestCategoryClauses:
-    """Each clause of ``check_category`` and ``_check_functor`` fires on a
+    """Each clause of ``check_category`` and ``Functor`` fires on a
     small doctored category, with its witness."""
 
     def test_arrow_category_passes(self):
@@ -867,9 +866,14 @@ class TestObstructionCategoryOracle:
 
     def test_small_chunks_change_nothing(self, monkeypatch):
         atlas = random_toy_atlas(4)
-        want = build_categories(atlas).report.to_json()
+        out = build_categories(atlas)
+        want = out.report.to_json()
+        want_E = check_category(out.obstruction_category).to_json()
         monkeypatch.setattr(charts_atlas, "TRIPLE_CHUNK", 7)
-        assert build_categories(atlas).report.to_json() == want
+        out = build_categories(atlas)
+        assert out.report.to_json() == want
+        # build_categories proves E_K's associativity through pr: scan it here
+        assert check_category(out.obstruction_category).to_json() == want_E
 
     @staticmethod
     def _assert_equal(atlas):
@@ -879,13 +883,128 @@ class TestObstructionCategoryOracle:
         objects, morphisms, source, target, compose, identity_of = (
             _label_obstruction_category(atlas)
         )
-        assert E.objects == tuple(objects)
-        assert E.morphisms == tuple(morphisms)
+        assert tuple(E.objects) == tuple(objects)
+        assert tuple(E.morphisms) == tuple(morphisms)
         assert E.source == source
         assert E.target == target
         # same composites, in the same order
         assert list(E.compose.items()) == list(compose.items())
         assert E.identity_of == identity_of
+
+
+def _pr(out):
+    B = out.domain_category
+    pr_obj, pr_mor = out.functors["pr"]
+    return B, pr_obj, pr_mor
+
+
+@pytest.fixture
+def scanned(monkeypatch):
+    """The categories whose triples ``_first_non_associative`` scans."""
+    cats = []
+    scan = charts_atlas._first_non_associative
+    monkeypatch.setattr(
+        charts_atlas, "_first_non_associative", lambda cat: cats.append(cat) or scan(cat)
+    )
+    return cats
+
+
+class TestAssociativityOverBase:
+    """``check_category(E, over=(B, pr_obj, pr_mor))`` proves associativity
+    from B's and unique lifting, and scans the triples where that fails."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_toys_same_report(self, seed):
+        out = build_categories(random_toy_atlas(seed))
+        E = out.obstruction_category
+        assert check_category(E, over=_pr(out)).to_json() == check_category(E).to_json()
+
+    @pytest.mark.parametrize("name", ["football-euler", "sphere-euler"])
+    def test_euler_density_8_same_report(self, name):
+        from vfc.examples_cli import ExampleDescriptor, build_example
+
+        out = build_categories(build_example(ExampleDescriptor(name, {"density": 8})).atlas)
+        E = out.obstruction_category
+        assert check_category(E, over=_pr(out)).to_json() == check_category(E).to_json()
+
+    # a unital magma on one object: (x x) y = e, x (x y) = x
+    MAGMA = {(a, b): "x" if (a, b) == ("x", "x") else "e" for a in "exy" for b in "exy"}
+    MAGMA.update({("e", m): m for m in "exy"})
+    MAGMA.update({(m, "e"): m for m in "exy"})
+    WITNESS = [{"clause": "associativity", "triple": ("x", "x", "y")}]
+
+    def _over(self, base, pr_mor):
+        return base, np.zeros(1, dtype=np.int64), np.array(pr_mor, dtype=np.int64)
+
+    def test_pr_not_a_functor(self):
+        # e, x, y over 0, 1, 2 of Z3: unique lifts, but x x = x over 1 + 1 = 2
+        E = _one_object(self.MAGMA)
+        over = self._over(_cyclic_category(3), [0, 1, 2])
+        assert check_category(E, over=over).failures == self.WITNESS
+        assert check_category(E).failures == self.WITNESS
+
+    def test_two_lifts_share_a_source(self):
+        # every morphism over the one morphism of the trivial category
+        E = _one_object(self.MAGMA)
+        over = self._over(_cyclic_category(1), [0, 0, 0])
+        assert check_category(E, over=over).failures == self.WITNESS
+
+    def test_base_not_associative(self):
+        # the identity functor onto the magma itself: lifts are unique
+        E = _one_object(self.MAGMA)
+        over = self._over(_one_object(self.MAGMA), [0, 1, 2])
+        assert check_category(E, over=over).failures == self.WITNESS
+
+    def test_proof_skips_the_scan(self, scanned):
+        # Z3 over itself: associative without a scan of its triples
+        E, base = _cyclic_category(3), _cyclic_category(3)
+        assert check_category(E, over=self._over(base, [0, 1, 2])).ok
+        assert scanned == [base]
+
+    def test_football_density_12_scans_only_the_base(self, scanned, monkeypatch):
+        """A passing build_categories scans B_K's triples and not E_K's, and
+        reads no E_K label."""
+        from vfc.examples_cli import ExampleDescriptor, build_example
+
+        atlas = build_example(ExampleDescriptor("football-euler", {"density": 12})).atlas
+        built = []
+        items = charts_atlas.Labels._items
+        monkeypatch.setattr(
+            charts_atlas.Labels, "_items",
+            property(lambda labels: built.append(labels) or items.func(labels)),
+        )
+        out = build_categories(atlas)
+        assert out.report.ok
+        assert scanned == [out.domain_category]
+        assert built == []
+        E = out.obstruction_category
+        assert isinstance(E.objects, charts_atlas.Labels)
+        assert isinstance(E.morphisms, charts_atlas.Labels)
+        assert (len(E.objects), len(E.morphisms)) == (9528, 60115)
+        assert built == []
+
+
+def test_footprint_functor_not_constant_is_reported():
+    """Chart (1, 2) of sphere-euler N=8 with the footprint labels of its
+    samples 0 and 1 swapped: each chart is still a bijection onto its
+    footprint, but B_K's morphism from (1,) into sample 0 of (1, 2) joins
+    two labels."""
+    from vfc.examples_cli import ExampleDescriptor, build_example
+
+    atlas = build_example(ExampleDescriptor("sphere-euler", {"density": 8})).atlas
+    I, J = (1,), (1, 2)
+    chart = atlas.charts[J]
+    footprint_map = dict(chart.footprint_map)
+    footprint_map[0], footprint_map[1] = footprint_map[1], footprint_map[0]
+    charts = dict(atlas.charts)
+    charts[J] = dataclasses.replace(chart, footprint_map=footprint_map)
+    doctored = dataclasses.replace(atlas, charts=charts)
+    assert check_chart(doctored, J).ok
+    failures = build_categories(doctored).report.failures
+    assert failures[0] == {
+        "clause": "footprint_functor_not_constant", "morphism": (I, J, 0, "e"),
+    }
+    assert {f["clause"] for f in failures} == {"footprint_functor_not_constant"}
 
 
 def test_obstruction_grid_not_phi_closed_is_reported():

@@ -535,6 +535,16 @@ class TestAdaptednessConstants:
         bigger = compute_adaptedness_constants(atlas, V, C_big, norms).sigma
         assert bigger is None  # empty complement: no constraint
 
+    @pytest.mark.parametrize("outside", [9, -1])
+    def test_closure_escaping_the_domain_is_skipped(self, outside):
+        # check_reduction reports this closure as closure_escapes_domain
+        atlas = _line_atlas()
+        V, C, norms = _line_data(atlas)
+        want = compute_adaptedness_constants(atlas, V, C, norms)
+        V.closures[(1,)] = frozenset({3, 4, 5, outside})
+        got = compute_adaptedness_constants(atlas, V, C, norms)
+        assert got == want
+
     def test_closure_radius_default(self):
         atlas = _line_atlas()
         eps = epsilon_closure_radius(atlas)
