@@ -506,7 +506,55 @@ class TestNegative:
             identity_of=B.identity_of,
         )
         rep = check_realizations(atlas, doctored)
-        assert _clause_fired(rep, "realization_not_bijective")
+        assert rep.failures == [
+            {"clause": "realization_not_bijective", "full": 9, "intermediate": 5},
+            {"clause": "zero_classes_not_bijective_with_footprint", "classes": 9, "footprint": 5},
+        ]
+
+    def test_realization_rejects_projection_across_classes(self):
+        atlas = build_example(ExampleDescriptor("football-euler", {"density": 8})).atlas
+        B = build_categories(atlas).domain_category
+        # one extra morphism joins two samples of chart (1, 2) whose
+        # classes in |K̲| differ; off the zero set, so no footprint clause
+        a, b = ((1, 2), 144), ((1, 2), 167)
+        extra = ("extra",)
+        doctored = FiniteCategory.from_labels(
+            objects=B.objects,
+            morphisms=B.morphisms + (extra,),
+            source={**B.source, extra: a},
+            target={**B.target, extra: b},
+            compose={},
+            identity_of=B.identity_of,
+        )
+        rep = check_realizations(atlas, doctored)
+        # the merged class is the 26th of |K| in label order
+        assert rep.failures == [
+            {"clause": "projection_not_well_defined", "full_class": 25},
+            {"clause": "realization_not_bijective", "full": 29, "intermediate": 30},
+        ]
+
+    def test_realization_rejects_split_zero_classes(self):
+        atlas = build_example(ExampleDescriptor("football-euler", {"density": 8})).atlas
+        B = build_categories(atlas).domain_category
+        zeros = {(I, x) for I in atlas.index_sets() for x in atlas.charts[I].zero_sample_indices()}
+        # drop the coordinate-change morphisms between zero samples
+        kept = tuple(
+            m for m in B.morphisms
+            if m[0] == m[1] or B.source[m] not in zeros or B.target[m] not in zeros
+        )
+        doctored = FiniteCategory.from_labels(
+            objects=B.objects,
+            morphisms=kept,
+            source=B.source,
+            target=B.target,
+            compose={},
+            identity_of=B.identity_of,
+        )
+        rep = check_realizations(atlas, doctored)
+        assert rep.failures == [
+            {"clause": "realization_not_bijective", "full": 78, "intermediate": 30},
+            {"clause": "zero_classes_not_bijective_with_footprint", "classes": 74, "footprint": 26},
+        ]
 
     def test_realization_rejects_mixed_zero_footprints(self):
         atlas = build_toy_atlas({1: {"a", "b"}, 2: {"b", "c"}}, ["a", "b", "c"], {1: 2, 2: 1})
@@ -520,7 +568,10 @@ class TestNegative:
         doctored = dataclasses.replace(atlas, charts=charts)
         B = build_categories(doctored).domain_category
         rep = check_realizations(doctored, B)
-        assert _clause_fired(rep, "zero_class_with_mixed_footprints")
+        assert rep.failures == [
+            {"clause": "zero_class_with_mixed_footprints", "representative": ((1,), 2)},
+            {"clause": "zero_classes_not_bijective_with_footprint", "classes": 3, "footprint": 3},
+        ]
 
 
 def _clause_fired(rep, clause):
