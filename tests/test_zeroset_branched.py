@@ -436,9 +436,10 @@ def _basic_chart(chart12: ChartModel, i: int) -> ChartModel:
     )
 
 
-def _boundary_atlas(tilde: tuple, kernel_acts: bool = True) -> AtlasModel:
+def _boundary_atlas(tilde: tuple, kernel_acts: bool = True, tilde2: tuple = ()) -> AtlasModel:
     """Chart (1,) with one zero; chart (1,2) with a swapped pair of zeros
-    whose overlap with chart (1,) is controlled by ``tilde``."""
+    whose overlap with chart (1,) is controlled by ``tilde`` and, where
+    ``tilde2`` is not empty, whose overlap with chart (2,) is ``tilde2``."""
     g1 = trivial_group()
     chart1 = ChartModel(
         index=(1,),
@@ -471,11 +472,16 @@ def _boundary_atlas(tilde: tuple, kernel_acts: bool = True) -> AtlasModel:
         rho_idx={y: 0 for y in tilde},
         phi_hat=(),
     )
+    changes = {((1,), (1, 2)): change}
+    if tilde2:
+        changes[((2,), (1, 2))] = replace(
+            change, source_index=(2,), tilde_indices=tilde2, rho_idx={y: y for y in tilde2}
+        )
     return AtlasModel(
         x_labels=("a",),
         cover={1: frozenset({"a"}), 2: frozenset({"a"})},
         charts={(1,): chart1, (2,): _basic_chart(chart12, 2), (1, 2): chart12},
-        changes={((1,), (1, 2)): change},
+        changes=changes,
     )
 
 
@@ -555,6 +561,17 @@ class TestBoundaryZero:
                     ((2,), (1, 2)): frozenset({0, 1}),
                 },
             )
+
+    def test_non_nested_overlaps_rejected(self):
+        # the pair lies in the open overlaps with chart (1,) and with
+        # chart (2,), and (1,) and (2,) are not nested
+        atlas = _boundary_atlas(tilde=(0, 1), tilde2=(0, 1))
+        red = Reduction(sets={(1,): frozenset({0}), (2,): frozenset({0, 1}),
+                              (1, 2): frozenset({0, 1})})
+        zsets = {(1, 2): frozenset({0, 1})}
+        comp = complete_groupoid(atlas, red, zsets)
+        with pytest.raises(ValueError, match=r"not nested at zero \(\(1, 2\), 0\)"):
+            hausdorff_complete(atlas, red, zsets, comp)
 
     def test_open_overlap_with_isotropy(self):
         # the pair is openly identified with the chart-1 zero: one class
@@ -691,6 +708,19 @@ class TestZeroSetClauses:
                 ((2,), (1, 2)): frozenset({1}),
             },
         )
+        assert haus.report.failures == [
+            {"clause": "footprint_not_nested", "cls": ((1, 2), 0), "sets": ((1,), (2,))}
+        ]
+
+    def test_footprint_not_nested_over_open_overlaps(self):
+        # each zero's overlaps are nested, but the kernel joins the zero
+        # over chart 1 to the zero over chart 2 in one class
+        atlas = _boundary_atlas(tilde=(0,), tilde2=(1,))
+        red = Reduction(sets={(1,): frozenset({0}), (2,): frozenset({0, 1}),
+                              (1, 2): frozenset({0, 1})})
+        zsets = {(1, 2): frozenset({0, 1})}
+        comp = complete_groupoid(atlas, red, zsets)
+        haus = hausdorff_complete(atlas, red, zsets, comp)
         assert haus.report.failures == [
             {"clause": "footprint_not_nested", "cls": ((1, 2), 0), "sets": ((1,), (2,))}
         ]
