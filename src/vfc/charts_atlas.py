@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -63,9 +63,7 @@ __all__ = [
     "CategoriesResult",
     "check_category",
     "composition_table",
-    "UnionFind",
-    "realize",
-    "RealizeResult",
+    "quotient",
     "check_realizations",
     "atlas_to_json",
     "atlas_from_json",
@@ -842,6 +840,23 @@ class AtlasModel:
             offset[I] = start
             start += len(self.charts[I].domain.classes())
         return offset
+
+    def sample_rows(self, I: tuple) -> np.ndarray:
+        """The metric row of each sample x of chart I: key (I, [x])."""
+        domain = self.charts[I].domain
+        cls = domain.class_index_of()
+        return self.key_offset[I] + _ints([cls[x] for x in range(len(domain.points))])
+
+    def intermediate_classes(self) -> np.ndarray:
+        """|K̲| on metric rows: for each row, the smallest row of its class.
+        The change I → J joins key (J, [y]) to key (I, [ρ_IJ(y)]) for y in
+        Ũ_IJ; read only once ``changes`` is complete."""
+        a, b = [_ints([])], [_ints([])]
+        for (I, J), change in self.changes.items():
+            tilde = change.tilde_indices
+            a.append(self.sample_rows(J)[_ints(tilde)])
+            b.append(self.sample_rows(I)[_ints([change.rho_idx[y] for y in tilde])])
+        return quotient(len(self.intermediate_keys()), np.concatenate(a), np.concatenate(b))
 
     @functools.cached_property
     def product_index(self) -> dict:
@@ -1796,116 +1811,66 @@ def _report(rep: CheckReport, failure) -> None:
 # ---------------------------------------------------------------------------
 
 
-class UnionFind:
-    """Disjoint sets of ordered items; a set's representative is always its
-    smallest member, whatever the order of the unions."""
+def quotient(n: int, a, b) -> np.ndarray:
+    """The classes of items 0..n−1 under the equivalence generated by the
+    pairs (a[k], b[k]): for each item, the smallest item of its class.
 
-    def __init__(self, items: Iterable, pairs: Iterable = ()):
-        self.parent = {x: x for x in items}
-        for a, b in pairs:
-            self.union(a, b)
-
-    def find(self, x):
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # deterministic: smaller representative wins
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-    def groups(self) -> dict:
-        """Representative -> members, in the order the items were given."""
-        out: dict = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return out
-
-
-@dataclass
-class RealizeResult:
-    classes: list  # list of sorted object tuples
-    class_of: dict  # object -> class index
-    representatives: list  # smallest object per class
-
-
-def _quotient(items, pairs) -> RealizeResult:
-    groups = UnionFind(items, pairs).groups()
-    reps = sorted(groups)
-    classes = [tuple(sorted(groups[r])) for r in reps]
-    class_of = {o: ci for ci, cls in enumerate(classes) for o in cls}
-    return RealizeResult(classes=classes, class_of=class_of, representatives=reps)
-
-
-def realize(category: FiniteCategory) -> RealizeResult:
-    """Quotient of the object set by the morphism relation."""
-    return _quotient(
-        category.objects,
-        ((category.source[m], category.target[m]) for m in category.morphisms),
-    )
-
-
-def realize_intermediate(atlas: AtlasModel) -> RealizeResult:
-    """Realization of the intermediate (quotient-level) category."""
-    cls_maps = {I: atlas.charts[I].domain.class_index_of() for I in atlas.index_sets()}
-    return _quotient(
-        atlas.intermediate_keys(),
-        (
-            ((J, cls_maps[J][y]), (I, cls_maps[I][change.rho_idx[y]]))
-            for (I, J), change in atlas.changes.items()
-            for y in change.tilde_indices
-        ),
-    )
+    Each round hooks the larger root of every pair still apart to the
+    smaller one, then jumps pointers until every item points at its root."""
+    root, a, b = np.arange(n), _ints(a), _ints(b)
+    while True:
+        ra, rb = root[a], root[b]
+        apart = ra != rb
+        if not apart.any():
+            return root
+        np.minimum.at(root, np.maximum(ra, rb)[apart], np.minimum(ra, rb)[apart])
+        while (root[root] != root).any():
+            root = root[root]
 
 
 def check_realizations(atlas: AtlasModel, B: FiniteCategory) -> CheckReport:
-    """|K| ↔ |K̲| bijection and zero-set classes ↔ footprint samples."""
+    """|K| ↔ |K̲| bijection and zero-set classes ↔ footprint samples.
+
+    |K| is the quotient of B's objects by its morphisms.  Its classes are
+    numbered, and the zero classes named, by their smallest object label
+    in label order, which is not B's int order: ((1, 2), 0) < ((2,), 0)."""
     rep = CheckReport("realizations")
-    full = realize(B)
-    inter = realize_intermediate(atlas)
-    rep.details["full_classes"] = len(full.classes)
-    rep.details["intermediate_classes"] = len(inter.classes)
-    cls_maps = {I: atlas.charts[I].domain.class_index_of() for I in atlas.index_sets()}
+    n = len(B.objects)
+    by_label = sorted(range(n), key=B.objects.__getitem__)
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_label] = np.arange(n)
+    src, tgt = rank[B.src], rank[B.tgt]
+    names, full = np.unique(quotient(n, src, tgt)[rank], return_inverse=True)
+    n_full = len(names)
+    inter = atlas.intermediate_classes()
+    n_inter = len(np.unique(inter))
+    rep.details["full_classes"] = n_full
+    rep.details["intermediate_classes"] = n_inter
     # canonical map: class of (I, x) in |K| -> class of (I, [x]) in |K̲|
-    mapping: dict = {}
-    for ci, cls in enumerate(full.classes):
-        images = {inter.class_of[(I, cls_maps[I][x])] for (I, x) in cls}
-        if len(images) != 1:
-            rep.fail("projection_not_well_defined", full_class=ci)
-            continue
-        mapping[ci] = next(iter(images))
-    if len(set(mapping.values())) != len(mapping) or len(mapping) != len(
-        inter.classes
-    ):
-        rep.fail(
-            "realization_not_bijective",
-            full=len(full.classes),
-            intermediate=len(inter.classes),
-        )
+    rows = {I: atlas.sample_rows(I) for I in atlas.index_sets()}
+    image = inter[_ints([rows[I][x] for I, x in B.objects])]
+    mapping = np.zeros(n_full, dtype=np.int64)
+    mapping[full] = image
+    bad = np.unique(full[image != mapping[full]])
+    for ci in bad.tolist():
+        rep.fail("projection_not_well_defined", full_class=ci)
+    mapping = np.delete(mapping, bad)
+    if len(np.unique(mapping)) != len(mapping) or len(mapping) != n_inter:
+        rep.fail("realization_not_bijective", full=n_full, intermediate=n_inter)
     # zero-object subcategory realizes to the footprint sample set
     footprint_label = _footprint_labels(atlas, rep)
-    zero_objects = set(footprint_label)
-    zero_morphisms = (
-        (B.source[m], B.target[m]) for m in B.morphisms
-        if B.source[m] in zero_objects and B.target[m] in zero_objects
-    )
-    by_root = {
-        root: {footprint_label[o] for o in members}
-        for root, members in UnionFind(zero_objects, zero_morphisms).groups().items()
-    }
+    label = [footprint_label.get(o) for o in B.objects]
+    zero = np.array([lab is not None for lab in label], dtype=bool)
+    both = zero[B.src] & zero[B.tgt]
+    root = quotient(n, src[both], tgt[both])[rank]
+    by_root: dict = {}
+    for o in np.flatnonzero(zero).tolist():
+        by_root.setdefault(int(root[o]), set()).add(label[o])
     labels = []
-    for root, labs in by_root.items():
-        if len(labs) != 1:
-            rep.fail("zero_class_with_mixed_footprints", representative=root)
-        labels.extend(labs)
+    for r in sorted(by_root):
+        if len(by_root[r]) != 1:
+            rep.fail("zero_class_with_mixed_footprints", representative=B.objects[by_label[r]])
+        labels.extend(by_root[r])
     if sorted(labels) != sorted(set(labels)) or set(labels) != set(atlas.x_labels):
         rep.fail(
             "zero_classes_not_bijective_with_footprint",

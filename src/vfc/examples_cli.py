@@ -948,14 +948,11 @@ def _groupoid_stages(built: BuiltExample, zsets: dict, signs_by_object: dict,
     wnb = wnb_check(atlas, hausdorff, weights.weights)
     if not _stage(stages, wnb.report):
         return None
-    signs = {}
-    for p in hausdorff.classes:
-        vals = {
-            signs_by_object[o]
-            for o in hausdorff.objects
-            if hausdorff.class_of[o] == p and o in signs_by_object
-        }
-        signs[p] = vals.pop() if len(vals) == 1 else 1
+    vals: dict = {p: set() for p in hausdorff.classes}
+    for o in hausdorff.objects:
+        if o in signs_by_object:
+            vals[hausdorff.class_of[o]].add(signs_by_object[o])
+    signs = {p: v.pop() if len(v) == 1 else 1 for p, v in vals.items()}
     klass = fundamental_class_0d(hausdorff.classes, weights.weights, signs)
     report["classes"] = [
         {
@@ -970,8 +967,7 @@ def _groupoid_stages(built: BuiltExample, zsets: dict, signs_by_object: dict,
     # aggregate Λ over the footprint labels (the orbifold weights)
     foot_sum: dict = {}
     for p in hausdorff.classes:
-        obj = min(o for o in hausdorff.objects if hausdorff.class_of[o] == p)
-        I, zidx = obj
+        I, zidx = p  # a class is named by its smallest object
         lab = atlas.charts[I].footprint_map.get(zidx)
         if lab is not None:
             foot_sum[lab] = foot_sum.get(lab, F(0)) + signs[p] * weights.weights[p]

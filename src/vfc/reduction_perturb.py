@@ -34,7 +34,6 @@ from .charts_atlas import (
     _scaled,
     check_category,
     composition_table,
-    realize_intermediate,
 )
 from .exterior_engine import eliminate, parse_rat
 from .expressions import compile_vector, eval_pred, eval_vector, evaluate_until_raise
@@ -291,11 +290,10 @@ def v_tilde_via_projection(atlas: AtlasModel, red: Reduction, I: tuple, J: tuple
     """Ṽ_IJ computed as V_J ∩ π_K⁻¹(π_K(V_I)) via the realization."""
     if I == J:
         return frozenset(red.sets[I])
-    inter = realize_intermediate(atlas)
-    cls_I = atlas.charts[I].domain.class_index_of()
-    cls_J = atlas.charts[J].domain.class_index_of()
-    target_classes = {inter.class_of[(I, cls_I[x])] for x in red.sets[I]}
-    return frozenset(y for y in red.sets[J] if inter.class_of[(J, cls_J[y])] in target_classes)
+    inter = atlas.intermediate_classes()
+    target_classes = set(inter[atlas.sample_rows(I)[sorted(red.sets[I])]].tolist())
+    rows_J = atlas.sample_rows(J)
+    return frozenset(y for y in red.sets[J] if inter[rows_J[y]] in target_classes)
 
 
 def hij_identity_holds(atlas: AtlasModel, red: Reduction, F: tuple, I: tuple, J: tuple) -> bool:
@@ -347,11 +345,8 @@ def check_reduction(atlas: AtlasModel, red: Reduction) -> CheckReport:
         if v and not (set(v) & set(chart.zero_sample_indices())):
             rep.fail("misses_zero_set", index=I)
     # (iii) closure overlaps only for nested indices
-    inter = realize_intermediate(atlas)
-    proj_closure = {}
-    for I in indices:
-        cls = atlas.charts[I].domain.class_index_of()
-        proj_closure[I] = {inter.class_of[(I, cls[x])] for x in closures[I] if x in cls}
+    inter = atlas.intermediate_classes()
+    proj_closure = {I: set(inter[_closure_rows(atlas, I, closures[I])].tolist()) for I in indices}
     for I in indices:
         for J in indices:
             nested = set(I) <= set(J) or set(J) <= set(I)
@@ -618,26 +613,31 @@ def _hat_ball(atlas: AtlasModel, I: tuple, base: frozenset, radius) -> frozenset
     return frozenset(base).union(np.flatnonzero(near).tolist())
 
 
-def _projected_ball(atlas: AtlasModel, keys: set, radius) -> set:
-    """Intermediate keys within distance ≤ radius of the key set."""
-    if not keys:
+def _closure_rows(atlas: AtlasModel, I: tuple, closure) -> np.ndarray:
+    """The metric rows of the samples of ``closure``; a declared closure
+    may name samples the chart lacks (``closure_escapes_domain``): they
+    have no row."""
+    rows = atlas.sample_rows(I)
+    return rows[[x for x in closure if 0 <= x < len(rows)]]
+
+
+def _projected_ball(atlas: AtlasModel, rows: set, radius) -> set:
+    """Metric rows within distance ≤ radius of the row set."""
+    if not rows:
         return set()
-    offset = atlas.key_offset
-    base_cols = [offset[I] + ci for I, ci in keys]
-    near = atlas.metric.num[:, base_cols].min(axis=1) <= atlas.metric.threshold(radius)
-    every = atlas.intermediate_keys()
-    return set(keys).union(every[i] for i in np.flatnonzero(near).tolist())
+    near = atlas.metric.num[:, sorted(rows)].min(axis=1) <= atlas.metric.threshold(radius)
+    return set(rows).union(np.flatnonzero(near).tolist())
 
 
-def _delta_conditions(atlas: AtlasModel, closure_keys: dict, inter,
+def _delta_conditions(atlas: AtlasModel, closure_rows: dict, inter: np.ndarray,
                       delta: Fraction) -> bool:
     """The 2δ-balls about the closures of non-nested reductions are
-    disjoint at quotient level.  ``closure_keys`` maps each index I to the
-    intermediate keys of the closure of V_I; ``inter`` is the intermediate
-    realization."""
+    disjoint at quotient level.  ``closure_rows`` maps each index I to the
+    metric rows of the closure of V_I; ``inter`` is |K̲| on metric rows
+    (:meth:`AtlasModel.intermediate_classes`)."""
     indices = atlas.index_sets()
     proj = {
-        I: {inter.class_of[k] for k in _projected_ball(atlas, closure_keys[I], 2 * delta)}
+        I: set(inter[sorted(_projected_ball(atlas, closure_rows[I], 2 * delta))].tolist())
         for I in indices
     }
     return not any(
@@ -661,16 +661,13 @@ def compute_adaptedness_constants(
         raise ValueError("adaptedness constants require an atlas metric")
     indices = atlas.index_sets()
     eps = epsilon_closure_radius(atlas)
-    closure_keys = {}
-    for I in indices:
-        cls = atlas.charts[I].domain.class_index_of()
-        # a declared closure may name samples the chart lacks
-        # (``closure_escapes_domain``): they have no key
-        closure_keys[I] = {(I, cls[x]) for x in closure_of(atlas, V, I, eps) if x in cls}
-    inter = realize_intermediate(atlas)
+    closure_rows = {
+        I: set(_closure_rows(atlas, I, closure_of(atlas, V, I, eps)).tolist()) for I in indices
+    }
+    inter = atlas.intermediate_classes()
     delta_V = next(
         (Fraction(1, 2**k) for k in range(2, 13)
-         if _delta_conditions(atlas, closure_keys, inter, Fraction(1, 2**k))),
+         if _delta_conditions(atlas, closure_rows, inter, Fraction(1, 2**k))),
         None,
     )
     if delta_V is None:

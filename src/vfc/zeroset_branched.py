@@ -23,8 +23,8 @@ import numpy as np
 from .charts_atlas import (
     AtlasModel,
     CheckReport,
-    UnionFind,
     composition_table,
+    quotient,
 )
 from .exterior_engine import rat_str, zero_sign
 from .expressions import compile_vector, eval_pred
@@ -350,39 +350,37 @@ class ZeroSetGroupoid:
         return out
 
 
-def _tilde_cl(atlas, red, zsets, closures, F, J) -> frozenset:
-    """The zeros of Z_J in cl(Ṽ_FJ): the open overlap Ṽ_FJ together with
-    the declared closure where ``closures`` has one (cl(A) ⊇ A)."""
+def _tilde_zeros(atlas, red, zsets, F, J) -> frozenset:
+    """The zeros of Z_J in the overlap Ṽ_FJ (all of Z_J for F = J)."""
     if F == J:
         return frozenset(zsets[J])
-    out = set(closures.get((F, J), ()))
-    if (F, J) in atlas.changes:
-        out.update(v_tilde(atlas, red, F, J))
-    return frozenset(y for y in out if y in zsets[J])
+    if (F, J) not in atlas.changes:
+        return frozenset()
+    return frozenset(y for y in v_tilde(atlas, red, F, J) if y in zsets[J])
 
 
-def _groupoid_core(atlas, red, zsets, objects, closures, known=frozenset()) -> tuple:
-    """The morphisms not in ``known`` over the overlaps closed by
-    ``closures`` (see :func:`_tilde_cl`), with their endpoints."""
+def _groupoid_core(atlas, red, zsets, objects) -> tuple:
+    """The morphisms over the overlaps Ṽ_FJ (see :func:`_tilde_zeros`),
+    with their endpoints."""
     indices = [I for I in atlas.index_sets() if I in zsets]
     obj_set = set(objects)
     morphisms = []
     src: dict = {}
     tgt: dict = {}
-    seen = set(known)
+    seen = set()
     for I in indices:
         for J in indices:
             if not set(I) <= set(J):
                 continue
             if I != J and (I, J) not in atlas.changes:
                 continue
-            vt_IJ = _tilde_cl(atlas, red, zsets, {}, I, J)
+            vt_IJ = _tilde_zeros(atlas, red, zsets, I, J)
             for F in _nonempty_subsets(I):
                 if F != I and (F, J) not in atlas.changes and F != J:
                     continue
-                cl_FJ = _tilde_cl(atlas, red, zsets, closures, F, J)
+                vt_FJ = _tilde_zeros(atlas, red, zsets, F, J)
                 kernel = atlas.kernel(F, I).tolist()
-                for y in sorted(vt_IJ & cl_FJ):
+                for y in sorted(vt_IJ & vt_FJ):
                     for alpha in kernel:
                         m = (I, J, y, alpha)
                         if m in seen:
@@ -402,9 +400,12 @@ def _groupoid_core(atlas, red, zsets, objects, closures, known=frozenset()) -> t
 def _classes_of(objects, pairs):
     """The classes of the relation ``pairs``, each named by its smallest
     object: the sorted names, and the name of every object's class."""
-    uf = UnionFind(objects, pairs)
-    class_of = {o: uf.find(o) for o in objects}
-    return tuple(sorted(set(class_of.values()))), class_of
+    ordered = sorted(objects)
+    index = {o: i for i, o in enumerate(ordered)}
+    ab = [(index[x], index[y]) for x, y in pairs]
+    root = quotient(len(ordered), [a for a, _ in ab], [b for _, b in ab]).tolist()
+    class_of = {o: ordered[root[index[o]]] for o in objects}
+    return tuple(ordered[r] for r in sorted(set(root))), class_of
 
 
 def complete_groupoid(
@@ -422,7 +423,7 @@ def complete_groupoid(
     objects = [
         (I, z) for I in atlas.index_sets() if I in zsets for z in sorted(zsets[I])
     ]
-    morphisms, src, tgt = _groupoid_core(atlas, red, zsets, objects, {})
+    morphisms, src, tgt = _groupoid_core(atlas, red, zsets, objects)
     morph_set = set(morphisms)
 
     def named(m: tuple) -> tuple:  # for a witness
@@ -494,54 +495,33 @@ def hausdorff_complete(
     red: Reduction,
     zsets: dict,
     completed: ZeroSetGroupoid,
-    closures: dict | None = None,
 ) -> ZeroSetGroupoid:
-    """Extend ``completed`` by the morphisms over declared closures.
+    """``completed`` with the minimal footprint of each class.
 
-    ``closures`` maps (F, J) to the sample set cl(Ṽ_FJ) ⊇ Ṽ_FJ; with no
-    closure data the result is ``completed`` with its minimal footprints.
-    The sets F with a given zero in cl(Ṽ_FJ) must be nested; otherwise
-    the closure data is rejected.  Verified: the added morphisms keep the
-    groupoid nonsingular, and the footprints of each class are nested.
+    The sets F with a given zero in the overlap Ṽ_FJ must be nested;
+    otherwise the reduction is rejected with a ``ValueError``.  Verified:
+    the footprints of each class are nested.
     """
     rep = CheckReport("hausdorff_groupoid")
-    closures = closures or {}
-    # nestedness of {F : z ∈ cl(Ṽ_FJ)} per zero
-    cl = functools.cache(lambda F, J: _tilde_cl(atlas, red, zsets, closures, F, J))
+    # nestedness of {F : z ∈ Ṽ_FJ} per zero
+    overlap = functools.cache(lambda F, J: _tilde_zeros(atlas, red, zsets, F, J))
     f_sets: dict = {}
     for J, z in completed.objects:
-        fs = [F for F in _nonempty_subsets(J) if z in cl(F, J)]
+        fs = [F for F in _nonempty_subsets(J) if z in overlap(F, J)]
         for a in fs:
             for b in fs:
                 if not (set(a) <= set(b) or set(b) <= set(a)):
                     raise ValueError(
-                        f"closure data not nested at zero {(J, z)}: "
+                        f"overlaps not nested at zero {(J, z)}: "
                         f"{a} vs {b}"
                     )
         f_sets[(J, z)] = fs
-    morphisms, source, target = completed.morphisms, completed.source, completed.target
-    classes, class_of = completed.classes, completed.class_of
-    if closures:
-        added, src, tgt = _groupoid_core(
-            atlas, red, zsets, completed.objects, closures, known=source
-        )
-        seen = {(source[m], target[m]) for m in morphisms}
-        for m in added:
-            key = (src[m], tgt[m])
-            if key in seen:
-                rep.fail("not_nonsingular", pair=key)
-            seen.add(key)
-        morphisms = morphisms + tuple(added)
-        source, target = {**source, **src}, {**target, **tgt}
-        classes, class_of = _classes_of(
-            completed.objects, ((source[m], target[m]) for m in morphisms)
-        )
-    # minimal footprint F_p = min{F : p meets cl of the F-overlap}
+    # minimal footprint F_p = min{F : p meets the F-overlap}
     members: dict = {}
     for o in completed.objects:
-        members.setdefault(class_of[o], []).append(o)
+        members.setdefault(completed.class_of[o], []).append(o)
     minimal: dict = {}
-    for p in classes:
+    for p in completed.classes:
         candidates = []
         for J, z in members[p]:
             candidates.extend(f_sets[(J, z)])
@@ -554,16 +534,7 @@ def hausdorff_complete(
             if not (set(best) <= set(F)):
                 rep.fail("footprint_not_nested", cls=p, sets=(best, F))
         minimal[p] = best
-    return replace(
-        completed,
-        morphisms=morphisms,
-        source=source,
-        target=target,
-        report=rep,
-        classes=classes,
-        class_of=class_of,
-        minimal_footprint=minimal,
-    )
+    return replace(completed, report=rep, minimal_footprint=minimal)
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,6 @@ from vfc.charts_atlas import (
     check_coordinate_change,
     check_realizations,
     check_tame_and_filtration,
-    realize,
-    realize_intermediate,
 )
 from vfc.exterior_engine import zero_sign
 from vfc.examples_cli import (
@@ -297,17 +295,15 @@ class TestRealizations:
         assert cats.report.ok
         rep = check_realizations(built.atlas, cats.domain_category)
         assert rep.ok, rep.failures
-        full = realize(cats.domain_category)
-        inter = realize_intermediate(built.atlas)
-        assert len(full.classes) == len(inter.classes)
+        assert rep.details["full_classes"] == rep.details["intermediate_classes"]
+        inter = built.atlas.intermediate_classes()
         # the footprint-carrying part of |K̲| recovers X: exactly one
         # class per footprint label (obstruction samples carry none)
         class_labels: dict = {}
         for I in built.atlas.index_sets():
-            cls = built.atlas.charts[I].domain.class_index_of()
+            rows = built.atlas.sample_rows(I)
             for idx, lab in built.atlas.charts[I].footprint_map.items():
-                ci = inter.class_of[(I, cls[idx])]
-                class_labels.setdefault(ci, set()).add(lab)
+                class_labels.setdefault(int(inter[rows[idx]]), set()).add(lab)
         assert all(len(labs) == 1 for labs in class_labels.values())
         assert len(class_labels) == len(built.atlas.x_labels)
 
@@ -571,6 +567,32 @@ class TestNegative:
         assert rep.failures == [
             {"clause": "zero_class_with_mixed_footprints", "representative": ((1,), 2)},
             {"clause": "zero_classes_not_bijective_with_footprint", "classes": 3, "footprint": 3},
+        ]
+
+    def test_mixed_zero_classes_come_in_representative_order(self):
+        atlas = build_example(ExampleDescriptor("sphere-euler", {"density": 8})).atlas
+        B = build_categories(atlas).domain_category
+        # three extra morphisms, each joining two zero samples of chart (2,)
+        # with distinct footprint labels
+        pairs = [(((2,), 5), ((2,), 6)), (((2,), 7), ((2,), 8)), (((2,), 1), ((2,), 0))]
+        extra = [("extra", k) for k in range(len(pairs))]
+        doctored = FiniteCategory.from_labels(
+            objects=B.objects,
+            morphisms=B.morphisms + tuple(extra),
+            source={**B.source, **{m: a for m, (a, _) in zip(extra, pairs)}},
+            target={**B.target, **{m: b for m, (_, b) in zip(extra, pairs)}},
+            compose={},
+            identity_of=B.identity_of,
+        )
+        rep = check_realizations(atlas, doctored)
+        assert rep.failures == [
+            {"clause": "projection_not_well_defined", "full_class": 1},
+            {"clause": "projection_not_well_defined", "full_class": 2},
+            {"clause": "projection_not_well_defined", "full_class": 3},
+            {"clause": "realization_not_bijective", "full": 27, "intermediate": 30},
+            {"clause": "zero_class_with_mixed_footprints", "representative": ((1,), 1)},
+            {"clause": "zero_class_with_mixed_footprints", "representative": ((1,), 2)},
+            {"clause": "zero_class_with_mixed_footprints", "representative": ((1,), 4)},
         ]
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from vfc import charts_atlas
 from vfc.charts_atlas import (
@@ -33,7 +34,7 @@ from vfc.charts_atlas import (
     composition_table,
     cyclic_group,
     product_group,
-    realize,
+    quotient,
     trivial_group,
 )
 from vfc.examples_cli import build_toy_atlas, random_toy_atlas
@@ -1048,8 +1049,8 @@ class TestRealization:
         cover = {1: {"a", "b"}}
         atlas = build_toy_atlas(cover, ["a", "b"], {1: 2})
         out = build_categories(atlas)
-        res = realize(out.domain_category)
-        assert len(res.classes) == 2
+        rep = check_realizations(atlas, out.domain_category)
+        assert rep.details["full_classes"] == 2
 
     def test_toy_realizations(self, toy2, toy3):
         for atlas in (toy2, toy3):
@@ -1064,6 +1065,54 @@ class TestRealization:
         assert rep.details["full_classes"] == rep.details["intermediate_classes"]
         # realization classes are exactly the footprint samples here
         assert rep.details["full_classes"] == len(toy3.x_labels)
+
+    def test_football_density_12_reads_no_label_view(self):
+        """B_K's labels are read only at the boundary: a passing realization
+        check builds none of its label views."""
+        from vfc.examples_cli import ExampleDescriptor, build_example
+
+        atlas = build_example(ExampleDescriptor("football-euler", {"density": 12})).atlas
+        B = build_categories(atlas).domain_category
+        assert check_realizations(atlas, B).ok
+        assert not {"source", "target", "compose", "identity_of"} & set(vars(B))
+
+
+def _reference_quotient(n, pairs):
+    """Union-find on a dict, joined in any order: per item the smallest
+    member of its class."""
+    parent = {x: x for x in range(n)}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    members: dict = {}
+    for x in range(n):
+        members.setdefault(find(x), []).append(x)
+    return [min(members[find(x)]) for x in range(n)]
+
+
+@st.composite
+def _items_and_pairs(draw):
+    n = draw(st.integers(0, 40))
+    item = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(item, item), max_size=60)) if n else []
+    return n, pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_items_and_pairs())
+@example((0, []))
+@example((5, []))
+@example((4, [(2, 2), (3, 3)]))
+@example((6, [(5, 4), (4, 3), (3, 2), (2, 1), (1, 0)]))
+def test_quotient_matches_a_union_find(case):
+    n, pairs = case
+    a, b = [p for p, _ in pairs], [q for _, q in pairs]
+    assert quotient(n, a, b).tolist() == _reference_quotient(n, pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,8 @@ def test_projected_balls_match_the_float_predicate(example):
         cls = atlas.charts[I].domain.class_index_of()
         keys = {(I, cls[x]) for x in closure_of(atlas, built.V, I, eps)}
         for r in radii:
-            assert _projected_ball(atlas, keys, r) == ref_projected_ball(atlas, ref, keys, r)
+            want = {atlas.key_offset[J] + c for J, c in ref_projected_ball(atlas, ref, keys, r)}
+            assert _projected_ball(atlas, {atlas.key_offset[I] + c for _, c in keys}, r) == want
 
 
 def test_balls_at_and_beside_every_distance(example):

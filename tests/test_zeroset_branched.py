@@ -35,7 +35,7 @@ from vfc.zeroset_branched import (
     wnb_check,
     zero_set_report,
 )
-from vfc.zeroset_branched import _chart_seeds, _newton, _section_plus_nu
+from vfc.zeroset_branched import _chart_seeds, _classes_of, _newton, _section_plus_nu
 
 F = Fraction
 
@@ -493,37 +493,6 @@ class TestBoundaryZero:
         zsets = {(1,): frozenset({0}), (1, 2): frozenset({0, 1})}
         return red, zsets
 
-    def test_closure_data_gains_morphisms(self):
-        atlas = _boundary_atlas(tilde=())
-        red, zsets = self._data(atlas)
-        comp = complete_groupoid(atlas, red, zsets)
-        assert comp.report.ok
-        assert len(comp.classes) == 3  # nothing identified yet
-        haus = hausdorff_complete(
-            atlas, red, zsets, comp,
-            closures={((1,), (1, 2)): frozenset({0, 1})},
-        )
-        assert haus.report.ok
-        assert len(haus.classes) == 2  # the swapped pair is now one class
-        assert len(haus.morphisms) > len(comp.morphisms)
-
-    def test_weights_on_closed_model(self):
-        atlas = _boundary_atlas(tilde=())
-        red, zsets = self._data(atlas)
-        comp = complete_groupoid(atlas, red, zsets)
-        haus = hausdorff_complete(
-            atlas, red, zsets, comp,
-            closures={((1,), (1, 2)): frozenset({0, 1})},
-        )
-        wr = weight_function(atlas, haus)
-        assert wr.report.ok
-        # the glued pair: |Γ_{(12)∖(1)}| / |Γ_12| = 2/2 = 1
-        assert set(wr.weights.values()) == {F(1)}
-        pair_class = next(
-            p for p in haus.classes if haus.minimal_footprint[p] == (1,)
-        )
-        assert wr.weights[pair_class] == F(1)
-
     def test_trivial_closure_is_identity(self):
         atlas = _boundary_atlas(tilde=())
         red, zsets = self._data(atlas)
@@ -534,33 +503,17 @@ class TestBoundaryZero:
         assert len(haus.classes) == len(comp.classes)
 
     def test_declared_closure_contains_open_overlap(self):
-        # an empty declaration cannot shrink cl(Ṽ_FJ) below Ṽ_FJ: with no
-        # zero in chart (1,), only the open overlap gives the swapped pair
-        # its footprint (1,)
+        # with no zero in chart (1,), the open overlap alone gives the
+        # swapped pair its footprint (1,)
         atlas = _boundary_atlas(tilde=(0, 1))
         red, _ = self._data(atlas)
         zsets = {(1,): frozenset(), (1, 2): frozenset({0, 1})}
         comp = complete_groupoid(atlas, red, zsets)
-        haus = hausdorff_complete(
-            atlas, red, zsets, comp, closures={((1,), (1, 2)): frozenset()}
-        )
+        haus = hausdorff_complete(atlas, red, zsets, comp)
         assert haus.report.ok
         assert haus.morphisms == comp.morphisms
         assert haus.classes == comp.classes == (((1, 2), 0),)
         assert haus.minimal_footprint == {((1, 2), 0): (1,)}
-
-    def test_non_nested_closure_rejected(self):
-        atlas = _boundary_atlas(tilde=())
-        red, zsets = self._data(atlas)
-        comp = complete_groupoid(atlas, red, zsets)
-        with pytest.raises(ValueError, match="not nested"):
-            hausdorff_complete(
-                atlas, red, zsets, comp,
-                closures={
-                    ((1,), (1, 2)): frozenset({0, 1}),
-                    ((2,), (1, 2)): frozenset({0, 1}),
-                },
-            )
 
     def test_non_nested_overlaps_rejected(self):
         # the pair lies in the open overlaps with chart (1,) and with
@@ -591,6 +544,22 @@ class TestBoundaryZero:
         red, zsets = self._data(atlas)
         comp = complete_groupoid(atlas, red, zsets)
         assert "not_determined_by_endpoints" in clauses(comp.report)
+
+
+def test_classes_are_named_by_their_smallest_label():
+    # label order is not the order given: ((1, 2), 0) < ((2,), 0)
+    objects = [((2,), 0), ((2,), 1), ((1, 2), 0), ((1,), 0), ((1, 2), 1)]
+    pairs = [(((2,), 0), ((1, 2), 0)), (((1, 2), 1), ((2,), 1)), (((1,), 0), ((1,), 0))]
+    classes, class_of = _classes_of(objects, pairs)
+    assert classes == (((1,), 0), ((1, 2), 0), ((1, 2), 1))
+    assert class_of == {
+        ((2,), 0): ((1, 2), 0),
+        ((2,), 1): ((1, 2), 1),
+        ((1, 2), 0): ((1, 2), 0),
+        ((1,), 0): ((1,), 0),
+        ((1, 2), 1): ((1, 2), 1),
+    }
+    assert list(class_of) == objects
 
 
 def _factorization_atlas() -> AtlasModel:
@@ -679,38 +648,6 @@ class TestZeroSetClauses:
             "clause": "factorization",
             "morphism": ((1, 2), (1, 2, 3), 0, "e|g1"),
         } in rep.failures
-
-    def test_not_nonsingular(self):
-        # a closure that glues sample 0 to itself through the kernel, which
-        # fixes it: a second morphism 0 → 0 besides the identity
-        atlas = _boundary_atlas(tilde=(), kernel_acts=False)
-        red, zsets = TestBoundaryZero()._data(atlas)
-        comp = complete_groupoid(atlas, red, zsets)
-        assert comp.report.ok
-        haus = hausdorff_complete(
-            atlas, red, zsets, comp, closures={((1,), (1, 2)): frozenset({0, 1})}
-        )
-        assert haus.report.failures == [
-            {"clause": "not_nonsingular", "pair": (((1, 2), z), ((1, 2), z))}
-            for z in (0, 1)
-        ]
-
-    def test_footprint_not_nested(self):
-        # each zero's closures are nested, but the kernel joins a zero near
-        # chart 1 to a zero near chart 2 in one class
-        atlas = _boundary_atlas(tilde=())
-        red, zsets = TestBoundaryZero()._data(atlas)
-        comp = complete_groupoid(atlas, red, zsets)
-        haus = hausdorff_complete(
-            atlas, red, zsets, comp,
-            closures={
-                ((1,), (1, 2)): frozenset({0}),
-                ((2,), (1, 2)): frozenset({1}),
-            },
-        )
-        assert haus.report.failures == [
-            {"clause": "footprint_not_nested", "cls": ((1, 2), 0), "sets": ((1,), (2,))}
-        ]
 
     def test_footprint_not_nested_over_open_overlaps(self):
         # each zero's overlaps are nested, but the kernel joins the zero
