@@ -1816,14 +1816,15 @@ def quotient(n: int, a, b) -> np.ndarray:
     pairs (a[k], b[k]): for each item, the smallest item of its class.
 
     Each round hooks the larger root of every pair still apart to the
-    smaller one, then jumps pointers until every item points at its root."""
+    smaller one (to one of them where several pairs share it), then jumps
+    pointers until every item points at its root."""
     root, a, b = np.arange(n), _ints(a), _ints(b)
     while True:
         ra, rb = root[a], root[b]
         apart = ra != rb
         if not apart.any():
             return root
-        np.minimum.at(root, np.maximum(ra, rb)[apart], np.minimum(ra, rb)[apart])
+        root[np.maximum(ra, rb)[apart]] = np.minimum(ra, rb)[apart]
         while (root[root] != root).any():
             root = root[root]
 
@@ -1840,10 +1841,12 @@ def check_realizations(atlas: AtlasModel, B: FiniteCategory) -> CheckReport:
     rank = np.empty(n, dtype=np.int64)
     rank[by_label] = np.arange(n)
     src, tgt = rank[B.src], rank[B.tgt]
-    names, full = np.unique(quotient(n, src, tgt)[rank], return_inverse=True)
-    n_full = len(names)
+    root = quotient(n, src, tgt)
+    smallest = root == np.arange(n)
+    full = (np.cumsum(smallest) - 1)[root][rank]
+    n_full = int(smallest.sum())
     inter = atlas.intermediate_classes()
-    n_inter = len(np.unique(inter))
+    n_inter = int((inter == np.arange(len(inter))).sum())
     rep.details["full_classes"] = n_full
     rep.details["intermediate_classes"] = n_inter
     # canonical map: class of (I, x) in |K| -> class of (I, [x]) in |K̲|
@@ -1851,11 +1854,12 @@ def check_realizations(atlas: AtlasModel, B: FiniteCategory) -> CheckReport:
     image = inter[_ints([rows[I][x] for I, x in B.objects])]
     mapping = np.zeros(n_full, dtype=np.int64)
     mapping[full] = image
-    bad = np.unique(full[image != mapping[full]])
-    for ci in bad.tolist():
+    bad = np.zeros(n_full, dtype=bool)
+    bad[full[image != mapping[full]]] = True
+    for ci in np.flatnonzero(bad).tolist():
         rep.fail("projection_not_well_defined", full_class=ci)
-    mapping = np.delete(mapping, bad)
-    if len(np.unique(mapping)) != len(mapping) or len(mapping) != n_inter:
+    mapping = mapping[~bad].tolist()
+    if len(set(mapping)) != len(mapping) or len(mapping) != n_inter:
         rep.fail("realization_not_bijective", full=n_full, intermediate=n_inter)
     # zero-object subcategory realizes to the footprint sample set
     footprint_label = _footprint_labels(atlas, rep)
