@@ -472,8 +472,24 @@ class TestNegative:
         # (1) → (1,2) → (1,2,3) compose to a morphism (1) → (1,2,3), but
         # that coordinate change is gone: neither B_K nor E_K is closed
         rep = build_categories(build_toy_cocycle_gap()).report
-        assert _clause_fired(rep, "composability_violated")
-        assert _clause_fired(rep, "composability_violated_E")
+        b12, b13 = ((1,), (1, 2), 0, "e"), ((1,), (1, 3), 0, "e")
+        c12, c13 = ((1, 2), (1, 2, 3), 0, "e|e"), ((1, 3), (1, 2, 3), 0, "e|e")
+        e12, e13 = ((1,), (1, 2), 0, 0, "e"), ((1,), (1, 3), 0, 0, "e")
+        d12, d13 = ((1, 2), (1, 2, 3), 0, 0, "e|e"), ((1, 3), (1, 2, 3), 0, 0, "e|e")
+        assert rep.failures == [
+            {"clause": "composability_violated", "pair": (b12, c12),
+             "result": ((1,), (1, 2, 3), 0, "e")},
+            {"clause": "composability_violated", "pair": (b13, c13),
+             "result": ((1,), (1, 2, 3), 0, "e")},
+            {"clause": "composable_pair_undefined", "pair": (b12, c12),
+             "from": "category_axioms"},
+            {"clause": "composability_violated_E", "pair": (e12, d12),
+             "result": ((1,), (1, 2, 3), 0, 0, "e")},
+            {"clause": "composability_violated_E", "pair": (e13, d13),
+             "result": ((1,), (1, 2, 3), 0, 0, "e")},
+            {"clause": "composable_pair_undefined", "pair": (e12, d12),
+             "from": "category_axioms_E"},
+        ]
 
     def test_completed_groupoid_rejects_missing_composite(self):
         atlas = build_toy_cocycle_gap()

@@ -1,6 +1,10 @@
 """One doctored model per obstruction-space clause: each test asserts that
 its clause fires, with its witness.
 
+The E_K models break one fact of the closed-form check of E_K in
+``build_categories`` each (see its docstring), so that the fallback
+builds E_K and reports what it reports, in order.
+
 The constructors at the top build the doctored models; the tests below
 only run a validator and read its failures.
 """
@@ -113,6 +117,72 @@ def chart_without_grid():
     return _with_chart(atlas, (1,), obstruction_points=())
 
 
+def on_a_line(atlas, action=None, phi=None, section=None):
+    """``atlas`` with E_I = Q and the grid {-1, 0, 1} on every chart: Γ_I
+    acts by the scalars ``action[I]`` (one per element; 1 by default),
+    φ̂ is [``phi[(I, J)]``] (1 by default), and the section is 0 but at
+    the samples ``section[(I, x)]``."""
+    action, phi, section = action or {}, phi or {}, section or {}
+    charts = {
+        I: dataclasses.replace(
+            chart,
+            obstruction_dim=1,
+            obstruction_action=[[[a]] for a in action.get(I, [1] * chart.group.order)],
+            obstruction_points=((-1,), (0,), (1,)),
+            section_samples=[
+                (section.get((I, x), F(0)),) for x in range(len(chart.domain.points))
+            ],
+        )
+        for I, chart in atlas.charts.items()
+    }
+    changes = {
+        key: dataclasses.replace(change, phi_hat=[[phi.get(key, 1)]])
+        for key, change in atlas.changes.items()
+    }
+    return dataclasses.replace(atlas, charts=charts, changes=changes)
+
+
+def grid_action_not_a_law():
+    """Γ_1 = Z_3 acts on E_1 by g1, g2 ↦ −1: g1·g1 = g2 acts by −1, not 1."""
+    return on_a_line(build_toy_atlas({1: {"a"}}, ["a"], {1: 3}), action={(1,): [1, -1, -1]})
+
+
+def grid_action_identity_not_trivial():
+    """Γ_1 = Z_2 acts on E_1 by 0: the law holds, but e moves the grid."""
+    return on_a_line(build_toy_atlas({1: {"a"}}, ["a"], {1: 2}), action={(1,): [0, 0]})
+
+
+def phi_hat_not_equivariant_on_the_grid():
+    """Γ_1 = Z_2 acts on E_1 by −1 and Γ_{12} = Z_2 × 1 on E_{12} by 1, but
+    φ̂ of (1,) -> (1, 2) is [1]: it maps the grid into the grid but does
+    not commute with g1|e."""
+    atlas = build_toy_atlas({1: {"a", "b"}, 2: {"b"}}, ["a", "b"], {1: 2})
+    return on_a_line(atlas, action={(1,): [1, -1]})
+
+
+def phi_hats_not_composing_on_the_grid():
+    """Three charts over one point with trivial isotropy; φ̂ is [1] on every
+    change but [−1] on (1,) -> (1, 2, 3), which maps the grid into itself."""
+    atlas = build_toy_atlas({1: {"p"}, 2: {"p"}, 3: {"p"}}, ["p"], {})
+    return on_a_line(atlas, phi={((1,), (1, 2, 3)): -1})
+
+
+def section_not_phi_compatible_on_the_grid():
+    """Trivial isotropy; sample 0 of chart (1, 2), in Ũ of (1,) -> (1, 2),
+    has section value 1, a grid point, where φ̂(s_1(ρ(0))) is 0."""
+    atlas = build_toy_atlas({1: {"a", "b"}, 2: {"b"}}, ["a", "b"], {})
+    return on_a_line(atlas, section={((1, 2), 0): F(1)})
+
+
+def section_not_equivariant_on_the_grid():
+    """Γ_1 = Z_2 acts on E_1 by −1, and the section is 1 at both samples
+    (a, e) and (a, g1) of the orbit over a: s(g1·x) is not g1·s(x)."""
+    atlas = build_toy_atlas({1: {"a", "b"}}, ["a", "b"], {1: 2})
+    return on_a_line(
+        atlas, action={(1,): [1, -1]}, section={((1,), 0): F(1), ((1,), 1): F(1)}
+    )
+
+
 def norm_of_wrong_width():
     """The norm of chart 1 reads one coordinate of E_1 = R²."""
     built = _football()
@@ -176,3 +246,63 @@ def test_zero_vector_outside_grid():
 def test_norm_shape():
     atlas, norms = norm_of_wrong_width()
     assert _failure(norms.validate(atlas), "norm_shape")["index"] == 1
+
+
+# ---------------------------------------------------------------------------
+# E_K: the whole report of build_categories when one fact fails
+# ---------------------------------------------------------------------------
+
+
+def test_grid_action_not_a_law():
+    assert build_categories(grid_action_not_a_law()).report.failures == [
+        {
+            "clause": "compose_endpoints",
+            "pair": (((1,), (1,), 0, 0, "g1"), ((1,), (1,), 1, 2, "g1")),
+            "from": "category_axioms_E",
+        },
+    ]
+
+
+def test_grid_action_identity_not_trivial():
+    assert build_categories(grid_action_identity_not_trivial()).report.failures == [
+        {
+            "clause": "compose_endpoints",
+            "pair": (((1,), (1,), 0, 1, "e"), ((1,), (1,), 0, 0, "e")),
+            "from": "category_axioms_E",
+        },
+    ]
+
+
+def test_phi_hat_not_equivariant_on_the_grid():
+    assert build_categories(phi_hat_not_equivariant_on_the_grid()).report.failures == [
+        {
+            "clause": "compose_endpoints",
+            "pair": (((1,), (1, 2), 0, 0, "e"), ((1, 2), (1, 2), 1, 0, "g1|e")),
+            "from": "category_axioms_E",
+        },
+    ]
+
+
+def test_phi_hats_not_composing_on_the_grid():
+    assert build_categories(phi_hats_not_composing_on_the_grid()).report.failures == [
+        {
+            "clause": "compose_endpoints",
+            "pair": (((1,), (1, 2), 0, 0, "e"), ((1, 2), (1, 2, 3), 0, 0, "e|e")),
+            "from": "category_axioms_E",
+        },
+    ]
+
+
+def test_section_not_phi_compatible_on_the_grid():
+    rep = build_categories(section_not_phi_compatible_on_the_grid()).report
+    assert rep.failures == [
+        {"clause": "functor_section_endpoints", "morphism": ((1,), (1, 2), 0, "e")},
+    ]
+
+
+def test_section_not_equivariant_on_the_grid():
+    rep = build_categories(section_not_equivariant_on_the_grid()).report
+    assert rep.failures == [
+        {"clause": "functor_section_endpoints", "morphism": ((1,), (1,), 0, "g1")},
+        {"clause": "footprint_functor_not_surjective", "image": ["b"]},
+    ]
