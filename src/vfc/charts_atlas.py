@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -577,11 +577,7 @@ def check_chart(atlas: "AtlasModel", I: tuple) -> CheckReport:
     F_I = atlas.footprint(I)
     labels = [label_of_class[c] for c in sorted(zero_classes) if c in label_of_class]
     if sorted(labels) != sorted(set(labels)) or set(labels) != F_I:
-        rep.fail(
-            "footprint_not_bijective",
-            footprint=sorted(F_I),
-            mapped=sorted(labels),
-        )
+        rep.fail("footprint_not_bijective", footprint=sorted(F_I), mapped=sorted(labels))
     # loose consistency of smooth section vs declared samples
     if chart.section_asts is not None:
         section = compile_vector(chart.section_asts, ())
@@ -917,11 +913,7 @@ def check_atlas_model(atlas: AtlasModel) -> CheckReport:
     }
     declared = set(atlas.index_sets())
     if declared != nonempty:
-        rep.fail(
-            "index_set_mismatch",
-            declared=sorted(declared),
-            from_cover=sorted(nonempty),
-        )
+        rep.fail("index_set_mismatch", declared=sorted(declared), from_cover=sorted(nonempty))
     for I in atlas.index_sets():
         chart = atlas.charts[I]
         if tuple(sorted(I)) != I:
@@ -1299,7 +1291,52 @@ class FiniteCategory:
     @functools.cached_property
     def failure(self):
         """``(clause, witness)`` of the first failing axiom, or ``None``."""
-        return _category_failure(self)
+        objects, morphisms, src, tgt = self.objects, self.morphisms, self.src, self.tgt
+        n, n_obj = len(morphisms), len(objects)
+        bad = np.flatnonzero((src < 0) | (src >= n_obj) | (tgt < 0) | (tgt >= n_obj))
+        if bad.size:
+            return "endpoint_outside_objects", {"morphism": morphisms[bad[0]]}
+
+        def defect(*clauses):
+            return next((d for d in self.defects if d[0] in clauses), None)
+
+        found = defect("compose_outside_morphisms", "compose_of_non_composable")
+        if found is not None:
+            return found
+        f, g, h = self.pairs.f, self.pairs.g, self.comp
+        outside = (h < -1) | (h >= n)
+        defined = np.where((h >= 0) & ~outside, h, -1)
+        wrong = (defined >= 0) & ((src[defined] != src[f]) | (tgt[defined] != tgt[g]))
+        bad = np.flatnonzero(outside | wrong)
+        if bad.size:
+            p = bad[0]
+            clause = "compose_outside_morphisms" if outside[p] else "compose_endpoints"
+            return clause, {"pair": (morphisms[f[p]], morphisms[g[p]])}
+        bad = np.flatnonzero(h == -1)
+        if bad.size:
+            p = bad[0]
+            return "composable_pair_undefined", {"pair": (morphisms[f[p]], morphisms[g[p]])}
+        found = defect("identity_missing")
+        if found is not None:
+            return found
+        ident = self.identity
+        bad = np.flatnonzero((ident < -1) | (ident >= n))
+        if bad.size:
+            return "identity_missing", {"object": objects[bad[0]]}
+        bad = np.flatnonzero(ident == -1)
+        if bad.size:
+            return "object_without_identity", {"object": objects[bad[0]]}
+        every = np.arange(n)
+        bad = np.flatnonzero(
+            (self.composite(ident[src], every) != every)
+            | (self.composite(every, ident[tgt]) != every)
+        )
+        if bad.size:
+            return "identity_law", {"morphism": morphisms[bad[0]]}
+        triple = _first_non_associative(self)
+        if triple is not None:
+            return "associativity", {"triple": tuple(morphisms[m] for m in triple)}
+        return None
 
     @functools.cached_property
     def source(self) -> MappingProxyType:
@@ -1336,7 +1373,7 @@ def _label_view(keys: tuple, values: tuple, index: np.ndarray) -> MappingProxyTy
     })
 
 
-def check_category(cat: FiniteCategory, over=None) -> CheckReport:
+def check_category(cat: FiniteCategory) -> CheckReport:
     """Category axioms of ``cat``, verified by exhaustion on its int arrays.
 
     The clauses are tried in order, and the first that fails is reported
@@ -1346,103 +1383,15 @@ def check_category(cat: FiniteCategory, over=None) -> CheckReport:
     composable pairs without a composite; identities (``defects`` first);
     the identity laws; associativity over every composable triple, checked
     ``TRIPLE_CHUNK`` triples at a time.
-
-    ``over`` is a projection pr: ``cat`` → B, given as ``(B, pr_obj,
-    pr_mor)`` int maps or as a :class:`Functor`.  Associativity is then
-    proved, not scanned, when B passes every axiom, pr is a functor and no
-    two morphisms over one morphism of B share a source (see
-    :func:`_lifts_uniquely`); where one of these fails, the triples are
-    scanned.  The report is the same either way.
     """
-    if over is not None and not isinstance(over, Functor):
-        over = Functor("pr", cat, *over)
-    failure = cat.failure if over is None else _category_failure(cat, over)
     rep = CheckReport("category_axioms")
-    _report(rep, failure)
-    if failure is not None:
-        return rep
-    rep.details["objects"] = len(cat.objects)
-    rep.details["morphisms"] = len(cat.morphisms)
-    rep.details["composable_pairs"] = len(cat.comp)
-    rep.details["composable_triples"] = int(cat.pairs.triple_counts().sum())
+    _report(rep, cat.failure)
+    if cat.failure is None:
+        rep.details["objects"] = len(cat.objects)
+        rep.details["morphisms"] = len(cat.morphisms)
+        rep.details["composable_pairs"] = len(cat.comp)
+        rep.details["composable_triples"] = int(cat.pairs.triple_counts().sum())
     return rep
-
-
-def _category_failure(cat: FiniteCategory, over: "Functor | None" = None):
-    """``(clause, witness)`` of the first failing clause, or ``None``."""
-    objects, morphisms = cat.objects, cat.morphisms
-    n = len(morphisms)
-    src, tgt = cat.src, cat.tgt
-    n_obj = len(objects)
-    bad = np.flatnonzero((src < 0) | (src >= n_obj) | (tgt < 0) | (tgt >= n_obj))
-    if bad.size:
-        return "endpoint_outside_objects", {"morphism": morphisms[bad[0]]}
-
-    def defect(*clauses):
-        return next((d for d in cat.defects if d[0] in clauses), None)
-
-    found = defect("compose_outside_morphisms", "compose_of_non_composable")
-    if found is not None:
-        return found
-    f, g, h = cat.pairs.f, cat.pairs.g, cat.comp
-    outside = (h < -1) | (h >= n)
-    defined = np.where((h >= 0) & ~outside, h, -1)
-    wrong = (defined >= 0) & ((src[defined] != src[f]) | (tgt[defined] != tgt[g]))
-    bad = np.flatnonzero(outside | wrong)
-    if bad.size:
-        p = bad[0]
-        clause = "compose_outside_morphisms" if outside[p] else "compose_endpoints"
-        return clause, {"pair": (morphisms[f[p]], morphisms[g[p]])}
-    bad = np.flatnonzero(h == -1)
-    if bad.size:
-        p = bad[0]
-        return "composable_pair_undefined", {"pair": (morphisms[f[p]], morphisms[g[p]])}
-    found = defect("identity_missing")
-    if found is not None:
-        return found
-    ident = cat.identity
-    bad = np.flatnonzero((ident < -1) | (ident >= n))
-    if bad.size:
-        return "identity_missing", {"object": objects[bad[0]]}
-    bad = np.flatnonzero(ident == -1)
-    if bad.size:
-        return "object_without_identity", {"object": objects[bad[0]]}
-    every = np.arange(n)
-    bad = np.flatnonzero(
-        (cat.composite(ident[src], every) != every)
-        | (cat.composite(every, ident[tgt]) != every)
-    )
-    if bad.size:
-        return "identity_law", {"morphism": morphisms[bad[0]]}
-    if over is not None and _lifts_uniquely(cat, over):
-        return None
-    triple = _first_non_associative(cat)
-    if triple is not None:
-        return "associativity", {"triple": tuple(morphisms[m] for m in triple)}
-    return None
-
-
-def _lifts_uniquely(cat: FiniteCategory, pr: "Functor") -> bool:
-    """Whether ``cat``, which passes every axiom before associativity, is
-    associative because of pr: ``cat`` → B.
-
-    It is when B passes every axiom, pr is a functor from ``cat`` and no
-    two morphisms of ``cat`` over one morphism of B share a source: then
-    (f g) h and f (g h) have the source of f and lie over the same morphism
-    (pr f pr g) pr h = pr f (pr g pr h) of B, so they are one morphism.
-    """
-    base, n_obj = pr.cod, len(cat.objects)
-    if (
-        pr.dom is not cat
-        or len(pr.obj) != n_obj
-        or len(pr.mor) != len(cat.morphisms)
-        or ((pr.obj < 0) | (pr.obj >= len(base.objects))).any()
-    ):
-        return False
-    if base.failure is not None or pr.failure is not None:
-        return False
-    lifts = np.sort(pr.mor * n_obj + cat.src)
-    return not (lifts[1:] == lifts[:-1]).any()
 
 
 def _first_non_associative(cat: FiniteCategory):
@@ -1496,11 +1445,16 @@ def composition_table(rep: CheckReport, clause: str, morphisms, source: dict,
 
 @dataclass
 class CategoriesResult:
+    """What :func:`build_categories` returns; ``obstruction_category``, E_K,
+    is built when first read, unless a failed fact had it built already."""
+
     domain_category: FiniteCategory  # B_K
-    obstruction_category: FiniteCategory  # E_K
-    #: name -> (object map, morphism map), int arrays; "footprint" -> (dict, None)
-    functors: dict
     report: CheckReport
+    build_obstruction: Callable[[], FiniteCategory] = field(repr=False)
+
+    @functools.cached_property
+    def obstruction_category(self) -> FiniteCategory:  # E_K
+        return self.build_obstruction()
 
 
 def _flat(arrays) -> tuple[np.ndarray, np.ndarray]:
@@ -1587,13 +1541,19 @@ def _block_category(atlas: AtlasModel, blocks: list, ne: np.ndarray, act: list,
 
 def build_categories(atlas: AtlasModel) -> CategoriesResult:
     """The categories B_K and E_K with pr, section, zero and footprint
-    functors, all axioms verified by exhaustion; E_K's associativity
-    follows from B_K's through pr where :func:`_lifts_uniquely` holds.
-
-    Both are built on int indices by :func:`_block_category`, B_K with
-    one-point grids, so that E_K's morphism (I, J, y, e, γ) is number
-    ``e_base[b] + e`` for B_K's morphism b = (I, J, y, γ), and its object
-    (I, x, e) is ``eo_base[(I, x)] + e``.
+    functors.  Both are built on int indices by :func:`_block_category`,
+    B_K with one-point grids: E_K's object (I, x, e) is ``eo_base[(I, x)]
+    + e`` and its morphism (I, J, y, e, γ) is ``e_base[b] + e`` for B_K's
+    b = (I, J, y, γ), with B_K's endpoints, identities and composites and
+    e moved by Γ_I and φ̂.  B_K's axioms are verified by exhaustion.  E_K's,
+    and the laws of pr, section and zero, follow when (1) B_K passes, (2)
+    Γ_I acts on the grid indices, φ̂ (3) maps grids into grids and is, on
+    grid indices, (4) ρ^Γ-equivariant and (5) composable, and (6) the
+    section is Γ_I-equivariant and φ̂-compatible on grid indices (the zero
+    vector is, by linearity).  E_K's sizes are then B_K's objects,
+    morphisms, composable pairs (f, g) and triples, each counted n_e[I]
+    times, the grid size of the chart I of the object or of f.  Where a
+    fact fails, E_K is built and checked in full, with pr, section and zero.
     """
     rep = CheckReport("build_categories")
     indices = atlas.index_sets()
@@ -1607,17 +1567,9 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
                 change = atlas.changes[(I, J)]
                 tilde = list(change.tilde_indices)
                 blocks.append((I, J, tilde, [change.rho_idx[y] for y in tilde]))
-    orders = [atlas.charts[I].group.order for I in indices]
     n_points = [len(atlas.charts[I].domain.points) for I in indices]
 
-    def category(clause, objects, morphisms, blocks, ne, act, phi, result):
-        arrays, missing, I, x = _block_category(atlas, blocks, _ints(ne), act, phi)
-        for f, g, *composite in missing:
-            rep.fail(clause, pair=(morphisms[f], morphisms[g]), result=result(*composite))
-        return FiniteCategory(objects, morphisms, *arrays), I, x
-
-    def axioms(name, cat, over=None):
-        report = check_category(cat, over)
+    def axioms(name, report):
         report.name = name
         rep.merge(report)
         # the sizes of the category; ``merge`` passes failures on, not details
@@ -1631,12 +1583,15 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
         for y in tilde
         for gamma in atlas.charts[I].group.elements
     )
-    B, b_I, b_rho = category(
-        "composability_violated", objects, morphisms, blocks,
-        [1] * len(indices), [np.zeros((n, 1)) for n in orders], [[0]] * len(blocks),
-        lambda I, K, z, e, gamma: (I, K, z, gamma),
+    one_point = [np.zeros((atlas.charts[I].group.order, 1)) for I in indices]
+    arrays, missing, b_I, b_rho = _block_category(
+        atlas, blocks, _ints([1] * len(indices)), one_point, [[0]] * len(blocks)
     )
-    axioms("category_axioms", B)
+    for f, g, I, K, z, _, gamma in missing:
+        rep.fail("composability_violated", pair=(morphisms[f], morphisms[g]),
+                 result=(I, K, z, gamma))
+    B = FiniteCategory(objects, morphisms, *arrays)
+    axioms("category_axioms", check_category(B))
 
     # ----- E_K -----
     charts = [atlas.charts[I] for I in indices]
@@ -1661,63 +1616,69 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
     obj_ne = np.repeat(_ints(n_e), n_points)
     mor_ne = _ints(n_e)[b_I]
     eo_base, e_base = _offsets(obj_ne), _offsets(mor_ne)
-    # without φ̂ on the grids E_K has no morphisms: every identity is missing
-    e_blocks, e_phi = (blocks, phi_idx) if grids_closed else ([], [])
-    e_objects = Labels(int(eo_base[-1]), lambda: (
-        (I, x, e) for (I, x), ne in zip(objects, obj_ne.tolist()) for e in range(ne)
-    ))
-    e_morphisms = Labels(int(e_base[-1]) if e_blocks else 0, lambda: (
-        (I, J, y, e, gamma)
-        for (I, J, y, gamma), ne in zip(morphisms, mor_ne.tolist())
-        for e in range(ne if e_blocks else 0)
-    ))
-    E, _, _ = category(
-        "composability_violated_E", e_objects, e_morphisms,
-        e_blocks, n_e, eact, e_phi, lambda I, K, z, e, gamma: (I, K, z, e, gamma),
-    )
-    # pr: E_K → B_K; E_K's arrays are built apart from B_K's, so that pr
-    # proves E_K's associativity only where the construction is right
-    pr_obj = np.repeat(np.arange(len(objects)), obj_ne)
-    pr_mor = np.repeat(np.arange(len(morphisms)), mor_ne)
-    pr = Functor("pr", E, B, pr_obj, pr_mor)
-    axioms("category_axioms_E", E, pr)
 
-    # ----- functors -----
+    def obstruction_category():
+        """E_K and its composable pairs without a composite."""
+        # without φ̂ on the grids E_K has no morphisms: every identity is missing
+        e_blocks, e_phi = (blocks, phi_idx) if grids_closed else ([], [])
+        e_objects = Labels(int(eo_base[-1]), lambda: (
+            (I, x, e) for (I, x), ne in zip(objects, obj_ne.tolist()) for e in range(ne)
+        ))
+        e_morphisms = Labels(int(e_base[-1]) if e_blocks else 0, lambda: (
+            (I, J, y, e, gamma)
+            for (I, J, y, gamma), ne in zip(morphisms, mor_ne.tolist())
+            for e in range(ne if e_blocks else 0)
+        ))
+        arrays, missing, _, _ = _block_category(atlas, e_blocks, _ints(n_e), eact, e_phi)
+        return FiniteCategory(e_objects, e_morphisms, *arrays), missing
+
+    # the section and the zero vector on grid indices
     s_idx = {
         I: _lookup(chart.section_samples, grid, f"chart {I}")
         for I, chart, grid in zip(indices, charts, grids)
     }
+    s_ok = all((vals >= 0).all() for vals in s_idx.values())
+    # the last zero row, as ``_lookup`` finds it, or -1
+    zero_idx = {I: ([-1] + np.flatnonzero(~g.num.any(axis=1)).tolist())[-1]
+                for I, g in zip(indices, grids)}
+    E = None
+    if (
+        B.failure is None
+        and grids_closed
+        and _obstruction_facts(atlas, blocks, eact, phi_idx, s_idx if s_ok else None)
+    ):
+        weights = mor_ne[B.pairs.f]
+        rep.details["category_axioms_E"] = {
+            "objects": int(eo_base[-1]),
+            "morphisms": int(e_base[-1]),
+            "composable_pairs": int(weights.sum()),
+            "composable_triples": int((weights * B.pairs.triple_counts()).sum()),
+        }
+    else:
+        E, missing = obstruction_category()
+        for f, g, I, K, z, e, gamma in missing:
+            rep.fail("composability_violated_E", pair=(E.morphisms[f], E.morphisms[g]),
+                     result=(I, K, z, e, gamma))
+        axioms("category_axioms_E", check_category(E))
+
+    # ----- functors -----
     for I, chart in zip(indices, charts):
         if (s_idx[I] < 0).any():
             value = tuple(chart.section_samples.fractions()[(s_idx[I] < 0).argmax()])
             rep.fail("section_value_outside_grid", index=I, value=value)
-    s_ok = all((vals >= 0).all() for vals in s_idx.values())
-    zero_idx = {
-        I: int(_lookup(
-            RationalArray(np.zeros((1, chart.obstruction_dim), dtype=np.int64), 1),
-            grid, f"chart {I}",
-        )[0])
-        for I, chart, grid in zip(indices, charts, grids)
-    }
     if any(v < 0 for v in zero_idx.values()):
         rep.fail("zero_vector_outside_grid")
         s_ok = False
-    functors = {}
-    if s_ok and grids_closed:
+    if E is not None and s_ok and grids_closed:
         s_flat = np.concatenate([_ints(s_idx[I]) for I in indices])
         zero_flat = _ints([zero_idx[I] for I in indices])
-        s_obj = eo_base[:-1] + s_flat
+        pr_obj = np.repeat(np.arange(len(objects)), obj_ne)
+        pr_mor = np.repeat(np.arange(len(morphisms)), mor_ne)
+        _report(rep, Functor("pr", E, B, pr_obj, pr_mor).failure)
         s_mor = e_base[:-1] + s_flat[_offsets(n_points)[b_I] + b_rho]
+        _report(rep, Functor("section", B, E, eo_base[:-1] + s_flat, s_mor).failure)
         z_obj = eo_base[:-1] + np.repeat(zero_flat, n_points)
-        z_mor = e_base[:-1] + zero_flat[b_I]
-        _report(rep, pr.failure)
-        _report(rep, Functor("section", B, E, s_obj, s_mor).failure)
-        _report(rep, Functor("zero", B, E, z_obj, z_mor).failure)
-        functors = {
-            "pr": (pr_obj, pr_mor),
-            "section": (s_obj, s_mor),
-            "zero": (z_obj, z_mor),
-        }
+        _report(rep, Functor("zero", B, E, z_obj, e_base[:-1] + zero_flat[b_I]).failure)
 
     # footprint functor ψ on the zero-object subcategory
     psi_obj = _footprint_labels(atlas, rep)
@@ -1730,17 +1691,55 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
     for m in np.flatnonzero((s_psi >= 0) & (t_psi >= 0) & (s_psi != t_psi)).tolist():
         rep.fail("footprint_functor_not_constant", morphism=morphisms[m])
     if set(psi_obj.values()) != set(atlas.x_labels):
-        rep.fail(
-            "footprint_functor_not_surjective",
-            image=sorted(set(psi_obj.values())),
-        )
-    functors["footprint"] = (psi_obj, None)
+        rep.fail("footprint_functor_not_surjective", image=sorted(set(psi_obj.values())))
     return CategoriesResult(
         domain_category=B,
-        obstruction_category=E,
-        functors=functors,
         report=rep,
+        build_obstruction=(lambda: E) if E is not None else lambda: obstruction_category()[0],
     )
+
+
+def _obstruction_facts(atlas: AtlasModel, blocks: list, act: list, phi: list,
+                       s_idx: dict | None) -> bool:
+    """Facts 2, 4, 5 and 6 of :func:`build_categories`, with ``act[i]`` and
+    ``phi[k]`` as :func:`_block_category` takes them and ``s_idx[I]`` the
+    section's grid index per sample of I (``None`` skips fact 6): Γ_I is
+    a group acting on the grid; φ̂_IJ(ρ^Γ(δ)·x) = δ·φ̂_IJ(x); φ̂_IK =
+    φ̂_JK ∘ φ̂_IJ; s(γ·x) = γ·s(x) and φ̂_IJ(s_I(ρ(y))) = s_J(y).  Sample
+    indices must lie in their charts, so that E_K lies over B_K."""
+    indices = atlas.index_sets()
+    where = {I: i for i, I in enumerate(indices)}
+    n = [len(atlas.charts[I].domain.points) for I in indices]
+
+    def inside(values, bound):
+        return bool(((_ints(values) >= 0) & (_ints(values) < bound)).all())
+
+    for I, a, size in zip(indices, act, n):
+        group, perms = atlas.charts[I].group, atlas.charts[I].domain.perms
+        if not (
+            group.validate().ok
+            and inside(perms, size)
+            and (a[group.identity] == np.arange(a.shape[1])).all()
+            and (a[group.table] == a[:, a]).all()
+            and (s_idx is None or (s_idx[I][perms] == a[:, s_idx[I]]).all())
+        ):
+            return False
+    block_of = {b[:2]: k for k, b in enumerate(blocks)}
+    for (I, J, tilde, rho), p in zip(blocks, phi):
+        i, j = where[I], where[J]
+        if not (
+            inside(tilde, n[j])
+            and inside(rho, n[i])
+            and (p[act[i][atlas.projection[(I, J)]]] == act[j][:, p]).all()
+            and (s_idx is None or (p[s_idx[I][_ints(rho)]] == s_idx[J][_ints(tilde)]).all())
+            and all(
+                (q[p] == phi[block_of[(I, K)]]).all()
+                for (J2, K, _, _), q in zip(blocks, phi)
+                if J2 == J and (I, K) in block_of
+            )
+        ):
+            return False
+    return True
 
 
 def _footprint_labels(atlas: AtlasModel, rep: CheckReport) -> dict:
@@ -1876,11 +1875,8 @@ def check_realizations(atlas: AtlasModel, B: FiniteCategory) -> CheckReport:
             rep.fail("zero_class_with_mixed_footprints", representative=B.objects[by_label[r]])
         labels.extend(by_root[r])
     if sorted(labels) != sorted(set(labels)) or set(labels) != set(atlas.x_labels):
-        rep.fail(
-            "zero_classes_not_bijective_with_footprint",
-            classes=len(by_root),
-            footprint=len(atlas.x_labels),
-        )
+        rep.fail("zero_classes_not_bijective_with_footprint",
+                 classes=len(by_root), footprint=len(atlas.x_labels))
     rep.details["zero_classes"] = len(by_root)
     return rep
 

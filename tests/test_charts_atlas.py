@@ -893,96 +893,81 @@ class TestObstructionCategoryOracle:
         assert E.identity_of == identity_of
 
 
-def _pr(out):
-    B = out.domain_category
-    pr_obj, pr_mor = out.functors["pr"]
-    return B, pr_obj, pr_mor
-
-
-@pytest.fixture
-def scanned(monkeypatch):
-    """The categories whose triples ``_first_non_associative`` scans."""
-    cats = []
-    scan = charts_atlas._first_non_associative
-    monkeypatch.setattr(
-        charts_atlas, "_first_non_associative", lambda cat: cats.append(cat) or scan(cat)
-    )
-    return cats
-
-
-class TestAssociativityOverBase:
-    """``check_category(E, over=(B, pr_obj, pr_mor))`` proves associativity
-    from B's and unique lifting, and scans the triples where that fails."""
+class TestObstructionCategoryInClosedForm:
+    """A passing ``build_categories`` proves E_K's axioms from B_K's and
+    from facts on the grids, and derives E_K's sizes in closed form."""
 
     @pytest.mark.parametrize("seed", range(30))
-    def test_random_toys_same_report(self, seed):
-        out = build_categories(random_toy_atlas(seed))
-        E = out.obstruction_category
-        assert check_category(E, over=_pr(out)).to_json() == check_category(E).to_json()
+    def test_random_toys_sizes(self, seed):
+        self._assert_sizes(random_toy_atlas(seed))
 
     @pytest.mark.parametrize("name", ["football-euler", "sphere-euler"])
-    def test_euler_density_8_same_report(self, name):
+    def test_euler_density_8_sizes(self, name):
         from vfc.examples_cli import ExampleDescriptor, build_example
 
-        out = build_categories(build_example(ExampleDescriptor(name, {"density": 8})).atlas)
-        E = out.obstruction_category
-        assert check_category(E, over=_pr(out)).to_json() == check_category(E).to_json()
+        self._assert_sizes(build_example(ExampleDescriptor(name, {"density": 8})).atlas)
 
-    # a unital magma on one object: (x x) y = e, x (x y) = x
-    MAGMA = {(a, b): "x" if (a, b) == ("x", "x") else "e" for a in "exy" for b in "exy"}
-    MAGMA.update({("e", m): m for m in "exy"})
-    MAGMA.update({(m, "e"): m for m in "exy"})
-    WITNESS = [{"clause": "associativity", "triple": ("x", "x", "y")}]
+    @staticmethod
+    def _assert_sizes(atlas):
+        out = build_categories(atlas)
+        assert out.report.ok
+        scan = check_category(out.obstruction_category)
+        assert scan.ok
+        assert out.report.details["category_axioms_E"] == scan.details
 
-    def _over(self, base, pr_mor):
-        return base, np.zeros(1, dtype=np.int64), np.array(pr_mor, dtype=np.int64)
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """The calls of ``_block_category`` and the ``Labels`` made."""
+        calls = {"_block_category": 0, "Labels": 0}
+        block, labels = charts_atlas._block_category, charts_atlas.Labels.__init__
 
-    def test_pr_not_a_functor(self):
-        # e, x, y over 0, 1, 2 of Z3: unique lifts, but x x = x over 1 + 1 = 2
-        E = _one_object(self.MAGMA)
-        over = self._over(_cyclic_category(3), [0, 1, 2])
-        assert check_category(E, over=over).failures == self.WITNESS
-        assert check_category(E).failures == self.WITNESS
+        def count(name, fn):
+            def counting(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counting
 
-    def test_two_lifts_share_a_source(self):
-        # every morphism over the one morphism of the trivial category
-        E = _one_object(self.MAGMA)
-        over = self._over(_cyclic_category(1), [0, 0, 0])
-        assert check_category(E, over=over).failures == self.WITNESS
+        monkeypatch.setattr(charts_atlas, "_block_category", count("_block_category", block))
+        monkeypatch.setattr(charts_atlas.Labels, "__init__", count("Labels", labels))
+        return calls
 
-    def test_base_not_associative(self):
-        # the identity functor onto the magma itself: lifts are unique
-        E = _one_object(self.MAGMA)
-        over = self._over(_one_object(self.MAGMA), [0, 1, 2])
-        assert check_category(E, over=over).failures == self.WITNESS
+    def test_football_density_12_builds_no_obstruction_category(self, counted):
+        """A passing run builds B_K only, in a small fraction of the memory
+        that E_K takes, and E_K is built once, when first read."""
+        import tracemalloc
 
-    def test_proof_skips_the_scan(self, scanned):
-        # Z3 over itself: associative without a scan of its triples
-        E, base = _cyclic_category(3), _cyclic_category(3)
-        assert check_category(E, over=self._over(base, [0, 1, 2])).ok
-        assert scanned == [base]
-
-    def test_football_density_12_scans_only_the_base(self, scanned, monkeypatch):
-        """A passing build_categories scans B_K's triples and not E_K's, and
-        reads no E_K label."""
         from vfc.examples_cli import ExampleDescriptor, build_example
 
         atlas = build_example(ExampleDescriptor("football-euler", {"density": 12})).atlas
-        built = []
-        items = charts_atlas.Labels._items
-        monkeypatch.setattr(
-            charts_atlas.Labels, "_items",
-            property(lambda labels: built.append(labels) or items.func(labels)),
-        )
-        out = build_categories(atlas)
+        tracemalloc.start()
+        try:
+            out = build_categories(atlas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert out.report.ok
-        assert scanned == [out.domain_category]
-        assert built == []
+        assert counted == {"_block_category": 1, "Labels": 0}
+        assert peak < 10 * 2**20
+        assert out.report.details["category_axioms_E"] == {
+            "objects": 9528,
+            "morphisms": 60115,
+            "composable_pairs": 368831,
+            "composable_triples": 2236009,
+        }
         E = out.obstruction_category
-        assert isinstance(E.objects, charts_atlas.Labels)
-        assert isinstance(E.morphisms, charts_atlas.Labels)
+        assert out.obstruction_category is E
+        assert counted == {"_block_category": 2, "Labels": 2}
         assert (len(E.objects), len(E.morphisms)) == (9528, 60115)
-        assert built == []
+
+    def test_a_failed_fact_builds_the_obstruction_category_once(self, counted):
+        """Where a fact fails, E_K is built and checked, and reading it
+        returns that E_K."""
+        from test_obstruction_clauses import phi_hats_not_composing_on_the_grid
+
+        out = build_categories(phi_hats_not_composing_on_the_grid())
+        assert counted["_block_category"] == 2
+        assert not check_category(out.obstruction_category).ok
+        assert counted["_block_category"] == 2
 
 
 def test_footprint_functor_not_constant_is_reported():

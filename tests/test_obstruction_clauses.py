@@ -306,3 +306,20 @@ def test_section_not_equivariant_on_the_grid():
         {"clause": "functor_section_endpoints", "morphism": ((1,), (1,), 0, "g1")},
         {"clause": "footprint_functor_not_surjective", "image": ["b"]},
     ]
+
+
+def rho_off_the_source_chart():
+    """Trivial isotropy; ρ of (1,) -> (1, 2) sends sample 0 to sample 2 of
+    chart (1,), which has two samples."""
+    atlas = on_a_line(build_toy_atlas({1: {"a", "b"}, 2: {"b"}}, ["a", "b"], {}))
+    key = ((1,), (1, 2))
+    changes = {**atlas.changes, key: dataclasses.replace(atlas.changes[key], rho_idx={0: 2})}
+    return dataclasses.replace(atlas, changes=changes)
+
+
+def test_rho_off_the_source_chart():
+    """A sample index outside its chart is no fact E_K's laws can rest on:
+    E_K is built and checked, and the report is what that finds."""
+    assert build_categories(rho_off_the_source_chart()).report.failures == [
+        {"clause": "footprint_functor_not_constant", "morphism": ((1,), (1, 2), 0, "e")},
+    ]
