@@ -577,7 +577,11 @@ def check_chart(atlas: "AtlasModel", I: tuple) -> CheckReport:
     F_I = atlas.footprint(I)
     labels = [label_of_class[c] for c in sorted(zero_classes) if c in label_of_class]
     if sorted(labels) != sorted(set(labels)) or set(labels) != F_I:
-        rep.fail("footprint_not_bijective", footprint=sorted(F_I), mapped=sorted(labels))
+        rep.fail(
+            "footprint_not_bijective",
+            footprint=sorted(F_I),
+            mapped=sorted(labels),
+        )
     # loose consistency of smooth section vs declared samples
     if chart.section_asts is not None:
         section = compile_vector(chart.section_asts, ())
@@ -913,7 +917,11 @@ def check_atlas_model(atlas: AtlasModel) -> CheckReport:
     }
     declared = set(atlas.index_sets())
     if declared != nonempty:
-        rep.fail("index_set_mismatch", declared=sorted(declared), from_cover=sorted(nonempty))
+        rep.fail(
+            "index_set_mismatch",
+            declared=sorted(declared),
+            from_cover=sorted(nonempty),
+        )
     for I in atlas.index_sets():
         chart = atlas.charts[I]
         if tuple(sorted(I)) != I:
@@ -1445,8 +1453,7 @@ def composition_table(rep: CheckReport, clause: str, morphisms, source: dict,
 
 @dataclass
 class CategoriesResult:
-    """What :func:`build_categories` returns; ``obstruction_category``, E_K,
-    is built when first read, unless a failed fact had it built already."""
+    """What :func:`build_categories` returns; E_K is built once, when first needed."""
 
     domain_category: FiniteCategory  # B_K
     report: CheckReport
@@ -1541,19 +1548,18 @@ def _block_category(atlas: AtlasModel, blocks: list, ne: np.ndarray, act: list,
 
 def build_categories(atlas: AtlasModel) -> CategoriesResult:
     """The categories B_K and E_K with pr, section, zero and footprint
-    functors.  Both are built on int indices by :func:`_block_category`,
-    B_K with one-point grids: E_K's object (I, x, e) is ``eo_base[(I, x)]
-    + e`` and its morphism (I, J, y, e, γ) is ``e_base[b] + e`` for B_K's
-    b = (I, J, y, γ), with B_K's endpoints, identities and composites and
-    e moved by Γ_I and φ̂.  B_K's axioms are verified by exhaustion.  E_K's,
-    and the laws of pr, section and zero, follow when (1) B_K passes, (2)
-    Γ_I acts on the grid indices, φ̂ (3) maps grids into grids and is, on
-    grid indices, (4) ρ^Γ-equivariant and (5) composable, and (6) the
-    section is Γ_I-equivariant and φ̂-compatible on grid indices (the zero
-    vector is, by linearity).  E_K's sizes are then B_K's objects,
-    morphisms, composable pairs (f, g) and triples, each counted n_e[I]
-    times, the grid size of the chart I of the object or of f.  Where a
-    fact fails, E_K is built and checked in full, with pr, section and zero.
+    functors, built by :func:`_block_category`, B_K with one-point grids:
+    E_K's object (I, x, e) is ``eo_base[(I, x)] + e``, its morphism
+    (I, J, y, e, γ) is ``e_base[b] + e`` for B_K's b = (I, J, y, γ), and
+    its endpoints, identities and composites are B_K's with e moved by Γ_I
+    and φ̂.  B_K is checked by exhaustion.  E_K's axioms and the laws of
+    pr, section and zero follow when (1) B_K passes, (2) Γ_I acts on grid
+    indices, and on them φ̂ (3) maps grids into grids, is (4) ρ^Γ-equivariant
+    and (5) composes, and (6) the section is Γ_I-equivariant and φ̂-compatible
+    (the zero vector is, by linearity).  E_K's sizes are then B_K's, each
+    object, morphism, pair (f, g) and triple counted n_e[I] times, the grid
+    size of the chart I of the object or of f.  Where a fact fails, E_K is
+    built and checked, pr, section and zero too, in full.
     """
     rep = CheckReport("build_categories")
     indices = atlas.index_sets()
@@ -1638,14 +1644,11 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
         for I, chart, grid in zip(indices, charts, grids)
     }
     s_ok = all((vals >= 0).all() for vals in s_idx.values())
-    # the last zero row, as ``_lookup`` finds it, or -1
-    zero_idx = {I: ([-1] + np.flatnonzero(~g.num.any(axis=1)).tolist())[-1]
-                for I, g in zip(indices, grids)}
+    # per chart the last zero row of the grid, as ``_lookup`` finds it, or -1
+    zero_idx = [([-1] + np.flatnonzero(~g.num.any(axis=1)).tolist())[-1] for g in grids]
     E = None
-    if (
-        B.failure is None
-        and grids_closed
-        and _obstruction_facts(atlas, blocks, eact, phi_idx, s_idx if s_ok else None)
+    if B.failure is None and grids_closed and _obstruction_facts(
+        atlas, blocks, eact, phi_idx, s_idx if s_ok else None
     ):
         weights = mor_ne[B.pairs.f]
         rep.details["category_axioms_E"] = {
@@ -1666,12 +1669,12 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
         if (s_idx[I] < 0).any():
             value = tuple(chart.section_samples.fractions()[(s_idx[I] < 0).argmax()])
             rep.fail("section_value_outside_grid", index=I, value=value)
-    if any(v < 0 for v in zero_idx.values()):
+    if any(v < 0 for v in zero_idx):
         rep.fail("zero_vector_outside_grid")
         s_ok = False
     if E is not None and s_ok and grids_closed:
         s_flat = np.concatenate([_ints(s_idx[I]) for I in indices])
-        zero_flat = _ints([zero_idx[I] for I in indices])
+        zero_flat = _ints(zero_idx)
         pr_obj = np.repeat(np.arange(len(objects)), obj_ne)
         pr_mor = np.repeat(np.arange(len(morphisms)), mor_ne)
         _report(rep, Functor("pr", E, B, pr_obj, pr_mor).failure)
@@ -1707,35 +1710,33 @@ def _obstruction_facts(atlas: AtlasModel, blocks: list, act: list, phi: list,
     a group acting on the grid; φ̂_IJ(ρ^Γ(δ)·x) = δ·φ̂_IJ(x); φ̂_IK =
     φ̂_JK ∘ φ̂_IJ; s(γ·x) = γ·s(x) and φ̂_IJ(s_I(ρ(y))) = s_J(y).  Sample
     indices must lie in their charts, so that E_K lies over B_K."""
-    indices = atlas.index_sets()
-    where = {I: i for i, I in enumerate(indices)}
-    n = [len(atlas.charts[I].domain.points) for I in indices]
+    act = dict(zip(atlas.index_sets(), act))
+    n = {I: len(atlas.charts[I].domain.points) for I in act}
 
     def inside(values, bound):
         return bool(((_ints(values) >= 0) & (_ints(values) < bound)).all())
 
-    for I, a, size in zip(indices, act, n):
+    for I, a in act.items():
         group, perms = atlas.charts[I].group, atlas.charts[I].domain.perms
         if not (
             group.validate().ok
-            and inside(perms, size)
+            and inside(perms, n[I])
             and (a[group.identity] == np.arange(a.shape[1])).all()
             and (a[group.table] == a[:, a]).all()
             and (s_idx is None or (s_idx[I][perms] == a[:, s_idx[I]]).all())
         ):
             return False
-    block_of = {b[:2]: k for k, b in enumerate(blocks)}
-    for (I, J, tilde, rho), p in zip(blocks, phi):
-        i, j = where[I], where[J]
+    phi = {b[:2]: p for b, p in zip(blocks, phi)}
+    for (I, J, tilde, rho), p in zip(blocks, phi.values()):
         if not (
-            inside(tilde, n[j])
-            and inside(rho, n[i])
-            and (p[act[i][atlas.projection[(I, J)]]] == act[j][:, p]).all()
+            inside(tilde, n[J])
+            and inside(rho, n[I])
+            and (p[act[I][atlas.projection[(I, J)]]] == act[J][:, p]).all()
             and (s_idx is None or (p[s_idx[I][_ints(rho)]] == s_idx[J][_ints(tilde)]).all())
             and all(
-                (q[p] == phi[block_of[(I, K)]]).all()
-                for (J2, K, _, _), q in zip(blocks, phi)
-                if J2 == J and (I, K) in block_of
+                (q[p] == phi[(I, K)]).all()
+                for (J2, K), q in phi.items()
+                if J2 == J and (I, K) in phi
             )
         ):
             return False
@@ -1875,8 +1876,11 @@ def check_realizations(atlas: AtlasModel, B: FiniteCategory) -> CheckReport:
             rep.fail("zero_class_with_mixed_footprints", representative=B.objects[by_label[r]])
         labels.extend(by_root[r])
     if sorted(labels) != sorted(set(labels)) or set(labels) != set(atlas.x_labels):
-        rep.fail("zero_classes_not_bijective_with_footprint",
-                 classes=len(by_root), footprint=len(atlas.x_labels))
+        rep.fail(
+            "zero_classes_not_bijective_with_footprint",
+            classes=len(by_root),
+            footprint=len(atlas.x_labels),
+        )
     rep.details["zero_classes"] = len(by_root)
     return rep
 
