@@ -873,7 +873,7 @@ class TestObstructionCategoryOracle:
         monkeypatch.setattr(charts_atlas, "TRIPLE_CHUNK", 7)
         out = build_categories(atlas)
         assert out.report.to_json() == want
-        # build_categories proves E_K's associativity through pr: scan it here
+        # build_categories proves E_K's axioms without a scan: scan them here
         assert check_category(out.obstruction_category).to_json() == want_E
 
     @staticmethod
@@ -958,6 +958,8 @@ class TestObstructionCategoryInClosedForm:
         assert out.obstruction_category is E
         assert counted == {"_block_category": 2, "Labels": 2}
         assert (len(E.objects), len(E.morphisms)) == (9528, 60115)
+        # ``len`` of E_K's labels builds none of them
+        assert not {"_items"} & (set(vars(E.objects)) | set(vars(E.morphisms)))
 
     def test_a_failed_fact_builds_the_obstruction_category_once(self, counted):
         """Where a fact fails, E_K is built and checked, and reading it
