@@ -137,6 +137,24 @@ def fibers_swapped():
     return _with_change(atlas, (1,), (1, 2), rho_idx=rho), min(rho[a], rho[b])
 
 
+def sample_over_a():
+    """ρ sends sample 0 of chart (1, 2), over b, to sample 0 of chart (1,),
+    over a: the one class of chart (1, 2) meets two classes of chart (1,)."""
+    atlas = _toy2()
+    rho = {**atlas.changes[((1,), (1, 2))].rho_idx, 0: 0}
+    return _with_change(atlas, (1,), (1, 2), rho_idx=rho)
+
+
+def c_sent_over_b():
+    """Chart (1, 2) over {b, c}: ρ sends each sample over c where it sends
+    the sample over b with the same group element, so both classes of
+    chart (1, 2) map to the class over b."""
+    atlas = build_toy_atlas({1: {"a", "b", "c"}, 2: {"b", "c"}}, ["a", "b", "c"], {1: 2, 2: 3})
+    rho = dict(atlas.changes[((1,), (1, 2))].rho_idx)
+    rho.update({y + 6: rho[y] for y in range(6)})
+    return _with_change(atlas, (1,), (1, 2), rho_idx=rho)
+
+
 def basic_chart_acting_trivially():
     """Γ_1 acts trivially on chart (1,), so its stabilizers are all of Z_2,
     while the stabilizers of chart (1, 2) are trivial."""
@@ -222,6 +240,22 @@ def test_fiber_not_kernel_orbit():
     atlas, x = fibers_swapped()
     rep = check_group_covering(atlas, (1,), (1, 2))
     assert _failure(rep, "fiber_not_kernel_orbit")["source_point"] == x
+
+
+def test_quotient_map_not_well_defined():
+    assert check_group_covering(sample_over_a(), (1,), (1, 2)).failures == [
+        {"clause": "fiber_size", "source_point": 0, "size": 1},
+        {"clause": "fiber_size", "source_point": 2, "size": 2},
+        {"clause": "quotient_map_not_well_defined", "target_class": 0},
+    ]
+
+
+def test_quotient_map_not_injective():
+    assert check_group_covering(c_sent_over_b(), (1,), (1, 2)).failures == [
+        {"clause": "fiber_size", "source_point": 2, "size": 6},
+        {"clause": "fiber_size", "source_point": 3, "size": 6},
+        {"clause": "quotient_map_not_injective"},
+    ]
 
 
 def test_stabilizer_not_isomorphic():
