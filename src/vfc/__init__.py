@@ -13,7 +13,9 @@ reduction_perturb
 zeroset_branched
     Zero finding, groupoid completion, weights, 0-dimensional classes.
 examples_cli
-    Built-in worked examples, JSON reports and the ``vfc`` command line.
+    Built-in worked examples, the run pipeline and its JSON reports.
+cli
+    The ``vfc`` command line.
 """
 
 __version__ = "0.1.0"

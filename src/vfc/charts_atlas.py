@@ -74,9 +74,6 @@ TAU_RANK = 1e-9
 #: sample cloud (samples are deterministic dyadic approximations)
 LOOSE_TOL = 1e-4
 
-Vec = tuple[Fraction, ...]
-
-
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -163,6 +160,12 @@ class FiniteGroup:
         return len(self.elements)
 
     def validate(self) -> CheckReport:
+        """The group axioms, checked once: the table is not changed after
+        construction, and callers only read the report."""
+        return self._validation
+
+    @functools.cached_property
+    def _validation(self) -> CheckReport:
         rep = CheckReport("finite_group")
         names, n, table, e = self.elements, self.order, self.table, self.identity
         if not 0 <= e < n:
@@ -225,34 +228,43 @@ def product_group(factors: Sequence[FiniteGroup]) -> FiniteGroup:
 class GroupQuotientModel:
     """A finite sample model of a group quotient (U, Γ).
 
-    ``perms`` is an int (|Γ|, samples) array: row g is the left action of
-    element g on sample indices.  ``affine`` optionally gives the
-    coordinate-level maps ``x ↦ A·x + b`` realizing the elements: the rows
-    of [A | b] per element, in element order, kept as one (|Γ|, d, d + 1)
-    :class:`RationalArray`.  The orbits are computed once, on first use;
-    the model is not changed after that.
+    ``points`` holds the samples as one (n, d) :class:`RationalArray`, a
+    row per sample; the constructor also takes rational rows and converts
+    them once.  ``coordinates`` is its float view, built once, which the
+    float-side checks read.  ``perms`` is an int (|Γ|, n) array: row g is
+    the left action of element g on sample indices.  ``affine`` optionally
+    gives the coordinate-level maps ``x ↦ A·x + b`` realizing the elements:
+    the rows of [A | b] per element, in element order, kept as one
+    (|Γ|, d, d + 1) :class:`RationalArray`.  The orbits are computed once,
+    on first use; the model is not changed after that.
     """
 
-    points: tuple[Vec, ...]
+    points: RationalArray
     group: FiniteGroup
     perms: np.ndarray
     affine: RationalArray | None = None
     membership: list | None = None  # predicate AST
 
     def __post_init__(self):
+        self.points = RationalArray.of(self.points, "points", (-1, -1))
         self.perms = np.asarray(self.perms, np.int64).reshape(self.group.order, len(self.points))
         if self.affine is not None:
-            d = len(self.points[0]) if self.points else 0
+            d = self.points.num.shape[1]
             self.affine = RationalArray.of(self.affine, "affine", (self.group.order, d, d + 1))
+
+    @functools.cached_property
+    def coordinates(self) -> np.ndarray:
+        """The samples as floats, (n, d), each the float nearest its
+        coordinate; read-only, as every caller shares it."""
+        view = self.points.floats()
+        view.flags.writeable = False
+        return view
 
     def act(self, g: int, idx: int) -> int:
         return int(self.perms[g, idx])
 
     def orbit(self, idx: int) -> tuple[int, ...]:
         return tuple(sorted(set(self.perms[:, idx].tolist())))
-
-    def stabilizer(self, idx: int) -> np.ndarray:
-        return np.flatnonzero(self.perms[:, idx] == idx)
 
     @functools.cached_property
     def _orbits(self) -> tuple[list, dict]:
@@ -287,23 +299,22 @@ def check_group_quotient(model: GroupQuotientModel) -> CheckReport:
             rep.fail("action_law", pair=(names[g], names[h]), point=int(bad[g, h].argmax()))
     if model.affine is not None and rep.ok:
         # A·x + b = [A | b]·(x, 1) for every element and point at once
-        shape = (len(model.points), model.affine.num.shape[2])
-        points = RationalArray.of([(*p, 1) for p in model.points], "affine", shape)
+        x = model.points
+        points = RationalArray(np.c_[x.num, np.full(len(x), x.den)], x.den)
         images = _matmul(points, model.affine.mT, "affine")
         moved = RationalArray(points.num[perms, :-1], points.den)
         bad = ~_equal(images, moved, "affine").all(axis=2)
         for g in np.flatnonzero(bad.any(axis=1)).tolist():
             rep.fail("affine_vs_permutation", element=names[g], point=int(bad[g].argmax()))
     if model.membership is not None:
-        for i, p in enumerate(model.points):
-            if not eval_pred(model.membership, list(p)):
+        for i, p in enumerate(model.points.fractions()):
+            if not eval_pred(model.membership, p):
                 rep.fail("sample_outside_domain", point=i)
     if rep.ok:
         classes = model.classes()
         rep.details["num_classes"] = len(classes)
-        rep.details["stabilizer_orders"] = [
-            len(model.stabilizer(orb[0])) for orb in classes
-        ]
+        first = _ints([orb[0] for orb in classes])
+        rep.details["stabilizer_orders"] = (perms[:, first] == first).sum(axis=0).tolist()
     return rep
 
 
@@ -330,6 +341,9 @@ class RationalArray:
 
     num: np.ndarray
     den: int
+
+    def __len__(self) -> int:
+        return len(self.num)
 
     @classmethod
     def of(cls, values, where: str, shape: tuple) -> "RationalArray":
@@ -368,7 +382,10 @@ class RationalArray:
         return self._nest([Fraction(n, self.den) for n in self.num.ravel().tolist()])
 
     def floats(self) -> np.ndarray:
-        """The entries as floats, each the float nearest its rational."""
+        """The entries as floats, each the float nearest its rational: one
+        IEEE division where numerator and ``den`` are exact floats."""
+        if max(self.den, _largest(self)) <= 2**53:
+            return self.num / self.den
         flat = [n / self.den for n in self.num.ravel().tolist()]
         return np.array(flat, dtype=float).reshape(self.num.shape)
 
@@ -585,7 +602,7 @@ def check_chart(atlas: "AtlasModel", I: tuple) -> CheckReport:
     # loose consistency of smooth section vs declared samples
     if chart.section_asts is not None:
         section = compile_vector(chart.section_asts, ())
-        got, _, error = evaluate_until_raise(section, chart.domain.points)
+        got, _, error = evaluate_until_raise(section, chart.domain.coordinates)
         err = _max_abs_error(got, samples.floats())
         bad = np.flatnonzero(err > LOOSE_TOL)
         if bad.size:
@@ -656,7 +673,10 @@ class CoordinateChangeModel:
 
 
 def check_group_covering(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckReport:
-    """Covering conditions for ρ_IJ: free kernel, fibers, stabilizers."""
+    """Covering conditions for ρ_IJ: free kernel, fibers, stabilizers.
+    The kernel and stabilizer clauses compare arrays over all of Ũ_IJ at
+    once, and report what a walk over Ũ_IJ in ``tilde_indices`` order
+    would, in that order."""
     rep = CheckReport(f"group_covering {I}->{J}")
     src = atlas.charts[I]
     tgt = atlas.charts[J]
@@ -676,22 +696,23 @@ def check_group_covering(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckReport
     for g, fixed in zip(kernel.tolist(), perms[kernel][:, tilde] == tilde):
         if g != tgt.group.identity and fixed.any():
             rep.fail("kernel_action_not_free", element=names[g], point=tilde[fixed.argmax()])
-    # fibers of ρ are kernel orbits
+    # fibers of ρ are kernel orbits; the orbits of one sample per fiber in one call
+    rho = [change.rho_idx[y] for y in tilde]
     fibers: dict = {}
-    for y in tilde:
-        fibers.setdefault(change.rho_idx[y], set()).add(y)
-    for x, fib in fibers.items():
+    for y, x in zip(tilde, rho):
+        fibers.setdefault(x, set()).add(y)
+    orbits = perms[kernel][:, [next(iter(fib)) for fib in fibers.values()]].T.tolist()
+    for (x, fib), orbit in zip(fibers.items(), orbits):
         if len(fib) != len(kernel):
             rep.fail("fiber_size", source_point=x, size=len(fib))
-            continue
-        if set(perms[kernel, next(iter(fib))].tolist()) != fib:
+        elif set(orbit) != fib:
             rep.fail("fiber_not_kernel_orbit", source_point=x)
     # induced quotient map Ũ_IJ/Γ_J → image/Γ_I is a bijection
     cls_J = tgt.domain.class_index_of()
     cls_I = src.domain.class_index_of()
     quot: dict = {}
-    for y in tilde:
-        quot.setdefault(cls_J[y], set()).add(cls_I[change.rho_idx[y]])
+    for y, x in zip(tilde, rho):
+        quot.setdefault(cls_J[y], set()).add(cls_I[x])
     images = []
     for cj, cis in quot.items():
         if len(cis) != 1:
@@ -699,13 +720,14 @@ def check_group_covering(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckReport
         images.extend(cis)
     if len(images) != len(set(images)):
         rep.fail("quotient_map_not_injective")
-    # stabilizers map isomorphically Γ_J^y → Γ_I^{ρ(y)}
-    proj = atlas.projection[(I, J)]
-    for y in tilde:
-        mapped = proj[tgt.domain.stabilizer(y)].tolist()
-        stab_I = src.domain.stabilizer(change.rho_idx[y]).tolist()
-        if len(set(mapped)) != len(mapped) or set(mapped) != set(stab_I):
-            rep.fail("stabilizer_not_isomorphic", point=y)
+    # stabilizers map isomorphically Γ_J^y → Γ_I^{ρ(y)}: per element of Γ_I,
+    # the elements of Γ_J^y that project to it, against Γ_I^{ρ(y)}
+    ys, xs = _ints(tilde), _ints(rho)
+    onto = np.eye(src.group.order, dtype=np.int64)[atlas.projection[(I, J)]].T
+    hits = onto @ (perms[:, ys] == ys)
+    bad = ((hits > 1) | ((hits > 0) != (src.domain.perms[:, xs] == xs))).any(axis=0)
+    for t in np.flatnonzero(bad).tolist():
+        rep.fail("stabilizer_not_isomorphic", point=tilde[t])
     return rep
 
 
@@ -764,8 +786,7 @@ def check_coordinate_change(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckRep
             dims = list(tgt.tangent_dims)
             section = compile_vector(tgt.section_asts, dims)
             columns = [dims.index(d) for d in complement]
-            points = [tgt.domain.points[y] for y in tilde]
-            _, jac, error = evaluate_until_raise(section, points)
+            _, jac, error = evaluate_until_raise(section, tgt.domain.coordinates[_ints(tilde)])
             blocks = np.zeros((len(jac), m_J, m_J))
             blocks[:, :, :m_I] = phi.floats()
             blocks[:, :, m_I:] = jac[:, :, columns]
@@ -783,8 +804,9 @@ def check_coordinate_change(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckRep
     # rational approximations of the smooth model)
     if change.rho_asts is not None:
         rho_f = compile_vector(change.rho_asts, ())
-        got, _, error = evaluate_until_raise(rho_f, [tgt.domain.points[y] for y in tilde])
-        err = _max_abs_error(got, [src.domain.points[rho[y]] for y in tilde[: len(got)]])
+        got, _, error = evaluate_until_raise(rho_f, tgt.domain.coordinates[_ints(tilde)])
+        down = _ints([rho[y] for y in tilde[: len(got)]])
+        err = _max_abs_error(got, src.domain.coordinates[down])
         bad = np.flatnonzero(err > LOOSE_TOL)
         if bad.size:
             rep.fail("rho_ast_inconsistent", point=tilde[bad[0]], error=float(err[bad[0]]))
@@ -1892,14 +1914,6 @@ def check_realizations(atlas: AtlasModel, B: FiniteCategory) -> CheckReport:
 SCHEMA = "vfc-atlas/1"
 
 
-def _vec_to_json(v: Sequence) -> list:
-    return [rat_str(Fraction(c)) for c in v]
-
-
-def _vec_from_json(v: Sequence) -> Vec:
-    return tuple(parse_rat(c) for c in v)
-
-
 def _index_key(I: tuple) -> str:
     return ",".join(str(i) for i in I)
 
@@ -1947,7 +1961,7 @@ def _by_element(where: str, key: str, data: dict, names: tuple) -> list:
 def _quotient_to_json(q: GroupQuotientModel) -> dict:
     names = q.group.elements
     out = {
-        "points": [_vec_to_json(p) for p in q.points],
+        "points": q.points.strings(),
         "group": _group_to_json(q.group),
         "perms": dict(zip(names, q.perms.tolist())),
     }
@@ -1964,7 +1978,9 @@ def _quotient_to_json(q: GroupQuotientModel) -> dict:
 
 def _quotient_from_json(d: dict, where: str) -> GroupQuotientModel:
     group = _group_from_json(d["group"], where)
-    points = tuple(_vec_from_json(p) for p in d["points"])
+    points = RationalArray.of(
+        [[parse_rat(c) for c in p] for p in d["points"]], f"{where}: points", (-1, -1)
+    )
     perms = _by_element(where, "perms", d["perms"], group.elements)
     for name, perm in zip(group.elements, perms):
         # an index out of range would reach the validators as a wrong sample
@@ -1972,7 +1988,7 @@ def _quotient_from_json(d: dict, where: str) -> GroupQuotientModel:
             raise ValueError(f"{where}: perms of {name!r} is no map of the {len(points)} samples")
     affine = None
     if "affine" in d:
-        affine, dim = [], len(points[0]) if points else 0
+        affine, dim = [], points.num.shape[1]
         for a in _by_element(where, "affine", d["affine"], group.elements):
             mat, shift = RationalArray.from_json(a["matrix"], f"{where}: affine"), a["shift"]
             if mat.num.shape != (dim, dim) or len(shift) != dim:

@@ -1,4 +1,4 @@
-"""Built-in example models, the full run pipeline, and the ``vfc`` CLI.
+"""Built-in example models, the full run pipeline and its JSON reports.
 
 The two-disk models (``sphere-euler``, ``football-euler``) realize an
 obstruction bundle over a two-chart surface: disks ``D₁`` (coordinates z)
@@ -18,9 +18,9 @@ group matrices, so every group-equivariance and compatibility identity
 holds exactly on declared data; smooth ASTs agree with the samples to
 well within the loose consistency tolerance.
 
-Exit codes: 0 all checks pass, 1 validation failure, 2 numerical
-rejection (non-transverse perturbation), 3 I/O, parse or parameter
-errors.
+:func:`run_example` returns the exit code of ``vfc run`` (see
+:mod:`vfc.cli`): 0 all checks pass, 1 validation failure, 2 numerical
+rejection (non-transverse perturbation), 3 parameter errors.
 """
 
 from __future__ import annotations
@@ -30,12 +30,10 @@ import itertools
 import json
 import math
 import random
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-import click
 import numpy as np
 from numpy.linalg import matrix_power
 
@@ -100,7 +98,6 @@ __all__ = [
     "check_atlas_data",
     "example_to_json",
     "emit_json",
-    "main",
 ]
 
 F = Fraction
@@ -119,16 +116,19 @@ RUN_SCHEMA = "vfc-run/1"
 #: denominator of the dyadic sample approximations
 RAT_DEN = 2**21
 
-#: band coordinates of the three annulus sample rings
-RING_T = (F(1, 4), F(1, 2), F(3, 4))
+#: band coordinates of the three annulus sample rings, in quarters
+RING_Q = (1, 2, 3)
+RING_T = tuple(F(q, 4) for q in RING_Q)
 
 
-def _rat(x: float) -> Fraction:
-    return F(round(x * RAT_DEN), RAT_DEN)
+def _dyadic(*xs: float) -> list[int]:
+    """The numerators over RAT_DEN of the dyadic approximations of ``xs``."""
+    return [round(x * RAT_DEN) for x in xs]
 
 
-def _rat_vec(v) -> tuple:
-    return tuple(_rat(float(c)) for c in v)
+def _zeros(n: int, m: int) -> RationalArray:
+    """The (n, m) zero array."""
+    return RationalArray(np.zeros((n, m), dtype=np.int64), 1)
 
 
 @dataclass
@@ -187,15 +187,16 @@ def build_toy_atlas(cover: dict, x_labels: list, orders: dict) -> AtlasModel:
         # sample (x, g) is number x·|Γ| + g, and d sends it to (x, d·g)
         row = np.arange(len(labels))[:, None] * group.order
         perms = (row[None] + group.table[:, None, :]).reshape(group.order, len(pts))
-        coords = tuple((F(x_labels.index(x)), F(g)) for (x, g) in pts)
-        domain = GroupQuotientModel(points=coords, group=group, perms=perms)
+        coords = [(x_labels.index(x), g) for (x, g) in pts]
+        domain = GroupQuotientModel(points=RationalArray(np.array(coords), 1), group=group,
+                                    perms=perms)
         charts[I] = ChartModel(
             index=I,
             domain=domain,
             obstruction_dim=0,
             obstruction_action=(),
             obstruction_points=((),),
-            section_samples=((),) * len(pts),
+            section_samples=_zeros(len(pts), 0),
             footprint_map={k: x for (x, g), k in layout.items()},
         )
     atlas = AtlasModel(
@@ -251,9 +252,9 @@ def _order_matrix(n: int) -> np.ndarray:
     raise ValueError(f"no exact rational rotation of order {n}")
 
 
-def _apply(mat: np.ndarray, v: tuple) -> tuple:
-    """``mat·v`` for an int matrix and a vector of rationals, exactly."""
-    return tuple(sum(a * c for a, c in zip(row, v)) for row in mat.tolist())
+def _powers(mat: np.ndarray, n: int) -> np.ndarray:
+    """mat⁰, …, matⁿ⁻¹ stacked."""
+    return np.array([matrix_power(mat, s) for s in range(n)])
 
 
 def _frame(n2: int):
@@ -301,7 +302,8 @@ class _Pole:
     ``RING_T[g]`` with radius ``radius(RING_T[g])`` in the frame P; its
     sample j + s·N is rot^s applied to sample j, and its sample j lies over
     the footprint sample ``orient``·j of the ring.  The centre sits at band
-    coordinate ``centre_band`` over the footprint sample ``centre``."""
+    coordinate ``centre_band`` (in quarters) over the footprint sample
+    ``centre``."""
 
     index: tuple
     group: FiniteGroup
@@ -310,71 +312,70 @@ class _Pole:
     radius: Callable[[float], float]  # band coordinate -> radius
     orient: int
     centre: str
-    centre_band: Fraction
+    centre_band: int
     N: int
 
     @property
     def nN(self) -> int:
         return self.group.order * self.N
 
-    def idx(self, g: int, j: int) -> int:
+    def idx(self, g, j):
         return 1 + g * self.nN + j % self.nN
 
     def ring_indices(self, g: int) -> range:
         return range(self.idx(g, 0), self.idx(g, 0) + self.nN)
 
-    def ring(self, rep) -> list:
-        """The values of one ring: ``rep(θ_j)`` at the representative angles
-        θ_j = 2πj/(nN), j < N, extended by rot^s to the samples j + s·N."""
-        reps = [rep(2.0 * math.pi * j / self.nN) for j in range(self.N)]
-        out = list(reps)
-        for s in range(1, self.group.order):
-            out.extend(_apply(matrix_power(self.rot, s), v) for v in reps)
-        return out
+    def ring(self, rep) -> np.ndarray:
+        """The numerators over RAT_DEN of one ring: ``rep(θ_j)`` at the
+        representative angles θ_j = 2πj/(nN), j < N, extended by rot^s to
+        the samples j + s·N."""
+        reps = np.array([rep(2.0 * math.pi * j / self.nN) for j in range(self.N)])
+        return np.concatenate(reps @ _powers(self.rot, self.group.order).mT)
 
     def domain(self) -> GroupQuotientModel:
-        pts: list = [(F(0), F(0))]
-        for t in RING_T:
-            r = self.radius(float(t))
-            pts.extend(self.ring(
-                lambda a: _rat_vec(_apply_frame(self.frame, (r * math.cos(a), r * math.sin(a))))
-            ))
-        # element s of the cyclic group is rot^s: affine rows [rot^s | 0]
-        perms = [
-            [0] + [self.idx(g, j + s * self.N) for g in range(3) for j in range(self.nN)]
-            for s in range(self.group.order)
+        rings = [
+            self.ring(lambda a: _dyadic(*_apply_frame(self.frame, (r * math.cos(a),
+                                                                   r * math.sin(a)))))
+            for r in (self.radius(q / 4) for q in RING_Q)
         ]
-        affine = [np.c_[matrix_power(self.rot, s), [0, 0]] for s in range(self.group.order)]
-        return GroupQuotientModel(points=tuple(pts), group=self.group, perms=perms, affine=affine)
+        # element s of the cyclic group is rot^s (affine rows [rot^s | 0]),
+        # and it moves sample j of each ring to j + s·N
+        g, j = np.divmod(np.arange(3 * self.nN), self.nN)
+        perms = [np.r_[0, self.idx(g, j + s * self.N)] for s in range(self.group.order)]
+        affine = np.pad(_powers(self.rot, self.group.order), ((0, 0), (0, 0), (0, 1)))
+        points = np.concatenate([np.zeros((1, 2), np.int64), *rings])
+        return GroupQuotientModel(points=RationalArray.reduced(points, RAT_DEN), group=self.group,
+                                  perms=perms, affine=RationalArray(affine, 1))
 
     def footprint(self) -> dict:
-        foot = {0: self.centre}
-        for g in range(3):
-            for j in range(self.nN):
-                foot[self.idx(g, j)] = _ring_label(g, self.orient * j, self.N)
-        return foot
+        g, j = np.divmod(np.arange(3 * self.nN), self.nN)
+        labels = map(_ring_label, g.tolist(), (self.orient * j).tolist(), [self.N] * len(g))
+        return {0: self.centre, **dict(enumerate(labels, start=1))}
 
     def position(self, i: int) -> tuple:
-        """(band coordinate, footprint circle coordinate) of sample i."""
+        """(band coordinate in quarters, footprint circle sample or None) of
+        sample i."""
         if i == 0:
             return (self.centre_band, None)
         g, j = (i - 1) // self.nN, (i - 1) % self.nN
-        return (RING_T[g], F((self.orient * j) % self.N, self.N))
+        return (RING_Q[g], (self.orient * j) % self.N)
 
 
-def _band_circle_metric(positions: list) -> RationalArray:
+def _band_circle_metric(positions: list, N: int) -> RationalArray:
     """The sup metric on (band, circle) positions: the larger of |Δband|
     and the distance on the unit circle, which is 0 against a centre
-    (circle coordinate ``None``).  Positions come in intermediate-key
-    order; the coordinates become numerators over one common denominator."""
-    coords = RationalArray.of([(b, t or 0) for b, t in positions], "positions", (-1, 2))
-    band, circle, den = coords.num[:, 0], coords.num[:, 1], coords.den
-    on_circle = np.array([t is not None for _, t in positions])
-    dt = np.abs(circle[:, None] - circle[None, :])
-    dt = np.minimum(dt, den - dt)
-    dt[~(on_circle[:, None] & on_circle[None, :])] = 0
-    num = np.maximum(np.abs(band[:, None] - band[None, :]), dt)
-    return RationalArray.reduced(num, den)
+    (circle sample ``None``).  Positions come in intermediate-key order, as
+    (band coordinate in quarters, circle sample k of N).  The distances are
+    numerators over 4N between the distinct positions, then reduced and
+    spread to the keys."""
+    codes = [b * (N + 1) + (0 if k is None else k + 1) for b, k in positions]
+    distinct, key = np.unique(codes, return_inverse=True)
+    band, k = np.divmod(distinct, N + 1)  # k = 0 at a centre
+    steps = np.abs(k[:, None] - k[None, :])
+    dt = 4 * np.minimum(steps, N - steps)
+    dt[(k == 0)[:, None] | (k == 0)[None, :]] = 0
+    small = RationalArray.reduced(np.maximum(N * np.abs(band[:, None] - band[None, :]), dt), 4 * N)
+    return RationalArray(small.num[np.ix_(key, key)], small.den)
 
 
 def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
@@ -382,6 +383,9 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
 
     ``euler`` selects the obstruction-bundle model (E_i = R², section
     graphs and perturbations); otherwise the bare orbifold atlas (E = 0).
+    Sample data are int numerators, rotated by int matrix products: the
+    points and ν over RAT_DEN, chart 12's points over 4L, the grids over
+    2 or RAT_DEN; each array is reduced to lowest terms once.
     """
     if N < 8:
         raise ValueError("sample density must be at least 8 points per circle")
@@ -412,67 +416,44 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
 
     # ----- the poles: the z-disk (chart 1) and the w-disk (chart 2) -----
     pole1 = _Pole(index=(1,), group=g1, rot=R1, frame=_frame(n1), radius=lambda t: 1.0 + t,
-                  orient=1, centre="c1", centre_band=F(0), N=N)
+                  orient=1, centre="c1", centre_band=0, N=N)
     pole2 = _Pole(index=(2,), group=g2, rot=A2, frame=P, radius=lambda t: 1.0 / (1.0 + t),
-                  orient=-1, centre="c2", centre_band=F(1), N=N)
+                  orient=-1, centre="c2", centre_band=4, N=N)
 
     # ----- chart 12: rings of the annulus cover -----
     n12 = 3 * L
-    # deck[k] = (p, q): element k of Γ₁ × Γ₂ is (g^p, g^q)
-    deck = [(p, q) for p in range(n1) for q in range(n2)]
-    deck_shift = {(p, q): (p * sigma1 + q * sigma2) % L for (p, q) in deck}
-    # element k acts on E₁₂ = E₁ ⊕ E₂ by act12[k]
+    # deck element k = p·n2 + q of Γ₁ × Γ₂ is (g^p, g^q); it shifts the
+    # cover circle by shift[k] and acts on E₁₂ = E₁ ⊕ E₂ by act12[k]
+    deck_p, deck_q = np.divmod(np.arange(D), n2)
+    shift = (deck_p * sigma1 + deck_q * sigma2) % L
     zero2 = np.zeros((2, 2), dtype=np.int64)
-    act12 = [np.block([[matrix_power(R1, p), zero2], [zero2, matrix_power(A2, q)]])
-             for (p, q) in deck]
-    e_base = (
-        (F(1, 2), F(0)),
-        (F(-1, 2), F(0)),
-        (F(0), F(1, 2)),
-        (F(0), F(-1, 2)),
-    )
+    act12 = np.array([np.block([[matrix_power(R1, p), zero2], [zero2, matrix_power(A2, q)]])
+                      for p, q in zip(deck_p.tolist(), deck_q.tolist())])
+    # the obstruction sample n12 + b·D + k carries e = R1^p·e_base[b]; e_base
+    # in halves
+    e_base = np.array([(1, 0), (-1, 0), (0, 1), (0, -1)])
 
-    def idx12(g: int, j: int) -> int:
-        return g * L + j % L
-
-    def eidx12(b: int, p: int, q: int) -> int:
-        return n12 + b * D + deck.index((p % n1, q % n2))
-
-    zero4 = (F(0),) * 4 if euler else ()
-    pts12: list = []
-    for g in range(3):
-        for j in range(L):
-            if euler:
-                pts12.append((F(0), F(0), RING_T[g], F(j, L)))
-            else:
-                pts12.append((RING_T[g], F(j, L)))
+    # sample g·L + j of the rings sits at band RING_T[g], circle j/L: over 4L
+    ring_g, ring_j = np.divmod(np.arange(n12), L)
+    rings12 = np.c_[np.array(RING_Q)[ring_g] * L, 4 * ring_j]
+    e_b, e_k = np.divmod(np.arange(4 * D if euler else 0), D)
+    # deck element k moves ring sample j to j + shift[k] and the obstruction
+    # sample of (b, k0) to that of (b, k0·k)
+    perms12 = [
+        np.r_[ring_g * L + (ring_j + shift[k]) % L,
+              n12 + e_b * D + (deck_p[e_k] + deck_p[k]) % n1 * n2 + (deck_q[e_k] + deck_q[k]) % n2]
+        for k in range(D)
+    ]
+    pts12 = rings12
     if euler:
-        for b in range(4):
-            for (p, q) in deck:
-                e = _apply(matrix_power(R1, p), e_base[b])
-                pts12.append((e[0], e[1], F(1, 2), F(deck_shift[(p, q)], L)))
-    perms12 = []
-    for (p, q) in deck:
-        shift = deck_shift[(p, q)]
-        perm = [0] * len(pts12)
-        for g in range(3):
-            for j in range(L):
-                perm[idx12(g, j)] = idx12(g, j + shift)
-        if euler:
-            for b in range(4):
-                for (p0, q0) in deck:
-                    perm[eidx12(b, p0, q0)] = eidx12(b, p0 + p, q0 + q)
-        perms12.append(perm)
-    foot12 = {}
-    for g in range(3):
-        for j in range(L):
-            foot12[idx12(g, j)] = _ring_label(g, j, N)
+        e_pts = np.einsum("kij,bj->bki", _powers(R1, n1)[deck_p], e_base).reshape(-1, 2)
+        pts12 = np.r_[np.c_[np.zeros((n12, 2), np.int64), rings12],
+                      np.c_[e_pts * 2 * L, np.full(4 * D, 2 * L), 4 * shift[e_k]]]
+    foot12 = dict(enumerate(map(_ring_label, ring_g.tolist(), ring_j.tolist(), [N] * n12)))
 
     # covering maps to the basic charts
-    rho1_idx, rho2_idx = (
-        {idx12(g, j): pole.idx(g, pole.orient * j) for g in range(3) for j in range(L)}
-        for pole in (pole1, pole2)
-    )
+    rho1, rho2 = (pole.idx(ring_g, pole.orient * ring_j) for pole in (pole1, pole2))
+    rho1_idx, rho2_idx = dict(enumerate(rho1.tolist())), dict(enumerate(rho2.tolist()))
     tilde12 = tuple(range(n12))
 
     # ----- smooth formulas on the transition chart -----
@@ -548,38 +529,31 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
             ["neg", ["*", num(F(1, 8)), y, kk]],
         )
 
-    # ----- declared perturbation samples (exact, orbit-extended) -----
+    # ----- declared perturbation samples and section values (exact, orbit-extended) -----
     nu_samples: dict = {}
-    e_samples_s: dict = {}
     if euler:
         # chart 1: ν₁ = (cosθ, sinθ)/8 on the rings, 0 at the center
-        d1 = {0: (F(0), F(0))}
-        for g in range(3):
-            ring = pole1.ring(lambda a: _rat_vec((math.cos(a) / 8.0, math.sin(a) / 8.0)))
-            d1.update(zip(pole1.ring_indices(g), ring))
-        nu_samples[(1,)] = d1
+        ring = pole1.ring(lambda a: _dyadic(math.cos(a) / 8.0, math.sin(a) / 8.0))
+        nu1 = np.r_[np.zeros((1, 2), np.int64), ring, ring, ring]
         # chart 2: ν₂ = −w/(8(1+t)) on the rings, 0 at the center
-        d2 = {0: (F(0), F(0))}
-        for g in range(3):
-            r = 1.0 / (1.0 + float(RING_T[g]))
+        nu2 = [np.zeros((1, 2), np.int64)]
+        for q in RING_Q:
+            r = 1.0 / (1.0 + q / 4)
 
-            def nu2(a):
+            def nu2_at(a):
                 w = pmul((r * math.cos(a), r * math.sin(a)))
                 scale = -r / 8.0
-                return _rat_vec((scale * w[0], scale * w[1]))
+                return _dyadic(scale * w[0], scale * w[1])
 
-            d2.update(zip(pole2.ring_indices(g), pole2.ring(nu2)))
-        nu_samples[(2,)] = d2
+            nu2.append(pole2.ring(nu2_at))
+        nu2 = np.concatenate(nu2)
         # chart 12: outer rings are the pushforwards of the basic values
         # (coordinate-change compatibility holds exactly); the middle ring
         # mixes both blocks and is orbit-extended from the representatives
-        d12 = {}
-        for j in range(L):
-            v = d1[rho1_idx[idx12(0, j)]]
-            d12[idx12(0, j)] = (v[0], v[1], F(0), F(0))
-            w = d2[rho2_idx[idx12(2, j)]]
-            d12[idx12(2, j)] = (F(0), F(0), w[0], w[1])
-        mid_reps = {}
+        nu12 = np.zeros((n12 + 4 * D, 4), np.int64)
+        nu12[:L, :2] = nu1[rho1[:L]]
+        nu12[2 * L : n12, 2:] = nu2[rho2[2 * L :]]
+        mid_reps = []
         for j in range(N):
             uu = j / L
             cc = math.cos(2.0 * math.pi * n2 * uu)
@@ -590,79 +564,56 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
                     -math.sin(2.0 * math.pi * n1 * uu) / 1.5,
                 )
             )
-            mid_reps[j] = _rat_vec(
-                (cc / 16.0, ss / 16.0, -w[0] / 24.0, -w[1] / 24.0)
-            )
-        for (p, q), mat in zip(deck, act12):
-            shift = deck_shift[(p, q)]
-            for j in range(N):
-                d12[idx12(1, j + shift)] = _apply(mat, mid_reps[j])
+            mid_reps.append(_dyadic(cc / 16.0, ss / 16.0, -w[0] / 24.0, -w[1] / 24.0))
+        for k in range(D):
+            nu12[L + (np.arange(N) + shift[k]) % L] = np.array(mid_reps) @ act12[k].T
         # obstruction samples carry the same ν value as the underlying
         # ring point (ν₁₂ is independent of the E₁ coordinates)
-        for b in range(4):
-            for (p, q) in deck:
-                d12[eidx12(b, p, q)] = d12[idx12(1, deck_shift[(p, q)])]
-        nu_samples[(1, 2)] = d12
+        nu12[n12:] = nu12[L + shift[e_k]]
+        for I, values in (((1,), nu1), ((2,), nu2), ((1, 2), nu12)):
+            nu_samples[I] = (np.arange(len(values)), RationalArray.reduced(values, RAT_DEN))
         # declared section values at the obstruction samples: the graph
         # relation (e₁, M(x)e₁) at u = 0, t = 1/2, orbit-extended
         z0 = 1.5
         w0 = pmul((1.0 / z0, 0.0))
         kw0 = pmul((0.0, 1.0 / z0))
-        for bb, e in enumerate(e_base):
-            ex, ey = float(e[0]), float(e[1])
+        base = []
+        for e in e_base.tolist():
+            ex, ey = e[0] / 2, e[1] / 2
             me = (
                 (ex / z0) * w0[0] + (n1 / n2) * (ey / z0) * kw0[0],
                 (ex / z0) * w0[1] + (n1 / n2) * (ey / z0) * kw0[1],
             )
-            base_val = (e[0], e[1]) + _rat_vec(me)
-            for (p, q), mat in zip(deck, act12):
-                e_samples_s[eidx12(bb, p, q)] = _apply(mat, base_val)
+            base.append([c * (RAT_DEN // 2) for c in e] + _dyadic(*me))
+        # obstruction sample n12 + b·D + k: act12[k]·base[b]
+        s_e = np.einsum("kij,bj->bki", act12, np.array(base)).reshape(-1, 4)
 
-    # ----- obstruction grids -----
+    # ----- obstruction grids (in halves; chart 12's over RAT_DEN) -----
     if euler:
-        grid1 = ((F(0), F(0)),) + tuple(
-            v for e in ((F(1, 2), F(0)), (F(0), F(1, 2))) for v in (e, (-e[0], -e[1]))
-        )
-        orbit2 = []
-        for s in range(n2):
-            v = _apply(matrix_power(A2, s), (F(1, 2), F(0)))
-            for w in (v, (-v[0], -v[1])):
-                if w not in orbit2:
-                    orbit2.append(w)
-        if n2 == 1:
-            orbit2 = [(F(1, 2), F(0)), (F(-1, 2), F(0)), (F(0), F(1, 2)), (F(0), F(-1, 2))]
-        grid2 = ((F(0), F(0)),) + tuple(orbit2)
-        grid12 = [zero4]
-        for e in grid1[1:]:
-            grid12.append((e[0], e[1], F(0), F(0)))
-        for e in grid2[1:]:
-            grid12.append((F(0), F(0), e[0], e[1]))
-        for i in sorted(e_samples_s):
-            if e_samples_s[i] not in grid12:
-                grid12.append(e_samples_s[i])
-        grid12 = tuple(grid12)
-        act1 = [matrix_power(R1, s) for s in range(n1)]
-        act2 = [matrix_power(A2, s) for s in range(n2)]
-        m_basic, m12 = 2, 4
-        zero_basic = (F(0), F(0))
+        grid1 = np.array([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)])
+        turns = _powers(A2, n2)[:, :, 0]
+        orbit2 = grid1[1:] if n2 == 1 else np.stack([turns, -turns], axis=1).reshape(-1, 2)
+        grid2 = np.r_[grid1[:1], orbit2]
+        half = RAT_DEN // 2
+        rows12 = np.r_[np.zeros((1, 4), np.int64), np.pad(grid1[1:] * half, ((0, 0), (0, 2))),
+                       np.pad(orbit2 * half, ((0, 0), (2, 0))), s_e]
+        grids = (RationalArray.reduced(grid1, 2), RationalArray.reduced(grid2, 2),
+                 RationalArray.reduced(np.array(list(dict.fromkeys(map(tuple, rows12.tolist())))),
+                                       RAT_DEN))
+        acts = (RationalArray(_powers(R1, n1), 1), RationalArray(_powers(A2, n2), 1),
+                RationalArray(act12, 1))
         phi1 = [[1, 0], [0, 1], [0, 0], [0, 0]]
         phi2 = [[0, 0], [0, 0], [1, 0], [0, 1]]
-        s12 = [zero4] * n12 + [e_samples_s[n12 + k] for k in range(4 * D)]
-        tangent1 = (0, 1)
-        tangent12 = (0, 1, 2, 3)
-        tilde_tangent = (2, 3)
+        s12 = RationalArray.reduced(np.r_[np.zeros((n12, 4), np.int64), s_e], RAT_DEN)
         sec_asts_basic = (num(0), num(0))
     else:
-        grid1 = grid2 = grid12 = ((),)
-        act1 = act2 = act12 = ()
-        m_basic, m12 = 0, 0
-        zero_basic = ()
-        phi1 = phi2 = ()
-        s12 = [()] * n12
-        tangent1 = ()
-        tangent12 = ()
-        tilde_tangent = ()
-        sec_asts_basic = None
+        grids, acts, phi1, phi2 = (_zeros(1, 0),) * 3, ((), (), ()), (), ()
+        s12, sec_asts_basic = _zeros(n12, 0), None
+    m_basic, m12 = (2, 4) if euler else (0, 0)
+    # index 0: as many tangent coordinates as obstruction ones; Ũ₁₂ is
+    # tangent to the band and the circle
+    tangent1, tangent12 = tuple(range(m_basic)), tuple(range(m12))
+    tilde_tangent = (2, 3) if euler else ()
 
     def pole_chart(pole, act, grid):
         domain = pole.domain()
@@ -672,21 +623,22 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
             obstruction_dim=m_basic,
             obstruction_action=act,
             obstruction_points=grid,
-            section_samples=(zero_basic,) * len(domain.points),
+            section_samples=_zeros(len(domain.points), m_basic),
             footprint_map=pole.footprint(),
             section_asts=sec_asts_basic,
             tangent_dims=tangent1,
         )
 
-    chart1 = pole_chart(pole1, act1, grid1)
-    chart2 = pole_chart(pole2, act2, grid2)
+    chart1 = pole_chart(pole1, acts[0], grids[0])
+    chart2 = pole_chart(pole2, acts[1], grids[1])
     chart12 = ChartModel(
         index=(1, 2),
-        domain=GroupQuotientModel(points=tuple(pts12), group=g12, perms=perms12),
+        domain=GroupQuotientModel(points=RationalArray.reduced(pts12, 4 * L), group=g12,
+                                  perms=perms12),
         obstruction_dim=m12,
-        obstruction_action=act12,
-        obstruction_points=grid12,
-        section_samples=tuple(s12),
+        obstruction_action=acts[2],
+        obstruction_points=grids[2],
+        section_samples=s12,
         footprint_map=foot12,
         section_asts=section_asts12,
         tangent_dims=tangent12,
@@ -722,9 +674,7 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
 
     # ----- metric on intermediate classes: band × footprint circle -----
     def position12(i: int) -> tuple:
-        if i < n12:
-            return (RING_T[i // L], F(i % L % N, N))
-        return (F(1, 2), F(0))
+        return (RING_Q[i // L], i % L % N) if i < n12 else (2, 0)
 
     positions = [
         position(orbit[0])
@@ -733,7 +683,7 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
         )
         for orbit in chart.domain.classes()
     ]
-    metric = _band_circle_metric(positions)
+    metric = _band_circle_metric(positions, N)
 
     atlas = AtlasModel(
         x_labels=tuple(x_labels),
@@ -777,9 +727,9 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
         built.nu = Perturbation(asts=nu_asts, samples=nu_samples)
         t_map = {
             1: np.eye(2, dtype=np.int64),
-            2: [[1, 0], [0, -1], [-1, 1]] if n2 == 3 else np.eye(2, dtype=np.int64),
+            2: np.array([[1, 0], [0, -1], [-1, 1]]) if n2 == 3 else np.eye(2, dtype=np.int64),
         }
-        built.norms = EquivariantNorms(maps=t_map)
+        built.norms = EquivariantNorms(maps={i: RationalArray(T, 1) for i, T in t_map.items()})
         built.sigma = F(1, 4)
     return built
 
@@ -794,15 +744,15 @@ def _single_orbifold_chart(order: int) -> BuiltExample:
     if order < 1:
         raise ValueError("group order must be a positive integer")
     g = cyclic_group(order)
-    pts = tuple((F(k),) for k in range(order))
     perms = [[(k + s) % order for k in range(order)] for s in range(order)]
     chart = ChartModel(
         index=(1,),
-        domain=GroupQuotientModel(points=pts, group=g, perms=perms),
+        domain=GroupQuotientModel(points=RationalArray(np.arange(order)[:, None], 1), group=g,
+                                  perms=perms),
         obstruction_dim=0,
         obstruction_action=(),
         obstruction_points=((),),
-        section_samples=((),) * order,
+        section_samples=_zeros(order, 0),
         footprint_map={k: "p" for k in range(order)},
     )
     atlas = AtlasModel(
@@ -824,7 +774,7 @@ def _football_fclass() -> BuiltExample:
     layout = [("p1", 1, 0)] + [("p2", 2, k) for k in range(2)] + [
         ("p3", 3, k) for k in range(3)
     ] + [("p6", 6, k) for k in range(6)]
-    pts = tuple((F(i),) for i in range(len(layout)))
+    pts = RationalArray(np.arange(len(layout))[:, None], 1)
     offsets = {}
     pos = 0
     for lab, size, _ in layout:
@@ -841,7 +791,7 @@ def _football_fclass() -> BuiltExample:
         obstruction_dim=0,
         obstruction_action=(),
         obstruction_points=((),),
-        section_samples=((),) * len(layout),
+        section_samples=_zeros(len(layout), 0),
         footprint_map={i: lab for i, (lab, _, _) in enumerate(layout)},
     )
     atlas = AtlasModel(
@@ -920,15 +870,14 @@ def _atlas_stages(atlas: AtlasModel):
 
 
 def _snap_zero_to_sample(atlas: AtlasModel, z) -> int | None:
-    chart = atlas.charts[z.chart_index]
-    best, best_d = None, 1e-3
-    for i, p in enumerate(chart.domain.points):
-        if len(p) != len(z.coordinates):
-            continue
-        d = max(abs(float(a) - b) for a, b in zip(p, z.coordinates))
-        if d < best_d:
-            best, best_d = i, d
-    return best
+    """The first sample nearest the zero ``z`` in the sup norm, if nearer
+    than 1e-3."""
+    coords = atlas.charts[z.chart_index].domain.coordinates
+    if coords.shape[1] != len(z.coordinates) or not len(coords):
+        return None
+    d = np.abs(coords - np.array(z.coordinates)).max(axis=1)
+    best = int(d.argmin())
+    return best if d[best] < 1e-3 else None
 
 
 def _groupoid_stages(built: BuiltExample, zsets: dict, signs_by_object: dict,
@@ -1030,7 +979,7 @@ def run_example(descriptor: ExampleDescriptor, seed_grid: int = 1):
         seeds = None
         if seed_grid >= 2:
             seeds = {
-                I: [atlas.charts[I].domain.points[x] for x in sorted(built.V.sets[I])]
+                I: atlas.charts[I].domain.coordinates[sorted(built.V.sets[I])]
                 for I in atlas.index_sets()
             }
         try:
@@ -1167,156 +1116,3 @@ def check_atlas_data(data: dict) -> dict:
         ok = _stage(stages, check_perturbation(atlas, red, nu)) and ok
     report["ok"] = ok
     return report
-
-
-# ---------------------------------------------------------------------------
-# CLI
-# ---------------------------------------------------------------------------
-
-
-def _print_stage_summary(report: dict) -> None:
-    for st in report.get("stages", ()):
-        status = "ok" if st["ok"] else "FAIL"
-        click.echo(f"  [{status}] {st['name']}")
-        if not st["ok"]:
-            for fl in st["failures"][:5]:
-                click.echo(f"         {fl}")
-
-
-@click.group()
-def main() -> None:
-    """Desk-scale computational toolkit for finite-isotropy chart atlases."""
-
-
-@main.command("run")
-@click.argument("example", type=click.Choice(EXAMPLE_NAMES))
-@click.option("--json", "json_path", type=click.Path(), default=None,
-              help="write the run report to this file")
-@click.option("--density", type=int, default=12, show_default=True,
-              help="sample points per footprint circle (minimum 8)")
-@click.option("--seed-grid", type=int, default=1, show_default=True,
-              help="Newton seed level: 1 = orbit representatives, >=2 = all samples")
-@click.option("--order", type=int, default=5, show_default=True,
-              help="group order for single-orbifold-chart")
-@click.option("--m", "m_str", default="1/2", show_default=True,
-              help="first weight for branched-interval")
-@click.option("--mp", "mp_str", default="1/2", show_default=True,
-              help="second weight for branched-interval")
-def run_cmd(example, json_path, density, seed_grid, order, m_str, mp_str):
-    """Build an example and run the full pipeline."""
-    import time
-
-    params: dict = {}
-    if example in {"sphere-euler", "football-euler", "football-atlas"}:
-        params["density"] = density
-    if example == "single-orbifold-chart":
-        params["order"] = order
-    if example == "branched-interval":
-        try:
-            params["m"] = parse_rat(m_str)
-            params["mp"] = parse_rat(mp_str)
-        except (ValueError, ZeroDivisionError) as ex:
-            click.echo(f"parameter error: {ex}", err=True)
-            sys.exit(3)
-    start = time.monotonic()
-    report, code = run_example(
-        ExampleDescriptor(name=example, parameters=params), seed_grid=seed_grid
-    )
-    elapsed = time.monotonic() - start
-    click.echo(f"example: {example}")
-    _print_stage_summary(report)
-    if "total" in report:
-        click.echo(f"total: {report['total']}")
-    if "rejection" in report:
-        click.echo(f"rejected: {report['rejection']}")
-    if "error" in report:
-        click.echo(f"error: {report['error']}", err=True)
-    click.echo(f"elapsed: {elapsed:.2f}s")
-    if json_path:
-        emit_json(report, json_path)
-    sys.exit(code)
-
-
-def _load_json(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as ex:
-        click.echo(f"cannot read {path}: {ex}", err=True)
-        sys.exit(3)
-    except json.JSONDecodeError as ex:
-        click.echo(
-            f"parse error in {path}: line {ex.lineno}, column {ex.colno}: {ex.msg}",
-            err=True,
-        )
-        sys.exit(3)
-
-
-@main.command("check")
-@click.argument("atlas_file", type=click.Path(exists=True))
-@click.option("--json", "json_path", type=click.Path(), default=None)
-def check_cmd(atlas_file, json_path):
-    """Validate an atlas JSON file (schema vfc-atlas/1)."""
-    data = _load_json(atlas_file)
-    try:
-        report = check_atlas_data(data)
-    except (ValueError, KeyError, TypeError) as ex:
-        click.echo(f"schema error: {ex}", err=True)
-        sys.exit(3)
-    except ArithmeticError as ex:  # a document expression at a sample, e.g. 1/0
-        click.echo(f"evaluation error: {ex}", err=True)
-        sys.exit(3)
-    _print_stage_summary(report)
-    if json_path:
-        emit_json(report, json_path)
-    sys.exit(0 if report["ok"] else 1)
-
-
-@main.command("zeros")
-@click.argument("atlas_file", type=click.Path(exists=True))
-@click.option("--perturbation", "pert_file", type=click.Path(exists=True),
-              required=True)
-@click.option("--json", "json_path", type=click.Path(), default=None)
-def zeros_cmd(atlas_file, pert_file, json_path):
-    """Find perturbed zeros of a serialized atlas."""
-    data = _load_json(atlas_file)
-    pdata = _load_json(pert_file)
-    try:
-        atlas = atlas_from_json(data)
-        if "reduction" in data:
-            red = reduction_from_json(data["reduction"])
-        else:
-            red = Reduction(
-                sets={
-                    I: frozenset(range(len(atlas.charts[I].domain.points)))
-                    for I in atlas.index_sets()
-                }
-            )
-        nu = perturbation_from_json(pdata)
-    except (ValueError, KeyError, TypeError) as ex:
-        click.echo(f"schema error: {ex}", err=True)
-        sys.exit(3)
-    try:
-        result = find_zeros(atlas, red, nu)
-    except PerturbationRejected as ex:
-        click.echo(f"perturbation rejected: {ex}", err=True)
-        sys.exit(2)
-    except ValueError as ex:
-        click.echo(f"cannot find zeros: {ex}", err=True)
-        sys.exit(3)
-    report = zero_set_report(result.zeros, warnings=result.warnings)
-    click.echo(f"zeros found: {len(result.zeros)}")
-    for z in result.zeros:
-        click.echo(
-            f"  chart {z.chart_index}: {tuple(round(c, 6) for c in z.coordinates)}"
-            f" sign {z.sign:+d} residual {z.residual:.2e}"
-        )
-    for w in result.warnings:
-        click.echo(f"  warning: {w}")
-    if json_path:
-        emit_json(report, json_path)
-    sys.exit(0)
-
-
-if __name__ == "__main__":
-    main()

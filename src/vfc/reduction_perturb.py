@@ -30,6 +30,7 @@ from .charts_atlas import (
     _index_from_key,
     _equal,
     _index_key,
+    _ints,
     _matmul,
     _scaled,
     check_category,
@@ -140,7 +141,8 @@ class _Values:
         if (I, x) not in self.evaluated:
             asts = self.nu.asts.get(I)
             try:
-                coords = [Fraction(c) for c in self.atlas.charts[I].domain.points[x]]
+                points = self.atlas.charts[I].domain.points
+                coords = RationalArray(points.num[x], points.den).fractions()
                 self.evaluated[(I, x)] = None if asts is None else eval_vector(asts, coords)
             except Exception as ex:  # raised where a check reaches this sample
                 self.evaluated[(I, x)] = ex
@@ -329,8 +331,8 @@ def check_reduction(atlas: AtlasModel, red: Reduction) -> CheckReport:
                 break
         pred = red.preds.get(I)
         if pred is not None:
-            for x, p in enumerate(chart.domain.points):
-                if eval_pred(pred, list(p)) != (x in v):
+            for x, p in enumerate(chart.domain.points.fractions()):
+                if eval_pred(pred, p) != (x in v):
                     rep.fail("predicate_mismatch", index=I, point=x)
                     break
     eps = epsilon_closure_radius(atlas)
@@ -530,7 +532,7 @@ def check_perturbation(
         phi_f = atlas.changes[(I, J)].phi_hat.floats()
         nu_J = compile_vector(asts, chart.tangent_dims)
         ys = sorted(v_tilde(atlas, red, I, J))
-        _, jacs, error = evaluate_until_raise(nu_J, [chart.domain.points[y] for y in ys])
+        _, jacs, error = evaluate_until_raise(nu_J, chart.domain.coordinates[_ints(ys)])
         for y, jac in zip(ys, jacs):
             if phi_f.shape[1] == 0:
                 resid = float(np.max(np.abs(jac))) if jac.size else 0.0
@@ -608,9 +610,9 @@ def _hat_ball(atlas: AtlasModel, I: tuple, base: frozenset, radius) -> frozenset
         return frozenset()
     cls = atlas.charts[I].domain.class_index_of()
     rows = atlas.key_offset[I] + np.array([cls[x] for x in range(len(cls))])
-    base_cols = np.unique(rows[sorted(base)])
-    near = atlas.metric.num[np.ix_(rows, base_cols)].min(axis=1) <= atlas.metric.threshold(radius)
-    return frozenset(base).union(np.flatnonzero(near).tolist())
+    # a column repeated in the minimum changes nothing
+    dist = atlas.metric.num[np.ix_(rows, rows[sorted(base)])].min(axis=1)
+    return frozenset(base).union(np.flatnonzero(dist <= atlas.metric.threshold(radius)).tolist())
 
 
 def _closure_rows(atlas: AtlasModel, I: tuple, closure) -> np.ndarray:
@@ -691,9 +693,9 @@ def compute_adaptedness_constants(
     for I, J in nested:
         change = atlas.changes[(I, J)]
         for kk in ks:
+            v_J, v_I = v_k[(J, kk)], v_k[(I, kk)]
             n_k[(J, I, kk)] = frozenset(
-                y for y in change.tilde_indices
-                if y in v_k[(J, kk)] and change.rho_idx[y] in v_k[(I, kk)]
+                y for y in change.tilde_indices if y in v_J and change.rho_idx[y] in v_I
             )
         tset = set(change.tilde_indices)
         c_tilde[I].update(change.rho_idx[y] for y in C.sets[J] if y in tset)

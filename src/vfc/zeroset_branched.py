@@ -136,9 +136,15 @@ def _solve(jac: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.linalg.solve(jac, vals[:, :, None])[:, :, 0], singular
     except np.linalg.LinAlgError:
         pass
-    # a singular Jacobian stops its own walk only: solve row by row
+    # a singular Jacobian stops its own walk only.  Rows whose determinant
+    # (the same LU) is finite and nonzero solve together, each to the bits
+    # it gets alone; the others row by row
     step = np.zeros_like(vals)
-    for i in range(len(jac)):
+    with np.errstate(all="ignore"):
+        det = np.linalg.det(jac)
+    sure = np.isfinite(det) & (det != 0)
+    step[sure] = np.linalg.solve(jac[sure], vals[sure][:, :, None])[:, :, 0]
+    for i in np.flatnonzero(~sure).tolist():
         try:
             step[i] = np.linalg.solve(jac[i], vals[i])
         except np.linalg.LinAlgError:
@@ -195,29 +201,26 @@ def _newton(f, seeds: np.ndarray, dims: list, m: int, stats: NewtonStats) -> tup
     return coords, stops, values
 
 
-def _chart_seeds(atlas: AtlasModel, red: Reduction, I: tuple, seeds: dict | None) -> list:
-    """The Newton seeds of chart I as float tuples: ``seeds[I]`` if given,
-    else one V_I sample per Γ_I-orbit, in sample order."""
-    if seeds is not None and I in seeds:
-        return [tuple(float(c) for c in p) for p in seeds[I]]
+def _chart_seeds(atlas: AtlasModel, red: Reduction, I: tuple, seeds: dict | None) -> np.ndarray:
+    """The Newton seeds of chart I as float rows: ``seeds[I]`` if given,
+    else one V_I sample per Γ_I-orbit (its least sample), in sample order."""
     domain = atlas.charts[I].domain
-    return [
-        tuple(float(c) for c in domain.points[x])
-        for x in sorted(red.sets.get(I, ()))
-        if x == min(domain.orbit(x))
-    ]
+    if seeds is not None and I in seeds:
+        return np.asarray(seeds[I], dtype=float)
+    xs = np.array(sorted(red.sets.get(I, ())), dtype=np.int64)
+    least = domain.perms[:, xs].min(axis=0, initial=len(domain.points))
+    return domain.coordinates[xs[least == xs]]
 
 
 def _chart_zeros(atlas: AtlasModel, red: Reduction, nu: Perturbation, I: tuple,
-                 chart_seeds: list) -> tuple[list, list, NewtonStats]:
+                 seeds: np.ndarray) -> tuple[list, list, NewtonStats]:
     """The zeros, warnings and Newton statistics of chart I."""
     chart = atlas.charts[I]
     dims = list(chart.tangent_dims)
     s_plus_nu = _section_plus_nu(atlas, nu, I, dims)
-    stats = NewtonStats(seeds=len(chart_seeds))
-    if not chart_seeds:
+    stats = NewtonStats(seeds=len(seeds))
+    if not len(seeds):
         return [], [], stats
-    seeds = np.array(chart_seeds, dtype=float)
     m = len(chart.section_asts)
     try:
         walks = [_newton(s_plus_nu, seeds, dims, m, stats)]
@@ -266,14 +269,14 @@ def _chart_zeros(atlas: AtlasModel, red: Reduction, nu: Perturbation, I: tuple,
     # value argument): non-convergence on both sides is never silent
     warnings: list[str] = []
     if len(dims) == 1:
-        for a in range(len(chart_seeds) - 1):
+        for a in range(len(seeds) - 1):
             if seed_converged[a] or seed_converged[a + 1]:
                 continue
             va, vb = seed_values[a], seed_values[a + 1]
             if va.size and vb.size and np.any(np.sign(va) * np.sign(vb) < 0):
                 warnings.append(
                     f"possible missed zero in chart {I} between seeds "
-                    f"{chart_seeds[a]} and {chart_seeds[a + 1]}"
+                    f"{tuple(seeds[a].tolist())} and {tuple(seeds[a + 1].tolist())}"
                 )
     return found, warnings, stats
 

@@ -34,12 +34,12 @@ from vfc.charts_atlas import (
     check_realizations,
     check_tame_and_filtration,
 )
+from vfc.cli import main
 from vfc.exterior_engine import zero_sign
 from vfc.examples_cli import (
     ExampleDescriptor,
     build_example,
     build_toy_atlas,
-    main,
     random_toy_atlas,
     run_example,
 )

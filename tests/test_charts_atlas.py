@@ -1115,7 +1115,8 @@ class TestSerialization:
         assert again.x_labels == toy3.x_labels
         assert again.index_sets() == toy3.index_sets()
         for I in toy3.index_sets():
-            assert again.charts[I].domain.points == toy3.charts[I].domain.points
+            assert (again.charts[I].domain.points.fractions()
+                    == toy3.charts[I].domain.points.fractions())
             assert np.array_equal(again.charts[I].domain.perms, toy3.charts[I].domain.perms)
         assert set(again.changes) == set(toy3.changes)
         # deterministic bytes
@@ -1187,7 +1188,8 @@ class TestFloatChecksStopAtFirstFailure:
     def test_section_consistency_raises_only_if_no_failure_comes_first(self):
         atlas = _sphere_n8()
         s = atlas.charts[self.J].section_asts
-        assert [atlas.charts[self.J].domain.points[k][3] for k in (0, 1)] == [0, F(1, 8)]
+        points = atlas.charts[self.J].domain.points.fractions()
+        assert [points[k][3] for k in (0, 1)] == [0, F(1, 8)]
         # a pole at sample 1 behind a failure at sample 0 is not reached
         pole_at_1 = (["/", num(1), ["-", var(3), num("1/8")]], *s[1:])
         rep = check_chart(_with_chart(atlas, self.J, section_asts=pole_at_1), self.J)

@@ -18,6 +18,7 @@ from vfc.charts_atlas import (
     check_tame_and_filtration,
 )
 from vfc import reduction_perturb, zeroset_branched
+from vfc.cli import main
 from vfc.examples_cli import (
     EXAMPLE_NAMES,
     BuiltExample,
@@ -27,7 +28,6 @@ from vfc.examples_cli import (
     check_atlas_data,
     emit_json,
     example_to_json,
-    main,
     random_toy_atlas,
     run_example,
 )
@@ -382,6 +382,18 @@ def _short_sample(doc):
     doc["charts"]["1,2"]["section_samples"][3].pop()
 
 
+def _point_beyond_int64(doc):
+    doc["charts"]["1,2"]["domain"]["points"][0][0] = f"{2**63}/1"
+
+
+def _point_over_a_huge_denominator(doc):
+    doc["charts"]["1,2"]["domain"]["points"][1][2] = f"1/{2**63}"
+
+
+def _short_point(doc):
+    doc["charts"]["1,2"]["domain"]["points"][2].pop()
+
+
 def _product_beyond_int64(doc):
     """An identity action with entries 2⁶²: the entries fit int64, the
     products of the action law do not."""
@@ -395,6 +407,10 @@ def _product_beyond_int64(doc):
     (_denominators_without_common_int64, "chart (1,): obstruction_points: the entries"
                                          " over their common denominator"),
     (_short_sample, "chart (1, 2): section_samples: not an array of shape"),
+    (_point_beyond_int64, "chart 1,2: points: the entries over their common denominator"),
+    (_point_over_a_huge_denominator, "chart 1,2: points: the entries over their common"
+                                     " denominator"),
+    (_short_point, "chart 1,2: points: not an array of shape"),
 ])
 def test_cli_malformed_obstruction_arrays_exit_three(sphere_files, tmp_path, command,
                                                      doctor, message):

@@ -20,11 +20,11 @@ import pytest
 from click.testing import CliRunner
 
 from vfc.charts_atlas import atlas_to_json
+from vfc.cli import main
 from vfc.examples_cli import (
     ExampleDescriptor,
     build_example,
     example_to_json,
-    main,
     random_toy_atlas,
 )
 

@@ -6,9 +6,13 @@ only run a validator and read its failures.
 """
 
 import dataclasses
+import random
 from fractions import Fraction
 
+import numpy as np
+
 from vfc.charts_atlas import (
+    CheckReport,
     FiniteGroup,
     GroupQuotientModel,
     check_chart,
@@ -17,7 +21,7 @@ from vfc.charts_atlas import (
     check_group_quotient,
     cyclic_group,
 )
-from vfc.examples_cli import ExampleDescriptor, build_example, build_toy_atlas
+from vfc.examples_cli import ExampleDescriptor, build_example, build_toy_atlas, random_toy_atlas
 from vfc.expressions import num, var
 
 F = Fraction
@@ -273,3 +277,100 @@ def test_phi_hat_not_equivariant():
     atlas = football_with_trivial_obstruction_action()
     rep = check_coordinate_change(atlas, (1,), (1, 2))
     assert _failure(rep, "phi_hat_not_equivariant")["element"] == "g1|e"
+
+
+# ---------------------------------------------------------------------------
+# the covering check against a walk over Ũ_IJ
+# ---------------------------------------------------------------------------
+
+
+def _walked_covering(atlas, I, J):
+    """``check_group_covering`` as a walk over the samples of Ũ_IJ, one
+    stabilizer and one set per sample: the reference for its arrays."""
+    src, tgt = atlas.charts[I], atlas.charts[J]
+    rep = CheckReport(f"group_covering {I}->{J}")
+    change = atlas.changes[(I, J)]
+    tilde = list(change.tilde_indices)
+    names, perms = tgt.group.elements, tgt.domain.perms
+    moved_out = np.flatnonzero(~np.isin(perms[:, tilde], tilde).all(axis=1))
+    if moved_out.size:
+        rep.fail("tilde_not_invariant", element=names[moved_out[0]])
+    kernel = atlas.kernel(I, J)
+    rep.details["kernel_order"] = len(kernel)
+    for g, fixed in zip(kernel.tolist(), perms[kernel][:, tilde] == tilde):
+        if g != tgt.group.identity and fixed.any():
+            rep.fail("kernel_action_not_free", element=names[g], point=tilde[fixed.argmax()])
+    fibers: dict = {}
+    for y in tilde:
+        fibers.setdefault(change.rho_idx[y], set()).add(y)
+    for x, fib in fibers.items():
+        if len(fib) != len(kernel):
+            rep.fail("fiber_size", source_point=x, size=len(fib))
+        elif set(perms[kernel, next(iter(fib))].tolist()) != fib:
+            rep.fail("fiber_not_kernel_orbit", source_point=x)
+    cls_J, cls_I = tgt.domain.class_index_of(), src.domain.class_index_of()
+    quot: dict = {}
+    for y in tilde:
+        quot.setdefault(cls_J[y], set()).add(cls_I[change.rho_idx[y]])
+    images = []
+    for cj, cis in quot.items():
+        if len(cis) != 1:
+            rep.fail("quotient_map_not_well_defined", target_class=cj)
+        images.extend(cis)
+    if len(images) != len(set(images)):
+        rep.fail("quotient_map_not_injective")
+    proj = atlas.projection[(I, J)]
+    for y in tilde:
+        x = change.rho_idx[y]
+        mapped = proj[np.flatnonzero(perms[:, y] == y)].tolist()
+        stab_I = np.flatnonzero(src.domain.perms[:, x] == x).tolist()
+        if len(set(mapped)) != len(mapped) or set(mapped) != set(stab_I):
+            rep.fail("stabilizer_not_isomorphic", point=y)
+    return rep
+
+
+def _doctored_covering(seed):
+    """A random toy atlas and one of its changes I -> J, with ρ, Ũ_IJ and
+    the actions of both charts doctored at random: some ρ values moved
+    (rarely out of range), Ũ_IJ cut, shuffled or repeated, and a row of
+    either action replaced by a random map."""
+    rng = random.Random(seed)
+    atlas = next(a for a in map(random_toy_atlas, range(seed % 40, 99)) if a.changes)
+    (I, J), change = rng.choice(sorted(atlas.changes.items()))
+    n_I, n_J = len(atlas.charts[I].domain.points), len(atlas.charts[J].domain.points)
+    rho = dict(change.rho_idx)
+    for y in rng.sample(sorted(rho), min(len(rho), rng.randint(0, 3))):
+        rho[y] = rng.choice([rng.randrange(n_I)] * 9 + [-1, n_I])
+    tilde = list(change.tilde_indices)
+    if rng.random() < 0.5:
+        tilde = rng.sample(tilde, rng.randint(0, len(tilde)))
+    if rng.random() < 0.2:
+        tilde += rng.sample(tilde, min(2, len(tilde)))
+    atlas = _with_change(atlas, I, J, rho_idx=rho, tilde_indices=tuple(tilde))
+    for K, n in ((I, n_I), (J, n_J)):
+        domain = atlas.charts[K].domain
+        if rng.random() < 0.3 and domain.group.order > 1:
+            perms = domain.perms.copy()
+            perms[rng.randrange(1, len(perms))] = [rng.randrange(n) for _ in range(n)]
+            atlas = _with_chart(atlas, K, domain=dataclasses.replace(domain, perms=perms))
+    return atlas, I, J
+
+
+def _outcome(check, atlas, I, J):
+    try:
+        rep = check(atlas, I, J)
+    except (KeyError, IndexError) as ex:
+        return type(ex), ex.args
+    return rep.failures, rep.details
+
+
+def test_covering_arrays_report_what_the_walk_reports():
+    clauses = set()
+    for seed in range(400):
+        atlas, I, J = _doctored_covering(seed)
+        want = _outcome(_walked_covering, atlas, I, J)
+        assert _outcome(check_group_covering, atlas, I, J) == want, seed
+        if isinstance(want[0], list):
+            clauses |= {f["clause"] for f in want[0]}
+    assert {"fiber_size", "fiber_not_kernel_orbit", "quotient_map_not_well_defined",
+            "quotient_map_not_injective", "stabilizer_not_isomorphic"} <= clauses

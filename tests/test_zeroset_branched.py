@@ -35,7 +35,7 @@ from vfc.zeroset_branched import (
     wnb_check,
     zero_set_report,
 )
-from vfc.zeroset_branched import _chart_seeds, _classes_of, _newton, _section_plus_nu
+from vfc.zeroset_branched import _chart_seeds, _classes_of, _newton, _section_plus_nu, _solve
 
 F = Fraction
 
@@ -190,7 +190,7 @@ def _example_seeds(name, density, seed_grid):
     seeds = None
     if seed_grid >= 2:  # as ``run_example`` seeds them
         seeds = {
-            I: [atlas.charts[I].domain.points[x] for x in sorted(built.V.sets[I])]
+            I: atlas.charts[I].domain.coordinates[sorted(built.V.sets[I])]
             for I in atlas.index_sets()
         }
     return built, seeds
@@ -231,6 +231,22 @@ class TestLockstepNewton:
             f = compile_vector([ast], [0])
             endings |= _assert_lockstep_matches_reference(f, [[x] for x in seeds], [0], 1)
         assert endings == {"converged", "stalled", "singular", "non_finite", "exhausted"}
+
+    def test_a_stack_with_singular_rows_solves_each_row_as_alone(self):
+        rng = np.random.default_rng(7)
+        jac, vals = rng.normal(size=(8, 2, 2)), rng.normal(size=(8, 2))
+        jac[1] = 0.0  # singular
+        jac[3] = [[1.0, 2.0], [2.0, 4.0]]  # an exact zero pivot
+        jac[5] = [[1e-200, 0.0], [0.0, 1e-200]]  # det underflows to 0, yet solvable
+        jac[6, 0, 0] = np.nan  # solvable to NaN, with a NaN det
+        step, singular = _solve(jac, vals)
+        for i in range(len(jac)):
+            try:
+                want, stuck = np.linalg.solve(jac[i], vals[i]), False
+            except np.linalg.LinAlgError:
+                want, stuck = np.zeros(2), True
+            assert (_bits(step[i]), singular[i]) == (_bits(want), stuck), i
+        assert singular.tolist() == [i in (1, 3) for i in range(8)]
 
     def test_stats_of_sphere_euler_match_the_reference(self):
         built, _ = _example_seeds("sphere-euler", 12, 1)
