@@ -267,20 +267,31 @@ class GroupQuotientModel:
         return tuple(sorted(set(self.perms[:, idx].tolist())))
 
     @functools.cached_property
-    def _orbits(self) -> tuple[list, dict]:
-        classes, class_of = [], {}
-        for i in range(len(self.points)):
-            if i not in class_of:
-                classes.append(self.orbit(i))
-                class_of.update(dict.fromkeys(classes[-1], len(classes) - 1))
-        return classes, class_of
+    def _orbits(self) -> tuple[list, np.ndarray]:
+        """The orbits, each sample's least orbit member (the minimum of its
+        column of ``perms``) naming its class, found with one sort."""
+        least = self.perms.min(axis=0, initial=len(self.points))
+        members = np.argsort(least, kind="stable")
+        ranked = least[members]
+        new = np.r_[True, ranked[1:] != ranked[:-1]][: len(members)]
+        index = np.empty(len(members), dtype=np.int64)
+        index[members] = np.cumsum(new) - 1
+        index.flags.writeable = False
+        bounds, members = [*np.flatnonzero(new).tolist(), len(members)], members.tolist()
+        return [tuple(members[a:b]) for a, b in zip(bounds, bounds[1:])], index
 
     def classes(self) -> list[tuple[int, ...]]:
+        """The orbits, ordered by their least member, each sorted."""
         return self._orbits[0]
+
+    @property
+    def class_index(self) -> np.ndarray:
+        """Per sample the index of its orbit in :meth:`classes`; read-only."""
+        return self._orbits[1]
 
     def class_index_of(self) -> dict:
         """point index -> quotient class index (classes ordered by min)."""
-        return self._orbits[1]
+        return dict(enumerate(self.class_index.tolist()))
 
 
 def check_group_quotient(model: GroupQuotientModel) -> CheckReport:
@@ -580,7 +591,7 @@ def check_chart(atlas: "AtlasModel", I: tuple) -> CheckReport:
             rep.fail("section_not_equivariant", element=names[g], point=int(bad[g].argmax()))
     # footprint map: (zero samples)/Γ_I → F_I bijection
     zeros = chart.zero_sample_indices()
-    class_of = chart.domain.class_index_of()
+    class_of = chart.domain.class_index.tolist()
     label_of_class: dict = {}
     for i in zeros:
         lab = chart.footprint_map.get(i)
@@ -655,6 +666,27 @@ class CoordinateChangeModel:
         return f"coordinate change {self.source_index}->{self.target_index}"
 
     @functools.cached_property
+    def tilde(self) -> np.ndarray:
+        """Ũ_IJ as an int array, in ``tilde_indices`` order; read-only, as
+        the model is not changed after construction."""
+        return _frozen(_ints(self.tilde_indices))
+
+    @functools.cached_property
+    def rho(self) -> np.ndarray:
+        """ρ_IJ on Ũ_IJ: ``rho[t]`` is ``rho_idx`` of ``tilde[t]``.  A
+        sample of Ũ_IJ without a value, or a value that is no int, raises
+        ``KeyError`` naming it, as a lookup of it in a chart would."""
+        values = [self.rho_idx[y] for y in self.tilde_indices]
+        try:
+            rho = _ints(values)
+            exact = rho.tolist() == values
+        except (TypeError, ValueError, OverflowError):
+            exact = False
+        if not exact:
+            raise KeyError(next(v for v in values if not _is_int64(v)))
+        return _frozen(rho)
+
+    @functools.cached_property
     def image_annihilator(self) -> np.ndarray:
         """An int matrix N whose kernel is im φ̂: v ∈ im φ̂ exactly when
         N·v = 0.  Its rows are a basis of the left null space of φ̂, read
@@ -674,9 +706,11 @@ class CoordinateChangeModel:
 
 def check_group_covering(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckReport:
     """Covering conditions for ρ_IJ: free kernel, fibers, stabilizers.
-    The kernel and stabilizer clauses compare arrays over all of Ũ_IJ at
-    once, and report what a walk over Ũ_IJ in ``tilde_indices`` order
-    would, in that order."""
+    The clauses compare arrays over all of Ũ_IJ at once, and report what a
+    walk over Ũ_IJ in ``tilde_indices`` order would, in that order.
+
+    A negative sample of Ũ_IJ, or a ρ-value that is no sample of chart I,
+    raises ``KeyError`` naming the first in that order."""
     rep = CheckReport(f"group_covering {I}->{J}")
     src = atlas.charts[I]
     tgt = atlas.charts[J]
@@ -684,50 +718,51 @@ def check_group_covering(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckReport
         rep.details["identity_covering"] = True
         return rep
     change = atlas.changes[(I, J)]
-    tilde = list(change.tilde_indices)
     names = tgt.group.elements
-    perms = tgt.domain.perms
+    moved = tgt.domain.perms[:, change.tilde]
+    ys, xs = change.tilde, change.rho
+    outside = np.flatnonzero((ys < 0) | (xs < 0) | (xs >= len(src.domain.points)))
+    if outside.size:
+        t = outside[0]
+        raise KeyError(int(ys[t] if ys[t] < 0 else xs[t]))
     # Ũ_IJ is Γ_J-invariant
-    moved_out = np.flatnonzero(~np.isin(perms[:, tilde], tilde).all(axis=1))
+    inside = np.zeros(len(tgt.domain.points), dtype=bool)
+    inside[ys] = True
+    moved_out = np.flatnonzero(~inside[moved].all(axis=1))
     if moved_out.size:
         rep.fail("tilde_not_invariant", element=names[moved_out[0]])
     kernel = atlas.kernel(I, J)
     rep.details["kernel_order"] = len(kernel)
-    for g, fixed in zip(kernel.tolist(), perms[kernel][:, tilde] == tilde):
-        if g != tgt.group.identity and fixed.any():
-            rep.fail("kernel_action_not_free", element=names[g], point=tilde[fixed.argmax()])
+    fixed = moved[kernel] == ys
+    for k in np.flatnonzero(fixed.any(axis=1) & (kernel != tgt.group.identity)).tolist():
+        rep.fail("kernel_action_not_free", element=names[kernel[k]], point=int(ys[fixed[k].argmax()]))
     # fibers of ρ are kernel orbits; the orbits of one sample per fiber in one call
-    rho = [change.rho_idx[y] for y in tilde]
     fibers: dict = {}
-    for y, x in zip(tilde, rho):
+    for y, x in zip(ys.tolist(), xs.tolist()):
         fibers.setdefault(x, set()).add(y)
-    orbits = perms[kernel][:, [next(iter(fib)) for fib in fibers.values()]].T.tolist()
+    orbits = tgt.domain.perms[kernel][:, [next(iter(fib)) for fib in fibers.values()]].T.tolist()
     for (x, fib), orbit in zip(fibers.items(), orbits):
         if len(fib) != len(kernel):
             rep.fail("fiber_size", source_point=x, size=len(fib))
         elif set(orbit) != fib:
             rep.fail("fiber_not_kernel_orbit", source_point=x)
-    # induced quotient map Ũ_IJ/Γ_J → image/Γ_I is a bijection
-    cls_J = tgt.domain.class_index_of()
-    cls_I = src.domain.class_index_of()
-    quot: dict = {}
-    for y, x in zip(tilde, rho):
-        quot.setdefault(cls_J[y], set()).add(cls_I[x])
-    images = []
-    for cj, cis in quot.items():
-        if len(cis) != 1:
-            rep.fail("quotient_map_not_well_defined", target_class=cj)
-        images.extend(cis)
-    if len(images) != len(set(images)):
+    # induced quotient map Ũ_IJ/Γ_J → image/Γ_I is a bijection: per target
+    # class, in the order Ũ_IJ first meets it, the source classes it meets
+    n_I, cls_J = len(src.domain.classes()), tgt.domain.class_index[ys]
+    met = _distinct(cls_J * n_I + src.domain.class_index[xs])
+    owner = met // n_I
+    many = set(owner[1:][owner[1:] == owner[:-1]].tolist())
+    for c in sorted(many, key=cls_J.tolist().index):
+        rep.fail("quotient_map_not_well_defined", target_class=c)
+    if len(met) != len(_distinct(met % n_I)):
         rep.fail("quotient_map_not_injective")
     # stabilizers map isomorphically Γ_J^y → Γ_I^{ρ(y)}: per element of Γ_I,
     # the elements of Γ_J^y that project to it, against Γ_I^{ρ(y)}
-    ys, xs = _ints(tilde), _ints(rho)
     onto = np.eye(src.group.order, dtype=np.int64)[atlas.projection[(I, J)]].T
-    hits = onto @ (perms[:, ys] == ys)
+    hits = onto @ (moved == ys)
     bad = ((hits > 1) | ((hits > 0) != (src.domain.perms[:, xs] == xs))).any(axis=0)
     for t in np.flatnonzero(bad).tolist():
-        rep.fail("stabilizer_not_isomorphic", point=tilde[t])
+        rep.fail("stabilizer_not_isomorphic", point=int(ys[t]))
     return rep
 
 
@@ -737,17 +772,25 @@ def check_coordinate_change(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckRep
     src = atlas.charts[I]
     tgt = atlas.charts[J]
     change = atlas.changes[(I, J)]
-    tilde = list(change.tilde_indices)
     rep.merge(check_group_covering(atlas, I, J))
-    names, proj, rho = tgt.group.elements, atlas.projection[(I, J)], change.rho_idx
-    # equivariance of ρ w.r.t. the canonical projection ρ^Γ
-    for g, (perm, perm_I) in enumerate(
-        zip(tgt.domain.perms.tolist(), src.domain.perms[proj].tolist())
-    ):
-        for y in tilde:
-            if rho[perm[y]] != perm_I[rho[y]]:
-                rep.fail("rho_not_equivariant", element=names[g], point=y)
-                break
+    names, proj = tgt.group.elements, atlas.projection[(I, J)]
+    ys, xs = change.tilde, change.rho
+    # equivariance of ρ w.r.t. the canonical projection ρ^Γ: ρ(γ·y) against
+    # ρ^Γ(γ)·ρ(y), the first failing y per γ.  Where Γ_J moves Ũ_IJ out of
+    # itself, ρ(γ·y) is looked up in rho_idx, and a missing key raises.
+    moved = tgt.domain.perms[:, ys]
+    rho_at = np.full(len(tgt.domain.points), -1, dtype=np.int64)
+    rho_at[ys] = xs
+    image, missing = rho_at[moved], np.zeros(moved.shape, dtype=bool)
+    for g, t in np.argwhere(image < 0).tolist():
+        missing[g, t] = int(moved[g, t]) not in change.rho_idx
+        image[g, t] = change.rho_idx.get(int(moved[g, t]), -1)
+    bad = missing | (image != src.domain.perms[proj][:, xs])
+    for g in np.flatnonzero(bad.any(axis=1)).tolist():
+        t = int(bad[g].argmax())
+        if missing[g, t]:
+            raise KeyError(int(moved[g, t]))
+        rep.fail("rho_not_equivariant", element=names[g], point=int(ys[t]))
     # φ̂ injective with equivariant cokernel data
     m_I, m_J = src.obstruction_dim, tgt.obstruction_dim
     phi, where = change.phi_hat, change._name
@@ -765,11 +808,11 @@ def check_coordinate_change(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckRep
             rep.fail("phi_hat_not_equivariant", element=names[bad.argmax()])
     # section compatibility at samples: s_J∘φ̃ = φ̂∘s_I∘ρ (φ̃ = inclusion)
     s_I, s_J = src.section_samples, tgt.section_samples
-    pulled = RationalArray(s_I.num[_ints([rho[y] for y in tilde])], s_I.den)
-    got = RationalArray(s_J.num[_ints(tilde)], s_J.den)
+    pulled = RationalArray(s_I.num[xs], s_I.den)
+    got = RationalArray(s_J.num[ys], s_J.den)
     bad = ~_equal(_matmul(pulled, phi.mT, where), got, where).all(axis=1)
     if bad.any():
-        rep.fail("section_compatibility", point=tilde[bad.argmax()])
+        rep.fail("section_compatibility", point=int(ys[bad.argmax()]))
     # index condition
     n_I, n_J = len(src.tangent_dims), len(tgt.tangent_dims)
     if n_J - n_I != m_J - m_I:
@@ -786,7 +829,7 @@ def check_coordinate_change(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckRep
             dims = list(tgt.tangent_dims)
             section = compile_vector(tgt.section_asts, dims)
             columns = [dims.index(d) for d in complement]
-            _, jac, error = evaluate_until_raise(section, tgt.domain.coordinates[_ints(tilde)])
+            _, jac, error = evaluate_until_raise(section, tgt.domain.coordinates[ys])
             blocks = np.zeros((len(jac), m_J, m_J))
             blocks[:, :, :m_I] = phi.floats()
             blocks[:, :, m_I:] = jac[:, :, columns]
@@ -797,19 +840,18 @@ def check_coordinate_change(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckRep
             if bad.any():
                 k = int(bad.argmax())  # a non-finite block has no singular values
                 sigma = float(svs[k, -1]) if finite[k] else None
-                rep.fail("tangent_bundle_condition", point=tilde[k], sigma_min=sigma)
+                rep.fail("tangent_bundle_condition", point=int(ys[k]), sigma_min=sigma)
             elif error is not None:
                 raise error
     # smooth-level ρ vs sample-level ρ (loose tolerance; samples are
     # rational approximations of the smooth model)
     if change.rho_asts is not None:
         rho_f = compile_vector(change.rho_asts, ())
-        got, _, error = evaluate_until_raise(rho_f, tgt.domain.coordinates[_ints(tilde)])
-        down = _ints([rho[y] for y in tilde[: len(got)]])
-        err = _max_abs_error(got, src.domain.coordinates[down])
+        got, _, error = evaluate_until_raise(rho_f, tgt.domain.coordinates[ys])
+        err = _max_abs_error(got, src.domain.coordinates[xs[: len(got)]])
         bad = np.flatnonzero(err > LOOSE_TOL)
         if bad.size:
-            rep.fail("rho_ast_inconsistent", point=tilde[bad[0]], error=float(err[bad[0]]))
+            rep.fail("rho_ast_inconsistent", point=int(ys[bad[0]]), error=float(err[bad[0]]))
         elif error is not None:
             raise error
     return rep
@@ -863,11 +905,17 @@ class AtlasModel:
             start += len(self.charts[I].domain.classes())
         return offset
 
+    @functools.cached_property
+    def _sample_rows(self) -> dict:
+        return {
+            I: _frozen(self.key_offset[I] + chart.domain.class_index)
+            for I, chart in self.charts.items()
+        }
+
     def sample_rows(self, I: tuple) -> np.ndarray:
-        """The metric row of each sample x of chart I: key (I, [x])."""
-        domain = self.charts[I].domain
-        cls = domain.class_index_of()
-        return self.key_offset[I] + _ints([cls[x] for x in range(len(domain.points))])
+        """The metric row of each sample x of chart I: key (I, [x]);
+        computed once per chart, read-only."""
+        return self._sample_rows[I]
 
     def intermediate_classes(self) -> np.ndarray:
         """|K̲| on metric rows: for each row, the smallest row of its class.
@@ -875,10 +923,30 @@ class AtlasModel:
         Ũ_IJ; read only once ``changes`` is complete."""
         a, b = [_ints([])], [_ints([])]
         for (I, J), change in self.changes.items():
-            tilde = change.tilde_indices
-            a.append(self.sample_rows(J)[_ints(tilde)])
-            b.append(self.sample_rows(I)[_ints([change.rho_idx[y] for y in tilde])])
+            a.append(self.sample_rows(J)[change.tilde])
+            b.append(self.sample_rows(I)[change.rho])
         return quotient(len(self.intermediate_keys()), np.concatenate(a), np.concatenate(b))
+
+    @functools.cached_property
+    def intermediate_domains(self) -> dict:
+        """(I, J) -> (Ū_IJ, φ̲_IJ) for every chart I and every change
+        I → J between charts, and I = J: Ū_IJ as a frozenset of chart-I
+        class indices, and φ̲_IJ as a dict from them to chart-J classes."""
+        out = {}
+        for I, chart in self.charts.items():
+            every = range(len(chart.domain.classes()))
+            out[(I, I)] = frozenset(every), dict(zip(every, every))
+        for (I, J), change in self.changes.items():
+            if set(I) < set(J) and I in self.charts and J in self.charts:
+                down = self.charts[I].domain.class_index[change.rho].tolist()
+                phibar = dict(zip(down, self.charts[J].domain.class_index[change.tilde].tolist()))
+                out[(I, J)] = frozenset(phibar), phibar
+        return out
+
+    @functools.cached_property
+    def products(self) -> dict:
+        """Index I -> the product of the basic groups of I."""
+        return {I: product_group([self.charts[(i,)].group for i in I]) for I in self.charts}
 
     @functools.cached_property
     def product_index(self) -> dict:
@@ -887,7 +955,7 @@ class AtlasModel:
         ``None`` for a chart whose element names are not the product's."""
         out = {}
         for I, chart in self.charts.items():
-            product = product_group([self.charts[(i,)].group for i in I])
+            product = self.products[I]
             where = {name: k for k, name in enumerate(product.elements)}
             index = [where.get(name, -1) for name in chart.group.elements]
             out[I] = _ints(index) if sorted(index) == list(range(product.order)) else None
@@ -949,7 +1017,7 @@ def check_atlas_model(atlas: AtlasModel) -> CheckReport:
         if tuple(sorted(I)) != I:
             rep.fail("index_not_sorted", index=I)
         factors = [atlas.charts[(i,)] for i in I]
-        want = product_group([c.group for c in factors]).table
+        want = atlas.products[I].table
         index, got = atlas.product_index[I], chart.group.table
         if index is None or not (
             (got >= 0) & (index[got] == want[np.ix_(index, index)])
@@ -985,28 +1053,14 @@ def check_atlas_model(atlas: AtlasModel) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def _ubar_classes(atlas: AtlasModel, I: tuple, J: tuple) -> set:
+def _ubar_classes(atlas: AtlasModel, I: tuple, J: tuple) -> frozenset:
     """Intermediate-level domain Ū_IJ as a set of chart-I class indices."""
-    src = atlas.charts[I]
-    cls = src.domain.class_index_of()
-    if I == J:
-        return set(cls.values())
-    change = atlas.changes[(I, J)]
-    return {cls[change.rho_idx[y]] for y in change.tilde_indices}
+    return atlas.intermediate_domains[(I, J)][0]
 
 
 def _phibar_map(atlas: AtlasModel, I: tuple, J: tuple) -> dict:
     """φ̲_IJ: Ū_IJ classes (in chart I) → Ū_J classes (in chart J)."""
-    if I == J:
-        cls = atlas.charts[I].domain.class_index_of()
-        return {c: c for c in set(cls.values())}
-    change = atlas.changes[(I, J)]
-    cls_I = atlas.charts[I].domain.class_index_of()
-    cls_J = atlas.charts[J].domain.class_index_of()
-    out: dict = {}
-    for y in change.tilde_indices:
-        out[cls_I[change.rho_idx[y]]] = cls_J[y]
-    return out
+    return atlas.intermediate_domains[(I, J)][1]
 
 
 def check_cocycle(atlas: AtlasModel, strength: str = "weak") -> CheckReport:
@@ -1115,13 +1169,8 @@ def check_tame_and_filtration(atlas: AtlasModel) -> CheckReport:
                         N = RationalArray(change.image_annihilator, 1)
                         hit = _matmul(N, samples.mT, change._name).num
                         in_image[(I, J)] = ~hit.any(axis=0)
-                cls_J = chart_J.domain.class_index_of()
-                rep_point: dict = {}
-                for idx, c in cls_J.items():
-                    rep_point.setdefault(c, idx)
-                rhs = {
-                    c for c in _ubar_classes(atlas, J, K) if in_image[(I, J)][rep_point[c]]
-                }
+                least = chart_J.domain.classes()
+                rhs = {c for c in _ubar_classes(atlas, J, K) if in_image[(I, J)][least[c][0]]}
                 if lhs != rhs:
                     rep.fail("pushforward_identity", indices=(I, J, K))
     # filtration: φ̂-images of the obstruction grids intersect additively
@@ -1164,6 +1213,21 @@ TRIPLE_CHUNK = 1 << 14
 
 def _ints(values) -> np.ndarray:
     return np.asarray(values, dtype=np.int64)
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, sorted (``np.unique`` without loading numpy.ma)."""
+    values = np.sort(values)
+    return values[np.r_[True, values[1:] != values[:-1]][: len(values)]]
+
+
+def _is_int64(value) -> bool:
+    return isinstance(value, int) and -INT64_MAX - 1 <= value <= INT64_MAX
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:
@@ -1255,7 +1319,10 @@ class FiniteCategory:
     read).  ``source``, ``target``, ``compose`` and ``identity_of`` are
     read-only label views of the arrays, built when first read.
     ``failure``, the first failing axiom, is also computed once, when first
-    read: the arrays are not changed after construction.
+    read: the arrays are not changed after construction.  ``associative``
+    is set only by a builder that has proved the associativity law from
+    facts it checked (:func:`build_categories` on B_K); ``failure`` then
+    skips the scan of the composable triples.
     """
 
     objects: Sequence
@@ -1266,6 +1333,7 @@ class FiniteCategory:
     pairs: PairIndex
     comp: np.ndarray
     defects: tuple = ()
+    associative: bool = False
 
     @classmethod
     def from_labels(cls, objects, morphisms, source: dict, target: dict,
@@ -1363,7 +1431,7 @@ class FiniteCategory:
         )
         if bad.size:
             return "identity_law", {"morphism": morphisms[bad[0]]}
-        triple = _first_non_associative(self)
+        triple = None if self.associative else _first_non_associative(self)
         if triple is not None:
             return "associativity", {"triple": tuple(morphisms[m] for m in triple)}
         return None
@@ -1412,7 +1480,7 @@ def check_category(cat: FiniteCategory) -> CheckReport:
     composites outside the morphisms or with the wrong endpoints);
     composable pairs without a composite; identities (``defects`` first);
     the identity laws; associativity over every composable triple, checked
-    ``TRIPLE_CHUNK`` triples at a time.
+    ``TRIPLE_CHUNK`` triples at a time, unless ``cat.associative``.
     """
     rep = CheckReport("category_axioms")
     _report(rep, cat.failure)
@@ -1492,6 +1560,14 @@ def _flat(arrays) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(arrays or [_ints([])]), _offsets([len(a) for a in arrays])
 
 
+def _runs(counts) -> tuple[np.ndarray, np.ndarray]:
+    """For runs of ``counts`` items end to end: per item its run and its
+    position in the run."""
+    counts = _ints(counts)
+    run = np.repeat(np.arange(len(counts)), counts)
+    return run, np.arange(len(run)) - _offsets(counts)[run]
+
+
 def _block_category(atlas: AtlasModel, blocks: list, ne: np.ndarray, act: list,
                     phi: list) -> tuple:
     """The int arrays of the category with objects (I, x, e) and morphisms
@@ -1530,9 +1606,8 @@ def _block_category(atlas: AtlasModel, blocks: list, ne: np.ndarray, act: list,
     obj_start = _offsets(n_points * ne)
     start = _offsets(np.diff(tilde_start) * order[block_I] * ne[block_I])
     # per morphism: its block, I, J, e, γ and y at position t of Ũ_IJ
-    block = np.repeat(np.arange(len(blocks)), np.diff(start))
+    block, local = _runs(np.diff(start))
     I, J = block_I[block], block_J[block]
-    local = np.arange(start[-1]) - start[block]
     e, local = local % ne[I], local // ne[I]
     gamma, t = local % order[I], tilde_start[block] + local // order[I]
     y, x = tilde[t], rho[t]
@@ -1543,15 +1618,14 @@ def _block_category(atlas: AtlasModel, blocks: list, ne: np.ndarray, act: list,
     )
     tgt = obj_start[J] + y * ne[J] + phis[phi_start[block] + e]
     # the identity of (I, x, e) is (I, I, x, e, 1): t = x in the block (I, I)
-    i = np.repeat(np.arange(len(indices)), n_points * ne)
-    local = np.arange(obj_start[-1]) - obj_start[i]
+    i, local = _runs(n_points * ne)
     one = _ints([g.identity for g in groups])[i]
     identity = start[block_of[i, i]] + (local // ne[i] * order[i] + one) * ne[i] + local % ne[i]
     pairs = PairIndex.of(obj_start[-1], src, tgt)
     # place[k, y]: the position of sample y in the k-th block's Ũ_IJ, or -1
     place = np.full((len(blocks), int(n_points.max(initial=0))), -1, dtype=np.int64)
-    for k, b in enumerate(blocks):
-        place[k, b[2]] = np.arange(len(b[2]))
+    k, position = _runs(np.diff(tilde_start))
+    place[k, tilde] = position
     f, g = pairs.f, pairs.g
     fI, K, z = I[f], J[g], y[g]
     moved = proj[proj_start[block[f]] + gamma[g]]
@@ -1566,6 +1640,51 @@ def _block_category(atlas: AtlasModel, blocks: list, ne: np.ndarray, act: list,
         for p in np.flatnonzero(t2 < 0).tolist()
     ]
     return (src, tgt, identity, pairs, comp), missing, I, x
+
+
+def _chains(blocks: list) -> np.ndarray:
+    """The chains of blocks (I, J), (J, K) with a block (I, K), as rows
+    (first, second, composite) of their positions in ``blocks``."""
+    where = {b[:2]: k for k, b in enumerate(blocks)}
+    return _ints([
+        (k1, k2, where[(b1[0], b2[1])])
+        for k1, b1 in enumerate(blocks)
+        for k2, b2 in enumerate(blocks)
+        if b1[1] == b2[0] and (b1[0], b2[1]) in where
+    ]).reshape(-1, 3)
+
+
+def _maps_compose(maps: list, outer: np.ndarray, inner: np.ndarray,
+                  whole: np.ndarray) -> bool:
+    """Whether ``maps[outer[c]] ∘ maps[inner[c]] == maps[whole[c]]`` for
+    every c, each map an int array of images that lie in the next's domain."""
+    flat, start = _flat(maps)
+    c, v = _runs(np.diff(start)[inner])
+    return bool((flat[start[outer[c]] + flat[start[inner[c]] + v]] == flat[start[whole[c]] + v]).all())
+
+
+def _associative_by_groups(atlas: AtlasModel, blocks: list, chains: np.ndarray) -> bool:
+    """Whether B_K's associativity follows from its group facts: every Γ_I
+    is a group, the ρ^Γ_{JI} of every block is a homomorphism Γ_J → Γ_I,
+    and ρ^Γ_{JI} ∘ ρ^Γ_{KJ} = ρ^Γ_{KI} on every chain of blocks.
+
+    Then, for composable (I, J, y, γ), (J, K, z, δ), (K, L, w, ε) with every
+    composite defined, both bracketings are (I, L, w, ρ^Γ_{KI}(ε)·ρ^Γ_{JI}(δ)·γ)
+    (see :func:`_block_category`): ρ^Γ_{JI}(ρ^Γ_{KJ}(ε)·δ)·γ equals it by the
+    two facts on ρ^Γ, and ρ^Γ_{KI}(ε)·(ρ^Γ_{JI}(δ)·γ) by associativity."""
+    groups = [atlas.charts[b[0]].group for b in blocks] + [atlas.charts[b[1]].group for b in blocks]
+    if not all(g.validate().ok for g in groups):
+        return False
+    proj = [atlas.projection[b[:2]] for b in blocks]
+    maps, map_start = _flat(proj)
+    into, into_start = _flat(g.table for g in groups[: len(blocks)])
+    table, table_start = _flat(g.table for g in groups[len(blocks):])
+    # ρ(a·b) = ρ(a)·ρ(b) over Γ_J × Γ_J, every block at once
+    k, ab = _runs(np.diff(table_start))
+    n_J, n_I = np.diff(map_start)[k], _ints([g.order for g in groups[: len(blocks)]])[k]
+    image = maps[map_start[k] + ab // n_J] * n_I + maps[map_start[k] + ab % n_J]
+    homomorphic = maps[map_start[k] + table[table_start[k] + ab]] == into[into_start[k] + image]
+    return bool(homomorphic.all()) and _maps_compose(proj, *chains.T)
 
 
 def build_categories(atlas: AtlasModel) -> CategoriesResult:
@@ -1587,14 +1706,14 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
     indices = atlas.index_sets()
     blocks = []
     for I in indices:
-        n = len(atlas.charts[I].domain.points)
+        every = np.arange(len(atlas.charts[I].domain.points))
         for J in indices:
             if I == J:
-                blocks.append((I, J, range(n), range(n)))
+                blocks.append((I, J, every, every))
             elif set(I) < set(J) and (I, J) in atlas.changes:
                 change = atlas.changes[(I, J)]
-                tilde = list(change.tilde_indices)
-                blocks.append((I, J, tilde, [change.rho_idx[y] for y in tilde]))
+                blocks.append((I, J, change.tilde, change.rho))
+    chains = _chains(blocks)
     n_points = [len(atlas.charts[I].domain.points) for I in indices]
 
     def axioms(name, report):
@@ -1605,20 +1724,21 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
 
     # ----- B_K -----
     objects = tuple((I, x) for I, n in zip(indices, n_points) for x in range(n))
-    morphisms = tuple(
-        (I, J, y, gamma)
-        for I, J, tilde, _ in blocks
-        for y in tilde
-        for gamma in atlas.charts[I].group.elements
-    )
     one_point = [np.zeros((atlas.charts[I].group.order, 1)) for I in indices]
     arrays, missing, b_I, b_rho = _block_category(
         atlas, blocks, _ints([1] * len(indices)), one_point, [[0]] * len(blocks)
     )
+    morphisms = tuple(
+        (I, J, y, gamma)
+        for I, J, tilde, _ in blocks
+        for y in tilde.tolist()
+        for gamma in atlas.charts[I].group.elements
+    )
     for f, g, I, K, z, _, gamma in missing:
         rep.fail("composability_violated", pair=(morphisms[f], morphisms[g]),
                  result=(I, K, z, gamma))
-    B = FiniteCategory(objects, morphisms, *arrays)
+    associative = not missing and _associative_by_groups(atlas, blocks, chains)
+    B = FiniteCategory(objects, morphisms, *arrays, associative=associative)
     axioms("category_axioms", check_category(B))
 
     # ----- E_K -----
@@ -1670,7 +1790,7 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
     zero_idx = [([-1] + np.flatnonzero(~g.num.any(axis=1)).tolist())[-1] for g in grids]
     E = None
     if B.failure is None and grids_closed and _obstruction_facts(
-        atlas, blocks, eact, phi_idx, s_idx if s_ok else None
+        atlas, blocks, chains, eact, phi_idx, s_idx if s_ok else None
     ):
         weights = mor_ne[B.pairs.f]
         rep.details["category_axioms_E"] = {
@@ -1724,45 +1844,60 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
     )
 
 
-def _obstruction_facts(atlas: AtlasModel, blocks: list, act: list, phi: list,
-                       s_idx: dict | None) -> bool:
+def _obstruction_facts(atlas: AtlasModel, blocks: list, chains: np.ndarray, act: list,
+                       phi: list, s_idx: dict | None) -> bool:
     """Facts 2, 4, 5 and 6 of :func:`build_categories`, with ``act[i]`` and
     ``phi[k]`` as :func:`_block_category` takes them and ``s_idx[I]`` the
     section's grid index per sample of I (``None`` skips fact 6): Γ_I is
     a group acting on the grid; φ̂_IJ(ρ^Γ(δ)·x) = δ·φ̂_IJ(x); φ̂_IK =
     φ̂_JK ∘ φ̂_IJ; s(γ·x) = γ·s(x) and φ̂_IJ(s_I(ρ(y))) = s_J(y).  Sample
-    indices must lie in their charts, so that E_K lies over B_K."""
-    act = dict(zip(atlas.index_sets(), act))
-    n = {I: len(atlas.charts[I].domain.points) for I in act}
-
-    def inside(values, bound):
-        return bool(((_ints(values) >= 0) & (_ints(values) < bound)).all())
-
-    for I, a in act.items():
-        group, perms = atlas.charts[I].group, atlas.charts[I].domain.perms
-        if not (
-            group.validate().ok
-            and inside(perms, n[I])
-            and (a[group.identity] == np.arange(a.shape[1])).all()
-            and (a[group.table] == a[:, a]).all()
-            and (s_idx is None or (s_idx[I][perms] == a[:, s_idx[I]]).all())
-        ):
-            return False
-    phi = {b[:2]: p for b, p in zip(blocks, phi)}
-    for (I, J, tilde, rho), p in zip(blocks, phi.values()):
-        if not (
-            inside(tilde, n[J])
-            and inside(rho, n[I])
-            and (p[act[I][atlas.projection[(I, J)]]] == act[J][:, p]).all()
-            and (s_idx is None or (p[s_idx[I][_ints(rho)]] == s_idx[J][_ints(tilde)]).all())
-            and all(
-                (q[p] == phi[(I, K)]).all()
-                for (J2, K), q in phi.items()
-                if J2 == J and (I, K) in phi
-            )
-        ):
-            return False
-    return True
+    indices must lie in their charts, so that E_K lies over B_K.  Each fact
+    is checked on all charts, blocks or chains at once."""
+    indices = atlas.index_sets()
+    charts = [atlas.charts[I] for I in indices]
+    if not all(chart.group.validate().ok for chart in charts):
+        return False
+    where = {I: i for i, I in enumerate(indices)}
+    b_I, b_J = (_ints([where[b[k]] for b in blocks]) for k in (0, 1))
+    n = _ints([len(chart.domain.points) for chart in charts])
+    order = _ints([chart.group.order for chart in charts])
+    ne = _ints([a.shape[1] for a in act])
+    grid, at = _flat(act)
+    perms, perm_start = _flat(chart.domain.perms for chart in charts)
+    mul, mul_start = _flat(chart.group.table for chart in charts)
+    tilde, tilde_start = _flat(b[2] for b in blocks)
+    rho, _ = _flat(b[3] for b in blocks)
+    phis, phi_start = _flat(phi)
+    proj, proj_start = _flat(atlas.projection[b[:2]] for b in blocks)
+    k, t = _runs(np.diff(tilde_start))
+    i = _runs(order * n)[0]
+    if not (
+        ((perms >= 0) & (perms < n[i])).all()
+        and ((tilde >= 0) & (tilde < n[b_J[k]]) & (rho >= 0) & (rho < n[b_I[k]])).all()
+    ):
+        return False
+    # the identity fixes the grid, and (γδ)·e = γ·(δ·e)
+    i, e = _runs(ne)
+    one = _ints([chart.group.identity for chart in charts])
+    facts = [grid[at[i] + one[i] * ne[i] + e] == e]
+    i, x = _runs(order**2 * ne)
+    gd, e = x // ne[i], x % ne[i]
+    acted = grid[at[i] + gd % order[i] * ne[i] + e]
+    facts.append(grid[at[i] + mul[mul_start[i] + gd] * ne[i] + e]
+                 == grid[at[i] + gd // order[i] * ne[i] + acted])
+    # φ̂(ρ^Γ(δ)·e) = δ·φ̂(e) for δ in Γ_J and e in the grid of I
+    c, x = _runs(order[b_J] * ne[b_I])
+    I, J = b_I[c], b_J[c]
+    d, e = x // ne[I], x % ne[I]
+    facts.append(phis[phi_start[c] + grid[at[I] + proj[proj_start[c] + d] * ne[I] + e]]
+                 == grid[at[J] + d * ne[J] + phis[phi_start[c] + e]])
+    if s_idx is not None:
+        s, s_start = _flat(s_idx[I] for I in indices)
+        i, x = _runs(order * n)
+        facts.append(s[s_start[i] + perms[perm_start[i] + x]]
+                     == grid[at[i] + x // n[i] * ne[i] + s[s_start[i] + x % n[i]]])
+        facts.append(phis[phi_start[k] + s[s_start[b_I[k]] + rho]] == s[s_start[b_J[k]] + tilde])
+    return all(fact.all() for fact in facts) and _maps_compose(phi, *chains[:, [1, 0, 2]].T)
 
 
 def _footprint_labels(atlas: AtlasModel, rep: CheckReport) -> dict:

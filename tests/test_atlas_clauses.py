@@ -1,6 +1,7 @@
-"""One doctored model per atlas-level clause of ``check_atlas_model``,
-``check_cocycle`` and ``check_tame_and_filtration`` that no other test
-names: each test asserts that its clause fires, with its witnesses.
+"""One doctored model per clause of ``check_atlas_model``, ``check_chart``,
+``check_coordinate_change``, ``check_cocycle`` and
+``check_tame_and_filtration`` that no other test names: each test asserts
+that its clause fires, with its witnesses.
 
 The constructors at the top build the doctored models; the tests below
 only run a validator and read its failures.
@@ -8,7 +9,13 @@ only run a validator and read its failures.
 
 import dataclasses
 
-from vfc.charts_atlas import check_atlas_model, check_cocycle, check_tame_and_filtration
+from vfc.charts_atlas import (
+    check_atlas_model,
+    check_chart,
+    check_cocycle,
+    check_coordinate_change,
+    check_tame_and_filtration,
+)
 from vfc.examples_cli import build_toy_atlas
 
 # ---------------------------------------------------------------------------
@@ -26,6 +33,24 @@ def _three_charts_over(labels, orders=None):
 
 def _with_change(atlas, key, change):
     return dataclasses.replace(atlas, changes={**atlas.changes, key: change})
+
+
+def _with_chart(atlas, I, **fields):
+    chart = dataclasses.replace(atlas.charts[I], **fields)
+    return dataclasses.replace(atlas, charts={**atlas.charts, I: chart})
+
+
+def _with_line(atlas, I, grid=((0,),)):
+    """Chart I with E_I = R, on which Γ_I acts trivially, the grid ``grid``
+    and the zero section."""
+    chart = atlas.charts[I]
+    return _with_chart(
+        atlas, I,
+        obstruction_dim=1,
+        obstruction_action=[[[1]]] * chart.group.order,
+        obstruction_points=grid,
+        section_samples=[[0]] * len(chart.domain.points),
+    )
 
 
 def chart_index_unsorted():
@@ -69,6 +94,60 @@ def tilde_without_b():
     assert change.tilde_indices == (0, 1)
     doctored = dataclasses.replace(change, tilde_indices=(0,), rho_idx={0: change.rho_idx[0]})
     return _with_change(atlas, key, doctored)
+
+
+def tilde_of_12_without_b():
+    """Three charts over {a, b} with trivial isotropy; Ũ of (1,) -> (1, 2)
+    loses its sample over b, so φ̲_{1,12} is not defined on the class over
+    b in Ū_{1,123}."""
+    atlas = _three_charts_over(["a", "b"])
+    key = ((1,), (1, 2))
+    change = atlas.changes[key]
+    assert change.tilde_indices == (0, 1)
+    doctored = dataclasses.replace(change, tilde_indices=(0,), rho_idx={0: change.rho_idx[0]})
+    return _with_change(atlas, key, doctored)
+
+
+def no_chart_2_under_a_line():
+    """Three charts over one point without chart (2,) and its changes, and
+    E = R on chart (1, 2, 3): the filtration of E_123 meets (1, 2) and
+    (2, 3) in the undeclared (2,)."""
+    atlas = _three_charts_over(["p"])
+    charts = {I: c for I, c in atlas.charts.items() if I != (2,)}
+    changes = {key: c for key, c in atlas.changes.items() if key[0] != (2,)}
+    atlas = dataclasses.replace(atlas, charts=charts, changes=changes)
+    for key in [key for key in changes if key[1] == (1, 2, 3)]:
+        atlas = _with_change(atlas, key, dataclasses.replace(changes[key], phi_hat=[[]]))
+    return _with_line(atlas, (1, 2, 3))
+
+
+def footprint_b_on_a_sample_over_a():
+    """Chart (1,) of Z_2 over {a, b}: the second sample over a is labelled
+    b, so the class over a carries both labels."""
+    atlas = _two_charts({1: 2})
+    chart = atlas.charts[(1,)]
+    assert chart.footprint_map[1] == "a"
+    return _with_chart(atlas, (1,), footprint_map={**chart.footprint_map, 1: "b"})
+
+
+def line_on_chart_12_only():
+    """E = R on chart (1, 2) while E_1 = E_2 = 0."""
+    return _with_line(_two_charts(), (1, 2))
+
+
+def tangent_line_on_chart_12_only():
+    """Chart (1, 2) has a section formula and one tangent coordinate, which
+    Ũ of (1,) -> (1, 2) does not span, while E_12 = E_1 = 0: the tangent
+    bundle condition would need a 0 x 0 φ̂ beside one ds column."""
+    atlas = _two_charts()
+    return _with_chart(atlas, (1, 2), tangent_dims=(0,), section_asts=())
+
+
+def tangent_line_lost_by_tilde():
+    """Charts (1,) and (1, 2) each have one tangent coordinate, but Ũ of
+    (1,) -> (1, 2) is given none."""
+    atlas = _with_chart(_two_charts(), (1,), tangent_dims=(0,))
+    return _with_chart(atlas, (1, 2), tangent_dims=(0,))
 
 
 # ---------------------------------------------------------------------------
@@ -127,3 +206,46 @@ def test_domain_intersection():
         {"clause": "domain_intersection", "indices": ((1,), (1, 2), (1, 3))},
         {"clause": "domain_intersection", "indices": ((1,), (1, 3), (1, 2))},
     ]
+
+
+def test_domain_not_in_phibar():
+    assert check_tame_and_filtration(tilde_of_12_without_b()).failures == [
+        {"clause": "domain_intersection", "indices": ((1,), (1, 2), (1, 3))},
+        {"clause": "domain_intersection", "indices": ((1,), (1, 2), (1, 2, 3))},
+        {"clause": "domain_intersection", "indices": ((1,), (1, 3), (1, 2))},
+        {"clause": "domain_intersection", "indices": ((1,), (1, 2, 3), (1, 2))},
+        {"clause": "pushforward_identity", "indices": ((1,), (1, 2), (1, 2))},
+        {"clause": "domain_not_in_phibar", "indices": ((1,), (1, 2), (1, 2, 3))},
+    ]
+
+
+def test_filtration_index_missing():
+    assert check_tame_and_filtration(no_chart_2_under_a_line()).failures == [
+        {"clause": "filtration_index_missing", "indices": ((1, 2), (2, 3), (1, 2, 3))},
+        {"clause": "filtration_index_missing", "indices": ((2, 3), (1, 2), (1, 2, 3))},
+    ]
+
+
+def test_footprint_not_class_constant():
+    assert check_chart(footprint_b_on_a_sample_over_a(), (1,)).failures == [
+        {"clause": "footprint_not_class_constant", "point": 1}
+    ]
+
+
+def test_obstruction_not_additive():
+    assert check_atlas_model(line_on_chart_12_only()).failures == [
+        {"clause": "obstruction_not_additive", "index": (1, 2)}
+    ]
+
+
+def test_tbc_shape():
+    rep = check_coordinate_change(tangent_line_on_chart_12_only(), (1,), (1, 2))
+    assert rep.failures == [
+        {"clause": "index_condition", "dims": (0, 1, 0, 0)},
+        {"clause": "tbc_shape"},
+    ]
+
+
+def test_tilde_tangent_dimension():
+    rep = check_coordinate_change(tangent_line_lost_by_tilde(), (1,), (1, 2))
+    assert rep.failures == [{"clause": "tilde_tangent_dimension", "expected": 1}]
