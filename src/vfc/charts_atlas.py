@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -273,7 +274,8 @@ class GroupQuotientModel:
         least = self.perms.min(axis=0, initial=len(self.points))
         members = np.argsort(least, kind="stable")
         ranked = least[members]
-        new = np.r_[True, ranked[1:] != ranked[:-1]][: len(members)]
+        new = np.ones(len(members), dtype=bool)
+        new[1:] = ranked[1:] != ranked[:-1]
         index = np.empty(len(members), dtype=np.int64)
         index[members] = np.cumsum(new) - 1
         index.flags.writeable = False
@@ -368,13 +370,22 @@ class RationalArray:
         if isinstance(values, RationalArray):
             return cls(_shaped(values.num, shape, where), values.den)
         entries = _shaped(np.array(values, dtype=object), shape, where)
-        flat = [f if type(f) is Fraction else Fraction(f) for f in entries.ravel().tolist()]
-        den = math.lcm(1, *(f.denominator for f in flat))
-        nums = [f.numerator * (den // f.denominator) for f in flat]
+        flat = entries.ravel().tolist()
+        parts = _read_rationals(flat)
+        if parts is None:
+            flat = [f if type(f) is Fraction else Fraction(f) for f in flat]
+            parts = [f.numerator for f in flat], [f.denominator for f in flat]
+        return cls._of_parts(*parts, entries.shape, where)
+
+    @classmethod
+    def _of_parts(cls, nums: list, dens: list, shape: tuple, where: str) -> "RationalArray":
+        """The rationals ``nums[k] / dens[k]``, each in lowest terms."""
+        den = math.lcm(1, *set(dens))
+        nums = [n * (den // d) for n, d in zip(nums, dens)]
         if max([den, *map(abs, nums)]) > INT64_MAX:
             raise ValueError(f"{where}: the entries over their common denominator "
                              f"{den} do not fit int64")
-        return cls(np.array(nums, dtype=np.int64).reshape(entries.shape), den)
+        return cls(np.array(nums, dtype=np.int64).reshape(shape), den)
 
     @classmethod
     def reduced(cls, num: np.ndarray, den: int) -> "RationalArray":
@@ -447,6 +458,26 @@ class RationalArray:
         while float(Fraction(m + 1, self.den)) <= bound:
             m += 1
         return m
+
+
+_WIRE = re.compile(r"[-+]?[0-9]+/0*[1-9][0-9]*")
+_WIRE_LIST = re.compile(rf"{_WIRE.pattern}(?: {_WIRE.pattern})*")
+
+
+def _read_rationals(values: list) -> tuple[list, list] | None:
+    """Numerators and denominators, in lowest terms, of a nonempty list of
+    ``"p/q"`` strings with q > 0, read with one match and no ``Fraction``
+    per entry; ``None`` for any other list."""
+    try:
+        text = " ".join(values)
+    except TypeError:
+        return None
+    if not _WIRE_LIST.fullmatch(text):
+        return None
+    ints = list(map(int, text.replace("/", " ").split()))
+    nums, dens = ints[0::2], ints[1::2]
+    common = list(map(math.gcd, nums, dens))
+    return [n // g for n, g in zip(nums, common)], [d // g for d, g in zip(dens, common)]
 
 
 def _shaped(array: np.ndarray, shape: tuple, where: str) -> np.ndarray:
@@ -736,25 +767,39 @@ def check_group_covering(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckReport
     fixed = moved[kernel] == ys
     for k in np.flatnonzero(fixed.any(axis=1) & (kernel != tgt.group.identity)).tolist():
         rep.fail("kernel_action_not_free", element=names[kernel[k]], point=int(ys[fixed[k].argmax()]))
-    # fibers of ρ are kernel orbits; the orbits of one sample per fiber in one call
-    fibers: dict = {}
-    for y, x in zip(ys.tolist(), xs.tolist()):
-        fibers.setdefault(x, set()).add(y)
-    orbits = tgt.domain.perms[kernel][:, [next(iter(fib)) for fib in fibers.values()]].T.tolist()
-    for (x, fib), orbit in zip(fibers.items(), orbits):
-        if len(fib) != len(kernel):
-            rep.fail("fiber_size", source_point=x, size=len(fib))
-        elif set(orbit) != fib:
+    # fibers of ρ are kernel orbits, in the order Ũ_IJ first meets them.  A
+    # full-size fiber is the kernel orbit of a member y when that orbit has
+    # distinct members in the fiber; where members disagree, y is the one a
+    # set of the fiber, filled in Ũ_IJ order, yields first.
+    keep = _firsts(ys)
+    ys1, xs1 = ys[keep], xs[keep]
+    heads = _firsts(xs1)
+    number = np.zeros(len(src.domain.points), dtype=np.int64)
+    number[xs1[heads]] = np.arange(len(heads))
+    fiber = number[xs1]
+    rho_at = np.full(len(tgt.domain.points), -1, dtype=np.int64)
+    rho_at[ys1] = xs1
+    orbit = tgt.domain.perms[kernel][:, ys1]
+    ranked = np.sort(orbit, axis=0)
+    ok = (rho_at[orbit] == xs1).all(axis=0) & (ranked[1:] != ranked[:-1]).all(axis=0)
+    size = np.bincount(fiber, minlength=len(heads))
+    n_ok = np.bincount(fiber, weights=ok, minlength=len(heads))
+    for h in np.flatnonzero((size != len(kernel)) | (n_ok < size)).tolist():
+        x, members = int(xs1[heads[h]]), ys1[fiber == h].tolist()
+        if size[h] != len(kernel):
+            rep.fail("fiber_size", source_point=x, size=len(members))
+        elif not n_ok[h] or not ok[fiber == h][members.index(next(iter(set(members))))]:
             rep.fail("fiber_not_kernel_orbit", source_point=x)
     # induced quotient map Ũ_IJ/Γ_J → image/Γ_I is a bijection: per target
     # class, in the order Ũ_IJ first meets it, the source classes it meets
     n_I, cls_J = len(src.domain.classes()), tgt.domain.class_index[ys]
-    met = _distinct(cls_J * n_I + src.domain.class_index[xs])
+    met = cls_J * n_I + src.domain.class_index[xs]
+    met = np.sort(met[_firsts(met)])
     owner = met // n_I
     many = set(owner[1:][owner[1:] == owner[:-1]].tolist())
     for c in sorted(many, key=cls_J.tolist().index):
         rep.fail("quotient_map_not_well_defined", target_class=c)
-    if len(met) != len(_distinct(met % n_I)):
+    if len(met) != len(_firsts(met % n_I)):
         rep.fail("quotient_map_not_injective")
     # stabilizers map isomorphically Γ_J^y → Γ_I^{ρ(y)}: per element of Γ_I,
     # the elements of Γ_J^y that project to it, against Γ_I^{ρ(y)}
@@ -1215,10 +1260,14 @@ def _ints(values) -> np.ndarray:
     return np.asarray(values, dtype=np.int64)
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values, sorted (``np.unique`` without loading numpy.ma)."""
-    values = np.sort(values)
-    return values[np.r_[True, values[1:] != values[:-1]][: len(values)]]
+def _firsts(values: np.ndarray) -> np.ndarray:
+    """The positions of the first occurrence of each value, in order (as
+    ``np.unique`` gives them, without loading numpy.ma)."""
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = ranked[1:] != ranked[:-1]
+    return np.sort(order[new])
 
 
 def _is_int64(value) -> bool:
@@ -1568,10 +1617,68 @@ def _runs(counts) -> tuple[np.ndarray, np.ndarray]:
     return run, np.arange(len(run)) - _offsets(counts)[run]
 
 
-def _block_category(atlas: AtlasModel, blocks: list, ne: np.ndarray, act: list,
-                    phi: list) -> tuple:
+@dataclass(frozen=True, eq=False)
+class _Blocks:
+    """The blocks (I, J, Ũ_IJ, ρ_IJ) of pairs of index sets I ⊆ J, as the
+    int arrays that :func:`_block_category`, :func:`_associative_by_groups`
+    and :func:`_obstruction_facts` read, made once.
+
+    Per index set i, in ``indices`` order: its group, ``order``,
+    ``n_points`` and ``one`` (the identity); ``mul``, ``inverse`` and
+    ``perms``, each flat with where each index set starts.  Per block k:
+    the positions ``I[k]`` and ``J[k]`` of its index sets, and ``tilde``,
+    ``rho`` and ``proj`` (ρ^Γ_{JI}), flat in the same way.  ``chains`` has
+    a row (k1, k2, k3) for each two blocks (I, J), (J, K) and the block
+    (I, K)."""
+
+    blocks: list
+    indices: list
+    groups: list
+    order: np.ndarray
+    n_points: np.ndarray
+    one: np.ndarray
+    mul: tuple
+    inverse: tuple
+    perms: tuple
+    I: np.ndarray
+    J: np.ndarray
+    tilde: tuple
+    rho: tuple
+    proj: tuple
+    chains: np.ndarray
+
+    @classmethod
+    def of(cls, atlas: AtlasModel, blocks: list) -> "_Blocks":
+        indices = atlas.index_sets()
+        where = {I: i for i, I in enumerate(indices)}
+        domains = [atlas.charts[I].domain for I in indices]
+        groups = [d.group for d in domains]
+        position = {b[:2]: k for k, b in enumerate(blocks)}
+        chains = _ints([
+            (k1, k2, position[(b1[0], b2[1])])
+            for k1, b1 in enumerate(blocks)
+            for k2, b2 in enumerate(blocks)
+            if b1[1] == b2[0] and (b1[0], b2[1]) in position
+        ]).reshape(-1, 3)
+        return cls(
+            blocks, indices, groups,
+            _ints([g.order for g in groups]),
+            _ints([len(d.points) for d in domains]),
+            _ints([g.identity for g in groups]),
+            _flat(g.table for g in groups),
+            _flat(g.inverse for g in groups),
+            _flat(d.perms for d in domains),
+            *(_ints([where[b[k]] for b in blocks]) for k in (0, 1)),
+            _flat(b[2] for b in blocks),
+            _flat(b[3] for b in blocks),
+            _flat(atlas.projection[b[:2]] for b in blocks),
+            chains,
+        )
+
+
+def _block_category(bk: _Blocks, ne: np.ndarray, act: list, phi: list) -> tuple:
     """The int arrays of the category with objects (I, x, e) and morphisms
-    (I, J, y, e, γ) over ``blocks``, the (I, J, Ũ_IJ, ρ_IJ) of pairs I ⊆ J.
+    (I, J, y, e, γ) over the blocks ``bk``.
 
     e runs over ``ne[i]`` grid points of the i-th index set I, with Γ_I
     acting by ``act[i][γ, e]`` and φ̂ of the k-th block by ``phi[k][e]``.
@@ -1584,46 +1691,35 @@ def _block_category(atlas: AtlasModel, blocks: list, ne: np.ndarray, act: list,
     whose composite is no morphism as (f, g, I, K, z, e, γ) with γ named,
     and per morphism the position of I and ρ(y).
     """
-    indices = atlas.index_sets()
-    where = {I: i for i, I in enumerate(indices)}
-    groups = [atlas.charts[I].group for I in indices]
-    order = _ints([g.order for g in groups])
-    n_points = _ints([len(atlas.charts[I].domain.points) for I in indices])
-    block_I, block_J = (_ints([where[b[k]] for b in blocks]) for k in (0, 1))
-    block_of = np.full((len(indices), len(indices)), -1, dtype=np.int64)
-    block_of[block_I, block_J] = np.arange(len(blocks))
-    tilde, tilde_start = _flat(b[2] for b in blocks)
-    rho, _ = _flat(b[3] for b in blocks)
-    grid, grid_start = _flat(act)
-    # γ⁻¹ on the samples and on the grid: row γ of each
-    back_perms, back_start = _flat(
-        atlas.charts[I].domain.perms[g.inverse] for I, g in zip(indices, groups)
-    )
-    back_grid, _ = _flat(np.asarray(a)[g.inverse] for a, g in zip(act, groups))
+    order, n_points = bk.order, bk.n_points
+    block_of = np.full((len(bk.indices), len(bk.indices)), -1, dtype=np.int64)
+    block_of[bk.I, bk.J] = np.arange(len(bk.blocks))
+    (tilde, tilde_start), (rho, _) = bk.tilde, bk.rho
+    (inverse, at), (perms, perm_start), (mul, mul_start) = bk.inverse, bk.perms, bk.mul
+    (proj, proj_start), (grid, grid_start) = bk.proj, _flat(act)
     phis, phi_start = _flat(phi)
-    proj, proj_start = _flat(atlas.projection[b[:2]] for b in blocks)
-    mul, mul_start = _flat(g.table for g in groups)
     obj_start = _offsets(n_points * ne)
-    start = _offsets(np.diff(tilde_start) * order[block_I] * ne[block_I])
+    start = _offsets(np.diff(tilde_start) * order[bk.I] * ne[bk.I])
     # per morphism: its block, I, J, e, γ and y at position t of Ũ_IJ
     block, local = _runs(np.diff(start))
-    I, J = block_I[block], block_J[block]
+    I, J = bk.I[block], bk.J[block]
     e, local = local % ne[I], local // ne[I]
     gamma, t = local % order[I], tilde_start[block] + local // order[I]
     y, x = tilde[t], rho[t]
+    back = inverse[at[I] + gamma]  # γ⁻¹
     src = (
         obj_start[I]
-        + back_perms[back_start[I] + gamma * n_points[I] + x] * ne[I]
-        + back_grid[grid_start[I] + gamma * ne[I] + e]
+        + perms[perm_start[I] + back * n_points[I] + x] * ne[I]
+        + grid[grid_start[I] + back * ne[I] + e]
     )
     tgt = obj_start[J] + y * ne[J] + phis[phi_start[block] + e]
     # the identity of (I, x, e) is (I, I, x, e, 1): t = x in the block (I, I)
     i, local = _runs(n_points * ne)
-    one = _ints([g.identity for g in groups])[i]
-    identity = start[block_of[i, i]] + (local // ne[i] * order[i] + one) * ne[i] + local % ne[i]
+    identity = (start[block_of[i, i]]
+                + (local // ne[i] * order[i] + bk.one[i]) * ne[i] + local % ne[i])
     pairs = PairIndex.of(obj_start[-1], src, tgt)
     # place[k, y]: the position of sample y in the k-th block's Ũ_IJ, or -1
-    place = np.full((len(blocks), int(n_points.max(initial=0))), -1, dtype=np.int64)
+    place = np.full((len(bk.blocks), int(n_points.max(initial=0))), -1, dtype=np.int64)
     k, position = _runs(np.diff(tilde_start))
     place[k, tilde] = position
     f, g = pairs.f, pairs.g
@@ -1635,35 +1731,24 @@ def _block_category(atlas: AtlasModel, blocks: list, ne: np.ndarray, act: list,
     t2 = np.where(k >= 0, place[k, z], -1)
     comp = np.where(t2 >= 0, start[k] + (t2 * order[fI] + gamma2) * ne[fI] + e2, -1)
     missing = [
-        (f[p], g[p], indices[fI[p]], indices[K[p]], int(z[p]), int(e2[p]),
-         groups[fI[p]].elements[gamma2[p]])
+        (f[p], g[p], bk.indices[fI[p]], bk.indices[K[p]], int(z[p]), int(e2[p]),
+         bk.groups[fI[p]].elements[gamma2[p]])
         for p in np.flatnonzero(t2 < 0).tolist()
     ]
     return (src, tgt, identity, pairs, comp), missing, I, x
 
 
-def _chains(blocks: list) -> np.ndarray:
-    """The chains of blocks (I, J), (J, K) with a block (I, K), as rows
-    (first, second, composite) of their positions in ``blocks``."""
-    where = {b[:2]: k for k, b in enumerate(blocks)}
-    return _ints([
-        (k1, k2, where[(b1[0], b2[1])])
-        for k1, b1 in enumerate(blocks)
-        for k2, b2 in enumerate(blocks)
-        if b1[1] == b2[0] and (b1[0], b2[1]) in where
-    ]).reshape(-1, 3)
-
-
-def _maps_compose(maps: list, outer: np.ndarray, inner: np.ndarray,
+def _maps_compose(maps: tuple, outer: np.ndarray, inner: np.ndarray,
                   whole: np.ndarray) -> bool:
-    """Whether ``maps[outer[c]] ∘ maps[inner[c]] == maps[whole[c]]`` for
-    every c, each map an int array of images that lie in the next's domain."""
-    flat, start = _flat(maps)
+    """Whether map ``outer[c]`` after map ``inner[c]`` is map ``whole[c]``
+    for every c, the maps flat int arrays of images ``(flat, start)`` whose
+    images lie in the next map's domain."""
+    flat, start = maps
     c, v = _runs(np.diff(start)[inner])
     return bool((flat[start[outer[c]] + flat[start[inner[c]] + v]] == flat[start[whole[c]] + v]).all())
 
 
-def _associative_by_groups(atlas: AtlasModel, blocks: list, chains: np.ndarray) -> bool:
+def _associative_by_groups(bk: _Blocks) -> bool:
     """Whether B_K's associativity follows from its group facts: every Γ_I
     is a group, the ρ^Γ_{JI} of every block is a homomorphism Γ_J → Γ_I,
     and ρ^Γ_{JI} ∘ ρ^Γ_{KJ} = ρ^Γ_{KI} on every chain of blocks.
@@ -1672,19 +1757,15 @@ def _associative_by_groups(atlas: AtlasModel, blocks: list, chains: np.ndarray) 
     composite defined, both bracketings are (I, L, w, ρ^Γ_{KI}(ε)·ρ^Γ_{JI}(δ)·γ)
     (see :func:`_block_category`): ρ^Γ_{JI}(ρ^Γ_{KJ}(ε)·δ)·γ equals it by the
     two facts on ρ^Γ, and ρ^Γ_{KI}(ε)·(ρ^Γ_{JI}(δ)·γ) by associativity."""
-    groups = [atlas.charts[b[0]].group for b in blocks] + [atlas.charts[b[1]].group for b in blocks]
-    if not all(g.validate().ok for g in groups):
+    if not all(g.validate().ok for g in bk.groups):
         return False
-    proj = [atlas.projection[b[:2]] for b in blocks]
-    maps, map_start = _flat(proj)
-    into, into_start = _flat(g.table for g in groups[: len(blocks)])
-    table, table_start = _flat(g.table for g in groups[len(blocks):])
+    (proj, start), (mul, at), order = bk.proj, bk.mul, bk.order
     # ρ(a·b) = ρ(a)·ρ(b) over Γ_J × Γ_J, every block at once
-    k, ab = _runs(np.diff(table_start))
-    n_J, n_I = np.diff(map_start)[k], _ints([g.order for g in groups[: len(blocks)]])[k]
-    image = maps[map_start[k] + ab // n_J] * n_I + maps[map_start[k] + ab % n_J]
-    homomorphic = maps[map_start[k] + table[table_start[k] + ab]] == into[into_start[k] + image]
-    return bool(homomorphic.all()) and _maps_compose(proj, *chains.T)
+    k, ab = _runs(order[bk.J] ** 2)
+    I, J = bk.I[k], bk.J[k]
+    image = proj[start[k] + ab // order[J]] * order[I] + proj[start[k] + ab % order[J]]
+    homomorphic = proj[start[k] + mul[at[J] + ab]] == mul[at[I] + image]
+    return bool(homomorphic.all()) and _maps_compose(bk.proj, *bk.chains.T)
 
 
 def build_categories(atlas: AtlasModel) -> CategoriesResult:
@@ -1693,7 +1774,9 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
     E_K's object (I, x, e) is ``eo_base[(I, x)] + e``, its morphism
     (I, J, y, e, γ) is ``e_base[b] + e`` for B_K's b = (I, J, y, γ), and
     its endpoints, identities and composites are B_K's with e moved by Γ_I
-    and φ̂.  B_K is checked by exhaustion.  E_K's axioms and the laws of
+    and φ̂.  B_K is checked on its arrays; its associativity follows from
+    the group facts of :func:`_associative_by_groups`, and only where one
+    fails are its composable triples scanned.  E_K's axioms and the laws of
     pr, section and zero follow when (1) B_K passes, (2) Γ_I acts on grid
     indices, and on them φ̂ (3) maps grids into grids, is (4) ρ^Γ-equivariant
     and (5) composes, and (6) the section is Γ_I-equivariant and φ̂-compatible
@@ -1713,8 +1796,8 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
             elif set(I) < set(J) and (I, J) in atlas.changes:
                 change = atlas.changes[(I, J)]
                 blocks.append((I, J, change.tilde, change.rho))
-    chains = _chains(blocks)
-    n_points = [len(atlas.charts[I].domain.points) for I in indices]
+    bk = _Blocks.of(atlas, blocks)
+    n_points = bk.n_points.tolist()
 
     def axioms(name, report):
         report.name = name
@@ -1724,9 +1807,9 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
 
     # ----- B_K -----
     objects = tuple((I, x) for I, n in zip(indices, n_points) for x in range(n))
-    one_point = [np.zeros((atlas.charts[I].group.order, 1)) for I in indices]
+    one_point = [np.zeros((g.order, 1), dtype=np.int64) for g in bk.groups]
     arrays, missing, b_I, b_rho = _block_category(
-        atlas, blocks, _ints([1] * len(indices)), one_point, [[0]] * len(blocks)
+        bk, np.ones(len(indices), dtype=np.int64), one_point, [_ints([0])] * len(blocks)
     )
     morphisms = tuple(
         (I, J, y, gamma)
@@ -1737,7 +1820,7 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
     for f, g, I, K, z, _, gamma in missing:
         rep.fail("composability_violated", pair=(morphisms[f], morphisms[g]),
                  result=(I, K, z, gamma))
-    associative = not missing and _associative_by_groups(atlas, blocks, chains)
+    associative = not missing and _associative_by_groups(bk)
     B = FiniteCategory(objects, morphisms, *arrays, associative=associative)
     axioms("category_axioms", check_category(B))
 
@@ -1777,7 +1860,9 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
             for (I, J, y, gamma), ne in zip(morphisms, mor_ne.tolist())
             for e in range(ne if e_blocks else 0)
         ))
-        arrays, missing, _, _ = _block_category(atlas, e_blocks, _ints(n_e), eact, e_phi)
+        arrays, missing, _, _ = _block_category(
+            bk if grids_closed else _Blocks.of(atlas, []), _ints(n_e), eact, e_phi
+        )
         return FiniteCategory(e_objects, e_morphisms, *arrays), missing
 
     # the section and the zero vector on grid indices
@@ -1790,7 +1875,7 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
     zero_idx = [([-1] + np.flatnonzero(~g.num.any(axis=1)).tolist())[-1] for g in grids]
     E = None
     if B.failure is None and grids_closed and _obstruction_facts(
-        atlas, blocks, chains, eact, phi_idx, s_idx if s_ok else None
+        bk, eact, phi_idx, s_idx if s_ok else None
     ):
         weights = mor_ne[B.pairs.f]
         rep.details["category_axioms_E"] = {
@@ -1844,8 +1929,7 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
     )
 
 
-def _obstruction_facts(atlas: AtlasModel, blocks: list, chains: np.ndarray, act: list,
-                       phi: list, s_idx: dict | None) -> bool:
+def _obstruction_facts(bk: _Blocks, act: list, phi: list, s_idx: dict | None) -> bool:
     """Facts 2, 4, 5 and 6 of :func:`build_categories`, with ``act[i]`` and
     ``phi[k]`` as :func:`_block_category` takes them and ``s_idx[I]`` the
     section's grid index per sample of I (``None`` skips fact 6): Γ_I is
@@ -1853,51 +1937,42 @@ def _obstruction_facts(atlas: AtlasModel, blocks: list, chains: np.ndarray, act:
     φ̂_JK ∘ φ̂_IJ; s(γ·x) = γ·s(x) and φ̂_IJ(s_I(ρ(y))) = s_J(y).  Sample
     indices must lie in their charts, so that E_K lies over B_K.  Each fact
     is checked on all charts, blocks or chains at once."""
-    indices = atlas.index_sets()
-    charts = [atlas.charts[I] for I in indices]
-    if not all(chart.group.validate().ok for chart in charts):
+    if not all(g.validate().ok for g in bk.groups):
         return False
-    where = {I: i for i, I in enumerate(indices)}
-    b_I, b_J = (_ints([where[b[k]] for b in blocks]) for k in (0, 1))
-    n = _ints([len(chart.domain.points) for chart in charts])
-    order = _ints([chart.group.order for chart in charts])
-    ne = _ints([a.shape[1] for a in act])
-    grid, at = _flat(act)
-    perms, perm_start = _flat(chart.domain.perms for chart in charts)
-    mul, mul_start = _flat(chart.group.table for chart in charts)
-    tilde, tilde_start = _flat(b[2] for b in blocks)
-    rho, _ = _flat(b[3] for b in blocks)
-    phis, phi_start = _flat(phi)
-    proj, proj_start = _flat(atlas.projection[b[:2]] for b in blocks)
-    k, t = _runs(np.diff(tilde_start))
+    n, order, ne = bk.n_points, bk.order, _ints([a.shape[1] for a in act])
+    (perms, perm_start), (mul, mul_start), (proj, proj_start) = bk.perms, bk.mul, bk.proj
+    (tilde, tilde_start), (rho, _) = bk.tilde, bk.rho
+    (grid, at), (phis, phi_start) = _flat(act), _flat(phi)
+    k, _ = _runs(np.diff(tilde_start))
     i = _runs(order * n)[0]
     if not (
         ((perms >= 0) & (perms < n[i])).all()
-        and ((tilde >= 0) & (tilde < n[b_J[k]]) & (rho >= 0) & (rho < n[b_I[k]])).all()
+        and ((tilde >= 0) & (tilde < n[bk.J[k]]) & (rho >= 0) & (rho < n[bk.I[k]])).all()
     ):
         return False
     # the identity fixes the grid, and (γδ)·e = γ·(δ·e)
     i, e = _runs(ne)
-    one = _ints([chart.group.identity for chart in charts])
-    facts = [grid[at[i] + one[i] * ne[i] + e] == e]
+    facts = [grid[at[i] + bk.one[i] * ne[i] + e] == e]
     i, x = _runs(order**2 * ne)
     gd, e = x // ne[i], x % ne[i]
     acted = grid[at[i] + gd % order[i] * ne[i] + e]
     facts.append(grid[at[i] + mul[mul_start[i] + gd] * ne[i] + e]
                  == grid[at[i] + gd // order[i] * ne[i] + acted])
     # φ̂(ρ^Γ(δ)·e) = δ·φ̂(e) for δ in Γ_J and e in the grid of I
-    c, x = _runs(order[b_J] * ne[b_I])
-    I, J = b_I[c], b_J[c]
+    c, x = _runs(order[bk.J] * ne[bk.I])
+    I, J = bk.I[c], bk.J[c]
     d, e = x // ne[I], x % ne[I]
     facts.append(phis[phi_start[c] + grid[at[I] + proj[proj_start[c] + d] * ne[I] + e]]
                  == grid[at[J] + d * ne[J] + phis[phi_start[c] + e]])
     if s_idx is not None:
-        s, s_start = _flat(s_idx[I] for I in indices)
+        s, s_start = _flat(s_idx[I] for I in bk.indices)
         i, x = _runs(order * n)
         facts.append(s[s_start[i] + perms[perm_start[i] + x]]
                      == grid[at[i] + x // n[i] * ne[i] + s[s_start[i] + x % n[i]]])
-        facts.append(phis[phi_start[k] + s[s_start[b_I[k]] + rho]] == s[s_start[b_J[k]] + tilde])
-    return all(fact.all() for fact in facts) and _maps_compose(phi, *chains[:, [1, 0, 2]].T)
+        facts.append(phis[phi_start[k] + s[s_start[bk.I[k]] + rho]] == s[s_start[bk.J[k]] + tilde])
+    return all(fact.all() for fact in facts) and _maps_compose(
+        (phis, phi_start), *bk.chains[:, [1, 0, 2]].T
+    )
 
 
 def _footprint_labels(atlas: AtlasModel, rep: CheckReport) -> dict:
@@ -2113,14 +2188,29 @@ def _quotient_to_json(q: GroupQuotientModel) -> dict:
 
 def _quotient_from_json(d: dict, where: str) -> GroupQuotientModel:
     group = _group_from_json(d["group"], where)
-    points = RationalArray.of(
-        [[parse_rat(c) for c in p] for p in d["points"]], f"{where}: points", (-1, -1)
-    )
+    # rows of "p/q" of one length are read at once; anything else entry by
+    # entry, so that the first fault raises as before
+    rows, name = d["points"], f"{where}: points"
+    parts, width = None, {len(p) if type(p) is list else -1 for p in rows}
+    if len(width) == 1 and min(width) > 0:
+        parts = _read_rationals([c for p in rows for c in p])
+    if parts is None:
+        points = RationalArray.of([[parse_rat(c) for c in p] for p in rows], name, (-1, -1))
+    else:
+        points = RationalArray._of_parts(*parts, (len(rows), width.pop()), name)
     perms = _by_element(where, "perms", d["perms"], group.elements)
-    for name, perm in zip(group.elements, perms):
-        # an index out of range would reach the validators as a wrong sample
-        if len(perm) != len(points) or not all(0 <= i < len(points) for i in perm):
-            raise ValueError(f"{where}: perms of {name!r} is no map of the {len(points)} samples")
+    # an index out of range would reach the validators as a wrong sample;
+    # int rows of the right length are checked at once, others one by one
+    suspects = range(len(perms))
+    if {len(p) if type(p) is list else -1 for p in perms} <= {len(points)}:
+        table = np.array(perms)
+        if table.dtype.kind == "i" and table.shape == (len(perms), len(points)):
+            suspects = np.flatnonzero(((table < 0) | (table >= len(points))).any(axis=1)).tolist()
+    for k in suspects:
+        if len(perms[k]) != len(points) or not all(0 <= i < len(points) for i in perms[k]):
+            raise ValueError(
+                f"{where}: perms of {group.elements[k]!r} is no map of the {len(points)} samples"
+            )
     affine = None
     if "affine" in d:
         affine, dim = [], points.num.shape[1]
