@@ -173,9 +173,9 @@ class FiniteGroup:
             rep.fail("identity_missing", identity=e)
             return rep
         every = np.arange(n)
-        for a in np.flatnonzero((table[e] != every) | (table[:, e] != every)).tolist():
+        for a in _where((table[e] != every) | (table[:, e] != every)).tolist():
             rep.fail("identity_law", element=names[a])
-        for a in np.flatnonzero(self.inverse < 0).tolist():
+        for a in _where(self.inverse < 0).tolist():
             rep.fail("no_inverse", element=names[a])
         for a, b in np.argwhere((table < 0) | (table >= n)).tolist():
             rep.fail("not_closed", pair=(names[a], names[b]))
@@ -279,7 +279,7 @@ class GroupQuotientModel:
         index = np.empty(len(members), dtype=np.int64)
         index[members] = np.cumsum(new) - 1
         index.flags.writeable = False
-        bounds, members = [*np.flatnonzero(new).tolist(), len(members)], members.tolist()
+        bounds, members = [*_where(new).tolist(), len(members)], members.tolist()
         return [tuple(members[a:b]) for a, b in zip(bounds, bounds[1:])], index
 
     def classes(self) -> list[tuple[int, ...]]:
@@ -304,7 +304,7 @@ def check_group_quotient(model: GroupQuotientModel) -> CheckReport:
     ids = np.arange(len(model.points))
     if 0 <= group.identity < group.order and (perms[group.identity] != ids).any():
         rep.fail("identity_not_trivial")
-    for g in np.flatnonzero((np.sort(perms, axis=1) != ids).any(axis=1)).tolist():
+    for g in _where((np.sort(perms, axis=1) != ids).any(axis=1)).tolist():
         rep.fail("not_a_permutation", element=names[g])
     if rep.ok:
         bad = perms[group.table] != perms[:, perms]
@@ -317,7 +317,7 @@ def check_group_quotient(model: GroupQuotientModel) -> CheckReport:
         images = _matmul(points, model.affine.mT, "affine")
         moved = RationalArray(points.num[perms, :-1], points.den)
         bad = ~_equal(images, moved, "affine").all(axis=2)
-        for g in np.flatnonzero(bad.any(axis=1)).tolist():
+        for g in _where(bad.any(axis=1)).tolist():
             rep.fail("affine_vs_permutation", element=names[g], point=int(bad[g].argmax()))
     if model.membership is not None:
         for i, p in enumerate(model.points.fractions()):
@@ -582,7 +582,7 @@ class ChartModel:
         return self.domain.group
 
     def zero_sample_indices(self) -> list[int]:
-        return np.flatnonzero(~self.section_samples.num.any(axis=1)).tolist()
+        return _where(~self.section_samples.num.any(axis=1)).tolist()
 
     @functools.cached_property
     def grid_action(self) -> np.ndarray:
@@ -609,16 +609,16 @@ def check_chart(atlas: "AtlasModel", I: tuple) -> CheckReport:
         bad = (g0.table < 0) | ~_equal(
             products, RationalArray(act.num[g0.table], act.den), where
         ).all(axis=(2, 3))
-        for a in np.flatnonzero(bad.any(axis=1)).tolist():
+        for a in _where(bad.any(axis=1)).tolist():
             rep.fail("obstruction_action_law", pair=(names[a], names[bad[a].argmax()]))
         outside = chart.grid_action < 0
-        for g in np.flatnonzero(outside.any(axis=1)).tolist():
+        for g in _where(outside.any(axis=1)).tolist():
             vector = tuple(grid.fractions()[outside[g].argmax()])
             rep.fail("obstruction_grid_not_stable", element=names[g], vector=vector)
         # section equivariance on declared samples: s(γx) = γ·s(x)
         moved = RationalArray(samples.num[chart.domain.perms], samples.den)
         bad = ~_equal(_matmul(samples, act.mT, where), moved, where).all(axis=2)
-        for g in np.flatnonzero(bad.any(axis=1)).tolist():
+        for g in _where(bad.any(axis=1)).tolist():
             rep.fail("section_not_equivariant", element=names[g], point=int(bad[g].argmax()))
     # footprint map: (zero samples)/Γ_I → F_I bijection
     zeros = chart.zero_sample_indices()
@@ -646,7 +646,7 @@ def check_chart(atlas: "AtlasModel", I: tuple) -> CheckReport:
         section = compile_vector(chart.section_asts, ())
         got, _, error = evaluate_until_raise(section, chart.domain.coordinates)
         err = _max_abs_error(got, samples.floats())
-        bad = np.flatnonzero(err > LOOSE_TOL)
+        bad = _where(err > LOOSE_TOL)
         if bad.size:
             rep.fail("section_ast_inconsistent", point=int(bad[0]), error=float(err[bad[0]]))
         elif error is not None:
@@ -708,14 +708,10 @@ class CoordinateChangeModel:
         sample of Ũ_IJ without a value, or a value that is no int, raises
         ``KeyError`` naming it, as a lookup of it in a chart would."""
         values = [self.rho_idx[y] for y in self.tilde_indices]
-        try:
-            rho = _ints(values)
-            exact = rho.tolist() == values
-        except (TypeError, ValueError, OverflowError):
-            exact = False
-        if not exact:
-            raise KeyError(next(v for v in values if not _is_int64(v)))
-        return _frozen(rho)
+        for v in values:
+            if not isinstance(v, int) or abs(v) > INT64_MAX:
+                raise KeyError(v)
+        return _frozen(_ints(values))
 
     @functools.cached_property
     def image_annihilator(self) -> np.ndarray:
@@ -752,61 +748,48 @@ def check_group_covering(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckReport
     names = tgt.group.elements
     moved = tgt.domain.perms[:, change.tilde]
     ys, xs = change.tilde, change.rho
-    outside = np.flatnonzero((ys < 0) | (xs < 0) | (xs >= len(src.domain.points)))
+    outside = _where((ys < 0) | (xs < 0) | (xs >= len(src.domain.points)))
     if outside.size:
         t = outside[0]
         raise KeyError(int(ys[t] if ys[t] < 0 else xs[t]))
     # Ũ_IJ is Γ_J-invariant
     inside = np.zeros(len(tgt.domain.points), dtype=bool)
     inside[ys] = True
-    moved_out = np.flatnonzero(~inside[moved].all(axis=1))
+    moved_out = _where(~inside[moved].all(axis=1))
     if moved_out.size:
         rep.fail("tilde_not_invariant", element=names[moved_out[0]])
     kernel = atlas.kernel(I, J)
     rep.details["kernel_order"] = len(kernel)
     fixed = moved[kernel] == ys
-    for k in np.flatnonzero(fixed.any(axis=1) & (kernel != tgt.group.identity)).tolist():
+    for k in _where(fixed.any(axis=1) & (kernel != tgt.group.identity)).tolist():
         rep.fail("kernel_action_not_free", element=names[kernel[k]], point=int(ys[fixed[k].argmax()]))
-    # fibers of ρ are kernel orbits, in the order Ũ_IJ first meets them.  A
-    # full-size fiber is the kernel orbit of a member y when that orbit has
-    # distinct members in the fiber; where members disagree, y is the one a
-    # set of the fiber, filled in Ũ_IJ order, yields first.
-    keep = _firsts(ys)
-    ys1, xs1 = ys[keep], xs[keep]
-    heads = _firsts(xs1)
-    number = np.zeros(len(src.domain.points), dtype=np.int64)
-    number[xs1[heads]] = np.arange(len(heads))
-    fiber = number[xs1]
-    rho_at = np.full(len(tgt.domain.points), -1, dtype=np.int64)
-    rho_at[ys1] = xs1
-    orbit = tgt.domain.perms[kernel][:, ys1]
-    ranked = np.sort(orbit, axis=0)
-    ok = (rho_at[orbit] == xs1).all(axis=0) & (ranked[1:] != ranked[:-1]).all(axis=0)
-    size = np.bincount(fiber, minlength=len(heads))
-    n_ok = np.bincount(fiber, weights=ok, minlength=len(heads))
-    for h in np.flatnonzero((size != len(kernel)) | (n_ok < size)).tolist():
-        x, members = int(xs1[heads[h]]), ys1[fiber == h].tolist()
-        if size[h] != len(kernel):
-            rep.fail("fiber_size", source_point=x, size=len(members))
-        elif not n_ok[h] or not ok[fiber == h][members.index(next(iter(set(members))))]:
+    # fibers of ρ are kernel orbits; the orbits of one sample per fiber in one call
+    fibers: dict = {}
+    for y, x in zip(ys.tolist(), xs.tolist()):
+        fibers.setdefault(x, set()).add(y)
+    orbits = tgt.domain.perms[kernel][:, [next(iter(fib)) for fib in fibers.values()]].T.tolist()
+    for (x, fib), orbit in zip(fibers.items(), orbits):
+        if len(fib) != len(kernel):
+            rep.fail("fiber_size", source_point=x, size=len(fib))
+        elif set(orbit) != fib:
             rep.fail("fiber_not_kernel_orbit", source_point=x)
-    # induced quotient map Ũ_IJ/Γ_J → image/Γ_I is a bijection: per target
-    # class, in the order Ũ_IJ first meets it, the source classes it meets
-    n_I, cls_J = len(src.domain.classes()), tgt.domain.class_index[ys]
-    met = cls_J * n_I + src.domain.class_index[xs]
-    met = np.sort(met[_firsts(met)])
-    owner = met // n_I
-    many = set(owner[1:][owner[1:] == owner[:-1]].tolist())
-    for c in sorted(many, key=cls_J.tolist().index):
-        rep.fail("quotient_map_not_well_defined", target_class=c)
-    if len(met) != len(_firsts(met % n_I)):
+    # induced quotient map Ũ_IJ/Γ_J → image/Γ_I is a bijection
+    quot: dict = {}
+    for cj, ci in zip(tgt.domain.class_index[ys].tolist(), src.domain.class_index[xs].tolist()):
+        quot.setdefault(cj, set()).add(ci)
+    images = []
+    for cj, cis in quot.items():
+        if len(cis) != 1:
+            rep.fail("quotient_map_not_well_defined", target_class=cj)
+        images.extend(cis)
+    if len(images) != len(set(images)):
         rep.fail("quotient_map_not_injective")
     # stabilizers map isomorphically Γ_J^y → Γ_I^{ρ(y)}: per element of Γ_I,
     # the elements of Γ_J^y that project to it, against Γ_I^{ρ(y)}
     onto = np.eye(src.group.order, dtype=np.int64)[atlas.projection[(I, J)]].T
     hits = onto @ (moved == ys)
     bad = ((hits > 1) | ((hits > 0) != (src.domain.perms[:, xs] == xs))).any(axis=0)
-    for t in np.flatnonzero(bad).tolist():
+    for t in _where(bad).tolist():
         rep.fail("stabilizer_not_isomorphic", point=int(ys[t]))
     return rep
 
@@ -831,7 +814,7 @@ def check_coordinate_change(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckRep
         missing[g, t] = int(moved[g, t]) not in change.rho_idx
         image[g, t] = change.rho_idx.get(int(moved[g, t]), -1)
     bad = missing | (image != src.domain.perms[proj][:, xs])
-    for g in np.flatnonzero(bad.any(axis=1)).tolist():
+    for g in _where(bad.any(axis=1)).tolist():
         t = int(bad[g].argmax())
         if missing[g, t]:
             raise KeyError(int(moved[g, t]))
@@ -894,7 +877,7 @@ def check_coordinate_change(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckRep
         rho_f = compile_vector(change.rho_asts, ())
         got, _, error = evaluate_until_raise(rho_f, tgt.domain.coordinates[ys])
         err = _max_abs_error(got, src.domain.coordinates[xs[: len(got)]])
-        bad = np.flatnonzero(err > LOOSE_TOL)
+        bad = _where(err > LOOSE_TOL)
         if bad.size:
             rep.fail("rho_ast_inconsistent", point=int(ys[bad[0]]), error=float(err[bad[0]]))
         elif error is not None:
@@ -1027,7 +1010,7 @@ class AtlasModel:
 
     def kernel(self, I: tuple, J: tuple) -> np.ndarray:
         """Γ_{J∖I} as the elements of Γ_J that ρ^Γ_{JI} sends to the identity."""
-        return np.flatnonzero(self.projection[(I, J)] == self.charts[I].group.identity)
+        return _where(self.projection[(I, J)] == self.charts[I].group.identity)
 
     @functools.cached_property
     def closure_radius(self) -> Fraction | None:
@@ -1098,16 +1081,6 @@ def check_atlas_model(atlas: AtlasModel) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def _ubar_classes(atlas: AtlasModel, I: tuple, J: tuple) -> frozenset:
-    """Intermediate-level domain Ū_IJ as a set of chart-I class indices."""
-    return atlas.intermediate_domains[(I, J)][0]
-
-
-def _phibar_map(atlas: AtlasModel, I: tuple, J: tuple) -> dict:
-    """φ̲_IJ: Ū_IJ classes (in chart I) → Ū_J classes (in chart J)."""
-    return atlas.intermediate_domains[(I, J)][1]
-
-
 def check_cocycle(atlas: AtlasModel, strength: str = "weak") -> CheckReport:
     """Cocycle conditions over all triples I ⊊ J ⊊ K.
 
@@ -1142,10 +1115,8 @@ def check_cocycle(atlas: AtlasModel, strength: str = "weak") -> CheckReport:
         if not _composes(cJK.phi_hat, cIJ.phi_hat, cIK.phi_hat, f"cocycle {I}->{J}->{K}"):
             rep.fail("phi_hat_composition", triple=(I, J, K))
         if strength in {"cocycle", "strong"}:
-            u_IJ = _ubar_classes(atlas, I, J)
-            u_JK = _ubar_classes(atlas, J, K)
-            u_IK = _ubar_classes(atlas, I, K)
-            phibar = _phibar_map(atlas, I, J)
+            domains = atlas.intermediate_domains
+            (u_IJ, phibar), u_JK, u_IK = domains[(I, J)], domains[(J, K)][0], domains[(I, K)][0]
             lhs = {c for c in u_IJ if phibar.get(c) in u_JK}
             if strength == "cocycle" and not lhs <= u_IK:
                 rep.fail("domain_inclusion", triple=(I, J, K))
@@ -1178,15 +1149,15 @@ def check_tame_and_filtration(atlas: AtlasModel) -> CheckReport:
         rep.fail("missing_change", pair=pair)
     if missing:
         return rep
-    declared = set(indices)
+    declared, domains = set(indices), atlas.intermediate_domains
     # intersection identity for intermediate domains
     for I in indices:
         supersets = [J for J in indices if set(I) <= set(J)]
         for J in supersets:
             for K in supersets:
                 L = tuple(sorted(set(J) | set(K)))
-                lhs = _ubar_classes(atlas, I, J) & _ubar_classes(atlas, I, K)
-                rhs = _ubar_classes(atlas, I, L) if L in declared else set()
+                lhs = domains[(I, J)][0] & domains[(I, K)][0]
+                rhs = domains[(I, L)][0] if L in declared else set()
                 if lhs != rhs:
                     rep.fail("domain_intersection", indices=(I, J, K))
     # pushforward identity: φ̲_IJ(Ū_IK) = Ū_JK ∩ s̲_J⁻¹(im φ̂_IJ)
@@ -1198,8 +1169,7 @@ def check_tame_and_filtration(atlas: AtlasModel) -> CheckReport:
             for K in indices:
                 if not set(J) <= set(K):
                     continue
-                phibar = _phibar_map(atlas, I, J)
-                u_IK = _ubar_classes(atlas, I, K)
+                phibar, u_IK = domains[(I, J)][1], domains[(I, K)][0]
                 if any(c not in phibar for c in u_IK):
                     rep.fail("domain_not_in_phibar", indices=(I, J, K))
                     continue
@@ -1215,7 +1185,7 @@ def check_tame_and_filtration(atlas: AtlasModel) -> CheckReport:
                         hit = _matmul(N, samples.mT, change._name).num
                         in_image[(I, J)] = ~hit.any(axis=0)
                 least = chart_J.domain.classes()
-                rhs = {c for c in _ubar_classes(atlas, J, K) if in_image[(I, J)][least[c][0]]}
+                rhs = {c for c in domains[(J, K)][0] if in_image[(I, J)][least[c][0]]}
                 if lhs != rhs:
                     rep.fail("pushforward_identity", indices=(I, J, K))
     # filtration: φ̂-images of the obstruction grids intersect additively
@@ -1260,18 +1230,10 @@ def _ints(values) -> np.ndarray:
     return np.asarray(values, dtype=np.int64)
 
 
-def _firsts(values: np.ndarray) -> np.ndarray:
-    """The positions of the first occurrence of each value, in order (as
-    ``np.unique`` gives them, without loading numpy.ma)."""
-    order = np.argsort(values, kind="stable")
-    ranked = values[order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = ranked[1:] != ranked[:-1]
-    return np.sort(order[new])
-
-
-def _is_int64(value) -> bool:
-    return isinstance(value, int) and -INT64_MAX - 1 <= value <= INT64_MAX
+def _where(mask: np.ndarray) -> np.ndarray:
+    """The positions of the true entries of a 1-D mask (``np.flatnonzero``
+    without its wrappers, which cost more than the work on small arrays)."""
+    return mask.nonzero()[0]
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -1282,7 +1244,7 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 def _offsets(counts: np.ndarray) -> np.ndarray:
     """``[0, c0, c0 + c1, ...]``: where each run of ``counts`` starts."""
     out = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=out[1:])
+    np.add.accumulate(counts, out=out[1:])
     return out
 
 
@@ -1306,7 +1268,7 @@ class PairIndex:
 
     @classmethod
     def of(cls, n_objects: int, src: np.ndarray, tgt: np.ndarray) -> "PairIndex":
-        inside = np.flatnonzero((src >= 0) & (src < n_objects))
+        inside = _where((src >= 0) & (src < n_objects))
         by_source = inside[np.argsort(src[inside], kind="stable")]
         out_degree = np.bincount(src[by_source], minlength=n_objects)
         out_start = _offsets(out_degree)
@@ -1440,7 +1402,7 @@ class FiniteCategory:
         """``(clause, witness)`` of the first failing axiom, or ``None``."""
         objects, morphisms, src, tgt = self.objects, self.morphisms, self.src, self.tgt
         n, n_obj = len(morphisms), len(objects)
-        bad = np.flatnonzero((src < 0) | (src >= n_obj) | (tgt < 0) | (tgt >= n_obj))
+        bad = _where((src < 0) | (src >= n_obj) | (tgt < 0) | (tgt >= n_obj))
         if bad.size:
             return "endpoint_outside_objects", {"morphism": morphisms[bad[0]]}
 
@@ -1454,12 +1416,12 @@ class FiniteCategory:
         outside = (h < -1) | (h >= n)
         defined = np.where((h >= 0) & ~outside, h, -1)
         wrong = (defined >= 0) & ((src[defined] != src[f]) | (tgt[defined] != tgt[g]))
-        bad = np.flatnonzero(outside | wrong)
+        bad = _where(outside | wrong)
         if bad.size:
             p = bad[0]
             clause = "compose_outside_morphisms" if outside[p] else "compose_endpoints"
             return clause, {"pair": (morphisms[f[p]], morphisms[g[p]])}
-        bad = np.flatnonzero(h == -1)
+        bad = _where(h == -1)
         if bad.size:
             p = bad[0]
             return "composable_pair_undefined", {"pair": (morphisms[f[p]], morphisms[g[p]])}
@@ -1467,14 +1429,14 @@ class FiniteCategory:
         if found is not None:
             return found
         ident = self.identity
-        bad = np.flatnonzero((ident < -1) | (ident >= n))
+        bad = _where((ident < -1) | (ident >= n))
         if bad.size:
             return "identity_missing", {"object": objects[bad[0]]}
-        bad = np.flatnonzero(ident == -1)
+        bad = _where(ident == -1)
         if bad.size:
             return "object_without_identity", {"object": objects[bad[0]]}
         every = np.arange(n)
-        bad = np.flatnonzero(
+        bad = _where(
             (self.composite(ident[src], every) != every)
             | (self.composite(every, ident[tgt]) != every)
         )
@@ -1516,7 +1478,7 @@ def _label_view(keys: tuple, values: tuple, index: np.ndarray) -> MappingProxyTy
     inside = (index >= 0) & (index < len(values))
     return MappingProxyType({
         keys[k]: values[v]
-        for k, v in zip(np.flatnonzero(inside).tolist(), index[inside].tolist())
+        for k, v in zip(_where(inside).tolist(), index[inside].tolist())
     })
 
 
@@ -1560,7 +1522,7 @@ def _first_non_associative(cat: FiniteCategory):
         left = comp[pairs.pair_start[comp[p]] + k]
         gh = comp[pairs.pair_start[pairs.g[p]] + k]
         right = comp[pairs.at(pairs.f[p], gh)]
-        bad = np.flatnonzero(left != right)
+        bad = _where(left != right)
         if bad.size:
             q, i = p[bad[0]], k[bad[0]]
             h = pairs.by_source[pairs.out_start[cat.tgt[pairs.g[q]]] + i]
@@ -1613,7 +1575,7 @@ def _runs(counts) -> tuple[np.ndarray, np.ndarray]:
     """For runs of ``counts`` items end to end: per item its run and its
     position in the run."""
     counts = _ints(counts)
-    run = np.repeat(np.arange(len(counts)), counts)
+    run = np.arange(len(counts)).repeat(counts)
     return run, np.arange(len(run)) - _offsets(counts)[run]
 
 
@@ -1676,12 +1638,13 @@ class _Blocks:
         )
 
 
-def _block_category(bk: _Blocks, ne: np.ndarray, act: list, phi: list) -> tuple:
+def _block_category(bk: _Blocks, ne: np.ndarray, act: tuple, phi: tuple) -> tuple:
     """The int arrays of the category with objects (I, x, e) and morphisms
     (I, J, y, e, γ) over the blocks ``bk``.
 
     e runs over ``ne[i]`` grid points of the i-th index set I, with Γ_I
-    acting by ``act[i][γ, e]`` and φ̂ of the k-th block by ``phi[k][e]``.
+    acting by ``act[i][γ, e]`` and φ̂ of the k-th block by ``phi[k][e]``,
+    both given flat as ``(values, start)`` (see :func:`_flat`).
     (I, J, y, e, γ) runs from (I, γ⁻¹·ρ(y), γ⁻¹·e) to (J, y, φ̂(e)) and is
     number ``start[k] + (t·|Γ_I| + γ)·ne[i] + e`` for y the t-th sample of
     Ũ_IJ; object (I, x, e) is ``obj_start[i] + x·ne[i] + e``.  "f then g"
@@ -1696,12 +1659,11 @@ def _block_category(bk: _Blocks, ne: np.ndarray, act: list, phi: list) -> tuple:
     block_of[bk.I, bk.J] = np.arange(len(bk.blocks))
     (tilde, tilde_start), (rho, _) = bk.tilde, bk.rho
     (inverse, at), (perms, perm_start), (mul, mul_start) = bk.inverse, bk.perms, bk.mul
-    (proj, proj_start), (grid, grid_start) = bk.proj, _flat(act)
-    phis, phi_start = _flat(phi)
+    (proj, proj_start), (grid, grid_start), (phis, phi_start) = bk.proj, act, phi
     obj_start = _offsets(n_points * ne)
-    start = _offsets(np.diff(tilde_start) * order[bk.I] * ne[bk.I])
+    start = _offsets((tilde_start[1:] - tilde_start[:-1]) * order[bk.I] * ne[bk.I])
     # per morphism: its block, I, J, e, γ and y at position t of Ũ_IJ
-    block, local = _runs(np.diff(start))
+    block, local = _runs(start[1:] - start[:-1])
     I, J = bk.I[block], bk.J[block]
     e, local = local % ne[I], local // ne[I]
     gamma, t = local % order[I], tilde_start[block] + local // order[I]
@@ -1720,7 +1682,7 @@ def _block_category(bk: _Blocks, ne: np.ndarray, act: list, phi: list) -> tuple:
     pairs = PairIndex.of(obj_start[-1], src, tgt)
     # place[k, y]: the position of sample y in the k-th block's Ũ_IJ, or -1
     place = np.full((len(bk.blocks), int(n_points.max(initial=0))), -1, dtype=np.int64)
-    k, position = _runs(np.diff(tilde_start))
+    k, position = _runs(tilde_start[1:] - tilde_start[:-1])
     place[k, tilde] = position
     f, g = pairs.f, pairs.g
     fI, K, z = I[f], J[g], y[g]
@@ -1733,7 +1695,7 @@ def _block_category(bk: _Blocks, ne: np.ndarray, act: list, phi: list) -> tuple:
     missing = [
         (f[p], g[p], bk.indices[fI[p]], bk.indices[K[p]], int(z[p]), int(e2[p]),
          bk.groups[fI[p]].elements[gamma2[p]])
-        for p in np.flatnonzero(t2 < 0).tolist()
+        for p in _where(t2 < 0).tolist()
     ]
     return (src, tgt, identity, pairs, comp), missing, I, x
 
@@ -1744,7 +1706,7 @@ def _maps_compose(maps: tuple, outer: np.ndarray, inner: np.ndarray,
     for every c, the maps flat int arrays of images ``(flat, start)`` whose
     images lie in the next map's domain."""
     flat, start = maps
-    c, v = _runs(np.diff(start)[inner])
+    c, v = _runs((start[1:] - start[:-1])[inner])
     return bool((flat[start[outer[c]] + flat[start[inner[c]] + v]] == flat[start[whole[c]] + v]).all())
 
 
@@ -1806,17 +1768,18 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
         rep.details[name] = report.details
 
     # ----- B_K -----
-    objects = tuple((I, x) for I, n in zip(indices, n_points) for x in range(n))
-    one_point = [np.zeros((g.order, 1), dtype=np.int64) for g in bk.groups]
+    objects = tuple(itertools.chain.from_iterable(
+        itertools.product([I], range(n)) for I, n in zip(indices, n_points)
+    ))
+    one_point = np.zeros(int(bk.order.sum()), dtype=np.int64), _offsets(bk.order)
     arrays, missing, b_I, b_rho = _block_category(
-        bk, np.ones(len(indices), dtype=np.int64), one_point, [_ints([0])] * len(blocks)
+        bk, np.ones(len(indices), dtype=np.int64), one_point,
+        (np.zeros(len(blocks), dtype=np.int64), np.arange(len(blocks) + 1)),
     )
-    morphisms = tuple(
-        (I, J, y, gamma)
+    morphisms = tuple(itertools.chain.from_iterable(
+        itertools.product([I], [J], tilde.tolist(), atlas.charts[I].group.elements)
         for I, J, tilde, _ in blocks
-        for y in tilde.tolist()
-        for gamma in atlas.charts[I].group.elements
-    )
+    ))
     for f, g, I, K, z, _, gamma in missing:
         rep.fail("composability_violated", pair=(morphisms[f], morphisms[g]),
                  result=(I, K, z, gamma))
@@ -1827,31 +1790,33 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
     # ----- E_K -----
     charts = [atlas.charts[I] for I in indices]
     grids = [chart.obstruction_points for chart in charts]
-    n_e = [len(grid.num) for grid in grids]
-    # Γ_I on grid indices: eact[i][γ, e]
-    eact = [chart.grid_action for chart in charts]
-    for I, table in zip(indices, eact):
-        if (table < 0).any():
-            raise ValueError(f"chart {I}: the obstruction grid is not Γ-stable")
-    # φ̂ on grid indices
+    n_e = _ints([len(grid.num) for grid in grids])
+    # Γ_I on grid indices, eact[i][γ, e], and φ̂ of the k-th block on them,
+    # each flat with where each chart or block starts
+    eact = _flat(chart.grid_action for chart in charts)
+    if (eact[0] < 0).any():
+        I = next(I for I, chart in zip(indices, charts) if (chart.grid_action < 0).any())
+        raise ValueError(f"chart {I}: the obstruction grid is not Γ-stable")
     position = {I: i for i, I in enumerate(indices)}
     phi_idx = []
     for (I, J, _, _) in blocks:
         grid, name = grids[position[I]], f"coordinate change {I}->{J}"
         image = grid if I == J else _matmul(grid, atlas.changes[(I, J)].phi_hat.mT, name)
         phi_idx.append(_lookup(image, grids[position[J]], name))
-        if (phi_idx[-1] < 0).any():
-            vector = tuple(grid.fractions()[(phi_idx[-1] < 0).argmax()])
+    phis = _flat(phi_idx)
+    grids_closed = not (phis[0] < 0).any()
+    for (I, J, _, _), images in zip(blocks, [] if grids_closed else phi_idx):
+        if (images < 0).any():
+            vector = tuple(grids[position[I]].fractions()[(images < 0).argmax()])
             rep.fail("obstruction_grid_not_phi_closed", pair=(I, J), vector=vector)
-    grids_closed = all((images >= 0).all() for images in phi_idx)
-    obj_ne = np.repeat(_ints(n_e), n_points)
-    mor_ne = _ints(n_e)[b_I]
+    obj_ne = n_e.repeat(n_points)
+    mor_ne = n_e[b_I]
     eo_base, e_base = _offsets(obj_ne), _offsets(mor_ne)
 
     def obstruction_category():
         """E_K and its composable pairs without a composite."""
         # without φ̂ on the grids E_K has no morphisms: every identity is missing
-        e_blocks, e_phi = (blocks, phi_idx) if grids_closed else ([], [])
+        e_blocks = blocks if grids_closed else []
         e_objects = Labels(int(eo_base[-1]), lambda: (
             (I, x, e) for (I, x), ne in zip(objects, obj_ne.tolist()) for e in range(ne)
         ))
@@ -1861,21 +1826,22 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
             for e in range(ne if e_blocks else 0)
         ))
         arrays, missing, _, _ = _block_category(
-            bk if grids_closed else _Blocks.of(atlas, []), _ints(n_e), eact, e_phi
+            bk if grids_closed else _Blocks.of(atlas, []), n_e, eact,
+            phis if grids_closed else _flat([]),
         )
         return FiniteCategory(e_objects, e_morphisms, *arrays), missing
 
     # the section and the zero vector on grid indices
-    s_idx = {
-        I: _lookup(chart.section_samples, grid, f"chart {I}")
+    s_idx = _flat(
+        _lookup(chart.section_samples, grid, f"chart {I}")
         for I, chart, grid in zip(indices, charts, grids)
-    }
-    s_ok = all((vals >= 0).all() for vals in s_idx.values())
+    )
+    s_ok = not (s_idx[0] < 0).any()
     # per chart the last zero row of the grid, as ``_lookup`` finds it, or -1
-    zero_idx = [([-1] + np.flatnonzero(~g.num.any(axis=1)).tolist())[-1] for g in grids]
+    zero_idx = [([-1] + _where(~g.num.any(axis=1)).tolist())[-1] for g in grids]
     E = None
     if B.failure is None and grids_closed and _obstruction_facts(
-        bk, eact, phi_idx, s_idx if s_ok else None
+        bk, n_e, eact, phis, s_idx if s_ok else None
     ):
         weights = mor_ne[B.pairs.f]
         rep.details["category_axioms_E"] = {
@@ -1892,15 +1858,16 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
         axioms("category_axioms_E", check_category(E))
 
     # ----- functors -----
-    for I, chart in zip(indices, charts):
-        if (s_idx[I] < 0).any():
-            value = tuple(chart.section_samples.fractions()[(s_idx[I] < 0).argmax()])
-            rep.fail("section_value_outside_grid", index=I, value=value)
+    (s_flat, s_start), outside = s_idx, s_idx[0] < 0
+    for i in [] if s_ok else range(len(indices)):
+        values = outside[s_start[i]:s_start[i + 1]]
+        if values.any():
+            value = tuple(charts[i].section_samples.fractions()[values.argmax()])
+            rep.fail("section_value_outside_grid", index=indices[i], value=value)
     if any(v < 0 for v in zero_idx):
         rep.fail("zero_vector_outside_grid")
         s_ok = False
     if E is not None and s_ok and grids_closed:
-        s_flat = np.concatenate([_ints(s_idx[I]) for I in indices])
         zero_flat = _ints(zero_idx)
         pr_obj = np.repeat(np.arange(len(objects)), obj_ne)
         pr_mor = np.repeat(np.arange(len(morphisms)), mor_ne)
@@ -1918,7 +1885,7 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
     for (I, x), label in psi_obj.items():
         psi[obj_base[I] + x] = label_id[label]
     s_psi, t_psi = psi[B.src], psi[B.tgt]
-    for m in np.flatnonzero((s_psi >= 0) & (t_psi >= 0) & (s_psi != t_psi)).tolist():
+    for m in _where((s_psi >= 0) & (t_psi >= 0) & (s_psi != t_psi)).tolist():
         rep.fail("footprint_functor_not_constant", morphism=morphisms[m])
     if set(psi_obj.values()) != set(atlas.x_labels):
         rep.fail("footprint_functor_not_surjective", image=sorted(set(psi_obj.values())))
@@ -1929,21 +1896,21 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
     )
 
 
-def _obstruction_facts(bk: _Blocks, act: list, phi: list, s_idx: dict | None) -> bool:
-    """Facts 2, 4, 5 and 6 of :func:`build_categories`, with ``act[i]`` and
-    ``phi[k]`` as :func:`_block_category` takes them and ``s_idx[I]`` the
-    section's grid index per sample of I (``None`` skips fact 6): Γ_I is
+def _obstruction_facts(bk: _Blocks, ne: np.ndarray, act: tuple, phi: tuple,
+                       s_idx: tuple | None) -> bool:
+    """Facts 2, 4, 5 and 6 of :func:`build_categories`, with ``ne``, ``act``
+    and ``phi`` as :func:`_block_category` takes them and ``s_idx`` the
+    section's grid index per sample, flat by chart (``None`` skips fact 6): Γ_I is
     a group acting on the grid; φ̂_IJ(ρ^Γ(δ)·x) = δ·φ̂_IJ(x); φ̂_IK =
     φ̂_JK ∘ φ̂_IJ; s(γ·x) = γ·s(x) and φ̂_IJ(s_I(ρ(y))) = s_J(y).  Sample
     indices must lie in their charts, so that E_K lies over B_K.  Each fact
     is checked on all charts, blocks or chains at once."""
     if not all(g.validate().ok for g in bk.groups):
         return False
-    n, order, ne = bk.n_points, bk.order, _ints([a.shape[1] for a in act])
+    n, order = bk.n_points, bk.order
     (perms, perm_start), (mul, mul_start), (proj, proj_start) = bk.perms, bk.mul, bk.proj
-    (tilde, tilde_start), (rho, _) = bk.tilde, bk.rho
-    (grid, at), (phis, phi_start) = _flat(act), _flat(phi)
-    k, _ = _runs(np.diff(tilde_start))
+    (tilde, tilde_start), (rho, _), (grid, at), (phis, phi_start) = bk.tilde, bk.rho, act, phi
+    k, _ = _runs(tilde_start[1:] - tilde_start[:-1])
     i = _runs(order * n)[0]
     if not (
         ((perms >= 0) & (perms < n[i])).all()
@@ -1965,14 +1932,11 @@ def _obstruction_facts(bk: _Blocks, act: list, phi: list, s_idx: dict | None) ->
     facts.append(phis[phi_start[c] + grid[at[I] + proj[proj_start[c] + d] * ne[I] + e]]
                  == grid[at[J] + d * ne[J] + phis[phi_start[c] + e]])
     if s_idx is not None:
-        s, s_start = _flat(s_idx[I] for I in bk.indices)
-        i, x = _runs(order * n)
+        (s, s_start), (i, x) = s_idx, _runs(order * n)
         facts.append(s[s_start[i] + perms[perm_start[i] + x]]
                      == grid[at[i] + x // n[i] * ne[i] + s[s_start[i] + x % n[i]]])
         facts.append(phis[phi_start[k] + s[s_start[bk.I[k]] + rho]] == s[s_start[bk.J[k]] + tilde])
-    return all(fact.all() for fact in facts) and _maps_compose(
-        (phis, phi_start), *bk.chains[:, [1, 0, 2]].T
-    )
+    return all(fact.all() for fact in facts) and _maps_compose(phi, *bk.chains[:, [1, 0, 2]].T)
 
 
 def _footprint_labels(atlas: AtlasModel, rep: CheckReport) -> dict:
@@ -2008,21 +1972,21 @@ class Functor:
     @functools.cached_property
     def failure(self):
         dom, cod, fobj, fmor, name = self.dom, self.cod, self.obj, self.mor, self.name
-        bad = np.flatnonzero((fmor < 0) | (fmor >= len(cod.morphisms)))
+        bad = _where((fmor < 0) | (fmor >= len(cod.morphisms)))
         if bad.size:
             clause = f"functor_{name}_morphism_outside_codomain"
             return clause, {"morphism": dom.morphisms[bad[0]]}
-        bad = np.flatnonzero(
+        bad = _where(
             (cod.src[fmor] != fobj[dom.src]) | (cod.tgt[fmor] != fobj[dom.tgt])
         )
         if bad.size:
             return f"functor_{name}_endpoints", {"morphism": dom.morphisms[bad[0]]}
-        bad = np.flatnonzero(fmor[dom.identity] != cod.identity[fobj])
+        bad = _where(fmor[dom.identity] != cod.identity[fobj])
         if bad.size:
             return f"functor_{name}_identity", {"object": dom.objects[bad[0]]}
-        defined = np.flatnonzero(dom.comp >= 0)
+        defined = _where(dom.comp >= 0)
         f, g = dom.pairs.f[defined], dom.pairs.g[defined]
-        bad = np.flatnonzero(cod.composite(fmor[f], fmor[g]) != fmor[dom.comp[defined]])
+        bad = _where(cod.composite(fmor[f], fmor[g]) != fmor[dom.comp[defined]])
         if bad.size:
             p = bad[0]
             return f"functor_{name}_composition", {
@@ -2088,7 +2052,7 @@ def check_realizations(atlas: AtlasModel, B: FiniteCategory) -> CheckReport:
     mapping[full] = image
     bad = np.zeros(n_full, dtype=bool)
     bad[full[image != mapping[full]]] = True
-    for ci in np.flatnonzero(bad).tolist():
+    for ci in _where(bad).tolist():
         rep.fail("projection_not_well_defined", full_class=ci)
     mapping = mapping[~bad].tolist()
     if len(set(mapping)) != len(mapping) or len(mapping) != n_inter:
@@ -2100,7 +2064,7 @@ def check_realizations(atlas: AtlasModel, B: FiniteCategory) -> CheckReport:
     both = zero[B.src] & zero[B.tgt]
     root = quotient(n, src[both], tgt[both])[rank]
     by_root: dict = {}
-    for o in np.flatnonzero(zero).tolist():
+    for o in _where(zero).tolist():
         by_root.setdefault(int(root[o]), set()).add(label[o])
     labels = []
     for r in sorted(by_root):
@@ -2205,7 +2169,7 @@ def _quotient_from_json(d: dict, where: str) -> GroupQuotientModel:
     if {len(p) if type(p) is list else -1 for p in perms} <= {len(points)}:
         table = np.array(perms)
         if table.dtype.kind == "i" and table.shape == (len(perms), len(points)):
-            suspects = np.flatnonzero(((table < 0) | (table >= len(points))).any(axis=1)).tolist()
+            suspects = _where(((table < 0) | (table >= len(points))).any(axis=1)).tolist()
     for k in suspects:
         if len(perms[k]) != len(points) or not all(0 <= i < len(points) for i in perms[k]):
             raise ValueError(

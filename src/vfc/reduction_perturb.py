@@ -608,8 +608,7 @@ def _hat_ball(atlas: AtlasModel, I: tuple, base: frozenset, radius) -> frozenset
     (distances measured between intermediate classes)."""
     if not base:
         return frozenset()
-    cls = atlas.charts[I].domain.class_index_of()
-    rows = atlas.key_offset[I] + np.array([cls[x] for x in range(len(cls))])
+    rows = atlas.sample_rows(I)
     # a column repeated in the minimum changes nothing
     dist = atlas.metric.num[np.ix_(rows, rows[sorted(base)])].min(axis=1)
     return frozenset(base).union(np.flatnonzero(dist <= atlas.metric.threshold(radius)).tolist())
