@@ -208,9 +208,7 @@ def product_group(factors: Sequence[FiniteGroup]) -> FiniteGroup:
     if len(factors) == 1:
         return factors[0]
     orders = [g.order for g in factors]
-    names = tuple(
-        join_label(combo) for combo in itertools.product(*[g.elements for g in factors])
-    )
+    names = tuple(join_label(combo) for combo in itertools.product(*[g.elements for g in factors]))
     coords = np.indices(orders).reshape(len(factors), -1)
     table = np.zeros((len(names), len(names)), dtype=np.int64)
     for g, c, order in zip(factors, coords, orders):
@@ -269,18 +267,16 @@ class GroupQuotientModel:
 
     @functools.cached_property
     def _orbits(self) -> tuple[list, np.ndarray]:
-        """The orbits, each sample's least orbit member (the minimum of its
-        column of ``perms``) naming its class, found with one sort."""
+        """The orbits, each named by its least member (the minimum of a
+        column of ``perms``), found with one sort."""
         least = self.perms.min(axis=0, initial=len(self.points))
-        members = np.argsort(least, kind="stable")
-        ranked = least[members]
+        members = least.argsort(kind="stable")
         new = np.ones(len(members), dtype=bool)
-        new[1:] = ranked[1:] != ranked[:-1]
+        new[1:] = least[members[1:]] != least[members[:-1]]
         index = np.empty(len(members), dtype=np.int64)
-        index[members] = np.cumsum(new) - 1
-        index.flags.writeable = False
+        index[members] = new.cumsum() - 1
         bounds, members = [*_where(new).tolist(), len(members)], members.tolist()
-        return [tuple(members[a:b]) for a, b in zip(bounds, bounds[1:])], index
+        return [tuple(members[a:b]) for a, b in zip(bounds, bounds[1:])], _frozen(index)
 
     def classes(self) -> list[tuple[int, ...]]:
         """The orbits, ordered by their least member, each sorted."""
@@ -375,17 +371,12 @@ class RationalArray:
         if parts is None:
             flat = [f if type(f) is Fraction else Fraction(f) for f in flat]
             parts = [f.numerator for f in flat], [f.denominator for f in flat]
-        return cls._of_parts(*parts, entries.shape, where)
-
-    @classmethod
-    def _of_parts(cls, nums: list, dens: list, shape: tuple, where: str) -> "RationalArray":
-        """The rationals ``nums[k] / dens[k]``, each in lowest terms."""
-        den = math.lcm(1, *set(dens))
-        nums = [n * (den // d) for n, d in zip(nums, dens)]
+        den = math.lcm(1, *set(parts[1]))
+        nums = [n * (den // d) for n, d in zip(*parts)]
         if max([den, *map(abs, nums)]) > INT64_MAX:
             raise ValueError(f"{where}: the entries over their common denominator "
                              f"{den} do not fit int64")
-        return cls(np.array(nums, dtype=np.int64).reshape(shape), den)
+        return cls(np.array(nums, dtype=np.int64).reshape(entries.shape), den)
 
     @classmethod
     def reduced(cls, num: np.ndarray, den: int) -> "RationalArray":
@@ -460,19 +451,15 @@ class RationalArray:
         return m
 
 
-_WIRE = re.compile(r"[-+]?[0-9]+/0*[1-9][0-9]*")
-_WIRE_LIST = re.compile(rf"{_WIRE.pattern}(?: {_WIRE.pattern})*")
+#: ``"p/q"`` strings with q > 0, joined by single spaces
+_WIRE = re.compile(r"[-+]?[0-9]+/0*[1-9][0-9]*(?: [-+]?[0-9]+/0*[1-9][0-9]*)*")
 
 
 def _read_rationals(values: list) -> tuple[list, list] | None:
     """Numerators and denominators, in lowest terms, of a nonempty list of
-    ``"p/q"`` strings with q > 0, read with one match and no ``Fraction``
-    per entry; ``None`` for any other list."""
-    try:
-        text = " ".join(values)
-    except TypeError:
-        return None
-    if not _WIRE_LIST.fullmatch(text):
+    ``"p/q"`` strings (q > 0), read with no ``Fraction`` each, or ``None``."""
+    text = " ".join(values) if all(type(v) is str for v in values) else ""
+    if not _WIRE.fullmatch(text):
         return None
     ints = list(map(int, text.replace("/", " ").split()))
     nums, dens = ints[0::2], ints[1::2]
@@ -636,11 +623,7 @@ def check_chart(atlas: "AtlasModel", I: tuple) -> CheckReport:
     F_I = atlas.footprint(I)
     labels = [label_of_class[c] for c in sorted(zero_classes) if c in label_of_class]
     if sorted(labels) != sorted(set(labels)) or set(labels) != F_I:
-        rep.fail(
-            "footprint_not_bijective",
-            footprint=sorted(F_I),
-            mapped=sorted(labels),
-        )
+        rep.fail("footprint_not_bijective", footprint=sorted(F_I), mapped=sorted(labels))
     # loose consistency of smooth section vs declared samples
     if chart.section_asts is not None:
         section = compile_vector(chart.section_asts, ())
@@ -698,15 +681,13 @@ class CoordinateChangeModel:
 
     @functools.cached_property
     def tilde(self) -> np.ndarray:
-        """Ũ_IJ as an int array, in ``tilde_indices`` order; read-only, as
-        the model is not changed after construction."""
+        """Ũ_IJ as a read-only int array, in ``tilde_indices`` order."""
         return _frozen(_ints(self.tilde_indices))
 
     @functools.cached_property
     def rho(self) -> np.ndarray:
-        """ρ_IJ on Ũ_IJ: ``rho[t]`` is ``rho_idx`` of ``tilde[t]``.  A
-        sample of Ũ_IJ without a value, or a value that is no int, raises
-        ``KeyError`` naming it, as a lookup of it in a chart would."""
+        """ρ_IJ on Ũ_IJ, read-only: ``rho[t]`` is ``rho_idx`` of ``tilde[t]``;
+        a missing or non-int value raises ``KeyError`` naming it."""
         values = [self.rho_idx[y] for y in self.tilde_indices]
         for v in values:
             if not isinstance(v, int) or abs(v) > INT64_MAX:
@@ -732,12 +713,10 @@ class CoordinateChangeModel:
 
 
 def check_group_covering(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckReport:
-    """Covering conditions for ρ_IJ: free kernel, fibers, stabilizers.
-    The clauses compare arrays over all of Ũ_IJ at once, and report what a
-    walk over Ũ_IJ in ``tilde_indices`` order would, in that order.
-
-    A negative sample of Ũ_IJ, or a ρ-value that is no sample of chart I,
-    raises ``KeyError`` naming the first in that order."""
+    """Covering conditions for ρ_IJ: free kernel, fibers, stabilizers, in
+    the order a walk over Ũ_IJ (``tilde_indices`` order) finds them.  A
+    negative sample of Ũ_IJ or a ρ-value outside chart I raises
+    ``KeyError`` naming the first."""
     rep = CheckReport(f"group_covering {I}->{J}")
     src = atlas.charts[I]
     tgt = atlas.charts[J]
@@ -748,9 +727,7 @@ def check_group_covering(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckReport
     names = tgt.group.elements
     moved = tgt.domain.perms[:, change.tilde]
     ys, xs = change.tilde, change.rho
-    outside = _where((ys < 0) | (xs < 0) | (xs >= len(src.domain.points)))
-    if outside.size:
-        t = outside[0]
+    for t in _where((ys < 0) | (xs < 0) | (xs >= len(src.domain.points)))[:1].tolist():
         raise KeyError(int(ys[t] if ys[t] < 0 else xs[t]))
     # Ũ_IJ is Γ_J-invariant
     inside = np.zeros(len(tgt.domain.points), dtype=bool)
@@ -762,7 +739,8 @@ def check_group_covering(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckReport
     rep.details["kernel_order"] = len(kernel)
     fixed = moved[kernel] == ys
     for k in _where(fixed.any(axis=1) & (kernel != tgt.group.identity)).tolist():
-        rep.fail("kernel_action_not_free", element=names[kernel[k]], point=int(ys[fixed[k].argmax()]))
+        rep.fail("kernel_action_not_free", element=names[kernel[k]],
+                 point=int(ys[fixed[k].argmax()]))
     # fibers of ρ are kernel orbits; the orbits of one sample per fiber in one call
     fibers: dict = {}
     for y, x in zip(ys.tolist(), xs.tolist()):
@@ -803,9 +781,8 @@ def check_coordinate_change(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckRep
     rep.merge(check_group_covering(atlas, I, J))
     names, proj = tgt.group.elements, atlas.projection[(I, J)]
     ys, xs = change.tilde, change.rho
-    # equivariance of ρ w.r.t. the canonical projection ρ^Γ: ρ(γ·y) against
-    # ρ^Γ(γ)·ρ(y), the first failing y per γ.  Where Γ_J moves Ũ_IJ out of
-    # itself, ρ(γ·y) is looked up in rho_idx, and a missing key raises.
+    # ρ(γ·y) = ρ^Γ(γ)·ρ(y), the first failing y per γ; where Γ_J moves Ũ_IJ
+    # out of itself, ρ(γ·y) is looked up in rho_idx, and a missing key raises
     moved = tgt.domain.perms[:, ys]
     rho_at = np.full(len(tgt.domain.points), -1, dtype=np.int64)
     rho_at[ys] = xs
@@ -916,22 +893,16 @@ class AtlasModel:
         return self.charts[I].group
 
     def intermediate_keys(self) -> list[tuple]:
-        keys = []
-        for I in self.index_sets():
-            for ci in range(len(self.charts[I].domain.classes())):
-                keys.append((I, ci))
-        return keys
+        return [(I, c) for I in self.index_sets()
+                for c in range(len(self.charts[I].domain.classes()))]
 
     @functools.cached_property
     def key_offset(self) -> dict:
         """Index I -> position of its first key ``(I, 0)`` in
         :meth:`intermediate_keys`, so key (I, c) is metric row
         ``key_offset[I] + c``."""
-        offset, start = {}, 0
-        for I in self.index_sets():
-            offset[I] = start
-            start += len(self.charts[I].domain.classes())
-        return offset
+        sizes = [len(self.charts[I].domain.classes()) for I in self.index_sets()]
+        return dict(zip(self.index_sets(), _offsets(sizes).tolist()))
 
     @functools.cached_property
     def _sample_rows(self) -> dict:
@@ -957,13 +928,10 @@ class AtlasModel:
 
     @functools.cached_property
     def intermediate_domains(self) -> dict:
-        """(I, J) -> (Ū_IJ, φ̲_IJ) for every chart I and every change
-        I → J between charts, and I = J: Ū_IJ as a frozenset of chart-I
-        class indices, and φ̲_IJ as a dict from them to chart-J classes."""
-        out = {}
-        for I, chart in self.charts.items():
-            every = range(len(chart.domain.classes()))
-            out[(I, I)] = frozenset(every), dict(zip(every, every))
+        """(I, J) -> (Ū_IJ, φ̲_IJ) for I = J and every change I ⊊ J between
+        charts: chart-I class indices and a dict of them to chart-J classes."""
+        every = {I: range(len(chart.domain.classes())) for I, chart in self.charts.items()}
+        out = {(I, I): (frozenset(c), dict(zip(c, c))) for I, c in every.items()}
         for (I, J), change in self.changes.items():
             if set(I) < set(J) and I in self.charts and J in self.charts:
                 down = self.charts[I].domain.class_index[change.rho].tolist()
@@ -1035,11 +1003,7 @@ def check_atlas_model(atlas: AtlasModel) -> CheckReport:
     }
     declared = set(atlas.index_sets())
     if declared != nonempty:
-        rep.fail(
-            "index_set_mismatch",
-            declared=sorted(declared),
-            from_cover=sorted(nonempty),
-        )
+        rep.fail("index_set_mismatch", declared=sorted(declared), from_cover=sorted(nonempty))
     for I in atlas.index_sets():
         chart = atlas.charts[I]
         if tuple(sorted(I)) != I:
@@ -1047,9 +1011,7 @@ def check_atlas_model(atlas: AtlasModel) -> CheckReport:
         factors = [atlas.charts[(i,)] for i in I]
         want = atlas.products[I].table
         index, got = atlas.product_index[I], chart.group.table
-        if index is None or not (
-            (got >= 0) & (index[got] == want[np.ix_(index, index)])
-        ).all():
+        if index is None or not ((got >= 0) & (index[got] == want[np.ix_(index, index)])).all():
             rep.fail("group_not_additive", index=I)
         if chart.obstruction_dim != sum(c.obstruction_dim for c in factors):
             rep.fail("obstruction_not_additive", index=I)
@@ -1231,8 +1193,7 @@ def _ints(values) -> np.ndarray:
 
 
 def _where(mask: np.ndarray) -> np.ndarray:
-    """The positions of the true entries of a 1-D mask (``np.flatnonzero``
-    without its wrappers, which cost more than the work on small arrays)."""
+    """The true positions of a 1-D mask (``np.flatnonzero`` without wrappers)."""
     return mask.nonzero()[0]
 
 
@@ -1331,9 +1292,7 @@ class FiniteCategory:
     read-only label views of the arrays, built when first read.
     ``failure``, the first failing axiom, is also computed once, when first
     read: the arrays are not changed after construction.  ``associative``
-    is set only by a builder that has proved the associativity law from
-    facts it checked (:func:`build_categories` on B_K); ``failure`` then
-    skips the scan of the composable triples.
+    (set by a builder that proved the law, as for B_K) skips the triple scan.
     """
 
     objects: Sequence
@@ -1572,70 +1531,40 @@ def _flat(arrays) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _runs(counts) -> tuple[np.ndarray, np.ndarray]:
-    """For runs of ``counts`` items end to end: per item its run and its
-    position in the run."""
+    """Per item of runs of ``counts`` items end to end: its run and place."""
     counts = _ints(counts)
     run = np.arange(len(counts)).repeat(counts)
     return run, np.arange(len(run)) - _offsets(counts)[run]
 
 
-@dataclass(frozen=True, eq=False)
 class _Blocks:
-    """The blocks (I, J, Ũ_IJ, ρ_IJ) of pairs of index sets I ⊆ J, as the
-    int arrays that :func:`_block_category`, :func:`_associative_by_groups`
-    and :func:`_obstruction_facts` read, made once.
+    """The blocks (I, J, Ũ_IJ, ρ_IJ), I ⊆ J, as the int arrays the category
+    builders read: per index set i its group, order, sample count, identity
+    and (flat, with their starts, see :func:`_flat`) table, inverses and
+    perms; per block k its index sets I[k], J[k] and, flat, Ũ_IJ, ρ_IJ and
+    ρ^Γ_{JI}; ``block_of[i, j]`` (or -1), and a row (k1, k2, k3) of
+    ``chains`` per blocks (I, J), (J, K) with a block (I, K)."""
 
-    Per index set i, in ``indices`` order: its group, ``order``,
-    ``n_points`` and ``one`` (the identity); ``mul``, ``inverse`` and
-    ``perms``, each flat with where each index set starts.  Per block k:
-    the positions ``I[k]`` and ``J[k]`` of its index sets, and ``tilde``,
-    ``rho`` and ``proj`` (ρ^Γ_{JI}), flat in the same way.  ``chains`` has
-    a row (k1, k2, k3) for each two blocks (I, J), (J, K) and the block
-    (I, K)."""
-
-    blocks: list
-    indices: list
-    groups: list
-    order: np.ndarray
-    n_points: np.ndarray
-    one: np.ndarray
-    mul: tuple
-    inverse: tuple
-    perms: tuple
-    I: np.ndarray
-    J: np.ndarray
-    tilde: tuple
-    rho: tuple
-    proj: tuple
-    chains: np.ndarray
-
-    @classmethod
-    def of(cls, atlas: AtlasModel, blocks: list) -> "_Blocks":
-        indices = atlas.index_sets()
-        where = {I: i for i, I in enumerate(indices)}
-        domains = [atlas.charts[I].domain for I in indices]
-        groups = [d.group for d in domains]
-        position = {b[:2]: k for k, b in enumerate(blocks)}
-        chains = _ints([
-            (k1, k2, position[(b1[0], b2[1])])
-            for k1, b1 in enumerate(blocks)
-            for k2, b2 in enumerate(blocks)
-            if b1[1] == b2[0] and (b1[0], b2[1]) in position
-        ]).reshape(-1, 3)
-        return cls(
-            blocks, indices, groups,
-            _ints([g.order for g in groups]),
-            _ints([len(d.points) for d in domains]),
-            _ints([g.identity for g in groups]),
-            _flat(g.table for g in groups),
-            _flat(g.inverse for g in groups),
-            _flat(d.perms for d in domains),
-            *(_ints([where[b[k]] for b in blocks]) for k in (0, 1)),
-            _flat(b[2] for b in blocks),
-            _flat(b[3] for b in blocks),
-            _flat(atlas.projection[b[:2]] for b in blocks),
-            chains,
-        )
+    def __init__(self, atlas: AtlasModel, blocks: list):
+        self.blocks, self.indices = blocks, atlas.index_sets()
+        where = {I: i for i, I in enumerate(self.indices)}
+        domains = [atlas.charts[I].domain for I in self.indices]
+        self.groups = [d.group for d in domains]
+        self.order, self.n_points, self.one = _ints(
+            [[g.order for g in self.groups], [len(d.points) for d in domains],
+             [g.identity for g in self.groups]]).reshape(3, -1)
+        self.mul = _flat(g.table for g in self.groups)
+        self.inverse = _flat(g.inverse for g in self.groups)
+        self.perms = _flat(d.perms for d in domains)
+        self.I, self.J = (_ints([where[b[k]] for b in blocks]) for k in (0, 1))
+        self.tilde = _flat(b[2] for b in blocks)
+        self.rho = _flat(b[3] for b in blocks)
+        self.proj = _flat(atlas.projection[b[:2]] for b in blocks)
+        self.block_of = np.full((len(where), len(where)), -1, dtype=np.int64)
+        self.block_of[self.I, self.J] = np.arange(len(blocks))
+        k1, k2 = (self.J[:, None] == self.I[None, :]).nonzero()
+        k3 = self.block_of[self.I[k1], self.J[k2]]
+        self.chains = np.stack([k1, k2, k3], axis=1)[k3 >= 0]
 
 
 def _block_category(bk: _Blocks, ne: np.ndarray, act: tuple, phi: tuple) -> tuple:
@@ -1654,9 +1583,7 @@ def _block_category(bk: _Blocks, ne: np.ndarray, act: tuple, phi: tuple) -> tupl
     whose composite is no morphism as (f, g, I, K, z, e, γ) with γ named,
     and per morphism the position of I and ρ(y).
     """
-    order, n_points = bk.order, bk.n_points
-    block_of = np.full((len(bk.indices), len(bk.indices)), -1, dtype=np.int64)
-    block_of[bk.I, bk.J] = np.arange(len(bk.blocks))
+    order, n_points, block_of = bk.order, bk.n_points, bk.block_of
     (tilde, tilde_start), (rho, _) = bk.tilde, bk.rho
     (inverse, at), (perms, perm_start), (mul, mul_start) = bk.inverse, bk.perms, bk.mul
     (proj, proj_start), (grid, grid_start), (phis, phi_start) = bk.proj, act, phi
@@ -1700,25 +1627,22 @@ def _block_category(bk: _Blocks, ne: np.ndarray, act: tuple, phi: tuple) -> tupl
     return (src, tgt, identity, pairs, comp), missing, I, x
 
 
-def _maps_compose(maps: tuple, outer: np.ndarray, inner: np.ndarray,
-                  whole: np.ndarray) -> bool:
+def _maps_compose(maps: tuple, outer: np.ndarray, inner: np.ndarray, whole: np.ndarray) -> bool:
     """Whether map ``outer[c]`` after map ``inner[c]`` is map ``whole[c]``
-    for every c, the maps flat int arrays of images ``(flat, start)`` whose
-    images lie in the next map's domain."""
+    for every c; ``maps`` are int arrays of images, flat (see :func:`_flat`)."""
     flat, start = maps
     c, v = _runs((start[1:] - start[:-1])[inner])
-    return bool((flat[start[outer[c]] + flat[start[inner[c]] + v]] == flat[start[whole[c]] + v]).all())
+    return bool((flat[start[outer[c]] + flat[start[inner[c]] + v]]
+                 == flat[start[whole[c]] + v]).all())
 
 
 def _associative_by_groups(bk: _Blocks) -> bool:
-    """Whether B_K's associativity follows from its group facts: every Γ_I
-    is a group, the ρ^Γ_{JI} of every block is a homomorphism Γ_J → Γ_I,
-    and ρ^Γ_{JI} ∘ ρ^Γ_{KJ} = ρ^Γ_{KI} on every chain of blocks.
-
-    Then, for composable (I, J, y, γ), (J, K, z, δ), (K, L, w, ε) with every
-    composite defined, both bracketings are (I, L, w, ρ^Γ_{KI}(ε)·ρ^Γ_{JI}(δ)·γ)
-    (see :func:`_block_category`): ρ^Γ_{JI}(ρ^Γ_{KJ}(ε)·δ)·γ equals it by the
-    two facts on ρ^Γ, and ρ^Γ_{KI}(ε)·(ρ^Γ_{JI}(δ)·γ) by associativity."""
+    """Whether B_K is associative by its group facts: every Γ_I is a group,
+    every block's ρ^Γ_{JI} is a homomorphism, and ρ^Γ_{JI} ∘ ρ^Γ_{KJ} =
+    ρ^Γ_{KI} on every chain of blocks.  Then for composable (I, J, y, γ),
+    (J, K, z, δ), (K, L, w, ε) with all composites defined, both bracketings
+    are (I, L, w, ·) (see :func:`_block_category`) with ρ^Γ_{JI}(ρ^Γ_{KJ}(ε)·δ)·γ
+    = ρ^Γ_{KI}(ε)·(ρ^Γ_{JI}(δ)·γ)."""
     if not all(g.validate().ok for g in bk.groups):
         return False
     (proj, start), (mul, at), order = bk.proj, bk.mul, bk.order
@@ -1758,7 +1682,7 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
             elif set(I) < set(J) and (I, J) in atlas.changes:
                 change = atlas.changes[(I, J)]
                 blocks.append((I, J, change.tilde, change.rho))
-    bk = _Blocks.of(atlas, blocks)
+    bk = _Blocks(atlas, blocks)
     n_points = bk.n_points.tolist()
 
     def axioms(name, report):
@@ -1826,16 +1750,15 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
             for e in range(ne if e_blocks else 0)
         ))
         arrays, missing, _, _ = _block_category(
-            bk if grids_closed else _Blocks.of(atlas, []), n_e, eact,
+            bk if grids_closed else _Blocks(atlas, []), n_e, eact,
             phis if grids_closed else _flat([]),
         )
         return FiniteCategory(e_objects, e_morphisms, *arrays), missing
 
     # the section and the zero vector on grid indices
-    s_idx = _flat(
-        _lookup(chart.section_samples, grid, f"chart {I}")
-        for I, chart, grid in zip(indices, charts, grids)
-    )
+    s_list = [_lookup(chart.section_samples, grid, f"chart {I}")
+              for I, chart, grid in zip(indices, charts, grids)]
+    s_idx = _flat(s_list)
     s_ok = not (s_idx[0] < 0).any()
     # per chart the last zero row of the grid, as ``_lookup`` finds it, or -1
     zero_idx = [([-1] + _where(~g.num.any(axis=1)).tolist())[-1] for g in grids]
@@ -1858,12 +1781,10 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
         axioms("category_axioms_E", check_category(E))
 
     # ----- functors -----
-    (s_flat, s_start), outside = s_idx, s_idx[0] < 0
-    for i in [] if s_ok else range(len(indices)):
-        values = outside[s_start[i]:s_start[i + 1]]
-        if values.any():
-            value = tuple(charts[i].section_samples.fractions()[values.argmax()])
-            rep.fail("section_value_outside_grid", index=indices[i], value=value)
+    for I, chart, values in zip(indices, charts, [] if s_ok else s_list):
+        if (values < 0).any():
+            value = tuple(chart.section_samples.fractions()[(values < 0).argmax()])
+            rep.fail("section_value_outside_grid", index=I, value=value)
     if any(v < 0 for v in zero_idx):
         rep.fail("zero_vector_outside_grid")
         s_ok = False
@@ -1872,8 +1793,8 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
         pr_obj = np.repeat(np.arange(len(objects)), obj_ne)
         pr_mor = np.repeat(np.arange(len(morphisms)), mor_ne)
         _report(rep, Functor("pr", E, B, pr_obj, pr_mor).failure)
-        s_mor = e_base[:-1] + s_flat[_offsets(n_points)[b_I] + b_rho]
-        _report(rep, Functor("section", B, E, eo_base[:-1] + s_flat, s_mor).failure)
+        s_mor = e_base[:-1] + s_idx[0][_offsets(n_points)[b_I] + b_rho]
+        _report(rep, Functor("section", B, E, eo_base[:-1] + s_idx[0], s_mor).failure)
         z_obj = eo_base[:-1] + np.repeat(zero_flat, n_points)
         _report(rep, Functor("zero", B, E, z_obj, e_base[:-1] + zero_flat[b_I]).failure)
 
@@ -1898,13 +1819,13 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
 
 def _obstruction_facts(bk: _Blocks, ne: np.ndarray, act: tuple, phi: tuple,
                        s_idx: tuple | None) -> bool:
-    """Facts 2, 4, 5 and 6 of :func:`build_categories`, with ``ne``, ``act``
-    and ``phi`` as :func:`_block_category` takes them and ``s_idx`` the
-    section's grid index per sample, flat by chart (``None`` skips fact 6): Γ_I is
-    a group acting on the grid; φ̂_IJ(ρ^Γ(δ)·x) = δ·φ̂_IJ(x); φ̂_IK =
-    φ̂_JK ∘ φ̂_IJ; s(γ·x) = γ·s(x) and φ̂_IJ(s_I(ρ(y))) = s_J(y).  Sample
-    indices must lie in their charts, so that E_K lies over B_K.  Each fact
-    is checked on all charts, blocks or chains at once."""
+    """Facts 2, 4, 5 and 6 of :func:`build_categories`, each on all charts,
+    blocks or chains at once, with ``ne``, ``act``, ``phi`` as
+    :func:`_block_category` takes them and ``s_idx`` the section's flat grid
+    index per sample (``None`` skips fact 6): Γ_I is a group acting on the
+    grid; φ̂_IJ(ρ^Γ(δ)·x) = δ·φ̂_IJ(x); φ̂_IK = φ̂_JK ∘ φ̂_IJ; s(γ·x) = γ·s(x)
+    and φ̂_IJ(s_I(ρ(y))) = s_J(y).  Samples lie in their charts, so that E_K
+    lies over B_K."""
     if not all(g.validate().ok for g in bk.groups):
         return False
     n, order = bk.n_points, bk.order
@@ -1976,9 +1897,7 @@ class Functor:
         if bad.size:
             clause = f"functor_{name}_morphism_outside_codomain"
             return clause, {"morphism": dom.morphisms[bad[0]]}
-        bad = _where(
-            (cod.src[fmor] != fobj[dom.src]) | (cod.tgt[fmor] != fobj[dom.tgt])
-        )
+        bad = _where((cod.src[fmor] != fobj[dom.src]) | (cod.tgt[fmor] != fobj[dom.tgt]))
         if bad.size:
             return f"functor_{name}_endpoints", {"morphism": dom.morphisms[bad[0]]}
         bad = _where(fmor[dom.identity] != cod.identity[fobj])
@@ -2046,8 +1965,7 @@ def check_realizations(atlas: AtlasModel, B: FiniteCategory) -> CheckReport:
     rep.details["full_classes"] = n_full
     rep.details["intermediate_classes"] = n_inter
     # canonical map: class of (I, x) in |K| -> class of (I, [x]) in |K̲|
-    rows = {I: atlas.sample_rows(I) for I in atlas.index_sets()}
-    image = inter[_ints([rows[I][x] for I, x in B.objects])]
+    image = inter[_ints([atlas.sample_rows(I)[x] for I, x in B.objects])]
     mapping = np.zeros(n_full, dtype=np.int64)
     mapping[full] = image
     bad = np.zeros(n_full, dtype=bool)
@@ -2152,29 +2070,23 @@ def _quotient_to_json(q: GroupQuotientModel) -> dict:
 
 def _quotient_from_json(d: dict, where: str) -> GroupQuotientModel:
     group = _group_from_json(d["group"], where)
-    # rows of "p/q" of one length are read at once; anything else entry by
-    # entry, so that the first fault raises as before
-    rows, name = d["points"], f"{where}: points"
-    parts, width = None, {len(p) if type(p) is list else -1 for p in rows}
-    if len(width) == 1 and min(width) > 0:
-        parts = _read_rationals([c for p in rows for c in p])
-    if parts is None:
-        points = RationalArray.of([[parse_rat(c) for c in p] for p in rows], name, (-1, -1))
-    else:
-        points = RationalArray._of_parts(*parts, (len(rows), width.pop()), name)
-    perms = _by_element(where, "perms", d["perms"], group.elements)
-    # an index out of range would reach the validators as a wrong sample;
-    # int rows of the right length are checked at once, others one by one
+    # string rows of one length, and int perms of the right shape, are read at
+    # once; anything else entry by entry, so that a fault raises as before
+    rows = d["points"]
+    width = {len(p) if type(p) is list else -1 for p in rows}
+    if len(width) != 1 or -1 in width or not all(type(c) is str for p in rows for c in p):
+        rows = [[parse_rat(c) for c in p] for p in rows]
+    points = RationalArray.of(rows, f"{where}: points", (-1, -1))
+    perms, n = _by_element(where, "perms", d["perms"], group.elements), len(points)
     suspects = range(len(perms))
-    if {len(p) if type(p) is list else -1 for p in perms} <= {len(points)}:
+    if {len(p) if type(p) is list else -1 for p in perms} <= {n}:
         table = np.array(perms)
-        if table.dtype.kind == "i" and table.shape == (len(perms), len(points)):
-            suspects = _where(((table < 0) | (table >= len(points))).any(axis=1)).tolist()
-    for k in suspects:
-        if len(perms[k]) != len(points) or not all(0 <= i < len(points) for i in perms[k]):
+        if table.dtype.kind == "i" and table.shape == (len(perms), n):
+            suspects = _where(((table < 0) | (table >= n)).any(axis=1)).tolist()
+    for k in suspects:  # an index out of range would reach the validators
+        if len(perms[k]) != n or not all(0 <= i < n for i in perms[k]):
             raise ValueError(
-                f"{where}: perms of {group.elements[k]!r} is no map of the {len(points)} samples"
-            )
+                f"{where}: perms of {group.elements[k]!r} is no map of the {n} samples")
     affine = None
     if "affine" in d:
         affine, dim = [], points.num.shape[1]
@@ -2183,13 +2095,8 @@ def _quotient_from_json(d: dict, where: str) -> GroupQuotientModel:
             if mat.num.shape != (dim, dim) or len(shift) != dim:
                 raise ValueError(f"{where}: affine is not {dim} x {dim} with a shift of {dim}")
             affine.append([[*row, parse_rat(c)] for row, c in zip(mat.fractions(), shift)])
-    return GroupQuotientModel(
-        points=points,
-        group=group,
-        perms=perms,
-        affine=affine,
-        membership=d.get("membership"),
-    )
+    return GroupQuotientModel(points=points, group=group, perms=perms, affine=affine,
+                              membership=d.get("membership"))
 
 
 def _chart_to_json(c: ChartModel) -> dict:
@@ -2338,10 +2245,7 @@ def atlas_to_json(atlas: AtlasModel) -> dict:
         "charts": {
             _index_key(I): _chart_to_json(c) for I, c in atlas.charts.items()
         },
-        "changes": [
-            _change_to_json(c)
-            for (_, _), c in sorted(atlas.changes.items())
-        ],
+        "changes": [_change_to_json(c) for (_, _), c in sorted(atlas.changes.items())],
     }
     if atlas.metric is not None:
         out["metric"] = _metric_to_json(atlas)
