@@ -367,6 +367,8 @@ class RationalArray:
             return cls(_shaped(values.num, shape, where), values.den)
         entries = _shaped(np.array(values, dtype=object), shape, where)
         flat = entries.ravel().tolist()
+        if not flat:
+            return cls(np.zeros(entries.shape, dtype=np.int64), 1)
         parts = _read_rationals(flat)
         if parts is None:
             flat = [f if type(f) is Fraction else Fraction(f) for f in flat]
@@ -787,7 +789,7 @@ def check_coordinate_change(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckRep
     rho_at = np.full(len(tgt.domain.points), -1, dtype=np.int64)
     rho_at[ys] = xs
     image, missing = rho_at[moved], np.zeros(moved.shape, dtype=bool)
-    for g, t in np.argwhere(image < 0).tolist():
+    for g, t in zip(*(image < 0).nonzero()):
         missing[g, t] = int(moved[g, t]) not in change.rho_idx
         image[g, t] = change.rho_idx.get(int(moved[g, t]), -1)
     bad = missing | (image != src.domain.perms[proj][:, xs])
@@ -811,13 +813,15 @@ def check_coordinate_change(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckRep
         bad = ~_equal(lhs, rhs, where).all(axis=(1, 2))
         if bad.any():
             rep.fail("phi_hat_not_equivariant", element=names[bad.argmax()])
-    # section compatibility at samples: s_J∘φ̃ = φ̂∘s_I∘ρ (φ̃ = inclusion)
+    # section compatibility at samples: s_J∘φ̃ = φ̂∘s_I∘ρ (φ̃ = inclusion),
+    # which holds on E_J = 0
     s_I, s_J = src.section_samples, tgt.section_samples
-    pulled = RationalArray(s_I.num[xs], s_I.den)
-    got = RationalArray(s_J.num[ys], s_J.den)
-    bad = ~_equal(_matmul(pulled, phi.mT, where), got, where).all(axis=1)
-    if bad.any():
-        rep.fail("section_compatibility", point=int(ys[bad.argmax()]))
+    if m_J > 0:
+        pulled = RationalArray(s_I.num[xs], s_I.den)
+        bad = ~_equal(_matmul(pulled, phi.mT, where), RationalArray(s_J.num[ys], s_J.den),
+                      where).all(axis=1)
+        if bad.any():
+            rep.fail("section_compatibility", point=int(ys[bad.argmax()]))
     # index condition
     n_I, n_J = len(src.tangent_dims), len(tgt.tangent_dims)
     if n_J - n_I != m_J - m_I:
@@ -995,12 +999,9 @@ class AtlasModel:
 def check_atlas_model(atlas: AtlasModel) -> CheckReport:
     """Index-set and additivity invariants of the atlas."""
     rep = CheckReport("atlas_model")
-    nonempty = {
-        I
-        for r in range(1, len(atlas.basic_indices()) + 1)
-        for I in itertools.combinations(atlas.basic_indices(), r)
-        if atlas.footprint(I)
-    }
+    basics = atlas.basic_indices()
+    nonempty = {I for r in range(1, len(basics) + 1) for I in itertools.combinations(basics, r)
+                if atlas.footprint(I)}
     declared = set(atlas.index_sets())
     if declared != nonempty:
         rep.fail("index_set_mismatch", declared=sorted(declared), from_cover=sorted(nonempty))
@@ -1053,13 +1054,8 @@ def check_cocycle(atlas: AtlasModel, strength: str = "weak") -> CheckReport:
         raise ValueError(f"unknown strength {strength!r}")
     rep = CheckReport(f"cocycle[{strength}]")
     indices = atlas.index_sets()
-    triples = [
-        (I, J, K)
-        for I in indices
-        for J in indices
-        for K in indices
-        if set(I) < set(J) < set(K)
-    ]
+    triples = [(I, J, K) for I in indices for J in indices for K in indices
+               if set(I) < set(J) < set(K)]
     rep.details["triples"] = len(triples)
     for (I, J, K) in triples:
         cIJ = atlas.changes.get((I, J))
@@ -1101,12 +1097,8 @@ def check_tame_and_filtration(atlas: AtlasModel) -> CheckReport:
     rep = CheckReport("tame_and_filtration")
     indices = atlas.index_sets()
     # the identities below are stated through every coordinate change
-    missing = [
-        (I, J)
-        for I in indices
-        for J in indices
-        if set(I) < set(J) and (I, J) not in atlas.changes
-    ]
+    missing = [(I, J) for I in indices for J in indices
+               if set(I) < set(J) and (I, J) not in atlas.changes]
     for pair in missing:
         rep.fail("missing_change", pair=pair)
     if missing:

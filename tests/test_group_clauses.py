@@ -374,3 +374,39 @@ def test_covering_arrays_report_what_the_walk_reports():
             clauses |= {f["clause"] for f in want[0]}
     assert {"fiber_size", "fiber_not_kernel_orbit", "quotient_map_not_well_defined",
             "quotient_map_not_injective", "stabilizer_not_isomorphic"} <= clauses
+
+
+def _walked_equivariance(atlas, I, J):
+    """The ``rho_not_equivariant`` failures of ``check_coordinate_change``
+    as the double loop over Γ_J and Ũ_IJ, stopping at the first failing
+    sample per element, after the covering walk: the reference for its
+    array comparison."""
+    _walked_covering(atlas, I, J)  # raises where the covering check raises
+    src, tgt, change = atlas.charts[I], atlas.charts[J], atlas.changes[(I, J)]
+    rho, failures = change.rho_idx, []
+    pairs = zip(tgt.domain.perms.tolist(), src.domain.perms[atlas.projection[(I, J)]].tolist())
+    for g, (perm, perm_I) in enumerate(pairs):
+        for y in change.tilde_indices:
+            if rho[perm[y]] != perm_I[rho[y]]:
+                failures.append({"clause": "rho_not_equivariant",
+                                 "element": tgt.group.elements[g], "point": y})
+                break
+    return failures
+
+
+def test_rho_equivariance_array_reports_what_the_loop_reports():
+    clauses = 0
+    for seed in range(400):
+        atlas, I, J = _doctored_covering(seed)
+        try:
+            want = _walked_equivariance(atlas, I, J)
+        except (KeyError, IndexError) as ex:
+            want = type(ex), ex.args
+        try:
+            rep = check_coordinate_change(atlas, I, J)
+            got = [f for f in rep.failures if f["clause"] == "rho_not_equivariant"]
+        except (KeyError, IndexError) as ex:
+            got = type(ex), ex.args
+        assert got == want, seed
+        clauses += isinstance(want, list) and bool(want)
+    assert clauses > 50
