@@ -356,8 +356,9 @@ class RationalArray:
 
     @classmethod
     def of(cls, values, where: str, shape: tuple) -> "RationalArray":
-        """The rationals ``values`` (nested sequences or arrays of numbers)
-        in lowest terms, or a ``RationalArray`` as it is.
+        """The rationals ``values`` (nested sequences or arrays of numbers;
+        ``"p/q"`` strings are read without a ``Fraction`` each) in lowest
+        terms, or a ``RationalArray`` as it is.
 
         ``shape`` may hold -1 for any length; empty ``values`` take
         ``shape`` with 0 for -1.  Raises ``ValueError`` naming ``where``
@@ -726,9 +727,9 @@ def check_group_covering(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckReport
         rep.details["identity_covering"] = True
         return rep
     change = atlas.changes[(I, J)]
-    names = tgt.group.elements
-    moved = tgt.domain.perms[:, change.tilde]
-    ys, xs = change.tilde, change.rho
+    names, ys = tgt.group.elements, change.tilde
+    # a sample beyond chart J raises IndexError before a missing ρ-value raises KeyError
+    moved, xs = tgt.domain.perms[:, ys], change.rho
     for t in _where((ys < 0) | (xs < 0) | (xs >= len(src.domain.points)))[:1].tolist():
         raise KeyError(int(ys[t] if ys[t] < 0 else xs[t]))
     # Ũ_IJ is Γ_J-invariant
@@ -910,10 +911,8 @@ class AtlasModel:
 
     @functools.cached_property
     def _sample_rows(self) -> dict:
-        return {
-            I: _frozen(self.key_offset[I] + chart.domain.class_index)
-            for I, chart in self.charts.items()
-        }
+        offset = self.key_offset
+        return {I: _frozen(offset[I] + c.domain.class_index) for I, c in self.charts.items()}
 
     def sample_rows(self, I: tuple) -> np.ndarray:
         """The metric row of each sample x of chart I: key (I, [x]);
