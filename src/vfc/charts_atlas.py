@@ -50,7 +50,6 @@ __all__ = [
     "RationalArray",
     "AtlasModel",
     "FiniteCategory",
-    "Functor",
     "Labels",
     "PairIndex",
     "check_group_quotient",
@@ -96,6 +95,13 @@ class CheckReport:
         entry = {"clause": clause}
         entry.update(witness)
         self.failures.append(entry)
+
+    def fail_first(self, clause: str, holds: np.ndarray, witness) -> None:
+        """Record ``clause`` with ``witness(p)`` at the first p where
+        ``holds`` is false, if there is one."""
+        bad = _where(~holds)
+        if bad.size:
+            self.fail(clause, **witness(int(bad[0])))
 
     def merge(self, other: "CheckReport") -> None:
         for f in other.failures:
@@ -577,8 +583,8 @@ class ChartModel:
     @functools.cached_property
     def grid_action(self) -> np.ndarray:
         """Γ on grid indices: ``grid_action[γ, e]`` is the index of γ·e in
-        ``obstruction_points`` (the last, if it is there twice), or -1
-        where γ·e is no grid point."""
+        ``obstruction_points``, or -1 where γ·e is no grid point.  The grid
+        is a set (``obstruction_grid_repeated`` of :func:`check_chart`)."""
         where, grid = f"chart {self.index}", self.obstruction_points
         return _lookup(_matmul(grid, self.obstruction_action.mT, where), grid, where)
 
@@ -591,6 +597,10 @@ def check_chart(atlas: "AtlasModel", I: tuple) -> CheckReport:
     g0, names = chart.group, chart.group.elements
     m, where = chart.obstruction_dim, f"chart {I}"
     act, grid, samples = chart.obstruction_action, chart.obstruction_points, chart.section_samples
+    first: dict = {}
+    for e, point in enumerate(map(tuple, grid.num.tolist())):
+        if first.setdefault(point, e) != e:
+            rep.fail("obstruction_grid_repeated", points=(first[point], e))
     if m > 0:  # E_I = 0 has one vector, on which all of this holds
         if (act.num[g0.identity] != act.den * np.eye(m, dtype=np.int64)).any():
             rep.fail("obstruction_identity_action")
@@ -1174,11 +1184,6 @@ def check_tame_and_filtration(atlas: AtlasModel) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-#: composable triples per step of the associativity check; this bounds the
-#: memory of its index arrays, which would otherwise grow with the triples
-TRIPLE_CHUNK = 1 << 14
-
-
 def _ints(values) -> np.ndarray:
     return np.asarray(values, dtype=np.int64)
 
@@ -1278,12 +1283,12 @@ class FiniteCategory:
     cannot hold (see :meth:`from_labels`) as ``(clause, witness)``.
 
     ``objects`` and ``morphisms`` are the labels, as tuples or as
-    :class:`Labels` built on first read (E_K's, which only witnesses
-    read).  ``source``, ``target``, ``compose`` and ``identity_of`` are
+    :class:`Labels` built on first read (E_K's, which no check reads).
+    ``source``, ``target``, ``compose`` and ``identity_of`` are
     read-only label views of the arrays, built when first read.
     ``failure``, the first failing axiom, is also computed once, when first
-    read: the arrays are not changed after construction.  ``associative``
-    (set by a builder that proved the law, as for B_K) skips the triple scan.
+    read: the arrays are not changed after construction.  Associativity is
+    proved where a category is built; no check scans composable triples.
     """
 
     objects: Sequence
@@ -1294,7 +1299,6 @@ class FiniteCategory:
     pairs: PairIndex
     comp: np.ndarray
     defects: tuple = ()
-    associative: bool = False
 
     @classmethod
     def from_labels(cls, objects, morphisms, source: dict, target: dict,
@@ -1392,9 +1396,6 @@ class FiniteCategory:
         )
         if bad.size:
             return "identity_law", {"morphism": morphisms[bad[0]]}
-        triple = None if self.associative else _first_non_associative(self)
-        if triple is not None:
-            return "associativity", {"triple": tuple(morphisms[m] for m in triple)}
         return None
 
     @functools.cached_property
@@ -1440,45 +1441,18 @@ def check_category(cat: FiniteCategory) -> CheckReport:
     endpoints; composites (the label faults of ``defects`` first, then
     composites outside the morphisms or with the wrong endpoints);
     composable pairs without a composite; identities (``defects`` first);
-    the identity laws; associativity over every composable triple, checked
-    ``TRIPLE_CHUNK`` triples at a time, unless ``cat.associative``.
+    the identity laws.  Associativity is proved where the category is built
+    (see :class:`FiniteCategory`).
     """
     rep = CheckReport("category_axioms")
-    _report(rep, cat.failure)
-    if cat.failure is None:
+    if cat.failure is not None:
+        rep.fail(cat.failure[0], **cat.failure[1])
+    else:
         rep.details["objects"] = len(cat.objects)
         rep.details["morphisms"] = len(cat.morphisms)
         rep.details["composable_pairs"] = len(cat.comp)
         rep.details["composable_triples"] = int(cat.pairs.triple_counts().sum())
     return rep
-
-
-def _first_non_associative(cat: FiniteCategory):
-    """The first composable triple (f, g, h), in CSR pair order and then h
-    in morphism order, with ``(f then g) then h != f then (g then h)``.
-
-    Needs every composite defined and with the right endpoints: (f g, h)
-    and (g, h) then sit at rank k of h in the rows of f g and g."""
-    pairs, comp = cat.pairs, cat.comp
-    counts = pairs.triple_counts()
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    a = 0
-    while a < len(counts):
-        base = int(starts[a])
-        b = max(int(np.searchsorted(ends, base + TRIPLE_CHUNK, side="right")), a + 1)
-        p = np.repeat(np.arange(a, b), counts[a:b])
-        k = np.arange(len(p)) + base - starts[p]
-        left = comp[pairs.pair_start[comp[p]] + k]
-        gh = comp[pairs.pair_start[pairs.g[p]] + k]
-        right = comp[pairs.at(pairs.f[p], gh)]
-        bad = _where(left != right)
-        if bad.size:
-            q, i = p[bad[0]], k[bad[0]]
-            h = pairs.by_source[pairs.out_start[cat.tgt[pairs.g[q]]] + i]
-            return pairs.f[q], pairs.g[q], h
-        a = b
-    return None
 
 
 def composition_table(rep: CheckReport, clause: str, morphisms, source: dict,
@@ -1504,7 +1478,7 @@ def composition_table(rep: CheckReport, clause: str, morphisms, source: dict,
 
 @dataclass
 class CategoriesResult:
-    """What :func:`build_categories` returns; E_K is built once, when first needed."""
+    """What :func:`build_categories` returns; E_K, read by no check, is built when first read."""
 
     domain_category: FiniteCategory  # B_K
     report: CheckReport
@@ -1557,6 +1531,14 @@ class _Blocks:
         k3 = self.block_of[self.I[k1], self.J[k2]]
         self.chains = np.stack([k1, k2, k3], axis=1)[k3 >= 0]
 
+    def element(self, i: int, g: int) -> str:
+        """The name of element g of the i-th index set's group."""
+        return self.groups[i].elements[g]
+
+    def chain(self, c: int) -> tuple:
+        """The index sets (I, J, K) of chain c."""
+        return (*self.blocks[self.chains[c, 0]][:2], self.blocks[self.chains[c, 1]][1])
+
 
 def _block_category(bk: _Blocks, ne: np.ndarray, act: tuple, phi: tuple) -> tuple:
     """The int arrays of the category with objects (I, x, e) and morphisms
@@ -1572,7 +1554,7 @@ def _block_category(bk: _Blocks, ne: np.ndarray, act: tuple, phi: tuple) -> tupl
 
     Returns (src, tgt, identity, pairs, comp), the composable pairs (f, g)
     whose composite is no morphism as (f, g, I, K, z, e, γ) with γ named,
-    and per morphism the position of I and ρ(y).
+    and per morphism the position of I.
     """
     order, n_points, block_of = bk.order, bk.n_points, bk.block_of
     (tilde, tilde_start), (rho, _) = bk.tilde, bk.rho
@@ -1615,52 +1597,77 @@ def _block_category(bk: _Blocks, ne: np.ndarray, act: tuple, phi: tuple) -> tupl
          bk.groups[fI[p]].elements[gamma2[p]])
         for p in _where(t2 < 0).tolist()
     ]
-    return (src, tgt, identity, pairs, comp), missing, I, x
+    return (src, tgt, identity, pairs, comp), missing, I
 
 
-def _maps_compose(maps: tuple, outer: np.ndarray, inner: np.ndarray, whole: np.ndarray) -> bool:
-    """Whether map ``outer[c]`` after map ``inner[c]`` is map ``whole[c]``
-    for every c; ``maps`` are int arrays of images, flat (see :func:`_flat`)."""
+def _maps_compose(maps: tuple, outer: np.ndarray, inner: np.ndarray, whole: np.ndarray):
+    """Whether map ``outer[c]`` after map ``inner[c]`` is map ``whole[c]`` at
+    v, for every c and v, with c and v; ``maps`` are flat (see :func:`_flat`)."""
     flat, start = maps
     c, v = _runs((start[1:] - start[:-1])[inner])
-    return bool((flat[start[outer[c]] + flat[start[inner[c]] + v]]
-                 == flat[start[whole[c]] + v]).all())
+    return flat[start[outer[c]] + flat[start[inner[c]] + v]] == flat[start[whole[c]] + v], c, v
 
 
-def _associative_by_groups(bk: _Blocks) -> bool:
-    """Whether B_K is associative by its group facts: every Γ_I is a group,
-    every block's ρ^Γ_{JI} is a homomorphism, and ρ^Γ_{JI} ∘ ρ^Γ_{KJ} =
-    ρ^Γ_{KI} on every chain of blocks.  Then for composable (I, J, y, γ),
-    (J, K, z, δ), (K, L, w, ε) with all composites defined, both bracketings
-    are (I, L, w, ·) (see :func:`_block_category`) with ρ^Γ_{JI}(ρ^Γ_{KJ}(ε)·δ)·γ
-    = ρ^Γ_{KI}(ε)·(ρ^Γ_{JI}(δ)·γ)."""
-    if not all(g.validate().ok for g in bk.groups):
+def _domain_facts(bk: _Blocks, rep: CheckReport) -> bool:
+    """Report each failing fact on which B_K rests, at its first witness:
+    every sample index (perms, Ũ_IJ, ρ_IJ) lies in its chart
+    (``sample_outside_chart``) and every Γ_I is a group (``group_not_valid``),
+    or no table is read and ``False`` is returned; every ρ^Γ_{JI} is a
+    homomorphism (``projection_not_homomorphic``) and ρ^Γ_{JI} ∘ ρ^Γ_{KJ} =
+    ρ^Γ_{KI} on every chain (``projections_not_composing``).  Then both
+    bracketings of composable (I, J, y, γ), (J, K, z, δ), (K, L, w, ε) are
+    (I, L, w, ρ^Γ_{JI}(ρ^Γ_{KJ}(ε)·δ)·γ = ρ^Γ_{KI}(ε)·(ρ^Γ_{JI}(δ)·γ))."""
+    n, order, blocks, name = bk.n_points, bk.order, bk.blocks, bk.element
+    (perms, _), (tilde, tilde_start), (rho, _) = bk.perms, bk.tilde, bk.rho
+    i, x = _runs(order * n)
+    perms_in = (perms >= 0) & (perms < n[i])
+    rep.fail_first("sample_outside_chart", perms_in, lambda p: {
+        "index": bk.indices[i[p]], "element": name(i[p], x[p] // n[i[p]]),
+    })
+    k, _ = _runs(tilde_start[1:] - tilde_start[:-1])
+    changes_in = (tilde >= 0) & (tilde < n[bk.J[k]]) & (rho >= 0) & (rho < n[bk.I[k]])
+    rep.fail_first("sample_outside_chart", changes_in, lambda p: {
+        "pair": blocks[k[p]][:2], "point": int(tilde[p]),
+    })
+    valid = np.array([g.validate().ok for g in bk.groups], dtype=bool)
+    rep.fail_first("group_not_valid", valid, lambda p: {"index": bk.indices[p]})
+    if not (valid.all() and perms_in.all() and changes_in.all()):
         return False
-    (proj, start), (mul, at), order = bk.proj, bk.mul, bk.order
+    (proj, start), (mul, at) = bk.proj, bk.mul
     # ρ(a·b) = ρ(a)·ρ(b) over Γ_J × Γ_J, every block at once
     k, ab = _runs(order[bk.J] ** 2)
     I, J = bk.I[k], bk.J[k]
-    image = proj[start[k] + ab // order[J]] * order[I] + proj[start[k] + ab % order[J]]
-    homomorphic = proj[start[k] + mul[at[J] + ab]] == mul[at[I] + image]
-    return bool(homomorphic.all()) and _maps_compose(bk.proj, *bk.chains.T)
+    a, b = ab // order[J], ab % order[J]
+    holds = proj[start[k] + mul[at[J] + ab]] == mul[at[I] + proj[start[k] + a] * order[I]
+                                                    + proj[start[k] + b]]
+    rep.fail_first("projection_not_homomorphic", holds, lambda p: {
+        "pair": blocks[k[p]][:2], "elements": (name(J[p], a[p]), name(J[p], b[p])),
+    })
+    holds, c, v = _maps_compose(bk.proj, *bk.chains.T)
+    rep.fail_first("projections_not_composing", holds, lambda p: {
+        "triple": bk.chain(c[p]), "element": name(bk.J[bk.chains[c[p], 1]], v[p]),
+    })
+    return True
 
 
 def build_categories(atlas: AtlasModel) -> CategoriesResult:
-    """The categories B_K and E_K with pr, section, zero and footprint
-    functors, built by :func:`_block_category`, B_K with one-point grids:
+    """The category B_K, built by :func:`_block_category` with one-point
+    grids and checked on its arrays, and the facts on which it rests and
+    from which its associativity (:func:`_domain_facts`) and all of E_K
+    follow.
+
     E_K's object (I, x, e) is ``eo_base[(I, x)] + e``, its morphism
-    (I, J, y, e, γ) is ``e_base[b] + e`` for B_K's b = (I, J, y, γ), and
-    its endpoints, identities and composites are B_K's with e moved by Γ_I
-    and φ̂.  B_K is checked on its arrays; its associativity follows from
-    the group facts of :func:`_associative_by_groups`, and only where one
-    fails are its composable triples scanned.  E_K's axioms and the laws of
-    pr, section and zero follow when (1) B_K passes, (2) Γ_I acts on grid
-    indices, and on them φ̂ (3) maps grids into grids, is (4) ρ^Γ-equivariant
-    and (5) composes, and (6) the section is Γ_I-equivariant and φ̂-compatible
-    (the zero vector is, by linearity).  E_K's sizes are then B_K's, each
-    object, morphism, pair (f, g) and triple counted n_e[I] times, the grid
-    size of the chart I of the object or of f.  Where a fact fails, E_K is
-    built and checked, pr, section and zero too, in full.
+    (I, J, y, e, γ) is ``e_base[b] + e`` for B_K's b = (I, J, y, γ), and its
+    endpoints, identities and composites are B_K's with e moved by Γ_I and
+    φ̂.  E_K's axioms and the laws of pr, section and zero follow when
+    (1) B_K passes, (2) Γ_I acts on grid indices, and on them φ̂ (3) maps
+    grids into grids, is (4) ρ^Γ-equivariant and (5) composes, and (6) the
+    section is Γ_I-equivariant and φ̂-compatible (the zero vector is, by
+    linearity); see :func:`_obstruction_facts` and :func:`_section_facts`.
+    Each failing fact is a clause with its first witness.  E_K's sizes are
+    then B_K's, each object, morphism, pair (f, g) and triple counted n_e[I]
+    times, the grid size of the chart I of the object or of f; E_K itself
+    is built only when ``obstruction_category`` is read.
     """
     rep = CheckReport("build_categories")
     indices = atlas.index_sets()
@@ -1676,18 +1683,12 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
     bk = _Blocks(atlas, blocks)
     n_points = bk.n_points.tolist()
 
-    def axioms(name, report):
-        report.name = name
-        rep.merge(report)
-        # the sizes of the category; ``merge`` passes failures on, not details
-        rep.details[name] = report.details
-
     # ----- B_K -----
     objects = tuple(itertools.chain.from_iterable(
         itertools.product([I], range(n)) for I, n in zip(indices, n_points)
     ))
     one_point = np.zeros(int(bk.order.sum()), dtype=np.int64), _offsets(bk.order)
-    arrays, missing, b_I, b_rho = _block_category(
+    arrays, missing, b_I = _block_category(
         bk, np.ones(len(indices), dtype=np.int64), one_point,
         (np.zeros(len(blocks), dtype=np.int64), np.arange(len(blocks) + 1)),
     )
@@ -1698,9 +1699,12 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
     for f, g, I, K, z, _, gamma in missing:
         rep.fail("composability_violated", pair=(morphisms[f], morphisms[g]),
                  result=(I, K, z, gamma))
-    associative = not missing and _associative_by_groups(bk)
-    B = FiniteCategory(objects, morphisms, *arrays, associative=associative)
-    axioms("category_axioms", check_category(B))
+    B = FiniteCategory(objects, morphisms, *arrays)
+    axioms = check_category(B)
+    rep.merge(axioms)
+    # the sizes of the category; ``merge`` passes failures on, not details
+    rep.details["category_axioms"] = axioms.details
+    tables_ok = _domain_facts(bk, rep)
 
     # ----- E_K -----
     charts = [atlas.charts[I] for I in indices]
@@ -1724,70 +1728,45 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
         if (images < 0).any():
             vector = tuple(grids[position[I]].fractions()[(images < 0).argmax()])
             rep.fail("obstruction_grid_not_phi_closed", pair=(I, J), vector=vector)
-    obj_ne = n_e.repeat(n_points)
-    mor_ne = n_e[b_I]
+    phis = phis if grids_closed else None
+    if tables_ok:
+        _obstruction_facts(bk, n_e, eact, phis, rep)
+    obj_ne, mor_ne = n_e.repeat(n_points), n_e[b_I]
     eo_base, e_base = _offsets(obj_ne), _offsets(mor_ne)
-
-    def obstruction_category():
-        """E_K and its composable pairs without a composite."""
-        # without φ̂ on the grids E_K has no morphisms: every identity is missing
-        e_blocks = blocks if grids_closed else []
-        e_objects = Labels(int(eo_base[-1]), lambda: (
-            (I, x, e) for (I, x), ne in zip(objects, obj_ne.tolist()) for e in range(ne)
-        ))
-        e_morphisms = Labels(int(e_base[-1]) if e_blocks else 0, lambda: (
-            (I, J, y, e, gamma)
-            for (I, J, y, gamma), ne in zip(morphisms, mor_ne.tolist())
-            for e in range(ne if e_blocks else 0)
-        ))
-        arrays, missing, _, _ = _block_category(
-            bk if grids_closed else _Blocks(atlas, []), n_e, eact,
-            phis if grids_closed else _flat([]),
-        )
-        return FiniteCategory(e_objects, e_morphisms, *arrays), missing
-
+    weights = mor_ne[B.pairs.f]
+    # E_K's sizes, where its laws are proved
+    rep.details["category_axioms_E"] = {
+        "objects": int(eo_base[-1]),
+        "morphisms": int(e_base[-1]),
+        "composable_pairs": int(weights.sum()),
+        "composable_triples": int((weights * B.pairs.triple_counts()).sum()),
+    } if rep.ok else {}
     # the section and the zero vector on grid indices
     s_list = [_lookup(chart.section_samples, grid, f"chart {I}")
               for I, chart, grid in zip(indices, charts, grids)]
-    s_idx = _flat(s_list)
-    s_ok = not (s_idx[0] < 0).any()
-    # per chart the last zero row of the grid, as ``_lookup`` finds it, or -1
-    zero_idx = [([-1] + _where(~g.num.any(axis=1)).tolist())[-1] for g in grids]
-    E = None
-    if B.failure is None and grids_closed and _obstruction_facts(
-        bk, n_e, eact, phis, s_idx if s_ok else None
-    ):
-        weights = mor_ne[B.pairs.f]
-        rep.details["category_axioms_E"] = {
-            "objects": int(eo_base[-1]),
-            "morphisms": int(e_base[-1]),
-            "composable_pairs": int(weights.sum()),
-            "composable_triples": int((weights * B.pairs.triple_counts()).sum()),
-        }
-    else:
-        E, missing = obstruction_category()
-        for f, g, I, K, z, e, gamma in missing:
-            rep.fail("composability_violated_E", pair=(E.morphisms[f], E.morphisms[g]),
-                     result=(I, K, z, e, gamma))
-        axioms("category_axioms_E", check_category(E))
-
-    # ----- functors -----
+    s_ok = all((values >= 0).all() for values in s_list)
     for I, chart, values in zip(indices, charts, [] if s_ok else s_list):
         if (values < 0).any():
             value = tuple(chart.section_samples.fractions()[(values < 0).argmax()])
             rep.fail("section_value_outside_grid", index=I, value=value)
-    if any(v < 0 for v in zero_idx):
+    if any(g.num.any(axis=1).all() for g in grids):
         rep.fail("zero_vector_outside_grid")
-        s_ok = False
-    if E is not None and s_ok and grids_closed:
-        zero_flat = _ints(zero_idx)
-        pr_obj = np.repeat(np.arange(len(objects)), obj_ne)
-        pr_mor = np.repeat(np.arange(len(morphisms)), mor_ne)
-        _report(rep, Functor("pr", E, B, pr_obj, pr_mor).failure)
-        s_mor = e_base[:-1] + s_idx[0][_offsets(n_points)[b_I] + b_rho]
-        _report(rep, Functor("section", B, E, eo_base[:-1] + s_idx[0], s_mor).failure)
-        z_obj = eo_base[:-1] + np.repeat(zero_flat, n_points)
-        _report(rep, Functor("zero", B, E, z_obj, e_base[:-1] + zero_flat[b_I]).failure)
+    if tables_ok and s_ok:
+        _section_facts(bk, n_e, eact, phis, _flat(s_list), rep)
+
+    def obstruction_category():
+        # without φ̂ on the grids E_K has no morphisms: every identity is missing
+        e_bk, e_phi, e_ne = (bk, phis, mor_ne) if grids_closed else (
+            _Blocks(atlas, []), _flat([]), 0 * mor_ne)
+        e_objects = Labels(int(eo_base[-1]), lambda: (
+            (I, x, e) for (I, x), ne in zip(objects, obj_ne.tolist()) for e in range(ne)
+        ))
+        e_morphisms = Labels(int(e_ne.sum()), lambda: (
+            (I, J, y, e, gamma)
+            for (I, J, y, gamma), ne in zip(morphisms, e_ne.tolist()) for e in range(ne)
+        ))
+        arrays = _block_category(e_bk, n_e, eact, e_phi)[0]
+        return FiniteCategory(e_objects, e_morphisms, *arrays)
 
     # footprint functor ψ on the zero-object subcategory
     psi_obj = _footprint_labels(atlas, rep)
@@ -1801,54 +1780,70 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
         rep.fail("footprint_functor_not_constant", morphism=morphisms[m])
     if set(psi_obj.values()) != set(atlas.x_labels):
         rep.fail("footprint_functor_not_surjective", image=sorted(set(psi_obj.values())))
-    return CategoriesResult(
-        domain_category=B,
-        report=rep,
-        build_obstruction=(lambda: E) if E is not None else lambda: obstruction_category()[0],
-    )
+    return CategoriesResult(domain_category=B, report=rep, build_obstruction=obstruction_category)
 
 
-def _obstruction_facts(bk: _Blocks, ne: np.ndarray, act: tuple, phi: tuple,
-                       s_idx: tuple | None) -> bool:
-    """Facts 2, 4, 5 and 6 of :func:`build_categories`, each on all charts,
-    blocks or chains at once, with ``ne``, ``act``, ``phi`` as
-    :func:`_block_category` takes them and ``s_idx`` the section's flat grid
-    index per sample (``None`` skips fact 6): Γ_I is a group acting on the
-    grid; φ̂_IJ(ρ^Γ(δ)·x) = δ·φ̂_IJ(x); φ̂_IK = φ̂_JK ∘ φ̂_IJ; s(γ·x) = γ·s(x)
-    and φ̂_IJ(s_I(ρ(y))) = s_J(y).  Samples lie in their charts, so that E_K
-    lies over B_K."""
-    if not all(g.validate().ok for g in bk.groups):
-        return False
-    n, order = bk.n_points, bk.order
-    (perms, perm_start), (mul, mul_start), (proj, proj_start) = bk.perms, bk.mul, bk.proj
-    (tilde, tilde_start), (rho, _), (grid, at), (phis, phi_start) = bk.tilde, bk.rho, act, phi
-    k, _ = _runs(tilde_start[1:] - tilde_start[:-1])
-    i = _runs(order * n)[0]
-    if not (
-        ((perms >= 0) & (perms < n[i])).all()
-        and ((tilde >= 0) & (tilde < n[bk.J[k]]) & (rho >= 0) & (rho < n[bk.I[k]])).all()
-    ):
-        return False
-    # the identity fixes the grid, and (γδ)·e = γ·(δ·e)
+def _obstruction_facts(bk: _Blocks, ne: np.ndarray, act: tuple, phi: tuple | None,
+                       rep: CheckReport) -> None:
+    """Report each failing fact 2, 4 and 5 of :func:`build_categories` at
+    its first witness, each on all charts, blocks or chains at once, with
+    ``ne``, ``act``, ``phi`` as :func:`_block_category` takes them (``phi``
+    ``None`` skips the facts that read φ̂): the identity fixes the grid
+    (``grid_identity_not_trivial``) and (γδ)·e = γ·(δ·e)
+    (``grid_action_law``); φ̂_IJ(ρ^Γ(δ)·e) = δ·φ̂_IJ(e)
+    (``phi_hat_not_equivariant_on_grid``); φ̂_IK = φ̂_JK ∘ φ̂_IJ
+    (``phi_hat_not_composing_on_grid``)."""
+    order, name, (grid, at), (mul, mul_start) = bk.order, bk.element, act, bk.mul
     i, e = _runs(ne)
-    facts = [grid[at[i] + bk.one[i] * ne[i] + e] == e]
+    rep.fail_first("grid_identity_not_trivial", grid[at[i] + bk.one[i] * ne[i] + e] == e,
+                   lambda p: {"index": bk.indices[i[p]], "point": int(e[p])})
     i, x = _runs(order**2 * ne)
-    gd, e = x // ne[i], x % ne[i]
-    acted = grid[at[i] + gd % order[i] * ne[i] + e]
-    facts.append(grid[at[i] + mul[mul_start[i] + gd] * ne[i] + e]
-                 == grid[at[i] + gd // order[i] * ne[i] + acted])
-    # φ̂(ρ^Γ(δ)·e) = δ·φ̂(e) for δ in Γ_J and e in the grid of I
+    g, d, e = x // ne[i] // order[i], x // ne[i] % order[i], x % ne[i]
+    holds = (grid[at[i] + mul[mul_start[i] + g * order[i] + d] * ne[i] + e]
+             == grid[at[i] + g * ne[i] + grid[at[i] + d * ne[i] + e]])
+    rep.fail_first("grid_action_law", holds, lambda p: {
+        "index": bk.indices[i[p]], "pair": (name(i[p], g[p]), name(i[p], d[p])),
+        "point": int(e[p]),
+    })
+    if phi is None:
+        return
+    (phis, phi_start), (proj, proj_start) = phi, bk.proj
     c, x = _runs(order[bk.J] * ne[bk.I])
     I, J = bk.I[c], bk.J[c]
     d, e = x // ne[I], x % ne[I]
-    facts.append(phis[phi_start[c] + grid[at[I] + proj[proj_start[c] + d] * ne[I] + e]]
-                 == grid[at[J] + d * ne[J] + phis[phi_start[c] + e]])
-    if s_idx is not None:
-        (s, s_start), (i, x) = s_idx, _runs(order * n)
-        facts.append(s[s_start[i] + perms[perm_start[i] + x]]
-                     == grid[at[i] + x // n[i] * ne[i] + s[s_start[i] + x % n[i]]])
-        facts.append(phis[phi_start[k] + s[s_start[bk.I[k]] + rho]] == s[s_start[bk.J[k]] + tilde])
-    return all(fact.all() for fact in facts) and _maps_compose(phi, *bk.chains[:, [1, 0, 2]].T)
+    holds = (phis[phi_start[c] + grid[at[I] + proj[proj_start[c] + d] * ne[I] + e]]
+             == grid[at[J] + d * ne[J] + phis[phi_start[c] + e]])
+    rep.fail_first("phi_hat_not_equivariant_on_grid", holds, lambda p: {
+        "pair": bk.blocks[c[p]][:2], "element": name(J[p], d[p]), "point": int(e[p]),
+    })
+    holds, c, e = _maps_compose(phi, *bk.chains[:, [1, 0, 2]].T)
+    rep.fail_first("phi_hat_not_composing_on_grid", holds, lambda p: {
+        "triple": bk.chain(c[p]), "point": int(e[p]),
+    })
+
+
+def _section_facts(bk: _Blocks, ne: np.ndarray, act: tuple, phi: tuple | None,
+                   s_idx: tuple, rep: CheckReport) -> None:
+    """Report each failing part of fact 6 of :func:`build_categories` at its
+    first witness, with ``s_idx`` the section's flat grid index per sample:
+    s(γ·x) = γ·s(x) (``section_not_equivariant_on_grid``) and, unless
+    ``phi`` is ``None``, φ̂_IJ(s_I(ρ(y))) = s_J(y)
+    (``section_not_compatible_on_grid``)."""
+    n, (grid, at), (s, s_start), (perms, perm_start) = bk.n_points, act, s_idx, bk.perms
+    i, x = _runs(bk.order * n)
+    g, x = x // n[i], x % n[i]
+    holds = (s[s_start[i] + perms[perm_start[i] + g * n[i] + x]]
+             == grid[at[i] + g * ne[i] + s[s_start[i] + x]])
+    rep.fail_first("section_not_equivariant_on_grid", holds, lambda p: {
+        "index": bk.indices[i[p]], "element": bk.element(i[p], g[p]), "point": int(x[p]),
+    })
+    if phi is not None:
+        (phis, phi_start), (tilde, tilde_start), (rho, _) = phi, bk.tilde, bk.rho
+        k, _ = _runs(tilde_start[1:] - tilde_start[:-1])
+        holds = phis[phi_start[k] + s[s_start[bk.I[k]] + rho]] == s[s_start[bk.J[k]] + tilde]
+        rep.fail_first("section_not_compatible_on_grid", holds, lambda p: {
+            "pair": bk.blocks[k[p]][:2], "point": int(tilde[p]),
+        })
 
 
 def _footprint_labels(atlas: AtlasModel, rep: CheckReport) -> dict:
@@ -1863,53 +1858,6 @@ def _footprint_labels(atlas: AtlasModel, rep: CheckReport) -> dict:
             else:
                 rep.fail("zero_sample_without_footprint", index=I, point=x)
     return labels
-
-
-@dataclass(frozen=True, eq=False)
-class Functor:
-    """The functor ``name``: ``dom`` → ``cod`` given by int maps ``obj`` on
-    objects and ``mor`` on morphisms.
-
-    ``failure`` is its first failing law as ``(clause, witness)``, or
-    ``None``, computed once, when first read: the morphism map inside the
-    codomain, endpoints, identities and composites, each with its first
-    witness in morphism, object or CSR pair order."""
-
-    name: str
-    dom: FiniteCategory
-    cod: FiniteCategory
-    obj: np.ndarray
-    mor: np.ndarray
-
-    @functools.cached_property
-    def failure(self):
-        dom, cod, fobj, fmor, name = self.dom, self.cod, self.obj, self.mor, self.name
-        bad = _where((fmor < 0) | (fmor >= len(cod.morphisms)))
-        if bad.size:
-            clause = f"functor_{name}_morphism_outside_codomain"
-            return clause, {"morphism": dom.morphisms[bad[0]]}
-        bad = _where((cod.src[fmor] != fobj[dom.src]) | (cod.tgt[fmor] != fobj[dom.tgt]))
-        if bad.size:
-            return f"functor_{name}_endpoints", {"morphism": dom.morphisms[bad[0]]}
-        bad = _where(fmor[dom.identity] != cod.identity[fobj])
-        if bad.size:
-            return f"functor_{name}_identity", {"object": dom.objects[bad[0]]}
-        defined = _where(dom.comp >= 0)
-        f, g = dom.pairs.f[defined], dom.pairs.g[defined]
-        bad = _where(cod.composite(fmor[f], fmor[g]) != fmor[dom.comp[defined]])
-        if bad.size:
-            p = bad[0]
-            return f"functor_{name}_composition", {
-                "pair": (dom.morphisms[f[p]], dom.morphisms[g[p]])
-            }
-        return None
-
-
-def _report(rep: CheckReport, failure) -> None:
-    """Report ``failure``, a ``(clause, witness)`` or ``None``."""
-    if failure is not None:
-        clause, witness = failure
-        rep.fail(clause, **witness)
 
 
 # ---------------------------------------------------------------------------

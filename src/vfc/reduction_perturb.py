@@ -396,7 +396,8 @@ def build_pruned_category(atlas: AtlasModel, red: Reduction) -> PrunedResult:
     """Objects ⨆V_I, morphisms Ṽ_IJ with the isotropy dropped.
 
     A morphism (I, J, y) is read back from its endpoints ((I, ρ_IJ(y)),
-    (J, y)), so the category is nonsingular by construction."""
+    (J, y)), so the category is nonsingular by construction; "(I, J, y) then
+    (J, K, z)" is (I, K, z), so it is associative and unital by construction."""
     rep = CheckReport("pruned_category")
     indices = atlas.index_sets()
     objects = [(I, x) for I in indices for x in sorted(red.sets[I])]

@@ -1,12 +1,14 @@
 """B_K's associativity from its group facts, and the per-atlas arrays the
 checks read.
 
-A passing ``build_categories`` proves B_K associative from facts on the
-group tables and never scans its composable triples; where a fact fails,
-the scan runs and reports what it always reported.  The doctored models
-of the fallback act trivially on chart (1,) and send each sample of
-chart (1, 2) to the point of its fiber, so that every composite keeps its
-endpoints and the failure surfaces at the associativity law itself.
+``build_categories`` proves B_K associative from facts on the group
+tables and never scans its composable triples; a failing fact is its own
+clause.  The scan lives here, as the oracle of the proof: on passing
+atlases it finds no triple on B_K or E_K, and on the doctored models it
+finds the triple that the failing fact predicts.  Those models act
+trivially on chart (1,) and send each sample of chart (1, 2) to the point
+of its fiber, so that every composite keeps its endpoints and the failure
+surfaces at the associativity law itself.
 """
 
 import dataclasses
@@ -18,7 +20,13 @@ import numpy as np
 import pytest
 
 from vfc import charts_atlas
-from vfc.charts_atlas import FiniteGroup, RationalArray, atlas_from_json, atlas_to_json
+from vfc.charts_atlas import (
+    FiniteGroup,
+    RationalArray,
+    atlas_from_json,
+    atlas_to_json,
+    check_category,
+)
 from vfc.examples_cli import ExampleDescriptor, build_example, build_toy_atlas, random_toy_atlas
 
 EULER = [("sphere-euler", 12), ("football-euler", 12)]
@@ -34,18 +42,54 @@ def _atlases():
     yield from map(random_toy_atlas, SEEDS)
 
 
+#: composable triples per step of the scan; this bounds the memory of its
+#: index arrays, which would otherwise grow with the triples
+TRIPLE_CHUNK = 1 << 14
+
+
+def first_non_associative(cat):
+    """The labels of the first composable triple (f, g, h), in CSR pair
+    order and then h in morphism order, with ``(f then g) then h != f then
+    (g then h)``, or ``None``: a scan over every composable triple,
+    ``TRIPLE_CHUNK`` at a time.
+
+    Needs every composite defined and with the right endpoints (what
+    ``check_category`` checks): (f g, h) and (g, h) then sit at rank k of h
+    in the rows of f g and g."""
+    pairs, comp = cat.pairs, cat.comp
+    counts = pairs.triple_counts()
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    a = 0
+    while a < len(counts):
+        base = int(starts[a])
+        b = max(int(np.searchsorted(ends, base + TRIPLE_CHUNK, side="right")), a + 1)
+        p = np.repeat(np.arange(a, b), counts[a:b])
+        k = np.arange(len(p)) + base - starts[p]
+        left = comp[pairs.pair_start[comp[p]] + k]
+        gh = comp[pairs.pair_start[pairs.g[p]] + k]
+        right = comp[pairs.at(pairs.f[p], gh)]
+        bad = np.flatnonzero(left != right)
+        if bad.size:
+            q, i = p[bad[0]], k[bad[0]]
+            h = pairs.by_source[pairs.out_start[cat.tgt[pairs.g[q]]] + i]
+            return tuple(cat.morphisms[m] for m in (pairs.f[q], pairs.g[q], h))
+        a = b
+    return None
+
+
 @pytest.fixture
-def scans(monkeypatch):
-    """The categories ``_first_non_associative`` is called on."""
-    seen = []
-    scan = charts_atlas._first_non_associative
+def block_calls(monkeypatch):
+    """The calls of ``_block_category``, counted."""
+    calls = []
+    block = charts_atlas._block_category
 
-    def counted(cat):
-        seen.append(cat)
-        return scan(cat)
+    def counted(*args):
+        calls.append(args)
+        return block(*args)
 
-    monkeypatch.setattr(charts_atlas, "_first_non_associative", counted)
-    return seen
+    monkeypatch.setattr(charts_atlas, "_block_category", counted)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -53,19 +97,20 @@ def scans(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_a_passing_build_never_scans_the_triples(scans):
+def test_the_scan_agrees_with_the_proof(block_calls):
     for atlas in _atlases():
         result = charts_atlas.build_categories(atlas)
         assert result.report.ok, result.report.failures
-        B = result.domain_category
-        assert B.associative and scans == []
-        # the scan itself agrees with the proof
-        assert charts_atlas._first_non_associative(B) is None
-        scans.clear()
+        assert len(block_calls) == 1
+        B, E = result.domain_category, result.obstruction_category
+        assert first_non_associative(B) is None
+        assert check_category(E).ok
+        assert first_non_associative(E) is None
+        block_calls.clear()
 
 
 # ---------------------------------------------------------------------------
-# the fallback: doctored models
+# a failing fact: doctored models
 # ---------------------------------------------------------------------------
 
 
@@ -112,27 +157,60 @@ def table_not_associative():
     return dataclasses.replace(atlas, charts={**atlas.charts, (1,): chart})
 
 
-def _triple(*morphisms):
-    return {"clause": "associativity", "triple": morphisms}
-
-
-@pytest.mark.parametrize("doctor, B_triple", [
+@pytest.mark.parametrize("doctor, failure, triple", [
     (projection_not_a_homomorphism,
+     {"clause": "projection_not_homomorphic", "pair": ((1,), (1, 2)),
+      "elements": ("e|g1", "e|g2")},
      (((1,), (1, 2), 0, "e"), ((1, 2), (1, 2), 1, "e|g1"), ((1, 2), (1, 2), 0, "e|g2"))),
     (table_not_associative,
+     {"clause": "group_not_valid", "index": (1,)},
      (((1,), (1,), 0, "g1"), ((1,), (1,), 0, "g1"), ((1,), (1,), 0, "g2"))),
 ])
-def test_a_failing_fact_falls_back_to_the_scan(scans, doctor, B_triple):
+def test_a_failing_fact_is_its_own_clause(block_calls, doctor, failure, triple):
     result = charts_atlas.build_categories(doctor())
-    assert not result.domain_category.associative
-    # B_K and then E_K, built because B_K fails, are scanned
-    assert len(scans) == 2
-    E_triple = tuple((I, J, y, 0, gamma) for I, J, y, gamma in B_triple)
+    assert result.report.failures == [failure]
+    assert result.report.details["category_axioms_E"] == {}
+    assert len(block_calls) == 1
+    # the scan finds the non-associative triple that the fact predicts
+    B = result.domain_category
+    assert check_category(B).ok
+    assert first_non_associative(B) == triple
+
+
+def test_projections_not_composing():
+    """Three charts over one point, Γ_1 = Z_2; ρ^Γ of (1,) -> (1, 2, 3) is
+    doctored to the trivial homomorphism, which is not ρ^Γ of (1,) -> (1, 2)
+    after that of (1, 2) -> (1, 2, 3)."""
+    atlas = build_toy_atlas({1: {"p"}, 2: {"p"}, 3: {"p"}}, ["p"], {1: 2})
+    projection = dict(atlas.projection)
+    projection[((1,), (1, 2, 3))] = np.zeros(2, dtype=np.int64)
+    atlas.__dict__["projection"] = projection  # the cached ρ^Γ, doctored
+    result = charts_atlas.build_categories(atlas)
+    # B_K's check sees the composite's endpoints move; the fact names the chain
     assert result.report.failures == [
-        {**_triple(*B_triple), "from": "category_axioms"},
-        {**_triple(*E_triple), "from": "category_axioms_E"},
+        {"clause": "compose_endpoints", "from": "category_axioms", "pair": (
+            ((1,), (1, 2, 3), 0, "e"), ((1, 2, 3), (1, 2, 3), 1, "g1|e|e"))},
+        {"clause": "projections_not_composing", "triple": ((1,), (1, 2), (1, 2, 3)),
+         "element": "g1|e|e"},
     ]
-    assert result.report.details == {"category_axioms": {}, "category_axioms_E": {}}
+
+
+def test_a_section_value_moved_onto_the_grid_is_reported_by_its_facts(block_calls):
+    """Football-euler N=12 with the section value of sample 0 of chart
+    (1, 2) moved to the grid point (1/2, 0, 0, 0): the section facts fail,
+    and E_K, 2,236,009 composable triples, is neither built nor scanned."""
+    atlas = _euler("football-euler", 12)
+    chart = atlas.charts[(1, 2)]
+    samples = chart.section_samples.fractions()
+    samples[0] = (Fraction(1, 2), Fraction(0), Fraction(0), Fraction(0))
+    charts = {**atlas.charts, (1, 2): dataclasses.replace(chart, section_samples=samples)}
+    result = charts_atlas.build_categories(dataclasses.replace(atlas, charts=charts))
+    assert result.report.failures == [
+        {"clause": "section_not_equivariant_on_grid", "index": (1, 2), "element": "e|g1",
+         "point": 0},
+        {"clause": "section_not_compatible_on_grid", "pair": ((1,), (1, 2)), "point": 0},
+    ]
+    assert len(block_calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end tests for the built-in examples and the vfc CLI."""
 
+import dataclasses
 import json
 import sys
 
@@ -17,7 +18,7 @@ from vfc.charts_atlas import (
     check_realizations,
     check_tame_and_filtration,
 )
-from vfc import reduction_perturb, zeroset_branched
+from vfc import examples_cli, reduction_perturb, zeroset_branched
 from vfc.cli import main
 from vfc.examples_cli import (
     EXAMPLE_NAMES,
@@ -129,6 +130,41 @@ def test_run_sphere_all_stages_pass():
         assert z["sign"] == 1
         assert z["weight"] == "1/1"
         assert z["residual"] < 1e-10
+
+
+def _failed_run(monkeypatch, doctor):
+    """``run_example`` of sphere-euler N=8 doctored by ``doctor``: the exit
+    code and the failed stages with their failures."""
+    built = doctor(build_example(ExampleDescriptor("sphere-euler", N8)))
+    monkeypatch.setattr(examples_cli, "build_example", lambda descriptor: built)
+    report, code = run_example(ExampleDescriptor("sphere-euler", N8))
+    return code, [(st["name"], st["failures"]) for st in report["stages"] if not st["ok"]]
+
+
+def test_run_without_a_metric_has_no_adaptedness_constants(monkeypatch):
+    code, failed = _failed_run(monkeypatch, lambda built: dataclasses.replace(
+        built, atlas=dataclasses.replace(built.atlas, metric=None)))
+    assert code == 1
+    assert failed == [("adapted", [{
+        "clause": "constants_unavailable",
+        "error": "adaptedness constants require an atlas metric",
+    }])]
+
+
+def test_run_with_a_zero_off_the_samples_stops_at_zero_sampling(monkeypatch):
+    """1/50 is added to the first component of ν_1's formula.  The checks
+    read the declared values of ν and pass, but the zero that Newton finds
+    in chart (1,) moves from the sample (0, 0) to no sample."""
+    def doctor(built):
+        first, *rest = built.nu.asts[(1,)]
+        asts = {**built.nu.asts, (1,): (["+", first, ["num", "1/50"]], *rest)}
+        return dataclasses.replace(built, nu=dataclasses.replace(built.nu, asts=asts))
+
+    code, failed = _failed_run(monkeypatch, doctor)
+    assert code == 1
+    assert failed == [("zero_sampling", [{
+        "clause": "zero_not_at_sample", "chart": [1], "point": [pytest.approx(-0.161924), 0.0],
+    }])]
 
 
 def test_run_football_weights():

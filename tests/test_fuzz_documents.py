@@ -1,0 +1,105 @@
+"""Doctored ``vfc-atlas/1`` documents, drawn by Hypothesis, through
+``vfc check`` in process.
+
+Each document is the sphere-euler or football-euler N=8 document with one
+edit: a grid point repeated, moved or swapped with another, a section
+value, an obstruction action entry or a φ̂ entry changed, or the ρ_IJ
+values of two samples changed.  Every document ends in an exit code 0–3
+and never in a traceback, and one that passes every stage before
+``build_categories`` fails no fact of ``build_categories``: the facts
+follow from the earlier stages' axioms.  ``NOT_IMPLIED`` are the clauses
+of ``build_categories`` that no earlier stage implies: a grid point that
+a section value or φ̂ sits at, or the zero vector, can be moved, on a
+trivial group, with every earlier stage passing.
+"""
+
+import json
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from vfc.cli import main
+from vfc.examples_cli import ExampleDescriptor, build_example, example_to_json
+
+NAMES = ("sphere-euler", "football-euler")
+VALUES = ("0/1", "1/2", "-1/2", "1/3", "1/1", "-1/1")
+EDITS = ("repeat", "move", "swap", "section", "action", "phi_hat", "rho")
+NOT_IMPLIED = {
+    "obstruction_grid_not_phi_closed",
+    "section_value_outside_grid",
+    "zero_vector_outside_grid",
+}
+
+
+@pytest.fixture(scope="module")
+def documents():
+    return {
+        name: json.dumps(example_to_json(build_example(ExampleDescriptor(name, {"density": 8}))))
+        for name in NAMES
+    }
+
+
+def doctor(document: dict, edit: str, draw) -> dict:
+    """``document`` with one ``edit``; ``draw(n)`` picks an int in [0, n)
+    and ``draw(VALUES)`` a value."""
+    charts = document["charts"]
+    chart = charts[sorted(charts)[draw(len(charts))]]
+    grid = chart["obstruction_points"]
+    if edit in ("repeat", "move", "swap", "section", "action") and chart["obstruction_dim"]:
+        m = chart["obstruction_dim"]
+        if edit == "repeat":
+            grid.append(list(grid[draw(len(grid))]))
+        elif edit == "move":
+            grid[draw(len(grid))][draw(m)] = draw(VALUES)
+        elif edit == "swap":
+            a, b = draw(len(grid)), draw(len(grid))
+            grid[a], grid[b] = grid[b], grid[a]
+        elif edit == "section":
+            samples = chart["section_samples"]
+            samples[draw(len(samples))][draw(m)] = draw(VALUES)
+        else:
+            actions = chart["obstruction_action"]
+            entries = actions[sorted(actions)[draw(len(actions))]]["entries"]
+            entries[draw(len(entries))] = draw(VALUES)
+    elif edit == "phi_hat":
+        entries = document["changes"][draw(len(document["changes"]))]["phi_hat"]["entries"]
+        if entries:
+            entries[draw(len(entries))] = draw(VALUES)
+    elif edit == "rho":
+        change = document["changes"][draw(len(document["changes"]))]
+        n = len(charts[",".join(map(str, change["source"]))]["domain"]["points"])
+        rho = change["rho_idx"]
+        for _ in range(2):
+            rho[sorted(rho)[draw(len(rho))]] = draw(n)
+    return document
+
+
+def check(tmp_path, document: dict):
+    """The exit code of ``vfc check`` on ``document`` and its report."""
+    path, out = tmp_path / "doctored.json", tmp_path / "report.json"
+    path.write_text(json.dumps(document))
+    out.unlink(missing_ok=True)
+    result = CliRunner().invoke(main, ["check", str(path), "--json", str(out)])
+    # an exception other than ``SystemExit`` is a traceback
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.output
+    report = json.loads(out.read_text()) if out.exists() else None
+    return result.exit_code, report
+
+
+@settings(max_examples=32, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(NAMES), edit=st.sampled_from(EDITS), data=st.data())
+def test_doctored_documents_end_in_an_exit_code(tmp_path, documents, name, edit, data):
+    def draw(n):
+        if isinstance(n, tuple):
+            return data.draw(st.sampled_from(n))
+        return data.draw(st.integers(0, n - 1))
+
+    code, report = check(tmp_path, doctor(json.loads(documents[name]), edit, draw))
+    assert code in (0, 1, 2, 3)
+    if code != 3:
+        stages = {stage["name"]: stage for stage in report["stages"]}
+        # build_categories runs only after every stage before it passed
+        failures = stages.get("build_categories", {"failures": []})["failures"]
+        assert {f["clause"] for f in failures} <= NOT_IMPLIED, failures

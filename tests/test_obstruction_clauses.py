@@ -1,9 +1,10 @@
 """One doctored model per obstruction-space clause: each test asserts that
 its clause fires, with its witness.
 
-The E_K models break one fact of the closed-form check of E_K in
-``build_categories`` each (see its docstring), so that the fallback
-builds E_K and reports what it reports, in order.
+The E_K models break one fact from which ``build_categories`` proves
+E_K's laws (see its docstring) each, and the whole report of
+``build_categories`` is asserted: the fact's own clause, with its first
+witness.
 
 The constructors at the top build the doctored models; the tests below
 only run a validator and read its failures.
@@ -15,6 +16,7 @@ from fractions import Fraction
 from vfc.charts_atlas import (
     build_categories,
     check_atlas_model,
+    check_chart,
     check_cocycle,
     check_coordinate_change,
     check_tame_and_filtration,
@@ -108,6 +110,13 @@ def sample_off_the_grid():
     """Sample 0 of chart (1, 2) is (1/3, 0, 0, 0), which is no grid point."""
     atlas = _football().atlas
     return _with_sample(atlas, (1, 2), 0, (F(1, 3), F(0), F(0), F(0)))
+
+
+def grid_point_repeated():
+    """The grid of chart (1, 2) lists its point 3 again, at the end."""
+    atlas = _football().atlas
+    grid = atlas.charts[(1, 2)].obstruction_points.fractions()
+    return _with_chart(atlas, (1, 2), obstruction_points=[*grid, grid[3]])
 
 
 def chart_without_grid():
@@ -238,6 +247,18 @@ def test_section_value_outside_grid():
     assert failure["value"] == (F(1, 3), F(0), F(0), F(0))
 
 
+def test_obstruction_grid_repeated():
+    atlas = grid_point_repeated()
+    last = len(atlas.charts[(1, 2)].obstruction_points) - 1
+    assert check_chart(atlas, (1, 2)).failures == [
+        {"clause": "obstruction_grid_repeated", "points": (3, last)},
+    ]
+    # a direct call sees that the identity moves point 3 to its copy
+    assert build_categories(atlas).report.failures == [
+        {"clause": "grid_identity_not_trivial", "index": (1, 2), "point": 3},
+    ]
+
+
 def test_zero_vector_outside_grid():
     rep = build_categories(chart_without_grid()).report
     assert _failure(rep, "zero_vector_outside_grid") == {"clause": "zero_vector_outside_grid"}
@@ -255,55 +276,42 @@ def test_norm_shape():
 
 def test_grid_action_not_a_law():
     assert build_categories(grid_action_not_a_law()).report.failures == [
-        {
-            "clause": "compose_endpoints",
-            "pair": (((1,), (1,), 0, 0, "g1"), ((1,), (1,), 1, 2, "g1")),
-            "from": "category_axioms_E",
-        },
+        {"clause": "grid_action_law", "index": (1,), "pair": ("g1", "g1"), "point": 0},
     ]
 
 
 def test_grid_action_identity_not_trivial():
     assert build_categories(grid_action_identity_not_trivial()).report.failures == [
-        {
-            "clause": "compose_endpoints",
-            "pair": (((1,), (1,), 0, 1, "e"), ((1,), (1,), 0, 0, "e")),
-            "from": "category_axioms_E",
-        },
+        {"clause": "grid_identity_not_trivial", "index": (1,), "point": 0},
     ]
 
 
 def test_phi_hat_not_equivariant_on_the_grid():
     assert build_categories(phi_hat_not_equivariant_on_the_grid()).report.failures == [
-        {
-            "clause": "compose_endpoints",
-            "pair": (((1,), (1, 2), 0, 0, "e"), ((1, 2), (1, 2), 1, 0, "g1|e")),
-            "from": "category_axioms_E",
-        },
+        {"clause": "phi_hat_not_equivariant_on_grid", "pair": ((1,), (1, 2)),
+         "element": "g1|e", "point": 0},
     ]
 
 
 def test_phi_hats_not_composing_on_the_grid():
     assert build_categories(phi_hats_not_composing_on_the_grid()).report.failures == [
-        {
-            "clause": "compose_endpoints",
-            "pair": (((1,), (1, 2), 0, 0, "e"), ((1, 2), (1, 2, 3), 0, 0, "e|e")),
-            "from": "category_axioms_E",
-        },
+        {"clause": "phi_hat_not_composing_on_grid", "triple": ((1,), (1, 2), (1, 2, 3)),
+         "point": 0},
     ]
 
 
 def test_section_not_phi_compatible_on_the_grid():
     rep = build_categories(section_not_phi_compatible_on_the_grid()).report
     assert rep.failures == [
-        {"clause": "functor_section_endpoints", "morphism": ((1,), (1, 2), 0, "e")},
+        {"clause": "section_not_compatible_on_grid", "pair": ((1,), (1, 2)), "point": 0},
     ]
 
 
 def test_section_not_equivariant_on_the_grid():
     rep = build_categories(section_not_equivariant_on_the_grid()).report
     assert rep.failures == [
-        {"clause": "functor_section_endpoints", "morphism": ((1,), (1,), 0, "g1")},
+        {"clause": "section_not_equivariant_on_grid", "index": (1,), "element": "g1",
+         "point": 0},
         {"clause": "footprint_functor_not_surjective", "image": ["b"]},
     ]
 
@@ -317,9 +325,29 @@ def rho_off_the_source_chart():
     return dataclasses.replace(atlas, changes=changes)
 
 
+def test_perm_off_its_chart():
+    """g1 of Γ_1 = Z_2 sends sample 0 of chart (1,) to sample 4, past its
+    four samples: B_K's arrays read past the chart, and the fact names the
+    element."""
+    atlas = build_toy_atlas({1: {"a", "b"}, 2: {"b"}}, ["a", "b"], {1: 2})
+    domain = atlas.charts[(1,)].domain
+    perms = domain.perms.copy()
+    perms[1, 0] = 4
+    atlas = _with_chart(atlas, (1,), domain=dataclasses.replace(domain, perms=perms))
+    assert build_categories(atlas).report.failures == [
+        {"clause": "composability_violated",
+         "pair": (((2,), (2,), 0, "e"), ((1,), (1,), 0, "g1")), "result": ((2,), (1,), 0, "e")},
+        {"clause": "compose_endpoints", "from": "category_axioms",
+         "pair": (((1,), (1,), 0, "g1"), ((1,), (1,), 1, "g1"))},
+        {"clause": "sample_outside_chart", "index": (1,), "element": "g1"},
+        {"clause": "footprint_functor_not_constant", "morphism": ((1,), (1,), 0, "g1")},
+    ]
+
+
 def test_rho_off_the_source_chart():
-    """A sample index outside its chart is no fact E_K's laws can rest on:
-    E_K is built and checked, and the report is what that finds."""
+    """A sample index outside its chart is no fact B_K's and E_K's laws can
+    rest on: it is reported, and no other fact is read."""
     assert build_categories(rho_off_the_source_chart()).report.failures == [
+        {"clause": "sample_outside_chart", "pair": ((1,), (1, 2)), "point": 0},
         {"clause": "footprint_functor_not_constant", "morphism": ((1,), (1, 2), 0, "e")},
     ]
