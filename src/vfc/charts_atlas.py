@@ -33,7 +33,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .exterior_engine import eliminate, parse_rat, rat_str
-from .expressions import compile_vector, eval_pred, evaluate_until_raise
+from .expressions import compile_vector, eval_pred_rows, evaluate_until_raise
 
 __all__ = [
     "TAU_RANK",
@@ -322,8 +322,8 @@ def check_group_quotient(model: GroupQuotientModel) -> CheckReport:
         for g in _where(bad.any(axis=1)).tolist():
             rep.fail("affine_vs_permutation", element=names[g], point=int(bad[g].argmax()))
     if model.membership is not None:
-        for i, p in enumerate(model.points.fractions()):
-            if not eval_pred(model.membership, p):
+        for i, holds in enumerate(eval_pred_rows(model.membership, model.points)):
+            if not holds:
                 rep.fail("sample_outside_domain", point=i)
     if rep.ok:
         classes = model.classes()
@@ -639,7 +639,7 @@ def check_chart(atlas: "AtlasModel", I: tuple) -> CheckReport:
         rep.fail("footprint_not_bijective", footprint=sorted(F_I), mapped=sorted(labels))
     # loose consistency of smooth section vs declared samples
     if chart.section_asts is not None:
-        section = compile_vector(chart.section_asts, ())
+        section = atlas.compiled(chart.section_asts)
         got, _, error = evaluate_until_raise(section, chart.domain.coordinates)
         err = _max_abs_error(got, samples.floats())
         bad = _where(err > LOOSE_TOL)
@@ -847,7 +847,7 @@ def check_coordinate_change(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckRep
             rep.fail("tbc_shape")
         else:
             dims = list(tgt.tangent_dims)
-            section = compile_vector(tgt.section_asts, dims)
+            section = atlas.compiled(tgt.section_asts, dims)
             columns = [dims.index(d) for d in complement]
             _, jac, error = evaluate_until_raise(section, tgt.domain.coordinates[ys])
             blocks = np.zeros((len(jac), m_J, m_J))
@@ -866,7 +866,7 @@ def check_coordinate_change(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckRep
     # smooth-level ρ vs sample-level ρ (loose tolerance; samples are
     # rational approximations of the smooth model)
     if change.rho_asts is not None:
-        rho_f = compile_vector(change.rho_asts, ())
+        rho_f = atlas.compiled(change.rho_asts)
         got, _, error = evaluate_until_raise(rho_f, tgt.domain.coordinates[ys])
         err = _max_abs_error(got, src.domain.coordinates[xs[: len(got)]])
         bad = _where(err > LOOSE_TOL)
@@ -906,6 +906,18 @@ class AtlasModel:
 
     def group_of(self, I: tuple) -> FiniteGroup:
         return self.charts[I].group
+
+    @functools.cached_property
+    def _tapes(self) -> dict:
+        return {}
+
+    def compiled(self, asts: Sequence, dims: Sequence[int] = ()) -> Callable:
+        """:func:`~vfc.expressions.compile_vector` of ``asts`` along
+        ``dims``, compiled once per atlas for equal ASTs and dims."""
+        key = (repr(list(asts)), tuple(dims))
+        if key not in self._tapes:
+            self._tapes[key] = compile_vector(asts, dims)
+        return self._tapes[key]
 
     def intermediate_keys(self) -> list[tuple]:
         return [(I, c) for I in self.index_sets()
@@ -2095,12 +2107,19 @@ def _change_to_json(c: CoordinateChangeModel) -> dict:
     return out
 
 
-def _change_from_json(d: dict) -> CoordinateChangeModel:
+def _change_from_json(d: dict, charts: dict) -> CoordinateChangeModel:
     I, J = tuple(d["source"]), tuple(d["target"])
+    tilde = tuple(d["tilde_indices"])
+    if J in charts:
+        n = len(charts[J].domain.points)
+        for y in tilde:
+            if type(y) is not int or not 0 <= y < n:
+                raise ValueError(f"coordinate change {I}->{J}: tilde_indices: {y!r} is not "
+                                 f"a sample of chart {J}, which has {n}")
     return CoordinateChangeModel(
         source_index=I,
         target_index=J,
-        tilde_indices=tuple(d["tilde_indices"]),
+        tilde_indices=tilde,
         rho_idx={int(k): v for k, v in d["rho_idx"].items()},
         phi_hat=RationalArray.from_json(d["phi_hat"], f"coordinate change {I}->{J}: phi_hat"),
         rho_asts=tuple(d["rho_asts"]) if "rho_asts" in d else None,
@@ -2199,7 +2218,7 @@ def atlas_from_json(data: dict) -> AtlasModel:
     }
     changes = {}
     for cd in data["changes"]:
-        c = _change_from_json(cd)
+        c = _change_from_json(cd, charts)
         changes[(c.source_index, c.target_index)] = c
     atlas = AtlasModel(
         x_labels=tuple(data["x_samples"]),

@@ -137,12 +137,8 @@ def zeros_cmd(atlas_file, pert_file, json_path):
         if "reduction" in data:
             red = reduction_from_json(data["reduction"])
         else:
-            red = Reduction(
-                sets={
-                    I: frozenset(range(len(atlas.charts[I].domain.points)))
-                    for I in atlas.index_sets()
-                }
-            )
+            red = Reduction(sets={I: frozenset(range(len(atlas.charts[I].domain.points)))
+                                  for I in atlas.index_sets()})
         nu = perturbation_from_json(pdata)
     except (ValueError, KeyError, TypeError) as ex:
         click.echo(f"schema error: {ex}", err=True)

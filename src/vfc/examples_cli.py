@@ -920,9 +920,7 @@ def _groupoid_stages(built: BuiltExample, zsets: dict, signs_by_object: dict,
         lab = atlas.charts[I].footprint_map.get(zidx)
         if lab is not None:
             foot_sum[lab] = foot_sum.get(lab, F(0)) + signs[p] * weights.weights[p]
-    report["footprint_weights"] = {
-        lab: rat_str(w) for lab, w in sorted(foot_sum.items())
-    }
+    report["footprint_weights"] = {lab: rat_str(w) for lab, w in sorted(foot_sum.items())}
     return hausdorff, weights.weights
 
 
@@ -978,10 +976,8 @@ def run_example(descriptor: ExampleDescriptor, seed_grid: int = 1):
             return report, 1
         seeds = None
         if seed_grid >= 2:
-            seeds = {
-                I: atlas.charts[I].domain.coordinates[sorted(built.V.sets[I])]
-                for I in atlas.index_sets()
-            }
+            seeds = {I: atlas.charts[I].domain.coordinates[sorted(built.V.sets[I])]
+                     for I in atlas.index_sets()}
         try:
             zres = find_zeros(atlas, built.V, built.nu, seeds=seeds)
         except PerturbationRejected as ex:
@@ -989,29 +985,16 @@ def run_example(descriptor: ExampleDescriptor, seed_grid: int = 1):
             report["rejection"] = str(ex)
             return report, 2
         zero_pairs = [(z.chart_index, z.coordinates) for z in zres.zeros]
-        ok = _stage(
-            stages,
-            check_perturbation(atlas, built.V, built.nu, C=built.C, zeros=zero_pairs),
-        )
+        ok = _stage(stages, check_perturbation(atlas, built.V, built.nu, C=built.C,
+                                               zeros=zero_pairs))
         try:
-            constants = compute_adaptedness_constants(
-                atlas, built.V, built.C, built.norms
-            )
-            adapted = check_adapted(
-                atlas,
-                built.C,
-                built.norms,
-                constants,
-                built.sigma,
-                built.nu,
-                zeros=zero_pairs,
-            )
+            constants = compute_adaptedness_constants(atlas, built.V, built.C, built.norms)
+            adapted = check_adapted(atlas, built.C, built.norms, constants, built.sigma,
+                                    built.nu, zeros=zero_pairs)
             report["constants"] = {
                 "delta_V": rat_str(constants.delta_V),
                 "delta": rat_str(constants.delta),
-                "sigma": rat_str(constants.sigma)
-                if constants.sigma is not None
-                else None,
+                "sigma": rat_str(constants.sigma) if constants.sigma is not None else None,
                 "sigma_used": rat_str(built.sigma),
             }
             ok = _stage(stages, adapted) and ok
@@ -1056,12 +1039,8 @@ def run_example(descriptor: ExampleDescriptor, seed_grid: int = 1):
         return report, 0
 
     # E = 0 examples: the zero set is everything in the reduction
-    zsets = {
-        I: frozenset(
-            set(built.V.sets[I]) & set(atlas.charts[I].zero_sample_indices())
-        )
-        for I in atlas.index_sets()
-    }
+    zsets = {I: frozenset(set(built.V.sets[I]) & set(atlas.charts[I].zero_sample_indices()))
+             for I in atlas.index_sets()}
     if _groupoid_stages(built, zsets, signs_by_object, stages, report) is None:
         report["ok"] = False
         return report, 1

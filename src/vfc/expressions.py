@@ -25,8 +25,10 @@ Exact and float evaluation
 The interpreter (:func:`eval_expr`, :func:`eval_pred`,
 :func:`value_and_jacobian` with :class:`Dual`) is the exact path: at
 ``Fraction`` coordinates rational subexpressions stay rational.  It serves
-the reduction predicates on rational samples, exact sample values of a
-perturbation, and every predicate.
+exact sample values of a perturbation and every predicate at float points.
+:func:`eval_pred_rows` tests a predicate at every row of a rational sample
+array at once, exactly, and falls back to :func:`eval_pred` row by row for
+nodes outside its fragment.
 
 The repeated evaluations at float coordinates (Newton's iteration in
 ``find_zeros``, the transversality and admissibility checks of a
@@ -44,8 +46,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import itemgetter
-from typing import Callable, Sequence
+from operator import eq, ge, gt, itemgetter, le, lt
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -56,6 +58,7 @@ __all__ = [
     "eval_expr",
     "eval_vector",
     "eval_pred",
+    "eval_pred_rows",
     "jacobian",
     "value_and_jacobian",
     "num",
@@ -252,6 +255,77 @@ def eval_pred(ast, coords: Sequence) -> bool:
     if op == "==":
         return a == b
     raise ValueError(f"unknown predicate node: {op!r}")
+
+
+class _Inexact(Exception):
+    """A node outside the exact fragment of :func:`eval_pred_rows`."""
+
+
+_COMPARE = {"<=": le, "<": lt, ">=": ge, ">": gt, "==": eq}
+
+
+def eval_pred_rows(ast, points) -> Iterable[bool]:
+    """``eval_pred(ast, p)`` for every row ``p`` of ``points``, an (n, dim)
+    :class:`~vfc.charts_atlas.RationalArray`.
+
+    A predicate built from ``num``, ``var``, ``+``, ``-``, ``*``, ``neg``,
+    ``pow`` with exponent ≥ 0, ``/`` by a nonzero constant, the
+    comparisons, ``and``, ``or``, ``not``, ``true`` and ``false`` is
+    evaluated exactly on all rows at once and returns a bool array: each
+    value is numerators (a Python int, or an object array of them) over one
+    positive int, and none of these nodes can raise.  Any other predicate
+    returns a generator of ``eval_pred`` row by row, which makes the row's
+    ``Fraction`` s and raises where ``eval_pred`` raises, as far as the
+    caller reads."""
+    columns = list(points.num.T.astype(object))
+
+    def value(ast) -> tuple:
+        op = ast[0]
+        if op == "num":
+            v = Fraction(ast[1])
+            return v.numerator, v.denominator
+        if op == "var" and type(ast[1]) is int and 0 <= ast[1] < len(columns):
+            return columns[ast[1]], points.den
+        if op in ("+", "-", "*"):
+            (a, da), *rest = map(value, [ast[1], ast[2]] if op == "-" else ast[1:])
+            for b, db in rest:
+                if op == "*":
+                    a, da = a * b, da * db
+                    continue
+                lcm = math.lcm(da, db)
+                a, b, da = a * (lcm // da), b * (lcm // db), lcm
+                a = a + b if op == "+" else a - b
+            return a, da
+        if op == "neg":
+            a, da = value(ast[1])
+            return -a, da
+        if op == "pow" and int(ast[2]) >= 0:
+            a, da = value(ast[1])
+            return a ** int(ast[2]), da ** int(ast[2])
+        if op == "/":
+            (a, da), (b, db) = value(ast[1]), value(ast[2])
+            if not isinstance(b, np.ndarray) and b != 0:
+                return (a * db, da * b) if b > 0 else (-a * db, -da * b)
+        raise _Inexact
+
+    def holds(ast) -> np.ndarray:
+        op = ast[0]
+        if op in ("true", "false", "and", "or"):
+            out = np.asarray(op in ("true", "and"))
+            for sub in ast[1:] if op in ("and", "or") else ():
+                out = out & holds(sub) if op == "and" else out | holds(sub)
+            return out
+        if op == "not":
+            return ~holds(ast[1])
+        if op in _COMPARE:
+            (a, da), (b, db) = value(ast[1]), value(ast[2])
+            return np.asarray(_COMPARE[op](a * db, b * da), dtype=bool)
+        raise _Inexact
+
+    try:
+        return np.broadcast_to(holds(ast), (len(points),))
+    except (_Inexact, ArithmeticError, LookupError, TypeError, ValueError):
+        return (eval_pred(ast, p) for p in points.fractions())
 
 
 def value_and_jacobian(

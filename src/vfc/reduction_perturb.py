@@ -37,7 +37,7 @@ from .charts_atlas import (
     composition_table,
 )
 from .exterior_engine import eliminate, parse_rat
-from .expressions import compile_vector, eval_pred, eval_vector, evaluate_until_raise
+from .expressions import eval_pred, eval_pred_rows, eval_vector, evaluate_until_raise
 
 __all__ = [
     "TAU_EQ",
@@ -331,8 +331,8 @@ def check_reduction(atlas: AtlasModel, red: Reduction) -> CheckReport:
                 break
         pred = red.preds.get(I)
         if pred is not None:
-            for x, p in enumerate(chart.domain.points.fractions()):
-                if eval_pred(pred, p) != (x in v):
+            for x, holds in enumerate(eval_pred_rows(pred, chart.domain.points)):
+                if holds != (x in v):
                     rep.fail("predicate_mismatch", index=I, point=x)
                     break
     eps = epsilon_closure_radius(atlas)
@@ -531,7 +531,7 @@ def check_perturbation(
         if asts is None or not chart.tangent_dims or chart.obstruction_dim == 0:
             continue
         phi_f = atlas.changes[(I, J)].phi_hat.floats()
-        nu_J = compile_vector(asts, chart.tangent_dims)
+        nu_J = atlas.compiled(asts, chart.tangent_dims)
         ys = sorted(v_tilde(atlas, red, I, J))
         _, jacs, error = evaluate_until_raise(nu_J, chart.domain.coordinates[_ints(ys)])
         for y, jac in zip(ys, jacs):
@@ -557,7 +557,6 @@ def _zero_failures(atlas: AtlasModel, nu: Perturbation, C: Reduction | None,
                    zeros: Sequence):
     """Failures at the found zeros, as (clause, witness): transversality
     at each zero, then precompactness of the zero set relative to C."""
-    compiled: dict = {}  # chart -> (s, ν), compiled once
     for z in zeros:
         I, coords = z[0], z[1]
         chart = atlas.charts[I]
@@ -567,11 +566,8 @@ def _zero_failures(atlas: AtlasModel, nu: Perturbation, C: Reduction | None,
         if nu_asts is None:
             yield "transversality_data_missing", {"index": I}
             continue
-        if I not in compiled:
-            dims = chart.tangent_dims
-            compiled[I] = (compile_vector(chart.section_asts or (), dims),
-                           compile_vector(nu_asts, dims))
-        s, n = compiled[I]
+        s = atlas.compiled(chart.section_asts or (), chart.tangent_dims)
+        n = atlas.compiled(nu_asts, chart.tangent_dims)
         jac = s([coords])[1][0] + n([coords])[1][0]
         sv = np.linalg.svd(jac, compute_uv=False)
         if len(sv) == 0 or sv[-1] <= TAU_RANK * max(sv[0], 1.0):

@@ -27,7 +27,7 @@ from .charts_atlas import (
     quotient,
 )
 from .exterior_engine import rat_str, zero_sign
-from .expressions import compile_vector, eval_pred
+from .expressions import eval_pred
 from .reduction_perturb import Perturbation, Reduction, v_tilde
 
 __all__ = [
@@ -86,9 +86,10 @@ class NewtonStats:
     lockstep rounds of ``iterations`` evaluations in all.  Each walk ends
     ``converged`` (residual below TAU_ZERO), ``stalled`` (8 steps without
     a better residual), ``singular`` (a Jacobian ``solve`` rejects),
-    ``non_finite`` (a step with an infinity or NaN) or ``exhausted``
-    (NEWTON_MAX_ITERS evaluations); ``merged`` counts the converged walks
-    that ended within EPS_MERGE of a zero found before."""
+    ``non_finite`` (a step with an infinity or NaN), ``escaped`` (a step
+    out of the chart's sample box, see :func:`_sample_box`) or
+    ``exhausted`` (NEWTON_MAX_ITERS evaluations); ``merged`` counts the
+    converged walks that ended within EPS_MERGE of a zero found before."""
 
     seeds: int = 0
     rounds: int = 0
@@ -97,6 +98,7 @@ class NewtonStats:
     stalled: int = 0
     singular: int = 0
     non_finite: int = 0
+    escaped: int = 0
     exhausted: int = 0
     merged: int = 0
 
@@ -114,11 +116,11 @@ def _section_plus_nu(atlas: AtlasModel, nu: Perturbation, I: tuple, dims: list):
     s_asts = list(chart.section_asts or ())
     n_asts = list(nu.asts.get(I, ()))
     if not (s_asts and n_asts):
-        return compile_vector(s_asts, dims)
+        return atlas.compiled(s_asts, dims)
     if len(s_asts) != len(n_asts):
         raise ValueError("section/perturbation arity mismatch")
     # one tape for both, so that subexpressions they share are evaluated once
-    both = compile_vector(s_asts + n_asts, dims)
+    both = atlas.compiled(s_asts + n_asts, dims)
     m = len(s_asts)
 
     def f(points):
@@ -152,11 +154,23 @@ def _solve(jac: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return step, singular
 
 
-def _newton(f, seeds: np.ndarray, dims: list, m: int, stats: NewtonStats) -> tuple:
+def _sample_box(coordinates: np.ndarray) -> tuple | None:
+    """The per-coordinate range of a chart's samples, widened on each side
+    by their diameter in the sup norm (``None`` without samples)."""
+    if not len(coordinates):
+        return None
+    lo, hi = coordinates.min(axis=0), coordinates.max(axis=0)
+    diameter = (hi - lo).max()
+    return lo - diameter, hi + diameter
+
+
+def _newton(f, seeds: np.ndarray, dims: list, m: int, stats: NewtonStats,
+            box: tuple | None = None) -> tuple:
     """Newton's iteration from every seed in lockstep.  Each round
     evaluates ``f`` once at the walks still going and solves their steps in
     one stacked call; each walk stops by its own rules, as it would alone,
-    and a stopped walk is neither evaluated nor stepped again.
+    and a stopped walk is neither evaluated nor stepped again.  A step
+    that leaves ``box`` (lower and upper coordinate bounds) ends its walk.
 
     Adds the rounds, evaluations and endings to ``stats`` and returns per
     seed its last coordinates, why it stopped (a :class:`NewtonStats`
@@ -194,6 +208,10 @@ def _newton(f, seeds: np.ndarray, dims: list, m: int, stats: NewtonStats) -> tup
         going = going[moving]
         for k, d in enumerate(dims):
             coords[going, d] -= step[moving, k]
+        if box is not None:
+            out = ((coords[going] < box[0]) | (coords[going] > box[1])).any(axis=1)
+            stops[going[out]] = "escaped"
+            going = going[~out]
     stats.rounds += rounds
     stats.iterations += iterations
     for stop in stops:
@@ -222,12 +240,14 @@ def _chart_zeros(atlas: AtlasModel, red: Reduction, nu: Perturbation, I: tuple,
     if not len(seeds):
         return [], [], stats
     m = len(chart.section_asts)
+    box = _sample_box(chart.domain.coordinates)
     try:
-        walks = [_newton(s_plus_nu, seeds, dims, m, stats)]
+        walks = [_newton(s_plus_nu, seeds, dims, m, stats, box)]
     except (ArithmeticError, ValueError):
         # some walk raises: walk the seeds one at a time instead, so that
         # the seeds before it are handled (and may reject ν) first
-        walks = (_newton(s_plus_nu, seeds[k : k + 1], dims, m, stats) for k in range(len(seeds)))
+        walks = (_newton(s_plus_nu, seeds[k : k + 1], dims, m, stats, box)
+                 for k in range(len(seeds)))
     pred = red.preds.get(I)
     found: list[ZeroPoint] = []
     seed_converged: list[bool] = []
@@ -241,29 +261,23 @@ def _chart_zeros(atlas: AtlasModel, red: Reduction, nu: Perturbation, I: tuple,
             point = tuple(coords.tolist())
             if pred is not None and not eval_pred(pred, point):
                 continue
-            if any(
-                max(abs(a - b) for a, b in zip(point, z.coordinates)) < EPS_MERGE
-                for z in found
-            ):
+            if any(max(abs(a - b) for a, b in zip(point, z.coordinates)) < EPS_MERGE
+                   for z in found):
                 stats.merged += 1
                 continue
             (vals,), (jac,) = s_plus_nu(coords[None])
             if jac.size:
                 det = float(np.linalg.det(jac))
                 if abs(det) <= TAU_SIGN:
-                    raise PerturbationRejected(
-                        f"singular jacobian at zero {point} in chart {I}"
-                    )
+                    raise PerturbationRejected(f"singular jacobian at zero {point} in chart {I}")
             sign = zero_sign(jac)
-            found.append(
-                ZeroPoint(
-                    chart_index=I,
-                    coordinates=point,
-                    residual=float(np.max(np.abs(vals))) if vals.size else 0.0,
-                    jacobian=tuple(tuple(float(v) for v in row) for row in jac),
-                    sign=sign,
-                )
-            )
+            found.append(ZeroPoint(
+                chart_index=I,
+                coordinates=point,
+                residual=float(np.max(np.abs(vals))) if vals.size else 0.0,
+                jacobian=tuple(tuple(float(v) for v in row) for row in jac),
+                sign=sign,
+            ))
     # missed-zero heuristic (one-dimensional charts only, where a sign
     # change of the scalar between adjacent seeds is an intermediate-
     # value argument): non-convergence on both sides is never silent
@@ -423,9 +437,7 @@ def complete_groupoid(
     and inverses, and the within-chart/charts-change factorization.
     """
     rep = CheckReport("completed_groupoid")
-    objects = [
-        (I, z) for I in atlas.index_sets() if I in zsets for z in sorted(zsets[I])
-    ]
+    objects = [(I, z) for I in atlas.index_sets() if I in zsets for z in sorted(zsets[I])]
     morphisms, src, tgt = _groupoid_core(atlas, red, zsets, objects)
     morph_set = set(morphisms)
 
@@ -514,10 +526,7 @@ def hausdorff_complete(
         for a in fs:
             for b in fs:
                 if not (set(a) <= set(b) or set(b) <= set(a)):
-                    raise ValueError(
-                        f"overlaps not nested at zero {(J, z)}: "
-                        f"{a} vs {b}"
-                    )
+                    raise ValueError(f"overlaps not nested at zero {(J, z)}: {a} vs {b}")
         f_sets[(J, z)] = fs
     # minimal footprint F_p = min{F : p meets the F-overlap}
     members: dict = {}
@@ -566,13 +575,8 @@ def weight_function(atlas: AtlasModel, hausdorff: ZeroSetGroupoid) -> WeightResu
             if set(F_p) <= set(I):
                 lam_orbit = Fraction(len(atlas.kernel(F_p, I)), order_I)
                 if lam_count != lam_orbit:
-                    rep.fail(
-                        "formulas_disagree",
-                        cls=p,
-                        chart=I,
-                        count=lam_count,
-                        orbit=lam_orbit,
-                    )
+                    rep.fail("formulas_disagree", cls=p, chart=I, count=lam_count,
+                             orbit=lam_orbit)
             values.append(lam_count)
         if len(set(values)) != 1:
             rep.fail("chart_dependent", cls=p, values=values)
@@ -673,12 +677,8 @@ def branched_interval_model(m, mp, denominator: int = 8) -> BranchedIntervalMode
     samples = tuple(Fraction(k, denominator) for k in range(denominator + 1))
     objects = tuple(("I", t) for t in samples) + tuple(("Ip", t) for t in samples)
     half = Fraction(1, 2)
-    open_pairs = tuple(
-        (("I", t), ("Ip", t)) for t in samples if t < half
-    )
-    closed_pairs = tuple(
-        (("I", t), ("Ip", t)) for t in samples if t <= half
-    )
+    open_pairs = tuple((("I", t), ("Ip", t)) for t in samples if t < half)
+    closed_pairs = tuple((("I", t), ("Ip", t)) for t in samples if t <= half)
     classes, class_of = _classes_of(objects, closed_pairs)
     weights = {}
     for p in classes:
@@ -688,9 +688,8 @@ def branched_interval_model(m, mp, denominator: int = 8) -> BranchedIntervalMode
     boundary_in = fundamental_class_0d([p0], {p0: weights[p0]}, {p0: 1})
     p1a = class_of[("I", Fraction(1))]
     p1b = class_of[("Ip", Fraction(1))]
-    boundary_out = fundamental_class_0d(
-        [p1a, p1b], {p1a: weights[p1a], p1b: weights[p1b]}, {p1a: 1, p1b: 1}
-    )
+    boundary_out = fundamental_class_0d([p1a, p1b], {p1a: weights[p1a], p1b: weights[p1b]},
+                                        {p1a: 1, p1b: 1})
     identity = boundary_out.total - boundary_in.total
     return BranchedIntervalModel(
         samples=samples,
@@ -718,23 +717,18 @@ def zero_set_report(
     wnb_report: CheckReport | None = None,
     warnings: Sequence | None = None,
 ) -> dict:
-    out = {
-        "zeros": [
-            {
-                "chart": list(z.chart_index),
-                "coordinates": [float(c) for c in z.coordinates],
-                "residual": float(z.residual),
-                "sign": int(z.sign),
-                "minimal_footprint": (
-                    list(z.minimal_footprint)
-                    if z.minimal_footprint is not None
-                    else None
-                ),
-                "weight": rat_str(z.weight) if z.weight is not None else None,
-            }
-            for z in zeros
-        ]
-    }
+    out = {"zeros": [
+        {
+            "chart": list(z.chart_index),
+            "coordinates": [float(c) for c in z.coordinates],
+            "residual": float(z.residual),
+            "sign": int(z.sign),
+            "minimal_footprint": list(z.minimal_footprint) if z.minimal_footprint is not None
+            else None,
+            "weight": rat_str(z.weight) if z.weight is not None else None,
+        }
+        for z in zeros
+    ]}
     if class_weights is not None:
         out["classes"] = [
             {"class": repr(p), "weight": rat_str(Fraction(w))}

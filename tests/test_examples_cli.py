@@ -503,6 +503,32 @@ def test_cli_zeros_exit_zero(sphere_files, tmp_path):
     assert len(report["zeros"]) == 2
 
 
+@pytest.mark.parametrize("drop", ["reduction", "preds"])
+@pytest.mark.parametrize("name", ["sphere-euler", "football-euler"])
+def test_cli_zeros_without_reduction_predicates_finds_the_centres(tmp_path, name, drop):
+    # by construction ν_i vanishes only at the centre of disk D_i (sample 0
+    # of chart (i,)) and s₁₂ + ν₁₂ nowhere, and the weighted count is
+    # 1/|Γ₁| + 1/|Γ₂|: the zeros are the two centres, each of sign +1
+    built = build_example(ExampleDescriptor(name, N8))
+    doc = example_to_json(built)
+    if drop == "reduction":
+        del doc["reduction"]
+    else:
+        del doc["reduction"]["preds"]
+    atlas_path, nu_path, out = tmp_path / "atlas.json", tmp_path / "nu.json", tmp_path / "z.json"
+    atlas_path.write_text(json.dumps(doc))
+    nu_path.write_text(json.dumps(doc["perturbation"]))
+    res = CliRunner().invoke(
+        main, ["zeros", str(atlas_path), "--perturbation", str(nu_path), "--json", str(out)]
+    )
+    assert res.exit_code == 0, res.output
+    centres = [([i], built.atlas.charts[(i,)].domain.points.floats()[0].tolist()) for i in (1, 2)]
+    zeros = json.loads(out.read_text())["zeros"]
+    assert [(z["chart"], z["coordinates"], z["sign"]) for z in zeros] == [
+        (chart, centre, 1) for chart, centre in centres
+    ]
+
+
 def test_cli_zeros_rejected_exit_two(sphere_files):
     atlas_path, _, bad_nu_path = sphere_files
     res = CliRunner().invoke(

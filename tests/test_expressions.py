@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from vfc.charts_atlas import RationalArray
 from vfc.expressions import (
     Dual,
     compile_vector,
     const_vec,
     eval_expr,
     eval_pred,
+    eval_pred_rows,
     eval_vector,
     evaluate_until_raise,
     jacobian,
@@ -327,3 +329,84 @@ class TestCompiledForm:
             compile_vector([["bogus", 1]], [])
         with pytest.raises(ValueError, match="unknown expression node"):
             compile_vector([var(0), ["+", var(0), ["sin2pi", ["bogus"]]]], [0])
+
+
+# ---------------------------------------------------------------------------
+# exact batch predicates against the interpreter
+# ---------------------------------------------------------------------------
+
+
+_constants = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+def _fragment(divisors, exponents=st.integers(0, 3)):
+    """The nodes that the batch form evaluates exactly, with ``/`` by one of
+    ``divisors`` and ``pow`` to one of ``exponents``."""
+    def extend(sub):
+        some = st.lists(sub, min_size=1, max_size=3)
+        return st.one_of(
+            some.map(lambda xs: ["+", *xs]),
+            some.map(lambda xs: ["*", *xs]),
+            st.tuples(sub, sub).map(lambda t: ["-", *t]),
+            st.tuples(sub, divisors.map(num)).map(lambda t: ["/", *t]),
+            sub.map(lambda a: ["neg", a]),
+            st.tuples(sub, exponents).map(lambda t: ["pow", *t]),
+        )
+    return extend
+
+
+_pred_values = st.one_of(
+    # a zero divisor and a negative exponent, outside the fragment, too
+    st.recursive(_leaves, _fragment(_constants, st.integers(-2, 3)), max_leaves=6),
+    st.recursive(_leaves, _extend, max_leaves=6),
+)
+_comparisons = st.tuples(st.sampled_from(["<=", "<", ">=", ">", "=="]), _pred_values,
+                         _pred_values).map(list)
+_preds = st.recursive(
+    st.one_of(_comparisons, st.sampled_from([["true"], ["false"]])),
+    lambda sub: st.one_of(
+        st.lists(sub, max_size=3).map(lambda ps: ["and", *ps]),
+        st.lists(sub, max_size=3).map(lambda ps: ["or", *ps]),
+        sub.map(lambda p: ["not", p]),
+    ),
+    max_leaves=4,
+)
+_sample_arrays = st.tuples(
+    st.lists(st.lists(st.integers(-24, 24), min_size=N_VARS, max_size=N_VARS), max_size=5),
+    st.integers(1, 12),
+).map(lambda t: RationalArray.reduced(np.array(t[0], dtype=np.int64).reshape(-1, N_VARS), t[1]))
+
+
+def _outcome(rows):
+    """The values ``rows`` yields, and the type of what it raises after them."""
+    out = []
+    try:
+        for holds in rows:
+            out.append(bool(holds))
+    except (ArithmeticError, ValueError) as ex:
+        return out, type(ex)
+    return out, None
+
+
+class TestPredicateRows:
+    @settings(max_examples=300, deadline=None)
+    @given(_preds, _sample_arrays)
+    # the later conjunct divides by zero where the first is false
+    @example(["and", [">", var(0), num(0)], ["<", ["/", num(1), var(0)], num(1)]],
+             RationalArray.reduced(np.array([[0, 1, 1], [2, 1, 1], [-1, 0, 0]]), 2))
+    @example(["and", ["false"], ["<", ["/", num(1), num(0)], num(1)]],
+             RationalArray.reduced(np.zeros((2, N_VARS), dtype=np.int64), 1))
+    @example(["<", ["pow", var(0), -2], num(1)],
+             RationalArray.reduced(np.array([[1, 2, 3], [2, 2, 2]]), 3))
+    def test_rows_are_eval_pred_row_by_row(self, pred, points):
+        want = _outcome(eval_pred(pred, p) for p in points.fractions())
+        assert _outcome(eval_pred_rows(pred, points)) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.recursive(_leaves, _fragment(_constants.filter(bool)), max_leaves=8),
+           _sample_arrays)
+    def test_the_fragment_is_evaluated_on_the_whole_array(self, value, points):
+        pred = ["and", ["not", ["<", value, var(0)]], ["or", ["false"], ["true"]]]
+        rows = eval_pred_rows(pred, points)
+        assert isinstance(rows, np.ndarray) and rows.shape == (len(points),)
+        assert rows.tolist() == [eval_pred(pred, p) for p in points.fractions()]

@@ -3,8 +3,9 @@
 
 Each document is the sphere-euler or football-euler N=8 document with one
 edit: a grid point repeated, moved or swapped with another, a section
-value, an obstruction action entry or a φ̂ entry changed, or the ρ_IJ
-values of two samples changed.  Every document ends in an exit code 0–3
+value, an obstruction action entry or a φ̂ entry changed, the ρ_IJ
+values of two samples changed, or one Ũ_IJ index changed, to a sample of
+the target chart or to an index outside it.  Every document ends in an exit code 0–3
 and never in a traceback, and one that passes every stage before
 ``build_categories`` fails no fact of ``build_categories``: the facts
 follow from the earlier stages' axioms.  ``NOT_IMPLIED`` are the clauses
@@ -24,7 +25,7 @@ from vfc.examples_cli import ExampleDescriptor, build_example, example_to_json
 
 NAMES = ("sphere-euler", "football-euler")
 VALUES = ("0/1", "1/2", "-1/2", "1/3", "1/1", "-1/1")
-EDITS = ("repeat", "move", "swap", "section", "action", "phi_hat", "rho")
+EDITS = ("repeat", "move", "swap", "section", "action", "phi_hat", "rho", "tilde")
 NOT_IMPLIED = {
     "obstruction_grid_not_phi_closed",
     "section_value_outside_grid",
@@ -72,6 +73,11 @@ def doctor(document: dict, edit: str, draw) -> dict:
         rho = change["rho_idx"]
         for _ in range(2):
             rho[sorted(rho)[draw(len(rho))]] = draw(n)
+    elif edit == "tilde":
+        change = document["changes"][draw(len(document["changes"]))]
+        n = len(charts[",".join(map(str, change["target"]))]["domain"]["points"])
+        tilde = change["tilde_indices"]
+        tilde[draw(len(tilde))] = draw(2 * n + 1) - 1  # -1 to 2n - 1
     return document
 
 
@@ -103,3 +109,16 @@ def test_doctored_documents_end_in_an_exit_code(tmp_path, documents, name, edit,
         # build_categories runs only after every stage before it passed
         failures = stages.get("build_categories", {"failures": []})["failures"]
         assert {f["clause"] for f in failures} <= NOT_IMPLIED, failures
+
+
+@pytest.mark.parametrize("index", [999, 28, -1, 1.0])
+def test_a_tilde_index_outside_the_target_chart_is_a_schema_error(tmp_path, documents, index):
+    document = json.loads(documents["sphere-euler"])
+    document["changes"][0]["tilde_indices"][0] = index
+    path = tmp_path / "doctored.json"
+    path.write_text(json.dumps(document))
+    result = CliRunner().invoke(main, ["check", str(path)])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert (f"schema error: coordinate change (1,)->(1, 2): tilde_indices: {index} is not a"
+            " sample of chart (1, 2), which has 28") in result.output

@@ -1,7 +1,8 @@
 """Golden ``--json`` reports: the CLI must reproduce them byte for byte.
 
 The files under ``tests/golden/`` are the full reports of ``vfc run`` on
-the Euler examples and of ``vfc check`` on a few atlas documents.  Four
+the Euler examples, of ``vfc check`` on a few atlas documents and of
+``vfc zeros`` on a sphere-euler document without its reduction.  Four
 of them are doctored so that the check fails: two toy documents name
 group elements in their witnesses, a football-euler document names
 obstruction vectors, and a sphere-euler document reads ν of one chart
@@ -66,6 +67,12 @@ def _drop_declared_nu_12(doc: dict) -> None:
     del doc["perturbation"]["samples"]["1,2"]
 
 
+def _drop_reduction(doc: dict) -> None:
+    """No reduction: Newton starts from one sample of every orbit, and no
+    predicate filters the points its walks end at."""
+    del doc["reduction"]
+
+
 def _toy_3() -> dict:
     return atlas_to_json(random_toy_atlas(3))
 
@@ -85,7 +92,10 @@ DOCTORED = {
     "check-football-euler-n8-doctored": (_football_n8, _drop_grid_point_and_move_sample),
     "check-sphere-euler-n8-undeclared-nu": (_sphere_n8, _drop_declared_nu_12),
 }
-CASES = sorted(RUNS) + [f"check-toy-{seed}" for seed in TOY_SEEDS] + sorted(DOCTORED)
+#: ``vfc zeros`` of a document, doctored in place, with its own ν
+ZEROS = {"zeros-sphere-euler-n8-no-reduction": (_sphere_n8, _drop_reduction)}
+CASES = (sorted(RUNS) + [f"check-toy-{seed}" for seed in TOY_SEEDS] + sorted(DOCTORED)
+         + sorted(ZEROS))
 
 
 def report_bytes(case: str, workdir: pathlib.Path) -> bytes:
@@ -94,8 +104,8 @@ def report_bytes(case: str, workdir: pathlib.Path) -> bytes:
     if case in RUNS:
         args = RUNS[case]
     else:
-        if case in DOCTORED:
-            document, doctor = DOCTORED[case]
+        if case in DOCTORED or case in ZEROS:
+            document, doctor = DOCTORED.get(case) or ZEROS[case]
             data = document()
             doctor(data)
         else:
@@ -103,6 +113,10 @@ def report_bytes(case: str, workdir: pathlib.Path) -> bytes:
         doc = workdir / f"{case}.atlas.json"
         doc.write_text(json.dumps(data))
         args = ["check", str(doc)]
+        if case in ZEROS:
+            nu = workdir / f"{case}.nu.json"
+            nu.write_text(json.dumps(data["perturbation"]))
+            args = ["zeros", str(doc), "--perturbation", str(nu)]
     result = CliRunner().invoke(main, args + ["--json", str(out)])
     assert result.exit_code == (1 if case in DOCTORED else 0), result.output
     return out.read_bytes()

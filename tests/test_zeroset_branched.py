@@ -35,7 +35,14 @@ from vfc.zeroset_branched import (
     wnb_check,
     zero_set_report,
 )
-from vfc.zeroset_branched import _chart_seeds, _classes_of, _newton, _section_plus_nu, _solve
+from vfc.zeroset_branched import (
+    _chart_seeds,
+    _classes_of,
+    _newton,
+    _sample_box,
+    _section_plus_nu,
+    _solve,
+)
 
 F = Fraction
 
@@ -48,26 +55,30 @@ def clauses(report):
 # numeric zero finding on one-chart models
 # ---------------------------------------------------------------------------
 
+def _counting(monkeypatch, original) -> list:
+    """The arguments of every call of ``original`` from now on: it is
+    replaced in every vfc module that holds it, under any name."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "vfc" or name.startswith("vfc."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
 class TestCompiledNewton:
     """Newton and the float-side checks evaluate compiled expressions; the
     interpreter's ``value_and_jacobian`` is left to exact inputs."""
 
     @pytest.fixture
     def interpreter_calls(self, monkeypatch):
-        calls = []
-        original = vfc.expressions.value_and_jacobian
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        # every vfc module that holds the function, under any name
-        for name, module in list(sys.modules.items()):
-            if name == "vfc" or name.startswith("vfc."):
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, counting)
-        return calls
+        return _counting(monkeypatch, vfc.expressions.value_and_jacobian)
 
     def test_find_zeros_makes_no_interpreter_calls(self, interpreter_calls):
         built = build_example(ExampleDescriptor("sphere-euler", {"density": 12}))
@@ -100,13 +111,21 @@ class TestCompiledNewton:
             for i in (1, 2)
         ]
 
+    def test_a_pass_compiles_each_tape_once(self, monkeypatch):
+        # the atlas keeps its tapes: 20 compilations of 12 distinct (ASTs,
+        # tangent dims) pairs before, one per pair now
+        calls = _counting(monkeypatch, vfc.expressions.compile_vector)
+        _, code = run_example(ExampleDescriptor("sphere-euler", {"density": 48}))
+        assert code == 0
+        keys = [(repr(list(asts)), tuple(dims)) for asts, dims in calls]
+        assert len(keys) == len(set(keys)) == 12
 
 
-def _reference_walk(f, seed, dims):
+def _reference_walk(f, seed, dims, box=None):
     """Newton from one seed alone, one evaluation of one row at a time: the
-    loop ``find_zeros`` ran per seed before its walks went in lockstep.
-    Returns the last coordinates, why the walk stopped, the last values and
-    the number of evaluations."""
+    loop ``find_zeros`` ran per seed before its walks went in lockstep,
+    ended where a step leaves ``box``.  Returns the last coordinates, why
+    the walk stopped, the last values and the number of evaluations."""
     coords = list(seed)
     vals = None
     best = float("inf")
@@ -138,6 +157,9 @@ def _reference_walk(f, seed, dims):
             break
         for k, d in enumerate(dims):
             coords[d] -= float(step[k])
+        if box is not None and any(c < lo or c > hi for c, lo, hi in zip(coords, *box)):
+            stop = "escaped"
+            break
     return coords, stop, vals, evaluations
 
 
@@ -145,14 +167,14 @@ def _bits(a):
     return np.asarray(a, dtype=float).view(np.int64).tolist()
 
 
-def _assert_lockstep_matches_reference(f, seeds, dims, m):
+def _assert_lockstep_matches_reference(f, seeds, dims, m, box=None):
     """The lockstep walks of ``seeds``, checked against the reference;
     returns why each stopped."""
     stats = NewtonStats()
-    walks = _newton(f, np.array(seeds, dtype=float), dims, m, stats)
+    walks = _newton(f, np.array(seeds, dtype=float), dims, m, stats, box)
     evaluations = []
     for k, seed in enumerate(seeds):
-        coords, stop, vals, n = _reference_walk(f, seed, dims)
+        coords, stop, vals, n = _reference_walk(f, seed, dims, box)
         assert _bits(walks[0][k]) == _bits(coords), (k, seed, stop)
         assert walks[1][k] == stop, (k, seed)
         assert _bits(walks[2][k]) == _bits(vals), (k, seed)
@@ -167,10 +189,11 @@ def _reference_stats(atlas, red, nu, I, seeds) -> NewtonStats:
     merged as ``find_zeros`` merges them."""
     dims = list(atlas.charts[I].tangent_dims)
     f = _section_plus_nu(atlas, nu, I, dims)
+    box = _sample_box(atlas.charts[I].domain.coordinates)
     stats = NewtonStats(seeds=len(seeds))
     found = []
     for seed in seeds:
-        coords, stop, _, n = _reference_walk(f, seed, dims)
+        coords, stop, _, n = _reference_walk(f, seed, dims, box)
         stats.rounds = max(stats.rounds, n)
         stats.iterations += n
         setattr(stats, stop, getattr(stats, stop) + 1)
@@ -212,11 +235,12 @@ class TestLockstepNewton:
             dims = list(chart.tangent_dims)
             f = _section_plus_nu(atlas, built.nu, I, dims)
             chart_seeds = _chart_seeds(atlas, built.V, I, seeds)
+            box = _sample_box(chart.domain.coordinates)
             stops |= _assert_lockstep_matches_reference(
-                f, chart_seeds, dims, len(chart.section_asts)
+                f, chart_seeds, dims, len(chart.section_asts), box
             )
-        # converged, stalled and singular walks share a batch here
-        assert stops == {"converged", "stalled", "singular"}
+        # converged, escaped and singular walks share a batch here
+        assert stops == {"converged", "escaped", "singular"}
 
     def test_walks_of_every_ending_share_a_batch(self):
         endings = set()
@@ -257,11 +281,9 @@ class TestLockstepNewton:
             for I in atlas.index_sets()
         }
         assert result.stats == {
-            (1,): NewtonStats(seeds=13, rounds=10, iterations=85, converged=1, stalled=8,
-                              singular=4),
+            (1,): NewtonStats(seeds=13, rounds=1, iterations=13, converged=1, escaped=12),
             (2,): NewtonStats(seeds=13, rounds=5, iterations=61, converged=13, merged=12),
-            (1, 2): NewtonStats(seeds=40, rounds=28, iterations=583, converged=21,
-                                singular=19),
+            (1, 2): NewtonStats(seeds=40, rounds=4, iterations=63, singular=18, escaped=22),
         }
         # the seed rule the benchmark's newton_seeds counter reads
         assert sum(s.seeds for s in result.stats.values()) == 66
@@ -364,6 +386,16 @@ class TestFindZeros:
         )
         with pytest.raises(PerturbationRejected):
             find_zeros(atlas, red, Perturbation())
+
+    def test_a_section_without_a_zero_escapes_the_sample_box(self):
+        # s(t) = 1/(1 + t) > 0 falls below TAU_ZERO only far out: each step
+        # doubles 1 + t, so from both samples the walk leaves their box
+        # [-1, 2]; no predicate is needed to reject the far points
+        ast = ["/", num(1), ["+", num(1), var(0)]]
+        atlas = _interval_atlas((ast,), [F(0), F(1)], [F(1), F(1, 2)])
+        result = find_zeros(atlas, Reduction(sets={(1,): frozenset({0, 1})}), Perturbation())
+        assert result.zeros == [] and result.warnings == []
+        assert result.stats == {(1,): NewtonStats(seeds=2, rounds=2, iterations=3, escaped=2)}
 
     def test_perturbation_shifts_zero(self):
         atlas = _interval_atlas(
