@@ -109,7 +109,7 @@ class TestCheckReduction:
         v = sorted(broken[(1,)])
         broken[(1,)] = frozenset(v[:-1])
         rep = check_reduction(toy2, Reduction(sets=broken))
-        assert "not_invariant" in clauses(rep)
+        assert rep.failures == [{"clause": "not_invariant", "index": (1,), "element": "g1"}]
 
     def test_closure_overlap_not_nested(self, toy2):
         # put the shared label "b" into both basic reductions
@@ -120,7 +120,7 @@ class TestCheckReduction:
             extra = {k for k, x in chart.footprint_map.items() if x == "b"}
             sets[I] = sets[I] | extra
         rep = check_reduction(toy2, Reduction(sets=sets))
-        assert "closure_overlap_not_nested" in clauses(rep)
+        assert rep.failures == [{"clause": "closure_overlap_not_nested", "pair": ((1,), (2,))}]
 
     def test_zero_set_coverage_failure(self, toy2):
         red = toy_reduction(toy2)
@@ -138,7 +138,10 @@ class TestCheckReduction:
         atlas = _fixed_point_atlas()
         red = full_reduction(atlas)
         rep = check_reduction(atlas, red)
-        assert "partial_isotropy_not_free" in clauses(rep)
+        assert rep.failures == [
+            {"clause": "partial_isotropy_not_free", "pair": ((1,), (1, 2)), "element": "e|g1"},
+            {"clause": "missing_change", "pair": ((2,), (1, 2))},
+        ]
 
 
 def _basic_chart(chart12: ChartModel, i: int) -> ChartModel:
@@ -294,7 +297,15 @@ class TestPrunedCategory:
         changes[key] = tampered
         atlas = dataclasses.replace(toy3, changes=changes)
         result = build_pruned_category(atlas, full_reduction(atlas))
-        assert "composition_escapes" in clauses(result.report)
+        escaped = ((1,), (1, 2, 3), 0)
+        assert result.report.failures == [
+            {"clause": "composition_escapes",
+             "pair": (((1,), (1, 2), 6), ((1, 2), (1, 2, 3), 0)), "result": escaped},
+            {"clause": "composition_escapes",
+             "pair": (((1,), (1, 3), 0), ((1, 3), (1, 2, 3), 0)), "result": escaped},
+            {"clause": "composable_pair_undefined", "from": "category_axioms",
+             "pair": (((1,), (1, 2), 6), ((1, 2), (1, 2, 3), 0))},
+        ]
 
 
 # ---------------------------------------------------------------------------
