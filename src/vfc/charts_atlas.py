@@ -904,11 +904,12 @@ class AtlasModel:
             out &= set(self.cover[i])
         return out
 
-    def group_of(self, I: tuple) -> FiniteGroup:
-        return self.charts[I].group
-
     @functools.cached_property
     def _tapes(self) -> dict:
+        return {}
+
+    @functools.cached_property
+    def _distances(self) -> dict:
         return {}
 
     def compiled(self, asts: Sequence, dims: Sequence[int] = ()) -> Callable:
@@ -918,6 +919,17 @@ class AtlasModel:
         if key not in self._tapes:
             self._tapes[key] = compile_vector(asts, dims)
         return self._tapes[key]
+
+    def distance(self, rows: np.ndarray) -> np.ndarray:
+        """Per metric row, the least numerator of ``metric`` over the columns
+        ``rows`` (nonempty, repeats allowed): its distance to the row set,
+        computed once per atlas for an equal set and read-only."""
+        columns = np.zeros(len(self.metric.num), dtype=bool)
+        columns[rows] = True
+        key = columns.tobytes()
+        if key not in self._distances:
+            self._distances[key] = _frozen(self.metric.num[:, columns].min(axis=1))
+        return self._distances[key]
 
     def intermediate_keys(self) -> list[tuple]:
         return [(I, c) for I in self.index_sets()
@@ -1009,12 +1021,11 @@ class AtlasModel:
     def closure_radius(self) -> Fraction | None:
         """Half the smallest positive metric distance, or ``None`` without
         one; read once per atlas, whose metric is never changed."""
-        if self.metric is None:
+        positive = None if self.metric is None else self.metric.num > 0
+        if positive is None or not positive.any():
             return None
-        positive = self.metric.num[self.metric.num > 0]
-        if not positive.size:
-            return None
-        return Fraction(int(positive.min()), 2 * self.metric.den)
+        least = self.metric.num.min(where=positive, initial=INT64_MAX)
+        return Fraction(int(least), 2 * self.metric.den)
 
 
 def check_atlas_model(atlas: AtlasModel) -> CheckReport:
@@ -1292,7 +1303,8 @@ class FiniteCategory:
     endpoint outside the objects, a composite ``-1`` (undefined) or outside
     the morphisms, an identity ``-1`` (none declared) or outside the
     morphisms.  ``defects`` keeps the faults of label data that the arrays
-    cannot hold (see :meth:`from_labels`) as ``(clause, witness)``.
+    cannot hold (a composite or identity naming no morphism or object, a
+    composite of a pair that is not composable) as ``(clause, witness)``.
 
     ``objects`` and ``morphisms`` are the labels, as tuples or as
     :class:`Labels` built on first read (E_K's, which no check reads).
@@ -1311,49 +1323,6 @@ class FiniteCategory:
     pairs: PairIndex
     comp: np.ndarray
     defects: tuple = ()
-
-    @classmethod
-    def from_labels(cls, objects, morphisms, source: dict, target: dict,
-                    compose: dict, identity_of: dict) -> "FiniteCategory":
-        """The category of label data; ``compose[(f, g)]`` is "f then g".
-
-        An endpoint that is not an object, a composable pair missing from
-        ``compose`` and an identity that is not a morphism are kept in the
-        arrays.  A ``compose`` entry that is not a composable pair of
-        morphisms, or whose composite is not a morphism, and an
-        ``identity_of`` entry that is not object -> morphism are kept, the
-        first of each kind in ``compose`` and ``identity_of`` order, in
-        ``defects``.
-        """
-        objects, morphisms = tuple(objects), tuple(morphisms)
-        obj_idx = {o: i for i, o in enumerate(objects)}
-        mor_idx = {m: i for i, m in enumerate(morphisms)}
-        src_l = [obj_idx.get(source.get(m), -1) for m in morphisms]
-        tgt_l = [obj_idx.get(target.get(m), -1) for m in morphisms]
-        src, tgt = _ints(src_l), _ints(tgt_l)
-        pairs = PairIndex.of(len(objects), src, tgt)
-        pair_start, rank = pairs.pair_start.tolist(), pairs.rank.tolist()
-        comp = np.full(len(pairs.f), -1, dtype=np.int64)
-        compose_defect = identity_defect = None
-        for (f, g), h in compose.items():
-            fi, gi, hi = mor_idx.get(f), mor_idx.get(g), mor_idx.get(h)
-            if fi is None or gi is None or hi is None:
-                clause = "compose_outside_morphisms"
-            elif tgt_l[fi] != src_l[gi] or src_l[gi] < 0:
-                clause = "compose_of_non_composable"
-            else:
-                comp[pair_start[fi] + rank[gi]] = hi
-                continue
-            compose_defect = compose_defect or (clause, {"pair": (f, g)})
-        identity = np.full(len(objects), -1, dtype=np.int64)
-        for o, m in identity_of.items():
-            oi, mi = obj_idx.get(o), mor_idx.get(m)
-            if oi is not None:
-                identity[oi] = len(morphisms) if mi is None else mi
-            if oi is None or mi is None:
-                identity_defect = identity_defect or ("identity_missing", {"object": o})
-        defects = tuple(d for d in (compose_defect, identity_defect) if d is not None)
-        return cls(objects, morphisms, src, tgt, identity, pairs, comp, defects)
 
     def composite(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
         """The composites "f[i] then g[i]": ``-1`` where undefined and
@@ -1490,14 +1459,16 @@ def composition_table(rep: CheckReport, clause: str, morphisms, source: dict,
 
 @dataclass
 class CategoriesResult:
-    """What :func:`build_categories` returns; E_K, read by no check, is built when first read."""
+    """What :func:`build_categories` returns; E_K, read by no check, is built
+    when first read.  Both categories are ``None`` where a sample index or a
+    group table that B_K would read fails its fact."""
 
-    domain_category: FiniteCategory  # B_K
+    domain_category: FiniteCategory | None  # B_K
     report: CheckReport
     build_obstruction: Callable[[], FiniteCategory] = field(repr=False)
 
     @functools.cached_property
-    def obstruction_category(self) -> FiniteCategory:  # E_K
+    def obstruction_category(self) -> FiniteCategory | None:  # E_K
         return self.build_obstruction()
 
 
@@ -1621,14 +1592,10 @@ def _maps_compose(maps: tuple, outer: np.ndarray, inner: np.ndarray, whole: np.n
 
 
 def _domain_facts(bk: _Blocks, rep: CheckReport) -> bool:
-    """Report each failing fact on which B_K rests, at its first witness:
-    every sample index (perms, Ũ_IJ, ρ_IJ) lies in its chart
-    (``sample_outside_chart``) and every Γ_I is a group (``group_not_valid``),
-    or no table is read and ``False`` is returned; every ρ^Γ_{JI} is a
-    homomorphism (``projection_not_homomorphic``) and ρ^Γ_{JI} ∘ ρ^Γ_{KJ} =
-    ρ^Γ_{KI} on every chain (``projections_not_composing``).  Then both
-    bracketings of composable (I, J, y, γ), (J, K, z, δ), (K, L, w, ε) are
-    (I, L, w, ρ^Γ_{JI}(ρ^Γ_{KJ}(ε)·δ)·γ = ρ^Γ_{KI}(ε)·(ρ^Γ_{JI}(δ)·γ))."""
+    """Report each failing fact that B_K's arrays need, at its first
+    witness: every sample index (perms, Ũ_IJ, ρ_IJ) lies in its chart
+    (``sample_outside_chart``) and every Γ_I is a group
+    (``group_not_valid``); ``False`` if one fails."""
     n, order, blocks, name = bk.n_points, bk.order, bk.blocks, bk.element
     (perms, _), (tilde, tilde_start), (rho, _) = bk.perms, bk.tilde, bk.rho
     i, x = _runs(order * n)
@@ -1643,8 +1610,17 @@ def _domain_facts(bk: _Blocks, rep: CheckReport) -> bool:
     })
     valid = np.array([g.validate().ok for g in bk.groups], dtype=bool)
     rep.fail_first("group_not_valid", valid, lambda p: {"index": bk.indices[p]})
-    if not (valid.all() and perms_in.all() and changes_in.all()):
-        return False
+    return bool(valid.all() and perms_in.all() and changes_in.all())
+
+
+def _projection_facts(bk: _Blocks, rep: CheckReport) -> None:
+    """Report each failing fact on the group projections, at its first
+    witness: every ρ^Γ_{JI} is a homomorphism (``projection_not_homomorphic``)
+    and ρ^Γ_{JI} ∘ ρ^Γ_{KJ} = ρ^Γ_{KI} on every chain
+    (``projections_not_composing``).  With :func:`_domain_facts`, both
+    bracketings of composable (I, J, y, γ), (J, K, z, δ), (K, L, w, ε) are
+    (I, L, w, ρ^Γ_{JI}(ρ^Γ_{KJ}(ε)·δ)·γ = ρ^Γ_{KI}(ε)·(ρ^Γ_{JI}(δ)·γ))."""
+    order, blocks, name = bk.order, bk.blocks, bk.element
     (proj, start), (mul, at) = bk.proj, bk.mul
     # ρ(a·b) = ρ(a)·ρ(b) over Γ_J × Γ_J, every block at once
     k, ab = _runs(order[bk.J] ** 2)
@@ -1659,7 +1635,6 @@ def _domain_facts(bk: _Blocks, rep: CheckReport) -> bool:
     rep.fail_first("projections_not_composing", holds, lambda p: {
         "triple": bk.chain(c[p]), "element": name(bk.J[bk.chains[c[p], 1]], v[p]),
     })
-    return True
 
 
 def build_categories(atlas: AtlasModel) -> CategoriesResult:
@@ -1695,28 +1670,31 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
     bk = _Blocks(atlas, blocks)
     n_points = bk.n_points.tolist()
 
-    # ----- B_K -----
+    # ----- B_K, when its indices and tables can be read -----
     objects = tuple(itertools.chain.from_iterable(
         itertools.product([I], range(n)) for I, n in zip(indices, n_points)
     ))
-    one_point = np.zeros(int(bk.order.sum()), dtype=np.int64), _offsets(bk.order)
-    arrays, missing, b_I = _block_category(
-        bk, np.ones(len(indices), dtype=np.int64), one_point,
-        (np.zeros(len(blocks), dtype=np.int64), np.arange(len(blocks) + 1)),
-    )
-    morphisms = tuple(itertools.chain.from_iterable(
-        itertools.product([I], [J], tilde.tolist(), atlas.charts[I].group.elements)
-        for I, J, tilde, _ in blocks
-    ))
-    for f, g, I, K, z, _, gamma in missing:
-        rep.fail("composability_violated", pair=(morphisms[f], morphisms[g]),
-                 result=(I, K, z, gamma))
-    B = FiniteCategory(objects, morphisms, *arrays)
-    axioms = check_category(B)
-    rep.merge(axioms)
-    # the sizes of the category; ``merge`` passes failures on, not details
-    rep.details["category_axioms"] = axioms.details
     tables_ok = _domain_facts(bk, rep)
+    B = None
+    if tables_ok:
+        one_point = np.zeros(int(bk.order.sum()), dtype=np.int64), _offsets(bk.order)
+        arrays, missing, b_I = _block_category(
+            bk, np.ones(len(indices), dtype=np.int64), one_point,
+            (np.zeros(len(blocks), dtype=np.int64), np.arange(len(blocks) + 1)),
+        )
+        morphisms = tuple(itertools.chain.from_iterable(
+            itertools.product([I], [J], tilde.tolist(), atlas.charts[I].group.elements)
+            for I, J, tilde, _ in blocks
+        ))
+        for f, g, I, K, z, _, gamma in missing:
+            rep.fail("composability_violated", pair=(morphisms[f], morphisms[g]),
+                     result=(I, K, z, gamma))
+        B = FiniteCategory(objects, morphisms, *arrays)
+        axioms = check_category(B)
+        rep.merge(axioms)
+        # the sizes of the category; ``merge`` passes failures on, not details
+        rep.details["category_axioms"] = axioms.details
+        _projection_facts(bk, rep)
 
     # ----- E_K -----
     charts = [atlas.charts[I] for I in indices]
@@ -1743,15 +1721,13 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
     phis = phis if grids_closed else None
     if tables_ok:
         _obstruction_facts(bk, n_e, eact, phis, rep)
-    obj_ne, mor_ne = n_e.repeat(n_points), n_e[b_I]
-    eo_base, e_base = _offsets(obj_ne), _offsets(mor_ne)
-    weights = mor_ne[B.pairs.f]
-    # E_K's sizes, where its laws are proved
+    obj_ne, mor_ne = n_e.repeat(n_points), None if B is None else n_e[b_I]
+    # E_K's sizes, where its laws are proved (B_K is built where they are)
     rep.details["category_axioms_E"] = {
-        "objects": int(eo_base[-1]),
-        "morphisms": int(e_base[-1]),
-        "composable_pairs": int(weights.sum()),
-        "composable_triples": int((weights * B.pairs.triple_counts()).sum()),
+        "objects": int(obj_ne.sum()),
+        "morphisms": int(mor_ne.sum()),
+        "composable_pairs": int(mor_ne[B.pairs.f].sum()),
+        "composable_triples": int((mor_ne[B.pairs.f] * B.pairs.triple_counts()).sum()),
     } if rep.ok else {}
     # the section and the zero vector on grid indices
     s_list = [_lookup(chart.section_samples, grid, f"chart {I}")
@@ -1767,10 +1743,12 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
         _section_facts(bk, n_e, eact, phis, _flat(s_list), rep)
 
     def obstruction_category():
+        if B is None:
+            return None
         # without φ̂ on the grids E_K has no morphisms: every identity is missing
         e_bk, e_phi, e_ne = (bk, phis, mor_ne) if grids_closed else (
             _Blocks(atlas, []), _flat([]), 0 * mor_ne)
-        e_objects = Labels(int(eo_base[-1]), lambda: (
+        e_objects = Labels(int(obj_ne.sum()), lambda: (
             (I, x, e) for (I, x), ne in zip(objects, obj_ne.tolist()) for e in range(ne)
         ))
         e_morphisms = Labels(int(e_ne.sum()), lambda: (
@@ -1787,9 +1765,10 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
     obj_base = dict(zip(indices, _offsets(n_points).tolist()))
     for (I, x), label in psi_obj.items():
         psi[obj_base[I] + x] = label_id[label]
-    s_psi, t_psi = psi[B.src], psi[B.tgt]
-    for m in _where((s_psi >= 0) & (t_psi >= 0) & (s_psi != t_psi)).tolist():
-        rep.fail("footprint_functor_not_constant", morphism=morphisms[m])
+    if B is not None:
+        s_psi, t_psi = psi[B.src], psi[B.tgt]
+        for m in _where((s_psi >= 0) & (t_psi >= 0) & (s_psi != t_psi)).tolist():
+            rep.fail("footprint_functor_not_constant", morphism=B.morphisms[m])
     if set(psi_obj.values()) != set(atlas.x_labels):
         rep.fail("footprint_functor_not_surjective", image=sorted(set(psi_obj.values())))
     return CategoriesResult(domain_category=B, report=rep, build_obstruction=obstruction_category)

@@ -8,13 +8,17 @@ data ν_I on V_I, as declared exact sample values and/or smooth ASTs.
 Metric conventions: the atlas metric lives on intermediate keys
 ``(I, class_index)``; a "hat" ball in chart J is the preimage of the
 metric ball at quotient level (hence automatically Γ_J-invariant).
-Balls read the integer matrix of the metric, a :class:`RationalArray`,
-against one threshold per radius (:meth:`RationalArray.threshold`).
+A ball about a set of metric rows reads one distance vector per set, the
+least column of the metric's integer matrix over it, made once per atlas
+(:meth:`AtlasModel.distance`), against one threshold per radius
+(:meth:`RationalArray.threshold`).  Sample sets are checked as masks.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -26,15 +30,19 @@ from .charts_atlas import (
     AtlasModel,
     CheckReport,
     FiniteCategory,
+    Labels,
+    PairIndex,
     RationalArray,
-    _index_from_key,
     _equal,
+    _flat,
+    _index_from_key,
     _index_key,
     _ints,
     _matmul,
+    _runs,
     _scaled,
+    _where,
     check_category,
-    composition_table,
 )
 from .exterior_engine import eliminate, parse_rat
 from .expressions import eval_pred, eval_pred_rows, eval_vector, evaluate_until_raise
@@ -48,8 +56,6 @@ __all__ = [
     "epsilon_closure_radius",
     "closure_of",
     "v_tilde",
-    "v_tilde_via_projection",
-    "hij_identity_holds",
     "check_reduction",
     "build_pruned_category",
     "PrunedResult",
@@ -136,6 +142,7 @@ class _Values:
     def __init__(self, atlas: AtlasModel, nu: Perturbation):
         self.atlas, self.nu = atlas, nu
         self.evaluated: dict = {}  # (I, sample) -> value list, None or exception
+        self.places: dict = {}  # I -> per sample of chart I its declared row or -1, then -1
 
     def _evaluate(self, I: tuple, x: int):
         if (I, x) not in self.evaluated:
@@ -155,7 +162,13 @@ class _Values:
         index, declared = self.nu.samples.get(I, none)
         if len(index) and declared.num.shape[1] != m:
             raise ValueError(f"{where} samples have {declared.num.shape[1]} values, not {m}")
-        known = np.isin(samples, index)
+        if I not in self.places:
+            self.places[I] = np.full(len(self.atlas.sample_rows(I)) + 1, -1, dtype=np.int64)
+            inside = (index >= 0) & (index < len(self.places[I]) - 1)
+            self.places[I][index[inside]] = _where(inside)
+        place = self.places[I]
+        at = place[np.where((samples >= 0) & (samples < len(place) - 1), samples, -1)]
+        known = at >= 0
         defined, errors = known | (m == 0), {}
         floats, rational = np.zeros((len(samples), m)), np.ones((len(samples), m), dtype=bool)
         rows = []
@@ -173,9 +186,7 @@ class _Values:
         rows = RationalArray.of(rows, where, (len(rows), m))
         den = math.lcm(rows.den, declared.den)
         num = np.zeros((len(samples), m), dtype=np.int64)
-        order = np.argsort(index)
-        at = order[np.searchsorted(index, samples[known], sorter=order)]
-        num[known] = _scaled(declared, den, where)[at]
+        num[known] = _scaled(declared, den, where)[at[known]]
         num[defined & ~known & (m > 0)] = _scaled(rows, den, where)
         return _Rows(RationalArray(num, den), floats, rational, defined, errors)
 
@@ -268,6 +279,41 @@ def epsilon_closure_radius(atlas: AtlasModel):
     return atlas.closure_radius
 
 
+def _members(atlas: AtlasModel, I: tuple, values) -> np.ndarray:
+    """The samples of chart I that are in ``values`` (an int array or a set), as a mask."""
+    x = values if isinstance(values, np.ndarray) else np.fromiter(values, np.int64, len(values))
+    mask = np.zeros(len(atlas.sample_rows(I)), dtype=bool)
+    mask[x[(x >= 0) & (x < len(mask))]] = True
+    return mask
+
+
+def _among(mask: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per entry of ``x``, whether it is a sample in ``mask``; an index
+    outside the chart is in no set."""
+    inside = (x >= 0) & (x < len(mask))
+    return np.append(mask, False)[np.where(inside, x, len(mask))]
+
+
+def _over(change, in_J: np.ndarray, in_I: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The samples y of Ũ_IJ with y in the mask ``in_J`` and ρ_IJ(y) in
+    ``in_I``, sorted and each once, and ρ_IJ(y) of each."""
+    keep = _among(in_J, change.tilde) & _among(in_I, change.rho)
+    order = np.argsort(change.tilde[keep], kind="stable")
+    ys, xs = change.tilde[keep][order], change.rho[keep][order]
+    first = np.ones(len(ys), dtype=bool)
+    first[1:] = ys[1:] != ys[:-1]
+    return ys[first], xs[first]
+
+
+def _tilde(atlas: AtlasModel, red: Reduction, I: tuple, J: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Ṽ_IJ = V_J ∩ ρ_IJ⁻¹(V_I), sorted, and ρ_IJ of each (Ṽ_II = V_I)."""
+    if I == J:
+        v = _ints(sorted(red.sets[I]))
+        return v, v
+    in_J, in_I = (_members(atlas, K, red.sets[K]) for K in (J, I))
+    return _over(atlas.changes[(I, J)], in_J, in_I)
+
+
 def closure_of(atlas: AtlasModel, red: Reduction, I: tuple, eps) -> frozenset:
     """Declared closure if present, else the metric ε-ball, else V_I.
 
@@ -276,35 +322,13 @@ def closure_of(atlas: AtlasModel, red: Reduction, I: tuple, eps) -> frozenset:
     if I in red.closures:
         return red.closures[I]
     if eps is not None:
-        return _hat_ball(atlas, I, frozenset(red.sets[I]), eps)
+        return frozenset(_where(_ball(atlas, I, _members(atlas, I, red.sets[I]), eps)).tolist())
     return frozenset(red.sets[I])
 
 
 def v_tilde(atlas: AtlasModel, red: Reduction, I: tuple, J: tuple) -> frozenset:
     """Ṽ_IJ = V_J ∩ ρ_IJ⁻¹(V_I) (with Ṽ_II = V_I)."""
-    if I == J:
-        return frozenset(red.sets[I])
-    change, v_I, v_J = atlas.changes[(I, J)], red.sets[I], red.sets[J]
-    return frozenset(y for y in change.tilde_indices if y in v_J and change.rho_idx[y] in v_I)
-
-
-def v_tilde_via_projection(atlas: AtlasModel, red: Reduction, I: tuple, J: tuple) -> frozenset:
-    """Ṽ_IJ computed as V_J ∩ π_K⁻¹(π_K(V_I)) via the realization."""
-    if I == J:
-        return frozenset(red.sets[I])
-    inter = atlas.intermediate_classes()
-    target_classes = set(inter[atlas.sample_rows(I)[sorted(red.sets[I])]].tolist())
-    rows_J = atlas.sample_rows(J)
-    return frozenset(y for y in red.sets[J] if inter[rows_J[y]] in target_classes)
-
-
-def hij_identity_holds(atlas: AtlasModel, red: Reduction, F: tuple, I: tuple, J: tuple) -> bool:
-    """V_J ∩ ρ_IJ⁻¹(Ṽ_FI) = Ṽ_IJ ∩ Ṽ_FJ for F ⊂ I ⊂ J."""
-    change, vt_FI = atlas.changes[(I, J)], v_tilde(atlas, red, F, I)
-    lhs = frozenset(
-        y for y in change.tilde_indices if y in red.sets[J] and change.rho_idx[y] in vt_FI
-    )
-    return lhs == v_tilde(atlas, red, I, J) & v_tilde(atlas, red, F, J)
+    return frozenset(_tilde(atlas, red, I, J)[0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -321,45 +345,42 @@ def check_reduction(atlas: AtlasModel, red: Reduction) -> CheckReport:
             rep.fail("missing_set", index=I)
     if not rep.ok:
         return rep
+    member = {I: _members(atlas, I, red.sets[I]) for I in indices}
     # (i) Γ-invariance (equivalently: pulled back from the quotient)
     for I in indices:
         chart = atlas.charts[I]
-        v = red.sets[I]
-        for name, perm in zip(chart.group.elements, chart.domain.perms.tolist()):
-            if any(perm[x] not in v for x in v):
-                rep.fail("not_invariant", index=I, element=name)
-                break
+        moved = chart.domain.perms[:, _ints(sorted(red.sets[I]))]
+        rep.fail_first("not_invariant", _among(member[I], moved).all(axis=1),
+                       lambda g: {"index": I, "element": chart.group.elements[g]})
         pred = red.preds.get(I)
-        if pred is not None:
-            for x, holds in enumerate(eval_pred_rows(pred, chart.domain.points)):
-                if holds != (x in v):
-                    rep.fail("predicate_mismatch", index=I, point=x)
-                    break
+        if pred is not None:  # the rows are read up to the first mismatch
+            rows = eval_pred_rows(pred, chart.domain.points)
+            rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
+            wrong = map(operator.ne, rows, member[I].tolist())
+            for x in itertools.islice(itertools.compress(itertools.count(), wrong), 1):
+                rep.fail("predicate_mismatch", index=I, point=x)
     eps = epsilon_closure_radius(atlas)
     closures = {I: closure_of(atlas, red, I, eps) for I in indices}
-    # (ii) precompact surrogate + zero intersection
+    # (ii) precompact surrogate + zero intersection, with the zeros in V_I
+    zeros = {I: _ints(atlas.charts[I].zero_sample_indices()) for I in indices}
+    zeros = {I: z[member[I][z]] for I, z in zeros.items()}
     for I in indices:
-        chart = atlas.charts[I]
-        n = len(chart.domain.points)
-        if any(not 0 <= x < n for x in closures[I]):
+        if closures[I] and (min(closures[I]) < 0 or max(closures[I]) >= len(member[I])):
             rep.fail("closure_escapes_domain", index=I)
-        v = red.sets[I]
-        if v and not (set(v) & set(chart.zero_sample_indices())):
+        if red.sets[I] and not zeros[I].size:
             rep.fail("misses_zero_set", index=I)
     # (iii) closure overlaps only for nested indices
     inter = atlas.intermediate_classes()
-    proj_closure = {I: set(inter[_closure_rows(atlas, I, closures[I])].tolist()) for I in indices}
+    # a declared closure may name samples the chart lacks: they have no row
+    rows = {I: atlas.sample_rows(I)[_members(atlas, I, closures[I])] for I in indices}
+    proj_closure = {I: set(inter[rows[I]].tolist()) for I in indices}
     for I in indices:
         for J in indices:
             nested = set(I) <= set(J) or set(J) <= set(I)
             if I < J and not nested and (proj_closure[I] & proj_closure[J]):
                 rep.fail("closure_overlap_not_nested", pair=(I, J))
     # (iv) zero-set coverage
-    covered = {
-        atlas.charts[I].footprint_map[x]
-        for I in indices
-        for x in set(red.sets[I]) & set(atlas.charts[I].zero_sample_indices())
-    }
+    covered = {atlas.charts[I].footprint_map[x] for I in indices for x in zeros[I].tolist()}
     missing = set(atlas.x_labels) - covered
     if missing:
         rep.fail("zero_set_not_covered", missing=sorted(missing))
@@ -371,13 +392,11 @@ def check_reduction(atlas: AtlasModel, red: Reduction) -> CheckReport:
             if (F, I) not in atlas.changes:
                 rep.fail("missing_change", pair=(F, I))
                 continue
-            chart = atlas.charts[I]
-            vt = v_tilde(atlas, red, F, I)
-            for g in atlas.kernel(F, I).tolist():
-                if g != chart.group.identity and any(chart.domain.act(g, y) == y for y in vt):
-                    element = chart.group.elements[g]
-                    rep.fail("partial_isotropy_not_free", pair=(F, I), element=element)
-                    break
+            chart, kernel = atlas.charts[I], atlas.kernel(F, I)
+            ys = _tilde(atlas, red, F, I)[0]
+            fixes = (chart.domain.perms[kernel][:, ys] == ys).any(axis=1)
+            rep.fail_first("partial_isotropy_not_free", ~fixes | (kernel == chart.group.identity),
+                           lambda a: {"pair": (F, I), "element": chart.group.elements[kernel[a]]})
     return rep
 
 
@@ -397,29 +416,40 @@ def build_pruned_category(atlas: AtlasModel, red: Reduction) -> PrunedResult:
 
     A morphism (I, J, y) is read back from its endpoints ((I, ρ_IJ(y)),
     (J, y)), so the category is nonsingular by construction; "(I, J, y) then
-    (J, K, z)" is (I, K, z), so it is associative and unital by construction."""
+    (J, K, z)" is (I, K, z), so it is associative and unital by construction.
+    Object (I, x) is numbered in index order and then by x, morphism
+    (I, J, y) by its block (I, J) in index order and then by y; a composite
+    that is no morphism is reported as ``composition_escapes``."""
     rep = CheckReport("pruned_category")
     indices = atlas.index_sets()
-    objects = [(I, x) for I in indices for x in sorted(red.sets[I])]
-    morphisms = []
-    src: dict = {}
-    tgt: dict = {}
-    for I in indices:
-        for J in indices:
-            if not set(I) <= set(J) or (I != J and (I, J) not in atlas.changes):
-                continue
-            # Ṽ_IJ ⊆ V_J with ρ_IJ(Ṽ_IJ) ⊆ V_I: both endpoints are objects
-            for y in sorted(v_tilde(atlas, red, I, J)):
-                m = (I, J, y)
-                morphisms.append(m)
-                src[m] = (I, y if I == J else atlas.changes[(I, J)].rho_idx[y])
-                tgt[m] = (J, y)
-    identity_of = {(I, x): (I, I, x) for (I, x) in objects}
-    compose = composition_table(
-        rep, "composition_escapes", morphisms, src, tgt,
-        lambda f, g: (f[0], g[1], g[2]),
-    )
-    cat = FiniteCategory.from_labels(objects, morphisms, src, tgt, compose, identity_of)
+    blocks = _ints([(i, j) for i, I in enumerate(indices) for j, J in enumerate(indices)
+                    if set(I) <= set(J) and (I == J or (I, J) in atlas.changes)]).reshape(-1, 2)
+    tildes = [_tilde(atlas, red, indices[i], indices[j]) for i, j in blocks.tolist()]
+    (ys, start), (xs, _) = _flat(t[0] for t in tildes), _flat(t[1] for t in tildes)
+    block, _ = _runs(np.diff(start))
+    I, J = blocks[block].T  # per morphism (I, J, y): y and ρ_IJ(y) are ys and xs
+    # place[k, y]: the morphism at sample y of the k-th block, or -1
+    place = np.full((len(blocks), int(ys.max(initial=-1)) + 1), -1)
+    place[block, ys] = np.arange(len(ys))
+    block_of = np.full((len(indices),) * 2, -1, dtype=np.int64)
+    block_of[blocks[:, 0], blocks[:, 1]] = np.arange(len(blocks))
+    # object (I, x) is numbered as its identity (I, I, x) among the identities
+    identity = _where(I == J)
+    number = np.full(len(ys) + 1, -1, dtype=np.int64)
+    number[identity] = np.arange(len(identity))
+    src, tgt = number[place[block_of[I, I], xs]], number[place[block_of[J, J], ys]]
+    pairs = PairIndex.of(len(identity), src, tgt)
+    f, g = pairs.f, pairs.g
+    k = block_of[I[f], J[g]]
+    comp = np.where(k >= 0, place[k, ys[g]], -1)
+    morphisms = Labels(len(ys), lambda: zip(
+        [indices[i] for i in I.tolist()], [indices[j] for j in J.tolist()], ys.tolist()))
+    objects = Labels(len(identity), lambda: (
+        (morphisms[m][0], morphisms[m][2]) for m in identity.tolist()))
+    for p in _where(comp < 0).tolist():
+        rep.fail("composition_escapes", pair=(morphisms[f[p]], morphisms[g[p]]),
+                 result=(indices[I[f[p]]], indices[J[g[p]]], int(ys[g[p]])))
+    cat = FiniteCategory(objects, morphisms, src, tgt, identity, pairs, comp)
     rep.merge(check_category(cat))
     return PrunedResult(category=cat, report=rep)
 
@@ -474,17 +504,15 @@ def _stops(bad: np.ndarray, errors: dict) -> list:
     return stops
 
 
-def _incompatible(values: _Values, I: tuple, J: tuple, ys: list) -> list:
+def _incompatible(values: _Values, I: tuple, J: tuple, ys: np.ndarray, xs: np.ndarray) -> list:
     """[(y, undefined)] for the first y of ``ys`` at which ν_J =
-    φ̂_IJ∘ν_I∘ρ_IJ fails, where a loop over ``ys`` that reads ν_I(ρ_IJ(y)),
-    then ν_J(y), stops (``undefined``: ν has no value there), or []."""
-    change = values.atlas.changes[(I, J)]
-    src = values.rows(I, [change.rho_idx[y] for y in ys])
-    tgt = values.rows(J, ys)
-    where = f"perturbation {I}->{J}"
+    φ̂_IJ∘ν_I∘ρ_IJ fails, where a loop over ``ys`` that reads ν_I(ρ_IJ(y))
+    (``xs``), then ν_J(y), stops (``undefined``: ν has no value there), or []."""
+    src, tgt = values.rows(I, xs), values.rows(J, ys)
+    where, phi = f"perturbation {I}->{J}", values.atlas.changes[(I, J)].phi_hat
     defined = src.defined & tgt.defined
-    bad = ~defined | ~_same(tgt, _pushed(change.phi_hat, src, where), where)
-    return [(ys[y], not defined[y]) for _, y in _stops(bad[None], tgt.errors | src.errors)]
+    bad = ~defined | ~_same(tgt, _pushed(phi, src, where), where)
+    return [(int(ys[y]), not defined[y]) for _, y in _stops(bad[None], tgt.errors | src.errors)]
 
 
 def _nested(atlas: AtlasModel) -> list:
@@ -508,22 +536,23 @@ def check_perturbation(
     nested = _nested(atlas)
     values = _Values(atlas, nu)
     # compatibility ν_J = φ̂_IJ∘ν_I∘ρ_IJ on Ṽ_IJ
+    tildes = {(I, J): _tilde(atlas, red, I, J) for I, J in nested}
     for (I, J) in nested:
-        for y, undefined in _incompatible(values, I, J, sorted(v_tilde(atlas, red, I, J))):
+        for y, undefined in _incompatible(values, I, J, *tildes[(I, J)]):
             rep.fail("nu_undefined" if undefined else "compatibility", pair=(I, J), point=y)
     # partial equivariance: ν_J(αy) = ν_J(y) for α ∈ Γ_{J∖I}, the first
     # failing α per y
     for (I, J) in nested:
         chart = atlas.charts[J]
         kernel = atlas.kernel(I, J)
-        ys = sorted(v_tilde(atlas, red, I, J))
+        ys = tildes[(I, J)][0]
         base = values.rows(J, np.repeat(ys, len(kernel)))
         moved = values.rows(J, chart.domain.perms[kernel][:, ys].T.ravel())
         same = base.defined & moved.defined & _same(base, moved, f"chart {J}")
         bad = ~same.reshape(len(ys), len(kernel))
         for r, a in _stops(bad, moved.errors | base.errors):
             element = chart.group.elements[kernel[a]]
-            rep.fail("partial_equivariance", pair=(I, J), point=ys[r], element=element)
+            rep.fail("partial_equivariance", pair=(I, J), point=int(ys[r]), element=element)
     # admissibility: d_yν_J(T_yV_J) ⊆ im φ̂_IJ
     for (I, J) in nested:
         chart = atlas.charts[J]
@@ -532,15 +561,15 @@ def check_perturbation(
             continue
         phi_f = atlas.changes[(I, J)].phi_hat.floats()
         nu_J = atlas.compiled(asts, chart.tangent_dims)
-        ys = sorted(v_tilde(atlas, red, I, J))
-        _, jacs, error = evaluate_until_raise(nu_J, chart.domain.coordinates[_ints(ys)])
-        for y, jac in zip(ys, jacs):
+        ys = tildes[(I, J)][0]
+        _, jacs, error = evaluate_until_raise(nu_J, chart.domain.coordinates[ys])
+        scales = np.maximum(np.abs(jacs).max(axis=(1, 2), initial=0.0), 1.0)
+        for y, jac, scale in zip(ys.tolist(), jacs, scales.tolist()):
             if phi_f.shape[1] == 0:
-                resid = float(np.max(np.abs(jac))) if jac.size else 0.0
+                resid = float(np.abs(jac).max(initial=0.0))
             else:
-                sol, res, _, _ = np.linalg.lstsq(phi_f, jac, rcond=None)
-                resid = float(np.max(np.abs(phi_f @ sol - jac))) if jac.size else 0.0
-            scale = max(float(np.max(np.abs(jac))) if jac.size else 0.0, 1.0)
+                sol = np.linalg.lstsq(phi_f, jac, rcond=None)[0]
+                resid = float(np.abs(phi_f @ sol - jac).max(initial=0.0))
             if resid > TAU_RANK * scale:
                 rep.fail("admissibility", pair=(I, J), point=y, residual=resid)
                 break
@@ -600,31 +629,23 @@ def _zero_in_C(atlas: AtlasModel, C: Reduction, I: tuple, coords) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _hat_ball(atlas: AtlasModel, I: tuple, base: frozenset, radius) -> frozenset:
-    """Samples of chart I within metric distance ≤ radius of the set
-    (distances measured between intermediate classes)."""
-    if not base:
-        return frozenset()
+def _ball(atlas: AtlasModel, I: tuple, base: np.ndarray, radius) -> np.ndarray:
+    """The samples of chart I within metric distance ≤ radius of the
+    samples of the mask ``base``, as a mask (distances measured between
+    intermediate classes)."""
     rows = atlas.sample_rows(I)
-    # a column repeated in the minimum changes nothing
-    dist = atlas.metric.num[np.ix_(rows, rows[sorted(base)])].min(axis=1)
-    return frozenset(base).union(np.flatnonzero(dist <= atlas.metric.threshold(radius)).tolist())
+    if not base.any():
+        return base
+    return base | (atlas.distance(rows[base])[rows] <= atlas.metric.threshold(radius))
 
 
-def _closure_rows(atlas: AtlasModel, I: tuple, closure) -> np.ndarray:
-    """The metric rows of the samples of ``closure``; a declared closure
-    may name samples the chart lacks (``closure_escapes_domain``): they
-    have no row."""
-    rows = atlas.sample_rows(I)
-    return rows[[x for x in closure if 0 <= x < len(rows)]]
-
-
-def _projected_ball(atlas: AtlasModel, rows: set, radius) -> set:
-    """Metric rows within distance ≤ radius of the row set."""
-    if not rows:
-        return set()
-    near = atlas.metric.num[:, sorted(rows)].min(axis=1) <= atlas.metric.threshold(radius)
-    return set(rows).union(np.flatnonzero(near).tolist())
+def _projected_ball(atlas: AtlasModel, rows: np.ndarray, radius) -> np.ndarray:
+    """The metric rows within distance ≤ radius of the rows ``rows``, as a mask."""
+    ball = np.zeros(len(atlas.metric.num), dtype=bool)
+    if len(rows):
+        ball |= atlas.distance(rows) <= atlas.metric.threshold(radius)
+        ball[rows] = True
+    return ball
 
 
 def _delta_conditions(atlas: AtlasModel, closure_rows: dict, inter: np.ndarray,
@@ -634,12 +655,11 @@ def _delta_conditions(atlas: AtlasModel, closure_rows: dict, inter: np.ndarray,
     metric rows of the closure of V_I; ``inter`` is |K̲| on metric rows
     (:meth:`AtlasModel.intermediate_classes`)."""
     indices = atlas.index_sets()
-    proj = {
-        I: set(inter[sorted(_projected_ball(atlas, closure_rows[I], 2 * delta))].tolist())
-        for I in indices
-    }
+    proj = {I: np.zeros(len(inter), dtype=bool) for I in indices}
+    for I in indices:  # the classes of |K̲| that each ball meets
+        proj[I][inter[_projected_ball(atlas, closure_rows[I], 2 * delta)]] = True
     return not any(
-        proj[I] & proj[J]
+        (proj[I] & proj[J]).any()
         for I in indices
         for J in indices
         if I < J and not (set(I) <= set(J) or set(J) <= set(I))
@@ -660,7 +680,7 @@ def compute_adaptedness_constants(
     indices = atlas.index_sets()
     eps = epsilon_closure_radius(atlas)
     closure_rows = {
-        I: set(_closure_rows(atlas, I, closure_of(atlas, V, I, eps)).tolist()) for I in indices
+        I: atlas.sample_rows(I)[_members(atlas, I, closure_of(atlas, V, I, eps))] for I in indices
     }
     inter = atlas.intermediate_classes()
     delta_V = next(
@@ -679,23 +699,21 @@ def compute_adaptedness_constants(
     depth = max(len(I) for I in indices) + 1
     ks = sorted({Fraction(k) for k in range(depth + 1)}
                 | {Fraction(len(j)) - Fraction(1, 4) for j in indices})
+    # the sets as masks over the samples of their chart
     v_k = {
-        (I, kk): _hat_ball(atlas, I, frozenset(V.sets[I]), float(delta) * 2.0 ** (-float(kk)))
+        (I, kk): _ball(atlas, I, _members(atlas, I, V.sets[I]), float(delta) * 2.0 ** (-float(kk)))
         for I in indices
         for kk in ks
     }
     n_k: dict = {}
-    c_tilde = {J: set(C.sets[J]) for J in indices}
+    c_tilde = {J: _members(atlas, J, C.sets[J]) for J in indices}
     for I, J in nested:
         change = atlas.changes[(I, J)]
         for kk in ks:
-            v_J, v_I = v_k[(J, kk)], v_k[(I, kk)]
-            n_k[(J, I, kk)] = frozenset(
-                y for y in change.tilde_indices if y in v_J and change.rho_idx[y] in v_I
-            )
-        tset = set(change.tilde_indices)
-        c_tilde[I].update(change.rho_idx[y] for y in C.sets[J] if y in tset)
-    c_tilde = {J: frozenset(c) for J, c in c_tilde.items()}
+            keep = _among(v_k[(J, kk)], change.tilde) & _among(v_k[(I, kk)], change.rho)
+            n_k[(J, I, kk)] = _members(atlas, J, change.tilde[keep])
+        C_J = _members(atlas, J, C.sets[J])
+        c_tilde[I] |= _members(atlas, I, change.rho[_among(C_J, change.tilde)])
     eta = {}
     for kk in set(
         [Fraction(k) for k in range(1, depth + 1)]
@@ -706,31 +724,40 @@ def compute_adaptedness_constants(
     sigma = witness = None
     for J in indices:
         kJ = Fraction(len(J))
-        excluded = set(c_tilde[J])
+        excluded = c_tilde[J].copy()
         for I in [H for H, K in nested if K == J]:
-            nset = n_k[(J, I, kJ - Fraction(1, 4))]
-            excluded |= _hat_ball(atlas, J, nset, eta[kJ - Fraction(1, 2)])
-        complement = sorted(set(v_k[(J, kJ)]) - excluded)
-        if complement:
+            excluded |= _ball(atlas, J, n_k[(J, I, kJ - Fraction(1, 4))], eta[kJ - Fraction(1, 2)])
+        complement = _where(v_k[(J, kJ)] & ~excluded)
+        if complement.size:
             values = norms.norms(atlas, J, atlas.charts[J].section_samples)
-            least = int(values.num[complement].argmin())
-            val = Fraction(int(values.num[complement[least]]), values.den)
+            least = int(complement[values.num[complement].argmin()])
+            val = Fraction(int(values.num[least]), values.den)
             if sigma is None or val < sigma:
-                sigma, witness = val, (J, complement[least])
+                sigma, witness = val, (J, least)
+
+    def sets(masks: dict) -> dict:
+        return {key: frozenset(_where(mask).tolist()) for key, mask in masks.items()}
+
     return AdaptednessConstants(
-        delta_V=delta_V, delta=delta, eta=eta, v_k=v_k, n_k=n_k, c_tilde=c_tilde, sigma=sigma,
-        sigma_witness=witness, sigma_representative=sigma_representative, max_depth=depth,
+        delta_V=delta_V, delta=delta, eta=eta, v_k=sets(v_k), n_k=sets(n_k),
+        c_tilde=sets(c_tilde), sigma=sigma, sigma_witness=witness,
+        sigma_representative=sigma_representative, max_depth=depth,
     )
 
 
 def _small(norms: EquivariantNorms, atlas: AtlasModel, I: tuple, v: _Rows,
            sigma) -> np.ndarray:
-    """Per row of ``v``, whether the norm of each block of E_I is below σ:
-    a wholly rational block's exactly, and another block's from the float
-    sums Σ_k T_rk·v_k taken left to right, max over r, compared with σ
-    exactly.  A block whose first sum is NaN is passed over."""
+    """Per row of ``v``, whether the norm of each block of E_I is below the
+    rational σ: a wholly rational block's exactly, and another block's from
+    the float sums Σ_k T_rk·v_k taken left to right, max over r, compared
+    with σ exactly.  A block whose first sum is NaN is passed over.
+
+    A float s is below σ exactly when s < float(σ), or s <= float(σ) where
+    float(σ) < σ, since no float lies strictly between σ and its nearest
+    float; an exact norm m/den is below σ when m < σ·den."""
     keep = np.ones(v.rational.shape, dtype=bool)
     ok = np.ones(len(v.defined), dtype=bool)
+    below = np.less if Fraction(float(sigma)) >= sigma else np.less_equal
     for i, lo, hi in norms._blocks(atlas, I):
         rational = v.rational[:, lo:hi].all(axis=1)
         keep[:, lo:hi] = rational[:, None]
@@ -738,9 +765,9 @@ def _small(norms: EquivariantNorms, atlas: AtlasModel, I: tuple, v: _Rows,
             continue
         size = np.abs(_sums(v.all_floats()[:, lo:hi], norms.maps[i].floats()))
         size = np.fmax.reduce(np.where(np.isnan(size[:, :1]), 0.0, size), axis=1, initial=0.0)
-        ok &= rational | np.array([s < sigma for s in size.tolist()], dtype=bool)
+        ok &= rational | below(size, float(sigma))
     exact = norms.norms(atlas, I, RationalArray(np.where(keep, v.exact.num, 0), v.exact.den))
-    return ok & np.array([Fraction(n, exact.den) < sigma for n in exact.num.tolist()], dtype=bool)
+    return ok & (exact.num < math.ceil(Fraction(sigma) * exact.den))
 
 
 def check_adapted(
@@ -770,34 +797,30 @@ def check_adapted(
             below = [H for H, J in nested if J == I]
             # a) compatibility over the enlargements
             for H in below:
-                change = atlas.changes[(H, I)]
-                vk_H = constants.v_k[(H, kk)]
-                ys = [
-                    y for y in sorted(set(change.tilde_indices) & set(constants.v_k[(I, kk)]))
-                    if change.rho_idx[y] in vk_H
-                ]
-                for y, undefined in _incompatible(values, H, I, ys):
+                v_I, v_H = (_members(atlas, K, constants.v_k[(K, kk)]) for K in (I, H))
+                tilde = _over(atlas.changes[(H, I)], v_I, v_H)
+                for y, undefined in _incompatible(values, H, I, *tilde):
                     clause = "a_nu_undefined" if undefined else "a_compatibility"
                     rep.fail(clause, pair=(H, I), point=y, level=k)
             # c) strong admissibility on the collar balls: ν ∈ im φ̂ exactly
             # when it is rational and the annihilator sends it to 0
             for H in below:
-                nset = constants.n_k.get((I, H, kk), frozenset())
-                ball = sorted(_hat_ball(atlas, I, nset, constants.eta[kk]))
+                nset = _members(atlas, I, constants.n_k.get((I, H, kk), ()))
+                ball = _where(_ball(atlas, I, nset, constants.eta[kk]))
                 val = values.rows(I, ball)
                 annihilator = RationalArray(atlas.changes[(H, I)].image_annihilator.T, 1)
                 image = ~_matmul(val.exact, annihilator, where).num.any(axis=1)
                 inside = val.rational.all(axis=1) & image
                 for _, y in _stops((~val.defined | (m > 0) & ~inside)[None], val.errors):
                     clause = "c_strong_admissibility" if val.defined[y] else "c_nu_undefined"
-                    rep.fail(clause, pair=(H, I), point=ball[y], level=k)
+                    rep.fail(clause, pair=(H, I), point=int(ball[y]), level=k)
             # e) smallness over the enlargement
-            xs = sorted(constants.v_k[(I, kk)])
+            xs = _ints(sorted(constants.v_k[(I, kk)]))
             val = values.rows(I, xs)
             small = _small(norms, atlas, I, val, sigma)
             for _, x in _stops((~val.defined | (m > 0) & ~small)[None], val.errors):
                 clause = "e_not_small" if val.defined[x] else "e_nu_undefined"
-                rep.fail(clause, index=I, point=xs[x], level=k)
+                rep.fail(clause, index=I, point=int(xs[x]), level=k)
     # b) transversality and d) zero-set control at found zeros
     if zeros is not None:
         names = {"transversality": "b_transversality", "zero_escapes_C": "d_zero_escapes_C"}
@@ -817,24 +840,15 @@ def reduction_to_json(red: Reduction) -> dict:
     if red.preds:
         out["preds"] = {_index_key(I): p for I, p in red.preds.items()}
     if red.closures:
-        out["closures"] = {
-            _index_key(I): sorted(s) for I, s in red.closures.items()
-        }
+        out["closures"] = {_index_key(I): sorted(s) for I, s in red.closures.items()}
     return out
 
 
 def reduction_from_json(data: dict) -> Reduction:
     return Reduction(
-        sets={
-            _index_from_key(k): frozenset(v) for k, v in data["sets"].items()
-        },
-        preds={
-            _index_from_key(k): v for k, v in data.get("preds", {}).items()
-        },
-        closures={
-            _index_from_key(k): frozenset(v)
-            for k, v in data.get("closures", {}).items()
-        },
+        sets={_index_from_key(k): frozenset(v) for k, v in data["sets"].items()},
+        preds={_index_from_key(k): v for k, v in data.get("preds", {}).items()},
+        closures={_index_from_key(k): frozenset(v) for k, v in data.get("closures", {}).items()},
     )
 
 

@@ -24,7 +24,6 @@ import pytest
 from click.testing import CliRunner
 
 from vfc.charts_atlas import (
-    FiniteCategory,
     atlas_to_json,
     build_categories,
     check_atlas_model,
@@ -51,6 +50,8 @@ from vfc.zeroset_branched import (
     hausdorff_complete,
     weight_function,
 )
+
+from test_charts_atlas import category_from_labels
 
 F = Fraction
 
@@ -274,7 +275,7 @@ class TestWeightWellDefined:
             fp = hausdorff.minimal_footprint[p]
             vals = set()
             for I, idxs in fibers.items():
-                gi = built.atlas.group_of(I).order
+                gi = built.atlas.charts[I].group.order
                 # formula 1: fiber count over the footprint / |Γ_I|
                 vals.add(F(len(idxs), gi))
                 # formula 2: |Γ_{I∖F_p}| / |Γ_I|
@@ -508,7 +509,7 @@ class TestNegative:
         B = build_categories(atlas).domain_category
         local = tuple(m for m in B.morphisms if m[0] == m[1])
         # |K| without the coordinate changes splits classes that |K̲| joins
-        doctored = FiniteCategory.from_labels(
+        doctored = category_from_labels(
             objects=B.objects,
             morphisms=local,
             source=B.source,
@@ -529,7 +530,7 @@ class TestNegative:
         # classes in |K̲| differ; off the zero set, so no footprint clause
         a, b = ((1, 2), 144), ((1, 2), 167)
         extra = ("extra",)
-        doctored = FiniteCategory.from_labels(
+        doctored = category_from_labels(
             objects=B.objects,
             morphisms=B.morphisms + (extra,),
             source={**B.source, extra: a},
@@ -553,7 +554,7 @@ class TestNegative:
             m for m in B.morphisms
             if m[0] == m[1] or B.source[m] not in zeros or B.target[m] not in zeros
         )
-        doctored = FiniteCategory.from_labels(
+        doctored = category_from_labels(
             objects=B.objects,
             morphisms=kept,
             source=B.source,
@@ -591,7 +592,7 @@ class TestNegative:
         # with distinct footprint labels
         pairs = [(((2,), 5), ((2,), 6)), (((2,), 7), ((2,), 8)), (((2,), 1), ((2,), 0))]
         extra = [("extra", k) for k in range(len(pairs))]
-        doctored = FiniteCategory.from_labels(
+        doctored = category_from_labels(
             objects=B.objects,
             morphisms=B.morphisms + tuple(extra),
             source={**B.source, **{m: a for m, (a, _) in zip(extra, pairs)}},

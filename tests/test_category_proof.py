@@ -21,6 +21,7 @@ import pytest
 
 from vfc import charts_atlas
 from vfc.charts_atlas import (
+    CheckReport,
     FiniteGroup,
     RationalArray,
     atlas_from_json,
@@ -157,24 +158,34 @@ def table_not_associative():
     return dataclasses.replace(atlas, charts={**atlas.charts, (1,): chart})
 
 
-@pytest.mark.parametrize("doctor, failure, triple", [
-    (projection_not_a_homomorphism,
-     {"clause": "projection_not_homomorphic", "pair": ((1,), (1, 2)),
-      "elements": ("e|g1", "e|g2")},
-     (((1,), (1, 2), 0, "e"), ((1, 2), (1, 2), 1, "e|g1"), ((1, 2), (1, 2), 0, "e|g2"))),
-    (table_not_associative,
-     {"clause": "group_not_valid", "index": (1,)},
-     (((1,), (1,), 0, "g1"), ((1,), (1,), 0, "g1"), ((1,), (1,), 0, "g2"))),
-])
-def test_a_failing_fact_is_its_own_clause(block_calls, doctor, failure, triple):
-    result = charts_atlas.build_categories(doctor())
-    assert result.report.failures == [failure]
+def test_a_failing_fact_is_its_own_clause(block_calls):
+    result = charts_atlas.build_categories(projection_not_a_homomorphism())
+    assert result.report.failures == [
+        {"clause": "projection_not_homomorphic", "pair": ((1,), (1, 2)),
+         "elements": ("e|g1", "e|g2")},
+    ]
     assert result.report.details["category_axioms_E"] == {}
     assert len(block_calls) == 1
     # the scan finds the non-associative triple that the fact predicts
     B = result.domain_category
     assert check_category(B).ok
-    assert first_non_associative(B) == triple
+    assert first_non_associative(B) == (
+        ((1,), (1, 2), 0, "e"), ((1, 2), (1, 2), 1, "e|g1"), ((1, 2), (1, 2), 0, "e|g2"))
+
+
+def test_a_table_that_is_no_group_is_not_read(block_calls, monkeypatch):
+    atlas = table_not_associative()
+    result = charts_atlas.build_categories(atlas)
+    assert result.report.failures == [{"clause": "group_not_valid", "index": (1,)}]
+    assert result.report.details["category_axioms_E"] == {}
+    assert result.domain_category is None and result.obstruction_category is None
+    assert not block_calls
+    # forced past the fact, B_K has the non-associative triple it predicts
+    monkeypatch.setattr(FiniteGroup, "validate", lambda group: CheckReport("finite_group"))
+    B = charts_atlas.build_categories(atlas).domain_category
+    assert check_category(B).ok
+    assert first_non_associative(B) == (
+        ((1,), (1,), 0, "g1"), ((1,), (1,), 0, "g1"), ((1,), (1,), 0, "g2"))
 
 
 def test_projections_not_composing():

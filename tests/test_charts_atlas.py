@@ -18,6 +18,7 @@ from vfc.charts_atlas import (
     FiniteCategory,
     FiniteGroup,
     GroupQuotientModel,
+    PairIndex,
     atlas_from_json,
     atlas_to_json,
     build_categories,
@@ -563,16 +564,47 @@ class TestCategories:
             assert out.report.ok, seed
 
 
-def _category(objects, morphisms, source, target, compose, identity_of):
-    """A ``FiniteCategory`` from label data."""
-    return FiniteCategory.from_labels(
-        objects=objects,
-        morphisms=morphisms,
-        source=source,
-        target=target,
-        compose=compose,
-        identity_of=identity_of,
-    )
+def category_from_labels(objects, morphisms, source: dict, target: dict, compose: dict,
+                         identity_of: dict) -> FiniteCategory:
+    """The ``FiniteCategory`` of label data; ``compose[(f, g)]`` is "f then g".
+
+    An endpoint that is not an object, a composable pair missing from
+    ``compose`` and an identity that is not a morphism are kept in the
+    arrays.  A ``compose`` entry that is not a composable pair of
+    morphisms, or whose composite is not a morphism, and an
+    ``identity_of`` entry that is not object -> morphism are kept, the
+    first of each kind in ``compose`` and ``identity_of`` order, in
+    ``defects``.
+    """
+    objects, morphisms = tuple(objects), tuple(morphisms)
+    obj_idx = {o: i for i, o in enumerate(objects)}
+    mor_idx = {m: i for i, m in enumerate(morphisms)}
+    src_l = [obj_idx.get(source.get(m), -1) for m in morphisms]
+    tgt_l = [obj_idx.get(target.get(m), -1) for m in morphisms]
+    src, tgt = np.array(src_l, dtype=np.int64), np.array(tgt_l, dtype=np.int64)
+    pairs = PairIndex.of(len(objects), src, tgt)
+    pair_start, rank = pairs.pair_start.tolist(), pairs.rank.tolist()
+    comp = np.full(len(pairs.f), -1, dtype=np.int64)
+    compose_defect = identity_defect = None
+    for (f, g), h in compose.items():
+        fi, gi, hi = mor_idx.get(f), mor_idx.get(g), mor_idx.get(h)
+        if fi is None or gi is None or hi is None:
+            clause = "compose_outside_morphisms"
+        elif tgt_l[fi] != src_l[gi] or src_l[gi] < 0:
+            clause = "compose_of_non_composable"
+        else:
+            comp[pair_start[fi] + rank[gi]] = hi
+            continue
+        compose_defect = compose_defect or (clause, {"pair": (f, g)})
+    identity = np.full(len(objects), -1, dtype=np.int64)
+    for o, m in identity_of.items():
+        oi, mi = obj_idx.get(o), mor_idx.get(m)
+        if oi is not None:
+            identity[oi] = len(morphisms) if mi is None else mi
+        if oi is None or mi is None:
+            identity_defect = identity_defect or ("identity_missing", {"object": o})
+    defects = tuple(d for d in (compose_defect, identity_defect) if d is not None)
+    return FiniteCategory(objects, morphisms, src, tgt, identity, pairs, comp, defects)
 
 
 def _arrow(**changes):
@@ -588,14 +620,14 @@ def _arrow(**changes):
         "identity_of": {"a": "ia", "b": "ib"},
     }
     data.update(changes)
-    return _category(**data)
+    return category_from_labels(**data)
 
 
 def _one_object(table, identity="e"):
     """One object ``o`` whose morphisms are the letters of ``table``, a dict
     ``(f, g) -> "f then g"`` in the order of its keys."""
     morphisms = tuple(dict.fromkeys(f for f, _ in table))
-    return _category(
+    return category_from_labels(
         ("o",), morphisms, {m: "o" for m in morphisms}, {m: "o" for m in morphisms},
         dict(table), {"o": identity},
     )

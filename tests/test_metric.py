@@ -17,7 +17,7 @@ import pytest
 from vfc.charts_atlas import RationalArray, _index_key, atlas_from_json, atlas_to_json
 from vfc.examples_cli import RING_T, ExampleDescriptor, build_example
 from vfc.reduction_perturb import (
-    _hat_ball,
+    _ball,
     _projected_ball,
     closure_of,
     compute_adaptedness_constants,
@@ -48,6 +48,13 @@ def reference_metric(atlas, density) -> dict:
         circ = F(0) if ta is None or tb is None else min(abs(ta - tb), 1 - abs(ta - tb))
         out[(ka, kb)] = max(abs(ga - gb), circ)
     return out
+
+
+def _hat_ball(atlas, I, base, radius):
+    """``_ball`` about the samples ``base`` of chart I, as a set."""
+    mask = np.zeros(len(atlas.sample_rows(I)), dtype=bool)
+    mask[sorted(base)] = True
+    return frozenset(np.flatnonzero(_ball(atlas, I, mask, radius)).tolist())
 
 
 def _distance(ref, a, b):
@@ -143,7 +150,8 @@ def test_projected_balls_match_the_float_predicate(example):
         keys = {(I, cls[x]) for x in closure_of(atlas, built.V, I, eps)}
         for r in radii:
             want = {atlas.key_offset[J] + c for J, c in ref_projected_ball(atlas, ref, keys, r)}
-            assert _projected_ball(atlas, {atlas.key_offset[I] + c for _, c in keys}, r) == want
+            rows = np.array(sorted(atlas.key_offset[I] + c for _, c in keys), dtype=np.int64)
+            assert set(np.flatnonzero(_projected_ball(atlas, rows, r)).tolist()) == want
 
 
 def test_balls_at_and_beside_every_distance(example):

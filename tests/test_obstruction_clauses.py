@@ -327,21 +327,18 @@ def rho_off_the_source_chart():
 
 def test_perm_off_its_chart():
     """g1 of Γ_1 = Z_2 sends sample 0 of chart (1,) to sample 4, past its
-    four samples: B_K's arrays read past the chart, and the fact names the
-    element."""
+    four samples: the fact names the element, and B_K, whose arrays would
+    read past the chart, is not built."""
     atlas = build_toy_atlas({1: {"a", "b"}, 2: {"b"}}, ["a", "b"], {1: 2})
     domain = atlas.charts[(1,)].domain
     perms = domain.perms.copy()
     perms[1, 0] = 4
     atlas = _with_chart(atlas, (1,), domain=dataclasses.replace(domain, perms=perms))
-    assert build_categories(atlas).report.failures == [
-        {"clause": "composability_violated",
-         "pair": (((2,), (2,), 0, "e"), ((1,), (1,), 0, "g1")), "result": ((2,), (1,), 0, "e")},
-        {"clause": "compose_endpoints", "from": "category_axioms",
-         "pair": (((1,), (1,), 0, "g1"), ((1,), (1,), 1, "g1"))},
+    result = build_categories(atlas)
+    assert result.report.failures == [
         {"clause": "sample_outside_chart", "index": (1,), "element": "g1"},
-        {"clause": "footprint_functor_not_constant", "morphism": ((1,), (1,), 0, "g1")},
     ]
+    assert result.domain_category is None
 
 
 def test_rho_off_the_source_chart():
@@ -349,5 +346,25 @@ def test_rho_off_the_source_chart():
     rest on: it is reported, and no other fact is read."""
     assert build_categories(rho_off_the_source_chart()).report.failures == [
         {"clause": "sample_outside_chart", "pair": ((1,), (1, 2)), "point": 0},
-        {"clause": "footprint_functor_not_constant", "morphism": ((1,), (1, 2), 0, "e")},
     ]
+
+
+def test_a_change_past_its_target_chart_is_reported_not_read():
+    """Football-euler N=8 with the first sample of Ũ_IJ of (1,) -> (1, 2)
+    moved to 999, past the target chart: the fact is the whole report, and
+    no array indexes the chart with it."""
+    atlas = build_example(ExampleDescriptor("football-euler", {"density": 8})).atlas
+    key = ((1,), (1, 2))
+    change = atlas.changes[key]
+    y = change.tilde_indices[0]
+    moved = dataclasses.replace(
+        change,
+        tilde_indices=(999, *change.tilde_indices[1:]),
+        rho_idx={999 if z == y else z: x for z, x in change.rho_idx.items()},
+    )
+    result = build_categories(dataclasses.replace(atlas, changes={**atlas.changes, key: moved}))
+    assert result.report.failures == [
+        {"clause": "sample_outside_chart", "pair": key, "point": 999},
+    ]
+    assert result.report.details == {"category_axioms_E": {}}
+    assert result.domain_category is None and result.obstruction_category is None

@@ -103,11 +103,30 @@ def test_builders_make_no_fraction_per_sample(monkeypatch):
     assert counts[0] == counts[1]
 
 
-def test_an_euler_pass_loads_neither_numpy_ma_nor_click():
+#: passes that must not load ``numpy.ma`` (which the first plain ``np.unique``
+#: does) or ``click``: two runs, and a check of a document with a reduction,
+#: norms and ν, whose every stage runs
+PASSES = {
+    "sphere-euler-run":
+        "code = run_example(ExampleDescriptor('sphere-euler', {'density': 12}))[1]",
+    "football-euler-run":
+        "code = run_example(ExampleDescriptor('football-euler', {'density': 12}))[1]",
+    "football-euler-check": (
+        "built = build_example(ExampleDescriptor('football-euler', {'density': 8}))\n"
+        "doc = json.loads(json.dumps(example_to_json(built)))\n"
+        "assert {'reduction', 'norms', 'perturbation'} <= set(doc)\n"
+        "code = 0 if check_atlas_data(doc)['ok'] else 1"
+    ),
+}
+
+
+@pytest.mark.parametrize("run", PASSES.values(), ids=PASSES)
+def test_an_euler_pass_loads_neither_numpy_ma_nor_click(run):
     code = (
-        "import sys\n"
-        "from vfc.examples_cli import ExampleDescriptor, run_example\n"
-        "report, code = run_example(ExampleDescriptor('sphere-euler', {'density': 12}))\n"
+        "import json, sys\n"
+        "from vfc.examples_cli import ExampleDescriptor, build_example, check_atlas_data, "
+        "example_to_json, run_example\n"
+        f"{run}\n"
         "print(code, 'numpy.ma' in sys.modules, 'click' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(vfc.__file__).parents[1])}

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,9 @@ from vfc.reduction_perturb import (
     EquivariantNorms,
     Perturbation,
     Reduction,
+    _Rows,
+    _small,
+    _sums,
     build_pruned_category,
     check_adapted,
     check_perturbation,
@@ -30,7 +34,6 @@ from vfc.reduction_perturb import (
     closure_of,
     compute_adaptedness_constants,
     epsilon_closure_radius,
-    hij_identity_holds,
     norms_from_json,
     norms_to_json,
     perturbation_from_json,
@@ -38,7 +41,6 @@ from vfc.reduction_perturb import (
     reduction_from_json,
     reduction_to_json,
     v_tilde,
-    v_tilde_via_projection,
 )
 
 F = Fraction
@@ -204,6 +206,25 @@ def _fixed_point_atlas() -> AtlasModel:
 # ---------------------------------------------------------------------------
 # derived sets: two computations of Ṽ, and the overlap identity
 # ---------------------------------------------------------------------------
+
+
+def v_tilde_via_projection(atlas: AtlasModel, red: Reduction, I: tuple, J: tuple) -> frozenset:
+    """Ṽ_IJ computed as V_J ∩ π_K⁻¹(π_K(V_I)) via the realization."""
+    if I == J:
+        return frozenset(red.sets[I])
+    inter = atlas.intermediate_classes()
+    target_classes = set(inter[atlas.sample_rows(I)[sorted(red.sets[I])]].tolist())
+    rows_J = atlas.sample_rows(J)
+    return frozenset(y for y in red.sets[J] if inter[rows_J[y]] in target_classes)
+
+
+def hij_identity_holds(atlas: AtlasModel, red: Reduction, F: tuple, I: tuple, J: tuple) -> bool:
+    """V_J ∩ ρ_IJ⁻¹(Ṽ_FI) = Ṽ_IJ ∩ Ṽ_FJ for F ⊂ I ⊂ J."""
+    change, vt_FI = atlas.changes[(I, J)], v_tilde(atlas, red, F, I)
+    lhs = frozenset(
+        y for y in change.tilde_indices if y in red.sets[J] and change.rho_idx[y] in vt_FI
+    )
+    return lhs == v_tilde(atlas, red, I, J) & v_tilde(atlas, red, F, J)
 
 
 class TestDerivedSets:
@@ -976,6 +997,52 @@ def _pair_checks(nu_1, nu_12, sigma=F(1)):
 
 def _plus(ast, gap):
     return ["+", ast, gap]
+
+
+def _small_by_fractions(norms, atlas, I, v, sigma):
+    """Smallness with a ``Fraction`` comparison per row, as it was first
+    written: the oracle of ``_small``."""
+    keep = np.ones(v.rational.shape, dtype=bool)
+    ok = np.ones(len(v.defined), dtype=bool)
+    for i, lo, hi in norms._blocks(atlas, I):
+        rational = v.rational[:, lo:hi].all(axis=1)
+        keep[:, lo:hi] = rational[:, None]
+        if rational.all():
+            continue
+        size = np.abs(_sums(v.all_floats()[:, lo:hi], norms.maps[i].floats()))
+        size = np.fmax.reduce(np.where(np.isnan(size[:, :1]), 0.0, size), axis=1, initial=0.0)
+        ok &= rational | np.array([s < sigma for s in size.tolist()], dtype=bool)
+    exact = norms.norms(atlas, I, RationalArray(np.where(keep, v.exact.num, 0), v.exact.den))
+    return ok & np.array([F(n, exact.den) < sigma for n in exact.num.tolist()], dtype=bool)
+
+
+@pytest.mark.parametrize("sigma", [F(1, 3), F(1, 10), F(1, 4), F(2, 3), F(3, 7)])
+def test_small_compares_like_a_fraction_per_row(sigma):
+    """On chart (1, 2) of the pair atlas, E_1's component as a float s (or
+    exact) and E_2's exact: s at float(σ), its neighbours, inf, NaN as the
+    first sum; exact values at σ (m·q = p·den), just below and above."""
+    atlas, norms = _pair_atlas(), EquivariantNorms(maps={1: [[1]], 2: [[1]]})
+    f = float(sigma)
+    floats = [f, math.nextafter(f, 0), math.nextafter(f, math.inf), math.inf, math.nan, 0.0]
+    exacts = [sigma, sigma - F(1, 10**9), sigma + F(1, 10**9), F(0)]
+    rows = [(s, e) for s in floats for e in exacts]
+    rational = [[False, True]] * len(rows) + [[True, True]] * len(exacts) ** 2
+    exact = [[0, e] for _, e in rows] + [[a, b] for a in exacts for b in exacts]
+    v = _Rows(
+        exact=RationalArray.of(exact, "rows", (-1, 2)),
+        floats=np.array([[s, 0.0] for s, _ in rows] + [[0.0, 0.0]] * len(exacts) ** 2),
+        rational=np.array(rational),
+        defined=np.ones(len(exact), dtype=bool),
+        errors={},
+    )
+    got = _small(norms, atlas, (1, 2), v, sigma)
+    assert got.tolist() == _small_by_fractions(norms, atlas, (1, 2), v, sigma).tolist()
+    # float(σ) is below σ exactly where it is less than σ; inf never is;
+    # a NaN first sum is passed over; σ itself is not below σ
+    by_float, by_exact = got[:len(rows)].reshape(len(floats), -1), got[len(rows):].reshape(4, 4)
+    assert by_float[0, 3] == (F(f) < sigma)
+    assert not by_float[3, 3] and by_float[4, 3]
+    assert not by_exact[0, 3] and by_exact[1, 3] and not by_exact[2, 3]
 
 
 class TestUndeclaredNu:
