@@ -306,9 +306,10 @@ def _over(change, in_J: np.ndarray, in_I: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def _tilde(atlas: AtlasModel, red: Reduction, I: tuple, J: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Ṽ_IJ = V_J ∩ ρ_IJ⁻¹(V_I), sorted, and ρ_IJ of each (Ṽ_II = V_I)."""
+    """Ṽ_IJ = V_J ∩ ρ_IJ⁻¹(V_I), sorted, and ρ_IJ of each (Ṽ_II = V_I);
+    a sample outside its chart is in no set (``sample_outside_chart``)."""
     if I == J:
-        v = _ints(sorted(red.sets[I]))
+        v = _where(_members(atlas, I, red.sets[I]))
         return v, v
     in_J, in_I = (_members(atlas, K, red.sets[K]) for K in (J, I))
     return _over(atlas.changes[(I, J)], in_J, in_I)
@@ -343,6 +344,10 @@ def check_reduction(atlas: AtlasModel, red: Reduction) -> CheckReport:
     for I in indices:
         if I not in red.sets:
             rep.fail("missing_set", index=I)
+            continue
+        x = _ints(sorted(red.sets[I]))
+        rep.fail_first("sample_outside_chart", (x >= 0) & (x < len(atlas.sample_rows(I))),
+                       lambda p: {"index": I, "point": int(x[p])})
     if not rep.ok:
         return rep
     member = {I: _members(atlas, I, red.sets[I]) for I in indices}
@@ -710,8 +715,7 @@ def compute_adaptedness_constants(
     for I, J in nested:
         change = atlas.changes[(I, J)]
         for kk in ks:
-            keep = _among(v_k[(J, kk)], change.tilde) & _among(v_k[(I, kk)], change.rho)
-            n_k[(J, I, kk)] = _members(atlas, J, change.tilde[keep])
+            n_k[(J, I, kk)] = _members(atlas, J, _over(change, v_k[(J, kk)], v_k[(I, kk)])[0])
         C_J = _members(atlas, J, C.sets[J])
         c_tilde[I] |= _members(atlas, I, change.rho[_among(C_J, change.tilde)])
     eta = {}

@@ -822,6 +822,23 @@ def test_misses_zero_set():
     ]
 
 
+@pytest.mark.parametrize("sample", [999, -1])
+def test_a_reduction_sample_outside_its_chart(sample):
+    """A document whose V_1 names a sample that chart (1,) lacks: the
+    reduction stage names it and checks nothing else, and the later stages
+    read V_1 without it, as the builder made it."""
+    from vfc.examples_cli import (
+        ExampleDescriptor, build_example, check_atlas_data, example_to_json,
+    )
+
+    doc = example_to_json(build_example(ExampleDescriptor("sphere-euler", {"density": 8})))
+    doc["reduction"]["sets"]["1"].append(sample)
+    stages = check_atlas_data(json.loads(json.dumps(doc)))["stages"]
+    assert [(stage["name"], stage["failures"]) for stage in stages if not stage["ok"]] == [
+        ("reduction", [{"clause": "sample_outside_chart", "index": [1], "point": sample}]),
+    ]
+
+
 def test_norm_for_unknown_chart():
     atlas = _line_atlas()
     norms = EquivariantNorms(maps={1: [[1]], 7: [[1]]})
