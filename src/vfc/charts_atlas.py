@@ -1722,12 +1722,13 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
     if tables_ok:
         _obstruction_facts(bk, n_e, eact, phis, rep)
     obj_ne, mor_ne = n_e.repeat(n_points), None if B is None else n_e[b_I]
+    weights = None if B is None else mor_ne[B.pairs.f]
     # E_K's sizes, where its laws are proved (B_K is built where they are)
     rep.details["category_axioms_E"] = {
         "objects": int(obj_ne.sum()),
         "morphisms": int(mor_ne.sum()),
-        "composable_pairs": int(mor_ne[B.pairs.f].sum()),
-        "composable_triples": int((mor_ne[B.pairs.f] * B.pairs.triple_counts()).sum()),
+        "composable_pairs": int(weights.sum()),
+        "composable_triples": int((weights * B.pairs.triple_counts()).sum()),
     } if rep.ok else {}
     # the section and the zero vector on grid indices
     s_list = [_lookup(chart.section_samples, grid, f"chart {I}")
