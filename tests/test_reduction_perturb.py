@@ -826,7 +826,7 @@ def test_misses_zero_set():
 def test_a_reduction_sample_outside_its_chart(sample):
     """A document whose V_1 names a sample that chart (1,) lacks: the
     reduction stage names it and checks nothing else, and the later stages
-    read V_1 without it, as the builder made it."""
+    read V_1 without it, as `build_example` made it."""
     from vfc.examples_cli import (
         ExampleDescriptor, build_example, check_atlas_data, example_to_json,
     )
