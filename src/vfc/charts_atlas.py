@@ -62,7 +62,6 @@ __all__ = [
     "build_categories",
     "CategoriesResult",
     "check_category",
-    "composition_table",
     "quotient",
     "check_realizations",
     "atlas_to_json",
@@ -728,8 +727,9 @@ class CoordinateChangeModel:
 def check_group_covering(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckReport:
     """Covering conditions for ρ_IJ: free kernel, fibers, stabilizers, in
     the order a walk over Ũ_IJ (``tilde_indices`` order) finds them.  A
-    negative sample of Ũ_IJ or a ρ-value outside chart I raises
-    ``KeyError`` naming the first."""
+    sample of Ũ_IJ outside chart J or with ρ-value outside chart I is
+    reported at the first, as ``sample_outside_chart``, and nothing more
+    is read."""
     rep = CheckReport(f"group_covering {I}->{J}")
     src = atlas.charts[I]
     tgt = atlas.charts[J]
@@ -737,11 +737,13 @@ def check_group_covering(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckReport
         rep.details["identity_covering"] = True
         return rep
     change = atlas.changes[(I, J)]
-    names, ys = tgt.group.elements, change.tilde
-    # a sample beyond chart J raises IndexError before a missing ρ-value raises KeyError
-    moved, xs = tgt.domain.perms[:, ys], change.rho
-    for t in _where((ys < 0) | (xs < 0) | (xs >= len(src.domain.points)))[:1].tolist():
-        raise KeyError(int(ys[t] if ys[t] < 0 else xs[t]))
+    names, ys, xs = tgt.group.elements, change.tilde, change.rho
+    readable = (ys >= 0) & (ys < len(tgt.domain.points)) & (xs >= 0) & (xs < len(src.domain.points))
+    rep.fail_first("sample_outside_chart", readable,
+                   lambda t: {"pair": (I, J), "point": int(ys[t])})
+    if not rep.ok:
+        return rep
+    moved = tgt.domain.perms[:, ys]
     # Ũ_IJ is Γ_J-invariant
     inside = np.zeros(len(tgt.domain.points), dtype=bool)
     inside[ys] = True
@@ -791,7 +793,10 @@ def check_coordinate_change(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckRep
     src = atlas.charts[I]
     tgt = atlas.charts[J]
     change = atlas.changes[(I, J)]
-    rep.merge(check_group_covering(atlas, I, J))
+    covering = check_group_covering(atlas, I, J)
+    rep.merge(covering)
+    if any(f["clause"] == "sample_outside_chart" for f in covering.failures):
+        return rep
     names, proj = tgt.group.elements, atlas.projection[(I, J)]
     ys, xs = change.tilde, change.rho
     # ρ(γ·y) = ρ^Γ(γ)·ρ(y), the first failing y per γ; where Γ_J moves Ũ_IJ
@@ -966,13 +971,17 @@ class AtlasModel:
     @functools.cached_property
     def intermediate_domains(self) -> dict:
         """(I, J) -> (Ū_IJ, φ̲_IJ) for I = J and every change I ⊊ J between
-        charts: chart-I class indices and a dict of them to chart-J classes."""
+        charts: chart-I class indices and a dict of them to chart-J classes.
+        A sample of Ũ_IJ outside chart J or with ρ-value outside chart I,
+        which :func:`check_group_covering` reports, is left out."""
         every = {I: range(len(chart.domain.classes())) for I, chart in self.charts.items()}
         out = {(I, I): (frozenset(c), dict(zip(c, c))) for I, c in every.items()}
         for (I, J), change in self.changes.items():
             if set(I) < set(J) and I in self.charts and J in self.charts:
-                down = self.charts[I].domain.class_index[change.rho].tolist()
-                phibar = dict(zip(down, self.charts[J].domain.class_index[change.tilde].tolist()))
+                down, up = self.charts[I].domain.class_index, self.charts[J].domain.class_index
+                x, y = change.rho, change.tilde
+                inside = (x >= 0) & (x < len(down)) & (y >= 0) & (y < len(up))
+                phibar = dict(zip(down[x[inside]].tolist(), up[y[inside]].tolist()))
                 out[(I, J)] = frozenset(phibar), phibar
         return out
 
@@ -1436,34 +1445,16 @@ def check_category(cat: FiniteCategory) -> CheckReport:
     return rep
 
 
-def composition_table(rep: CheckReport, clause: str, morphisms, source: dict,
-                      target: dict, law) -> dict:
-    """``{(f, g): law(f, g)}`` over every composable pair "f then g".
-
-    A composite that is not a morphism (not a key of ``source``) is
-    reported as ``clause`` with the pair and the result, and left out.
-    """
-    by_source: dict = {}
-    for m in morphisms:
-        by_source.setdefault(source[m], []).append(m)
-    table: dict = {}
-    for f in morphisms:
-        for g in by_source.get(target[f], ()):
-            h = law(f, g)
-            if h in source:
-                table[(f, g)] = h
-            else:
-                rep.fail(clause, pair=(f, g), result=h)
-    return table
-
-
 @dataclass
 class CategoriesResult:
     """What :func:`build_categories` returns; E_K, read by no check, is built
     when first read.  Both categories are ``None`` where a sample index or a
-    group table that B_K would read fails its fact."""
+    group table that B_K would read fails its fact.  ``domain_parts`` gives
+    per morphism (I, J, y, γ) of B_K as int arrays: I and J by their
+    position in ``atlas.index_sets()``, γ an element index of Γ_I."""
 
     domain_category: FiniteCategory | None  # B_K
+    domain_parts: tuple | None
     report: CheckReport
     build_obstruction: Callable[[], FiniteCategory] = field(repr=False)
 
@@ -1537,7 +1528,7 @@ def _block_category(bk: _Blocks, ne: np.ndarray, act: tuple, phi: tuple) -> tupl
 
     Returns (src, tgt, identity, pairs, comp), the composable pairs (f, g)
     whose composite is no morphism as (f, g, I, K, z, e, γ) with γ named,
-    and per morphism the position of I.
+    and per morphism (I, J, y, γ) as int arrays, I and J by position.
     """
     order, n_points, block_of = bk.order, bk.n_points, bk.block_of
     (tilde, tilde_start), (rho, _) = bk.tilde, bk.rho
@@ -1580,7 +1571,7 @@ def _block_category(bk: _Blocks, ne: np.ndarray, act: tuple, phi: tuple) -> tupl
          bk.groups[fI[p]].elements[gamma2[p]])
         for p in _where(t2 < 0).tolist()
     ]
-    return (src, tgt, identity, pairs, comp), missing, I
+    return (src, tgt, identity, pairs, comp), missing, (I, J, y, gamma)
 
 
 def _maps_compose(maps: tuple, outer: np.ndarray, inner: np.ndarray, whole: np.ndarray):
@@ -1675,10 +1666,10 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
         itertools.product([I], range(n)) for I, n in zip(indices, n_points)
     ))
     tables_ok = _domain_facts(bk, rep)
-    B = None
+    B = parts = None
     if tables_ok:
         one_point = np.zeros(int(bk.order.sum()), dtype=np.int64), _offsets(bk.order)
-        arrays, missing, b_I = _block_category(
+        arrays, missing, parts = _block_category(
             bk, np.ones(len(indices), dtype=np.int64), one_point,
             (np.zeros(len(blocks), dtype=np.int64), np.arange(len(blocks) + 1)),
         )
@@ -1721,7 +1712,7 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
     phis = phis if grids_closed else None
     if tables_ok:
         _obstruction_facts(bk, n_e, eact, phis, rep)
-    obj_ne, mor_ne = n_e.repeat(n_points), None if B is None else n_e[b_I]
+    obj_ne, mor_ne = n_e.repeat(n_points), None if B is None else n_e[parts[0]]
     weights = None if B is None else mor_ne[B.pairs.f]
     # E_K's sizes, where its laws are proved (B_K is built where they are)
     rep.details["category_axioms_E"] = {
@@ -1772,7 +1763,8 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
             rep.fail("footprint_functor_not_constant", morphism=B.morphisms[m])
     if set(psi_obj.values()) != set(atlas.x_labels):
         rep.fail("footprint_functor_not_surjective", image=sorted(set(psi_obj.values())))
-    return CategoriesResult(domain_category=B, report=rep, build_obstruction=obstruction_category)
+    return CategoriesResult(domain_category=B, domain_parts=parts, report=rep,
+                            build_obstruction=obstruction_category)
 
 
 def _obstruction_facts(bk: _Blocks, ne: np.ndarray, act: tuple, phi: tuple | None,
@@ -2090,17 +2082,20 @@ def _change_to_json(c: CoordinateChangeModel) -> dict:
 def _change_from_json(d: dict, charts: dict) -> CoordinateChangeModel:
     I, J = tuple(d["source"]), tuple(d["target"])
     tilde = tuple(d["tilde_indices"])
-    if J in charts:
-        n = len(charts[J].domain.points)
-        for y in tilde:
-            if type(y) is not int or not 0 <= y < n:
-                raise ValueError(f"coordinate change {I}->{J}: tilde_indices: {y!r} is not "
-                                 f"a sample of chart {J}, which has {n}")
+    rho_idx = {int(k): v for k, v in d["rho_idx"].items()}
+    for key, K, values in (("tilde_indices", J, tilde), ("rho_idx", I, rho_idx.values())):
+        if K not in charts:
+            continue
+        n = len(charts[K].domain.points)
+        for v in values:
+            if type(v) is not int or not 0 <= v < n:
+                raise ValueError(f"coordinate change {I}->{J}: {key}: {v!r} is not "
+                                 f"a sample of chart {K}, which has {n}")
     return CoordinateChangeModel(
         source_index=I,
         target_index=J,
         tilde_indices=tilde,
-        rho_idx={int(k): v for k, v in d["rho_idx"].items()},
+        rho_idx=rho_idx,
         phi_hat=RationalArray.from_json(d["phi_hat"], f"coordinate change {I}->{J}: phi_hat"),
         rho_asts=tuple(d["rho_asts"]) if "rho_asts" in d else None,
         domain_pred=d.get("domain_pred"),

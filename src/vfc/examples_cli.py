@@ -39,6 +39,7 @@ from numpy.linalg import matrix_power
 
 from .charts_atlas import (
     AtlasModel,
+    CategoriesResult,
     ChartModel,
     CoordinateChangeModel,
     FiniteGroup,
@@ -739,69 +740,46 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
 # ---------------------------------------------------------------------------
 
 
+def _orbit_chart(order: int, orbits: dict, parameters: dict) -> BuiltExample:
+    """One chart with Γ = Z_order and E = 0 whose samples are the orbits of
+    ``orbits`` ({footprint label: orbit size}) end to end: s ∈ Z_order
+    turns each orbit by s steps."""
+    sizes = list(orbits.values())
+    starts = [0, *itertools.accumulate(sizes)]
+    perms = [[a + (k + s) % size for a, size in zip(starts, sizes) for k in range(size)]
+             for s in range(order)]
+    n = starts[-1]
+    chart = ChartModel(
+        index=(1,),
+        domain=GroupQuotientModel(points=RationalArray(np.arange(n)[:, None], 1),
+                                  group=cyclic_group(order), perms=perms),
+        obstruction_dim=0,
+        obstruction_action=(),
+        obstruction_points=((),),
+        section_samples=_zeros(n, 0),
+        footprint_map=dict(enumerate(lab for lab, size in orbits.items() for _ in range(size))),
+    )
+    atlas = AtlasModel(
+        x_labels=tuple(orbits),
+        cover={1: frozenset(orbits)},
+        charts={(1,): chart},
+        changes={},
+    )
+    V = Reduction(sets={(1,): frozenset(range(n))})
+    return BuiltExample(kind="orbifold", atlas=atlas, V=V, parameters=parameters)
+
+
 def _single_orbifold_chart(order: int) -> BuiltExample:
     """One free Z_n permutation chart with trivial obstruction."""
     if order < 1:
         raise ValueError("group order must be a positive integer")
-    g = cyclic_group(order)
-    perms = [[(k + s) % order for k in range(order)] for s in range(order)]
-    chart = ChartModel(
-        index=(1,),
-        domain=GroupQuotientModel(points=RationalArray(np.arange(order)[:, None], 1), group=g,
-                                  perms=perms),
-        obstruction_dim=0,
-        obstruction_action=(),
-        obstruction_points=((),),
-        section_samples=_zeros(order, 0),
-        footprint_map={k: "p" for k in range(order)},
-    )
-    atlas = AtlasModel(
-        x_labels=("p",),
-        cover={1: frozenset({"p"})},
-        charts={(1,): chart},
-        changes={},
-    )
-    V = Reduction(sets={(1,): frozenset(range(order))})
-    return BuiltExample(
-        kind="orbifold", atlas=atlas, V=V, parameters={"order": order}
-    )
+    return _orbit_chart(order, {"p": order}, {"order": order})
 
 
 def _football_fclass() -> BuiltExample:
     """A single chart M/Z₆ with one fixed point and orbits of size 2, 3, 6
     — the orbifold fundamental-class model of the football."""
-    g = cyclic_group(6)
-    layout = [("p1", 1, 0)] + [("p2", 2, k) for k in range(2)] + [
-        ("p3", 3, k) for k in range(3)
-    ] + [("p6", 6, k) for k in range(6)]
-    pts = RationalArray(np.arange(len(layout))[:, None], 1)
-    offsets = {}
-    pos = 0
-    for lab, size, _ in layout:
-        if lab not in offsets:
-            offsets[lab] = pos
-        pos += 1
-    sizes = {"p1": 1, "p2": 2, "p3": 3, "p6": 6}
-    perms = [
-        [offsets[lab] + (k + s) % size for lab, size, k in layout] for s in range(g.order)
-    ]
-    chart = ChartModel(
-        index=(1,),
-        domain=GroupQuotientModel(points=pts, group=g, perms=perms),
-        obstruction_dim=0,
-        obstruction_action=(),
-        obstruction_points=((),),
-        section_samples=_zeros(len(layout), 0),
-        footprint_map={i: lab for i, (lab, _, _) in enumerate(layout)},
-    )
-    atlas = AtlasModel(
-        x_labels=("p1", "p2", "p3", "p6"),
-        cover={1: frozenset({"p1", "p2", "p3", "p6"})},
-        charts={(1,): chart},
-        changes={},
-    )
-    V = Reduction(sets={(1,): frozenset(range(len(layout)))})
-    return BuiltExample(kind="orbifold", atlas=atlas, V=V, parameters={})
+    return _orbit_chart(6, {"p1": 1, "p2": 2, "p3": 3, "p6": 6}, {})
 
 
 # ---------------------------------------------------------------------------
@@ -846,7 +824,8 @@ def _stage(stages: list, report: CheckReport) -> bool:
 
 
 def _atlas_stages(atlas: AtlasModel):
-    """The atlas validators in order, each report made when it is asked for:
+    """The atlas validators in order, each report made when it is asked for
+    and yielded with the categories built so far (``None`` before them):
     the model, every chart, every coordinate change, the strong cocycle,
     tameness and filtration and then, if all of those passed, the categories
     and the realizations."""
@@ -862,11 +841,11 @@ def _atlas_stages(atlas: AtlasModel):
     for check in checks:
         rep = check()
         ok = ok and rep.ok
-        yield rep
+        yield rep, None
     if ok:
         cats = build_categories(atlas)
-        yield cats.report
-        yield check_realizations(atlas, cats.domain_category)
+        yield cats.report, cats
+        yield check_realizations(atlas, cats.domain_category), cats
 
 
 def _snap_zero_to_sample(atlas: AtlasModel, z) -> int | None:
@@ -880,15 +859,16 @@ def _snap_zero_to_sample(atlas: AtlasModel, z) -> int | None:
     return best if d[best] < 1e-3 else None
 
 
-def _groupoid_stages(built: BuiltExample, zsets: dict, signs_by_object: dict,
-                     stages: list, report: dict):
-    """Completion → Hausdorff quotient → Λ → wnb axioms → total: the
-    Hausdorff groupoid and the weights, or ``None`` at a failed stage."""
-    atlas, V = built.atlas, built.V
-    completed = complete_groupoid(atlas, V, zsets)
+def _groupoid_stages(built: BuiltExample, categories: CategoriesResult, zsets: dict,
+                     signs_by_object: dict, stages: list, report: dict):
+    """Completion in B_K (``categories``) → Hausdorff quotient → Λ → wnb
+    axioms → total: the Hausdorff groupoid and the weights, or ``None`` at
+    a failed stage."""
+    atlas = built.atlas
+    completed = complete_groupoid(atlas, built.V, zsets, categories)
     if not _stage(stages, completed.report):
         return None
-    hausdorff = hausdorff_complete(atlas, V, zsets, completed)
+    hausdorff = hausdorff_complete(completed)
     if not _stage(stages, hausdorff.report):
         return None
     weights = weight_function(atlas, hausdorff)
@@ -957,7 +937,7 @@ def run_example(descriptor: ExampleDescriptor, seed_grid: int = 1):
         return report, 0 if ok else 1
 
     atlas = built.atlas
-    for rep in _atlas_stages(atlas):
+    for rep, categories in _atlas_stages(atlas):
         if not _stage(stages, rep):
             report["ok"] = False
             return report, 1
@@ -1023,7 +1003,7 @@ def run_example(descriptor: ExampleDescriptor, seed_grid: int = 1):
             for o in orbit:
                 signs_by_object[(z.chart_index, o)] = z.sign
         zsets = {I: frozenset(s) for I, s in zsets.items()}
-        groupoid = _groupoid_stages(built, zsets, signs_by_object, stages, report)
+        groupoid = _groupoid_stages(built, categories, zsets, signs_by_object, stages, report)
         if groupoid is None:
             report["ok"] = False
             return report, 1
@@ -1041,7 +1021,7 @@ def run_example(descriptor: ExampleDescriptor, seed_grid: int = 1):
     # E = 0 examples: the zero set is everything in the reduction
     zsets = {I: frozenset(set(built.V.sets[I]) & set(atlas.charts[I].zero_sample_indices()))
              for I in atlas.index_sets()}
-    if _groupoid_stages(built, zsets, signs_by_object, stages, report) is None:
+    if _groupoid_stages(built, categories, zsets, signs_by_object, stages, report) is None:
         report["ok"] = False
         return report, 1
     report["ok"] = True
@@ -1082,7 +1062,7 @@ def check_atlas_data(data: dict) -> dict:
     stages: list = []
     report = {"schema": RUN_SCHEMA, "mode": "check", "stages": stages}
     ok = True
-    for rep in _atlas_stages(atlas):
+    for rep, _ in _atlas_stages(atlas):
         ok = _stage(stages, rep) and ok
     red = reduction_from_json(data["reduction"]) if "reduction" in data else None
     if red is not None:

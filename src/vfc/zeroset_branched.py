@@ -9,11 +9,14 @@ The perturbed zero sets Z_I live in two parallel forms:
   on which the groupoid completion, the Hausdorff closure, the weighting
   function Λ and the weighted-branched-orbifold axioms are verified
   extensionally.
+
+The completed groupoid is a sub-groupoid of the atlas category B_K that
+:func:`~vfc.charts_atlas.build_categories` builds: a mask over B_K's
+morphisms, checked on B_K's own arrays and composition.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
@@ -22,13 +25,14 @@ import numpy as np
 
 from .charts_atlas import (
     AtlasModel,
+    CategoriesResult,
     CheckReport,
-    composition_table,
+    _where,
     quotient,
 )
 from .exterior_engine import rat_str, zero_sign
 from .expressions import eval_pred
-from .reduction_perturb import Perturbation, Reduction, v_tilde
+from .reduction_perturb import Perturbation, Reduction, _members, v_tilde
 
 __all__ = [
     "TAU_ZERO",
@@ -221,11 +225,15 @@ def _newton(f, seeds: np.ndarray, dims: list, m: int, stats: NewtonStats,
 
 def _chart_seeds(atlas: AtlasModel, red: Reduction, I: tuple, seeds: dict | None) -> np.ndarray:
     """The Newton seeds of chart I as float rows: ``seeds[I]`` if given,
-    else one V_I sample per Γ_I-orbit (its least sample), in sample order."""
+    else one V_I sample per Γ_I-orbit (its least sample), in sample order;
+    a V_I sample outside the chart raises ``ValueError`` naming it."""
     domain = atlas.charts[I].domain
     if seeds is not None and I in seeds:
         return np.asarray(seeds[I], dtype=float)
     xs = np.array(sorted(red.sets.get(I, ())), dtype=np.int64)
+    n = len(domain.points)
+    for x in xs[(xs < 0) | (xs >= n)][:1].tolist():
+        raise ValueError(f"chart {I}: reduction: {x} is not a sample of the chart, which has {n}")
     least = domain.perms[:, xs].min(axis=0, initial=len(domain.points))
     return domain.coordinates[xs[least == xs]]
 
@@ -309,7 +317,8 @@ def find_zeros(
     run in lockstep (see :func:`_newton`); converged points are then taken
     in seed order.  Membership of converged points in V_I uses the
     reduction predicates when available.  A chart whose expressions cannot
-    be compiled or evaluated raises ``ValueError`` naming the chart.
+    be compiled or evaluated, or whose V_I names a sample outside it,
+    raises ``ValueError`` naming the chart.
     """
     result = FindZerosResult(zeros=[], warnings=[])
     for I in atlas.index_sets():
@@ -344,18 +353,19 @@ def _nonempty_subsets(I: tuple):
 
 @dataclass
 class ZeroSetGroupoid:
-    """A groupoid over the sample zero sets: objects (I, sample index),
-    morphisms (I, J, y, α) with α an element index of Γ_I, their endpoints, and the
-    classes, each named by its smallest object.  The Hausdorff step adds
-    the minimal footprint F_p of each class."""
+    """A groupoid over the sample zero sets, made of morphisms of B_K:
+    objects (I, sample index), morphisms (I, J, y, α) with α an element
+    index of Γ_I, and the classes, each named by its smallest object.
+    ``overlaps`` maps (F, J) to the zeros of Z_J in the overlap Ṽ_FJ as a
+    mask over the samples of chart J (see :func:`_overlaps`).  The
+    Hausdorff step adds the minimal footprint F_p of each class."""
 
     objects: tuple
     morphisms: tuple
-    source: dict
-    target: dict
     report: CheckReport
     classes: tuple
     class_of: dict
+    overlaps: dict
     minimal_footprint: dict = field(default_factory=dict)  # class -> F_p
 
     def fibers(self) -> dict:
@@ -367,51 +377,31 @@ class ZeroSetGroupoid:
         return out
 
 
-def _tilde_zeros(atlas, red, zsets, F, J) -> frozenset:
-    """The zeros of Z_J in the overlap Ṽ_FJ (all of Z_J for F = J)."""
-    if F == J:
-        return frozenset(zsets[J])
-    if (F, J) not in atlas.changes:
-        return frozenset()
-    return frozenset(y for y in v_tilde(atlas, red, F, J) if y in zsets[J])
+def _overlaps(atlas: AtlasModel, red: Reduction, zsets: dict) -> dict:
+    """(F, J) -> the zeros of Z_J in the overlap Ṽ_FJ as a mask (all of
+    Z_J for F = J), for each chart J of ``zsets`` and each nonempty F ⊆ J
+    that is J or has a change F→J; a sample outside its chart is in no set."""
+    out = {}
+    for J in atlas.index_sets():
+        if J not in zsets:
+            continue
+        out[(J, J)] = z = _members(atlas, J, zsets[J])
+        for F in _nonempty_subsets(J):
+            if (F, J) in atlas.changes:
+                out[(F, J)] = z & _members(atlas, J, v_tilde(atlas, red, F, J))
+    return out
 
 
-def _groupoid_core(atlas, red, zsets, objects) -> tuple:
-    """The morphisms over the overlaps Ṽ_FJ (see :func:`_tilde_zeros`),
-    with their endpoints."""
-    indices = [I for I in atlas.index_sets() if I in zsets]
-    obj_set = set(objects)
-    morphisms = []
-    src: dict = {}
-    tgt: dict = {}
-    seen = set()
-    for I in indices:
-        for J in indices:
-            if not set(I) <= set(J):
-                continue
-            if I != J and (I, J) not in atlas.changes:
-                continue
-            vt_IJ = _tilde_zeros(atlas, red, zsets, I, J)
-            for F in _nonempty_subsets(I):
-                if F != I and (F, J) not in atlas.changes and F != J:
-                    continue
-                vt_FJ = _tilde_zeros(atlas, red, zsets, F, J)
-                kernel = atlas.kernel(F, I).tolist()
-                for y in sorted(vt_IJ & vt_FJ):
-                    for alpha in kernel:
-                        m = (I, J, y, alpha)
-                        if m in seen:
-                            continue
-                        seen.add(m)
-                        x = y if I == J else atlas.changes[(I, J)].rho_idx[y]
-                        chart = atlas.charts[I]
-                        source = (I, chart.domain.act(chart.group.inv(alpha), x))
-                        if source not in obj_set:
-                            continue
-                        morphisms.append(m)
-                        src[m] = source
-                        tgt[m] = (J, y)
-    return morphisms, src, tgt
+def _lift(atlas: AtlasModel, I: tuple, J: tuple) -> np.ndarray:
+    """Per element α of Γ_I its canonical lift into Γ_J: α on the I slots,
+    the identity elsewhere."""
+    on_I = np.logical_and.reduce([
+        atlas.projection[((j,), J)] == atlas.charts[(j,)].group.identity
+        for j in J if j not in I
+    ])
+    lift = np.zeros(atlas.charts[I].group.order, dtype=np.int64)
+    lift[atlas.projection[(I, J)][on_I]] = _where(on_I)
+    return lift
 
 
 def _classes_of(objects, pairs):
@@ -426,91 +416,99 @@ def _classes_of(objects, pairs):
 
 
 def complete_groupoid(
-    atlas: AtlasModel, red: Reduction, zsets: dict
+    atlas: AtlasModel, red: Reduction, zsets: dict, categories: CategoriesResult
 ) -> ZeroSetGroupoid:
-    """The unique nonsingular completion of the zero-set category.
+    """The unique nonsingular completion of the zero-set category, as a
+    sub-groupoid of B_K (``categories`` of the atlas, with B_K built).
 
     ``zsets`` maps chart indices to Γ_I-invariant sample subsets Z_I.
-    Morphisms Z_I → Z_J for I ⊆ J are the pairs (y, α) with y in the
-    overlap through some nonempty F ⊆ I and α in the partial isotropy
-    Γ_{I∖F}; verified: endpoint-determinacy, closure under composition
-    and inverses, and the within-chart/charts-change factorization.
+    The morphisms Z_I → Z_J are the (I, J, y, γ) of B_K with source in
+    Z_I, y in Z_J ∩ Ṽ_IJ ∩ Ṽ_FJ for some nonempty F ⊆ I that is I or has
+    a change F→J, and γ in the partial isotropy Γ_{I∖F} = ker(Γ_I → Γ_F).
+    Verified on B_K's arrays: endpoint-determinacy, closure under B_K's
+    composition and inverses, and the within-chart/charts-change
+    factorization.
     """
     rep = CheckReport("completed_groupoid")
-    objects = [(I, z) for I in atlas.index_sets() if I in zsets for z in sorted(zsets[I])]
-    morphisms, src, tgt = _groupoid_core(atlas, red, zsets, objects)
-    morph_set = set(morphisms)
-
-    def named(m: tuple) -> tuple:  # for a witness
-        return (*m[:3], atlas.charts[m[0]].group.elements[m[3]])
-
-    # (a) every morphism is determined by its (source, target) pair
-    seen: dict = {}
-    for m in morphisms:
-        key = (src[m], tgt[m])
-        if key in seen:
-            both = [named(seen[key]), named(m)]
-            rep.fail("not_determined_by_endpoints", pair=key, morphisms=both)
-        seen[key] = m
-    # (b) closure under composition: (I, J, y, γ) then (J, K, z, δ) is
-    # (I, K, z, ρ^Γ_{JI}(δ)·γ)
-    closure = CheckReport(rep.name)
-    composition_table(
-        closure, "not_closed_under_composition", morphisms, src, tgt,
-        lambda f, g: (
-            f[0], g[1], g[2], atlas.charts[f[0]].group.mul(atlas.projection[f[:2]][g[3]], f[3])
-        ),
-    )
-    for failure in closure.failures:
-        f, g = failure["pair"]
-        rep.fail(failure["clause"], pair=(named(f), named(g)), result=named(failure["result"]))
-    # (c) closure under inverses for within-chart morphisms
-    for m in morphisms:
-        I, J, y, alpha = m
+    B, (i_of, j_of, y, gamma) = categories.domain_category, categories.domain_parts
+    indices = atlas.index_sets()
+    overlaps = _overlaps(atlas, red, zsets)
+    # per B_K morphism: whether y lies in an overlap through F whose
+    # kernel holds γ, and the canonical lift of γ into Γ_J
+    near = np.zeros(len(y), dtype=bool)
+    lift = np.zeros(len(y), dtype=np.int64)
+    starts = _where(np.diff(i_of * len(indices) + j_of, prepend=-1)).tolist()
+    for lo, hi in zip(starts, starts[1:] + [len(y)]):  # B_K's blocks, each in one run
+        I, J = indices[i_of[lo]], indices[j_of[lo]]
+        if (I, J) not in overlaps:
+            continue
+        block = slice(lo, hi)
+        yb, gb = y[block], gamma[block]
+        hit = np.zeros(len(yb), dtype=bool)
+        for F in _nonempty_subsets(I):
+            if (F, J) in overlaps:
+                kernel = atlas.projection[(F, I)] == atlas.charts[F].group.identity
+                hit |= overlaps[(F, J)][yb] & kernel[gb]
+        near[block] = overlaps[(I, J)][yb] & hit
         if I != J:
-            continue
-        inv = (I, I, src[m][1], atlas.charts[I].group.inv(alpha))
-        if inv not in morph_set:
-            rep.fail("inverse_missing", morphism=named(m))
-    # factorization: each cross-chart morphism splits both ways
-    for m in morphisms:
-        I, J, y, alpha = m
-        identity = atlas.charts[I].group.identity
-        if I == J or alpha == identity:
-            continue
-        x = atlas.changes[(I, J)].rho_idx[y]
-        mu_a = (I, I, x, alpha)
-        mu_b = (I, J, y, identity)
-        ok_first = mu_a in morph_set and mu_b in morph_set
-        # canonical lift of α into Γ_J: α on the I slots, identity elsewhere
-        lifted = atlas.projection[(I, J)] == alpha
-        for j in set(J) - set(I):
-            lifted &= atlas.projection[((j,), J)] == atlas.charts[(j,)].group.identity
-        alpha_J = int(np.flatnonzero(lifted)[0])
-        mu_a2 = (J, J, y, alpha_J)
-        yprime = atlas.charts[J].domain.act(atlas.charts[J].group.inv(alpha_J), y)
-        mu_b2 = (I, J, yprime, identity)
-        ok_second = mu_a2 in morph_set and mu_b2 in morph_set
-        if not (ok_first and ok_second):
-            rep.fail("factorization", morphism=named(m))
-    classes, class_of = _classes_of(objects, ((src[m], tgt[m]) for m in morphisms))
+            lift[block] = _lift(atlas, I, J)[gb]
+    in_Z = np.array([x in zsets.get(I, ()) for I, x in B.objects], dtype=bool)
+    mask = near & in_Z[B.src]
+    ms = _where(mask)
+    src, tgt = B.src[ms], B.tgt[ms]
+    # (a) every morphism is determined by its (source, target) pair
+    key = src * len(B.objects) + tgt
+    order = np.argsort(key, kind="stable")
+    again = key[order[1:]] == key[order[:-1]]
+    for a, b in sorted(zip(order[1:][again].tolist(), order[:-1][again].tolist())):
+        rep.fail("not_determined_by_endpoints", pair=(B.objects[src[a]], B.objects[tgt[a]]),
+                 morphisms=[B.morphisms[ms[b]], B.morphisms[ms[a]]])
+    # (b) closure under B_K's composition: (I, J, y, γ) then (J, K, z, δ)
+    # is (I, K, z, ρ^Γ_{JI}(δ)·γ); over the composable pairs in the mask
+    both = _where(mask[B.pairs.f] & mask[B.pairs.g])
+    f, g, h = B.pairs.f[both], B.pairs.g[both], B.comp[both]
+    for p in _where(~np.append(mask, False)[h]).tolist():
+        a, b = f[p], g[p]
+        I, J = indices[i_of[a]], indices[j_of[a]]
+        group = atlas.charts[I].group
+        alpha = group.mul(atlas.projection[(I, J)][gamma[b]], gamma[a])
+        rep.fail("not_closed_under_composition", pair=(B.morphisms[a], B.morphisms[b]),
+                 result=(I, indices[j_of[b]], int(y[b]), group.elements[alpha]))
+    # (c) closure under inverses for within-chart morphisms
+    within = i_of == j_of
+    has_inverse = np.zeros(len(mask), dtype=bool)
+    has_inverse[f[h == B.identity[B.src[f]]]] = True
+    for m in _where(mask & within & ~has_inverse).tolist():
+        rep.fail("inverse_missing", morphism=B.morphisms[m])
+    # factorization: each cross-chart morphism splits both ways, as
+    # (I, I, ρ(y), α) then (I, J, y, 1) and as (I, J, α_J⁻¹·y, 1) then
+    # (J, J, y, α_J), α_J the canonical lift of α
+    unit = gamma == np.array([atlas.charts[I].group.identity for I in indices])[i_of]
+    made = h >= 0
+    first, second = np.zeros((2, len(mask)), dtype=bool)
+    first[h[made & within[f] & unit[g]]] = True
+    second[h[made & ~within[f] & unit[f] & within[g] & (gamma[g] == lift[h])]] = True
+    for m in _where(mask & ~within & ~unit & ~(first & second)).tolist():
+        rep.fail("factorization", morphism=B.morphisms[m])
+    objects = tuple(B.objects[o] for o in _where(in_Z).tolist())
+    classes, class_of = _classes_of(
+        objects, ((B.objects[s], B.objects[t]) for s, t in zip(src.tolist(), tgt.tolist()))
+    )
+    morphisms = tuple(
+        (indices[i], indices[j], z, c) for i, j, z, c in
+        zip(i_of[ms].tolist(), j_of[ms].tolist(), y[ms].tolist(), gamma[ms].tolist())
+    )
     return ZeroSetGroupoid(
-        objects=tuple(objects),
-        morphisms=tuple(morphisms),
-        source=src,
-        target=tgt,
+        objects=objects,
+        morphisms=morphisms,
         report=rep,
         classes=classes,
         class_of=class_of,
+        overlaps=overlaps,
     )
 
 
-def hausdorff_complete(
-    atlas: AtlasModel,
-    red: Reduction,
-    zsets: dict,
-    completed: ZeroSetGroupoid,
-) -> ZeroSetGroupoid:
+def hausdorff_complete(completed: ZeroSetGroupoid) -> ZeroSetGroupoid:
     """``completed`` with the minimal footprint of each class.
 
     The sets F with a given zero in the overlap Ṽ_FJ must be nested;
@@ -519,10 +517,10 @@ def hausdorff_complete(
     """
     rep = CheckReport("hausdorff_groupoid")
     # nestedness of {F : z ∈ Ṽ_FJ} per zero
-    overlap = functools.cache(lambda F, J: _tilde_zeros(atlas, red, zsets, F, J))
+    overlaps = completed.overlaps
     f_sets: dict = {}
     for J, z in completed.objects:
-        fs = [F for F in _nonempty_subsets(J) if z in overlap(F, J)]
+        fs = [F for F in _nonempty_subsets(J) if (F, J) in overlaps and overlaps[(F, J)][z]]
         for a in fs:
             for b in fs:
                 if not (set(a) <= set(b) or set(b) <= set(a)):

@@ -66,9 +66,9 @@ def _run(name, **params):
 
 def _zero_classes(built, zsets):
     """Completed + Hausdorff zero classes with their per-chart fibers."""
-    completed = complete_groupoid(built.atlas, built.V, zsets)
+    completed = complete_groupoid(built.atlas, built.V, zsets, build_categories(built.atlas))
     assert completed.report.ok, completed.report.failures
-    hausdorff = hausdorff_complete(built.atlas, built.V, zsets, completed)
+    hausdorff = hausdorff_complete(completed)
     assert hausdorff.report.ok, hausdorff.report.failures
     weights = weight_function(built.atlas, hausdorff)
     assert weights.report.ok, weights.report.failures
@@ -205,7 +205,7 @@ def _category_laws(atlas, V=None):
         )
         for I in atlas.index_sets()
     }
-    completed = complete_groupoid(atlas, V, zsets)
+    completed = complete_groupoid(atlas, V, zsets, build_categories(atlas))
     assert completed.report.ok, completed.report.failures
 
 
@@ -501,7 +501,8 @@ class TestNegative:
             I: frozenset(atlas.charts[I].zero_sample_indices())
             for I in atlas.index_sets()
         }
-        rep = complete_groupoid(atlas, Reduction(sets=everything), zsets).report
+        red = Reduction(sets=everything)
+        rep = complete_groupoid(atlas, red, zsets, build_categories(atlas)).report
         assert rep.failures == [
             {"clause": "not_closed_under_composition",
              "pair": (((1,), J, 0, "e"), (J, (1, 2, 3), 0, "e|e")),

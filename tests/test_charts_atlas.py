@@ -13,7 +13,6 @@ from vfc import charts_atlas
 from vfc.charts_atlas import (
     AtlasModel,
     ChartModel,
-    CheckReport,
     CoordinateChangeModel,
     FiniteCategory,
     FiniteGroup,
@@ -31,7 +30,6 @@ from vfc.charts_atlas import (
     check_group_quotient,
     check_realizations,
     check_tame_and_filtration,
-    composition_table,
     cyclic_group,
     product_group,
     quotient,
@@ -837,12 +835,27 @@ def _label_obstruction_category(atlas):
         proj = project(delta, J, I)
         return (I, K, z, eact[I][proj][e], mul(I, proj, gamma))
 
-    compose = composition_table(CheckReport("E"), "c", morphisms, source, target, law)
+    compose = composition_table(morphisms, source, target, law)
     identity_of = {
         (I, x, e): (I, I, x, e, atlas.charts[I].group.elements[atlas.charts[I].group.identity])
         for (I, x, e) in objects
     }
     return objects, morphisms, source, target, compose, identity_of
+
+
+def composition_table(morphisms, source: dict, target: dict, law) -> dict:
+    """``{(f, g): law(f, g)}`` over every composable pair "f then g" whose
+    composite is a morphism (a key of ``source``)."""
+    by_source: dict = {}
+    for m in morphisms:
+        by_source.setdefault(source[m], []).append(m)
+    table: dict = {}
+    for f in morphisms:
+        for g in by_source.get(target[f], ()):
+            h = law(f, g)
+            if h in source:
+                table[(f, g)] = h
+    return table
 
 
 def _football_atlas_n8():

@@ -18,7 +18,7 @@ from vfc.charts_atlas import (
     check_realizations,
     check_tame_and_filtration,
 )
-from vfc import examples_cli, reduction_perturb, zeroset_branched
+from vfc import charts_atlas, examples_cli, reduction_perturb, zeroset_branched
 from vfc.cli import main
 from vfc.examples_cli import (
     EXAMPLE_NAMES,
@@ -204,9 +204,11 @@ def test_seed_grid_levels_agree():
 
 def test_run_checks_perturbation_and_builds_groupoid_once(monkeypatch):
     """One ``vfc run`` checks the perturbation once (the adaptedness stage
-    reuses its zero checks) and enumerates the zero-set groupoid once (the
-    Hausdorff step extends the completed groupoid)."""
-    calls = {"check_perturbation": 0, "_groupoid_core": 0}
+    reuses its zero checks), builds B_K once and completes the zero-set
+    groupoid once, in that B_K (the Hausdorff step extends the completed
+    groupoid)."""
+    names = ("check_perturbation", "build_categories", "complete_groupoid")
+    calls = dict.fromkeys(names, 0)
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -216,7 +218,8 @@ def test_run_checks_perturbation_and_builds_groupoid_once(monkeypatch):
 
     originals = {
         "check_perturbation": reduction_perturb.check_perturbation,
-        "_groupoid_core": zeroset_branched._groupoid_core,
+        "build_categories": charts_atlas.build_categories,
+        "complete_groupoid": zeroset_branched.complete_groupoid,
     }
     # every vfc module that holds one of the functions, under any name
     for module_name, module in list(sys.modules.items()):
@@ -227,7 +230,7 @@ def test_run_checks_perturbation_and_builds_groupoid_once(monkeypatch):
                         monkeypatch.setattr(module, attr, counting(name, original))
     report, code = run_example(ExampleDescriptor("sphere-euler", {"density": 12}))
     assert code == 0 and report["total"] == "2/1"
-    assert calls == {"check_perturbation": 1, "_groupoid_core": 1}
+    assert calls == dict.fromkeys(names, 1)
 
 
 def test_run_report_json_serializable():
@@ -330,6 +333,19 @@ def test_cli_check_wrong_schema_exit_three(tmp_path):
     p.write_text('{"schema": "something-else/9"}')
     res = CliRunner().invoke(main, ["check", str(p)])
     assert res.exit_code == 3
+
+
+def test_cli_zeros_reduction_sample_outside_its_chart_exit_three(sphere_files, tmp_path):
+    atlas_path, nu_path, _ = sphere_files
+    doc = json.loads(atlas_path.read_text())
+    doc["reduction"]["sets"]["1"].append(999)
+    broken = tmp_path / "reduction.json"
+    broken.write_text(json.dumps(doc))
+    res = CliRunner().invoke(main, ["zeros", str(broken), "--perturbation", str(nu_path)])
+    assert res.exit_code == 3, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert ("cannot find zeros: chart (1,): reduction: 999 is not a sample of the chart,"
+            " which has 25") in res.output
 
 
 @pytest.mark.parametrize("command", ["check", "zeros"])

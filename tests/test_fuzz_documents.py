@@ -122,3 +122,17 @@ def test_a_tilde_index_outside_the_target_chart_is_a_schema_error(tmp_path, docu
     assert isinstance(result.exception, SystemExit)
     assert (f"schema error: coordinate change (1,)->(1, 2): tilde_indices: {index} is not a"
             " sample of chart (1, 2), which has 28") in result.output
+
+
+@pytest.mark.parametrize("index", [999, 25, -1, 1.0])
+def test_a_rho_value_outside_the_source_chart_is_a_schema_error(tmp_path, documents, index):
+    document = json.loads(documents["sphere-euler"])
+    rho = document["changes"][0]["rho_idx"]
+    rho[sorted(rho)[0]] = index
+    path = tmp_path / "doctored.json"
+    path.write_text(json.dumps(document))
+    result = CliRunner().invoke(main, ["check", str(path)])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert (f"schema error: coordinate change (1,)->(1, 2): rho_idx: {index} is not a"
+            " sample of chart (1,), which has 25") in result.output

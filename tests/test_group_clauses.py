@@ -291,6 +291,11 @@ def _walked_covering(atlas, I, J):
     rep = CheckReport(f"group_covering {I}->{J}")
     change = atlas.changes[(I, J)]
     tilde = list(change.tilde_indices)
+    n_I, n_J = len(src.domain.points), len(tgt.domain.points)
+    for y in tilde:
+        if not (0 <= y < n_J and 0 <= change.rho_idx[y] < n_I):
+            rep.fail("sample_outside_chart", pair=(I, J), point=y)
+            return rep
     names, perms = tgt.group.elements, tgt.domain.perms
     moved_out = np.flatnonzero(~np.isin(perms[:, tilde], tilde).all(axis=1))
     if moved_out.size:
@@ -381,7 +386,9 @@ def _walked_equivariance(atlas, I, J):
     as the double loop over Γ_J and Ũ_IJ, stopping at the first failing
     sample per element, after the covering walk: the reference for its
     array comparison."""
-    _walked_covering(atlas, I, J)  # raises where the covering check raises
+    covering = _walked_covering(atlas, I, J)  # raises where the covering check raises
+    if any(f["clause"] == "sample_outside_chart" for f in covering.failures):
+        return []  # the covering walk reports it, and nothing more is read
     src, tgt, change = atlas.charts[I], atlas.charts[J], atlas.changes[(I, J)]
     rho, failures = change.rho_idx, []
     pairs = zip(tgt.domain.perms.tolist(), src.domain.perms[atlas.projection[(I, J)]].tolist())

@@ -21,7 +21,7 @@ from vfc.charts_atlas import (
     check_coordinate_change,
     check_tame_and_filtration,
 )
-from vfc.examples_cli import ExampleDescriptor, build_example, build_toy_atlas
+from vfc.examples_cli import ExampleDescriptor, _atlas_stages, build_example, build_toy_atlas
 from vfc.reduction_perturb import EquivariantNorms
 
 F = Fraction
@@ -349,11 +349,10 @@ def test_rho_off_the_source_chart():
     ]
 
 
-def test_a_change_past_its_target_chart_is_reported_not_read():
+def tilde_past_the_target_chart():
     """Football-euler N=8 with the first sample of Ũ_IJ of (1,) -> (1, 2)
-    moved to 999, past the target chart: the fact is the whole report, and
-    no array indexes the chart with it."""
-    atlas = build_example(ExampleDescriptor("football-euler", {"density": 8})).atlas
+    moved to 999, past the target chart."""
+    atlas = _football().atlas
     key = ((1,), (1, 2))
     change = atlas.changes[key]
     y = change.tilde_indices[0]
@@ -362,9 +361,37 @@ def test_a_change_past_its_target_chart_is_reported_not_read():
         tilde_indices=(999, *change.tilde_indices[1:]),
         rho_idx={999 if z == y else z: x for z, x in change.rho_idx.items()},
     )
-    result = build_categories(dataclasses.replace(atlas, changes={**atlas.changes, key: moved}))
+    return dataclasses.replace(atlas, changes={**atlas.changes, key: moved})
+
+
+def test_a_change_past_its_target_chart_is_reported_not_read():
+    """The fact is the whole report, and no array indexes the chart with it."""
+    key = ((1,), (1, 2))
+    result = build_categories(tilde_past_the_target_chart())
     assert result.report.failures == [
         {"clause": "sample_outside_chart", "pair": key, "point": 999},
     ]
     assert result.report.details == {"category_axioms_E": {}}
     assert result.domain_category is None and result.obstruction_category is None
+
+
+def _failing_atlas_stages(atlas):
+    """The failures of each failing stage of ``vfc run``'s atlas stages, by
+    name, and whether the categories were built."""
+    stages = list(_atlas_stages(atlas))
+    failing = {rep.name: rep.failures for rep, _ in stages if not rep.ok}
+    return failing, any(cats is not None for _, cats in stages)
+
+
+def test_a_change_past_its_charts_fails_its_own_stage():
+    """A sample of Ũ_IJ past chart J, or with ρ_IJ past chart I, is the
+    coordinate change's one failure, at its first sample; no stage reads
+    past the chart, and the categories are not built."""
+    covering = {"clause": "sample_outside_chart", "pair": ((1,), (1, 2)),
+                "from": "group_covering (1,)->(1, 2)"}
+    failing, built = _failing_atlas_stages(tilde_past_the_target_chart())
+    assert failing == {"coordinate_change (1,)->(1, 2)": [{**covering, "point": 999}]}
+    assert not built
+    failing, built = _failing_atlas_stages(rho_off_the_source_chart())
+    assert failing["coordinate_change (1,)->(1, 2)"] == [{**covering, "point": 0}]
+    assert not built

@@ -12,6 +12,7 @@ from vfc.charts_atlas import (
     ChartModel,
     CoordinateChangeModel,
     GroupQuotientModel,
+    build_categories,
     cyclic_group,
     product_group,
     trivial_group,
@@ -444,12 +445,12 @@ class TestSingleChartGroupoid:
         atlas = _orbifold_chart_atlas(n)
         red = Reduction(sets={(1,): frozenset(range(n))})
         zsets = {(1,): frozenset(range(n))}
-        comp = complete_groupoid(atlas, red, zsets)
+        comp = complete_groupoid(atlas, red, zsets, build_categories(atlas))
         assert comp.report.ok
         # only identity morphisms: no proper subsets of a singleton index
         assert len(comp.morphisms) == n
         assert len(comp.classes) == n
-        haus = hausdorff_complete(atlas, red, zsets, comp)
+        haus = hausdorff_complete(comp)
         assert haus.report.ok
         wr = weight_function(atlas, haus)
         assert wr.report.ok
@@ -544,8 +545,8 @@ class TestBoundaryZero:
     def test_trivial_closure_is_identity(self):
         atlas = _boundary_atlas(tilde=())
         red, zsets = self._data(atlas)
-        comp = complete_groupoid(atlas, red, zsets)
-        haus = hausdorff_complete(atlas, red, zsets, comp)
+        comp = complete_groupoid(atlas, red, zsets, build_categories(atlas))
+        haus = hausdorff_complete(comp)
         assert haus.report.ok
         assert set(haus.morphisms) == set(comp.morphisms)
         assert len(haus.classes) == len(comp.classes)
@@ -556,8 +557,8 @@ class TestBoundaryZero:
         atlas = _boundary_atlas(tilde=(0, 1))
         red, _ = self._data(atlas)
         zsets = {(1,): frozenset(), (1, 2): frozenset({0, 1})}
-        comp = complete_groupoid(atlas, red, zsets)
-        haus = hausdorff_complete(atlas, red, zsets, comp)
+        comp = complete_groupoid(atlas, red, zsets, build_categories(atlas))
+        haus = hausdorff_complete(comp)
         assert haus.report.ok
         assert haus.morphisms == comp.morphisms
         assert haus.classes == comp.classes == (((1, 2), 0),)
@@ -570,18 +571,18 @@ class TestBoundaryZero:
         red = Reduction(sets={(1,): frozenset({0}), (2,): frozenset({0, 1}),
                               (1, 2): frozenset({0, 1})})
         zsets = {(1, 2): frozenset({0, 1})}
-        comp = complete_groupoid(atlas, red, zsets)
+        comp = complete_groupoid(atlas, red, zsets, build_categories(atlas))
         with pytest.raises(ValueError, match=r"not nested at zero \(\(1, 2\), 0\)"):
-            hausdorff_complete(atlas, red, zsets, comp)
+            hausdorff_complete(comp)
 
     def test_open_overlap_with_isotropy(self):
         # the pair is openly identified with the chart-1 zero: one class
         atlas = _boundary_atlas(tilde=(0, 1))
         red, zsets = self._data(atlas)
-        comp = complete_groupoid(atlas, red, zsets)
+        comp = complete_groupoid(atlas, red, zsets, build_categories(atlas))
         assert comp.report.ok
         assert len(comp.classes) == 1
-        haus = hausdorff_complete(atlas, red, zsets, comp)
+        haus = hausdorff_complete(comp)
         wr = weight_function(atlas, haus)
         assert wr.report.ok
         # cross-chart agreement: 1/1 in chart (1,) vs 2/2 in chart (1,2)
@@ -590,7 +591,7 @@ class TestBoundaryZero:
     def test_endpoint_degeneracy_detected(self):
         atlas = _boundary_atlas(tilde=(0, 1), kernel_acts=False)
         red, zsets = self._data(atlas)
-        comp = complete_groupoid(atlas, red, zsets)
+        comp = complete_groupoid(atlas, red, zsets, build_categories(atlas))
         # the Z2 factor acts trivially: each (1,2) zero has two loops
         assert comp.report.failures == [
             {"clause": "not_determined_by_endpoints",
@@ -675,7 +676,7 @@ class TestZeroSetClauses:
         atlas = _boundary_atlas(tilde=(0, 1))
         red = Reduction(sets={(1,): frozenset({0}), (1, 2): frozenset({0})})
         zsets = {(1,): frozenset({0}), (1, 2): frozenset({0, 1})}
-        rep = complete_groupoid(atlas, red, zsets).report
+        rep = complete_groupoid(atlas, red, zsets, build_categories(atlas)).report
         assert rep.failures == [
             {"clause": "inverse_missing", "morphism": ((1, 2), (1, 2), 0, "e|g1")}
         ]
@@ -695,9 +696,9 @@ class TestZeroSetClauses:
             (1, 2): frozenset({0, 1}),
             (1, 2, 3): frozenset({0, 1}),
         }
-        assert complete_groupoid(atlas, red, invariant).report.ok
+        assert complete_groupoid(atlas, red, invariant, build_categories(atlas)).report.ok
         zsets = {**invariant, (1, 2): frozenset({1}), (1, 2, 3): frozenset({0})}
-        rep = complete_groupoid(atlas, red, zsets).report
+        rep = complete_groupoid(atlas, red, zsets, build_categories(atlas)).report
         assert rep.failures == [
             {"clause": "factorization", "morphism": ((1, 2), (1, 2, 3), 0, "e|g1")}
         ]
@@ -709,8 +710,8 @@ class TestZeroSetClauses:
         red = Reduction(sets={(1,): frozenset({0}), (2,): frozenset({0, 1}),
                               (1, 2): frozenset({0, 1})})
         zsets = {(1, 2): frozenset({0, 1})}
-        comp = complete_groupoid(atlas, red, zsets)
-        haus = hausdorff_complete(atlas, red, zsets, comp)
+        comp = complete_groupoid(atlas, red, zsets, build_categories(atlas))
+        haus = hausdorff_complete(comp)
         assert haus.report.failures == [
             {"clause": "footprint_not_nested", "cls": ((1, 2), 0), "sets": ((1,), (2,))}
         ]
@@ -722,7 +723,7 @@ class TestZeroSetClauses:
         red = Reduction(sets={(1,): frozenset(range(3))})
         zsets = {(1,): frozenset(range(3))}
         haus = hausdorff_complete(
-            atlas, red, zsets, complete_groupoid(atlas, red, zsets)
+            complete_groupoid(atlas, red, zsets, build_categories(atlas))
         )
         p = haus.classes[0]
         merged = replace(
@@ -743,7 +744,7 @@ class TestZeroSetClauses:
         atlas = _boundary_atlas(tilde=(0, 1))
         red, zsets = TestBoundaryZero()._data(atlas)
         haus = hausdorff_complete(
-            atlas, red, zsets, complete_groupoid(atlas, red, zsets)
+            complete_groupoid(atlas, red, zsets, build_categories(atlas))
         )
         p, o = haus.classes[0], ((1, 2), 1)
         split = replace(
@@ -767,8 +768,8 @@ class TestWnbAndClass:
         atlas = _orbifold_chart_atlas(3)
         red = Reduction(sets={(1,): frozenset(range(3))})
         zsets = {(1,): frozenset(range(3))}
-        comp = complete_groupoid(atlas, red, zsets)
-        haus = hausdorff_complete(atlas, red, zsets, comp)
+        comp = complete_groupoid(atlas, red, zsets, build_categories(atlas))
+        haus = hausdorff_complete(comp)
         wr = weight_function(atlas, haus)
         bad = dict(wr.weights)
         bad[haus.classes[0]] = F(1)
