@@ -234,7 +234,7 @@ def _chart_seeds(atlas: AtlasModel, red: Reduction, I: tuple, seeds: dict | None
     n = len(domain.points)
     for x in xs[(xs < 0) | (xs >= n)][:1].tolist():
         raise ValueError(f"chart {I}: reduction: {x} is not a sample of the chart, which has {n}")
-    least = domain.perms[:, xs].min(axis=0, initial=len(domain.points))
+    least = domain.perms[:, xs].min(axis=0, initial=n)
     return domain.coordinates[xs[least == xs]]
 
 
