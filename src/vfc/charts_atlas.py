@@ -587,6 +587,12 @@ class ChartModel:
         where, grid = f"chart {self.index}", self.obstruction_points
         return _lookup(_matmul(grid, self.obstruction_action.mT, where), grid, where)
 
+    @functools.cached_property
+    def section_on_grid(self) -> np.ndarray:
+        """The section on grid indices: ``section_on_grid[x]`` is the index
+        of s(x) in ``obstruction_points``, or -1 where s(x) is no grid point."""
+        return _lookup(self.section_samples, self.obstruction_points, f"chart {self.index}")
+
 
 def check_chart(atlas: "AtlasModel", I: tuple) -> CheckReport:
     """Chart-level invariants: action laws, equivariance, footprints."""
@@ -619,6 +625,10 @@ def check_chart(atlas: "AtlasModel", I: tuple) -> CheckReport:
         bad = ~_equal(_matmul(samples, act.mT, where), moved, where).all(axis=2)
         for g in _where(bad.any(axis=1)).tolist():
             rep.fail("section_not_equivariant", element=names[g], point=int(bad[g].argmax()))
+    rep.fail_first("section_value_outside_grid", chart.section_on_grid >= 0,
+                   lambda x: {"point": x, "value": tuple(samples.fractions()[x])})
+    if grid.num.any(axis=1).all():
+        rep.fail("zero_vector_outside_grid")
     # footprint map: (zero samples)/Γ_I → F_I bijection
     zeros = chart.zero_sample_indices()
     class_of = chart.domain.class_index.tolist()
@@ -829,6 +839,8 @@ def check_coordinate_change(atlas: "AtlasModel", I: tuple, J: tuple) -> CheckRep
         bad = ~_equal(lhs, rhs, where).all(axis=(1, 2))
         if bad.any():
             rep.fail("phi_hat_not_equivariant", element=names[bad.argmax()])
+    rep.fail_first("obstruction_grid_not_phi_closed", atlas.grid_map(I, J) >= 0,
+                   lambda e: {"vector": tuple(src.obstruction_points.fractions()[e])})
     # section compatibility at samples: s_J∘φ̃ = φ̂∘s_I∘ρ (φ̃ = inclusion),
     # which holds on E_J = 0
     s_I, s_J = src.section_samples, tgt.section_samples
@@ -917,6 +929,10 @@ class AtlasModel:
     def _distances(self) -> dict:
         return {}
 
+    @functools.cached_property
+    def _grid_maps(self) -> dict:
+        return {}
+
     def compiled(self, asts: Sequence, dims: Sequence[int] = ()) -> Callable:
         """:func:`~vfc.expressions.compile_vector` of ``asts`` along
         ``dims``, compiled once per atlas for equal ASTs and dims."""
@@ -924,6 +940,16 @@ class AtlasModel:
         if key not in self._tapes:
             self._tapes[key] = compile_vector(asts, dims)
         return self._tapes[key]
+
+    def grid_map(self, I: tuple, J: tuple) -> np.ndarray:
+        """φ̂_IJ on grid indices (the identity where I = J), computed once per
+        atlas: per point e of chart I's grid, the index of φ̂_IJ(e) in chart
+        J's grid, or -1 where it is no grid point."""
+        if (I, J) not in self._grid_maps:
+            grid, where = self.charts[I].obstruction_points, f"coordinate change {I}->{J}"
+            image = grid if I == J else _matmul(grid, self.changes[(I, J)].phi_hat.mT, where)
+            self._grid_maps[(I, J)] = _lookup(image, self.charts[J].obstruction_points, where)
+        return self._grid_maps[(I, J)]
 
     def distance(self, rows: np.ndarray) -> np.ndarray:
         """Per metric row, the least numerator of ``metric`` over the columns
@@ -1311,9 +1337,7 @@ class FiniteCategory:
     Values out of range are faults that :func:`check_category` reports: an
     endpoint outside the objects, a composite ``-1`` (undefined) or outside
     the morphisms, an identity ``-1`` (none declared) or outside the
-    morphisms.  ``defects`` keeps the faults of label data that the arrays
-    cannot hold (a composite or identity naming no morphism or object, a
-    composite of a pair that is not composable) as ``(clause, witness)``.
+    morphisms.
 
     ``objects`` and ``morphisms`` are the labels, as tuples or as
     :class:`Labels` built on first read (E_K's, which no check reads).
@@ -1331,7 +1355,6 @@ class FiniteCategory:
     identity: np.ndarray
     pairs: PairIndex
     comp: np.ndarray
-    defects: tuple = ()
 
     def composite(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
         """The composites "f[i] then g[i]": ``-1`` where undefined and
@@ -1349,13 +1372,6 @@ class FiniteCategory:
         bad = _where((src < 0) | (src >= n_obj) | (tgt < 0) | (tgt >= n_obj))
         if bad.size:
             return "endpoint_outside_objects", {"morphism": morphisms[bad[0]]}
-
-        def defect(*clauses):
-            return next((d for d in self.defects if d[0] in clauses), None)
-
-        found = defect("compose_outside_morphisms", "compose_of_non_composable")
-        if found is not None:
-            return found
         f, g, h = self.pairs.f, self.pairs.g, self.comp
         outside = (h < -1) | (h >= n)
         defined = np.where((h >= 0) & ~outside, h, -1)
@@ -1369,9 +1385,6 @@ class FiniteCategory:
         if bad.size:
             p = bad[0]
             return "composable_pair_undefined", {"pair": (morphisms[f[p]], morphisms[g[p]])}
-        found = defect("identity_missing")
-        if found is not None:
-            return found
         ident = self.identity
         bad = _where((ident < -1) | (ident >= n))
         if bad.size:
@@ -1428,10 +1441,9 @@ def check_category(cat: FiniteCategory) -> CheckReport:
 
     The clauses are tried in order, and the first that fails is reported
     with its first witness, in morphism, CSR pair, object or triple order:
-    endpoints; composites (the label faults of ``defects`` first, then
-    composites outside the morphisms or with the wrong endpoints);
-    composable pairs without a composite; identities (``defects`` first);
-    the identity laws.  Associativity is proved where the category is built
+    endpoints; composites outside the morphisms or with the wrong
+    endpoints; composable pairs without a composite; identities; the
+    identity laws.  Associativity is proved where the category is built
     (see :class:`FiniteCategory`).
     """
     rep = CheckReport("category_axioms")
@@ -1642,10 +1654,14 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
     grids into grids, is (4) ρ^Γ-equivariant and (5) composes, and (6) the
     section is Γ_I-equivariant and φ̂-compatible (the zero vector is, by
     linearity); see :func:`_obstruction_facts` and :func:`_section_facts`.
-    Each failing fact is a clause with its first witness.  E_K's sizes are
-    then B_K's, each object, morphism, pair (f, g) and triple counted n_e[I]
-    times, the grid size of the chart I of the object or of f; E_K itself
-    is built only when ``obstruction_category`` is read.
+    Each failing fact is a clause with its first witness.  The facts that
+    are chart or coordinate-change axioms (a Γ-stable grid holding the
+    section values and the zero vector, :func:`check_chart`; fact 3,
+    :func:`check_coordinate_change`) are taken as given: a direct call that
+    breaks one raises ``ValueError`` naming the chart or change.  E_K's
+    sizes are then B_K's, each object, morphism, pair (f, g) and triple
+    counted n_e[I] times, the grid size of the chart I of the object or of
+    f; E_K itself is built only when ``obstruction_category`` is read.
     """
     rep = CheckReport("build_categories")
     indices = atlas.index_sets()
@@ -1689,27 +1705,22 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
 
     # ----- E_K -----
     charts = [atlas.charts[I] for I in indices]
-    grids = [chart.obstruction_points for chart in charts]
-    n_e = _ints([len(grid.num) for grid in grids])
-    # Γ_I on grid indices, eact[i][γ, e], and φ̂ of the k-th block on them,
-    # each flat with where each chart or block starts
+    n_e = _ints([len(chart.obstruction_points.num) for chart in charts])
+    for I, chart in zip(indices, charts):
+        for broken, what in (
+            ((chart.grid_action < 0).any(), "the obstruction grid is not Γ-stable"),
+            ((chart.section_on_grid < 0).any(), "a section value is no grid point"),
+            (chart.obstruction_points.num.any(axis=1).all(), "the zero vector is no grid point"),
+        ):
+            if broken:
+                raise ValueError(f"chart {I}: {what}")
+    for I, J, _, _ in blocks:
+        if (atlas.grid_map(I, J) < 0).any():
+            raise ValueError(f"coordinate change {I}->{J}: φ̂ maps a grid point off the grid")
+    # Γ_I on grid indices, eact[i][γ, e], φ̂ of the k-th block and the
+    # section on them, each flat with where each chart or block starts
     eact = _flat(chart.grid_action for chart in charts)
-    if (eact[0] < 0).any():
-        I = next(I for I, chart in zip(indices, charts) if (chart.grid_action < 0).any())
-        raise ValueError(f"chart {I}: the obstruction grid is not Γ-stable")
-    position = {I: i for i, I in enumerate(indices)}
-    phi_idx = []
-    for (I, J, _, _) in blocks:
-        grid, name = grids[position[I]], f"coordinate change {I}->{J}"
-        image = grid if I == J else _matmul(grid, atlas.changes[(I, J)].phi_hat.mT, name)
-        phi_idx.append(_lookup(image, grids[position[J]], name))
-    phis = _flat(phi_idx)
-    grids_closed = not (phis[0] < 0).any()
-    for (I, J, _, _), images in zip(blocks, [] if grids_closed else phi_idx):
-        if (images < 0).any():
-            vector = tuple(grids[position[I]].fractions()[(images < 0).argmax()])
-            rep.fail("obstruction_grid_not_phi_closed", pair=(I, J), vector=vector)
-    phis = phis if grids_closed else None
+    phis = _flat(atlas.grid_map(I, J) for I, J, _, _ in blocks)
     if tables_ok:
         _obstruction_facts(bk, n_e, eact, phis, rep)
     obj_ne, mor_ne = n_e.repeat(n_points), None if B is None else n_e[parts[0]]
@@ -1721,59 +1732,31 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
         "composable_pairs": int(weights.sum()),
         "composable_triples": int((weights * B.pairs.triple_counts()).sum()),
     } if rep.ok else {}
-    # the section and the zero vector on grid indices
-    s_list = [_lookup(chart.section_samples, grid, f"chart {I}")
-              for I, chart, grid in zip(indices, charts, grids)]
-    s_ok = all((values >= 0).all() for values in s_list)
-    for I, chart, values in zip(indices, charts, [] if s_ok else s_list):
-        if (values < 0).any():
-            value = tuple(chart.section_samples.fractions()[(values < 0).argmax()])
-            rep.fail("section_value_outside_grid", index=I, value=value)
-    if any(g.num.any(axis=1).all() for g in grids):
-        rep.fail("zero_vector_outside_grid")
-    if tables_ok and s_ok:
-        _section_facts(bk, n_e, eact, phis, _flat(s_list), rep)
+    if tables_ok:
+        _section_facts(bk, n_e, eact, phis, _flat(c.section_on_grid for c in charts), rep)
 
     def obstruction_category():
         if B is None:
             return None
-        # without φ̂ on the grids E_K has no morphisms: every identity is missing
-        e_bk, e_phi, e_ne = (bk, phis, mor_ne) if grids_closed else (
-            _Blocks(atlas, []), _flat([]), 0 * mor_ne)
         e_objects = Labels(int(obj_ne.sum()), lambda: (
             (I, x, e) for (I, x), ne in zip(objects, obj_ne.tolist()) for e in range(ne)
         ))
-        e_morphisms = Labels(int(e_ne.sum()), lambda: (
+        e_morphisms = Labels(int(mor_ne.sum()), lambda: (
             (I, J, y, e, gamma)
-            for (I, J, y, gamma), ne in zip(morphisms, e_ne.tolist()) for e in range(ne)
+            for (I, J, y, gamma), ne in zip(morphisms, mor_ne.tolist()) for e in range(ne)
         ))
-        arrays = _block_category(e_bk, n_e, eact, e_phi)[0]
-        return FiniteCategory(e_objects, e_morphisms, *arrays)
+        return FiniteCategory(e_objects, e_morphisms, *_block_category(bk, n_e, eact, phis)[0])
 
-    # footprint functor ψ on the zero-object subcategory
-    psi_obj = _footprint_labels(atlas, rep)
-    label_id = {label: i for i, label in enumerate(sorted(set(psi_obj.values())))}
-    psi = np.full(len(objects), -1, dtype=np.int64)
-    obj_base = dict(zip(indices, _offsets(n_points).tolist()))
-    for (I, x), label in psi_obj.items():
-        psi[obj_base[I] + x] = label_id[label]
-    if B is not None:
-        s_psi, t_psi = psi[B.src], psi[B.tgt]
-        for m in _where((s_psi >= 0) & (t_psi >= 0) & (s_psi != t_psi)).tolist():
-            rep.fail("footprint_functor_not_constant", morphism=B.morphisms[m])
-    if set(psi_obj.values()) != set(atlas.x_labels):
-        rep.fail("footprint_functor_not_surjective", image=sorted(set(psi_obj.values())))
     return CategoriesResult(domain_category=B, domain_parts=parts, report=rep,
                             build_obstruction=obstruction_category)
 
 
-def _obstruction_facts(bk: _Blocks, ne: np.ndarray, act: tuple, phi: tuple | None,
+def _obstruction_facts(bk: _Blocks, ne: np.ndarray, act: tuple, phi: tuple,
                        rep: CheckReport) -> None:
     """Report each failing fact 2, 4 and 5 of :func:`build_categories` at
     its first witness, each on all charts, blocks or chains at once, with
-    ``ne``, ``act``, ``phi`` as :func:`_block_category` takes them (``phi``
-    ``None`` skips the facts that read φ̂): the identity fixes the grid
-    (``grid_identity_not_trivial``) and (γδ)·e = γ·(δ·e)
+    ``ne``, ``act``, ``phi`` as :func:`_block_category` takes them: the
+    identity fixes the grid (``grid_identity_not_trivial``) and (γδ)·e = γ·(δ·e)
     (``grid_action_law``); φ̂_IJ(ρ^Γ(δ)·e) = δ·φ̂_IJ(e)
     (``phi_hat_not_equivariant_on_grid``); φ̂_IK = φ̂_JK ∘ φ̂_IJ
     (``phi_hat_not_composing_on_grid``)."""
@@ -1789,8 +1772,6 @@ def _obstruction_facts(bk: _Blocks, ne: np.ndarray, act: tuple, phi: tuple | Non
         "index": bk.indices[i[p]], "pair": (name(i[p], g[p]), name(i[p], d[p])),
         "point": int(e[p]),
     })
-    if phi is None:
-        return
     (phis, phi_start), (proj, proj_start) = phi, bk.proj
     c, x = _runs(order[bk.J] * ne[bk.I])
     I, J = bk.I[c], bk.J[c]
@@ -1806,13 +1787,12 @@ def _obstruction_facts(bk: _Blocks, ne: np.ndarray, act: tuple, phi: tuple | Non
     })
 
 
-def _section_facts(bk: _Blocks, ne: np.ndarray, act: tuple, phi: tuple | None,
+def _section_facts(bk: _Blocks, ne: np.ndarray, act: tuple, phi: tuple,
                    s_idx: tuple, rep: CheckReport) -> None:
     """Report each failing part of fact 6 of :func:`build_categories` at its
     first witness, with ``s_idx`` the section's flat grid index per sample:
-    s(γ·x) = γ·s(x) (``section_not_equivariant_on_grid``) and, unless
-    ``phi`` is ``None``, φ̂_IJ(s_I(ρ(y))) = s_J(y)
-    (``section_not_compatible_on_grid``)."""
+    s(γ·x) = γ·s(x) (``section_not_equivariant_on_grid``) and
+    φ̂_IJ(s_I(ρ(y))) = s_J(y) (``section_not_compatible_on_grid``)."""
     n, (grid, at), (s, s_start), (perms, perm_start) = bk.n_points, act, s_idx, bk.perms
     i, x = _runs(bk.order * n)
     g, x = x // n[i], x % n[i]
@@ -1821,27 +1801,12 @@ def _section_facts(bk: _Blocks, ne: np.ndarray, act: tuple, phi: tuple | None,
     rep.fail_first("section_not_equivariant_on_grid", holds, lambda p: {
         "index": bk.indices[i[p]], "element": bk.element(i[p], g[p]), "point": int(x[p]),
     })
-    if phi is not None:
-        (phis, phi_start), (tilde, tilde_start), (rho, _) = phi, bk.tilde, bk.rho
-        k, _ = _runs(tilde_start[1:] - tilde_start[:-1])
-        holds = phis[phi_start[k] + s[s_start[bk.I[k]] + rho]] == s[s_start[bk.J[k]] + tilde]
-        rep.fail_first("section_not_compatible_on_grid", holds, lambda p: {
-            "pair": bk.blocks[k[p]][:2], "point": int(tilde[p]),
-        })
-
-
-def _footprint_labels(atlas: AtlasModel, rep: CheckReport) -> dict:
-    """The footprint label of each zero object (I, x); a zero sample
-    without one is reported and left out."""
-    labels: dict = {}
-    for I in atlas.index_sets():
-        chart = atlas.charts[I]
-        for x in chart.zero_sample_indices():
-            if x in chart.footprint_map:
-                labels[(I, x)] = chart.footprint_map[x]
-            else:
-                rep.fail("zero_sample_without_footprint", index=I, point=x)
-    return labels
+    (phis, phi_start), (tilde, tilde_start), (rho, _) = phi, bk.tilde, bk.rho
+    k, _ = _runs(tilde_start[1:] - tilde_start[:-1])
+    holds = phis[phi_start[k] + s[s_start[bk.I[k]] + rho]] == s[s_start[bk.J[k]] + tilde]
+    rep.fail_first("section_not_compatible_on_grid", holds, lambda p: {
+        "pair": bk.blocks[k[p]][:2], "point": int(tilde[p]),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -1898,8 +1863,16 @@ def check_realizations(atlas: AtlasModel, B: FiniteCategory) -> CheckReport:
     mapping = mapping[~bad].tolist()
     if len(set(mapping)) != len(mapping) or len(mapping) != n_inter:
         rep.fail("realization_not_bijective", full=n_full, intermediate=n_inter)
-    # zero-object subcategory realizes to the footprint sample set
-    footprint_label = _footprint_labels(atlas, rep)
+    # zero-object subcategory realizes to the footprint sample set; a zero
+    # sample without a footprint label is reported and left out
+    footprint_label: dict = {}
+    for I in atlas.index_sets():
+        chart = atlas.charts[I]
+        for x in chart.zero_sample_indices():
+            if x in chart.footprint_map:
+                footprint_label[(I, x)] = chart.footprint_map[x]
+            else:
+                rep.fail("zero_sample_without_footprint", index=I, point=x)
     label = [footprint_label.get(o) for o in B.objects]
     zero = np.array([lab is not None for lab in label], dtype=bool)
     both = zero[B.src] & zero[B.tgt]

@@ -942,8 +942,7 @@ def run_example(descriptor: ExampleDescriptor, seed_grid: int = 1):
             report["ok"] = False
             return report, 1
     ok = _stage(stages, check_reduction(atlas, built.V))
-    pruned = build_pruned_category(atlas, built.V)
-    ok = ok and _stage(stages, pruned.report)
+    ok = ok and _stage(stages, build_pruned_category(atlas, built.V))
     if not ok:
         report["ok"] = False
         return report, 1
@@ -1067,7 +1066,7 @@ def check_atlas_data(data: dict) -> dict:
     red = reduction_from_json(data["reduction"]) if "reduction" in data else None
     if red is not None:
         ok = _stage(stages, check_reduction(atlas, red)) and ok
-        ok = _stage(stages, build_pruned_category(atlas, red).report) and ok
+        ok = _stage(stages, build_pruned_category(atlas, red)) and ok
     if "norms" in data:
         ok = _stage(stages, norms_from_json(data["norms"]).validate(atlas)) and ok
     if "perturbation" in data and red is not None:

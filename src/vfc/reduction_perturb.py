@@ -29,9 +29,6 @@ from .charts_atlas import (
     TAU_RANK,
     AtlasModel,
     CheckReport,
-    FiniteCategory,
-    Labels,
-    PairIndex,
     RationalArray,
     _equal,
     _flat,
@@ -42,7 +39,6 @@ from .charts_atlas import (
     _runs,
     _scaled,
     _where,
-    check_category,
 )
 from .exterior_engine import eliminate, parse_rat
 from .expressions import eval_pred, eval_pred_rows, eval_vector, evaluate_until_raise
@@ -58,7 +54,6 @@ __all__ = [
     "v_tilde",
     "check_reduction",
     "build_pruned_category",
-    "PrunedResult",
     "check_perturbation",
     "compute_adaptedness_constants",
     "check_adapted",
@@ -410,21 +405,19 @@ def check_reduction(atlas: AtlasModel, red: Reduction) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PrunedResult:
-    category: FiniteCategory
-    report: CheckReport
+def build_pruned_category(atlas: AtlasModel, red: Reduction) -> CheckReport:
+    """The pruned category B_K|_V: objects ⨆V_I, morphisms (I, J, y) for y
+    in Ṽ_IJ with the isotropy dropped, checked by its chain facts.
 
-
-def build_pruned_category(atlas: AtlasModel, red: Reduction) -> PrunedResult:
-    """Objects ⨆V_I, morphisms Ṽ_IJ with the isotropy dropped.
-
-    A morphism (I, J, y) is read back from its endpoints ((I, ρ_IJ(y)),
-    (J, y)), so the category is nonsingular by construction; "(I, J, y) then
-    (J, K, z)" is (I, K, z), so it is associative and unital by construction.
-    Object (I, x) is numbered in index order and then by x, morphism
-    (I, J, y) by its block (I, J) in index order and then by y; a composite
-    that is no morphism is reported as ``composition_escapes``."""
+    (I, J, y) runs from (I, ρ_IJ(y)) to (J, y), and "(I, J, y) then (J, K, z)"
+    is (I, K, z), so endpoints, identities, the identity laws and
+    associativity hold by construction.  Two facts can fail, both on chains
+    I ⊊ J ⊊ K: for z in Ṽ_JK with y = ρ_JK(z) in Ṽ_IJ, z lies in Ṽ_IK
+    (else ``composition_escapes``) and ρ_IK(z) = ρ_IJ(y).  Pairs are taken
+    in the category's order (morphisms numbered by block (I, J) in index
+    order, then by y), and the first failing pair is also reported as the
+    category axiom it breaks: ``compose_endpoints`` where the second fact
+    fails, else ``composable_pair_undefined``."""
     rep = CheckReport("pruned_category")
     indices = atlas.index_sets()
     blocks = _ints([(i, j) for i, I in enumerate(indices) for j, J in enumerate(indices)
@@ -432,31 +425,36 @@ def build_pruned_category(atlas: AtlasModel, red: Reduction) -> PrunedResult:
     tildes = [_tilde(atlas, red, indices[i], indices[j]) for i, j in blocks.tolist()]
     (ys, start), (xs, _) = _flat(t[0] for t in tildes), _flat(t[1] for t in tildes)
     block, _ = _runs(np.diff(start))
-    I, J = blocks[block].T  # per morphism (I, J, y): y and ρ_IJ(y) are ys and xs
-    # place[k, y]: the morphism at sample y of the k-th block, or -1
-    place = np.full((len(blocks), int(ys.max(initial=-1)) + 1), -1)
+    # place[k, y]: the morphism at sample y of the k-th block, or -1; row -1 is all -1
+    place = np.full((len(blocks) + 1, int(ys.max(initial=-1)) + 1), -1)
     place[block, ys] = np.arange(len(ys))
     block_of = np.full((len(indices),) * 2, -1, dtype=np.int64)
     block_of[blocks[:, 0], blocks[:, 1]] = np.arange(len(blocks))
-    # object (I, x) is numbered as its identity (I, I, x) among the identities
-    identity = _where(I == J)
-    number = np.full(len(ys) + 1, -1, dtype=np.int64)
-    number[identity] = np.arange(len(identity))
-    src, tgt = number[place[block_of[I, I], xs]], number[place[block_of[J, J], ys]]
-    pairs = PairIndex.of(len(identity), src, tgt)
-    f, g = pairs.f, pairs.g
-    k = block_of[I[f], J[g]]
-    comp = np.where(k >= 0, place[k, ys[g]], -1)
-    morphisms = Labels(len(ys), lambda: zip(
-        [indices[i] for i in I.tolist()], [indices[j] for j in J.tolist()], ys.tolist()))
-    objects = Labels(len(identity), lambda: (
-        (morphisms[m][0], morphisms[m][2]) for m in identity.tolist()))
-    for p in _where(comp < 0).tolist():
-        rep.fail("composition_escapes", pair=(morphisms[f[p]], morphisms[g[p]]),
-                 result=(indices[I[f[p]]], indices[J[g[p]]], int(ys[g[p]])))
-    cat = FiniteCategory(objects, morphisms, src, tgt, identity, pairs, comp)
-    rep.merge(check_category(cat))
-    return PrunedResult(category=cat, report=rep)
+    # the pairs f = (I, J, y), g = (J, K, z) over chains of blocks I ≠ J ≠ K
+    I, J = blocks.T
+    k1, k2 = ((J[:, None] == I[None, :]) & (I != J)[:, None] & (I != J)[None, :]).nonzero()
+    c, t = _runs(np.diff(start)[k2])
+    g = start[k2[c]] + t
+    f = place[k1[c], xs[g]]
+    c, g, f = c[f >= 0], g[f >= 0], f[f >= 0]
+    h = place[block_of[I[k1[c]], J[k2[c]]], ys[g]]  # (I, K, z), or -1
+    order = np.lexsort((g, f))
+    f, g, h = f[order], g[order], h[order]
+
+    def label(m):
+        return indices[I[block[m]]], indices[J[block[m]]], int(ys[m])
+
+    for p in _where(h < 0).tolist():
+        rep.fail("composition_escapes", pair=(label(f[p]), label(g[p])),
+                 result=(label(f[p])[0], *label(g[p])[1:]))
+    wrong = _where((h >= 0) & (xs[h] != xs[f]))  # ρ_IK(z) ≠ ρ_IJ(y)
+    bad = wrong if wrong.size else _where(h < 0)
+    if bad.size:
+        axioms = CheckReport("category_axioms")
+        axioms.fail("compose_endpoints" if wrong.size else "composable_pair_undefined",
+                    pair=(label(f[bad[0]]), label(g[bad[0]])))
+        rep.merge(axioms)
+    return rep
 
 
 # ---------------------------------------------------------------------------

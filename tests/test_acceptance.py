@@ -198,7 +198,7 @@ def _category_laws(atlas, V=None):
         rep = check_reduction(atlas, V)
         assert rep.ok, rep.failures
     pruned = build_pruned_category(atlas, V)
-    assert pruned.report.ok, pruned.report.failures
+    assert pruned.ok, pruned.failures
     zsets = {
         I: frozenset(
             set(V.sets[I]) & set(atlas.charts[I].zero_sample_indices())

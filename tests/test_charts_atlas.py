@@ -202,7 +202,8 @@ class TestChart:
 def _z3_in_basis_p(samples):
     """Z_3 acting on E = R² by B = P·[[0, −1], [1, −1]]·P⁻¹ = [[0, −1/2],
     [2, −1]] with P = diag(1, 2), freely on three points; its grid is the
-    orbit of ±(1, 0) and 0, and ``samples`` are the section values."""
+    orbit of ±(1, 0), 0 and the orbit of :func:`_orbit_in_basis_p`, and
+    ``samples`` are the section values."""
     B = np.array([[F(0), F(-1, 2)], [F(2), F(-1)]])
     g = cyclic_group(3)
     domain = GroupQuotientModel(
@@ -210,7 +211,7 @@ def _z3_in_basis_p(samples):
     )
     grid = [(F(0), F(0))] + [
         (s * a, s * b) for a, b in ((1, 0), (0, 2), (-1, -2)) for s in (1, -1)
-    ]
+    ] + _orbit_in_basis_p()
     chart = ChartModel(
         index=(1,),
         domain=domain,
@@ -566,13 +567,11 @@ def category_from_labels(objects, morphisms, source: dict, target: dict, compose
                          identity_of: dict) -> FiniteCategory:
     """The ``FiniteCategory`` of label data; ``compose[(f, g)]`` is "f then g".
 
-    An endpoint that is not an object, a composable pair missing from
-    ``compose`` and an identity that is not a morphism are kept in the
-    arrays.  A ``compose`` entry that is not a composable pair of
-    morphisms, or whose composite is not a morphism, and an
-    ``identity_of`` entry that is not object -> morphism are kept, the
-    first of each kind in ``compose`` and ``identity_of`` order, in
-    ``defects``.
+    An endpoint that is not an object and a composable pair missing from
+    ``compose`` are kept in the arrays; so is a composite or an identity
+    that names no morphism, as the index ``len(morphisms)``.  The arrays
+    have no place for a ``compose`` entry of a pair that is not composable,
+    which is left out.
     """
     objects, morphisms = tuple(objects), tuple(morphisms)
     obj_idx = {o: i for i, o in enumerate(objects)}
@@ -583,26 +582,14 @@ def category_from_labels(objects, morphisms, source: dict, target: dict, compose
     pairs = PairIndex.of(len(objects), src, tgt)
     pair_start, rank = pairs.pair_start.tolist(), pairs.rank.tolist()
     comp = np.full(len(pairs.f), -1, dtype=np.int64)
-    compose_defect = identity_defect = None
     for (f, g), h in compose.items():
-        fi, gi, hi = mor_idx.get(f), mor_idx.get(g), mor_idx.get(h)
-        if fi is None or gi is None or hi is None:
-            clause = "compose_outside_morphisms"
-        elif tgt_l[fi] != src_l[gi] or src_l[gi] < 0:
-            clause = "compose_of_non_composable"
-        else:
-            comp[pair_start[fi] + rank[gi]] = hi
-            continue
-        compose_defect = compose_defect or (clause, {"pair": (f, g)})
+        fi, gi = mor_idx[f], mor_idx[g]
+        if tgt_l[fi] == src_l[gi] >= 0:
+            comp[pair_start[fi] + rank[gi]] = mor_idx.get(h, len(morphisms))
     identity = np.full(len(objects), -1, dtype=np.int64)
     for o, m in identity_of.items():
-        oi, mi = obj_idx.get(o), mor_idx.get(m)
-        if oi is not None:
-            identity[oi] = len(morphisms) if mi is None else mi
-        if oi is None or mi is None:
-            identity_defect = identity_defect or ("identity_missing", {"object": o})
-    defects = tuple(d for d in (compose_defect, identity_defect) if d is not None)
-    return FiniteCategory(objects, morphisms, src, tgt, identity, pairs, comp, defects)
+        identity[obj_idx[o]] = mor_idx.get(m, len(morphisms))
+    return FiniteCategory(objects, morphisms, src, tgt, identity, pairs, comp)
 
 
 def _arrow(**changes):
@@ -666,11 +653,6 @@ class TestCategoryClauses:
                 {"clause": "compose_outside_morphisms", "pair": ("ia", "f")},
             ),
             (
-                {"compose": {("ia", "ia"): "ia", ("ia", "f"): "f", ("ib", "ib"): "ib",
-                             ("f", "ib"): "f", ("f", "ia"): "f"}},
-                {"clause": "compose_of_non_composable", "pair": ("f", "ia")},
-            ),
-            (
                 {"compose": {("ia", "ia"): "ia", ("ia", "f"): "ia", ("ib", "ib"): "ib",
                              ("f", "ib"): "f"}},
                 {"clause": "compose_endpoints", "pair": ("ia", "f")},
@@ -682,10 +664,6 @@ class TestCategoryClauses:
             (
                 {"identity_of": {"a": "ia", "b": "nope"}},
                 {"clause": "identity_missing", "object": "b"},
-            ),
-            (
-                {"identity_of": {"a": "ia", "c": "ib"}},
-                {"clause": "identity_missing", "object": "c"},
             ),
             (
                 {"identity_of": {"a": "ia"}},
@@ -977,15 +955,27 @@ class TestObstructionCategoryInClosedForm:
         assert counted["_block_category"] == 2
 
 
-def test_footprint_functor_not_constant_is_reported():
+def _vfc_check(tmp_path, atlas) -> int:
+    """The exit code of ``vfc check`` on the document of ``atlas``."""
+    from click.testing import CliRunner
+
+    from vfc.cli import main
+
+    path = tmp_path / "atlas.json"
+    path.write_text(json.dumps(atlas_to_json(atlas)))
+    return CliRunner().invoke(main, ["check", str(path)]).exit_code
+
+
+def test_footprint_functor_not_constant_is_reported(tmp_path):
     """Chart (1, 2) of sphere-euler N=8 with the footprint labels of its
     samples 0 and 1 swapped: each chart is still a bijection onto its
     footprint, but B_K's morphism from (1,) into sample 0 of (1, 2) joins
-    two labels."""
+    two labels, so the footprint functor is not constant on a zero class.
+    The realization reports it, and ``vfc check`` fails."""
     from vfc.examples_cli import ExampleDescriptor, build_example
 
     atlas = build_example(ExampleDescriptor("sphere-euler", {"density": 8})).atlas
-    I, J = (1,), (1, 2)
+    J = (1, 2)
     chart = atlas.charts[J]
     footprint_map = dict(chart.footprint_map)
     footprint_map[0], footprint_map[1] = footprint_map[1], footprint_map[0]
@@ -993,17 +983,20 @@ def test_footprint_functor_not_constant_is_reported():
     charts[J] = dataclasses.replace(chart, footprint_map=footprint_map)
     doctored = dataclasses.replace(atlas, charts=charts)
     assert check_chart(doctored, J).ok
-    failures = build_categories(doctored).report.failures
-    assert failures[0] == {
-        "clause": "footprint_functor_not_constant", "morphism": (I, J, 0, "e"),
-    }
-    assert {f["clause"] for f in failures} == {"footprint_functor_not_constant"}
+    out = build_categories(doctored)
+    assert out.report.ok
+    assert check_realizations(doctored, out.domain_category).failures == [
+        {"clause": "zero_class_with_mixed_footprints", "representative": ((1,), 1)},
+        {"clause": "zero_class_with_mixed_footprints", "representative": ((1,), 2)},
+        {"clause": "zero_classes_not_bijective_with_footprint", "classes": 26, "footprint": 26},
+    ]
+    assert _vfc_check(tmp_path, doctored) == 1
 
 
 def test_obstruction_grid_not_phi_closed_is_reported():
-    """φ̂ scaled off the obstruction grid: the clause names the change, and
-    no fact that reads φ̂ is read.  E_K, built when read, has no morphisms,
-    so its identities are missing."""
+    """φ̂ scaled off the obstruction grid: ``check_coordinate_change`` names
+    the first grid point φ̂ maps off the target grid, and a direct
+    ``build_categories`` call, which takes the fact as given, raises."""
     from vfc.examples_cli import ExampleDescriptor, build_example
 
     atlas = build_example(ExampleDescriptor("sphere-euler", {"density": 8})).atlas
@@ -1011,19 +1004,17 @@ def test_obstruction_grid_not_phi_closed_is_reported():
     key = min(changes)
     scaled = [[3 * x for x in row] for row in changes[key].phi_hat.fractions()]
     changes[key] = dataclasses.replace(changes[key], phi_hat=scaled)
-    out = build_categories(dataclasses.replace(atlas, changes=changes))
-    assert out.report.failures == [{
-        "clause": "obstruction_grid_not_phi_closed", "pair": key,
-        "vector": (Fraction(1, 2), Fraction(0)),
+    doctored = dataclasses.replace(atlas, changes=changes)
+    assert check_coordinate_change(doctored, *key).failures == [{
+        "clause": "obstruction_grid_not_phi_closed", "vector": (Fraction(1, 2), Fraction(0)),
     }]
-    assert check_category(out.obstruction_category).failures == [
-        {"clause": "identity_missing", "object": ((1,), 0, 0)},
-    ]
+    with pytest.raises(ValueError, match=r"coordinate change \(1,\)->\(1, 2\): φ̂ maps a grid"):
+        build_categories(doctored)
 
 
-def test_zero_sample_without_footprint_is_reported():
+def test_zero_sample_without_footprint_is_reported(tmp_path):
     """A zero sample whose footprint label is missing is a clause of the
-    footprint functor and of the realization check, not a ``KeyError``."""
+    chart and of the realization check, not a ``KeyError``."""
     from vfc.examples_cli import ExampleDescriptor, build_example
 
     atlas = build_example(ExampleDescriptor("football-euler", {"density": 8})).atlas
@@ -1034,10 +1025,15 @@ def test_zero_sample_without_footprint_is_reported():
     charts = dict(atlas.charts)
     charts[I] = dataclasses.replace(chart, footprint_map=footprint_map)
     doctored = dataclasses.replace(atlas, charts=charts)
-    want = {"clause": "zero_sample_without_footprint", "index": I, "point": x}
+    assert {"clause": "zero_sample_without_footprint", "point": x} in (
+        check_chart(doctored, I).failures)
     out = build_categories(doctored)
-    assert want in out.report.failures
-    assert want in check_realizations(doctored, out.domain_category).failures
+    assert out.report.ok
+    assert check_realizations(doctored, out.domain_category).failures == [
+        {"clause": "zero_sample_without_footprint", "index": I, "point": x},
+        {"clause": "zero_classes_not_bijective_with_footprint", "classes": 25, "footprint": 26},
+    ]
+    assert _vfc_check(tmp_path, doctored) == 1
 
 
 class TestRealization:

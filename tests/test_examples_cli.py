@@ -233,6 +233,30 @@ def test_run_checks_perturbation_and_builds_groupoid_once(monkeypatch):
     assert calls == dict.fromkeys(names, 1)
 
 
+def test_a_run_constructs_one_category(monkeypatch):
+    """B_K is the only category a pass builds: one sphere-euler N=12
+    ``run_example`` constructs one ``FiniteCategory``, and no module of
+    ``vfc`` but ``charts_atlas`` names the constructor."""
+    import pathlib
+
+    example = ExampleDescriptor("sphere-euler", {"density": 12})
+    B = build_categories(build_example(example).atlas).domain_category
+    made = []  # the morphism count of each category constructed
+    init = charts_atlas.FiniteCategory.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(len(args[1]))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(charts_atlas.FiniteCategory, "__init__", counting)
+    report, code = run_example(example)
+    assert code == 0 and report["total"] == "2/1"
+    assert made == [len(B.morphisms)]
+    source = pathlib.Path(charts_atlas.__file__).parent
+    assert [p.name for p in sorted(source.glob("*.py"))
+            if "FiniteCategory(" in p.read_text(encoding="utf-8")] == ["charts_atlas.py"]
+
+
 def test_run_report_json_serializable():
     report, _ = run_example(ExampleDescriptor("football-fclass"))
     text = json.dumps(report, sort_keys=True)

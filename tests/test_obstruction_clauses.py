@@ -13,12 +13,15 @@ only run a validator and read its failures.
 import dataclasses
 from fractions import Fraction
 
+import pytest
+
 from vfc.charts_atlas import (
     build_categories,
     check_atlas_model,
     check_chart,
     check_cocycle,
     check_coordinate_change,
+    check_realizations,
     check_tame_and_filtration,
 )
 from vfc.examples_cli import ExampleDescriptor, _atlas_stages, build_example, build_toy_atlas
@@ -241,10 +244,13 @@ def test_filtration_intersection():
 
 
 def test_section_value_outside_grid():
-    failure = _failure(build_categories(sample_off_the_grid()).report,
-                       "section_value_outside_grid")
-    assert failure["index"] == (1, 2)
-    assert failure["value"] == (F(1, 3), F(0), F(0), F(0))
+    atlas = sample_off_the_grid()
+    assert _failure(check_chart(atlas, (1, 2)), "section_value_outside_grid") == {
+        "clause": "section_value_outside_grid", "point": 0, "value": (F(1, 3), F(0), F(0), F(0)),
+    }
+    # a direct call takes the chart axiom as given
+    with pytest.raises(ValueError, match=r"chart \(1, 2\): a section value is no grid point"):
+        build_categories(atlas)
 
 
 def test_obstruction_grid_repeated():
@@ -260,8 +266,13 @@ def test_obstruction_grid_repeated():
 
 
 def test_zero_vector_outside_grid():
-    rep = build_categories(chart_without_grid()).report
-    assert _failure(rep, "zero_vector_outside_grid") == {"clause": "zero_vector_outside_grid"}
+    atlas = chart_without_grid()
+    assert check_chart(atlas, (1,)).failures == [
+        {"clause": "section_value_outside_grid", "point": 0, "value": ()},
+        {"clause": "zero_vector_outside_grid"},
+    ]
+    with pytest.raises(ValueError, match=r"chart \(1,\): a section value is no grid point"):
+        build_categories(atlas)
 
 
 def test_norm_shape():
@@ -308,11 +319,15 @@ def test_section_not_phi_compatible_on_the_grid():
 
 
 def test_section_not_equivariant_on_the_grid():
-    rep = build_categories(section_not_equivariant_on_the_grid()).report
-    assert rep.failures == [
+    """The section is 0 only over b, so the zero classes miss a as well."""
+    atlas = section_not_equivariant_on_the_grid()
+    out = build_categories(atlas)
+    assert out.report.failures == [
         {"clause": "section_not_equivariant_on_grid", "index": (1,), "element": "g1",
          "point": 0},
-        {"clause": "footprint_functor_not_surjective", "image": ["b"]},
+    ]
+    assert check_realizations(atlas, out.domain_category).failures == [
+        {"clause": "zero_classes_not_bijective_with_footprint", "classes": 1, "footprint": 2},
     ]
 
 

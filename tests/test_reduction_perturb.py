@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -12,8 +14,17 @@ from vfc.charts_atlas import (
     RationalArray,
     AtlasModel,
     ChartModel,
+    CheckReport,
     CoordinateChangeModel,
+    FiniteCategory,
     GroupQuotientModel,
+    Labels,
+    PairIndex,
+    _flat,
+    _ints,
+    _runs,
+    _where,
+    check_category,
     cyclic_group,
     product_group,
     trivial_group,
@@ -27,6 +38,7 @@ from vfc.reduction_perturb import (
     _Rows,
     _small,
     _sums,
+    _tilde,
     build_pruned_category,
     check_adapted,
     check_perturbation,
@@ -268,20 +280,83 @@ class TestDerivedSets:
 # ---------------------------------------------------------------------------
 
 
+def pruned_category_oracle(atlas: AtlasModel, red: Reduction):
+    """The pruned category built as a ``FiniteCategory`` and its report
+    (``composition_escapes``, then ``check_category``'s first failing axiom):
+    the reference for ``build_pruned_category``, which checks the chain facts
+    only.  Objects (I, x) and morphisms (I, J, y) are numbered by index
+    order and then by sample; "(I, J, y) then (J, K, z)" is (I, K, z)."""
+    rep = CheckReport("pruned_category")
+    indices = atlas.index_sets()
+    blocks = _ints([(i, j) for i, I in enumerate(indices) for j, J in enumerate(indices)
+                    if set(I) <= set(J) and (I == J or (I, J) in atlas.changes)]).reshape(-1, 2)
+    tildes = [_tilde(atlas, red, indices[i], indices[j]) for i, j in blocks.tolist()]
+    (ys, start), (xs, _) = _flat(t[0] for t in tildes), _flat(t[1] for t in tildes)
+    block, _ = _runs(np.diff(start))
+    I, J = blocks[block].T
+    place = np.full((len(blocks), int(ys.max(initial=-1)) + 1), -1)
+    place[block, ys] = np.arange(len(ys))
+    block_of = np.full((len(indices),) * 2, -1, dtype=np.int64)
+    block_of[blocks[:, 0], blocks[:, 1]] = np.arange(len(blocks))
+    identity = _where(I == J)
+    number = np.full(len(ys) + 1, -1, dtype=np.int64)
+    number[identity] = np.arange(len(identity))
+    src, tgt = number[place[block_of[I, I], xs]], number[place[block_of[J, J], ys]]
+    pairs = PairIndex.of(len(identity), src, tgt)
+    f, g = pairs.f, pairs.g
+    k = block_of[I[f], J[g]]
+    comp = np.where(k >= 0, place[k, ys[g]], -1)
+    morphisms = Labels(len(ys), lambda: zip(
+        [indices[i] for i in I.tolist()], [indices[j] for j in J.tolist()], ys.tolist()))
+    objects = Labels(len(identity), lambda: (
+        (morphisms[m][0], morphisms[m][2]) for m in identity.tolist()))
+    for p in _where(comp < 0).tolist():
+        rep.fail("composition_escapes", pair=(morphisms[f[p]], morphisms[g[p]]),
+                 result=(indices[I[f[p]]], indices[J[g[p]]], int(ys[g[p]])))
+    cat = FiniteCategory(objects, morphisms, src, tgt, identity, pairs, comp)
+    rep.merge(check_category(cat))
+    return cat, rep
+
+
+def doctored_pruned_case(seed: int):
+    """A random toy atlas with Ũ_IJ entries dropped and ρ_IJ values moved,
+    and a random reduction of it: each change drops a sample of Ũ_IJ with
+    probability 1/3 and moves a ρ_IJ value with probability 1/2, and V_I
+    keeps each sample with probability 3/4."""
+    rng = random.Random(seed)
+    atlas = random_toy_atlas(rng.randrange(1000))
+    changes = {}
+    for (I, J), change in atlas.changes.items():
+        tilde, rho = list(change.tilde_indices), dict(change.rho_idx)
+        if tilde and rng.random() < 1 / 3:
+            tilde.remove(rng.choice(tilde))
+        if tilde and rng.random() < 1 / 2:
+            rho[rng.choice(tilde)] = rng.randrange(len(atlas.charts[I].domain.points))
+        changes[(I, J)] = dataclasses.replace(change, tilde_indices=tuple(tilde), rho_idx=rho)
+    atlas = dataclasses.replace(atlas, changes=changes)
+    sets = {I: frozenset(x for x in range(len(atlas.charts[I].domain.points))
+                         if rng.random() < 3 / 4)
+            for I in atlas.index_sets()}
+    return atlas, Reduction(sets=sets)
+
+
 class TestPrunedCategory:
+    """``build_pruned_category`` checks the chain facts; the sizes and
+    laws of the category are read off the oracle, which builds it."""
+
     def test_canonical_reduction_is_discrete(self, toy3):
         red = toy_reduction(toy3)
-        result = build_pruned_category(toy3, red)
-        assert result.report.ok
-        cat = result.category
+        assert build_pruned_category(toy3, red).ok
+        cat, report = pruned_category_oracle(toy3, red)
+        assert report.ok
         # canonical toy reductions have no cross-chart overlaps
         assert len(cat.morphisms) == len(cat.objects)
 
     def test_full_reduction_counts(self, toy2):
         red = full_reduction(toy2)
-        result = build_pruned_category(toy2, red)
-        assert result.report.ok
-        cat = result.category
+        assert build_pruned_category(toy2, red).ok
+        cat, report = pruned_category_oracle(toy2, red)
+        assert report.ok
         expected_obj = sum(len(red.sets[I]) for I in toy2.index_sets())
         assert len(cat.objects) == expected_obj
         expected_mor = sum(
@@ -293,16 +368,16 @@ class TestPrunedCategory:
         assert len(cat.morphisms) == expected_mor
 
     def test_nonsingular(self, toy3):
-        result = build_pruned_category(toy3, full_reduction(toy3))
-        assert result.report.ok
-        cat = result.category
+        assert build_pruned_category(toy3, full_reduction(toy3)).ok
+        cat, report = pruned_category_oracle(toy3, full_reduction(toy3))
+        assert report.ok
         pairs = {(cat.source[m], cat.target[m]) for m in cat.morphisms}
         assert len(pairs) == len(cat.morphisms)
 
     def test_random_toys(self):
         for seed in range(5):
             atlas = random_toy_atlas(200 + seed)
-            assert build_pruned_category(atlas, full_reduction(atlas)).report.ok
+            assert build_pruned_category(atlas, full_reduction(atlas)).ok
 
     def test_composition_escape_detected(self, toy3):
         # remove one point from the (1,) -> (1,2,3) overlap so that the
@@ -317,14 +392,43 @@ class TestPrunedCategory:
         changes = dict(toy3.changes)
         changes[key] = tampered
         atlas = dataclasses.replace(toy3, changes=changes)
-        result = build_pruned_category(atlas, full_reduction(atlas))
+        report = build_pruned_category(atlas, full_reduction(atlas))
         escaped = ((1,), (1, 2, 3), 0)
-        assert result.report.failures == [
+        assert report.failures == [
             {"clause": "composition_escapes",
              "pair": (((1,), (1, 2), 6), ((1, 2), (1, 2, 3), 0)), "result": escaped},
             {"clause": "composition_escapes",
              "pair": (((1,), (1, 3), 0), ((1, 3), (1, 2, 3), 0)), "result": escaped},
             {"clause": "composable_pair_undefined", "from": "category_axioms",
+             "pair": (((1,), (1, 2), 6), ((1, 2), (1, 2, 3), 0))},
+        ]
+
+    def test_matches_the_oracle_on_doctored_atlases(self):
+        """Random toy atlases with Ũ_IJ entries dropped and ρ_IJ values
+        moved, under random reductions: the same failure lists as the
+        oracle's, both category axioms among them."""
+        begin, axioms = time.perf_counter(), set()
+        for seed in range(240):
+            atlas, red = doctored_pruned_case(seed)
+            report = build_pruned_category(atlas, red)
+            assert report.failures == pruned_category_oracle(atlas, red)[1].failures, seed
+            axioms |= {f["clause"] for f in report.failures if "from" in f}
+        assert axioms == {"compose_endpoints", "composable_pair_undefined"}
+        assert time.perf_counter() - begin < 2
+
+    def test_a_moved_rho_value_breaks_the_composite_endpoints(self, toy3):
+        """ρ_IK(z) ≠ ρ_IJ(ρ_JK(z)) on the chain (1,) ⊊ (1, 2) ⊊ (1, 2, 3): the
+        composite (I, K, z) starts elsewhere than the pair does."""
+        key = ((1,), (1, 2, 3))
+        change = toy3.changes[key]
+        z = change.tilde_indices[0]
+        rho = {**change.rho_idx, z: (change.rho_idx[z] + 1) % len(toy3.charts[(1,)].domain.points)}
+        changes = {**toy3.changes, key: dataclasses.replace(change, rho_idx=rho)}
+        atlas = dataclasses.replace(toy3, changes=changes)
+        report = build_pruned_category(atlas, full_reduction(atlas))
+        assert report.failures == pruned_category_oracle(atlas, full_reduction(atlas))[1].failures
+        assert report.failures == [
+            {"clause": "compose_endpoints", "from": "category_axioms",
              "pair": (((1,), (1, 2), 6), ((1, 2), (1, 2, 3), 0))},
         ]
 
