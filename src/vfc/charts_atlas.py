@@ -33,7 +33,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .exterior_engine import eliminate, parse_rat, rat_str
-from .expressions import compile_vector, eval_pred_rows, evaluate_until_raise
+from .expressions import check_grammar, compile_vector, eval_pred_rows, evaluate_until_raise
 
 __all__ = [
     "TAU_RANK",
@@ -2014,12 +2014,20 @@ def _chart_to_json(c: ChartModel) -> dict:
     return out
 
 
+def _check_asts(chart: ChartModel | None, where: str, asts, predicate: bool = False) -> None:
+    """:func:`~vfc.expressions.check_grammar` of ``asts`` (one predicate if
+    ``predicate``) on ``chart``'s coordinates; none without either."""
+    if chart is not None and asts is not None:
+        dim = chart.domain.points.num.shape[1]
+        check_grammar([asts] if predicate else asts, dim, where, predicate)
+
+
 def _chart_from_json(d: dict, where: str) -> ChartModel:
     domain = _quotient_from_json(d["domain"], where)
     action = d["obstruction_action"]
     if action or d["obstruction_dim"] != 0:
         action = _by_element(where, "obstruction_action", action, domain.group.elements)
-    return ChartModel(
+    chart = ChartModel(
         index=tuple(d["index"]),
         domain=domain,
         obstruction_dim=d["obstruction_dim"],
@@ -2032,6 +2040,9 @@ def _chart_from_json(d: dict, where: str) -> ChartModel:
         section_asts=tuple(d["section_asts"]) if "section_asts" in d else None,
         tangent_dims=tuple(d["tangent_dims"]),
     )
+    _check_asts(chart, f"{where}: section_asts", chart.section_asts)
+    _check_asts(chart, f"{where}: membership", domain.membership, predicate=True)
+    return chart
 
 
 def _change_to_json(c: CoordinateChangeModel) -> dict:
@@ -2064,7 +2075,7 @@ def _change_from_json(d: dict, charts: dict) -> CoordinateChangeModel:
             if type(v) is not int or not 0 <= v < n:
                 raise ValueError(f"coordinate change {I}->{J}: {key}: {v!r} is not "
                                  f"a sample of chart {K}, which has {n}")
-    return CoordinateChangeModel(
+    change = CoordinateChangeModel(
         source_index=I,
         target_index=J,
         tilde_indices=tilde,
@@ -2075,6 +2086,11 @@ def _change_from_json(d: dict, charts: dict) -> CoordinateChangeModel:
         lifted_pred=d.get("lifted_pred"),
         tilde_tangent_dims=tuple(d["tilde_tangent_dims"]),
     )
+    # ρ_IJ and the lift of Ũ_IJ are evaluated on chart J
+    name = f"coordinate change {I}->{J}"
+    _check_asts(charts.get(J), f"{name}: rho_asts", change.rho_asts)
+    _check_asts(charts.get(J), f"{name}: lifted_pred", change.lifted_pred, predicate=True)
+    return change
 
 
 def _metric_key_to_json(key: tuple) -> list:

@@ -135,12 +135,12 @@ def zeros_cmd(atlas_file, pert_file, json_path):
     try:
         atlas = atlas_from_json(data)
         if "reduction" in data:
-            red = reduction_from_json(data["reduction"])
+            red = reduction_from_json(data["reduction"], atlas)
         else:
             red = Reduction(sets={I: frozenset(range(len(atlas.charts[I].domain.points)))
                                   for I in atlas.index_sets()})
-        nu = perturbation_from_json(pdata)
-    except (ValueError, KeyError, TypeError) as ex:
+        nu = perturbation_from_json(pdata, atlas)
+    except (ArithmeticError, ValueError, KeyError, TypeError) as ex:
         click.echo(f"schema error: {ex}", err=True)
         sys.exit(3)
     try:

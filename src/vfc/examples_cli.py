@@ -1063,14 +1063,14 @@ def check_atlas_data(data: dict) -> dict:
     ok = True
     for rep, _ in _atlas_stages(atlas):
         ok = _stage(stages, rep) and ok
-    red = reduction_from_json(data["reduction"]) if "reduction" in data else None
+    red = reduction_from_json(data["reduction"], atlas) if "reduction" in data else None
     if red is not None:
         ok = _stage(stages, check_reduction(atlas, red)) and ok
         ok = _stage(stages, build_pruned_category(atlas, red)) and ok
     if "norms" in data:
         ok = _stage(stages, norms_from_json(data["norms"]).validate(atlas)) and ok
     if "perturbation" in data and red is not None:
-        nu = perturbation_from_json(data["perturbation"])
+        nu = perturbation_from_json(data["perturbation"], atlas)
         ok = _stage(stages, check_perturbation(atlas, red, nu)) and ok
     report["ok"] = ok
     return report

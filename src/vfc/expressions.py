@@ -1,4 +1,5 @@
-"""Expression ASTs with forward-mode (dual-number) first derivatives.
+"""Expression ASTs: values by an interpreter, first derivatives by a
+compiled forward-mode tape, and a grammar check for documents.
 
 Expressions are JSON-native nested lists, e.g. ``["*", ["var", 0],
 ["num", "1/2"]]``.  Rational subexpressions evaluate exactly over
@@ -20,26 +21,22 @@ Predicate nodes
 ``["==", a, b]``, ``["and", ...]``, ``["or", ...]``, ``["not", p]``,
 ``["true"]``, ``["false"]``.
 
-Exact and float evaluation
---------------------------
-The interpreter (:func:`eval_expr`, :func:`eval_pred`,
-:func:`value_and_jacobian` with :class:`Dual`) is the exact path: at
-``Fraction`` coordinates rational subexpressions stay rational.  It serves
-exact sample values of a perturbation and every predicate at float points.
-:func:`eval_pred_rows` tests a predicate at every row of a rational sample
-array at once, exactly, and falls back to :func:`eval_pred` row by row for
-nodes outside its fragment.
+Values, derivatives and documents
+---------------------------------
+:func:`eval_expr` and :func:`eval_pred` compute values only, exactly at
+``Fraction`` coordinates where every node on the way is rational: the
+exact sample values of a perturbation and every predicate at float
+points.  :func:`eval_pred_rows` tests a predicate on a whole rational
+sample array, exactly where it can.
 
-The repeated evaluations at float coordinates (Newton's iteration in
-``find_zeros``, the transversality and admissibility checks of a
-perturbation, the tangent bundle condition, ρ and section consistency)
-go through :func:`compile_vector` instead.  It walks the ASTs once and
-returns a closure over a batch of points, ``(n, dim)`` in, values
-``(n, m)`` and Jacobians ``(n, m, k)`` out, each row the numbers the
-interpreter gives at that point's float coordinates.  Newton steps every
-seed of a chart in one call per round, and each check evaluates all its
-points in one call; :func:`evaluate_until_raise` keeps a check's
-first-failure order when some point's arithmetic raises.
+Every derivative comes from :func:`compile_vector`, a forward-mode tape
+(Griewank and Walther, *Evaluating Derivatives*, 2nd ed., 2008): each step
+carries a node's value v and its gradient ∇v along the tangent
+coordinates, by ∇(a ± b) = ∇a ± ∇b, ∇(ab) = b∇a + a∇b,
+∇(a/b) = (∇a − (a/b)∇b)/b and ∇f(a) = f′(a)∇a, for a batch of points at
+once.  Newton's iteration and every float-side check evaluate through it;
+:func:`value_and_jacobian` is one row of it.  :func:`check_grammar`
+checks an AST once, as a document is read.
 """
 
 from __future__ import annotations
@@ -52,21 +49,17 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 __all__ = [
-    "Dual",
+    "check_grammar",
     "compile_vector",
     "evaluate_until_raise",
     "eval_expr",
     "eval_vector",
     "eval_pred",
     "eval_pred_rows",
-    "jacobian",
     "value_and_jacobian",
     "num",
     "var",
-    "const_vec",
 ]
-
-Number = int | float | Fraction
 
 
 def num(value) -> list:
@@ -79,93 +72,13 @@ def var(k: int) -> list:
     return ["var", k]
 
 
-def const_vec(values) -> list[list]:
-    return [num(v) for v in values]
-
-
-class Dual:
-    """A first-order dual number: value + directional gradient."""
-
-    __slots__ = ("val", "grad")
-
-    def __init__(self, val, grad: tuple):
-        self.val = val
-        self.grad = tuple(grad)
-
-    @staticmethod
-    def lift(x, nvars: int) -> "Dual":
-        if isinstance(x, Dual):
-            return x
-        return Dual(x, (0,) * nvars)
-
-    @staticmethod
-    def seed(x, k: int, nvars: int) -> "Dual":
-        return Dual(x, tuple(1 if i == k else 0 for i in range(nvars)))
-
-    def _coerce(self, other):
-        if isinstance(other, Dual):
-            return other
-        return Dual(other, (0,) * len(self.grad))
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return Dual(self.val + o.val, tuple(a + b for a, b in zip(self.grad, o.grad)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return Dual(self.val - o.val, tuple(a - b for a, b in zip(self.grad, o.grad)))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return o - self
-
-    def __neg__(self):
-        return Dual(-self.val, tuple(-a for a in self.grad))
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return Dual(
-            self.val * o.val,
-            tuple(a * o.val + self.val * b for a, b in zip(self.grad, o.grad)),
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        inv = 1 / o.val if isinstance(o.val, Fraction) else 1.0 / o.val
-        val = self.val * inv
-        return Dual(
-            val,
-            tuple((a - val * b) * inv for a, b in zip(self.grad, o.grad)),
-        )
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return o / self
-
-    def __repr__(self):
-        return f"Dual({self.val}, {self.grad})"
-
-
-def _val(x):
-    return x.val if isinstance(x, Dual) else x
-
-
-def _chain(x, fval, dval):
-    """Lift a scalar function with value fval and derivative dval at x."""
-    if isinstance(x, Dual):
-        return Dual(fval, tuple(dval * g for g in x.grad))
-    return fval
-
-
 _TWO_PI = 2.0 * math.pi
+_COMPARE = {"<=": le, "<": lt, ">=": ge, ">": gt, "==": eq}
 
 
 def eval_expr(ast, coords: Sequence):
-    """Evaluate an AST at coordinates (numbers or Duals)."""
+    """The value of an AST at coordinates: exact where the coordinates and
+    every node on the way are rational, else a float."""
     op = ast[0]
     if op == "num":
         return Fraction(ast[1])
@@ -190,38 +103,24 @@ def eval_expr(ast, coords: Sequence):
     if op == "pow":
         base = eval_expr(ast[1], coords)
         n = int(ast[2])
-        acc = base
         if n == 0:
             return Fraction(1)
         if n < 0:
-            acc = 1 / base if not isinstance(base, Dual) else Dual(1, (0,) * len(base.grad)) / base
-            base = acc
-            n = -n
-            acc = base
+            base, n = 1 / base, -n
+        acc = base
         for _ in range(n - 1):
             acc = acc * base
         return acc
     if op == "sqrt":
-        x = eval_expr(ast[1], coords)
-        v = float(_val(x))
-        f = math.sqrt(v)
-        d = 0.0 if f == 0.0 else 0.5 / f
-        return _chain(x, f, d)
+        return math.sqrt(float(eval_expr(ast[1], coords)))
     if op == "sin2pi":
-        x = eval_expr(ast[1], coords)
-        v = float(_val(x)) * _TWO_PI
-        return _chain(x, math.sin(v), _TWO_PI * math.cos(v))
+        return math.sin(float(eval_expr(ast[1], coords)) * _TWO_PI)
     if op == "cos2pi":
-        x = eval_expr(ast[1], coords)
-        v = float(_val(x)) * _TWO_PI
-        return _chain(x, math.cos(v), -_TWO_PI * math.sin(v))
+        return math.cos(float(eval_expr(ast[1], coords)) * _TWO_PI)
     if op in ("clamp01", "smoothstep"):
         x = eval_expr(ast[1], coords)
-        v = _val(x)
-        if v <= 0 or v >= 1:
-            # flat: an exact zero gradient, also beside an infinite slope
-            c = Fraction(v >= 1) if isinstance(v, Fraction) else float(v >= 1)
-            return Dual(c, (0,) * len(x.grad)) if isinstance(x, Dual) else c
+        if x <= 0 or x >= 1:
+            return Fraction(x >= 1) if isinstance(x, Fraction) else float(x >= 1)
         return x if op == "clamp01" else x * x * (3 - 2 * x)
     raise ValueError(f"unknown expression node: {op!r}")
 
@@ -232,36 +131,19 @@ def eval_vector(asts: Sequence, coords: Sequence) -> list:
 
 def eval_pred(ast, coords: Sequence) -> bool:
     op = ast[0]
-    if op == "true":
-        return True
-    if op == "false":
-        return False
-    if op == "and":
-        return all(eval_pred(sub, coords) for sub in ast[1:])
-    if op == "or":
-        return any(eval_pred(sub, coords) for sub in ast[1:])
+    if op in ("true", "false"):
+        return op == "true"
+    if op in ("and", "or"):
+        return (all if op == "and" else any)(eval_pred(sub, coords) for sub in ast[1:])
     if op == "not":
         return not eval_pred(ast[1], coords)
-    a = _val(eval_expr(ast[1], coords))
-    b = _val(eval_expr(ast[2], coords))
-    if op == "<=":
-        return a <= b
-    if op == "<":
-        return a < b
-    if op == ">=":
-        return a >= b
-    if op == ">":
-        return a > b
-    if op == "==":
-        return a == b
+    if op in _COMPARE:
+        return _COMPARE[op](eval_expr(ast[1], coords), eval_expr(ast[2], coords))
     raise ValueError(f"unknown predicate node: {op!r}")
 
 
 class _Inexact(Exception):
     """A node outside the exact fragment of :func:`eval_pred_rows`."""
-
-
-_COMPARE = {"<=": le, "<": lt, ">=": ge, ">": gt, "==": eq}
 
 
 def eval_pred_rows(ast, points) -> Iterable[bool]:
@@ -284,7 +166,7 @@ def eval_pred_rows(ast, points) -> Iterable[bool]:
         if op == "num":
             v = Fraction(ast[1])
             return v.numerator, v.denominator
-        if op == "var" and type(ast[1]) is int and 0 <= ast[1] < len(columns):
+        if op == "var":
             return columns[ast[1]], points.den
         if op in ("+", "-", "*"):
             (a, da), *rest = map(value, [ast[1], ast[2]] if op == "-" else ast[1:])
@@ -333,38 +215,12 @@ def value_and_jacobian(
     coords: Sequence,
     tangent_dims: Sequence[int] | None = None,
 ) -> tuple[list, list[list]]:
-    """Values and the Jacobian w.r.t. the tangent coordinate directions.
-
-    Returns ``(values, rows)`` where ``rows[i][j]`` is the derivative of the
-    i-th component along the j-th tangent direction.  Non-tangent
-    coordinates are treated as constants.
-    """
-    dims = list(tangent_dims) if tangent_dims is not None else list(range(len(coords)))
-    nv = len(dims)
-    lifted = []
-    for idx, c in enumerate(coords):
-        if idx in dims:
-            lifted.append(Dual.seed(c, dims.index(idx), nv))
-        else:
-            lifted.append(c)
-    values, rows = [], []
-    for a in asts:
-        r = eval_expr(a, lifted)
-        if isinstance(r, Dual):
-            values.append(r.val)
-            rows.append(list(r.grad))
-        else:
-            values.append(r)
-            rows.append([0] * nv)
-    return values, rows
-
-
-def jacobian(
-    asts: Sequence,
-    coords: Sequence,
-    tangent_dims: Sequence[int] | None = None,
-) -> list[list]:
-    return value_and_jacobian(asts, coords, tangent_dims)[1]
+    """Values and the Jacobian along ``tangent_dims`` (by default every
+    coordinate) at one point, as float lists: :func:`compile_vector` at
+    ``[coords]``, row 0."""
+    dims = list(range(len(coords))) if tangent_dims is None else list(tangent_dims)
+    values, jac = compile_vector(asts, dims)([coords])
+    return values[0].tolist(), jac[0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +231,11 @@ def jacobian(
 # float column that carries no gradient (it depends on non-tangent
 # coordinates only) or ("d", register) for a (value column, gradient
 # array) pair: one row per point, the gradient of shape (points, tangent
-# dims).  Each step mirrors, row by row, what the interpreter does on float
-# coordinates: ``Dual`` arithmetic for "d" operands, plain float arithmetic
-# for "p" operands, and one ``float()`` of an exact constant where it meets
-# either.  A step raises where the float arithmetic of one row would;
+# dims).  Each step computes, row by row, its node's float value as the
+# interpreter does on float coordinates and, for a "d" result, the
+# gradient by the node's forward-mode rule, a "p" or "c" operand having
+# gradient 0; an exact constant is rounded by one ``float()`` where it
+# meets a column.  A step raises where the float arithmetic of one row would;
 # results a row does not take (the other side of a ramp, the ``sqrt`` slope
 # at 0) are computed with numpy's warnings off and dropped by ``np.where``.
 
@@ -388,21 +245,14 @@ def _fold(op: str, values: list, extra: tuple = ()):
     return eval_expr([op, *(["var", i] for i in range(len(values))), *extra], values)
 
 
-def _getter(operand) -> Callable:
+def _getter(operand, column: bool = False) -> Callable:
+    """The operand's value in a step, shaped to scale the rows of a
+    gradient if ``column``."""
     kind, ref = operand
     if kind == "c":
         value = float(ref)
         return lambda r: value
-    return itemgetter(ref)
-
-
-def _column(operand) -> Callable:
-    """Like :func:`_getter`, shaped to scale the rows of a gradient."""
-    kind, ref = operand
-    if kind == "c":
-        value = float(ref)
-        return lambda r: value
-    return lambda r: r[ref][:, None]
+    return (lambda r: r[ref][:, None]) if column else itemgetter(ref)
 
 
 def _divisor(v):
@@ -461,13 +311,13 @@ def _mul_step(dual, a, b):
             vb, gb = fb(r)
             return va * vb, ga * vb[:, None] + va[:, None] * gb
     elif a[0] == "d":
-        cb = _column(b)
+        cb = _getter(b, column=True)
 
         def step(x, r):
             va, ga = fa(r)
             return va * fb(r), ga * cb(r)
     else:
-        ca = _column(a)
+        ca = _getter(a, column=True)
 
         def step(x, r):
             vb, gb = fb(r)
@@ -487,7 +337,7 @@ def _div_step(dual, a, b):
             val = va * inv
             return val, (ga - val[:, None] * gb) * inv[:, None]
     elif b[0] == "c":
-        # an exact divisor is inverted exactly, as ``Dual.__truediv__`` does
+        # a / c = a·(1/c) and ∇(a / c) = ∇a·(1/c), with 1/c taken exactly
         inv_c = float(1 / b[1]) if isinstance(b[1], Fraction) else 1.0 / b[1]
 
         def step(x, r):
@@ -520,7 +370,8 @@ def _neg_step(dual, a):
 
 
 def _chain_step(fd: Callable):
-    """A scalar function: ``fd(v)`` is its value and derivative."""
+    """A scalar function f: ``fd(v)`` is (f(v), f′(v)), and the gradient
+    is f′(v)·∇v."""
 
     def make(dual, a):
         fa = _getter(a)
@@ -563,7 +414,9 @@ def _cos2pi(v):
 
 def _ramp_step(smooth: bool):
     """``clamp01`` (``smooth`` false) or ``smoothstep``: 0 at or below 0,
-    1 at or above 1, the ramp between, chosen row by row."""
+    1 at or above 1, the ramp between, chosen row by row.  The gradient is
+    the ramp's on the ramp and exactly 0 on the flat sides, also where
+    ∇a is infinite."""
 
     def make(dual, a):
         fa = _getter(a)
@@ -579,7 +432,7 @@ def _ramp_step(smooth: bool):
             v, g = fa(r)
             low, high = v <= 0, v >= 1
             if smooth:
-                # x * x * (3 - 2 * x) in Dual arithmetic
+                # u²·t with t = 3 − 2u: ∇(u·u)·t + u²·∇t, ∇t = 0 − 2∇u
                 vv = v * v
                 t = 3 - v * 2
                 c = v[:, None]
@@ -681,16 +534,14 @@ def compile_vector(asts: Sequence, tangent_dims: Sequence[int]) -> Callable:
     numbers that it rounds with ``float()``), and returns float64 arrays:
     the values, shape ``(n, len(asts))``, and the Jacobians along
     ``tangent_dims``, shape ``(n, len(asts), len(tangent_dims))``; other
-    coordinates are constants.  Row ``i`` is what
-    :func:`value_and_jacobian` gives at the float coordinates of point
-    ``i``: every subtree without variables is folded exactly and then
-    rounded by one ``float()``, and gradients follow the operation order of
-    :class:`Dual`.  The two can differ only in the last bits (the
-    interpreter keeps integer gradient entries exact), in the sign of a
-    zero, and where a flat ``clamp01`` or ``smoothstep`` meets an infinite
-    gradient (0 here, 0·∞ = NaN there).  Every step is elementwise, so a
-    row does not depend on the other rows: points evaluated one at a time
-    or together give the same bits.
+    coordinates are constants.  Every subtree without variables is folded
+    exactly by :func:`eval_expr` and then rounded by one ``float()``; every
+    other value is what :func:`eval_expr` gives at the float coordinates of
+    the point, up to the last bits, and each gradient follows its node's
+    forward-mode rule (see the module docstring), with ∇ of a ``var`` a
+    unit row and of anything without tangent variables 0.  Every step is
+    elementwise, so a row does not depend on the other rows: points
+    evaluated one at a time or together give the same bits.
 
     Unknown nodes raise ``ValueError`` here, at compile time, and so does
     a constant subtree that cannot be folded.  ``f`` raises exactly when
@@ -750,3 +601,55 @@ def evaluate_until_raise(f: Callable, points) -> tuple:
         except (ArithmeticError, ValueError) as ex:
             return (*f(points[:i]), ex)
     raise error
+
+
+#: the arguments of each node, ``None`` for any number (at least 1 for a value)
+_ARITY = {
+    "expression": {**dict.fromkeys(_STEPS, 1), "num": 1, "var": 1, "pow": 2, "+": None,
+                   "*": None, "-": 2, "/": 2},
+    "predicate": {**dict.fromkeys(_COMPARE, 2), "and": None, "or": None, "not": 1,
+                  "true": 0, "false": 0},
+}
+
+
+def check_grammar(asts, dim: int, where: str, predicate: bool = False) -> None:
+    """Raise ``ValueError`` naming ``where`` unless each of ``asts`` is a
+    value node (a predicate node if ``predicate``) of the module docstring
+    over ``dim`` coordinates, with its arity, ``var`` an int below ``dim``,
+    ``num`` an int or string rational and ``pow`` an int exponent.  What
+    passes raises nothing at ``dim`` coordinates but ``ArithmeticError`` or
+    ``ValueError``."""
+
+    def fail(message: str):
+        raise ValueError(f"{where}: {message}")
+
+    def args(ast, kind: str) -> list:
+        if not (isinstance(ast, list) and ast and isinstance(ast[0], str)):
+            fail(f"{ast!r} is no {kind} node")
+        if ast[0] not in _ARITY[kind]:
+            fail(f"unknown {kind} node: {ast[0]!r}")
+        n, given = _ARITY[kind][ast[0]], len(ast) - 1
+        if given != n and (n is not None or kind == "expression" and not given):
+            fail(f"{ast!r} has {given} arguments, not {'at least 1' if n is None else n}")
+        return ast[1:]
+
+    def value(ast):
+        subs = args(ast, "expression")
+        if ast[0] == "var" and not (type(subs[0]) is int and 0 <= subs[0] < dim):
+            fail(f"{ast!r} is not one of the {dim} coordinates")
+        if ast[0] == "num":
+            try:
+                Fraction(subs[0] if type(subs[0]) in (int, str) else None)
+            except (ArithmeticError, TypeError, ValueError):
+                fail(f"{ast!r} is not a rational")
+        if ast[0] == "pow" and type(subs[1]) is not int:
+            fail(f"{ast!r} has no int exponent")
+        for sub in {"num": (), "var": (), "pow": subs[:1]}.get(ast[0], subs):
+            value(sub)
+
+    def holds(ast):
+        for sub in args(ast, "predicate"):
+            (holds if ast[0] in ("and", "or", "not") else value)(sub)
+
+    for ast in asts:
+        (holds if predicate else value)(ast)

@@ -30,6 +30,7 @@ from .charts_atlas import (
     AtlasModel,
     CheckReport,
     RationalArray,
+    _check_asts,
     _equal,
     _flat,
     _index_from_key,
@@ -846,10 +847,15 @@ def reduction_to_json(red: Reduction) -> dict:
     return out
 
 
-def reduction_from_json(data: dict) -> Reduction:
+def reduction_from_json(data: dict, atlas: AtlasModel) -> Reduction:
+    """The reduction of ``data`` over ``atlas``; a predicate outside the
+    grammar raises ``ValueError`` naming its chart."""
+    preds = {_index_from_key(k): v for k, v in data.get("preds", {}).items()}
+    for I, pred in preds.items():
+        _check_asts(atlas.charts.get(I), f"chart {I}: reduction preds", pred, predicate=True)
     return Reduction(
         sets={_index_from_key(k): frozenset(v) for k, v in data["sets"].items()},
-        preds={_index_from_key(k): v for k, v in data.get("preds", {}).items()},
+        preds=preds,
         closures={_index_from_key(k): frozenset(v) for k, v in data.get("closures", {}).items()},
     )
 
@@ -864,14 +870,27 @@ def perturbation_to_json(nu: Perturbation) -> dict:
     }
 
 
-def perturbation_from_json(data: dict) -> Perturbation:
-    return Perturbation(
-        asts={_index_from_key(k): tuple(v) for k, v in data.get("asts", {}).items()},
-        samples={
-            _index_from_key(k): {int(x): [parse_rat(c) for c in row] for x, row in rows.items()}
-            for k, rows in data.get("samples", {}).items()
-        },
-    )
+def perturbation_from_json(data: dict, atlas: AtlasModel) -> Perturbation:
+    """The perturbation of ``data`` over ``atlas``; an AST outside the
+    grammar, a sample value that is no rational and a sample outside its
+    chart raise ``ValueError`` naming the chart."""
+    asts = {_index_from_key(k): tuple(v) for k, v in data.get("asts", {}).items()}
+    for I, chart_asts in asts.items():
+        _check_asts(atlas.charts.get(I), f"chart {I}: perturbation asts", chart_asts)
+    samples = {}
+    for k, rows in data.get("samples", {}).items():
+        I = _index_from_key(k)
+        try:
+            samples[I] = {int(x): [parse_rat(c) for c in row] for x, row in rows.items()}
+        except (ArithmeticError, TypeError, ValueError) as ex:
+            raise ValueError(f"chart {I}: perturbation samples: {ex}") from None
+    nu = Perturbation(asts, samples)
+    for I, (index, _) in nu.samples.items():
+        n = len(atlas.charts[I].domain.points) if I in atlas.charts else np.inf
+        for x in index[(index < 0) | (index >= n)][:1].tolist():
+            raise ValueError(f"chart {I}: perturbation samples: {x} is not a sample of the "
+                             f"chart, which has {n}")
+    return nu
 
 
 def norms_to_json(norms: EquivariantNorms) -> dict:

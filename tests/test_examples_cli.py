@@ -591,9 +591,10 @@ def _zero_divisor(asts):
 
 
 @pytest.mark.parametrize("doctor, message", [
-    (_arity_cut, "section/perturbation arity mismatch"),
-    (_unknown_node, "unknown expression node: 'foo'"),
-    (_zero_divisor, "float division by zero"),
+    (_arity_cut, "cannot find zeros: chart (1, 2): section/perturbation arity mismatch"),
+    # the grammar is checked as the document is read
+    (_unknown_node, "schema error: chart (1, 2): perturbation asts: unknown expression node: 'foo'"),
+    (_zero_divisor, "cannot find zeros: chart (1, 2): float division by zero"),
 ])
 def test_cli_zeros_unevaluable_perturbation_exit_three(sphere_files, tmp_path, doctor,
                                                        message):
@@ -605,7 +606,7 @@ def test_cli_zeros_unevaluable_perturbation_exit_three(sphere_files, tmp_path, d
     res = CliRunner().invoke(main, ["zeros", str(atlas_path), "--perturbation", str(path)])
     assert res.exit_code == 3, res.output
     assert isinstance(res.exception, SystemExit)
-    assert f"cannot find zeros: chart (1, 2): {message}" in res.output
+    assert message in res.output
 
 
 def _cli_check_doctored(sphere_files, tmp_path, doctor):
@@ -705,6 +706,14 @@ def _nu_sample_index_beyond_int64(doc):
     doc["perturbation"]["samples"]["1"][str(2**63)] = ["0/1", "0/1"]
 
 
+def _nu_sample_zero_denominator(doc):
+    doc["perturbation"]["samples"]["1"]["0"][0] = "1/0"
+
+
+def _nu_sample_outside_the_chart(doc):
+    doc["perturbation"]["samples"]["1"]["999"] = ["0/1", "0/1"]
+
+
 def _undeclared_nu_of_another_arity(doc):
     """Chart (1, 2) has no declared ν and 3 expressions, where E_12 has dim 4."""
     del doc["perturbation"]["samples"]["1,2"]
@@ -719,12 +728,69 @@ def _undeclared_nu_of_another_arity(doc):
     (_nu_sample_index_beyond_int64, "chart (1,): perturbation samples: the entries over their"
                                     " common denominator 1 do not fit int64"),
     (_undeclared_nu_of_another_arity, "chart (1, 2): perturbation has 3 expressions, not 4"),
+    (_nu_sample_zero_denominator, "chart (1,): perturbation samples: Fraction(1, 0)"),
+    (_nu_sample_outside_the_chart, "chart (1,): perturbation samples: 999 is not a sample of the"
+                                   " chart, which has 25"),
 ])
 def test_cli_check_malformed_perturbation_exit_three(sphere_files, tmp_path, doctor, message):
     res = _cli_check_doctored(sphere_files, tmp_path, doctor)
     assert res.exit_code == 3, res.output
     assert isinstance(res.exception, SystemExit)
     assert "Traceback" not in res.output
+    assert f"schema error: {message}" in res.output
+
+
+def _section_var_beyond_the_chart(doc):
+    doc["charts"]["1"]["section_asts"][0] = ["var", 9]
+
+
+def _rho_sum_of_nothing(doc):
+    doc["changes"][0]["rho_asts"][1] = ["+"]
+
+
+def _unknown_reduction_predicate(doc):
+    doc["reduction"]["preds"]["1"] = ["frob"]
+
+
+def _unknown_node_in_declared_nu(doc):
+    """ν of chart (1,) is declared at every sample, so its expressions
+    were never evaluated."""
+    doc["perturbation"]["asts"]["1"][0] = ["frob"]
+
+
+@pytest.mark.parametrize("doctor, message", [
+    (_section_var_beyond_the_chart, "chart 1: section_asts: ['var', 9] is not one of the 2"
+                                    " coordinates"),
+    (_rho_sum_of_nothing, "coordinate change (1,)->(1, 2): rho_asts: ['+'] has 0 arguments,"
+                          " not at least 1"),
+    (_unknown_reduction_predicate, "chart (1,): reduction preds: unknown predicate node:"
+                                   " 'frob'"),
+    (_unknown_node_in_declared_nu, "chart (1,): perturbation asts: unknown expression node:"
+                                   " 'frob'"),
+])
+def test_cli_expressions_outside_the_grammar_exit_three(sphere_files, tmp_path, doctor,
+                                                        message):
+    res = _cli_check_doctored(sphere_files, tmp_path, doctor)
+    assert res.exit_code == 3, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert f"schema error: {message}" in res.output
+
+
+@pytest.mark.parametrize("doctor, message", [
+    (_nu_sample_zero_denominator, "chart (1,): perturbation samples: Fraction(1, 0)"),
+    (_nu_sample_outside_the_chart, "chart (1,): perturbation samples: 999 is not a sample of the"
+                                   " chart, which has 25"),
+])
+def test_cli_zeros_malformed_perturbation_samples_exit_three(sphere_files, tmp_path, doctor,
+                                                             message):
+    atlas_path, nu_path, _ = sphere_files
+    doc = json.loads(nu_path.read_text())
+    doctor({"perturbation": doc})
+    path = tmp_path / "nu.json"
+    path.write_text(json.dumps(doc))
+    res = CliRunner().invoke(main, ["zeros", str(atlas_path), "--perturbation", str(path)])
+    assert res.exit_code == 3, res.output
+    assert isinstance(res.exception, SystemExit)
     assert f"schema error: {message}" in res.output
 
 

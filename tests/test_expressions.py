@@ -1,3 +1,4 @@
+import contextlib
 import math
 import warnings
 from fractions import Fraction
@@ -6,17 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import dual_oracle
+from dual_oracle import Dual, jacobian
 from vfc.charts_atlas import RationalArray
 from vfc.expressions import (
-    Dual,
+    check_grammar,
     compile_vector,
-    const_vec,
     eval_expr,
     eval_pred,
     eval_pred_rows,
     eval_vector,
     evaluate_until_raise,
-    jacobian,
     num,
     value_and_jacobian,
     var,
@@ -45,7 +46,7 @@ class TestRationalEval:
         assert eval_expr(["neg", ["-", var(0), var(1)]], [F(1), F(3)]) == F(2)
 
     def test_const_vec(self):
-        assert eval_vector(const_vec([1, F(1, 2)]), []) == [F(1), F(1, 2)]
+        assert eval_vector([num(1), num(F(1, 2))], []) == [F(1), F(1, 2)]
 
 
 class TestTranscendental:
@@ -70,6 +71,8 @@ class TestTranscendental:
 
 
 class TestDual:
+    """The oracle's own derivatives, exact at rational points."""
+
     def test_product_rule(self):
         x = Dual.seed(F(2), 0, 2)
         y = Dual.seed(F(3), 1, 2)
@@ -102,7 +105,7 @@ class TestDual:
     def test_tangent_dims_restriction(self):
         # derivative only along coordinate 1; coordinate 0 held constant
         asts = [["*", var(0), var(1)]]
-        vals, rows = value_and_jacobian(asts, [F(5), F(7)], tangent_dims=[1])
+        vals, rows = dual_oracle.value_and_jacobian(asts, [F(5), F(7)], tangent_dims=[1])
         assert vals == [F(35)]
         assert rows == [[F(5)]]
 
@@ -154,7 +157,7 @@ class TestPredicates:
 
 
 # ---------------------------------------------------------------------------
-# compiled float form against the interpreter
+# compiled float form against the Dual-number oracle
 # ---------------------------------------------------------------------------
 
 N_VARS = 3
@@ -207,9 +210,9 @@ _RAISES = (ZeroDivisionError, ValueError, OverflowError)
 
 
 def _interpreted(asts, coords, dims):
-    """The interpreter's (values, jacobian) as floats, or its exception."""
+    """The oracle's (values, jacobian) as floats, or its exception."""
     try:
-        vals, rows = value_and_jacobian(asts, coords, dims)
+        vals, rows = dual_oracle.value_and_jacobian(asts, coords, dims)
     except _RAISES as ex:
         return ex
     return (
@@ -331,6 +334,26 @@ class TestCompiledForm:
             compile_vector([var(0), ["+", var(0), ["sin2pi", ["bogus"]]]], [0])
 
 
+class TestValueAndJacobian:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_asts, min_size=1, max_size=3), _coords, _dims)
+    def test_is_one_row_of_the_tape(self, asts, point, dims):
+        try:
+            want_vals, want_jac = compile_vector(asts, dims)([point])
+        except _RAISES as ex:
+            with pytest.raises(type(ex)):
+                value_and_jacobian(asts, point, dims)
+            return
+        vals, jac = value_and_jacobian(asts, point, dims)
+        assert isinstance(vals, list) and isinstance(jac, list)
+        assert _bits(vals) == _bits(want_vals[0]) and _bits(jac) == _bits(want_jac[0])
+
+    def test_floats_along_every_coordinate_by_default(self):
+        vals, rows = value_and_jacobian([["*", var(0), var(1)]], [F(5), F(7)])
+        assert vals == [35.0] and rows == [[7.0, 5.0]]
+        assert type(vals[0]) is float
+
+
 # ---------------------------------------------------------------------------
 # exact batch predicates against the interpreter
 # ---------------------------------------------------------------------------
@@ -410,3 +433,95 @@ class TestPredicateRows:
         rows = eval_pred_rows(pred, points)
         assert isinstance(rows, np.ndarray) and rows.shape == (len(points),)
         assert rows.tolist() == [eval_pred(pred, p) for p in points.fractions()]
+
+
+# ---------------------------------------------------------------------------
+# the grammar check of documents
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("ast, predicate, message", [
+    (["var", 9], False, "['var', 9] is not one of the 3 coordinates"),
+    (["var", "x"], False, "['var', 'x'] is not one of the 3 coordinates"),
+    (["var", True], False, "['var', True] is not one of the 3 coordinates"),
+    ([], False, "[] is no expression node"),
+    (3, False, "3 is no expression node"),
+    (["+"], False, "['+'] has 0 arguments, not at least 1"),
+    (["-", var(0)], False, "['-', ['var', 0]] has 1 arguments, not 2"),
+    (["num", "1/0"], False, "['num', '1/0'] is not a rational"),
+    (["num", 0.5], False, "['num', 0.5] is not a rational"),
+    (["pow", var(0), "2"], False, "['pow', ['var', 0], '2'] has no int exponent"),
+    (["sin2pi", ["frob"]], False, "unknown expression node: 'frob'"),
+    (["frob"], True, "unknown predicate node: 'frob'"),
+    (["<="], True, "['<='] has 0 arguments, not 2"),
+    ([], True, "[] is no predicate node"),
+    (["true", var(0)], True, "['true', ['var', 0]] has 1 arguments, not 0"),
+    (["and", ["true"], ["<", var(0), ["var", 3]]], True, "['var', 3] is not one of the 3"),
+    (var(0), True, "unknown predicate node: 'var'"),
+    (["true"], False, "unknown expression node: 'true'"),
+])
+def test_grammar_faults_name_where_and_what(ast, predicate, message):
+    with pytest.raises(ValueError) as raised:
+        check_grammar([["true"], ast] if predicate else [var(0), ast], N_VARS, "chart (1,): here",
+                      predicate)
+    assert str(raised.value).startswith(f"chart (1,): here: {message}")
+
+
+def test_grammar_passes_the_documented_nodes():
+    value = ["/", ["+", num(1), ["pow", var(2), -2], ["num", 3]],
+             ["-", ["sqrt", ["clamp01", ["smoothstep", var(0)]]], ["neg", ["cos2pi", var(1)]]]]
+    check_grammar([["*", ["sin2pi", value]], value], N_VARS, "here")
+    check_grammar([["and", ["not", ["or"]], ["true"], ["false"], ["==", value, var(1)]]],
+                  N_VARS, "here", predicate=True)
+
+
+_VALUE_OPS = ["num", "var", "+", "-", "neg", "*", "/", "pow", "sqrt", "sin2pi", "cos2pi",
+              "clamp01", "smoothstep"]
+_PRED_OPS = ["<=", "<", ">=", ">", "==", "and", "or", "not", "true", "false"]
+_junk = st.sampled_from([
+    ["var", N_VARS], ["var", "x"], ["var", -1], ["var", True], [], 3, "x", None, ["+"],
+    ["frob"], ["num", "1/0"], ["num", None], ["num", 0.5], ["num"], ["pow", var(0), 1.5],
+    ["-", var(0)], ["neg", var(0), var(1)], [var(0)],
+])
+# well-formed leaves and junk, under well-formed nodes and under any node
+# name with any number of arguments
+_any_values = st.recursive(
+    st.one_of(_leaves, _junk),
+    lambda sub: st.one_of(
+        _extend(sub),
+        st.tuples(st.sampled_from(_VALUE_OPS + _PRED_OPS), st.lists(sub, max_size=3))
+        .map(lambda t: [t[0], *t[1]]),
+    ),
+    max_leaves=6,
+)
+_any_preds = st.recursive(
+    st.one_of(_comparisons, st.sampled_from([["true"], ["false"], ["<="], ["frob"], []]),
+              st.tuples(st.sampled_from(_PRED_OPS[:5]), _any_values, _any_values).map(list)),
+    lambda sub: st.tuples(st.sampled_from(_PRED_OPS + _VALUE_OPS[:3]),
+                          st.lists(st.one_of(sub, _any_values), max_size=3))
+    .map(lambda t: [t[0], *t[1]]),
+    max_leaves=4,
+)
+
+
+class TestGrammar:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_any_values.map(lambda a: (a, False)), _any_preds.map(lambda p: (p, True))),
+           _batches, _sample_arrays, _dims)
+    def test_what_passes_raises_only_arithmetic_or_value_errors(self, drawn, points, samples,
+                                                               dims):
+        ast, predicate = drawn
+        try:
+            check_grammar([ast], N_VARS, "here", predicate)
+        except ValueError as ex:
+            assert str(ex).startswith("here: ")
+            return
+        allowed = (ArithmeticError, ValueError)
+        for row in [*points, *samples.fractions()]:
+            with contextlib.suppress(*allowed):
+                (eval_pred if predicate else eval_expr)(ast, row)
+        if predicate:
+            _outcome(eval_pred_rows(ast, samples))
+        else:
+            with contextlib.suppress(*allowed):
+                compile_vector([ast], dims)(points)

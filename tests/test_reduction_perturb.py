@@ -857,25 +857,25 @@ class TestEquivariantNorms:
 
 
 class TestSerialization:
-    def test_reduction_round_trip(self):
+    def test_reduction_round_trip(self, toy2):
         red = Reduction(
             sets={(1,): frozenset({0, 2}), (1, 2): frozenset({1})},
             preds={(1,): ["<=", var(0), num("1/2")]},
             closures={(1,): frozenset({0, 1, 2})},
         )
         data = reduction_to_json(red)
-        again = reduction_from_json(json.loads(json.dumps(data, sort_keys=True)))
+        again = reduction_from_json(json.loads(json.dumps(data, sort_keys=True)), toy2)
         assert again.sets == red.sets
         assert again.preds == red.preds
         assert again.closures == red.closures
 
-    def test_perturbation_round_trip(self):
+    def test_perturbation_round_trip(self, toy2):
         nu = Perturbation(
             asts={(1,): (num("1/16"),)},
             samples={(1, 2): {0: (F(1, 4), F(0))}},
         )
         data = perturbation_to_json(nu)
-        again = perturbation_from_json(json.loads(json.dumps(data, sort_keys=True)))
+        again = perturbation_from_json(json.loads(json.dumps(data, sort_keys=True)), toy2)
         assert again.asts == nu.asts
         index, rows = again.samples[(1, 2)]
         assert index.tolist() == [0] and rows.fractions() == [[F(1, 4), F(0)]]

@@ -74,17 +74,18 @@ def _counting(monkeypatch, original) -> list:
 
 
 class TestCompiledNewton:
-    """Newton and the float-side checks evaluate compiled expressions; the
-    interpreter's ``value_and_jacobian`` is left to exact inputs."""
+    """Newton and the float-side checks evaluate the atlas's compiled tapes
+    on whole batches of points.  ``value_and_jacobian``, one point through
+    a tape compiled for it alone, is never called on the way."""
 
     @pytest.fixture
-    def interpreter_calls(self, monkeypatch):
+    def single_point_calls(self, monkeypatch):
         return _counting(monkeypatch, vfc.expressions.value_and_jacobian)
 
-    def test_find_zeros_makes_no_interpreter_calls(self, interpreter_calls):
+    def test_find_zeros_makes_no_interpreter_calls(self, single_point_calls):
         built = build_example(ExampleDescriptor("sphere-euler", {"density": 12}))
         result = find_zeros(built.atlas, built.V, built.nu)
-        assert interpreter_calls == []
+        assert single_point_calls == []
         assert [
             (z.chart_index, z.coordinates, z.sign, z.residual, z.jacobian)
             for z in result.zeros
@@ -94,12 +95,12 @@ class TestCompiledNewton:
         ]
         assert result.warnings == []
 
-    def test_run_zero_list_and_weights(self, interpreter_calls):
+    def test_run_zero_list_and_weights(self, single_point_calls):
         report, code = run_example(
             ExampleDescriptor("sphere-euler", {"density": 12})
         )
         assert code == 0
-        assert interpreter_calls == []
+        assert single_point_calls == []
         assert report["zero_set"]["zeros"] == [
             {
                 "chart": [i],
