@@ -922,34 +922,27 @@ class AtlasModel:
         return out
 
     @functools.cached_property
-    def _tapes(self) -> dict:
-        return {}
-
-    @functools.cached_property
-    def _distances(self) -> dict:
-        return {}
-
-    @functools.cached_property
-    def _grid_maps(self) -> dict:
+    def _made(self) -> dict:
+        """The tapes, grid maps and distances made once per atlas, by key."""
         return {}
 
     def compiled(self, asts: Sequence, dims: Sequence[int] = ()) -> Callable:
         """:func:`~vfc.expressions.compile_vector` of ``asts`` along
         ``dims``, compiled once per atlas for equal ASTs and dims."""
-        key = (repr(list(asts)), tuple(dims))
-        if key not in self._tapes:
-            self._tapes[key] = compile_vector(asts, dims)
-        return self._tapes[key]
+        key = ("tape", repr(list(asts)), tuple(dims))
+        if key not in self._made:
+            self._made[key] = compile_vector(asts, dims)
+        return self._made[key]
 
     def grid_map(self, I: tuple, J: tuple) -> np.ndarray:
         """φ̂_IJ on grid indices (the identity where I = J), computed once per
         atlas: per point e of chart I's grid, the index of φ̂_IJ(e) in chart
         J's grid, or -1 where it is no grid point."""
-        if (I, J) not in self._grid_maps:
+        if ("grid", I, J) not in self._made:
             grid, where = self.charts[I].obstruction_points, f"coordinate change {I}->{J}"
             image = grid if I == J else _matmul(grid, self.changes[(I, J)].phi_hat.mT, where)
-            self._grid_maps[(I, J)] = _lookup(image, self.charts[J].obstruction_points, where)
-        return self._grid_maps[(I, J)]
+            self._made["grid", I, J] = _lookup(image, self.charts[J].obstruction_points, where)
+        return self._made["grid", I, J]
 
     def distance(self, rows: np.ndarray) -> np.ndarray:
         """Per metric row, the least numerator of ``metric`` over the columns
@@ -957,10 +950,10 @@ class AtlasModel:
         computed once per atlas for an equal set and read-only."""
         columns = np.zeros(len(self.metric.num), dtype=bool)
         columns[rows] = True
-        key = columns.tobytes()
-        if key not in self._distances:
-            self._distances[key] = _frozen(self.metric.num[:, columns].min(axis=1))
-        return self._distances[key]
+        key = ("distance", columns.tobytes())
+        if key not in self._made:
+            self._made[key] = _frozen(self.metric.num[:, columns].min(axis=1))
+        return self._made[key]
 
     def intermediate_keys(self) -> list[tuple]:
         return [(I, c) for I in self.index_sets()
@@ -2022,6 +2015,14 @@ def _check_asts(chart: ChartModel | None, where: str, asts, predicate: bool = Fa
         check_grammar([asts] if predicate else asts, dim, where, predicate)
 
 
+def _check_dims(chart: ChartModel | None, where: str, dims: tuple) -> None:
+    """Raise ``ValueError`` naming ``where`` unless ``dims`` are distinct
+    ints below ``chart``'s coordinate count (any ints without a chart)."""
+    dim = chart.domain.points.num.shape[1] if chart is not None else math.inf
+    if not (all(type(d) is int and 0 <= d < dim for d in dims) and len(set(dims)) == len(dims)):
+        raise ValueError(f"{where}: {list(dims)!r} are not distinct coordinates below {dim}")
+
+
 def _chart_from_json(d: dict, where: str) -> ChartModel:
     domain = _quotient_from_json(d["domain"], where)
     action = d["obstruction_action"]
@@ -2040,6 +2041,7 @@ def _chart_from_json(d: dict, where: str) -> ChartModel:
         section_asts=tuple(d["section_asts"]) if "section_asts" in d else None,
         tangent_dims=tuple(d["tangent_dims"]),
     )
+    _check_dims(chart, f"{where}: tangent_dims", chart.tangent_dims)
     _check_asts(chart, f"{where}: section_asts", chart.section_asts)
     _check_asts(chart, f"{where}: membership", domain.membership, predicate=True)
     return chart
@@ -2088,6 +2090,7 @@ def _change_from_json(d: dict, charts: dict) -> CoordinateChangeModel:
     )
     # ρ_IJ and the lift of Ũ_IJ are evaluated on chart J
     name = f"coordinate change {I}->{J}"
+    _check_dims(charts.get(J), f"{name}: tilde_tangent_dims", change.tilde_tangent_dims)
     _check_asts(charts.get(J), f"{name}: rho_asts", change.rho_asts)
     _check_asts(charts.get(J), f"{name}: lifted_pred", change.lifted_pred, predicate=True)
     return change

@@ -914,12 +914,15 @@ def run_example(descriptor: ExampleDescriptor, seed_grid: int = 1):
     }
     stages: list = []
     report["stages"] = stages
+
+    def end(code: int, **fields) -> tuple[dict, int]:
+        report.update(fields, ok=code == 0)
+        return report, code
+
     try:
         built = build_example(descriptor)
     except ValueError as ex:
-        report["ok"] = False
-        report["error"] = str(ex)
-        return report, 3
+        return end(3, error=str(ex))
 
     if built.kind == "interval":
         model = built.interval
@@ -932,27 +935,21 @@ def run_example(descriptor: ExampleDescriptor, seed_grid: int = 1):
             "boundary_out": model.boundary_out.total_string(),
             "boundary_identity": rat_str(model.boundary_identity),
         }
-        ok = model.boundary_identity == 0
-        report["ok"] = ok
-        return report, 0 if ok else 1
+        return end(0 if model.boundary_identity == 0 else 1)
 
     atlas = built.atlas
     for rep, categories in _atlas_stages(atlas):
         if not _stage(stages, rep):
-            report["ok"] = False
-            return report, 1
+            return end(1)
     ok = _stage(stages, check_reduction(atlas, built.V))
     ok = ok and _stage(stages, build_pruned_category(atlas, built.V))
     if not ok:
-        report["ok"] = False
-        return report, 1
+        return end(1)
 
     signs_by_object: dict = {}
     if built.kind == "euler":
-        ok = _stage(stages, built.norms.validate(atlas))
-        if not ok:
-            report["ok"] = False
-            return report, 1
+        if not _stage(stages, built.norms.validate(atlas)):
+            return end(1)
         seeds = None
         if seed_grid >= 2:
             seeds = {I: atlas.charts[I].domain.coordinates[sorted(built.V.sets[I])]
@@ -960,9 +957,7 @@ def run_example(descriptor: ExampleDescriptor, seed_grid: int = 1):
         try:
             zres = find_zeros(atlas, built.V, built.nu, seeds=seeds)
         except PerturbationRejected as ex:
-            report["ok"] = False
-            report["rejection"] = str(ex)
-            return report, 2
+            return end(2, rejection=str(ex))
         zero_pairs = [(z.chart_index, z.coordinates) for z in zres.zeros]
         ok = _stage(stages, check_perturbation(atlas, built.V, built.nu, C=built.C,
                                                zeros=zero_pairs))
@@ -982,8 +977,7 @@ def run_example(descriptor: ExampleDescriptor, seed_grid: int = 1):
             rep.fail("constants_unavailable", error=str(ex))
             ok = _stage(stages, rep) and ok
         if not ok:
-            report["ok"] = False
-            return report, 1
+            return end(1)
         # snap the numeric zeros to their sample classes and close under Γ
         zsets = {I: set() for I in atlas.index_sets()}
         snapped = {}
@@ -994,8 +988,7 @@ def run_example(descriptor: ExampleDescriptor, seed_grid: int = 1):
                 rep.fail("zero_not_at_sample", chart=z.chart_index,
                          point=list(z.coordinates))
                 _stage(stages, rep)
-                report["ok"] = False
-                return report, 1
+                return end(1)
             snapped[(z.chart_index, idx)] = z
             orbit = atlas.charts[z.chart_index].domain.orbit(idx)
             zsets[z.chart_index].update(orbit)
@@ -1004,8 +997,7 @@ def run_example(descriptor: ExampleDescriptor, seed_grid: int = 1):
         zsets = {I: frozenset(s) for I, s in zsets.items()}
         groupoid = _groupoid_stages(built, categories, zsets, signs_by_object, stages, report)
         if groupoid is None:
-            report["ok"] = False
-            return report, 1
+            return end(1)
         hausdorff, weights = groupoid
         for (I, idx), z in snapped.items():
             p = hausdorff.class_of[(I, idx)]
@@ -1014,17 +1006,14 @@ def run_example(descriptor: ExampleDescriptor, seed_grid: int = 1):
         report["zero_set"] = zero_set_report(
             zres.zeros, total=parse_rat(report["total"]), warnings=zres.warnings
         )
-        report["ok"] = True
-        return report, 0
+        return end(0)
 
     # E = 0 examples: the zero set is everything in the reduction
     zsets = {I: frozenset(set(built.V.sets[I]) & set(atlas.charts[I].zero_sample_indices()))
              for I in atlas.index_sets()}
     if _groupoid_stages(built, categories, zsets, signs_by_object, stages, report) is None:
-        report["ok"] = False
-        return report, 1
-    report["ok"] = True
-    return report, 0
+        return end(1)
+    return end(0)
 
 
 # ---------------------------------------------------------------------------

@@ -466,16 +466,16 @@ class _Tape:
     """The straight-line program of one :func:`compile_vector` call.
 
     Equal steps are emitted once, so a subexpression shared by several
-    components (or by a section and its perturbation) is evaluated once
-    per call."""
+    components is evaluated once per call."""
 
     def __init__(self, tangent_dims: Sequence[int]):
-        self.nv = len(tangent_dims)
+        self.eye = np.eye(len(tangent_dims))
         self.slot: dict = {}
         for k, d in enumerate(tangent_dims):
             self.slot.setdefault(d, k)
         self.steps: list = []
         self.memo: dict = {}
+        self.walked: dict = {}  # id of an AST list -> its operand
 
     def _emit(self, key: tuple, dual: bool, make: Callable):
         operand = self.memo.get(key)
@@ -491,6 +491,12 @@ class _Tape:
         return self._emit((op, *args), dual, lambda: _STEPS[op](dual, *args))
 
     def node(self, ast):
+        """The operand of ``ast``: each AST object is walked once."""
+        if id(ast) not in self.walked:
+            self.walked[id(ast)] = self._walk(ast)
+        return self.walked[id(ast)]
+
+    def _walk(self, ast):
         op = ast[0]
         if op == "num":
             return ("c", Fraction(ast[1]))
@@ -498,7 +504,7 @@ class _Tape:
             k = ast[1]
             if k in self.slot:
                 # one gradient row, broadcast against every point's
-                seed = np.eye(self.nv)[self.slot[k]]
+                seed = self.eye[self.slot[k]]
                 return self._emit(("var", k), True, lambda: lambda x, r: (x[k], seed))
             return self._emit(("var", k), False, lambda: lambda x, r: x[k])
         if op in ("+", "*"):
@@ -555,7 +561,7 @@ def compile_vector(asts: Sequence, tangent_dims: Sequence[int]) -> Callable:
         (kind, float(ref) if kind == "c" else ref) for kind, ref in map(tape.node, asts)
     ]
     steps = tape.steps
-    m, nv = len(asts), tape.nv
+    m, nv = len(asts), len(tape.eye)
 
     def evaluate(points) -> tuple[np.ndarray, np.ndarray]:
         x = np.asarray(points, dtype=float)
@@ -603,6 +609,9 @@ def evaluate_until_raise(f: Callable, points) -> tuple:
     raise error
 
 
+#: the largest |n| of a document's ``pow``, which is unrolled into |n| − 1 products
+POW_CAP = 64
+
 #: the arguments of each node, ``None`` for any number (at least 1 for a value)
 _ARITY = {
     "expression": {**dict.fromkeys(_STEPS, 1), "num": 1, "var": 1, "pow": 2, "+": None,
@@ -616,9 +625,9 @@ def check_grammar(asts, dim: int, where: str, predicate: bool = False) -> None:
     """Raise ``ValueError`` naming ``where`` unless each of ``asts`` is a
     value node (a predicate node if ``predicate``) of the module docstring
     over ``dim`` coordinates, with its arity, ``var`` an int below ``dim``,
-    ``num`` an int or string rational and ``pow`` an int exponent.  What
-    passes raises nothing at ``dim`` coordinates but ``ArithmeticError`` or
-    ``ValueError``."""
+    ``num`` an int or string rational and ``pow`` an int exponent of size
+    at most ``POW_CAP``.  What passes raises nothing at ``dim`` coordinates
+    but ``ArithmeticError`` or ``ValueError``."""
 
     def fail(message: str):
         raise ValueError(f"{where}: {message}")
@@ -642,8 +651,8 @@ def check_grammar(asts, dim: int, where: str, predicate: bool = False) -> None:
                 Fraction(subs[0] if type(subs[0]) in (int, str) else None)
             except (ArithmeticError, TypeError, ValueError):
                 fail(f"{ast!r} is not a rational")
-        if ast[0] == "pow" and type(subs[1]) is not int:
-            fail(f"{ast!r} has no int exponent")
+        if ast[0] == "pow" and not (type(subs[1]) is int and abs(subs[1]) <= POW_CAP):
+            fail(f"{ast!r} has no int exponent in [-{POW_CAP}, {POW_CAP}]")
         for sub in {"num": (), "var": (), "pow": subs[:1]}.get(ast[0], subs):
             value(sub)
 

@@ -519,6 +519,13 @@ def _incompatible(values: _Values, I: tuple, J: tuple, ys: np.ndarray, xs: np.nd
     return [(int(ys[y]), not defined[y]) for _, y in _stops(bad[None], tgt.errors | src.errors)]
 
 
+def _residuals(phi: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """φ̂·x − b for the least-squares solution x of φ̂·x = b."""
+    if not (phi.shape[1] and b.size):
+        return b
+    return phi @ np.linalg.lstsq(phi, b, rcond=None)[0] - b
+
+
 def _nested(atlas: AtlasModel) -> list:
     """The pairs (I, J), I ⊊ J, with a coordinate change, in index order."""
     indices = atlas.index_sets()
@@ -568,18 +575,17 @@ def check_perturbation(
         ys = tildes[(I, J)][0]
         _, jacs, error = evaluate_until_raise(nu_J, chart.domain.coordinates[ys])
         scales = np.maximum(np.abs(jacs).max(axis=(1, 2), initial=0.0), 1.0)
-        for y, jac, scale in zip(ys.tolist(), jacs, scales.tolist()):
-            if phi_f.shape[1] == 0:
-                resid = float(np.abs(jac).max(initial=0.0))
-            else:
-                sol = np.linalg.lstsq(phi_f, jac, rcond=None)[0]
-                resid = float(np.abs(phi_f @ sol - jac).max(initial=0.0))
-            if resid > TAU_RANK * scale:
-                rep.fail("admissibility", pair=(I, J), point=y, residual=resid)
-                break
-        else:
-            if error is not None:
-                raise error
+        # all Jacobians as one right-hand side, but non-finite ones: they cannot
+        # fail (their scale is not finite), and would spoil the others' solution
+        k, m, n = jacs.shape
+        rhs = np.where(np.isfinite(scales)[:, None, None], jacs, 0.0)
+        resid = np.abs(_residuals(phi_f, rhs.transpose(1, 0, 2).reshape(m, k * n)))
+        bad = _where(resid.reshape(m, k, n).max(axis=(0, 2), initial=0.0) > TAU_RANK * scales)
+        for b in bad[:1].tolist():  # the residual as the sample alone gives it
+            residual = float(np.abs(_residuals(phi_f, jacs[b])).max(initial=0.0))
+            rep.fail("admissibility", pair=(I, J), point=int(ys[b]), residual=residual)
+        if not bad.size and error is not None:
+            raise error
     if zeros is not None:
         for clause, witness in _zero_failures(atlas, nu, C, zeros):
             rep.fail(clause, **witness)
@@ -849,15 +855,28 @@ def reduction_to_json(red: Reduction) -> dict:
 
 def reduction_from_json(data: dict, atlas: AtlasModel) -> Reduction:
     """The reduction of ``data`` over ``atlas``; a predicate outside the
-    grammar raises ``ValueError`` naming its chart."""
+    grammar and a sample of ``sets`` or ``closures`` that is no int sample
+    of its chart raise ``ValueError`` naming the chart and the sample."""
     preds = {_index_from_key(k): v for k, v in data.get("preds", {}).items()}
     for I, pred in preds.items():
         _check_asts(atlas.charts.get(I), f"chart {I}: reduction preds", pred, predicate=True)
-    return Reduction(
-        sets={_index_from_key(k): frozenset(v) for k, v in data["sets"].items()},
-        preds=preds,
-        closures={_index_from_key(k): frozenset(v) for k, v in data.get("closures", {}).items()},
-    )
+
+    sets, closures = ({_index_from_key(k): v for k, v in d.items()}
+                      for d in (data["sets"], data.get("closures", {})))
+    for key, chosen in (("sets", sets), ("closures", closures)):
+        for I, xs in chosen.items():
+            _check_samples(atlas, I, f"chart {I}: reduction {key}", xs)
+    return Reduction(sets={I: frozenset(xs) for I, xs in sets.items()}, preds=preds,
+                     closures={I: frozenset(xs) for I, xs in closures.items()})
+
+
+def _check_samples(atlas: AtlasModel, I: tuple, where: str, xs) -> None:
+    """Raise ``ValueError`` naming ``where`` and the sample unless each of
+    ``xs`` is an int sample of chart I (any int without a chart I)."""
+    n = len(atlas.charts[I].domain.points) if I in atlas.charts else math.inf
+    for x in xs:
+        if type(x) is not int or not 0 <= x < n:
+            raise ValueError(f"{where}: {x!r} is not a sample of the chart, which has {n}")
 
 
 def perturbation_to_json(nu: Perturbation) -> dict:
@@ -886,10 +905,7 @@ def perturbation_from_json(data: dict, atlas: AtlasModel) -> Perturbation:
             raise ValueError(f"chart {I}: perturbation samples: {ex}") from None
     nu = Perturbation(asts, samples)
     for I, (index, _) in nu.samples.items():
-        n = len(atlas.charts[I].domain.points) if I in atlas.charts else np.inf
-        for x in index[(index < 0) | (index >= n)][:1].tolist():
-            raise ValueError(f"chart {I}: perturbation samples: {x} is not a sample of the "
-                             f"chart, which has {n}")
+        _check_samples(atlas, I, f"chart {I}: perturbation samples", index.tolist())
     return nu
 
 

@@ -32,7 +32,7 @@ from .charts_atlas import (
 )
 from .exterior_engine import rat_str, zero_sign
 from .expressions import eval_pred
-from .reduction_perturb import Perturbation, Reduction, _members, v_tilde
+from .reduction_perturb import Perturbation, Reduction, _check_samples, _members, v_tilde
 
 __all__ = [
     "TAU_ZERO",
@@ -115,46 +115,29 @@ class FindZerosResult:
 
 
 def _section_plus_nu(atlas: AtlasModel, nu: Perturbation, I: tuple, dims: list):
-    """s_I + ν_I compiled once: ``f(points) -> (values, jacobians)``."""
-    chart = atlas.charts[I]
-    s_asts = list(chart.section_asts or ())
-    n_asts = list(nu.asts.get(I, ()))
+    """s_I + ν_I, ``f(points) -> (values, jacobians)``, from the atlas's tapes of each."""
+    s_asts, n_asts = atlas.charts[I].section_asts or (), nu.asts.get(I, ())
     if not (s_asts and n_asts):
         return atlas.compiled(s_asts, dims)
     if len(s_asts) != len(n_asts):
         raise ValueError("section/perturbation arity mismatch")
-    # one tape for both, so that subexpressions they share are evaluated once
-    both = atlas.compiled(s_asts + n_asts, dims)
-    m = len(s_asts)
+    s, n = atlas.compiled(s_asts, dims), atlas.compiled(n_asts, dims)
 
     def f(points):
-        vals, jac = both(points)
-        return vals[:, :m] + vals[:, m:], jac[:, :m] + jac[:, m:]
+        (s_vals, s_jac), (n_vals, n_jac) = s(points), n(points)
+        return s_vals + n_vals, s_jac + n_jac
 
     return f
 
 
 def _solve(jac: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Newton steps ``jac⁻¹·vals`` of a stack of rows in one call, and
-    which rows are singular (their steps are left 0)."""
-    singular = np.zeros(len(jac), dtype=bool)
-    try:
-        return np.linalg.solve(jac, vals[:, :, None])[:, :, 0], singular
-    except np.linalg.LinAlgError:
-        pass
-    # a singular Jacobian stops its own walk only.  Rows whose determinant
-    # (the same LU) is finite and nonzero solve together, each to the bits
-    # it gets alone; the others row by row
+    """The Newton steps ``jac⁻¹·vals`` of a stack of rows, each to the bits
+    it gets alone, and which rows are singular (their steps are left 0):
+    an exact zero pivot of LU, on which ``solve`` raises, is ``slogdet``'s sign 0."""
+    with np.errstate(invalid="ignore"):  # a NaN entry: sign NaN, not singular
+        singular = np.linalg.slogdet(jac)[0] == 0
     step = np.zeros_like(vals)
-    with np.errstate(all="ignore"):
-        det = np.linalg.det(jac)
-    sure = np.isfinite(det) & (det != 0)
-    step[sure] = np.linalg.solve(jac[sure], vals[sure][:, :, None])[:, :, 0]
-    for i in np.flatnonzero(~sure).tolist():
-        try:
-            step[i] = np.linalg.solve(jac[i], vals[i])
-        except np.linalg.LinAlgError:
-            singular[i] = True
+    step[~singular] = np.linalg.solve(jac[~singular], vals[~singular][:, :, None])[:, :, 0]
     return step, singular
 
 
@@ -231,10 +214,8 @@ def _chart_seeds(atlas: AtlasModel, red: Reduction, I: tuple, seeds: dict | None
     if seeds is not None and I in seeds:
         return np.asarray(seeds[I], dtype=float)
     xs = np.array(sorted(red.sets.get(I, ())), dtype=np.int64)
-    n = len(domain.points)
-    for x in xs[(xs < 0) | (xs >= n)][:1].tolist():
-        raise ValueError(f"chart {I}: reduction: {x} is not a sample of the chart, which has {n}")
-    least = domain.perms[:, xs].min(axis=0, initial=n)
+    _check_samples(atlas, I, f"chart {I}: reduction", xs.tolist())
+    least = domain.perms[:, xs].min(axis=0, initial=len(domain.points))
     return domain.coordinates[xs[least == xs]]
 
 
@@ -324,9 +305,7 @@ def find_zeros(
     for I in atlas.index_sets():
         chart = atlas.charts[I]
         dims = list(chart.tangent_dims)
-        if not dims and chart.obstruction_dim == 0:
-            continue
-        if chart.section_asts is None:
+        if chart.section_asts is None or not dims and chart.obstruction_dim == 0:
             continue
         if len(dims) != chart.obstruction_dim:
             raise ValueError(f"chart {I} is not index 0 over its tangent dims")

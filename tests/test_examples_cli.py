@@ -368,7 +368,7 @@ def test_cli_zeros_reduction_sample_outside_its_chart_exit_three(sphere_files, t
     res = CliRunner().invoke(main, ["zeros", str(broken), "--perturbation", str(nu_path)])
     assert res.exit_code == 3, res.output
     assert isinstance(res.exception, SystemExit)
-    assert ("cannot find zeros: chart (1,): reduction: 999 is not a sample of the chart,"
+    assert ("schema error: chart (1,): reduction sets: 999 is not a sample of the chart,"
             " which has 25") in res.output
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import json
 import math
 import warnings
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dual_oracle
+import vfc.expressions
 from dual_oracle import Dual, jacobian
 from vfc.charts_atlas import RationalArray
 from vfc.expressions import (
@@ -326,6 +328,39 @@ class TestCompiledForm:
             with pytest.raises((ZeroDivisionError, ValueError)):
                 compile_vector([["sqrt", var(0)], ["sin2pi", var(0)], ["/", num(1), var(1)]],
                                [0])([point])
+
+    def test_one_compile_walks_each_ast_object_once(self, monkeypatch):
+        # the section of the sphere's transition chart shares subtree objects
+        from vfc.examples_cli import ExampleDescriptor, build_example
+
+        built = build_example(ExampleDescriptor("sphere-euler", {"density": 12}))
+        chart = built.atlas.charts[(1, 2)]
+        shared = list(chart.section_asts)
+        objects, nodes = {}, 0
+        stack = list(shared)
+        while stack:
+            ast = stack.pop()
+            nodes += 1
+            objects[id(ast)] = ast
+            stack.extend(sub for sub in ast[1:] if isinstance(sub, list))
+        assert len(objects) < nodes
+        walked = []
+        walk = vfc.expressions._Tape._walk
+
+        def counting(tape, ast):
+            walked.append(id(ast))
+            return walk(tape, ast)
+
+        monkeypatch.setattr(vfc.expressions._Tape, "_walk", counting)
+        dims = list(chart.tangent_dims)
+        f = compile_vector(shared, dims)
+        assert sorted(walked) == sorted(objects)
+        # the same ASTs without shared objects: one walk per node, the same bits
+        walked.clear()
+        g = compile_vector(json.loads(json.dumps(shared)), dims)
+        assert len(walked) == nodes
+        points = chart.domain.coordinates
+        assert [_bits(a) for a in f(points)] == [_bits(a) for a in g(points)]
 
     def test_unknown_node_raises_at_compile_time(self):
         with pytest.raises(ValueError, match="unknown expression node"):

@@ -928,19 +928,23 @@ def test_misses_zero_set():
 
 @pytest.mark.parametrize("sample", [999, -1])
 def test_a_reduction_sample_outside_its_chart(sample):
-    """A document whose V_1 names a sample that chart (1,) lacks: the
-    reduction stage names it and checks nothing else, and the later stages
-    read V_1 without it, as `build_example` made it."""
+    """A reduction whose V_1 names a sample that chart (1,) lacks: the
+    reduction stage names it and checks nothing else.  In a document it is
+    a schema error, raised as the reduction is read."""
     from vfc.examples_cli import (
         ExampleDescriptor, build_example, check_atlas_data, example_to_json,
     )
 
-    doc = example_to_json(build_example(ExampleDescriptor("sphere-euler", {"density": 8})))
-    doc["reduction"]["sets"]["1"].append(sample)
-    stages = check_atlas_data(json.loads(json.dumps(doc)))["stages"]
-    assert [(stage["name"], stage["failures"]) for stage in stages if not stage["ok"]] == [
-        ("reduction", [{"clause": "sample_outside_chart", "index": [1], "point": sample}]),
+    built = build_example(ExampleDescriptor("sphere-euler", {"density": 8}))
+    sets = {**built.V.sets, (1,): built.V.sets[(1,)] | {sample}}
+    assert check_reduction(built.atlas, Reduction(sets=sets)).failures == [
+        {"clause": "sample_outside_chart", "index": (1,), "point": sample},
     ]
+    doc = example_to_json(built)
+    doc["reduction"]["sets"]["1"].append(sample)
+    with pytest.raises(ValueError, match=rf"^chart \(1,\): reduction sets: {sample} is not a "
+                                         "sample of the chart, which has 25$"):
+        check_atlas_data(json.loads(json.dumps(doc)))
 
 
 def test_norm_for_unknown_chart():
@@ -1258,3 +1262,37 @@ class TestUndeclaredNu:
         # partial equivariance reads every sample of Ṽ
         with pytest.raises(ZeroDivisionError):
             _pair_checks(NU_1, [_plus(NU_1, ["/", num(0), ["+", T, S]]), num(0)])
+
+
+def test_admissibility_solves_one_least_squares_per_pair(monkeypatch):
+    """The Jacobians of all Ṽ_IJ samples of a pair are one right-hand side
+    of one ``lstsq``; a failing sample's residual is then the one it gets
+    alone, as a loop over the samples reports it."""
+    from vfc.examples_cli import ExampleDescriptor, build_example
+
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting(a, b, **kwargs):
+        calls.append(b.shape)
+        return lstsq(a, b, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    pairs = [((1,), (1, 2)), ((2,), (1, 2))]
+    built = build_example(ExampleDescriptor("sphere-euler", {"density": 48}))
+    assert check_perturbation(built.atlas, built.V, built.nu).ok
+    ys = [len(v_tilde(built.atlas, built.V, *pair)) for pair in pairs]
+    assert ys == [48, 48] and calls == [(4, 4 * y) for y in ys]  # 4 × 4 Jacobians
+    # dν = the identity on sphere-euler N=8 fails at the first sample of each pair
+    calls.clear()
+    built = build_example(ExampleDescriptor("sphere-euler", {"density": 8}))
+    atlas, red = built.atlas, built.V
+    asts = {**built.nu.asts, (1, 2): tuple(var(k) for k in range(4))}
+    rep = check_perturbation(atlas, red, Perturbation(asts=asts, samples=built.nu.samples))
+    assert len(calls) == 4  # per pair the batch, then the failing sample alone
+    for failure, pair in zip([f for f in rep.failures if f["clause"] == "admissibility"], pairs):
+        phi = atlas.changes[pair].phi_hat.floats()
+        jac = atlas.compiled(asts[(1, 2)], atlas.charts[(1, 2)].tangent_dims)(
+            atlas.charts[(1, 2)].domain.coordinates[[failure["point"]]])[1][0]
+        alone = float(np.abs(phi @ lstsq(phi, jac, rcond=None)[0] - jac).max())
+        assert failure["residual"] == alone > 0.5

@@ -114,13 +114,13 @@ class TestCompiledNewton:
         ]
 
     def test_a_pass_compiles_each_tape_once(self, monkeypatch):
-        # the atlas keeps its tapes: 20 compilations of 12 distinct (ASTs,
-        # tangent dims) pairs before, one per pair now
+        # the atlas keeps its tapes, one per (ASTs, tangent dims) pair, and
+        # Newton reads the tapes of s and ν that the checks read: 9 pairs
         calls = _counting(monkeypatch, vfc.expressions.compile_vector)
         _, code = run_example(ExampleDescriptor("sphere-euler", {"density": 48}))
         assert code == 0
         keys = [(repr(list(asts)), tuple(dims)) for asts, dims in calls]
-        assert len(keys) == len(set(keys)) == 12
+        assert len(keys) == len(set(keys)) == 9
 
 
 def _reference_walk(f, seed, dims, box=None):
@@ -273,6 +273,24 @@ class TestLockstepNewton:
                 want, stuck = np.zeros(2), True
             assert (_bits(step[i]), singular[i]) == (_bits(want), stuck), i
         assert singular.tolist() == [i in (1, 3) for i in range(8)]
+
+    @pytest.mark.parametrize("jac, stuck", [
+        (np.array([[[np.inf, 0.0], [0.0, 1.0]], [[1.0, 2.0], [3.0, 4.0]],
+                   [[1.0, np.inf], [np.inf, 1.0]], [[-np.inf, 1.0], [1.0, 1.0]]]), [0, 0, 0, 0]),
+        (np.array([np.zeros((2, 2)), [[1.0, 2.0], [2.0, 4.0]], [[np.nan, 1.0], [1.0, 1.0]]]),
+         [1, 1, 1]),
+        (np.zeros((0, 2, 2)), []),
+    ], ids=["inf", "all-singular", "empty"])
+    def test_inf_entries_all_singular_and_empty_stacks_solve_as_alone(self, jac, stuck):
+        vals = np.arange(2.0 * len(jac)).reshape(-1, 2) - 1.5
+        step, singular = _solve(jac, vals)
+        assert step.shape == vals.shape and singular.tolist() == [bool(s) for s in stuck]
+        for i in range(len(jac)):
+            try:
+                want, stuck = np.linalg.solve(jac[i], vals[i]), False
+            except np.linalg.LinAlgError:
+                want, stuck = np.zeros(2), True
+            assert (_bits(step[i]), singular[i]) == (_bits(want), stuck), i
 
     def test_stats_of_sphere_euler_match_the_reference(self):
         built, _ = _example_seeds("sphere-euler", 12, 1)
