@@ -1486,8 +1486,7 @@ class _Blocks:
     builders read: per index set i its group, order, sample count, identity
     and (flat, with their starts, see :func:`_flat`) table, inverses and
     perms; per block k its index sets I[k], J[k] and, flat, Ũ_IJ, ρ_IJ and
-    ρ^Γ_{JI}; ``block_of[i, j]`` (or -1), and a row (k1, k2, k3) of
-    ``chains`` per blocks (I, J), (J, K) with a block (I, K)."""
+    ρ^Γ_{JI}; and ``block_of[i, j]`` (or -1)."""
 
     def __init__(self, atlas: AtlasModel, blocks: list):
         self.blocks, self.indices = blocks, atlas.index_sets()
@@ -1506,17 +1505,10 @@ class _Blocks:
         self.proj = _flat(atlas.projection[b[:2]] for b in blocks)
         self.block_of = np.full((len(where), len(where)), -1, dtype=np.int64)
         self.block_of[self.I, self.J] = np.arange(len(blocks))
-        k1, k2 = (self.J[:, None] == self.I[None, :]).nonzero()
-        k3 = self.block_of[self.I[k1], self.J[k2]]
-        self.chains = np.stack([k1, k2, k3], axis=1)[k3 >= 0]
 
     def element(self, i: int, g: int) -> str:
         """The name of element g of the i-th index set's group."""
         return self.groups[i].elements[g]
-
-    def chain(self, c: int) -> tuple:
-        """The index sets (I, J, K) of chain c."""
-        return (*self.blocks[self.chains[c, 0]][:2], self.blocks[self.chains[c, 1]][1])
 
 
 def _block_category(bk: _Blocks, ne: np.ndarray, act: tuple, phi: tuple) -> tuple:
@@ -1579,14 +1571,6 @@ def _block_category(bk: _Blocks, ne: np.ndarray, act: tuple, phi: tuple) -> tupl
     return (src, tgt, identity, pairs, comp), missing, (I, J, y, gamma)
 
 
-def _maps_compose(maps: tuple, outer: np.ndarray, inner: np.ndarray, whole: np.ndarray):
-    """Whether map ``outer[c]`` after map ``inner[c]`` is map ``whole[c]`` at
-    v, for every c and v, with c and v; ``maps`` are flat (see :func:`_flat`)."""
-    flat, start = maps
-    c, v = _runs((start[1:] - start[:-1])[inner])
-    return flat[start[outer[c]] + flat[start[inner[c]] + v]] == flat[start[whole[c]] + v], c, v
-
-
 def _domain_facts(bk: _Blocks, rep: CheckReport) -> bool:
     """Report each failing fact that B_K's arrays need, at its first
     witness: every sample index (perms, Ũ_IJ, ρ_IJ) lies in its chart
@@ -1609,52 +1593,40 @@ def _domain_facts(bk: _Blocks, rep: CheckReport) -> bool:
     return bool(valid.all() and perms_in.all() and changes_in.all())
 
 
-def _projection_facts(bk: _Blocks, rep: CheckReport) -> None:
-    """Report each failing fact on the group projections, at its first
-    witness: every ρ^Γ_{JI} is a homomorphism (``projection_not_homomorphic``)
-    and ρ^Γ_{JI} ∘ ρ^Γ_{KJ} = ρ^Γ_{KI} on every chain
-    (``projections_not_composing``).  With :func:`_domain_facts`, both
-    bracketings of composable (I, J, y, γ), (J, K, z, δ), (K, L, w, ε) are
-    (I, L, w, ρ^Γ_{JI}(ρ^Γ_{KJ}(ε)·δ)·γ = ρ^Γ_{KI}(ε)·(ρ^Γ_{JI}(δ)·γ))."""
-    order, blocks, name = bk.order, bk.blocks, bk.element
-    (proj, start), (mul, at) = bk.proj, bk.mul
-    # ρ(a·b) = ρ(a)·ρ(b) over Γ_J × Γ_J, every block at once
-    k, ab = _runs(order[bk.J] ** 2)
-    I, J = bk.I[k], bk.J[k]
-    a, b = ab // order[J], ab % order[J]
-    holds = proj[start[k] + mul[at[J] + ab]] == mul[at[I] + proj[start[k] + a] * order[I]
-                                                    + proj[start[k] + b]]
-    rep.fail_first("projection_not_homomorphic", holds, lambda p: {
-        "pair": blocks[k[p]][:2], "elements": (name(J[p], a[p]), name(J[p], b[p])),
-    })
-    holds, c, v = _maps_compose(bk.proj, *bk.chains.T)
-    rep.fail_first("projections_not_composing", holds, lambda p: {
-        "triple": bk.chain(c[p]), "element": name(bk.J[bk.chains[c[p], 1]], v[p]),
-    })
-
-
 def build_categories(atlas: AtlasModel) -> CategoriesResult:
     """The category B_K, built by :func:`_block_category` with one-point
-    grids and checked on its arrays, and the facts on which it rests and
-    from which its associativity (:func:`_domain_facts`) and all of E_K
-    follow.
+    grids and checked on its arrays, and the sizes of E_K.
 
-    E_K's object (I, x, e) is ``eo_base[(I, x)] + e``, its morphism
-    (I, J, y, e, γ) is ``e_base[b] + e`` for B_K's b = (I, J, y, γ), and its
-    endpoints, identities and composites are B_K's with e moved by Γ_I and
-    φ̂.  E_K's axioms and the laws of pr, section and zero follow when
-    (1) B_K passes, (2) Γ_I acts on grid indices, and on them φ̂ (3) maps
-    grids into grids, is (4) ρ^Γ-equivariant and (5) composes, and (6) the
-    section is Γ_I-equivariant and φ̂-compatible (the zero vector is, by
-    linearity); see :func:`_obstruction_facts` and :func:`_section_facts`.
-    Each failing fact is a clause with its first witness.  The facts that
-    are chart or coordinate-change axioms (a Γ-stable grid holding the
-    section values and the zero vector, :func:`check_chart`; fact 3,
-    :func:`check_coordinate_change`) are taken as given: a direct call that
-    breaks one raises ``ValueError`` naming the chart or change.  E_K's
-    sizes are then B_K's, each object, morphism, pair (f, g) and triple
-    counted n_e[I] times, the grid size of the chart I of the object or of
-    f; E_K itself is built only when ``obstruction_category`` is read.
+    Callers must first pass :func:`check_atlas_model`, :func:`check_chart`
+    on every chart, :func:`check_coordinate_change` on every change and
+    :func:`check_cocycle`, as ``vfc run`` and ``vfc check`` do.  The laws of
+    B_K and E_K that follow from those stages are not checked again here:
+    ρ^Γ is the projection of product groups whose tables pass
+    ``group_not_additive``, so it is a homomorphism and composes, and both
+    bracketings of composable (I, J, y, γ), (J, K, z, δ), (K, L, w, ε) are
+    (I, L, w, ρ^Γ_{KI}(ε)·ρ^Γ_{JI}(δ)·γ).  E_K's object (I, x, e) lies over
+    B_K's (I, x) and its morphism (I, J, y, e, γ) over (I, J, y, γ), with e
+    moved by Γ_I and φ̂; its axioms and the laws of pr, section and zero
+    follow from B_K's and from these clauses: Γ_I acts on the grid
+    (``obstruction_identity_action``, ``obstruction_grid_repeated``,
+    ``obstruction_action_law``, ``obstruction_grid_not_stable``); φ̂ maps
+    grids into grids (``obstruction_grid_not_phi_closed``), is
+    ρ^Γ-equivariant (``phi_hat_not_equivariant``) and composes
+    (``phi_hat_composition``); the section lies on the grid
+    (``section_value_outside_grid``), is Γ_I-equivariant
+    (``section_not_equivariant``) and φ̂-compatible
+    (``section_compatibility``); the zero vector lies on the grid
+    (``zero_vector_outside_grid``) and is fixed by linearity.
+
+    Checked here is what B_K's arrays read: every sample index lies in its
+    chart and every Γ_I is a group (:func:`_domain_facts`), then B_K's
+    composites, endpoints and identities (``composability_violated``,
+    :func:`check_category`).  A grid that is not Γ-stable or misses a
+    section value, the zero vector or a value of φ̂ raises ``ValueError``
+    naming the chart or change.  E_K's sizes are B_K's, each object,
+    morphism, pair (f, g) and triple counted n_e[I] times, the grid size of
+    the chart I of the object or of f; E_K is built when
+    ``obstruction_category`` is read.
     """
     rep = CheckReport("build_categories")
     indices = atlas.index_sets()
@@ -1694,7 +1666,6 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
         rep.merge(axioms)
         # the sizes of the category; ``merge`` passes failures on, not details
         rep.details["category_axioms"] = axioms.details
-        _projection_facts(bk, rep)
 
     # ----- E_K -----
     charts = [atlas.charts[I] for I in indices]
@@ -1710,23 +1681,19 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
     for I, J, _, _ in blocks:
         if (atlas.grid_map(I, J) < 0).any():
             raise ValueError(f"coordinate change {I}->{J}: φ̂ maps a grid point off the grid")
-    # Γ_I on grid indices, eact[i][γ, e], φ̂ of the k-th block and the
-    # section on them, each flat with where each chart or block starts
+    # Γ_I on grid indices, eact[i][γ, e], and φ̂ of the k-th block on them,
+    # each flat with where each chart or block starts
     eact = _flat(chart.grid_action for chart in charts)
     phis = _flat(atlas.grid_map(I, J) for I, J, _, _ in blocks)
-    if tables_ok:
-        _obstruction_facts(bk, n_e, eact, phis, rep)
     obj_ne, mor_ne = n_e.repeat(n_points), None if B is None else n_e[parts[0]]
     weights = None if B is None else mor_ne[B.pairs.f]
-    # E_K's sizes, where its laws are proved (B_K is built where they are)
+    # E_K's sizes, where B_K passes
     rep.details["category_axioms_E"] = {
         "objects": int(obj_ne.sum()),
         "morphisms": int(mor_ne.sum()),
         "composable_pairs": int(weights.sum()),
         "composable_triples": int((weights * B.pairs.triple_counts()).sum()),
     } if rep.ok else {}
-    if tables_ok:
-        _section_facts(bk, n_e, eact, phis, _flat(c.section_on_grid for c in charts), rep)
 
     def obstruction_category():
         if B is None:
@@ -1742,64 +1709,6 @@ def build_categories(atlas: AtlasModel) -> CategoriesResult:
 
     return CategoriesResult(domain_category=B, domain_parts=parts, report=rep,
                             build_obstruction=obstruction_category)
-
-
-def _obstruction_facts(bk: _Blocks, ne: np.ndarray, act: tuple, phi: tuple,
-                       rep: CheckReport) -> None:
-    """Report each failing fact 2, 4 and 5 of :func:`build_categories` at
-    its first witness, each on all charts, blocks or chains at once, with
-    ``ne``, ``act``, ``phi`` as :func:`_block_category` takes them: the
-    identity fixes the grid (``grid_identity_not_trivial``) and (γδ)·e = γ·(δ·e)
-    (``grid_action_law``); φ̂_IJ(ρ^Γ(δ)·e) = δ·φ̂_IJ(e)
-    (``phi_hat_not_equivariant_on_grid``); φ̂_IK = φ̂_JK ∘ φ̂_IJ
-    (``phi_hat_not_composing_on_grid``)."""
-    order, name, (grid, at), (mul, mul_start) = bk.order, bk.element, act, bk.mul
-    i, e = _runs(ne)
-    rep.fail_first("grid_identity_not_trivial", grid[at[i] + bk.one[i] * ne[i] + e] == e,
-                   lambda p: {"index": bk.indices[i[p]], "point": int(e[p])})
-    i, x = _runs(order**2 * ne)
-    g, d, e = x // ne[i] // order[i], x // ne[i] % order[i], x % ne[i]
-    holds = (grid[at[i] + mul[mul_start[i] + g * order[i] + d] * ne[i] + e]
-             == grid[at[i] + g * ne[i] + grid[at[i] + d * ne[i] + e]])
-    rep.fail_first("grid_action_law", holds, lambda p: {
-        "index": bk.indices[i[p]], "pair": (name(i[p], g[p]), name(i[p], d[p])),
-        "point": int(e[p]),
-    })
-    (phis, phi_start), (proj, proj_start) = phi, bk.proj
-    c, x = _runs(order[bk.J] * ne[bk.I])
-    I, J = bk.I[c], bk.J[c]
-    d, e = x // ne[I], x % ne[I]
-    holds = (phis[phi_start[c] + grid[at[I] + proj[proj_start[c] + d] * ne[I] + e]]
-             == grid[at[J] + d * ne[J] + phis[phi_start[c] + e]])
-    rep.fail_first("phi_hat_not_equivariant_on_grid", holds, lambda p: {
-        "pair": bk.blocks[c[p]][:2], "element": name(J[p], d[p]), "point": int(e[p]),
-    })
-    holds, c, e = _maps_compose(phi, *bk.chains[:, [1, 0, 2]].T)
-    rep.fail_first("phi_hat_not_composing_on_grid", holds, lambda p: {
-        "triple": bk.chain(c[p]), "point": int(e[p]),
-    })
-
-
-def _section_facts(bk: _Blocks, ne: np.ndarray, act: tuple, phi: tuple,
-                   s_idx: tuple, rep: CheckReport) -> None:
-    """Report each failing part of fact 6 of :func:`build_categories` at its
-    first witness, with ``s_idx`` the section's flat grid index per sample:
-    s(γ·x) = γ·s(x) (``section_not_equivariant_on_grid``) and
-    φ̂_IJ(s_I(ρ(y))) = s_J(y) (``section_not_compatible_on_grid``)."""
-    n, (grid, at), (s, s_start), (perms, perm_start) = bk.n_points, act, s_idx, bk.perms
-    i, x = _runs(bk.order * n)
-    g, x = x // n[i], x % n[i]
-    holds = (s[s_start[i] + perms[perm_start[i] + g * n[i] + x]]
-             == grid[at[i] + g * ne[i] + s[s_start[i] + x]])
-    rep.fail_first("section_not_equivariant_on_grid", holds, lambda p: {
-        "index": bk.indices[i[p]], "element": bk.element(i[p], g[p]), "point": int(x[p]),
-    })
-    (phis, phi_start), (tilde, tilde_start), (rho, _) = phi, bk.tilde, bk.rho
-    k, _ = _runs(tilde_start[1:] - tilde_start[:-1])
-    holds = phis[phi_start[k] + s[s_start[bk.I[k]] + rho]] == s[s_start[bk.J[k]] + tilde]
-    rep.fail_first("section_not_compatible_on_grid", holds, lambda p: {
-        "pair": bk.blocks[k[p]][:2], "point": int(tilde[p]),
-    })
 
 
 # ---------------------------------------------------------------------------

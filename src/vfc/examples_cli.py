@@ -1047,19 +1047,21 @@ def emit_json(report: dict, path: str) -> None:
 def check_atlas_data(data: dict) -> dict:
     """Validation-only report for a parsed atlas JSON document."""
     atlas = atlas_from_json(data)
+    red = reduction_from_json(data["reduction"], atlas) if "reduction" in data else None
+    norms = norms_from_json(data["norms"]) if "norms" in data else None
+    nu = (perturbation_from_json(data["perturbation"], atlas)
+          if "perturbation" in data and red is not None else None)
     stages: list = []
     report = {"schema": RUN_SCHEMA, "mode": "check", "stages": stages}
     ok = True
     for rep, _ in _atlas_stages(atlas):
         ok = _stage(stages, rep) and ok
-    red = reduction_from_json(data["reduction"], atlas) if "reduction" in data else None
     if red is not None:
         ok = _stage(stages, check_reduction(atlas, red)) and ok
         ok = _stage(stages, build_pruned_category(atlas, red)) and ok
-    if "norms" in data:
-        ok = _stage(stages, norms_from_json(data["norms"]).validate(atlas)) and ok
-    if "perturbation" in data and red is not None:
-        nu = perturbation_from_json(data["perturbation"], atlas)
+    if norms is not None:
+        ok = _stage(stages, norms.validate(atlas)) and ok
+    if nu is not None:
         ok = _stage(stages, check_perturbation(atlas, red, nu)) and ok
     report["ok"] = ok
     return report

@@ -260,8 +260,6 @@ class AdaptednessConstants:
     c_tilde: dict  # J -> frozenset
     sigma: Fraction | None  # None = empty complement (no constraint)
     sigma_witness: tuple | None
-    sigma_representative: bool
-    max_depth: int
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +680,6 @@ def compute_adaptedness_constants(
     C: Reduction,
     norms: EquivariantNorms,
     delta: Fraction | None = None,
-    sigma_representative: bool = True,
 ) -> AdaptednessConstants:
     """δ_V, the nested enlargements V_I^k, N^k_JI, C̃_J, η_k and σ."""
     if atlas.metric is None:
@@ -750,7 +747,6 @@ def compute_adaptedness_constants(
     return AdaptednessConstants(
         delta_V=delta_V, delta=delta, eta=eta, v_k=sets(v_k), n_k=sets(n_k),
         c_tilde=sets(c_tilde), sigma=sigma, sigma_witness=witness,
-        sigma_representative=sigma_representative, max_depth=depth,
     )
 
 

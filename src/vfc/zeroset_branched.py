@@ -563,7 +563,6 @@ def weight_function(atlas: AtlasModel, hausdorff: ZeroSetGroupoid) -> WeightResu
 
 @dataclass
 class BranchStructure:
-    branches: dict  # class -> list of (chart I, frozenset of sample idx, weight)
     report: CheckReport
 
 
@@ -576,18 +575,12 @@ def wnb_check(
     Λ(p) equals the sum of the branch weights through p."""
     rep = CheckReport("wnb")
     per_chart = hausdorff.fibers()
-    branches: dict = {}
     for p in hausdorff.classes:
-        charts = sorted(per_chart[p], key=lambda I: (len(I), I))
-        I = charts[0]
-        fiber = per_chart[p][I]
-        weight = Fraction(1, atlas.charts[I].group.order)
-        pieces = [(I, frozenset({z}), weight) for z in sorted(fiber)]
-        branches[p] = pieces
-        total = sum((w for _, _, w in pieces), Fraction(0))
+        I = min(per_chart[p], key=lambda I: (len(I), I))
+        total = Fraction(len(per_chart[p][I]), atlas.charts[I].group.order)
         if total != weights.get(p):
             rep.fail("weighting", cls=p, total=total, expected=weights.get(p))
-    return BranchStructure(branches=branches, report=rep)
+    return BranchStructure(report=rep)
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +622,6 @@ def fundamental_class_0d(
 class BranchedIntervalModel:
     samples: tuple  # Fractions in [0,1]
     objects: tuple  # ("I" | "Ip", t)
-    open_pairs: tuple  # identified pairs before closure (t < 1/2)
     closed_pairs: tuple  # identified pairs after closure (t <= 1/2)
     classes: tuple
     class_of: dict
@@ -654,7 +646,6 @@ def branched_interval_model(m, mp, denominator: int = 8) -> BranchedIntervalMode
     samples = tuple(Fraction(k, denominator) for k in range(denominator + 1))
     objects = tuple(("I", t) for t in samples) + tuple(("Ip", t) for t in samples)
     half = Fraction(1, 2)
-    open_pairs = tuple((("I", t), ("Ip", t)) for t in samples if t < half)
     closed_pairs = tuple((("I", t), ("Ip", t)) for t in samples if t <= half)
     classes, class_of = _classes_of(objects, closed_pairs)
     weights = {}
@@ -671,7 +662,6 @@ def branched_interval_model(m, mp, denominator: int = 8) -> BranchedIntervalMode
     return BranchedIntervalModel(
         samples=samples,
         objects=objects,
-        open_pairs=open_pairs,
         closed_pairs=closed_pairs,
         classes=classes,
         class_of=class_of,
@@ -689,9 +679,7 @@ def branched_interval_model(m, mp, denominator: int = 8) -> BranchedIntervalMode
 
 def zero_set_report(
     zeros: Sequence,
-    class_weights: dict | None = None,
     total: Fraction | None = None,
-    wnb_report: CheckReport | None = None,
     warnings: Sequence | None = None,
 ) -> dict:
     out = {"zeros": [
@@ -706,15 +694,8 @@ def zero_set_report(
         }
         for z in zeros
     ]}
-    if class_weights is not None:
-        out["classes"] = [
-            {"class": repr(p), "weight": rat_str(Fraction(w))}
-            for p, w in sorted(class_weights.items(), key=lambda kv: repr(kv[0]))
-        ]
     if total is not None:
         out["total"] = rat_str(Fraction(total))
-    if wnb_report is not None:
-        out["wnb"] = wnb_report.to_json()
     if warnings:
         out["warnings"] = list(warnings)
     return out

@@ -57,22 +57,27 @@ class Dual:
     def __neg__(self):
         return Dual(-self.val, tuple(-a for a in self.grad))
 
+    # A non-Dual operand adds no gradient term, as in the tape: ∇(a·c) = ∇a·c
+    # and ∇(a / c) = ∇a/c, so an infinite value is never multiplied by 0.
     def __mul__(self, other):
-        o = self._coerce(other)
+        if not isinstance(other, Dual):
+            return Dual(self.val * other, tuple(a * other for a in self.grad))
         return Dual(
-            self.val * o.val,
-            tuple(a * o.val + self.val * b for a, b in zip(self.grad, o.grad)),
+            self.val * other.val,
+            tuple(a * other.val + self.val * b for a, b in zip(self.grad, other.grad)),
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        inv = 1 / o.val if isinstance(o.val, Fraction) else 1.0 / o.val
+        o = other.val if isinstance(other, Dual) else other
+        inv = 1 / o if isinstance(o, Fraction) else 1.0 / o
         val = self.val * inv
+        if not isinstance(other, Dual):
+            return Dual(val, tuple(a * inv for a in self.grad))
         return Dual(
             val,
-            tuple((a - val * b) * inv for a, b in zip(self.grad, o.grad)),
+            tuple((a - val * b) * inv for a, b in zip(self.grad, other.grad)),
         )
 
     def __rtruediv__(self, other):

@@ -1,11 +1,12 @@
-"""B_K's associativity from its group facts, and the per-atlas arrays the
+"""B_K's associativity from the group laws, and the per-atlas arrays the
 checks read.
 
-``build_categories`` proves B_K associative from facts on the group
-tables and never scans its composable triples; a failing fact is its own
-clause.  The scan lives here, as the oracle of the proof: on passing
-atlases it finds no triple on B_K or E_K, and on the doctored models it
-finds the triple that the failing fact predicts.  Those models act
+B_K is associative because ρ^Γ, the projection of product groups whose
+tables ``check_atlas_model`` checks, is a homomorphism and composes;
+``build_categories`` never scans its composable triples.  The scan lives
+here, as the oracle of that proof: on passing atlases it finds no triple
+on B_K or E_K, and on the doctored models it finds the triple that the
+broken law predicts.  Those models act
 trivially on chart (1,) and send each sample of chart (1, 2) to the point
 of its fiber, so that every composite keeps its endpoints and the failure
 surfaces at the associativity law itself.
@@ -158,19 +159,51 @@ def table_not_associative():
     return dataclasses.replace(atlas, charts={**atlas.charts, (1,): chart})
 
 
-def test_a_failing_fact_is_its_own_clause(block_calls):
-    result = charts_atlas.build_categories(projection_not_a_homomorphism())
-    assert result.report.failures == [
-        {"clause": "projection_not_homomorphic", "pair": ((1,), (1, 2)),
-         "elements": ("e|g1", "e|g2")},
+def table_not_the_product():
+    """Γ_1 = Z_2, Γ_2 = Z_3; chart (1, 2) keeps the product's element names
+    but multiplies as if e|g2 and g1|e traded places: a group, though not
+    the product, so ρ^Γ of (1,) -> (1, 2), read from the names, is no
+    homomorphism of it."""
+    atlas = build_toy_atlas({1: {"a", "b"}, 2: {"b", "c"}}, ["a", "b", "c"], {1: 2, 2: 3})
+    chart = atlas.charts[(1, 2)]
+    swap = np.array([0, 1, 3, 2, 4, 5])
+    group = dataclasses.replace(chart.group, table=swap[chart.group.table[np.ix_(swap, swap)]])
+    assert group.validate().ok
+    chart = dataclasses.replace(chart, domain=dataclasses.replace(chart.domain, group=group))
+    return dataclasses.replace(atlas, charts={**atlas.charts, (1, 2): chart})
+
+
+def test_a_projection_that_is_no_homomorphism_fails_group_not_additive():
+    atlas = table_not_the_product()
+    rho, mul = atlas.projection[((1,), (1, 2))], atlas.charts[(1, 2)].group.table
+    # e|g1 · e|g1 is now g1|e, which ρ^Γ sends to g1, not to e · e
+    assert (rho[mul[1, 1]], rho[1]) == (1, 0)
+    assert charts_atlas.check_atlas_model(atlas).failures == [
+        {"clause": "group_not_additive", "index": (1, 2)},
     ]
-    assert result.report.details["category_axioms_E"] == {}
+
+
+def test_the_scan_finds_the_triple_of_a_doctored_projection(block_calls):
+    """B_K's associativity rests on ρ^Γ being a homomorphism: with the
+    cached ρ^Γ doctored, which no document can do, B_K passes its own check
+    and the scan finds the non-associative triple."""
+    result = charts_atlas.build_categories(projection_not_a_homomorphism())
     assert len(block_calls) == 1
-    # the scan finds the non-associative triple that the fact predicts
     B = result.domain_category
     assert check_category(B).ok
     assert first_non_associative(B) == (
         ((1,), (1, 2), 0, "e"), ((1, 2), (1, 2), 1, "e|g1"), ((1, 2), (1, 2), 0, "e|g2"))
+
+
+def test_projections_are_homomorphisms_and_compose():
+    for atlas in _atlases():
+        rho = atlas.projection
+        for (I, J), down in rho.items():
+            mul_I, mul_J = atlas.charts[I].group.table, atlas.charts[J].group.table
+            assert (down[mul_J] == mul_I[np.ix_(down, down)]).all()
+            for K in atlas.charts:
+                if set(J) <= set(K):
+                    assert (down[rho[(J, K)]] == rho[(I, K)]).all()
 
 
 def test_a_table_that_is_no_group_is_not_read(block_calls, monkeypatch):
@@ -191,36 +224,40 @@ def test_a_table_that_is_no_group_is_not_read(block_calls, monkeypatch):
 def test_projections_not_composing():
     """Three charts over one point, Γ_1 = Z_2; ρ^Γ of (1,) -> (1, 2, 3) is
     doctored to the trivial homomorphism, which is not ρ^Γ of (1,) -> (1, 2)
-    after that of (1, 2) -> (1, 2, 3)."""
+    after that of (1, 2) -> (1, 2, 3).  No document can do this (the
+    program's ρ^Γ composes, see above); B_K's own check sees the
+    composite's endpoints move."""
     atlas = build_toy_atlas({1: {"p"}, 2: {"p"}, 3: {"p"}}, ["p"], {1: 2})
     projection = dict(atlas.projection)
     projection[((1,), (1, 2, 3))] = np.zeros(2, dtype=np.int64)
     atlas.__dict__["projection"] = projection  # the cached ρ^Γ, doctored
     result = charts_atlas.build_categories(atlas)
-    # B_K's check sees the composite's endpoints move; the fact names the chain
     assert result.report.failures == [
         {"clause": "compose_endpoints", "from": "category_axioms", "pair": (
             ((1,), (1, 2, 3), 0, "e"), ((1, 2, 3), (1, 2, 3), 1, "g1|e|e"))},
-        {"clause": "projections_not_composing", "triple": ((1,), (1, 2), (1, 2, 3)),
-         "element": "g1|e|e"},
     ]
 
 
-def test_a_section_value_moved_onto_the_grid_is_reported_by_its_facts(block_calls):
+def test_a_section_value_moved_onto_the_grid_fails_the_chart_and_change(block_calls):
     """Football-euler N=12 with the section value of sample 0 of chart
-    (1, 2) moved to the grid point (1/2, 0, 0, 0): the section facts fail,
-    and E_K, 2,236,009 composable triples, is neither built nor scanned."""
+    (1, 2) moved to the grid point (1/2, 0, 0, 0): ``check_chart`` and
+    ``check_coordinate_change`` fail, and a direct ``build_categories``
+    neither builds nor scans E_K, 2,236,009 composable triples."""
     atlas = _euler("football-euler", 12)
     chart = atlas.charts[(1, 2)]
     samples = chart.section_samples.fractions()
     samples[0] = (Fraction(1, 2), Fraction(0), Fraction(0), Fraction(0))
     charts = {**atlas.charts, (1, 2): dataclasses.replace(chart, section_samples=samples)}
-    result = charts_atlas.build_categories(dataclasses.replace(atlas, charts=charts))
-    assert result.report.failures == [
-        {"clause": "section_not_equivariant_on_grid", "index": (1, 2), "element": "e|g1",
-         "point": 0},
-        {"clause": "section_not_compatible_on_grid", "pair": ((1,), (1, 2)), "point": 0},
+    atlas = dataclasses.replace(atlas, charts=charts)
+    assert charts_atlas.check_chart(atlas, (1, 2)).failures == [
+        *({"clause": "section_not_equivariant", "element": g, "point": 0}
+          for g in ("e|g1", "e|g2", "g1|e", "g1|g1", "g1|g2")),
+        {"clause": "section_ast_inconsistent", "point": 0, "error": 0.5},
     ]
+    assert charts_atlas.check_coordinate_change(atlas, (1,), (1, 2)).failures == [
+        {"clause": "section_compatibility", "point": 0},
+    ]
+    charts_atlas.build_categories(atlas)
     assert len(block_calls) == 1
 
 

@@ -876,8 +876,9 @@ class TestObstructionCategoryOracle:
 
 
 class TestObstructionCategoryInClosedForm:
-    """A passing ``build_categories`` proves E_K's axioms from B_K's and
-    from facts on the grids, and derives E_K's sizes in closed form."""
+    """A passing ``build_categories`` takes E_K's axioms from B_K's and from
+    the chart, change and cocycle stages, and derives E_K's sizes in
+    closed form."""
 
     @pytest.mark.parametrize("seed", range(30))
     def test_random_toys_sizes(self, seed):
@@ -943,13 +944,15 @@ class TestObstructionCategoryInClosedForm:
         # ``len`` of E_K's labels builds none of them
         assert not {"_items"} & (set(vars(E.objects)) | set(vars(E.morphisms)))
 
-    def test_a_failed_fact_builds_no_obstruction_category(self, counted):
-        """Where a fact fails, it is reported and E_K is not built; E_K is
-        built once when read, and its check finds the broken law."""
+    def test_a_failed_law_builds_no_obstruction_category(self, counted):
+        """Where φ̂ does not compose, ``check_cocycle`` reports it, and a
+        direct call does not build E_K; E_K is built once when read, and its
+        check finds the broken law."""
         from test_obstruction_clauses import phi_hats_not_composing_on_the_grid
 
-        out = build_categories(phi_hats_not_composing_on_the_grid())
-        assert [f["clause"] for f in out.report.failures] == ["phi_hat_not_composing_on_grid"]
+        atlas = phi_hats_not_composing_on_the_grid()
+        assert "phi_hat_composition" in {f["clause"] for f in check_cocycle(atlas).failures}
+        out = build_categories(atlas)
         assert counted == {"_block_category": 1, "Labels": 0}
         assert not check_category(out.obstruction_category).ok
         assert counted["_block_category"] == 2

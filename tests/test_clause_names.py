@@ -82,7 +82,7 @@ def _test_texts() -> list:
 
 def test_the_clause_pattern_finds_the_clauses():
     clauses = _literal_clauses()
-    assert {"obstruction_grid_repeated", "grid_action_law", "identity_missing"} <= clauses
+    assert {"obstruction_grid_repeated", "obstruction_action_law", "identity_missing"} <= clauses
     # passed through a conditional, a returned or yielded pair, or a map
     assert {
         "a_nu_undefined", "a_compatibility", "nu_undefined", "compatibility",

@@ -372,6 +372,24 @@ def test_cli_zeros_reduction_sample_outside_its_chart_exit_three(sphere_files, t
             " which has 25") in res.output
 
 
+def test_cli_check_reads_the_reduction_before_the_first_stage(sphere_files, tmp_path,
+                                                             monkeypatch):
+    """A bad reduction sample is a schema error before any atlas stage runs."""
+    atlas_path, _, _ = sphere_files
+    doc = json.loads(atlas_path.read_text())
+    doc["reduction"]["sets"]["1"].append("x")
+    broken = tmp_path / "reduction.json"
+    broken.write_text(json.dumps(doc))
+    charts = []
+    monkeypatch.setattr(examples_cli, "check_chart", lambda atlas, I: charts.append(I))
+    res = CliRunner().invoke(main, ["check", str(broken)])
+    assert res.exit_code == 3, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert ("schema error: chart (1,): reduction sets: 'x' is not a sample of the chart,"
+            " which has 25") in res.output
+    assert charts == []
+
+
 @pytest.mark.parametrize("command", ["check", "zeros"])
 @pytest.mark.parametrize("case", METRIC_FAULTS)
 def test_cli_broken_metric_exit_three(sphere_files, tmp_path, case, command):

@@ -247,6 +247,12 @@ class TestCompiledForm:
         [[-0.5, 4.5e-287, -0.5]],
         [1],
     )
+    # a constant 0 times x₂⁻³, which overflows: ∞·0 is NaN only along x₂
+    @example(
+        [["*", num(0), ["neg", ["pow", var(2), -3]]]],
+        [[-0.5, -0.5, 3.795e-153]],
+        [0, 2],
+    )
     def test_matches_interpreter_at_float_coordinates(self, asts, points, dims):
         want = [_interpreted(asts, p, dims) for p in points]
         raised = [i for i, w in enumerate(want) if isinstance(w, Exception)]

@@ -12,8 +12,8 @@ of a chart or a change changed, or a sample added to a reduction set or
 closure.  ``vfc zeros`` reads the document's own ν as its
 perturbation.  Every document ends in an exit code 0–3 under both
 commands and never in a traceback, and one that passes every stage before
-``build_categories`` fails no fact of ``build_categories``: the facts
-follow from the earlier stages' axioms.  A grid point that a section
+``build_categories`` fails no clause of ``build_categories``: what it
+checks follows from the earlier stages' axioms.  A grid point that a section
 value or φ̂ sits at, or the zero vector, can be moved on a trivial group
 with the group laws intact; ``check_chart`` and ``check_coordinate_change``
 report that.

@@ -1,10 +1,10 @@
 """One doctored model per obstruction-space clause: each test asserts that
 its clause fires, with its witness.
 
-The E_K models break one fact from which ``build_categories`` proves
-E_K's laws (see its docstring) each, and the whole report of
-``build_categories`` is asserted: the fact's own clause, with its first
-witness.
+The E_K models each break one law of E_K, and the whole report of the
+earlier stage that decides it (see the docstring of ``build_categories``,
+which takes those stages as given) is asserted: the law's clause, with
+its first witness.
 
 The constructors at the top build the doctored models; the tests below
 only run a validator and read its failures.
@@ -259,10 +259,6 @@ def test_obstruction_grid_repeated():
     assert check_chart(atlas, (1, 2)).failures == [
         {"clause": "obstruction_grid_repeated", "points": (3, last)},
     ]
-    # a direct call sees that the identity moves point 3 to its copy
-    assert build_categories(atlas).report.failures == [
-        {"clause": "grid_identity_not_trivial", "index": (1, 2), "point": 3},
-    ]
 
 
 def test_zero_vector_outside_grid():
@@ -281,51 +277,52 @@ def test_norm_shape():
 
 
 # ---------------------------------------------------------------------------
-# E_K: the whole report of build_categories when one fact fails
+# E_K: each broken law, failed by the earlier stage that decides it
 # ---------------------------------------------------------------------------
 
 
 def test_grid_action_not_a_law():
-    assert build_categories(grid_action_not_a_law()).report.failures == [
-        {"clause": "grid_action_law", "index": (1,), "pair": ("g1", "g1"), "point": 0},
+    assert check_chart(grid_action_not_a_law(), (1,)).failures == [
+        {"clause": "obstruction_action_law", "pair": ("g1", "g1")},
+        {"clause": "obstruction_action_law", "pair": ("g2", "g2")},
     ]
 
 
 def test_grid_action_identity_not_trivial():
-    assert build_categories(grid_action_identity_not_trivial()).report.failures == [
-        {"clause": "grid_identity_not_trivial", "index": (1,), "point": 0},
+    assert check_chart(grid_action_identity_not_trivial(), (1,)).failures == [
+        {"clause": "obstruction_identity_action"},
     ]
 
 
 def test_phi_hat_not_equivariant_on_the_grid():
-    assert build_categories(phi_hat_not_equivariant_on_the_grid()).report.failures == [
-        {"clause": "phi_hat_not_equivariant_on_grid", "pair": ((1,), (1, 2)),
-         "element": "g1|e", "point": 0},
+    atlas = phi_hat_not_equivariant_on_the_grid()
+    assert check_coordinate_change(atlas, (1,), (1, 2)).failures == [
+        {"clause": "phi_hat_not_equivariant", "element": "g1|e"},
     ]
 
 
 def test_phi_hats_not_composing_on_the_grid():
-    assert build_categories(phi_hats_not_composing_on_the_grid()).report.failures == [
-        {"clause": "phi_hat_not_composing_on_grid", "triple": ((1,), (1, 2), (1, 2, 3)),
-         "point": 0},
+    assert check_cocycle(phi_hats_not_composing_on_the_grid(), "weak").failures == [
+        {"clause": "phi_hat_composition", "triple": ((1,), (1, 2), (1, 2, 3))},
+        {"clause": "phi_hat_composition", "triple": ((1,), (1, 3), (1, 2, 3))},
     ]
 
 
 def test_section_not_phi_compatible_on_the_grid():
-    rep = build_categories(section_not_phi_compatible_on_the_grid()).report
-    assert rep.failures == [
-        {"clause": "section_not_compatible_on_grid", "pair": ((1,), (1, 2)), "point": 0},
+    atlas = section_not_phi_compatible_on_the_grid()
+    assert check_coordinate_change(atlas, (1,), (1, 2)).failures == [
+        {"clause": "section_compatibility", "point": 0},
     ]
 
 
 def test_section_not_equivariant_on_the_grid():
     """The section is 0 only over b, so the zero classes miss a as well."""
     atlas = section_not_equivariant_on_the_grid()
-    out = build_categories(atlas)
-    assert out.report.failures == [
-        {"clause": "section_not_equivariant_on_grid", "index": (1,), "element": "g1",
-         "point": 0},
+    assert check_chart(atlas, (1,)).failures == [
+        {"clause": "section_not_equivariant", "element": "g1", "point": 0},
+        {"clause": "footprint_not_bijective", "footprint": ["a", "b"], "mapped": ["b"]},
     ]
+    out = build_categories(atlas)
     assert check_realizations(atlas, out.domain_category).failures == [
         {"clause": "zero_classes_not_bijective_with_footprint", "classes": 1, "footprint": 2},
     ]

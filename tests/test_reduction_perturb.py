@@ -1093,7 +1093,7 @@ def _pair_constants(atlas: AtlasModel) -> AdaptednessConstants:
         delta_V=F(1, 4), delta=F(1, 8), eta=dict.fromkeys(levels, 0.0),
         v_k={(I, k): every[I] for I in atlas.charts for k in levels},
         n_k={((1, 2), (1,), k): every[(1, 2)] for k in levels},
-        c_tilde={}, sigma=None, sigma_witness=None, sigma_representative=True, max_depth=3,
+        c_tilde={}, sigma=None, sigma_witness=None,
     )
 
 

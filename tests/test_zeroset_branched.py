@@ -873,12 +873,6 @@ class TestReport:
             preds={(1,): _open_interval_pred()},
         )
         result = find_zeros(atlas, red, Perturbation())
-        report = zero_set_report(
-            result.zeros,
-            class_weights={"c0": F(1)},
-            total=F(1),
-            warnings=result.warnings,
-        )
+        report = zero_set_report(result.zeros, total=F(1), warnings=result.warnings)
         assert report["total"] == "1/1"
         assert report["zeros"][0]["sign"] == 1
-        assert report["classes"][0]["weight"] == "1/1"
