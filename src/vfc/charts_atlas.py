@@ -928,8 +928,13 @@ class AtlasModel:
 
     def compiled(self, asts: Sequence, dims: Sequence[int] = ()) -> Callable:
         """:func:`~vfc.expressions.compile_vector` of ``asts`` along
-        ``dims``, compiled once per atlas for equal ASTs and dims."""
-        key = ("tape", repr(list(asts)), tuple(dims))
+        ``dims``, compiled once per atlas for equal ASTs and dims.  The key
+        is rendered once per ASTs object, which the cache holds so that its
+        ``id`` is not reused."""
+        held = self._made.get(("repr", id(asts)))
+        if held is None:
+            held = self._made["repr", id(asts)] = (asts, repr(list(asts)))
+        key = ("tape", held[1], tuple(dims))
         if key not in self._made:
             self._made[key] = compile_vector(asts, dims)
         return self._made[key]

@@ -42,7 +42,6 @@ from .charts_atlas import (
     CategoriesResult,
     ChartModel,
     CoordinateChangeModel,
-    FiniteGroup,
     GroupQuotientModel,
     RationalArray,
     atlas_from_json,
@@ -59,7 +58,7 @@ from .charts_atlas import (
     CheckReport,
 )
 from .exterior_engine import parse_rat, rat_str
-from .expressions import num, var
+from .expressions import eval_vector, num, var
 from .reduction_perturb import (
     EquivariantNorms,
     Perturbation,
@@ -241,84 +240,104 @@ def random_toy_atlas(seed: int) -> AtlasModel:
 # ---------------------------------------------------------------------------
 
 
-def _order_matrix(n: int) -> np.ndarray:
-    """An integer rotation of order n (n ∈ {1, 2, 3})."""
-    if n == 1:
-        return np.eye(2, dtype=np.int64)
-    if n == 2:
-        return -np.eye(2, dtype=np.int64)
-    if n == 3:
-        # conjugate of the 1/3-turn by the hexagonal frame P
-        return np.array([[0, -1], [1, -1]], dtype=np.int64)
-    raise ValueError(f"no exact rational rotation of order {n}")
+#: the integer generator of each cyclic group that acts exactly on a
+#: rational plane: by the crystallographic restriction its order is 1, 2,
+#: 3, 4 or 6, and it turns the plane by 2π/n in the frame of its
+#: invariant form
+GENERATORS = {
+    1: ((1, 0), (0, 1)),
+    2: ((-1, 0), (0, -1)),
+    3: ((0, -1), (1, -1)),
+    4: ((0, -1), (1, 0)),
+    6: ((1, -1), (1, 0)),
+}
 
-
-def _powers(mat: np.ndarray, n: int) -> np.ndarray:
-    """mat⁰, …, matⁿ⁻¹ stacked."""
-    return np.array([matrix_power(mat, s) for s in range(n)])
-
-
-def _frame(n2: int):
-    """The float frame P with P·Rot(2π/n₂)·P⁻¹ exactly rational."""
-    if n2 == 3:
-        s = math.sqrt(3.0)
-        return ((1.0, 1.0 / s), (0.0, 2.0 / s))
-    return ((1.0, 0.0), (0.0, 1.0))
-
-
-def _frame_asts(n2: int):
-    if n2 == 3:
-        inv_s3 = ["/", num(1), ["sqrt", num(3)]]
-        two_s3 = ["/", num(2), ["sqrt", num(3)]]
-        return ((num(1), inv_s3), (num(0), two_s3))
-    return ((num(1), num(0)), (num(0), num(1)))
-
-
-def _q_ast(n2: int, w1, w2):
-    """The Γ₂-invariant rational quadratic form with unit ring |P⁻¹w| = 1."""
-    if n2 == 3:
-        return [
-            "+",
-            ["-", ["*", w1, w1], ["*", w1, w2]],
-            ["*", w2, w2],
-        ]
-    return ["+", ["*", w1, w1], ["*", w2, w2]]
-
-
-def _apply_frame(P, vec) -> tuple[float, float]:
-    return (
-        P[0][0] * vec[0] + P[0][1] * vec[1],
-        P[1][0] * vec[0] + P[1][1] * vec[1],
-    )
+#: ±e₁ and ±e₂ as rows
+_AXES = np.array([(1, 0), (-1, 0), (0, 1), (0, -1)])
 
 
 def _ring_label(g: int, k: int, N: int) -> str:
     return f"ring{g}:{k % N}"
 
 
+def _combination(terms) -> list:
+    """The AST of Σ c·t over pairs (c, t), c an exact rational or an AST:
+    a term with c = 0 is left out, c = ±1 is not written, and each term
+    after the first is added or subtracted."""
+    out = None
+    for c, t in terms:
+        if isinstance(c, list):
+            c, t = 1, ["*", c, t]
+        if c:
+            t = t if abs(c) == 1 else ["*", num(abs(c)), t]
+            out = (t if c > 0 else ["neg", t]) if out is None else ["+" if c > 0 else "-", out, t]
+    return out
+
+
 @dataclass
 class _Pole:
-    """One disk chart of the two-disk model: the centre (sample 0) and three
-    rings of n·N samples, n = |Γ|.  Ring g lies at band coordinate
-    ``RING_T[g]`` with radius ``radius(RING_T[g])`` in the frame P; its
-    sample j + s·N is rot^s applied to sample j, and its sample j lies over
-    the footprint sample ``orient``·j of the ring.  The centre sits at band
-    coordinate ``centre_band`` (in quarters) over the footprint sample
-    ``centre``."""
+    """One disk chart of the two-disk model, with Γ = Z_n acting on the
+    disk and on E = R² by the powers γ^s of the generator of order n: the
+    centre (sample 0) and three rings of n·N samples.  Ring g lies at band
+    coordinate ``RING_T[g]`` with radius ``radius(RING_T[g])`` in the frame
+    P; its sample j + s·N is γ^s applied to sample j, and its sample j lies
+    over the footprint sample ``orient``·j of the ring.  The centre sits at
+    band coordinate ``centre_band`` (in quarters) over the footprint sample
+    ``centre``.
+
+    The rest is derived from the generator: the invariant form
+    Q = Σ γᵀγ, reduced by its gcd; the frame P = ((1, −q₁₂/√d),
+    (0, q₁₁/√d)), d = det Q, with PᵀQP = q₁₁·I, in which γ turns by 2π/n;
+    the obstruction grid, the origin and the distinct points ±γe₁, ±γe₂;
+    and the rows of the Γ-invariant norm max_k |r_k·e|, the distinct rows
+    e_k·γ up to sign."""
 
     index: tuple
-    group: FiniteGroup
-    rot: np.ndarray
-    frame: tuple
+    n: int
     radius: Callable[[float], float]  # band coordinate -> radius
     orient: int
     centre: str
     centre_band: int
     N: int
 
+    def __post_init__(self):
+        self.group = cyclic_group(self.n)
+        gen = np.array(GENERATORS[self.n], dtype=np.int64)
+        self.powers = np.array([matrix_power(gen, s) for s in range(self.n)])
+        q = np.einsum("sji,sjk->ik", self.powers, self.powers)
+        self.Q = q // np.gcd.reduce(q.ravel())
+        (q11, q12), (_, q22) = self.Q.tolist()
+        det = q11 * q22 - q12 * q12
+        root = math.isqrt(det)  # an entry c/√det is exact where det is a square
+        self.frame = ((1.0, -q12 / math.sqrt(det)), (0.0, q11 / math.sqrt(det)))
+        self.frame_asts = tuple(
+            (F(a), F(c, root) if root * root == det else ["/", num(c), ["sqrt", num(det)]])
+            for a, c in ((1, -q12), (0, q11))
+        )
+        points = np.einsum("sij,bj->sbi", self.powers, _AXES).reshape(-1, 2)
+        self.grid = np.array([(0, 0), *dict.fromkeys(map(tuple, points.tolist()))])
+        rows: dict = {}
+        for r in map(tuple, self.powers.transpose(1, 0, 2).reshape(-1, 2).tolist()):
+            rows.setdefault(max(r, tuple(-c for c in r)), r)
+        self.norm_rows = np.array(list(rows.values()))
+
+    def framed(self, v) -> tuple[float, float]:
+        """P·v."""
+        return tuple(p[0] * v[0] + p[1] * v[1] for p in self.frame)
+
+    def framed_asts(self, v) -> list:
+        """P·v for a vector of ASTs."""
+        return [_combination(zip(p, v)) for p in self.frame_asts]
+
+    def form_ast(self, x, y) -> list:
+        """Q(x, y)/q₁₁, the squared length of P⁻¹(x, y)."""
+        (q11, q12), (_, q22) = self.Q.tolist()
+        return _combination([(1, ["*", x, x]), (F(2 * q12, q11), ["*", x, y]),
+                             (F(q22, q11), ["*", y, y])])
+
     @property
     def nN(self) -> int:
-        return self.group.order * self.N
+        return self.n * self.N
 
     def idx(self, g, j):
         return 1 + g * self.nN + j % self.nN
@@ -328,22 +347,21 @@ class _Pole:
 
     def ring(self, rep) -> np.ndarray:
         """The numerators over RAT_DEN of one ring: ``rep(θ_j)`` at the
-        representative angles θ_j = 2πj/(nN), j < N, extended by rot^s to
+        representative angles θ_j = 2πj/(nN), j < N, extended by γ^s to
         the samples j + s·N."""
         reps = np.array([rep(2.0 * math.pi * j / self.nN) for j in range(self.N)])
-        return np.concatenate(reps @ _powers(self.rot, self.group.order).mT)
+        return np.concatenate(reps @ self.powers.mT)
 
     def domain(self) -> GroupQuotientModel:
         rings = [
-            self.ring(lambda a: _dyadic(*_apply_frame(self.frame, (r * math.cos(a),
-                                                                   r * math.sin(a)))))
+            self.ring(lambda a: _dyadic(*self.framed((r * math.cos(a), r * math.sin(a)))))
             for r in (self.radius(q / 4) for q in RING_Q)
         ]
-        # element s of the cyclic group is rot^s (affine rows [rot^s | 0]),
-        # and it moves sample j of each ring to j + s·N
+        # element s of the cyclic group is γ^s (affine rows [γ^s | 0]), and
+        # it moves sample j of each ring to j + s·N
         g, j = np.divmod(np.arange(3 * self.nN), self.nN)
-        perms = [np.r_[0, self.idx(g, j + s * self.N)] for s in range(self.group.order)]
-        affine = np.pad(_powers(self.rot, self.group.order), ((0, 0), (0, 0), (0, 1)))
+        perms = [np.r_[0, self.idx(g, j + s * self.N)] for s in range(self.n)]
+        affine = np.pad(self.powers, ((0, 0), (0, 0), (0, 1)))
         points = np.concatenate([np.zeros((1, 2), np.int64), *rings])
         return GroupQuotientModel(points=RationalArray.reduced(points, RAT_DEN), group=self.group,
                                   perms=perms, affine=RationalArray(affine, 1))
@@ -390,15 +408,17 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
     """
     if N < 8:
         raise ValueError("sample density must be at least 8 points per circle")
-    if (n1, n2) not in {(1, 1), (2, 3)}:
-        raise ValueError("supported isotropy orders: (1,1) and (2,3)")
-    g1 = cyclic_group(n1)
-    g2 = cyclic_group(n2)
-    g12 = product_group([g1, g2])
+    if n1 not in GENERATORS or n2 not in GENERATORS or math.gcd(n1, n2) != 1:
+        raise ValueError(f"isotropy orders ({n1}, {n2}): each must be one of 1, 2, 3, 4, 6, "
+                         "and the two coprime")
+    # ----- the poles: the z-disk (chart 1) and the w-disk (chart 2) -----
+    pole1 = _Pole(index=(1,), n=n1, radius=lambda t: 1.0 + t, orient=1, centre="c1",
+                  centre_band=0, N=N)
+    pole2 = _Pole(index=(2,), n=n2, radius=lambda t: 1.0 / (1.0 + t), orient=-1, centre="c2",
+                  centre_band=4, N=N)
+    g12 = product_group([pole1.group, pole2.group])
     L = n1 * n2 * N  # cover circle
     D = n1 * n2  # deck group order
-    R1 = _order_matrix(n1)
-    A2 = _order_matrix(n2)
     # deck shifts: sigma1 lifts the Γ₁ generator (chart-1 shift +N,
     # trivial on chart 2), sigma2 lifts the Γ₂ generator
     sigma1 = next(
@@ -411,15 +431,6 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
         for s in range(0, L, N)
         if s % (n1 * N) == 0 and s % (n2 * N) == (-N) % (n2 * N)
     )
-    P = _frame(n2)
-
-    pmul = functools.partial(_apply_frame, P)
-
-    # ----- the poles: the z-disk (chart 1) and the w-disk (chart 2) -----
-    pole1 = _Pole(index=(1,), group=g1, rot=R1, frame=_frame(n1), radius=lambda t: 1.0 + t,
-                  orient=1, centre="c1", centre_band=0, N=N)
-    pole2 = _Pole(index=(2,), group=g2, rot=A2, frame=P, radius=lambda t: 1.0 / (1.0 + t),
-                  orient=-1, centre="c2", centre_band=4, N=N)
 
     # ----- chart 12: rings of the annulus cover -----
     n12 = 3 * L
@@ -428,11 +439,8 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
     deck_p, deck_q = np.divmod(np.arange(D), n2)
     shift = (deck_p * sigma1 + deck_q * sigma2) % L
     zero2 = np.zeros((2, 2), dtype=np.int64)
-    act12 = np.array([np.block([[matrix_power(R1, p), zero2], [zero2, matrix_power(A2, q)]])
+    act12 = np.array([np.block([[pole1.powers[p], zero2], [zero2, pole2.powers[q]]])
                       for p, q in zip(deck_p.tolist(), deck_q.tolist())])
-    # the obstruction sample n12 + b·D + k carries e = R1^p·e_base[b]; e_base
-    # in halves
-    e_base = np.array([(1, 0), (-1, 0), (0, 1), (0, -1)])
 
     # sample g·L + j of the rings sits at band RING_T[g], circle j/L: over 4L
     ring_g, ring_j = np.divmod(np.arange(n12), L)
@@ -447,7 +455,8 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
     ]
     pts12 = rings12
     if euler:
-        e_pts = np.einsum("kij,bj->bki", _powers(R1, n1)[deck_p], e_base).reshape(-1, 2)
+        # the obstruction sample n12 + b·D + k carries e = γ₁^p·_AXES[b], in halves
+        e_pts = np.einsum("kij,bj->bki", pole1.powers[deck_p], _AXES).reshape(-1, 2)
         pts12 = np.r_[np.c_[np.zeros((n12, 2), np.int64), rings12],
                       np.c_[e_pts * 2 * L, np.full(4 * D, 2 * L), 4 * shift[e_k]]]
     foot12 = dict(enumerate(map(_ring_label, ring_g.tolist(), ring_j.tolist(), [N] * n12)))
@@ -467,27 +476,22 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
     c1a = ["cos2pi", ["*", num(n1), u]]
     s1a = ["sin2pi", ["*", num(n1), u]]
     inv1t = ["/", num(1), ["+", num(1), t]]
-    PA = _frame_asts(n2)
-    # w = P·(c1, −s1)/(1+t) and K·w = P·(s1, c1)/(1+t)
-    wv = [
-        ["*", ["+", ["*", PA[r][0], c1a], ["*", PA[r][1], ["neg", s1a]]], inv1t]
-        for r in range(2)
-    ]
-    kwv = [
-        ["*", ["+", ["*", PA[r][0], s1a], ["*", PA[r][1], c1a]], inv1t]
-        for r in range(2)
-    ]
-    rho1_asts = (
-        ["*", ["+", num(1), t], c2a],
-        ["*", ["+", num(1), t], s2a],
-    )
+    # z = (1+t)·P₁·(c2, s2), w = P₂·(c1, −s1)/(1+t) and K·w = P₂·(s1, c1)/(1+t)
+    zv, kzv = pole1.framed_asts((c2a, s2a)), pole1.framed_asts((["neg", s2a], c2a))
+    wv = [["*", r, inv1t] for r in pole2.framed_asts((c1a, ["neg", s1a]))]
+    kwv = [["*", r, inv1t] for r in pole2.framed_asts((s1a, c1a))]
+    rho1_asts = tuple(["*", ["+", num(1), t], r] for r in zv)
     rho2_asts = tuple(wv)
 
     section_asts12 = None
     nu_asts = {}
     if euler:
-        re_a = ["*", ["+", ["*", a, c2a], ["*", b, s2a]], inv1t]
-        im_a = ["*", ["-", ["*", b, c2a], ["*", a, s2a]], inv1t]
+        # e₁/z as a complex number: the coordinates of P₁⁻¹e₁ along z/|z|
+        # and along its quarter turn, over |z| = 1+t; g = (Q₁/q₁₁)·e₁, so
+        # that g·P₁v = P₁⁻¹e₁·v (PᵀQ/q₁₁ = P⁻¹)
+        q11 = int(pole1.Q[0, 0])
+        g = [_combination(zip((F(c, q11), F(d, q11)), (a, b))) for c, d in pole1.Q.tolist()]
+        re_a, im_a = (["*", _combination(zip(g, v)), inv1t] for v in (zv, kzv))
         ratio = num(F(n1, n2))
         section_asts12 = (
             a,
@@ -498,14 +502,14 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
         beta = ["smoothstep", ["*", num(2), ["-", num(F(3, 4)), t]]]
         one_m_beta = ["-", num(1), beta]
         nu_asts[(1, 2)] = (
-            ["*", num(F(1, 8)), beta, c2a],
-            ["*", num(F(1, 8)), beta, s2a],
+            ["*", num(F(1, 8)), beta, zv[0]],
+            ["*", num(F(1, 8)), beta, zv[1]],
             ["neg", ["*", num(F(1, 8)), one_m_beta, wv[0], inv1t]],
             ["neg", ["*", num(F(1, 8)), one_m_beta, wv[1], inv1t]],
         )
-        # ν₁(z) = z·ĥ(|z|²)/8, a radial field with one transverse zero
+        # ν₁(z) = z·ĥ(Q₁(z))/8, a radial field with one transverse zero
         x, y = var(0), var(1)
-        qa1 = ["+", ["*", x, x], ["*", y, y]]
+        qa1 = pole1.form_ast(x, y)
         hh = [
             "/",
             num(1),
@@ -515,8 +519,8 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
             ["*", num(F(1, 8)), x, hh],
             ["*", num(F(1, 8)), y, hh],
         )
-        # ν₂(w) = −w·k(Q(w))/8
-        qa2 = _q_ast(n2, x, y)
+        # ν₂(w) = −w·k(Q₂(w))/8
+        qa2 = pole2.form_ast(x, y)
         kk = [
             "sqrt",
             [
@@ -533,8 +537,9 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
     # ----- declared perturbation samples and section values (exact, orbit-extended) -----
     nu_samples: dict = {}
     if euler:
-        # chart 1: ν₁ = (cosθ, sinθ)/8 on the rings, 0 at the center
-        ring = pole1.ring(lambda a: _dyadic(math.cos(a) / 8.0, math.sin(a) / 8.0))
+        # chart 1: ν₁ = P₁·(cosθ, sinθ)/8 on the rings, 0 at the center
+        ring = pole1.ring(lambda a: _dyadic(*pole1.framed((math.cos(a) / 8.0,
+                                                           math.sin(a) / 8.0))))
         nu1 = np.r_[np.zeros((1, 2), np.int64), ring, ring, ring]
         # chart 2: ν₂ = −w/(8(1+t)) on the rings, 0 at the center
         nu2 = [np.zeros((1, 2), np.int64)]
@@ -542,7 +547,7 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
             r = 1.0 / (1.0 + q / 4)
 
             def nu2_at(a):
-                w = pmul((r * math.cos(a), r * math.sin(a)))
+                w = pole2.framed((r * math.cos(a), r * math.sin(a)))
                 scale = -r / 8.0
                 return _dyadic(scale * w[0], scale * w[1])
 
@@ -557,15 +562,11 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
         mid_reps = []
         for j in range(N):
             uu = j / L
-            cc = math.cos(2.0 * math.pi * n2 * uu)
-            ss = math.sin(2.0 * math.pi * n2 * uu)
-            w = pmul(
-                (
-                    math.cos(2.0 * math.pi * n1 * uu) / 1.5,
-                    -math.sin(2.0 * math.pi * n1 * uu) / 1.5,
-                )
-            )
-            mid_reps.append(_dyadic(cc / 16.0, ss / 16.0, -w[0] / 24.0, -w[1] / 24.0))
+            z = pole1.framed((math.cos(2.0 * math.pi * n2 * uu),
+                              math.sin(2.0 * math.pi * n2 * uu)))
+            w = pole2.framed((math.cos(2.0 * math.pi * n1 * uu) / 1.5,
+                              -math.sin(2.0 * math.pi * n1 * uu) / 1.5))
+            mid_reps.append(_dyadic(z[0] / 16.0, z[1] / 16.0, -w[0] / 24.0, -w[1] / 24.0))
         for k in range(D):
             nu12[L + (np.arange(N) + shift[k]) % L] = np.array(mid_reps) @ act12[k].T
         # obstruction samples carry the same ν value as the underlying
@@ -574,41 +575,26 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
         for I, values in (((1,), nu1), ((2,), nu2), ((1, 2), nu12)):
             nu_samples[I] = (np.arange(len(values)), RationalArray.reduced(values, RAT_DEN))
         # declared section values at the obstruction samples: the graph
-        # relation (e₁, M(x)e₁) at u = 0, t = 1/2, orbit-extended
-        z0 = 1.5
-        w0 = pmul((1.0 / z0, 0.0))
-        kw0 = pmul((0.0, 1.0 / z0))
-        base = []
-        for e in e_base.tolist():
-            ex, ey = e[0] / 2, e[1] / 2
-            me = (
-                (ex / z0) * w0[0] + (n1 / n2) * (ey / z0) * kw0[0],
-                (ex / z0) * w0[1] + (n1 / n2) * (ey / z0) * kw0[1],
-            )
-            base.append([c * (RAT_DEN // 2) for c in e] + _dyadic(*me))
+        # relation s₁₂ = (e₁, M(x)e₁) at e₁ = _AXES[b]/2, t = 1/2, u = 0,
+        # orbit-extended
+        base = [_dyadic(*map(float, eval_vector(section_asts12, [F(e1, 2), F(e2, 2), F(1, 2), 0])))
+                for e1, e2 in _AXES.tolist()]
         # obstruction sample n12 + b·D + k: act12[k]·base[b]
         s_e = np.einsum("kij,bj->bki", act12, np.array(base)).reshape(-1, 4)
 
     # ----- obstruction grids (in halves; chart 12's over RAT_DEN) -----
     if euler:
-        grid1 = np.array([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)])
-        turns = _powers(A2, n2)[:, :, 0]
-        orbit2 = grid1[1:] if n2 == 1 else np.stack([turns, -turns], axis=1).reshape(-1, 2)
-        grid2 = np.r_[grid1[:1], orbit2]
         half = RAT_DEN // 2
-        rows12 = np.r_[np.zeros((1, 4), np.int64), np.pad(grid1[1:] * half, ((0, 0), (0, 2))),
-                       np.pad(orbit2 * half, ((0, 0), (2, 0))), s_e]
-        grids = (RationalArray.reduced(grid1, 2), RationalArray.reduced(grid2, 2),
-                 RationalArray.reduced(np.array(list(dict.fromkeys(map(tuple, rows12.tolist())))),
-                                       RAT_DEN))
-        acts = (RationalArray(_powers(R1, n1), 1), RationalArray(_powers(A2, n2), 1),
-                RationalArray(act12, 1))
+        rows12 = np.r_[np.zeros((1, 4), np.int64), np.pad(pole1.grid[1:] * half, ((0, 0), (0, 2))),
+                       np.pad(pole2.grid[1:] * half, ((0, 0), (2, 0))), s_e]
+        grid12 = RationalArray.reduced(np.array(list(dict.fromkeys(map(tuple, rows12.tolist())))),
+                                       RAT_DEN)
         phi1 = [[1, 0], [0, 1], [0, 0], [0, 0]]
         phi2 = [[0, 0], [0, 0], [1, 0], [0, 1]]
         s12 = RationalArray.reduced(np.r_[np.zeros((n12, 4), np.int64), s_e], RAT_DEN)
         sec_asts_basic = (num(0), num(0))
     else:
-        grids, acts, phi1, phi2 = (_zeros(1, 0),) * 3, ((), (), ()), (), ()
+        grid12, phi1, phi2 = _zeros(1, 0), (), ()
         s12, sec_asts_basic = _zeros(n12, 0), None
     m_basic, m12 = (2, 4) if euler else (0, 0)
     # index 0: as many tangent coordinates as obstruction ones; Ũ₁₂ is
@@ -616,29 +602,28 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
     tangent1, tangent12 = tuple(range(m_basic)), tuple(range(m12))
     tilde_tangent = (2, 3) if euler else ()
 
-    def pole_chart(pole, act, grid):
+    def pole_chart(pole):
         domain = pole.domain()
         return ChartModel(
             index=pole.index,
             domain=domain,
             obstruction_dim=m_basic,
-            obstruction_action=act,
-            obstruction_points=grid,
+            obstruction_action=RationalArray(pole.powers, 1) if euler else (),
+            obstruction_points=RationalArray.reduced(pole.grid, 2) if euler else _zeros(1, 0),
             section_samples=_zeros(len(domain.points), m_basic),
             footprint_map=pole.footprint(),
             section_asts=sec_asts_basic,
             tangent_dims=tangent1,
         )
 
-    chart1 = pole_chart(pole1, acts[0], grids[0])
-    chart2 = pole_chart(pole2, acts[1], grids[1])
+    chart1, chart2 = pole_chart(pole1), pole_chart(pole2)
     chart12 = ChartModel(
         index=(1, 2),
         domain=GroupQuotientModel(points=RationalArray.reduced(pts12, 4 * L), group=g12,
                                   perms=perms12),
         obstruction_dim=m12,
-        obstruction_action=acts[2],
-        obstruction_points=grids[2],
+        obstruction_action=RationalArray(act12, 1) if euler else (),
+        obstruction_points=grid12,
         section_samples=s12,
         footprint_map=foot12,
         section_asts=section_asts12,
@@ -700,8 +685,8 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
     v12 = frozenset(range(len(pts12)))
     x0, y0 = var(0), var(1)
     t0 = var(2) if euler else var(0)
-    pred1 = ["<=", ["+", ["*", x0, x0], ["*", y0, y0]], num(2)]
-    pred2 = ["<=", _q_ast(n2, x0, y0), num(F(2, 5))]
+    pred1 = ["<=", pole1.form_ast(x0, y0), num(2)]
+    pred2 = ["<=", pole2.form_ast(x0, y0), num(F(2, 5))]
     pred12 = ["and", [">=", t0, num(0)], ["<=", t0, num(1)]]
     V = Reduction(
         sets={(1,): v1, (2,): v2, (1, 2): v12},
@@ -726,11 +711,8 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
             preds={(1,): pred1, (2,): pred2, (1, 2): pred_c12},
         )
         built.nu = Perturbation(asts=nu_asts, samples=nu_samples)
-        t_map = {
-            1: np.eye(2, dtype=np.int64),
-            2: np.array([[1, 0], [0, -1], [-1, 1]]) if n2 == 3 else np.eye(2, dtype=np.int64),
-        }
-        built.norms = EquivariantNorms(maps={i: RationalArray(T, 1) for i, T in t_map.items()})
+        built.norms = EquivariantNorms(maps={i: RationalArray(pole.norm_rows, 1)
+                                             for i, pole in ((1, pole1), (2, pole2))})
         built.sigma = F(1, 4)
     return built
 
@@ -863,7 +845,9 @@ def _groupoid_stages(built: BuiltExample, categories: CategoriesResult, zsets: d
                      signs_by_object: dict, stages: list, report: dict):
     """Completion in B_K (``categories``) → Hausdorff quotient → Λ → wnb
     axioms → total: the Hausdorff groupoid and the weights, or ``None`` at
-    a failed stage."""
+    a failed stage.  ``signs_by_object`` holds the set of zero signs of
+    each object; a class whose objects carry two signs fails a
+    ``zero_signs`` stage, appended only then."""
     atlas = built.atlas
     completed = complete_groupoid(atlas, built.V, zsets, categories)
     if not _stage(stages, completed.report):
@@ -879,9 +863,15 @@ def _groupoid_stages(built: BuiltExample, categories: CategoriesResult, zsets: d
         return None
     vals: dict = {p: set() for p in hausdorff.classes}
     for o in hausdorff.objects:
-        if o in signs_by_object:
-            vals[hausdorff.class_of[o]].add(signs_by_object[o])
-    signs = {p: v.pop() if len(v) == 1 else 1 for p, v in vals.items()}
+        vals[hausdorff.class_of[o]].update(signs_by_object.get(o, ()))
+    mixed = CheckReport("zero_signs")
+    for p, v in vals.items():
+        if len(v) > 1:
+            mixed.fail("zero_class_signs_differ", representative=repr(p), signs=sorted(v))
+    if not mixed.ok:
+        _stage(stages, mixed)
+        return None
+    signs = {p: v.pop() if v else 1 for p, v in vals.items()}
     klass = fundamental_class_0d(hausdorff.classes, weights.weights, signs)
     report["classes"] = [
         {
@@ -993,7 +983,7 @@ def run_example(descriptor: ExampleDescriptor, seed_grid: int = 1):
             orbit = atlas.charts[z.chart_index].domain.orbit(idx)
             zsets[z.chart_index].update(orbit)
             for o in orbit:
-                signs_by_object[(z.chart_index, o)] = z.sign
+                signs_by_object.setdefault((z.chart_index, o), set()).add(z.sign)
         zsets = {I: frozenset(s) for I, s in zsets.items()}
         groupoid = _groupoid_stages(built, categories, zsets, signs_by_object, stages, report)
         if groupoid is None:

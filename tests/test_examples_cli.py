@@ -167,6 +167,30 @@ def test_run_with_a_zero_off_the_samples_stops_at_zero_sampling(monkeypatch):
     }])]
 
 
+def test_a_zero_class_with_two_signs_fails_zero_signs():
+    """Sample 1 of chart (1,) and sample 0 of chart (1, 2), which ρ sends
+    onto it, are one class of the sphere's zero-set groupoid.  With signs
+    +1 and −1 on its two objects the class has no sign: a ``zero_signs``
+    stage fails after the weights, and no total is reported.  With one
+    sign the run ends as before, with no such stage."""
+    built = build_example(ExampleDescriptor("sphere-euler", N8))
+    categories = build_categories(built.atlas)
+    assert built.atlas.changes[((1,), (1, 2))].rho_idx[0] == 1
+    zsets = {(1,): frozenset({0, 1}), (2,): frozenset({0}), (1, 2): frozenset({0})}
+    signs = {((1,), 0): {1}, ((2,), 0): {1}, ((1,), 1): {1}, ((1, 2), 0): {-1}}
+    stages, report = [], {}
+    assert examples_cli._groupoid_stages(built, categories, zsets, signs, stages, report) is None
+    assert [(st["name"], st["ok"]) for st in stages][-2:] == [("wnb", True), ("zero_signs", False)]
+    assert stages[-1]["failures"] == [{
+        "clause": "zero_class_signs_differ", "representative": "((1,), 1)", "signs": [-1, 1],
+    }]
+    assert "total" not in report
+    signs[((1, 2), 0)] = {1}
+    stages, report = [], {}
+    assert examples_cli._groupoid_stages(built, categories, zsets, signs, stages, report)
+    assert [st["name"] for st in stages][-1] == "wnb" and report["total"] == "3/1"
+
+
 def test_run_football_weights():
     report, code = run_example(ExampleDescriptor("football-euler", N8))
     assert code == 0

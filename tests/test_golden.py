@@ -8,11 +8,17 @@ group elements in their witnesses, a football-euler document names
 obstruction vectors, and a sphere-euler document reads ν of one chart
 from its expressions.  A change that alters a report byte shows here as a readable
 file diff.
-Regenerate them deliberately with
+
+``tests/golden/identity.json`` pins a wider list by digest alone: the
+sha256 and exit code of each of 54 ``--json`` reports (``vfc run`` of
+every example at several densities, seed levels and parameters, bad
+densities included, and ``vfc check`` and ``vfc zeros`` of the Euler
+documents).  Regenerate both deliberately with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import hashlib
 import json
 import pathlib
 import sys
@@ -97,6 +103,46 @@ ZEROS = {"zeros-sphere-euler-n8-no-reduction": (_sphere_n8, _drop_reduction)}
 CASES = (sorted(RUNS) + [f"check-toy-{seed}" for seed in TOY_SEEDS] + sorted(DOCTORED)
          + sorted(ZEROS))
 
+EULER = ("sphere-euler", "football-euler")
+#: the byte-identity list: case -> ``vfc run`` arguments, or the Euler
+#: document (example, density) that ``vfc check`` and ``vfc zeros`` read
+IDENTITY = {
+    **{f"run-{name}-n{n}-seed{level}": ["run", name, "--density", str(n), "--seed-grid", str(level)]
+       for name in EULER for n in (8, 12, 16, 24, 48) for level in (1, 2, 3)},
+    **{f"run-football-atlas-n{n}": ["run", "football-atlas", "--density", str(n)]
+       for n in (8, 12, 48)},
+    "run-football-fclass": ["run", "football-fclass"],
+    **{f"run-single-orbifold-chart-order{k}": ["run", "single-orbifold-chart", "--order", str(k)]
+       for k in range(1, 8)},
+    "run-branched-interval-m1_2-mp1_2": ["run", "branched-interval"],
+    "run-branched-interval-m3_4-mp1_4": ["run", "branched-interval", "--m", "3/4", "--mp", "1/4"],
+    "run-sphere-euler-n7": ["run", "sphere-euler", "--density", "7"],
+    "run-football-euler-n0": ["run", "football-euler", "--density", "0"],
+    "run-football-atlas-n-4": ["run", "football-atlas", "--density", "-4"],
+    **{f"{command}-{name}-n{n}": (command, name, n)
+       for command in ("check", "zeros") for name in EULER for n in (8, 12)},
+}
+
+
+def identity_digest(case: str, workdir: pathlib.Path) -> dict:
+    """The sha256 and exit code of one ``--json`` report of the identity
+    list, written by the CLI into ``workdir``."""
+    out = workdir / "report.json"
+    out.unlink(missing_ok=True)
+    args = IDENTITY[case]
+    if isinstance(args, tuple):
+        command, name, n = args
+        data = example_to_json(build_example(ExampleDescriptor(name, {"density": n})))
+        doc = workdir / "atlas.json"
+        doc.write_text(json.dumps(data))
+        args = [command, str(doc)]
+        if command == "zeros":
+            nu = workdir / "nu.json"
+            nu.write_text(json.dumps(data["perturbation"]))
+            args += ["--perturbation", str(nu)]
+    result = CliRunner().invoke(main, args + ["--json", str(out)])
+    return {"sha256": hashlib.sha256(out.read_bytes()).hexdigest(), "exit": result.exit_code}
+
 
 def report_bytes(case: str, workdir: pathlib.Path) -> bytes:
     """The ``--json`` report of one case, written by the CLI into ``workdir``."""
@@ -127,6 +173,17 @@ def test_report_matches_golden(case, tmp_path):
     assert report_bytes(case, tmp_path) == (GOLDEN / f"{case}.json").read_bytes()
 
 
+def test_the_identity_list_is_pinned_whole():
+    pinned = json.loads((GOLDEN / "identity.json").read_text())
+    assert len(IDENTITY) == 54 and list(pinned) == list(IDENTITY)
+
+
+@pytest.mark.parametrize("case", IDENTITY)
+def test_report_matches_its_digest(case, tmp_path):
+    pinned = json.loads((GOLDEN / "identity.json").read_text())
+    assert identity_digest(case, tmp_path) == pinned[case]
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -135,3 +192,5 @@ if __name__ == "__main__":
         for name in CASES:
             (GOLDEN / f"{name}.json").write_bytes(report_bytes(name, pathlib.Path(tmp)))
             print(name, file=sys.stderr)
+        digests = {name: identity_digest(name, pathlib.Path(tmp)) for name in IDENTITY}
+    (GOLDEN / "identity.json").write_text(json.dumps(digests, indent=2) + "\n")

@@ -122,6 +122,25 @@ class TestCompiledNewton:
         keys = [(repr(list(asts)), tuple(dims)) for asts, dims in calls]
         assert len(keys) == len(set(keys)) == 9
 
+    def test_the_tape_key_is_rendered_once_per_ast_object(self):
+        # a tuple that counts its iterations: one to render the key, one
+        # per compilation
+        class Counted(tuple):
+            iterations = 0
+
+            def __iter__(self):
+                Counted.iterations += 1
+                return super().__iter__()
+
+        atlas = build_example(ExampleDescriptor("sphere-euler", {"density": 8})).atlas
+        asts = Counted(atlas.charts[(1, 2)].section_asts)
+        tape = atlas.compiled(asts, (2, 3))
+        assert atlas.compiled(asts, (2, 3)) is tape
+        assert atlas.compiled(asts, (2,)) is not tape
+        assert Counted.iterations == 3
+        # an equal list of ASTs, another object, shares the tape
+        assert atlas.compiled(list(asts), (2, 3)) is tape
+
 
 def _reference_walk(f, seed, dims, box=None):
     """Newton from one seed alone, one evaluation of one row at a time: the
