@@ -1,10 +1,12 @@
 """Chart/atlas data model, validators, categories and realizations.
 
 Manifold-level data is modeled by finite group-stable sample clouds with
-exact rational coordinates plus optional membership predicates and smooth
-expression ASTs.  All set-theoretic conditions (coverings, cocycle
-conditions, tameness, category axioms) are verified extensionally on the
-sample model; smooth data enters only through derivative evaluations.
+exact rational coordinates plus smooth expression ASTs.  A subset of a
+chart is a set of its samples, and a float point lies where its nearest
+sample lies (:meth:`GroupQuotientModel.nearest`).  All set-theoretic
+conditions (coverings, cocycle conditions, tameness, category axioms) are
+verified extensionally on the sample model; smooth data enters only
+through derivative evaluations.
 
 Conventions
 -----------
@@ -33,7 +35,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .exterior_engine import eliminate, parse_rat, rat_str
-from .expressions import check_grammar, compile_vector, eval_pred_rows, evaluate_until_raise
+from .expressions import check_grammar, compile_vector, evaluate_until_raise
 
 __all__ = [
     "TAU_RANK",
@@ -247,7 +249,6 @@ class GroupQuotientModel:
     group: FiniteGroup
     perms: np.ndarray
     affine: RationalArray | None = None
-    membership: list | None = None  # predicate AST
 
     def __post_init__(self):
         self.points = RationalArray.of(self.points, "points", (-1, -1))
@@ -263,6 +264,10 @@ class GroupQuotientModel:
         view = self.points.floats()
         view.flags.writeable = False
         return view
+
+    def nearest(self, coords) -> int:
+        """The first sample nearest the float point ``coords`` in the sup norm."""
+        return int(np.abs(self.coordinates - np.asarray(coords, dtype=float)).max(axis=1).argmin())
 
     def act(self, g: int, idx: int) -> int:
         return int(self.perms[g, idx])
@@ -320,10 +325,6 @@ def check_group_quotient(model: GroupQuotientModel) -> CheckReport:
         bad = ~_equal(images, moved, "affine").all(axis=2)
         for g in _where(bad.any(axis=1)).tolist():
             rep.fail("affine_vs_permutation", element=names[g], point=int(bad[g].argmax()))
-    if model.membership is not None:
-        for i, holds in enumerate(eval_pred_rows(model.membership, model.points)):
-            if not holds:
-                rep.fail("sample_outside_domain", point=i)
     if rep.ok:
         classes = model.classes()
         rep.details["num_classes"] = len(classes)
@@ -690,8 +691,6 @@ class CoordinateChangeModel:
     rho_idx: dict  # target sample idx -> source sample idx
     phi_hat: RationalArray
     rho_asts: tuple | None = None
-    domain_pred: list | None = None  # on source chart coordinates (Ū_IJ lift)
-    lifted_pred: list | None = None  # on target chart coordinates (Ũ_IJ)
     tilde_tangent_dims: tuple = ()
 
     def __post_init__(self):
@@ -1866,12 +1865,11 @@ def _quotient_to_json(q: GroupQuotientModel) -> dict:
              "shift": RationalArray(a[:, -1], q.affine.den).strings()}
             for a in q.affine.num
         ]))
-    if q.membership is not None:
-        out["membership"] = q.membership
     return out
 
 
 def _quotient_from_json(d: dict, where: str) -> GroupQuotientModel:
+    _reject_removed(d, where, "membership")
     group = _group_from_json(d["group"], where)
     # string rows of one length, and int perms of the right shape, are read at
     # once; anything else entry by entry, so that a fault raises as before
@@ -1898,8 +1896,7 @@ def _quotient_from_json(d: dict, where: str) -> GroupQuotientModel:
             if mat.num.shape != (dim, dim) or len(shift) != dim:
                 raise ValueError(f"{where}: affine is not {dim} x {dim} with a shift of {dim}")
             affine.append([[*row, parse_rat(c)] for row, c in zip(mat.fractions(), shift)])
-    return GroupQuotientModel(points=points, group=group, perms=perms, affine=affine,
-                              membership=d.get("membership"))
+    return GroupQuotientModel(points=points, group=group, perms=perms, affine=affine)
 
 
 def _chart_to_json(c: ChartModel) -> dict:
@@ -1921,12 +1918,27 @@ def _chart_to_json(c: ChartModel) -> dict:
     return out
 
 
-def _check_asts(chart: ChartModel | None, where: str, asts, predicate: bool = False) -> None:
-    """:func:`~vfc.expressions.check_grammar` of ``asts`` (one predicate if
-    ``predicate``) on ``chart``'s coordinates; none without either."""
+def _check_asts(chart: ChartModel | None, where: str, asts) -> None:
+    """:func:`~vfc.expressions.check_grammar` of ``asts`` on ``chart``'s
+    coordinates; none without either."""
     if chart is not None and asts is not None:
-        dim = chart.domain.points.num.shape[1]
-        check_grammar([asts] if predicate else asts, dim, where, predicate)
+        check_grammar(asts, chart.domain.points.num.shape[1], where)
+
+
+def _object(data, where: str) -> dict:
+    """``data``; ``ValueError`` naming ``where`` unless it is a JSON object."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} is not an object")
+    return data
+
+
+def _reject_removed(data: dict, where: str, *fields: str) -> None:
+    """Raise ``ValueError`` naming ``where`` and the first of ``fields``
+    that ``data`` carries: predicates that ``vfc-atlas/1`` no longer has,
+    as a subset of a chart is its samples."""
+    for name in fields:
+        if name in data:
+            raise ValueError(f"{where}: {name!r} is no field of {SCHEMA}: a set is its samples")
 
 
 def _check_dims(chart: ChartModel | None, where: str, dims: tuple) -> None:
@@ -1951,13 +1963,13 @@ def _chart_from_json(d: dict, where: str) -> ChartModel:
         ],
         obstruction_points=d["obstruction_points"],
         section_samples=d["section_samples"],
-        footprint_map={int(i): lab for i, lab in d["footprint_map"].items()},
+        footprint_map={int(i): lab for i, lab in
+                       _object(d["footprint_map"], f"{where}: footprint_map").items()},
         section_asts=tuple(d["section_asts"]) if "section_asts" in d else None,
         tangent_dims=tuple(d["tangent_dims"]),
     )
     _check_dims(chart, f"{where}: tangent_dims", chart.tangent_dims)
     _check_asts(chart, f"{where}: section_asts", chart.section_asts)
-    _check_asts(chart, f"{where}: membership", domain.membership, predicate=True)
     return chart
 
 
@@ -1972,41 +1984,35 @@ def _change_to_json(c: CoordinateChangeModel) -> dict:
     }
     if c.rho_asts is not None:
         out["rho_asts"] = list(c.rho_asts)
-    if c.domain_pred is not None:
-        out["domain_pred"] = c.domain_pred
-    if c.lifted_pred is not None:
-        out["lifted_pred"] = c.lifted_pred
     return out
 
 
 def _change_from_json(d: dict, charts: dict) -> CoordinateChangeModel:
     I, J = tuple(d["source"]), tuple(d["target"])
+    name = f"coordinate change {I}->{J}"
+    _reject_removed(d, name, "domain_pred", "lifted_pred")
     tilde = tuple(d["tilde_indices"])
-    rho_idx = {int(k): v for k, v in d["rho_idx"].items()}
+    rho_idx = {int(k): v for k, v in _object(d["rho_idx"], f"{name}: rho_idx").items()}
     for key, K, values in (("tilde_indices", J, tilde), ("rho_idx", I, rho_idx.values())):
         if K not in charts:
             continue
         n = len(charts[K].domain.points)
         for v in values:
             if type(v) is not int or not 0 <= v < n:
-                raise ValueError(f"coordinate change {I}->{J}: {key}: {v!r} is not "
+                raise ValueError(f"{name}: {key}: {v!r} is not "
                                  f"a sample of chart {K}, which has {n}")
     change = CoordinateChangeModel(
         source_index=I,
         target_index=J,
         tilde_indices=tilde,
         rho_idx=rho_idx,
-        phi_hat=RationalArray.from_json(d["phi_hat"], f"coordinate change {I}->{J}: phi_hat"),
+        phi_hat=RationalArray.from_json(d["phi_hat"], f"{name}: phi_hat"),
         rho_asts=tuple(d["rho_asts"]) if "rho_asts" in d else None,
-        domain_pred=d.get("domain_pred"),
-        lifted_pred=d.get("lifted_pred"),
         tilde_tangent_dims=tuple(d["tilde_tangent_dims"]),
     )
-    # ρ_IJ and the lift of Ũ_IJ are evaluated on chart J
-    name = f"coordinate change {I}->{J}"
+    # ρ_IJ is evaluated on chart J
     _check_dims(charts.get(J), f"{name}: tilde_tangent_dims", change.tilde_tangent_dims)
     _check_asts(charts.get(J), f"{name}: rho_asts", change.rho_asts)
-    _check_asts(charts.get(J), f"{name}: lifted_pred", change.lifted_pred, predicate=True)
     return change
 
 
@@ -2092,10 +2098,11 @@ def atlas_to_json(atlas: AtlasModel) -> dict:
 
 
 def atlas_from_json(data: dict) -> AtlasModel:
-    if data.get("schema") != SCHEMA:
+    if _object(data, "the document").get("schema") != SCHEMA:
         raise ValueError(f"unsupported schema: {data.get('schema')!r}")
     charts = {
-        _index_from_key(k): _chart_from_json(c, f"chart {k}") for k, c in data["charts"].items()
+        _index_from_key(k): _chart_from_json(c, f"chart {k}")
+        for k, c in _object(data["charts"], "charts").items()
     }
     changes = {}
     for cd in data["changes"]:
@@ -2103,7 +2110,8 @@ def atlas_from_json(data: dict) -> AtlasModel:
         changes[(c.source_index, c.target_index)] = c
     atlas = AtlasModel(
         x_labels=tuple(data["x_samples"]),
-        cover={int(i): frozenset(labels) for i, labels in data["cover"].items()},
+        cover={int(i): frozenset(labels)
+               for i, labels in _object(data["cover"], "cover").items()},
         charts=charts,
         changes=changes,
     )

@@ -101,6 +101,9 @@ def _load_json(path: str) -> dict:
             err=True,
         )
         sys.exit(3)
+    except RecursionError:
+        click.echo(f"parse error in {path}: nested too deeply to read", err=True)
+        sys.exit(3)
 
 
 @main.command("check")

@@ -683,15 +683,7 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
     v1 = frozenset([0, *pole1.ring_indices(0)])
     v2 = frozenset([0, *pole2.ring_indices(2)])
     v12 = frozenset(range(len(pts12)))
-    x0, y0 = var(0), var(1)
-    t0 = var(2) if euler else var(0)
-    pred1 = ["<=", pole1.form_ast(x0, y0), num(2)]
-    pred2 = ["<=", pole2.form_ast(x0, y0), num(F(2, 5))]
-    pred12 = ["and", [">=", t0, num(0)], ["<=", t0, num(1)]]
-    V = Reduction(
-        sets={(1,): v1, (2,): v2, (1, 2): v12},
-        preds={(1,): pred1, (2,): pred2, (1, 2): pred12},
-    )
+    V = Reduction(sets={(1,): v1, (2,): v2, (1, 2): v12})
     built = BuiltExample(
         kind="euler" if euler else "atlas",
         atlas=atlas,
@@ -699,17 +691,7 @@ def _two_disk_model(n1: int, n2: int, N: int, euler: bool) -> BuiltExample:
         parameters={"density": N, "orders": [n1, n2]},
     )
     if euler:
-        a0, b0 = var(0), var(1)
-        tiny = num(F(1, 10**12))
-        pred_c12 = [
-            "and",
-            ["<=", ["+", ["*", a0, a0], ["*", b0, b0]], tiny],
-            [">=", var(2), num(0)],
-        ]
-        built.C = Reduction(
-            sets={(1,): v1, (2,): v2, (1, 2): frozenset(range(n12))},
-            preds={(1,): pred1, (2,): pred2, (1, 2): pred_c12},
-        )
+        built.C = Reduction(sets={(1,): v1, (2,): v2, (1, 2): frozenset(range(n12))})
         built.nu = Perturbation(asts=nu_asts, samples=nu_samples)
         built.norms = EquivariantNorms(maps={i: RationalArray(pole.norm_rows, 1)
                                              for i, pole in ((1, pole1), (2, pole2))})
@@ -828,17 +810,6 @@ def _atlas_stages(atlas: AtlasModel):
         cats = build_categories(atlas)
         yield cats.report, cats
         yield check_realizations(atlas, cats.domain_category), cats
-
-
-def _snap_zero_to_sample(atlas: AtlasModel, z) -> int | None:
-    """The first sample nearest the zero ``z`` in the sup norm, if nearer
-    than 1e-3."""
-    coords = atlas.charts[z.chart_index].domain.coordinates
-    if coords.shape[1] != len(z.coordinates) or not len(coords):
-        return None
-    d = np.abs(coords - np.array(z.coordinates)).max(axis=1)
-    best = int(d.argmin())
-    return best if d[best] < 1e-3 else None
 
 
 def _groupoid_stages(built: BuiltExample, categories: CategoriesResult, zsets: dict,
@@ -972,15 +943,16 @@ def run_example(descriptor: ExampleDescriptor, seed_grid: int = 1):
         zsets = {I: set() for I in atlas.index_sets()}
         snapped = {}
         for z in zres.zeros:
-            idx = _snap_zero_to_sample(atlas, z)
-            if idx is None:
+            domain = atlas.charts[z.chart_index].domain
+            idx = domain.nearest(z.coordinates)
+            if np.abs(domain.coordinates[idx] - z.coordinates).max() >= 1e-3:
                 rep = CheckReport("zero_sampling")
                 rep.fail("zero_not_at_sample", chart=z.chart_index,
                          point=list(z.coordinates))
                 _stage(stages, rep)
                 return end(1)
             snapped[(z.chart_index, idx)] = z
-            orbit = atlas.charts[z.chart_index].domain.orbit(idx)
+            orbit = domain.orbit(idx)
             zsets[z.chart_index].update(orbit)
             for o in orbit:
                 signs_by_object.setdefault((z.chart_index, o), set()).add(z.sign)

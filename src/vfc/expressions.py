@@ -7,27 +7,19 @@ Expressions are JSON-native nested lists, e.g. ``["*", ["var", 0],
 ``sqrt``) coerce to floats.  Angle arguments are fractions of a full turn,
 so rational sample coordinates stay rational as long as possible.
 
-Supported value nodes
----------------------
+Supported nodes
+---------------
 ``["num", "p/q"]``, ``["var", k]``, ``["+", a, b, ...]``, ``["-", a, b]``,
 ``["neg", a]``, ``["*", a, b, ...]``, ``["/", a, b]``, ``["pow", a, n]``,
 ``["sqrt", a]``, ``["sin2pi", a]``, ``["cos2pi", a]``, ``["clamp01", a]``,
 ``["smoothstep", a]`` (the C¹ ramp u²(3-2u) of the clamped argument,
 equal to 0 for a ≤ 0 and 1 for a ≥ 1).
 
-Predicate nodes
----------------
-``["<=", a, b]``, ``["<", a, b]``, [">=", a, b], [">", a, b],
-``["==", a, b]``, ``["and", ...]``, ``["or", ...]``, ``["not", p]``,
-``["true"]``, ``["false"]``.
-
 Values, derivatives and documents
 ---------------------------------
-:func:`eval_expr` and :func:`eval_pred` compute values only, exactly at
-``Fraction`` coordinates where every node on the way is rational: the
-exact sample values of a perturbation and every predicate at float
-points.  :func:`eval_pred_rows` tests a predicate on a whole rational
-sample array, exactly where it can.
+:func:`eval_expr` computes values only, exactly at ``Fraction``
+coordinates where every node on the way is rational: the exact sample
+values of a perturbation.
 
 Every derivative comes from :func:`compile_vector`, a forward-mode tape
 (Griewank and Walther, *Evaluating Derivatives*, 2nd ed., 2008): each step
@@ -36,15 +28,16 @@ coordinates, by ∇(a ± b) = ∇a ± ∇b, ∇(ab) = b∇a + a∇b,
 ∇(a/b) = (∇a − (a/b)∇b)/b and ∇f(a) = f′(a)∇a, for a batch of points at
 once.  Newton's iteration and every float-side check evaluate through it;
 :func:`value_and_jacobian` is one row of it.  :func:`check_grammar`
-checks an AST once, as a document is read.
+checks an AST once, as a document is read, nesting depth included, so
+that no recursive walker meets a deeper AST.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import eq, ge, gt, itemgetter, le, lt
-from typing import Callable, Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -54,8 +47,6 @@ __all__ = [
     "evaluate_until_raise",
     "eval_expr",
     "eval_vector",
-    "eval_pred",
-    "eval_pred_rows",
     "value_and_jacobian",
     "num",
     "var",
@@ -73,7 +64,6 @@ def var(k: int) -> list:
 
 
 _TWO_PI = 2.0 * math.pi
-_COMPARE = {"<=": le, "<": lt, ">=": ge, ">": gt, "==": eq}
 
 
 def eval_expr(ast, coords: Sequence):
@@ -127,87 +117,6 @@ def eval_expr(ast, coords: Sequence):
 
 def eval_vector(asts: Sequence, coords: Sequence) -> list:
     return [eval_expr(a, coords) for a in asts]
-
-
-def eval_pred(ast, coords: Sequence) -> bool:
-    op = ast[0]
-    if op in ("true", "false"):
-        return op == "true"
-    if op in ("and", "or"):
-        return (all if op == "and" else any)(eval_pred(sub, coords) for sub in ast[1:])
-    if op == "not":
-        return not eval_pred(ast[1], coords)
-    if op in _COMPARE:
-        return _COMPARE[op](eval_expr(ast[1], coords), eval_expr(ast[2], coords))
-    raise ValueError(f"unknown predicate node: {op!r}")
-
-
-class _Inexact(Exception):
-    """A node outside the exact fragment of :func:`eval_pred_rows`."""
-
-
-def eval_pred_rows(ast, points) -> Iterable[bool]:
-    """``eval_pred(ast, p)`` for every row ``p`` of ``points``, an (n, dim)
-    :class:`~vfc.charts_atlas.RationalArray`.
-
-    A predicate built from ``num``, ``var``, ``+``, ``-``, ``*``, ``neg``,
-    ``pow`` with exponent ≥ 0, ``/`` by a nonzero constant, the
-    comparisons, ``and``, ``or``, ``not``, ``true`` and ``false`` is
-    evaluated exactly on all rows at once and returns a bool array: each
-    value is numerators (a Python int, or an object array of them) over one
-    positive int, and none of these nodes can raise.  Any other predicate
-    returns a generator of ``eval_pred`` row by row, which makes the row's
-    ``Fraction`` s and raises where ``eval_pred`` raises, as far as the
-    caller reads."""
-    columns = list(points.num.T.astype(object))
-
-    def value(ast) -> tuple:
-        op = ast[0]
-        if op == "num":
-            v = Fraction(ast[1])
-            return v.numerator, v.denominator
-        if op == "var":
-            return columns[ast[1]], points.den
-        if op in ("+", "-", "*"):
-            (a, da), *rest = map(value, [ast[1], ast[2]] if op == "-" else ast[1:])
-            for b, db in rest:
-                if op == "*":
-                    a, da = a * b, da * db
-                    continue
-                lcm = math.lcm(da, db)
-                a, b, da = a * (lcm // da), b * (lcm // db), lcm
-                a = a + b if op == "+" else a - b
-            return a, da
-        if op == "neg":
-            a, da = value(ast[1])
-            return -a, da
-        if op == "pow" and int(ast[2]) >= 0:
-            a, da = value(ast[1])
-            return a ** int(ast[2]), da ** int(ast[2])
-        if op == "/":
-            (a, da), (b, db) = value(ast[1]), value(ast[2])
-            if not isinstance(b, np.ndarray) and b != 0:
-                return (a * db, da * b) if b > 0 else (-a * db, -da * b)
-        raise _Inexact
-
-    def holds(ast) -> np.ndarray:
-        op = ast[0]
-        if op in ("true", "false", "and", "or"):
-            out = np.asarray(op in ("true", "and"))
-            for sub in ast[1:] if op in ("and", "or") else ():
-                out = out & holds(sub) if op == "and" else out | holds(sub)
-            return out
-        if op == "not":
-            return ~holds(ast[1])
-        if op in _COMPARE:
-            (a, da), (b, db) = value(ast[1]), value(ast[2])
-            return np.asarray(_COMPARE[op](a * db, b * da), dtype=bool)
-        raise _Inexact
-
-    try:
-        return np.broadcast_to(holds(ast), (len(points),))
-    except (_Inexact, ArithmeticError, LookupError, TypeError, ValueError):
-        return (eval_pred(ast, p) for p in points.fractions())
 
 
 def value_and_jacobian(
@@ -612,38 +521,36 @@ def evaluate_until_raise(f: Callable, points) -> tuple:
 #: the largest |n| of a document's ``pow``, which is unrolled into |n| − 1 products
 POW_CAP = 64
 
-#: the arguments of each node, ``None`` for any number (at least 1 for a value)
-_ARITY = {
-    "expression": {**dict.fromkeys(_STEPS, 1), "num": 1, "var": 1, "pow": 2, "+": None,
-                   "*": None, "-": 2, "/": 2},
-    "predicate": {**dict.fromkeys(_COMPARE, 2), "and": None, "or": None, "not": 1,
-                  "true": 0, "false": 0},
-}
+#: the deepest nesting of a document's expression, the root at depth 1
+DEPTH_CAP = 64
+
+#: the arguments of each node, ``None`` for at least 1
+_ARITY = {**dict.fromkeys(_STEPS, 1), "num": 1, "var": 1, "pow": 2, "+": None, "*": None,
+          "-": 2, "/": 2}
 
 
-def check_grammar(asts, dim: int, where: str, predicate: bool = False) -> None:
+def check_grammar(asts, dim: int, where: str) -> None:
     """Raise ``ValueError`` naming ``where`` unless each of ``asts`` is a
-    value node (a predicate node if ``predicate``) of the module docstring
-    over ``dim`` coordinates, with its arity, ``var`` an int below ``dim``,
-    ``num`` an int or string rational and ``pow`` an int exponent of size
-    at most ``POW_CAP``.  What passes raises nothing at ``dim`` coordinates
-    but ``ArithmeticError`` or ``ValueError``."""
+    node of the module docstring over ``dim`` coordinates, with its arity,
+    ``var`` an int below ``dim``, ``num`` an int or string rational, ``pow``
+    an int exponent of size at most ``POW_CAP``, and no deeper than
+    ``DEPTH_CAP`` levels; the check itself recurses no deeper.  What passes
+    raises nothing at ``dim`` coordinates but ``ArithmeticError`` or
+    ``ValueError``."""
 
     def fail(message: str):
         raise ValueError(f"{where}: {message}")
 
-    def args(ast, kind: str) -> list:
+    def value(ast, depth: int):
+        if depth > DEPTH_CAP:
+            fail(f"an expression is nested deeper than {DEPTH_CAP} levels")
         if not (isinstance(ast, list) and ast and isinstance(ast[0], str)):
-            fail(f"{ast!r} is no {kind} node")
-        if ast[0] not in _ARITY[kind]:
-            fail(f"unknown {kind} node: {ast[0]!r}")
-        n, given = _ARITY[kind][ast[0]], len(ast) - 1
-        if given != n and (n is not None or kind == "expression" and not given):
-            fail(f"{ast!r} has {given} arguments, not {'at least 1' if n is None else n}")
-        return ast[1:]
-
-    def value(ast):
-        subs = args(ast, "expression")
+            fail(f"{ast!r} is no expression node")
+        if ast[0] not in _ARITY:
+            fail(f"unknown expression node: {ast[0]!r}")
+        n, subs = _ARITY[ast[0]], ast[1:]
+        if len(subs) != n and (n is not None or not subs):
+            fail(f"{ast!r} has {len(subs)} arguments, not {'at least 1' if n is None else n}")
         if ast[0] == "var" and not (type(subs[0]) is int and 0 <= subs[0] < dim):
             fail(f"{ast!r} is not one of the {dim} coordinates")
         if ast[0] == "num":
@@ -654,11 +561,7 @@ def check_grammar(asts, dim: int, where: str, predicate: bool = False) -> None:
         if ast[0] == "pow" and not (type(subs[1]) is int and abs(subs[1]) <= POW_CAP):
             fail(f"{ast!r} has no int exponent in [-{POW_CAP}, {POW_CAP}]")
         for sub in {"num": (), "var": (), "pow": subs[:1]}.get(ast[0], subs):
-            value(sub)
-
-    def holds(ast):
-        for sub in args(ast, "predicate"):
-            (holds if ast[0] in ("and", "or", "not") else value)(sub)
+            value(sub, depth + 1)
 
     for ast in asts:
-        (holds if predicate else value)(ast)
+        value(ast, 1)

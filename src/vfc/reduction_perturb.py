@@ -1,9 +1,11 @@
 """Reductions, pruned categories, perturbations, adaptedness constants.
 
 A *reduction* selects per-index sample subsets V_I of the chart domains
-(plus optional membership predicates for floating-point queries and
-optional declared closures).  A *perturbation* assigns obstruction-valued
-data ν_I on V_I, as declared exact sample values and/or smooth ASTs.
+(plus optional declared closures); the precompact core C is one too.  A
+float point, such as a zero Newton found, lies in a sample set when its
+nearest sample does (:meth:`~vfc.charts_atlas.GroupQuotientModel.nearest`).
+A *perturbation* assigns obstruction-valued data ν_I on V_I, as declared
+exact sample values and/or smooth ASTs.
 
 Metric conventions: the atlas metric lives on intermediate keys
 ``(I, class_index)``; a "hat" ball in chart J is the preimage of the
@@ -16,9 +18,7 @@ least column of the metric's integer matrix over it, made once per atlas
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -37,12 +37,14 @@ from .charts_atlas import (
     _index_key,
     _ints,
     _matmul,
+    _object,
+    _reject_removed,
     _runs,
     _scaled,
     _where,
 )
 from .exterior_engine import eliminate, parse_rat
-from .expressions import eval_pred, eval_pred_rows, eval_vector, evaluate_until_raise
+from .expressions import eval_vector, evaluate_until_raise
 
 __all__ = [
     "TAU_EQ",
@@ -76,15 +78,10 @@ TAU_EQ = 1e-9
 
 @dataclass
 class Reduction:
-    """Sample subsets V_I ⊆ U_I with optional predicates and closures."""
+    """Sample subsets V_I ⊆ U_I with optional declared closures."""
 
     sets: dict  # I -> frozenset of sample indices
-    preds: dict = field(default_factory=dict)  # I -> predicate AST
     closures: dict = field(default_factory=dict)  # I -> frozenset (declared)
-
-    def contains_float(self, I: tuple, coords: Sequence[float]) -> bool:
-        pred = self.preds.get(I)
-        return pred is not None and eval_pred(pred, list(coords))
 
 
 @dataclass
@@ -351,13 +348,6 @@ def check_reduction(atlas: AtlasModel, red: Reduction) -> CheckReport:
         moved = chart.domain.perms[:, _ints(sorted(red.sets[I]))]
         rep.fail_first("not_invariant", _among(member[I], moved).all(axis=1),
                        lambda g: {"index": I, "element": chart.group.elements[g]})
-        pred = red.preds.get(I)
-        if pred is not None:  # the rows are read up to the first mismatch
-            rows = eval_pred_rows(pred, chart.domain.points)
-            rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
-            wrong = map(operator.ne, rows, member[I].tolist())
-            for x in itertools.islice(itertools.compress(itertools.count(), wrong), 1):
-                rep.fail("predicate_mismatch", index=I, point=x)
     eps = epsilon_closure_radius(atlas)
     closures = {I: closure_of(atlas, red, I, eps) for I in indices}
     # (ii) precompact surrogate + zero intersection, with the zeros in V_I
@@ -616,20 +606,15 @@ def _zero_failures(atlas: AtlasModel, nu: Perturbation, C: Reduction | None,
                 yield "zero_escapes_C", {"index": I, "point": [float(c) for c in coords]}
 
 
-def _zero_in_C(atlas: AtlasModel, C: Reduction, I: tuple, coords) -> bool:
-    """Membership of a (possibly floating) zero in ⋃ρ-images of C."""
-    fl = [float(c) for c in coords]
-    if C.contains_float(I, fl):
-        return True
-    for (H, J), change in atlas.changes.items():
-        if J != I or change.rho_asts is None or (
-            change.lifted_pred is not None and not eval_pred(change.lifted_pred, fl)
-        ):
-            continue
-        down = [float(v) for v in eval_vector(change.rho_asts, fl)]
-        if C.contains_float(H, down):
-            return True
-    return False
+def _zero_in_C(atlas: AtlasModel, C: Reduction, J: tuple, coords) -> bool:
+    """Whether a (possibly floating) zero of chart J lies in C or in a
+    ρ-preimage of it: its nearest sample y lies in C_J, or in some Ũ_HJ
+    with ρ_HJ(y) in C_H."""
+    y = atlas.charts[J].domain.nearest(coords)
+    return y in C.sets.get(J, ()) or any(
+        K == J and y in change.tilde_indices and change.rho_idx[y] in C.sets.get(H, ())
+        for (H, K), change in atlas.changes.items()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -842,27 +827,24 @@ def check_adapted(
 
 def reduction_to_json(red: Reduction) -> dict:
     out = {"sets": {_index_key(I): sorted(s) for I, s in red.sets.items()}}
-    if red.preds:
-        out["preds"] = {_index_key(I): p for I, p in red.preds.items()}
     if red.closures:
         out["closures"] = {_index_key(I): sorted(s) for I, s in red.closures.items()}
     return out
 
 
 def reduction_from_json(data: dict, atlas: AtlasModel) -> Reduction:
-    """The reduction of ``data`` over ``atlas``; a predicate outside the
-    grammar and a sample of ``sets`` or ``closures`` that is no int sample
-    of its chart raise ``ValueError`` naming the chart and the sample."""
-    preds = {_index_from_key(k): v for k, v in data.get("preds", {}).items()}
-    for I, pred in preds.items():
-        _check_asts(atlas.charts.get(I), f"chart {I}: reduction preds", pred, predicate=True)
-
-    sets, closures = ({_index_from_key(k): v for k, v in d.items()}
-                      for d in (data["sets"], data.get("closures", {})))
+    """The reduction of ``data`` over ``atlas``; a section that is no
+    object, a ``preds`` field and a sample of ``sets`` or ``closures`` that
+    is no int sample of its chart raise ``ValueError`` naming the section,
+    the field or the chart and the sample."""
+    _reject_removed(_object(data, "reduction"), "reduction", "preds")
+    sets, closures = ({_index_from_key(k): v for k, v in _object(d, f"reduction {key}").items()}
+                      for key, d in (("sets", data["sets"]),
+                                     ("closures", data.get("closures", {}))))
     for key, chosen in (("sets", sets), ("closures", closures)):
         for I, xs in chosen.items():
             _check_samples(atlas, I, f"chart {I}: reduction {key}", xs)
-    return Reduction(sets={I: frozenset(xs) for I, xs in sets.items()}, preds=preds,
+    return Reduction(sets={I: frozenset(xs) for I, xs in sets.items()},
                      closures={I: frozenset(xs) for I, xs in closures.items()})
 
 
@@ -886,15 +868,20 @@ def perturbation_to_json(nu: Perturbation) -> dict:
 
 
 def perturbation_from_json(data: dict, atlas: AtlasModel) -> Perturbation:
-    """The perturbation of ``data`` over ``atlas``; an AST outside the
-    grammar, a sample value that is no rational and a sample outside its
-    chart raise ``ValueError`` naming the chart."""
-    asts = {_index_from_key(k): tuple(v) for k, v in data.get("asts", {}).items()}
+    """The perturbation of ``data`` over ``atlas``; a section that is no
+    object, an AST outside the grammar, a sample value that is no rational
+    and a sample outside its chart raise ``ValueError`` naming the section
+    or the chart."""
+    data = _object(data, "perturbation")
+    sections = {key: _object(data.get(key, {}), f"perturbation {key}")
+                for key in ("asts", "samples")}
+    asts = {_index_from_key(k): tuple(v) for k, v in sections["asts"].items()}
     for I, chart_asts in asts.items():
         _check_asts(atlas.charts.get(I), f"chart {I}: perturbation asts", chart_asts)
     samples = {}
-    for k, rows in data.get("samples", {}).items():
+    for k, rows in sections["samples"].items():
         I = _index_from_key(k)
+        rows = _object(rows, f"chart {I}: perturbation samples")
         try:
             samples[I] = {int(x): [parse_rat(c) for c in row] for x, row in rows.items()}
         except (ArithmeticError, TypeError, ValueError) as ex:
@@ -910,6 +897,7 @@ def norms_to_json(norms: EquivariantNorms) -> dict:
 
 
 def norms_from_json(data: dict) -> EquivariantNorms:
+    maps = _object(_object(data, "norms")["maps"], "norms maps")
     return EquivariantNorms(
-        {int(i): RationalArray.from_json(T, f"norms: map {i}") for i, T in data["maps"].items()}
+        {int(i): RationalArray.from_json(T, f"norms: map {i}") for i, T in maps.items()}
     )

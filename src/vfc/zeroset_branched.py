@@ -31,7 +31,6 @@ from .charts_atlas import (
     quotient,
 )
 from .exterior_engine import rat_str, zero_sign
-from .expressions import eval_pred
 from .reduction_perturb import Perturbation, Reduction, _check_samples, _members, v_tilde
 
 __all__ = [
@@ -237,7 +236,7 @@ def _chart_zeros(atlas: AtlasModel, red: Reduction, nu: Perturbation, I: tuple,
         # the seeds before it are handled (and may reject ν) first
         walks = (_newton(s_plus_nu, seeds[k : k + 1], dims, m, stats, box)
                  for k in range(len(seeds)))
-    pred = red.preds.get(I)
+    member = red.sets.get(I, frozenset())
     found: list[ZeroPoint] = []
     seed_converged: list[bool] = []
     seed_values: list[np.ndarray] = []
@@ -247,9 +246,9 @@ def _chart_zeros(atlas: AtlasModel, red: Reduction, nu: Perturbation, I: tuple,
             seed_converged.append(stop == "converged")
             if stop != "converged":
                 continue
-            point = tuple(coords.tolist())
-            if pred is not None and not eval_pred(pred, point):
+            if chart.domain.nearest(coords) not in member:
                 continue
+            point = tuple(coords.tolist())
             if any(max(abs(a - b) for a, b in zip(point, z.coordinates)) < EPS_MERGE
                    for z in found):
                 stats.merged += 1
@@ -296,10 +295,10 @@ def find_zeros(
     V_I sample point per Γ_I-orbit is used (zero sets are Γ-invariant, so
     orbit representatives reach every zero class).  The walks of a chart
     run in lockstep (see :func:`_newton`); converged points are then taken
-    in seed order.  Membership of converged points in V_I uses the
-    reduction predicates when available.  A chart whose expressions cannot
-    be compiled or evaluated, or whose V_I names a sample outside it,
-    raises ``ValueError`` naming the chart.
+    in seed order, and each is kept when its nearest sample (in the sup
+    norm) lies in V_I.  A chart whose expressions cannot be compiled or
+    evaluated, or whose V_I names a sample outside it, raises
+    ``ValueError`` naming the chart.
     """
     result = FindZerosResult(zeros=[], warnings=[])
     for I in atlas.index_sets():

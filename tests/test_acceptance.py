@@ -467,7 +467,7 @@ class TestNegative:
         sets = dict(built.V.sets)
         orbit_rep = min(built.atlas.charts[(1, 2)].domain.orbit(0))
         sets[(1, 2)] = frozenset(set(sets[(1, 2)]) - {orbit_rep})
-        broken = Reduction(sets=sets, preds={})
+        broken = Reduction(sets=sets)
         assert not check_reduction(built.atlas, broken).ok
 
     def test_categories_reject_missing_composite(self):

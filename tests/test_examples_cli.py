@@ -6,6 +6,7 @@ import sys
 
 import pytest
 from click.testing import CliRunner
+from test_fuzz_documents import NOT_OBJECTS, _set
 from test_metric import METRIC_FAULTS, break_metric
 
 from vfc.charts_atlas import (
@@ -32,7 +33,7 @@ from vfc.examples_cli import (
     random_toy_atlas,
     run_example,
 )
-from vfc.expressions import var
+from vfc.expressions import DEPTH_CAP, var
 from vfc.reduction_perturb import (
     Perturbation,
     check_perturbation,
@@ -367,12 +368,18 @@ def test_cli_check_valid_exit_zero(sphere_files):
     assert res.exit_code == 0, res.output
 
 
-def test_cli_check_truncated_exit_three(sphere_files, tmp_path):
+@pytest.mark.parametrize("cut", [
+    lambda text: text[:400],
+    # json.load raises RecursionError long before this depth
+    lambda text: "[" * 100_000 + "]" * 100_000,
+], ids=["truncated", "nested"])
+def test_cli_check_truncated_exit_three(sphere_files, tmp_path, cut):
     atlas_path, _, _ = sphere_files
     broken = tmp_path / "truncated.json"
-    broken.write_text(atlas_path.read_text()[:400])
+    broken.write_text(cut(atlas_path.read_text()))
     res = CliRunner().invoke(main, ["check", str(broken)])
     assert res.exit_code == 3
+    assert isinstance(res.exception, SystemExit)
     assert "parse error" in res.output
 
 
@@ -585,18 +592,17 @@ def test_cli_zeros_exit_zero(sphere_files, tmp_path):
     assert len(report["zeros"]) == 2
 
 
-@pytest.mark.parametrize("drop", ["reduction", "preds"])
+@pytest.mark.parametrize("drop", ["reduction", "nothing"])
 @pytest.mark.parametrize("name", ["sphere-euler", "football-euler"])
 def test_cli_zeros_without_reduction_predicates_finds_the_centres(tmp_path, name, drop):
     # by construction ν_i vanishes only at the centre of disk D_i (sample 0
     # of chart (i,)) and s₁₂ + ν₁₂ nowhere, and the weighted count is
-    # 1/|Γ₁| + 1/|Γ₂|: the zeros are the two centres, each of sign +1
+    # 1/|Γ₁| + 1/|Γ₂|: the zeros are the two centres, each of sign +1,
+    # with the document's reduction (each centre is in V_i) or without one
     built = build_example(ExampleDescriptor(name, N8))
     doc = example_to_json(built)
     if drop == "reduction":
         del doc["reduction"]
-    else:
-        del doc["reduction"]["preds"]
     atlas_path, nu_path, out = tmp_path / "atlas.json", tmp_path / "nu.json", tmp_path / "z.json"
     atlas_path.write_text(json.dumps(doc))
     nu_path.write_text(json.dumps(doc["perturbation"]))
@@ -790,8 +796,14 @@ def _rho_sum_of_nothing(doc):
     doc["changes"][0]["rho_asts"][1] = ["+"]
 
 
-def _unknown_reduction_predicate(doc):
-    doc["reduction"]["preds"]["1"] = ["frob"]
+def _deep_nu_expression(doc):
+    """ν of chart (1,) is declared at every sample, and its first
+    expression is nested 600 levels deep, which once overflowed the
+    tape compiler's recursion."""
+    ast = ["var", 0]
+    for _ in range(599):
+        ast = ["neg", ast]
+    doc["perturbation"]["asts"]["1"][0] = ast
 
 
 def _unknown_node_in_declared_nu(doc):
@@ -805,14 +817,62 @@ def _unknown_node_in_declared_nu(doc):
                                     " coordinates"),
     (_rho_sum_of_nothing, "coordinate change (1,)->(1, 2): rho_asts: ['+'] has 0 arguments,"
                           " not at least 1"),
-    (_unknown_reduction_predicate, "chart (1,): reduction preds: unknown predicate node:"
-                                   " 'frob'"),
+    (_deep_nu_expression, f"chart (1,): perturbation asts: an expression is nested deeper"
+                          f" than {DEPTH_CAP} levels"),
     (_unknown_node_in_declared_nu, "chart (1,): perturbation asts: unknown expression node:"
                                    " 'frob'"),
 ])
 def test_cli_expressions_outside_the_grammar_exit_three(sphere_files, tmp_path, doctor,
                                                         message):
     res = _cli_check_doctored(sphere_files, tmp_path, doctor)
+    assert res.exit_code == 3, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert f"schema error: {message}" in res.output
+
+
+BOTH = ("check", "zeros")
+
+
+@pytest.mark.parametrize("command, edit, pert_edit, message", [
+    *[(command, _set([section], value), None, f"{section} is not an object")
+      for command in BOTH for section in ("reduction", "charts") for value in NOT_OBJECTS],
+    *[("check", _set(["perturbation"], value), None, "perturbation is not an object")
+      for value in NOT_OBJECTS],
+    *[(command, lambda doc: [doc], None, "the document is not an object") for command in BOTH],
+    ("zeros", None, lambda pert: [pert], "perturbation is not an object"),
+    ("zeros", None, _set(["asts"], []), "perturbation asts is not an object"),
+    ("zeros", None, _set(["samples"], []), "perturbation samples is not an object"),
+    ("check", _set(["norms", "maps"], []), None, "norms maps is not an object"),
+    *[(command, _set(path, value), None, f"{where} is not an object")
+      for command in BOTH for value in NOT_OBJECTS for path, where in (
+          (["cover"], "cover"),
+          (["charts", "1", "footprint_map"], "chart 1: footprint_map"),
+          (["changes", 0, "rho_idx"], "coordinate change (1,)->(1, 2): rho_idx"))],
+    # vfc check reads the document's perturbation, vfc zeros its own file
+    *[(command, *edits, "chart (1,): perturbation samples is not an object")
+      for value in NOT_OBJECTS for command, edits in (
+          ("check", (_set(["perturbation", "samples", "1"], value), None)),
+          ("zeros", (None, _set(["samples", "1"], value))))],
+    # the predicates that documents no longer carry
+    *[(command, _set(path, ["true"]), None, f"{where}: '{path[-1]}' is no field")
+      for command in BOTH for path, where in (
+          (["reduction", "preds"], "reduction"),
+          (["charts", "1", "domain", "membership"], "chart 1"),
+          (["changes", 0, "domain_pred"], "coordinate change (1,)->(1, 2)"),
+          (["changes", 0, "lifted_pred"], "coordinate change (1,)->(1, 2)"))],
+])
+def test_cli_sections_of_the_wrong_type_exit_three(sphere_files, tmp_path, command, edit,
+                                                   pert_edit, message):
+    """A section that is no JSON object, of the document or of ``vfc
+    zeros``' perturbation file, and a removed field are schema errors
+    naming them, in each command that reads them."""
+    atlas_path, nu_path, _ = sphere_files
+    doc, pert = json.loads(atlas_path.read_text()), json.loads(nu_path.read_text())
+    path, nu = tmp_path / "doc.json", tmp_path / "nu.json"
+    path.write_text(json.dumps(edit(doc) if edit else doc))
+    nu.write_text(json.dumps(pert_edit(pert) if pert_edit else pert))
+    args = [command, str(path)] + (["--perturbation", str(nu)] if command == "zeros" else [])
+    res = CliRunner().invoke(main, args)
     assert res.exit_code == 3, res.output
     assert isinstance(res.exception, SystemExit)
     assert f"schema error: {message}" in res.output

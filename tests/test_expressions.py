@@ -15,9 +15,8 @@ from vfc.charts_atlas import RationalArray
 from vfc.expressions import (
     check_grammar,
     compile_vector,
+    DEPTH_CAP,
     eval_expr,
-    eval_pred,
-    eval_pred_rows,
     eval_vector,
     evaluate_until_raise,
     num,
@@ -132,30 +131,9 @@ class TestDual:
             assert abs(fd - d) < F(1, 1000)
 
 
-class TestPredicates:
-    def test_comparisons_exact(self):
-        assert eval_pred(["<=", var(0), num("1/3")], [F(1, 3)])
-        assert not eval_pred(["<", var(0), num("1/3")], [F(1, 3)])
-        assert eval_pred(["==", ["*", num(3), var(0)], num(1)], [F(1, 3)])
-
-    def test_boolean_ops(self):
-        p = ["and", ["true"], ["or", ["false"], ["not", ["false"]]]]
-        assert eval_pred(p, [])
-        assert not eval_pred(["and", ["true"], ["false"]], [])
-
-    def test_annulus_membership(self):
-        # 1/4 <= x^2 + y^2 <= 4
-        q = ["+", ["pow", var(0), 2], ["pow", var(1), 2]]
-        p = ["and", ["<=", num("1/4"), q], ["<=", q, num("4/1")]]
-        assert eval_pred(p, [F(1), F(0)])
-        assert not eval_pred(p, [F(0), F(0)])
-        assert not eval_pred(p, [F(3), F(0)])
-
-    def test_unknown_node_raises(self):
-        with pytest.raises(ValueError):
-            eval_expr(["bogus", 1], [])
-        with pytest.raises(ValueError):
-            eval_pred(["bogus", num(1), num(2)], [])
+def test_unknown_node_raises():
+    with pytest.raises(ValueError):
+        eval_expr(["bogus", 1], [])
 
 
 # ---------------------------------------------------------------------------
@@ -396,129 +374,52 @@ class TestValueAndJacobian:
 
 
 # ---------------------------------------------------------------------------
-# exact batch predicates against the interpreter
-# ---------------------------------------------------------------------------
-
-
-_constants = st.fractions(min_value=-3, max_value=3, max_denominator=12)
-
-
-def _fragment(divisors, exponents=st.integers(0, 3)):
-    """The nodes that the batch form evaluates exactly, with ``/`` by one of
-    ``divisors`` and ``pow`` to one of ``exponents``."""
-    def extend(sub):
-        some = st.lists(sub, min_size=1, max_size=3)
-        return st.one_of(
-            some.map(lambda xs: ["+", *xs]),
-            some.map(lambda xs: ["*", *xs]),
-            st.tuples(sub, sub).map(lambda t: ["-", *t]),
-            st.tuples(sub, divisors.map(num)).map(lambda t: ["/", *t]),
-            sub.map(lambda a: ["neg", a]),
-            st.tuples(sub, exponents).map(lambda t: ["pow", *t]),
-        )
-    return extend
-
-
-_pred_values = st.one_of(
-    # a zero divisor and a negative exponent, outside the fragment, too
-    st.recursive(_leaves, _fragment(_constants, st.integers(-2, 3)), max_leaves=6),
-    st.recursive(_leaves, _extend, max_leaves=6),
-)
-_comparisons = st.tuples(st.sampled_from(["<=", "<", ">=", ">", "=="]), _pred_values,
-                         _pred_values).map(list)
-_preds = st.recursive(
-    st.one_of(_comparisons, st.sampled_from([["true"], ["false"]])),
-    lambda sub: st.one_of(
-        st.lists(sub, max_size=3).map(lambda ps: ["and", *ps]),
-        st.lists(sub, max_size=3).map(lambda ps: ["or", *ps]),
-        sub.map(lambda p: ["not", p]),
-    ),
-    max_leaves=4,
-)
-_sample_arrays = st.tuples(
-    st.lists(st.lists(st.integers(-24, 24), min_size=N_VARS, max_size=N_VARS), max_size=5),
-    st.integers(1, 12),
-).map(lambda t: RationalArray.reduced(np.array(t[0], dtype=np.int64).reshape(-1, N_VARS), t[1]))
-
-
-def _outcome(rows):
-    """The values ``rows`` yields, and the type of what it raises after them."""
-    out = []
-    try:
-        for holds in rows:
-            out.append(bool(holds))
-    except (ArithmeticError, ValueError) as ex:
-        return out, type(ex)
-    return out, None
-
-
-class TestPredicateRows:
-    @settings(max_examples=300, deadline=None)
-    @given(_preds, _sample_arrays)
-    # the later conjunct divides by zero where the first is false
-    @example(["and", [">", var(0), num(0)], ["<", ["/", num(1), var(0)], num(1)]],
-             RationalArray.reduced(np.array([[0, 1, 1], [2, 1, 1], [-1, 0, 0]]), 2))
-    @example(["and", ["false"], ["<", ["/", num(1), num(0)], num(1)]],
-             RationalArray.reduced(np.zeros((2, N_VARS), dtype=np.int64), 1))
-    @example(["<", ["pow", var(0), -2], num(1)],
-             RationalArray.reduced(np.array([[1, 2, 3], [2, 2, 2]]), 3))
-    def test_rows_are_eval_pred_row_by_row(self, pred, points):
-        want = _outcome(eval_pred(pred, p) for p in points.fractions())
-        assert _outcome(eval_pred_rows(pred, points)) == want
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.recursive(_leaves, _fragment(_constants.filter(bool)), max_leaves=8),
-           _sample_arrays)
-    def test_the_fragment_is_evaluated_on_the_whole_array(self, value, points):
-        pred = ["and", ["not", ["<", value, var(0)]], ["or", ["false"], ["true"]]]
-        rows = eval_pred_rows(pred, points)
-        assert isinstance(rows, np.ndarray) and rows.shape == (len(points),)
-        assert rows.tolist() == [eval_pred(pred, p) for p in points.fractions()]
-
-
-# ---------------------------------------------------------------------------
 # the grammar check of documents
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("ast, predicate, message", [
-    (["var", 9], False, "['var', 9] is not one of the 3 coordinates"),
-    (["var", "x"], False, "['var', 'x'] is not one of the 3 coordinates"),
-    (["var", True], False, "['var', True] is not one of the 3 coordinates"),
-    ([], False, "[] is no expression node"),
-    (3, False, "3 is no expression node"),
-    (["+"], False, "['+'] has 0 arguments, not at least 1"),
-    (["-", var(0)], False, "['-', ['var', 0]] has 1 arguments, not 2"),
-    (["num", "1/0"], False, "['num', '1/0'] is not a rational"),
-    (["num", 0.5], False, "['num', 0.5] is not a rational"),
-    (["pow", var(0), "2"], False, "['pow', ['var', 0], '2'] has no int exponent"),
-    (["sin2pi", ["frob"]], False, "unknown expression node: 'frob'"),
-    (["frob"], True, "unknown predicate node: 'frob'"),
-    (["<="], True, "['<='] has 0 arguments, not 2"),
-    ([], True, "[] is no predicate node"),
-    (["true", var(0)], True, "['true', ['var', 0]] has 1 arguments, not 0"),
-    (["and", ["true"], ["<", var(0), ["var", 3]]], True, "['var', 3] is not one of the 3"),
-    (var(0), True, "unknown predicate node: 'var'"),
-    (["true"], False, "unknown expression node: 'true'"),
+def _nested(depth: int, leaf=var(0)) -> list:
+    """``leaf`` under ``depth`` − 1 ``neg`` nodes: ``depth`` levels."""
+    ast = leaf
+    for _ in range(depth - 1):
+        ast = ["neg", ast]
+    return ast
+
+
+@pytest.mark.parametrize("ast, message", [
+    (["var", 9], "['var', 9] is not one of the 3 coordinates"),
+    (["var", "x"], "['var', 'x'] is not one of the 3 coordinates"),
+    (["var", True], "['var', True] is not one of the 3 coordinates"),
+    ([], "[] is no expression node"),
+    (3, "3 is no expression node"),
+    (["+"], "['+'] has 0 arguments, not at least 1"),
+    (["-", var(0)], "['-', ['var', 0]] has 1 arguments, not 2"),
+    (["num", "1/0"], "['num', '1/0'] is not a rational"),
+    (["num", 0.5], "['num', 0.5] is not a rational"),
+    (["pow", var(0), "2"], "['pow', ['var', 0], '2'] has no int exponent"),
+    (["sin2pi", ["frob"]], "unknown expression node: 'frob'"),
+    (["true"], "unknown expression node: 'true'"),
+    (["<=", var(0), num(1)], "unknown expression node: '<='"),
+    (_nested(DEPTH_CAP + 1), f"an expression is nested deeper than {DEPTH_CAP} levels"),
+    # the check stops at the cap: it does not recurse through the rest
+    (_nested(100_000, ["frob"]), f"an expression is nested deeper than {DEPTH_CAP} levels"),
 ])
-def test_grammar_faults_name_where_and_what(ast, predicate, message):
+def test_grammar_faults_name_where_and_what(ast, message):
     with pytest.raises(ValueError) as raised:
-        check_grammar([["true"], ast] if predicate else [var(0), ast], N_VARS, "chart (1,): here",
-                      predicate)
+        check_grammar([var(0), ast], N_VARS, "chart (1,): here")
     assert str(raised.value).startswith(f"chart (1,): here: {message}")
 
 
 def test_grammar_passes_the_documented_nodes():
     value = ["/", ["+", num(1), ["pow", var(2), -2], ["num", 3]],
              ["-", ["sqrt", ["clamp01", ["smoothstep", var(0)]]], ["neg", ["cos2pi", var(1)]]]]
-    check_grammar([["*", ["sin2pi", value]], value], N_VARS, "here")
-    check_grammar([["and", ["not", ["or"]], ["true"], ["false"], ["==", value, var(1)]]],
-                  N_VARS, "here", predicate=True)
+    check_grammar([["*", ["sin2pi", value]], value, _nested(DEPTH_CAP)], N_VARS, "here")
 
 
 _VALUE_OPS = ["num", "var", "+", "-", "neg", "*", "/", "pow", "sqrt", "sin2pi", "cos2pi",
               "clamp01", "smoothstep"]
-_PRED_OPS = ["<=", "<", ">=", ">", "==", "and", "or", "not", "true", "false"]
+#: node names outside the grammar
+_OTHER_OPS = ["<=", "<", "==", "and", "not", "true", "frob"]
 _junk = st.sampled_from([
     ["var", N_VARS], ["var", "x"], ["var", -1], ["var", True], [], 3, "x", None, ["+"],
     ["frob"], ["num", "1/0"], ["num", None], ["num", 0.5], ["num"], ["pow", var(0), 1.5],
@@ -530,39 +431,30 @@ _any_values = st.recursive(
     st.one_of(_leaves, _junk),
     lambda sub: st.one_of(
         _extend(sub),
-        st.tuples(st.sampled_from(_VALUE_OPS + _PRED_OPS), st.lists(sub, max_size=3))
+        st.tuples(st.sampled_from(_VALUE_OPS + _OTHER_OPS), st.lists(sub, max_size=3))
         .map(lambda t: [t[0], *t[1]]),
     ),
     max_leaves=6,
 )
-_any_preds = st.recursive(
-    st.one_of(_comparisons, st.sampled_from([["true"], ["false"], ["<="], ["frob"], []]),
-              st.tuples(st.sampled_from(_PRED_OPS[:5]), _any_values, _any_values).map(list)),
-    lambda sub: st.tuples(st.sampled_from(_PRED_OPS + _VALUE_OPS[:3]),
-                          st.lists(st.one_of(sub, _any_values), max_size=3))
-    .map(lambda t: [t[0], *t[1]]),
-    max_leaves=4,
-)
+_sample_arrays = st.tuples(
+    st.lists(st.lists(st.integers(-24, 24), min_size=N_VARS, max_size=N_VARS), max_size=5),
+    st.integers(1, 12),
+).map(lambda t: RationalArray.reduced(np.array(t[0], dtype=np.int64).reshape(-1, N_VARS), t[1]))
 
 
 class TestGrammar:
     @settings(max_examples=300, deadline=None)
-    @given(st.one_of(_any_values.map(lambda a: (a, False)), _any_preds.map(lambda p: (p, True))),
-           _batches, _sample_arrays, _dims)
-    def test_what_passes_raises_only_arithmetic_or_value_errors(self, drawn, points, samples,
+    @given(_any_values, _batches, _sample_arrays, _dims)
+    def test_what_passes_raises_only_arithmetic_or_value_errors(self, ast, points, samples,
                                                                dims):
-        ast, predicate = drawn
         try:
-            check_grammar([ast], N_VARS, "here", predicate)
+            check_grammar([ast], N_VARS, "here")
         except ValueError as ex:
             assert str(ex).startswith("here: ")
             return
         allowed = (ArithmeticError, ValueError)
         for row in [*points, *samples.fractions()]:
             with contextlib.suppress(*allowed):
-                (eval_pred if predicate else eval_expr)(ast, row)
-        if predicate:
-            _outcome(eval_pred_rows(ast, samples))
-        else:
-            with contextlib.suppress(*allowed):
-                compile_vector([ast], dims)(points)
+                eval_expr(ast, row)
+        with contextlib.suppress(*allowed):
+            compile_vector([ast], dims)(points)

@@ -5,11 +5,12 @@ Each document is the sphere-euler or football-euler N=8 document with one
 edit: a grid point repeated, moved or swapped with another, a section
 value, an obstruction action entry or a φ̂ entry changed, the ρ_IJ
 values of two samples changed, one Ũ_IJ index changed, to a sample of
-the target chart or to an index outside it, a node of a section, ρ_IJ, ν
-or reduction predicate expression replaced (also by a ``pow`` beyond
-``POW_CAP``), a declared ν value or ν sample index changed, a tangent dim
-of a chart or a change changed, or a sample added to a reduction set or
-closure.  ``vfc zeros`` reads the document's own ν as its
+the target chart or to an index outside it, a node of a section, ρ_IJ or
+ν expression replaced (also by a ``pow`` beyond ``POW_CAP``) or put
+under ``DEPTH_CAP`` or 600 ``neg`` nodes, a declared ν value or ν sample
+index changed, a tangent dim of a chart or a change changed, a sample
+added to a reduction set or closure, or a section replaced by a value
+that is no JSON object.  ``vfc zeros`` reads the document's own ν as its
 perturbation.  Every document ends in an exit code 0–3 under both
 commands and never in a traceback, and one that passes every stage before
 ``build_categories`` fails no clause of ``build_categories``: what it
@@ -28,14 +29,15 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from vfc.cli import main
 from vfc.examples_cli import ExampleDescriptor, build_example, example_to_json
-from vfc.expressions import POW_CAP
+from vfc.expressions import DEPTH_CAP, POW_CAP
 
 NAMES = ("sphere-euler", "football-euler")
 VALUES = ("0/1", "1/2", "-1/2", "1/3", "1/1", "-1/1")
 EDITS = ("repeat", "move", "swap", "section", "action", "phi_hat", "rho", "tilde",
-         "expression", "nu_value", "nu_index", "tangent_dims", "reduction", "pow")
-#: replacements of an expression node: malformed values and predicates,
-#: and well-formed ones that may fail to evaluate
+         "expression", "nu_value", "nu_index", "tangent_dims", "reduction", "pow", "deep",
+         "not_object")
+#: replacements of an expression node: malformed ones, and well-formed ones
+#: that may fail to evaluate
 NODES = (["var", 9], ["var", "x"], [], 3, ["+"], ["frob"], ["<="], ["var", 1],
          ["/", ["num", "1/1"], ["var", 0]], ["num", "1/0"], ["true"])
 NU_VALUES = (*VALUES, "1/0", "x", 3, None)
@@ -44,6 +46,13 @@ NU_INDICES = ("999", "-1", "x", "1.5", str(2**63), "0", "3")
 DIMS = (0, 1, 3, 7, -1, "0", 1.0, None)
 SAMPLES = (0, 3, 24, 25, 999, -1, "x", 1.5, None)
 EXPONENTS = (2, -3, POW_CAP, POW_CAP + 1, -POW_CAP - 1, 10_000_000)
+#: ``neg`` nodes put above an expression node: 600 once overflowed the
+#: recursion of the tape compiler
+WRAPS = (DEPTH_CAP, 600)
+#: a section, as the path of keys to it, and what may replace it
+SECTIONS = (("reduction",), ("perturbation",), ("charts",), ("norms",),
+            ("perturbation", "asts"), ("perturbation", "samples"), ("reduction", "sets"))
+NOT_OBJECTS = ([], "x", 3, None)
 
 
 @pytest.fixture(scope="module")
@@ -111,18 +120,28 @@ def doctor(document: dict, edit: str, draw) -> dict:
     elif edit == "reduction":
         sets = document["reduction"].setdefault(("sets", "closures")[draw(2)], {})
         sets.setdefault(sorted(charts)[draw(len(charts))], []).append(draw(SAMPLES))
-    elif edit in ("expression", "pow"):
-        # a list of section, ρ_IJ or ν expressions, or the reduction predicates
+    elif edit in ("expression", "pow", "deep"):
+        # a list of section, ρ_IJ or ν expressions
         owners = [c["section_asts"] for c in charts.values() if "section_asts" in c]
         owners += [c["rho_asts"] for c in document["changes"] if "rho_asts" in c]
-        owners += [*document["perturbation"]["asts"].values(), document["reduction"]["preds"]]
+        owners += document["perturbation"]["asts"].values()
         owner = owners[draw(len(owners))]
         places = []
-        for key in owner if isinstance(owner, dict) else range(len(owner)):
+        for key in range(len(owner)):
             places.append((owner, key))
             _nodes(owner[key], places)
         place, key = places[draw(len(places))]
-        place[key] = draw(NODES) if edit == "expression" else ["pow", ["var", 0], draw(EXPONENTS)]
+        if edit == "deep":
+            place[key] = _neg(draw(WRAPS), place[key])
+        else:
+            place[key] = draw(NODES) if edit == "expression" else ["pow", ["var", 0],
+                                                                    draw(EXPONENTS)]
+    elif edit == "not_object":
+        *path, name = draw(SECTIONS)
+        owner = document
+        for key in path:
+            owner = owner[key]
+        owner[name] = draw(NOT_OBJECTS)
     elif edit in ("nu_value", "nu_index"):
         samples = document["perturbation"]["samples"]
         rows = samples[sorted(samples)[draw(len(samples))]]
@@ -202,13 +221,22 @@ def test_a_rho_value_outside_the_source_chart_is_a_schema_error(tmp_path, docume
             " sample of chart (1,), which has 25") in result.output
 
 
+def _neg(depth: int, ast: list) -> list:
+    """``ast`` under ``depth`` ``neg`` nodes."""
+    for _ in range(depth):
+        ast = ["neg", ast]
+    return ast
+
+
 def _set(path: list, value):
-    """An edit that sets the entry at ``path`` (keys and indices) to ``value``."""
+    """An edit that sets the entry at ``path`` (keys and indices) to
+    ``value`` and returns the document."""
     def edit(document):
         owner = document
         for key in path[:-1]:
             owner = owner[key]
         owner[path[-1]] = value
+        return document
     return edit
 
 
@@ -227,6 +255,8 @@ def _set(path: list, value):
     (_set(["charts", "1", "section_asts", 0], ["pow", ["var", 0], 10_000_000]),
      f"chart 1: section_asts: ['pow', ['var', 0], 10000000] has no int exponent in "
      f"[-{POW_CAP}, {POW_CAP}]"),
+    (_set(["charts", "1,2", "section_asts", 0], _neg(599, ["var", 0])),
+     f"chart 1,2: section_asts: an expression is nested deeper than {DEPTH_CAP} levels"),
 ])
 def test_a_fault_read_from_the_document_is_a_schema_error(tmp_path, documents, command, edit,
                                                           message):

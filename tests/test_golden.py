@@ -74,8 +74,8 @@ def _drop_declared_nu_12(doc: dict) -> None:
 
 
 def _drop_reduction(doc: dict) -> None:
-    """No reduction: Newton starts from one sample of every orbit, and no
-    predicate filters the points its walks end at."""
+    """No reduction: V_I is every sample of chart I, so Newton starts from
+    one sample of every orbit and keeps every point it converges to."""
     del doc["reduction"]
 
 

@@ -22,7 +22,6 @@ from vfc.charts_atlas import (
     cyclic_group,
 )
 from vfc.examples_cli import ExampleDescriptor, build_example, build_toy_atlas, random_toy_atlas
-from vfc.expressions import num, var
 
 F = Fraction
 
@@ -54,13 +53,12 @@ def _with_change(atlas, I, J, **changes):
     )
 
 
-def _z2_on_4_points(perms=None, membership=None):
+def _z2_on_4_points(perms=None):
     perms = perms or [(0, 1, 2, 3), (1, 0, 3, 2)]
     return GroupQuotientModel(
         points=tuple((F(k),) for k in range(4)),
         group=cyclic_group(2),
         perms=perms,
-        membership=membership,
     )
 
 
@@ -81,11 +79,6 @@ def identity_moves_points():
 
 def g1_not_a_permutation():
     return _z2_on_4_points(perms=[(0, 1, 2, 3), (0, 0, 2, 3)])
-
-
-def samples_outside_membership():
-    """The domain {x <= 0} holds sample 0 only."""
-    return _z2_on_4_points(membership=["<=", var(0), num(0)])
 
 
 def _sign_chart(action, grid=((F(0),), (F(1),), (F(-1),))):
@@ -204,11 +197,6 @@ def test_identity_not_trivial():
 def test_not_a_permutation():
     rep = check_group_quotient(g1_not_a_permutation())
     assert _failure(rep, "not_a_permutation")["element"] == "g1"
-
-
-def test_sample_outside_domain():
-    rep = check_group_quotient(samples_outside_membership())
-    assert _failure(rep, "sample_outside_domain")["point"] == 1
 
 
 def test_obstruction_identity_action():

@@ -1,16 +1,18 @@
 """One doctored model per obstruction-space clause: each test asserts that
 its clause fires, with its witness.
 
-The E_K models each break one law of E_K, and the whole report of the
-earlier stage that decides it (see the docstring of ``build_categories``,
-which takes those stages as given) is asserted: the law's clause, with
-its first witness.
+The E_K models each break one law of E_K, decided by an earlier stage
+(see the docstring of ``build_categories``, which takes those stages as
+given), on an additive obstruction bundle; the failures of every atlas
+stage are asserted, so that the law's clause, with its first witness, is
+the model's only fault, or names the clauses its edit forces as well.
 
 The constructors at the top build the doctored models; the tests below
 only run a validator and read its failures.
 """
 
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -130,26 +132,36 @@ def chart_without_grid():
 
 
 def on_a_line(atlas, action=None, phi=None, section=None):
-    """``atlas`` with E_I = Q and the grid {-1, 0, 1} on every chart: Γ_I
-    acts by the scalars ``action[I]`` (one per element; 1 by default),
-    φ̂ is [``phi[(I, J)]``] (1 by default), and the section is 0 but at
+    """``atlas`` with E_I = Q^|I| and the grid {-1, 0, 1}^|I| on every
+    chart, so that E is additive, and |I| − 1 tangent coordinates, so that
+    every change meets the index condition: Γ_I acts by the scalars
+    ``action[I]`` (one per element; 1 by default), φ̂ of I -> J is
+    ``phi[(I, J)]`` (1 by default) times the block inclusion that sends the
+    coordinate of label i ∈ I to that of i ∈ J, and the section is 0 but at
     the samples ``section[(I, x)]``."""
     action, phi, section = action or {}, phi or {}, section or {}
     charts = {
         I: dataclasses.replace(
             chart,
-            obstruction_dim=1,
-            obstruction_action=[[[a]] for a in action.get(I, [1] * chart.group.order)],
-            obstruction_points=((-1,), (0,), (1,)),
-            section_samples=[
-                (section.get((I, x), F(0)),) for x in range(len(chart.domain.points))
+            obstruction_dim=len(I),
+            obstruction_action=[
+                [[a * (r == c) for c in range(len(I))] for r in range(len(I))]
+                for a in action.get(I, [1] * chart.group.order)
             ],
+            obstruction_points=list(itertools.product((-1, 0, 1), repeat=len(I))),
+            section_samples=[
+                section.get((I, x), (0,) * len(I)) for x in range(len(chart.domain.points))
+            ],
+            tangent_dims=tuple(range(len(I) - 1)),
         )
         for I, chart in atlas.charts.items()
     }
     changes = {
-        key: dataclasses.replace(change, phi_hat=[[phi.get(key, 1)]])
-        for key, change in atlas.changes.items()
+        (I, J): dataclasses.replace(
+            change, phi_hat=[[phi.get((I, J), 1) * (j == i) for i in I] for j in J],
+            tilde_tangent_dims=tuple(range(len(I) - 1)),
+        )
+        for (I, J), change in atlas.changes.items()
     }
     return dataclasses.replace(atlas, charts=charts, changes=changes)
 
@@ -173,17 +185,18 @@ def phi_hat_not_equivariant_on_the_grid():
 
 
 def phi_hats_not_composing_on_the_grid():
-    """Three charts over one point with trivial isotropy; φ̂ is [1] on every
-    change but [−1] on (1,) -> (1, 2, 3), which maps the grid into itself."""
+    """Three charts over one point with trivial isotropy; φ̂ is the block
+    inclusion on every change but −1 times it on (1, 2) -> (1, 2, 3), which
+    maps the grid into itself."""
     atlas = build_toy_atlas({1: {"p"}, 2: {"p"}, 3: {"p"}}, ["p"], {})
-    return on_a_line(atlas, phi={((1,), (1, 2, 3)): -1})
+    return on_a_line(atlas, phi={((1, 2), (1, 2, 3)): -1})
 
 
 def section_not_phi_compatible_on_the_grid():
     """Trivial isotropy; sample 0 of chart (1, 2), in Ũ of (1,) -> (1, 2),
-    has section value 1, a grid point, where φ̂(s_1(ρ(0))) is 0."""
+    has section value (1, 0), a grid point, where φ̂(s_1(ρ(0))) is 0."""
     atlas = build_toy_atlas({1: {"a", "b"}, 2: {"b"}}, ["a", "b"], {})
-    return on_a_line(atlas, section={((1, 2), 0): F(1)})
+    return on_a_line(atlas, section={((1, 2), 0): (F(1), F(0))})
 
 
 def section_not_equivariant_on_the_grid():
@@ -191,7 +204,7 @@ def section_not_equivariant_on_the_grid():
     (a, e) and (a, g1) of the orbit over a: s(g1·x) is not g1·s(x)."""
     atlas = build_toy_atlas({1: {"a", "b"}}, ["a", "b"], {1: 2})
     return on_a_line(
-        atlas, action={(1,): [1, -1]}, section={((1,), 0): F(1), ((1,), 1): F(1)}
+        atlas, action={(1,): [1, -1]}, section={((1,), 0): (F(1),), ((1,), 1): (F(1),)}
     )
 
 
@@ -282,46 +295,55 @@ def test_norm_shape():
 
 
 def test_grid_action_not_a_law():
-    assert check_chart(grid_action_not_a_law(), (1,)).failures == [
+    assert _failing_atlas_stages(grid_action_not_a_law()) == ({"chart (1,)": [
         {"clause": "obstruction_action_law", "pair": ("g1", "g1")},
         {"clause": "obstruction_action_law", "pair": ("g2", "g2")},
-    ]
+    ]}, False)
 
 
 def test_grid_action_identity_not_trivial():
-    assert check_chart(grid_action_identity_not_trivial(), (1,)).failures == [
+    assert _failing_atlas_stages(grid_action_identity_not_trivial()) == ({"chart (1,)": [
         {"clause": "obstruction_identity_action"},
-    ]
+    ]}, False)
 
 
 def test_phi_hat_not_equivariant_on_the_grid():
-    atlas = phi_hat_not_equivariant_on_the_grid()
-    assert check_coordinate_change(atlas, (1,), (1, 2)).failures == [
-        {"clause": "phi_hat_not_equivariant", "element": "g1|e"},
-    ]
+    assert _failing_atlas_stages(phi_hat_not_equivariant_on_the_grid()) == ({
+        "coordinate_change (1,)->(1, 2)": [
+            {"clause": "phi_hat_not_equivariant", "element": "g1|e"},
+        ],
+    }, False)
 
 
 def test_phi_hats_not_composing_on_the_grid():
-    assert check_cocycle(phi_hats_not_composing_on_the_grid(), "weak").failures == [
+    assert _failing_atlas_stages(phi_hats_not_composing_on_the_grid()) == ({"cocycle[strong]": [
         {"clause": "phi_hat_composition", "triple": ((1,), (1, 2), (1, 2, 3))},
-        {"clause": "phi_hat_composition", "triple": ((1,), (1, 3), (1, 2, 3))},
-    ]
+        {"clause": "phi_hat_composition", "triple": ((2,), (1, 2), (1, 2, 3))},
+    ]}, False)
 
 
 def test_section_not_phi_compatible_on_the_grid():
-    atlas = section_not_phi_compatible_on_the_grid()
-    assert check_coordinate_change(atlas, (1,), (1, 2)).failures == [
-        {"clause": "section_compatibility", "point": 0},
-    ]
+    """Sample 0 is the only sample of chart (1, 2) and lies in Ũ of both
+    changes, so the edit also breaks compatibility with (2,) -> (1, 2),
+    leaves b without a zero, and puts the sample in im φ̂_1 but not in
+    im φ̂_2."""
+    assert _failing_atlas_stages(section_not_phi_compatible_on_the_grid()) == ({
+        "chart (1, 2)": [{"clause": "footprint_not_bijective", "footprint": ["b"], "mapped": []}],
+        "coordinate_change (1,)->(1, 2)": [{"clause": "section_compatibility", "point": 0}],
+        "coordinate_change (2,)->(1, 2)": [{"clause": "section_compatibility", "point": 0}],
+        "tame_and_filtration": [
+            {"clause": "pushforward_identity", "indices": ((2,), (1, 2), (1, 2))},
+        ],
+    }, False)
 
 
 def test_section_not_equivariant_on_the_grid():
     """The section is 0 only over b, so the zero classes miss a as well."""
     atlas = section_not_equivariant_on_the_grid()
-    assert check_chart(atlas, (1,)).failures == [
+    assert _failing_atlas_stages(atlas) == ({"chart (1,)": [
         {"clause": "section_not_equivariant", "element": "g1", "point": 0},
         {"clause": "footprint_not_bijective", "footprint": ["a", "b"], "mapped": ["b"]},
-    ]
+    ]}, False)
     out = build_categories(atlas)
     assert check_realizations(atlas, out.domain_category).failures == [
         {"clause": "zero_classes_not_bijective_with_footprint", "classes": 1, "footprint": 2},

@@ -39,6 +39,7 @@ from vfc.reduction_perturb import (
     _small,
     _sums,
     _tilde,
+    _zero_in_C,
     build_pruned_category,
     check_adapted,
     check_perturbation,
@@ -142,11 +143,6 @@ class TestCheckReduction:
         sets[(1, 2)] = frozenset()  # "b" now uncovered
         rep = check_reduction(toy2, Reduction(sets=sets))
         assert "zero_set_not_covered" in clauses(rep)
-
-    def test_predicate_mismatch(self, toy2):
-        red = toy_reduction(toy2)
-        red.preds[(1,)] = ["false"]
-        assert "predicate_mismatch" in clauses(check_reduction(toy2, red))
 
     def test_partial_isotropy_not_free(self):
         atlas = _fixed_point_atlas()
@@ -602,16 +598,7 @@ def _line_atlas(extra_chart_distance=None) -> AtlasModel:
 
 def _line_data(atlas):
     V = Reduction(sets={(1,): frozenset({3, 4, 5})})
-    C = Reduction(
-        sets={(1,): frozenset({4})},
-        preds={
-            (1,): [
-                "and",
-                ["<=", num("3/8"), var(0)],
-                ["<=", var(0), num("5/8")],
-            ]
-        },
-    )
+    C = Reduction(sets={(1,): frozenset({4})})
     if (2,) in atlas.charts:
         V.sets[(2,)] = frozenset({0})
         C.sets[(2,)] = frozenset({0})
@@ -692,7 +679,10 @@ class TestAdaptednessConstants:
 class TestCheckAdapted:
     def _setup(self):
         atlas = _line_atlas()
-        V, C, norms = _line_data(atlas)
+        V, _, norms = _line_data(atlas)
+        # the zero 7/16 is as near sample 3 (3/8) as sample 4 (1/2): its
+        # nearest sample is the first, 3, which C holds
+        C = Reduction(sets={(1,): frozenset({3, 4})})
         constants = compute_adaptedness_constants(atlas, V, C, norms)
         nu = Perturbation(
             asts={(1,): (num("1/16"),)},
@@ -860,13 +850,12 @@ class TestSerialization:
     def test_reduction_round_trip(self, toy2):
         red = Reduction(
             sets={(1,): frozenset({0, 2}), (1, 2): frozenset({1})},
-            preds={(1,): ["<=", var(0), num("1/2")]},
             closures={(1,): frozenset({0, 1, 2})},
         )
         data = reduction_to_json(red)
+        assert set(data) == {"sets", "closures"}
         again = reduction_from_json(json.loads(json.dumps(data, sort_keys=True)), toy2)
         assert again.sets == red.sets
-        assert again.preds == red.preds
         assert again.closures == red.closures
 
     def test_perturbation_round_trip(self, toy2):
@@ -970,6 +959,24 @@ def sphere8():
     built = build_example(ExampleDescriptor("sphere-euler", {"density": 8}))
     constants = compute_adaptedness_constants(built.atlas, built.V, built.C, built.norms)
     return built, constants
+
+
+def test_a_zero_lies_in_c_by_its_nearest_sample_or_through_rho(sphere8):
+    """A point of chart (1, 2) lies in C when its nearest sample y does, or
+    when y lies in Ũ_{H,(1,2)} and ρ_H maps it into C_H.  At N=8 chart
+    (1, 2) has three rings of 8 samples; ρ maps ring g to ring g of each
+    disk, and C holds ring 0 of disk 1 and ring 2 of disk 2."""
+    built, _ = sphere8
+    atlas = built.atlas
+    coords = atlas.charts[(1, 2)].domain.coordinates
+    C = Reduction(sets={**built.C.sets, (1, 2): frozenset()})
+    assert _zero_in_C(atlas, C, (1, 2), coords[1] + 1e-9)
+    assert _zero_in_C(atlas, C, (1, 2), coords[17] - 1e-9)
+    assert not _zero_in_C(atlas, C, (1, 2), coords[9])
+    assert _zero_in_C(atlas, built.C, (1, 2), coords[9])
+    # chart (1,) has no change into it: only C_1 itself counts
+    disk = atlas.charts[(1,)].domain.coordinates
+    assert _zero_in_C(atlas, C, (1,), disk[1]) and not _zero_in_C(atlas, C, (1,), disk[9])
 
 
 def _adapted_failures(sphere8, edit, drop_asts=()):

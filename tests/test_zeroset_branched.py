@@ -18,7 +18,7 @@ from vfc.charts_atlas import (
     trivial_group,
 )
 from vfc.examples_cli import ExampleDescriptor, build_example, run_example
-from vfc.expressions import compile_vector, eval_pred, num, var
+from vfc.expressions import compile_vector, num, var
 from vfc.reduction_perturb import Perturbation, Reduction
 from vfc.zeroset_branched import (
     EPS_MERGE,
@@ -205,6 +205,13 @@ def _assert_lockstep_matches_reference(f, seeds, dims, m, box=None):
     return set(walks[1])
 
 
+def _nearest(atlas, I, coords) -> int:
+    """The first sample of chart I nearest ``coords`` in the sup norm."""
+    points = atlas.charts[I].domain.coordinates.tolist()
+    return min(range(len(points)),
+               key=lambda k: max(abs(a - b) for a, b in zip(points[k], coords)))
+
+
 def _reference_stats(atlas, red, nu, I, seeds) -> NewtonStats:
     """The statistics of chart I from the reference walks, with the zeros
     merged as ``find_zeros`` merges them."""
@@ -218,8 +225,7 @@ def _reference_stats(atlas, red, nu, I, seeds) -> NewtonStats:
         stats.rounds = max(stats.rounds, n)
         stats.iterations += n
         setattr(stats, stop, getattr(stats, stop) + 1)
-        pred = red.preds.get(I)
-        if stop != "converged" or (pred is not None and not eval_pred(pred, coords)):
+        if stop != "converged" or _nearest(atlas, I, coords) not in red.sets.get(I, ()):
             continue
         if any(max(abs(a - b) for a, b in zip(coords, z)) < EPS_MERGE for z in found):
             stats.merged += 1
@@ -366,19 +372,12 @@ def _interval_atlas(section_asts, sample_coords, zero_samples):
     )
 
 
-def _open_interval_pred(lo="-1/1", hi="1/1"):
-    return ["and", ["<", num(lo), var(0)], ["<", var(0), num(hi)]]
-
-
 class TestFindZeros:
     def test_linear_section_single_zero(self):
         atlas = _interval_atlas(
             (var(0),), [F(-1, 2), F(0), F(1, 2)], [F(-1, 2), F(0), F(1, 2)]
         )
-        red = Reduction(
-            sets={(1,): frozenset({0, 1, 2})},
-            preds={(1,): _open_interval_pred()},
-        )
+        red = Reduction(sets={(1,): frozenset({0, 1, 2})})
         result = find_zeros(atlas, red, Perturbation())
         assert len(result.zeros) == 1
         z = result.zeros[0]
@@ -392,24 +391,29 @@ class TestFindZeros:
         coords = [F(-1), F(-1, 4), F(1, 4), F(1)]
         values = [F(3, 4), F(-3, 16), F(-3, 16), F(3, 4)]
         atlas = _interval_atlas((ast,), coords, values)
-        red = Reduction(
-            sets={(1,): frozenset(range(4))},
-            preds={(1,): _open_interval_pred("-2/1", "2/1")},
-        )
+        red = Reduction(sets={(1,): frozenset(range(4))})
         result = find_zeros(atlas, red, Perturbation())
         assert len(result.zeros) == 2
         assert sorted(round(z.coordinates[0], 6) for z in result.zeros) == [-0.5, 0.5]
         assert sum(z.sign for z in result.zeros) == 0
+
+    def test_a_zero_nearest_a_sample_outside_v_is_dropped(self):
+        # the walks from -1 and 1/4 converge to -1/2 and 1/2; the sample
+        # nearest -1/2 is -1/4, outside V = {-1, 1/4}, so only 1/2 is kept
+        ast = ["-", ["*", var(0), var(0)], num("1/4")]
+        coords = [F(-1), F(-1, 4), F(1, 4), F(1)]
+        values = [F(3, 4), F(-3, 16), F(-3, 16), F(3, 4)]
+        atlas = _interval_atlas((ast,), coords, values)
+        result = find_zeros(atlas, Reduction(sets={(1,): frozenset({0, 2})}), Perturbation())
+        assert [round(z.coordinates[0], 6) for z in result.zeros] == [0.5]
+        assert result.stats[(1,)].converged == 2
 
     def test_missed_zero_warning(self):
         # flat ramp: seeds in the flat regions cannot converge, but the
         # section changes sign between them
         ast = ["-", ["smoothstep", var(0)], num("1/2")]
         atlas = _interval_atlas((ast,), [F(0)], [F(-1, 2)])
-        red = Reduction(
-            sets={(1,): frozenset({0})},
-            preds={(1,): _open_interval_pred("-5/1", "5/1")},
-        )
+        red = Reduction(sets={(1,): frozenset({0})})
         result = find_zeros(
             atlas, red, Perturbation(), seeds={(1,): [(F(-2),), (F(3),)]}
         )
@@ -419,17 +423,14 @@ class TestFindZeros:
     def test_singular_jacobian_rejected(self):
         ast = ["*", var(0), var(0)]
         atlas = _interval_atlas((ast,), [F(0)], [F(0)])
-        red = Reduction(
-            sets={(1,): frozenset({0})},
-            preds={(1,): _open_interval_pred()},
-        )
+        red = Reduction(sets={(1,): frozenset({0})})
         with pytest.raises(PerturbationRejected):
             find_zeros(atlas, red, Perturbation())
 
     def test_a_section_without_a_zero_escapes_the_sample_box(self):
         # s(t) = 1/(1 + t) > 0 falls below TAU_ZERO only far out: each step
         # doubles 1 + t, so from both samples the walk leaves their box
-        # [-1, 2]; no predicate is needed to reject the far points
+        # [-1, 2], and no far point is kept
         ast = ["/", num(1), ["+", num(1), var(0)]]
         atlas = _interval_atlas((ast,), [F(0), F(1)], [F(1), F(1, 2)])
         result = find_zeros(atlas, Reduction(sets={(1,): frozenset({0, 1})}), Perturbation())
@@ -440,10 +441,7 @@ class TestFindZeros:
         atlas = _interval_atlas(
             (var(0),), [F(0), F(1, 2)], [F(0), F(1, 2)]
         )
-        red = Reduction(
-            sets={(1,): frozenset({0, 1})},
-            preds={(1,): _open_interval_pred()},
-        )
+        red = Reduction(sets={(1,): frozenset({0, 1})})
         nu = Perturbation(asts={(1,): (num("1/8"),)})
         result = find_zeros(atlas, red, nu)
         assert len(result.zeros) == 1
@@ -887,10 +885,7 @@ class TestReport:
         atlas = _interval_atlas(
             (var(0),), [F(-1, 2), F(0), F(1, 2)], [F(-1, 2), F(0), F(1, 2)]
         )
-        red = Reduction(
-            sets={(1,): frozenset({0, 1, 2})},
-            preds={(1,): _open_interval_pred()},
-        )
+        red = Reduction(sets={(1,): frozenset({0, 1, 2})})
         result = find_zeros(atlas, red, Perturbation())
         report = zero_set_report(result.zeros, total=F(1), warnings=result.warnings)
         assert report["total"] == "1/1"
